@@ -5,8 +5,8 @@ from .core import (
     INF, GlobalConstants, Instr, Lin, MemCap, Perm, RetPtrCode, RetPtrData,
     SealCap, Sealed, StkPtr, dec_instr, dec_perm, enc_instr, enc_perm,
 )
-from .machine import TargetConfig, run, step
-from .source import SourceConfig, StackFrame, run_source, step_source
+from .machine import step
+from .source import SourceConfig, StackFrame
 from .asm import (
     CALL_LEN, RET_PT_OFFSET, CallParams, assemble, call_cond, disassemble,
     expand_scall, find_hidden_calls,

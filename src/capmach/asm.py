@@ -22,7 +22,6 @@ RET_PT_OFFSET = 15  # first instruction of the macro's return code
 _XJMP_INDEX = 14
 _OFF_PC_INDEX = 6
 _OFF_SIGMA_INDEX = 8
-_FAIL_INDEX = 22
 
 
 @dataclass(frozen=True)
@@ -195,9 +194,6 @@ def find_hidden_calls(code, stk_base: int,
 # ---------------------------------------------------------------------------
 # Word literal syntax (shared with the component container format)
 
-_PERM_NAMES = {p.value.upper(): p for p in Perm}
-_PERM_NAMES.update({p.value: p for p in Perm})
-
 
 def _bound(s):
     return INF if s == "inf" else int(s)
@@ -216,13 +212,13 @@ def parse_word(text: str) -> Word:
         return int(rest)
     if kind == "cap":
         p, l, b, e, a = rest.split(",")
-        return MemCap(_PERM_NAMES[p], Lin(l), int(b), _bound(e), int(a))
+        return MemCap(Perm(p.lower()), Lin(l), int(b), _bound(e), int(a))
     if kind == "seal":
         b, e, c = rest.split(",")
         return SealCap(int(b), _bound(e), int(c))
     if kind == "stkptr":
         p, b, e, a = rest.split(",")
-        return StkPtr(_PERM_NAMES[p], int(b), _bound(e), int(a))
+        return StkPtr(Perm(p.lower()), int(b), _bound(e), int(a))
     if kind == "retptrcode":
         b, e, a = rest.split(",")
         return RetPtrCode(int(b), int(e), int(a))

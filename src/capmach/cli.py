@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .asm import AsmError, assemble, format_word
+from .asm import assemble, format_word
 from .components import (
     ConfigError, LinkError, format_component, initial_config, is_program,
     link, parse_component,
@@ -34,6 +34,13 @@ def _parse_range(s):
     return int(lo), int(hi)
 
 
+def _fuel(s):
+    n = int(s)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"fuel must be non-negative, got {n}")
+    return n
+
+
 def _read(path):
     with open(path) as fh:
         return fh.read()
@@ -52,7 +59,7 @@ def cmd_asm(args):
     try:
         res = assemble(_read(args.input), args.stk_base,
                        not args.no_check_stk_base)
-    except AsmError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     lines = ["[mem]"]
@@ -71,7 +78,7 @@ def cmd_asm(args):
 def cmd_validate(args):
     try:
         comp = parse_component(_read(args.component))
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     diags = validate_component(comp, _gc(comp, args))
@@ -84,7 +91,7 @@ def cmd_link(args):
     try:
         c1 = parse_component(_read(args.left))
         c2 = parse_component(_read(args.right))
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -107,7 +114,7 @@ def _report_exit(report):
 def cmd_run(args):
     try:
         prog = parse_component(_read(args.program))
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     gc = _gc(prog, args)
@@ -135,13 +142,11 @@ def cmd_diff(args):
     try:
         trusted = parse_component(_read(args.trusted))
         context = parse_component(_read(args.context))
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    b_stk, e_stk = args.stack
-    stk_base = args.stk_base if args.stk_base is not None else b_stk
     try:
-        v = run_diff(trusted, context, stk_base, e_stk, args.fuel,
+        v = run_diff(trusted, context, args.stk_base, args.stack[1], args.fuel,
                      not args.no_check_stk_base, args.paranoid,
                      want_trace=args.trace_dir is not None,
                      validate=not args.no_validate)
@@ -195,7 +200,7 @@ def build_parser():
         sp.add_argument("--no-check-stk-base", action="store_true")
         if stack:
             sp.add_argument("--stack", type=_parse_range, default=(1000, 1063))
-            sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+            sp.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL)
 
     sp = sub.add_parser("asm")
     sp.add_argument("input")
@@ -236,7 +241,6 @@ def build_parser():
     sp.set_defaults(fn=cmd_diff)
 
     sp = sub.add_parser("scenarios")
-    sp.add_argument("--list", action="store_true")
     sp.add_argument("--run")
     sp.set_defaults(fn=cmd_scenarios)
 

@@ -17,7 +17,6 @@ from .core import (
     INF, PC, RDATA, RSTK, GlobalConstants, Lin, MemCap, Perm, SealCap, Sealed,
     StkPtr, Word, fresh_registers, is_linear, non_exec, perm_leq,
 )
-from .machine import TargetConfig
 from .source import SourceConfig
 
 
@@ -330,7 +329,7 @@ def initial_config(p: Component, machine_kind: str,
         reg[RSTK] = MemCap(Perm.RW, Lin.LINEAR, b_stk, e_stk, e_stk)
         for x in range(b_stk, e_stk + 1):
             mem[x] = 0
-        return TargetConfig(mem, reg)
+        return SourceConfig(mem, reg)
     if machine_kind == "source":
         reg[RSTK] = StkPtr(Perm.RW, b_stk, e_stk, e_stk)
         ms_stk = {x: 0 for x in range(b_stk, e_stk + 1)}

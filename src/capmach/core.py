@@ -152,10 +152,6 @@ def is_sealable(w: Word) -> bool:
     return isinstance(w, _SEALABLE)
 
 
-def is_cap(w: Word) -> bool:
-    return isinstance(w, _SEALABLE + (Sealed,))
-
-
 def is_linear(w: Word) -> bool:
     if isinstance(w, MemCap):
         return w.lin is Lin.LINEAR

@@ -12,12 +12,9 @@ from typing import Optional
 
 from .components import Component, initial_config, link, is_program, \
     validate_component
-from .core import INF, PC, GlobalConstants, MemCap, RetPtrData, Sealed, \
-    StkPtr, is_linear
-from .machine import (
-    Failed, Halted, NULL_EXTENSION, Running, TargetConfig, TraceRecord,
-    current_instr_repr, step,
-)
+from .core import PC, GlobalConstants, MemCap, RetPtrData, Sealed, StkPtr, \
+    dec_instr, is_linear
+from .machine import Failed, Halted, NULL_EXTENSION, step
 from .source import SOURCE_EXTENSION, SourceConfig, memory_overlap
 
 DEFAULT_FUEL = 100_000
@@ -49,9 +46,6 @@ class DiffVerdict:
 # ---------------------------------------------------------------------------
 # Invariant checks
 
-_BIG = 10 ** 9  # stand-in end for unbounded capabilities
-
-
 def _collect_linear(w, where, out):
     if isinstance(w, Sealed):
         _collect_linear(w.inner, where, out)
@@ -59,8 +53,7 @@ def _collect_linear(w, where, out):
     if not is_linear(w):
         return
     if isinstance(w, (MemCap, StkPtr, RetPtrData)):
-        end = _BIG if w.end == INF else w.end
-        out.append((w.base, end, where))
+        out.append((w.base, w.end, where))
 
 
 def check_linearity(cfg) -> list:
@@ -71,12 +64,11 @@ def check_linearity(cfg) -> list:
         _collect_linear(w, f"reg {r}", caps)
     for a, w in cfg.mem.items():
         _collect_linear(w, f"mem {a}", caps)
-    if isinstance(cfg, SourceConfig):
-        for a, w in cfg.ms_stk.items():
-            _collect_linear(w, f"stk {a}", caps)
-        for i, f in enumerate(cfg.stk):
-            for a, w in f.ms.items():
-                _collect_linear(w, f"frame {i} addr {a}", caps)
+    for a, w in cfg.ms_stk.items():
+        _collect_linear(w, f"stk {a}", caps)
+    for i, f in enumerate(cfg.stk):
+        for a, w in f.ms.items():
+            _collect_linear(w, f"frame {i} addr {a}", caps)
     caps.sort(key=lambda t: t[0])
     dups = []
     for (b1, e1, w1), (b2, e2, w2) in zip(caps, caps[1:]):
@@ -106,10 +98,30 @@ def check_stack_partition(cfg: SourceConfig) -> list:
 # ---------------------------------------------------------------------------
 # Running
 
+@dataclass(frozen=True)
+class TraceRecord:
+    step: int
+    pc_addr: object
+    instr: str
+    outcome: str
+
+
+def current_instr_repr(cfg) -> str:
+    pc = cfg.reg[PC]
+    if not isinstance(pc, MemCap):
+        return "<no pc cap>"
+    w = cfg.mem.get(pc.addr)
+    return repr(dec_instr(w)) if w is not None else "<unmapped>"
+
+
 def run_report(cfg, machine_kind: str, gc: GlobalConstants,
                fuel: int = DEFAULT_FUEL, paranoid: bool = False,
                want_trace: bool = False) -> RunReport:
-    ext = SOURCE_EXTENSION if machine_kind == "source" else NULL_EXTENSION
+    """Step ``cfg`` on one machine until it halts, fails or runs out of
+    ``fuel``.  ``paranoid`` checks the invariants before every step;
+    ``want_trace`` records one TraceRecord per step."""
+    source = machine_kind == "source"
+    ext = SOURCE_EXTENSION if source else NULL_EXTENSION
     trace = [] if want_trace else None
     violations: list = []
     steps = 0
@@ -117,16 +129,16 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
         if paranoid:
             for dup in check_linearity(cfg):
                 violations.append(f"step {steps}: duplicated linear addr {dup}")
-            if isinstance(cfg, SourceConfig):
+            if source:
                 for v in check_stack_partition(cfg):
                     violations.append(f"step {steps}: {v}")
-        instr_repr = current_instr_repr(cfg, ext, gc) if want_trace else ""
         nxt = step(cfg, ext, gc)
         steps += 1
-        if trace is not None:
+        if want_trace:
             pc = cfg.reg[PC]
             pc_addr = pc.addr if isinstance(pc, MemCap) else None
-            trace.append(TraceRecord(steps, pc_addr, instr_repr, nxt.kind))
+            trace.append(TraceRecord(steps, pc_addr, current_instr_repr(cfg),
+                                     nxt.kind))
         if isinstance(nxt, Halted):
             return RunReport("halted", steps, violations, cfg, trace)
         if isinstance(nxt, Failed):
@@ -174,7 +186,7 @@ def run_diff(trusted: Component, context: Component,
 # ---------------------------------------------------------------------------
 # Observations (for round-trip comparisons)
 
-def visible_observations(src_cfg: SourceConfig, trg_cfg: TargetConfig):
+def visible_observations(src_cfg: SourceConfig, trg_cfg: SourceConfig):
     """(mismatches, shared-int-register map) between two final states.
 
     Registers compare as ints; capability-shaped values are

@@ -1,38 +1,24 @@
 """Single-step instruction interpretation shared by both machines.
 
 Every function here is pure: configurations are immutable snapshots and
-each step builds a fresh one.  Source-only instruction cases (stack
-tokens, return-token jumps, call recognition) are supplied through a
-``MachineExtension``; the target machine uses the null extension.
+each step builds a fresh one.  A memory capability indexes ``mem`` and a
+stack pointer indexes ``ms_stk``; every pointer case is written once over
+the pointer and the segment it indexes.  A ``MachineExtension`` names the
+pointer kinds its machine accepts and supplies the source-only rules
+(call recognition, return-token jumps); the target machine uses the null
+extension, which accepts memory capabilities only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from .core import (
-    FAIL, PC, RDATA, GlobalConstants, Instr, MemCap, RetPtrCode, RetPtrData,
-    SealCap, Sealed, StkPtr, Word, dec_instr, dec_perm, enc_lin, enc_perm,
+    PC, RDATA, GlobalConstants, Instr, Lin, MemCap, RetPtrCode, RetPtrData,
+    SealCap, Sealed, StkPtr, dec_instr, dec_perm, enc_lin, enc_perm,
     enc_type, is_exec, is_linear, is_sealable, lin_cons, lin_cons_perm,
     non_exec, non_zero, perm_leq, read_allowed, within_bounds, write_allowed,
 )
-
-
-@dataclass(frozen=True)
-class TargetConfig:
-    mem: dict
-    reg: dict
-
-    def with_regs(self, updates: dict) -> "TargetConfig":
-        reg = dict(self.reg)
-        reg.update(updates)
-        return replace(self, reg=reg)
-
-    def with_mem_cell(self, a: int, w: Word) -> "TargetConfig":
-        mem = dict(self.mem)
-        mem[a] = w
-        return replace(self, mem=mem)
 
 
 @dataclass(frozen=True)
@@ -54,10 +40,9 @@ class Halted:
 
 FAILED = Failed()
 HALTED = Halted()
-StepOutcome = object  # Running | Failed | Halted
 
 
-def upd_pc_addr(cfg) -> StepOutcome:
+def upd_pc_addr(cfg):
     pc = cfg.reg[PC]
     if isinstance(pc, MemCap):
         return Running(cfg.with_regs({PC: replace(pc, addr=pc.addr + 1)}))
@@ -65,38 +50,20 @@ def upd_pc_addr(cfg) -> StepOutcome:
 
 
 class MachineExtension:
-    """Hooks for the source-only instruction cases.
+    """What sets one machine apart from the other.
 
-    Each hook returns a StepOutcome when its (blue) case applies and
-    None otherwise; the shared interpreter then falls through to
-    ``failed``.  This base class is the target machine: no extra cases.
+    ``pointers`` lists the capability kinds that load, store and the
+    pointer instructions accept.  Each hook returns a step outcome when
+    its case applies and None otherwise.  This base class is the target
+    machine: memory capabilities only, no source-only rules.
     """
 
-    def store(self, cfg, cap, r2) -> Optional[StepOutcome]:
+    pointers = (MemCap,)
+
+    def xjump_result(self, c1, c2, cfg, gc):
         return None
 
-    def load(self, cfg, r1, cap) -> Optional[StepOutcome]:
-        return None
-
-    def cca(self, cfg, r, cap, n) -> Optional[StepOutcome]:
-        return None
-
-    def restrict(self, cfg, r1, cap, n) -> Optional[StepOutcome]:
-        return None
-
-    def seta2b(self, cfg, r1, cap) -> Optional[StepOutcome]:
-        return None
-
-    def split(self, cfg, r1, r2, r3, cap, n) -> Optional[StepOutcome]:
-        return None
-
-    def splice(self, cfg, r1, r2, r3, c2, c3) -> Optional[StepOutcome]:
-        return None
-
-    def xjump_result(self, c1, c2, cfg, gc) -> Optional[StepOutcome]:
-        return None
-
-    def recognize_call(self, cfg, gc) -> Optional[StepOutcome]:
+    def recognize_call(self, cfg, gc):
         """Big-step call dispatch; None means no call fires here."""
         return None
 
@@ -112,12 +79,32 @@ def _operand(cfg, rn):
     return w if isinstance(w, int) else None
 
 
-def exec_jmp(cfg, r):
+def _segment(cfg, c):
+    """The memory a pointer indexes: the stack memory for a stack pointer."""
+    return cfg.ms_stk if isinstance(c, StkPtr) else cfg.mem
+
+
+def _with_cell(cfg, c, w):
+    """``cfg`` with ``w`` written at the cell that pointer ``c`` indexes."""
+    if isinstance(c, StkPtr):
+        return cfg.with_stk_cell(c.addr, w)
+    return cfg.with_mem_cell(c.addr, w)
+
+
+def exec_fail(cfg, ext, gc):
+    return FAILED
+
+
+def exec_halt(cfg, ext, gc):
+    return HALTED
+
+
+def exec_jmp(cfg, ext, gc, r):
     target = cfg.reg[r]
     return Running(cfg.with_regs({r: lin_cons(target), PC: target}))
 
 
-def exec_jnz(cfg, r, rn):
+def exec_jnz(cfg, ext, gc, r, rn):
     operand = rn if isinstance(rn, int) else cfg.reg[rn]
     if non_zero(operand):
         target = cfg.reg[r]
@@ -125,11 +112,11 @@ def exec_jnz(cfg, r, rn):
     return upd_pc_addr(cfg)
 
 
-def exec_gettype(cfg, r1, r2):
+def exec_gettype(cfg, ext, gc, r1, r2):
     return upd_pc_addr(cfg.with_regs({r1: enc_type(cfg.reg[r2])}))
 
 
-def exec_geta(cfg, r1, r2):
+def exec_geta(cfg, ext, gc, r1, r2):
     w = cfg.reg[r2]
     if isinstance(w, (MemCap, StkPtr)):
         v = w.addr
@@ -140,7 +127,7 @@ def exec_geta(cfg, r1, r2):
     return upd_pc_addr(cfg.with_regs({r1: v}))
 
 
-def exec_getb(cfg, r1, r2):
+def exec_getb(cfg, ext, gc, r1, r2):
     w = cfg.reg[r2]
     if isinstance(w, (MemCap, StkPtr, SealCap)):
         v = w.base
@@ -149,7 +136,7 @@ def exec_getb(cfg, r1, r2):
     return upd_pc_addr(cfg.with_regs({r1: v}))
 
 
-def exec_gete(cfg, r1, r2):
+def exec_gete(cfg, ext, gc, r1, r2):
     w = cfg.reg[r2]
     if isinstance(w, (MemCap, StkPtr, SealCap)):
         v = w.end
@@ -158,7 +145,7 @@ def exec_gete(cfg, r1, r2):
     return upd_pc_addr(cfg.with_regs({r1: v}))
 
 
-def exec_getp(cfg, r1, r2):
+def exec_getp(cfg, ext, gc, r1, r2):
     w = cfg.reg[r2]
     if isinstance(w, (MemCap, StkPtr)):
         v = enc_perm(w.perm)
@@ -167,13 +154,12 @@ def exec_getp(cfg, r1, r2):
     return upd_pc_addr(cfg.with_regs({r1: v}))
 
 
-def exec_getlin(cfg, r1, r2):
-    from .core import Lin
+def exec_getlin(cfg, ext, gc, r1, r2):
     lin = Lin.LINEAR if is_linear(cfg.reg[r2]) else Lin.NORMAL
     return upd_pc_addr(cfg.with_regs({r1: enc_lin(lin)}))
 
 
-def exec_move(cfg, r, rn):
+def exec_move(cfg, ext, gc, r, rn):
     if r == PC:
         return FAILED
     if isinstance(rn, int):
@@ -184,45 +170,34 @@ def exec_move(cfg, r, rn):
     return upd_pc_addr(cfg.with_regs({rn: lin_cons(old), r: old}))
 
 
-def exec_store(cfg, r1, r2, ext):
+def exec_store(cfg, ext, gc, r1, r2):
     c = cfg.reg[r1]
-    if isinstance(c, MemCap):
-        if (write_allowed(c.perm) and within_bounds(c) and r2 != PC
-                and c.addr in cfg.mem):
-            w = cfg.reg[r2]
-            return upd_pc_addr(
-                cfg.with_regs({r2: lin_cons(w)}).with_mem_cell(c.addr, w))
-        return FAILED
-    if isinstance(c, StkPtr):
-        out = ext.store(cfg, c, r2)
-        if out is not None:
-            return out
+    if (isinstance(c, ext.pointers) and write_allowed(c.perm)
+            and within_bounds(c) and r2 != PC and c.addr in _segment(cfg, c)):
+        w = cfg.reg[r2]
+        return upd_pc_addr(_with_cell(cfg.with_regs({r2: lin_cons(w)}), c, w))
     return FAILED
 
 
-def exec_load(cfg, r1, r2, ext):
+def exec_load(cfg, ext, gc, r1, r2):
     c = cfg.reg[r2]
-    if isinstance(c, MemCap):
-        if (read_allowed(c.perm) and within_bounds(c) and r1 != PC
-                and c.addr in cfg.mem):
-            w = cfg.mem[c.addr]
+    if (isinstance(c, ext.pointers) and read_allowed(c.perm)
+            and within_bounds(c) and r1 != PC):
+        seg = _segment(cfg, c)
+        if c.addr in seg:
+            w = seg[c.addr]
             if lin_cons_perm(c.perm, w):
                 return upd_pc_addr(
-                    cfg.with_mem_cell(c.addr, lin_cons(w)).with_regs({r1: w}))
-        return FAILED
-    if isinstance(c, StkPtr):
-        out = ext.load(cfg, r1, c)
-        if out is not None:
-            return out
+                    _with_cell(cfg, c, lin_cons(w)).with_regs({r1: w}))
     return FAILED
 
 
-def exec_cca(cfg, r, rn, ext):
+def exec_cca(cfg, ext, gc, r, rn):
     n = _operand(cfg, rn)
     if n is None or r == PC:
         return FAILED
     c = cfg.reg[r]
-    if isinstance(c, MemCap):
+    if isinstance(c, ext.pointers):
         if c.addr + n < 0:
             return FAILED
         return upd_pc_addr(cfg.with_regs({r: replace(c, addr=c.addr + n)}))
@@ -230,27 +205,17 @@ def exec_cca(cfg, r, rn, ext):
         if c.cur + n < 0:
             return FAILED
         return upd_pc_addr(cfg.with_regs({r: replace(c, cur=c.cur + n)}))
-    if isinstance(c, StkPtr):
-        out = ext.cca(cfg, r, c, n)
-        if out is not None:
-            return out
     return FAILED
 
 
-def exec_restrict(cfg, r1, rn, ext):
+def exec_restrict(cfg, ext, gc, r1, rn):
     n = _operand(cfg, rn)
     if n is None or r1 == PC:
         return FAILED
     c = cfg.reg[r1]
     p = dec_perm(n)
-    if isinstance(c, MemCap):
-        if perm_leq(p, c.perm):
-            return upd_pc_addr(cfg.with_regs({r1: replace(c, perm=p)}))
-        return FAILED
-    if isinstance(c, StkPtr):
-        out = ext.restrict(cfg, r1, c, n)
-        if out is not None:
-            return out
+    if isinstance(c, ext.pointers) and perm_leq(p, c.perm):
+        return upd_pc_addr(cfg.with_regs({r1: replace(c, perm=p)}))
     return FAILED
 
 
@@ -262,91 +227,65 @@ def _binop(cfg, r0, rn1, rn2, fn):
     return upd_pc_addr(cfg.with_regs({r0: fn(n1, n2)}))
 
 
-def exec_lt(cfg, r0, rn1, rn2):
+def exec_lt(cfg, ext, gc, r0, rn1, rn2):
     return _binop(cfg, r0, rn1, rn2, lambda a, b: 1 if a < b else 0)
 
 
-def exec_plus(cfg, r0, rn1, rn2):
+def exec_plus(cfg, ext, gc, r0, rn1, rn2):
     return _binop(cfg, r0, rn1, rn2, lambda a, b: a + b)
 
 
-def exec_minus(cfg, r0, rn1, rn2):
+def exec_minus(cfg, ext, gc, r0, rn1, rn2):
     return _binop(cfg, r0, rn1, rn2, lambda a, b: a - b)
 
 
-def exec_seta2b(cfg, r1, ext):
+def exec_seta2b(cfg, ext, gc, r1):
     if r1 == PC:
         return FAILED
     c = cfg.reg[r1]
-    if isinstance(c, MemCap):
+    if isinstance(c, ext.pointers):
         return upd_pc_addr(cfg.with_regs({r1: replace(c, addr=c.base)}))
     if isinstance(c, SealCap):
         return upd_pc_addr(cfg.with_regs({r1: replace(c, cur=c.base)}))
-    if isinstance(c, StkPtr):
-        out = ext.seta2b(cfg, r1, c)
-        if out is not None:
-            return out
     return FAILED
 
 
-def exec_cseal(cfg, r1, r2):
+def exec_cseal(cfg, ext, gc, r1, r2):
     sc = cfg.reg[r1]
     s = cfg.reg[r2]
-    if (is_sealable(sc) and isinstance(s, SealCap)
-            and s.base <= s.cur <= s.end):
+    if is_sealable(sc) and isinstance(s, SealCap) and within_bounds(s):
         return upd_pc_addr(cfg.with_regs({r1: Sealed(s.cur, sc)}))
     return FAILED
 
 
-def exec_split(cfg, r1, r2, r3, rn4, ext):
+def exec_split(cfg, ext, gc, r1, r2, r3, rn4):
     n = _operand(cfg, rn4)
     if n is None or PC in (r1, r2, r3):
         return FAILED
     c = cfg.reg[r3]
-    if isinstance(c, MemCap):
-        if c.base <= n < c.end:
-            c1 = replace(c, end=n)
-            c2 = replace(c, base=n + 1)
-            return upd_pc_addr(
-                cfg.with_regs({r3: lin_cons(c)}).with_regs({r1: c1}).with_regs({r2: c2}))
-        return FAILED
-    if isinstance(c, SealCap):
-        if c.base <= n < c.end:
-            c1 = replace(c, end=n)
-            c2 = replace(c, base=n + 1)
-            return upd_pc_addr(cfg.with_regs({r1: c1}).with_regs({r2: c2}))
-        return FAILED
-    if isinstance(c, StkPtr):
-        out = ext.split(cfg, r1, r2, r3, c, n)
-        if out is not None:
-            return out
+    if ((isinstance(c, ext.pointers) or isinstance(c, SealCap))
+            and c.base <= n < c.end):
+        # Seals are normal: lin_cons leaves the seal in r3.
+        return upd_pc_addr(cfg.with_regs({
+            r3: lin_cons(c), r1: replace(c, end=n), r2: replace(c, base=n + 1)}))
     return FAILED
 
 
-def exec_splice(cfg, r1, r2, r3, ext):
+def exec_splice(cfg, ext, gc, r1, r2, r3):
     if PC in (r1, r2, r3):
         return FAILED
     c2 = cfg.reg[r2]
     c3 = cfg.reg[r3]
-    if isinstance(c2, MemCap) and isinstance(c3, MemCap):
-        if (c2.perm == c3.perm and c2.lin == c3.lin
-                and c2.end + 1 == c3.base
-                and c2.base <= c2.end and c3.base <= c3.end):
-            c = MemCap(c2.perm, c2.lin, c2.base, c3.end, c3.addr)
-            return upd_pc_addr(
-                cfg.with_regs({r2: lin_cons(c2)}).with_regs({r3: lin_cons(c3)})
-                .with_regs({r1: c}))
+    if not (type(c2) is type(c3)
+            and (isinstance(c2, ext.pointers) or isinstance(c2, SealCap))
+            and c2.end + 1 == c3.base
+            and c2.base <= c2.end and c3.base <= c3.end):
         return FAILED
-    if isinstance(c2, SealCap) and isinstance(c3, SealCap):
-        if (c2.end + 1 == c3.base and c2.base <= c2.end and c3.base <= c3.end):
-            c = SealCap(c2.base, c3.end, c3.cur)
-            return upd_pc_addr(cfg.with_regs({r1: c}))
+    if not isinstance(c2, SealCap) and (
+            c2.perm != c3.perm or is_linear(c2) != is_linear(c3)):
         return FAILED
-    if isinstance(c2, StkPtr) and isinstance(c3, StkPtr):
-        out = ext.splice(cfg, r1, r2, r3, c2, c3)
-        if out is not None:
-            return out
-    return FAILED
+    return upd_pc_addr(cfg.with_regs({
+        r2: lin_cons(c2), r3: lin_cons(c3), r1: replace(c3, base=c2.base)}))
 
 
 def xjump_result(c1, c2, cfg, ext, gc):
@@ -364,71 +303,25 @@ def xjump_result(c1, c2, cfg, ext, gc):
     return FAILED
 
 
-def exec_xjmp(cfg, r1, r2, ext, gc):
+def exec_xjmp(cfg, ext, gc, r1, r2):
     w1 = cfg.reg[r1]
     w2 = cfg.reg[r2]
     if (isinstance(w1, Sealed) and isinstance(w2, Sealed)
             and w1.sigma == w2.sigma):
-        c1, c2 = w1.inner, w2.inner
-        cleared = cfg.with_regs({r1: lin_cons(c1)}).with_regs({r2: lin_cons(c2)})
-        return xjump_result(c1, c2, cleared, ext, gc)
+        # The registers keep the sealed words, as under the atomic call
+        # rule; only linear halves are cleared.
+        cleared = cfg.with_regs({r1: lin_cons(w1), r2: lin_cons(w2)})
+        return xjump_result(w1.inner, w2.inner, cleared, ext, gc)
     return FAILED
 
 
 def exec_instr(instr: Instr, cfg, ext: MachineExtension, gc: GlobalConstants):
-    op = instr.op
-    a = instr.args
-    if op == "fail":
-        return FAILED
-    if op == "halt":
-        return HALTED
-    if op == "jmp":
-        return exec_jmp(cfg, a[0])
-    if op == "jnz":
-        return exec_jnz(cfg, a[0], a[1])
-    if op == "gettype":
-        return exec_gettype(cfg, a[0], a[1])
-    if op == "geta":
-        return exec_geta(cfg, a[0], a[1])
-    if op == "getb":
-        return exec_getb(cfg, a[0], a[1])
-    if op == "gete":
-        return exec_gete(cfg, a[0], a[1])
-    if op == "getp":
-        return exec_getp(cfg, a[0], a[1])
-    if op == "getlin":
-        return exec_getlin(cfg, a[0], a[1])
-    if op == "move":
-        return exec_move(cfg, a[0], a[1])
-    if op == "store":
-        return exec_store(cfg, a[0], a[1], ext)
-    if op == "load":
-        return exec_load(cfg, a[0], a[1], ext)
-    if op == "cca":
-        return exec_cca(cfg, a[0], a[1], ext)
-    if op == "restrict":
-        return exec_restrict(cfg, a[0], a[1], ext)
-    if op == "lt":
-        return exec_lt(cfg, a[0], a[1], a[2])
-    if op == "plus":
-        return exec_plus(cfg, a[0], a[1], a[2])
-    if op == "minus":
-        return exec_minus(cfg, a[0], a[1], a[2])
-    if op == "seta2b":
-        return exec_seta2b(cfg, a[0], ext)
-    if op == "xjmp":
-        return exec_xjmp(cfg, a[0], a[1], ext, gc)
-    if op == "cseal":
-        return exec_cseal(cfg, a[0], a[1])
-    if op == "split":
-        return exec_split(cfg, a[0], a[1], a[2], a[3], ext)
-    if op == "splice":
-        return exec_splice(cfg, a[0], a[1], a[2], ext)
-    raise AssertionError(f"unhandled instruction {instr!r}")
+    # Looked up by name on every call, so a wrapped handler is seen.
+    return globals()["exec_" + instr.op](cfg, ext, gc, *instr.args)
 
 
 def step(cfg, ext: MachineExtension = NULL_EXTENSION,
-         gc: GlobalConstants = None) -> StepOutcome:
+         gc: GlobalConstants = None):
     out = ext.recognize_call(cfg, gc)
     if out is not None:
         return out
@@ -438,47 +331,3 @@ def step(cfg, ext: MachineExtension = NULL_EXTENSION,
     if pc.addr not in cfg.mem:
         return FAILED
     return exec_instr(dec_instr(cfg.mem[pc.addr]), cfg, ext, gc)
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    step: int
-    pc_addr: object
-    instr: str
-    outcome: str
-
-
-def current_instr_repr(cfg, ext, gc) -> str:
-    pc = cfg.reg[PC]
-    if not isinstance(pc, MemCap):
-        return "<no pc cap>"
-    w = cfg.mem.get(pc.addr)
-    return repr(dec_instr(w)) if w is not None else "<unmapped>"
-
-
-def run(cfg, ext: MachineExtension = NULL_EXTENSION,
-        gc: GlobalConstants = None, fuel: int = 100_000,
-        trace: Optional[list] = None, check=None):
-    """Iterate the step function for at most ``fuel`` steps.
-
-    Returns (outcome, steps_taken).  ``trace``, when given, collects one
-    TraceRecord per step.  ``check``, when given, is called on every
-    intermediate configuration (paranoid-mode invariant hook).
-    """
-    steps = 0
-    outcome = Running(cfg)
-    while steps < fuel:
-        cur = outcome.cfg
-        instr_repr = current_instr_repr(cur, ext, gc) if trace is not None else ""
-        nxt = step(cur, ext, gc)
-        steps += 1
-        if trace is not None:
-            pc = cur.reg[PC]
-            pc_addr = pc.addr if isinstance(pc, MemCap) else None
-            trace.append(TraceRecord(steps, pc_addr, instr_repr, nxt.kind))
-        if isinstance(nxt, (Failed, Halted)):
-            return nxt, steps
-        if check is not None:
-            check(nxt.cfg)
-        outcome = nxt
-    return outcome, steps

@@ -1,27 +1,25 @@
 """The overlay machine: native stack, stack pointers, call/return tokens.
 
-Configurations extend the bare machine with a separate stack memory
-(``ms_stk``) and a stack of call frames.  Stack pointers index ms_stk
-with the same guards the bare machine applies to memory capabilities,
-and the call sequence is executed as a single big step whenever it sits
-entirely at trusted addresses.
+Source configurations extend the bare machine's with a separate stack
+memory (``ms_stk``) and a stack of call frames; both machines share the
+configuration shape, and the target leaves the stack fields empty.
+Stack pointers index ms_stk through the same instruction cases as memory
+capabilities (see ``machine``).  What is left here is source-only: the
+call sequence, executed as a single big step whenever it sits entirely
+at trusted addresses, and jumps through return tokens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 from .asm import CALL_LEN, CallParams, call_cond
 from .core import (
     PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2, GlobalConstants, Lin,
     MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, Word,
-    is_exec, lin_cons, lin_cons_perm, non_exec, read_allowed, within_bounds,
-    write_allowed,
+    is_exec, lin_cons, non_exec,
 )
-from .machine import (
-    FAILED, MachineExtension, Running, StepOutcome, run, step, upd_pc_addr,
-)
+from .machine import FAILED, MachineExtension, Running, xjump_result
 
 
 @dataclass(frozen=True)
@@ -37,37 +35,32 @@ class StackFrame:
 
 @dataclass(frozen=True)
 class SourceConfig:
+    """A configuration of either machine.
+
+    The target keeps its stack in ``mem``, so its ``stk`` and ``ms_stk``
+    stay empty.  The ``with_*`` methods call the constructor directly:
+    they run several times per step, and ``dataclasses.replace`` costs
+    about twice as much.
+    """
     mem: dict
     reg: dict
     stk: tuple = ()      # call frames, innermost first
-    ms_stk: dict = None  # the currently accessible stack memory
-
-    def __post_init__(self):
-        if self.ms_stk is None:
-            object.__setattr__(self, "ms_stk", {})
+    ms_stk: dict = field(default_factory=dict)  # the accessible stack memory
 
     def with_regs(self, updates: dict) -> "SourceConfig":
         reg = dict(self.reg)
         reg.update(updates)
-        return replace(self, reg=reg)
+        return SourceConfig(self.mem, reg, self.stk, self.ms_stk)
 
     def with_mem_cell(self, a: int, w: Word) -> "SourceConfig":
         mem = dict(self.mem)
         mem[a] = w
-        return replace(self, mem=mem)
+        return SourceConfig(mem, self.reg, self.stk, self.ms_stk)
 
     def with_stk_cell(self, a: int, w: Word) -> "SourceConfig":
         ms = dict(self.ms_stk)
         ms[a] = w
-        return replace(self, ms_stk=ms)
-
-
-def stack_addresses(cfg: SourceConfig):
-    """All stack addresses: accessible portion plus every saved frame."""
-    addrs = set(cfg.ms_stk)
-    for f in cfg.stk:
-        addrs |= set(f.ms)
-    return addrs
+        return SourceConfig(self.mem, self.reg, self.stk, ms)
 
 
 def memory_overlap(cfg: SourceConfig):
@@ -83,55 +76,10 @@ def memory_overlap(cfg: SourceConfig):
 
 
 class SourceExtension(MachineExtension):
-    """Stack-pointer and token cases layered over the bare interpreter."""
+    """Stack pointers index ms_stk, and the call and return-token rules
+    each fire as one step."""
 
-    def store(self, cfg, cap, r2):
-        if (write_allowed(cap.perm) and within_bounds(cap) and r2 != PC
-                and cap.addr in cfg.ms_stk):
-            w = cfg.reg[r2]
-            return upd_pc_addr(
-                cfg.with_regs({r2: lin_cons(w)}).with_stk_cell(cap.addr, w))
-        return FAILED
-
-    def load(self, cfg, r1, cap):
-        if (read_allowed(cap.perm) and within_bounds(cap) and r1 != PC
-                and cap.addr in cfg.ms_stk):
-            w = cfg.ms_stk[cap.addr]
-            if lin_cons_perm(cap.perm, w):
-                return upd_pc_addr(
-                    cfg.with_stk_cell(cap.addr, lin_cons(w)).with_regs({r1: w}))
-        return FAILED
-
-    def cca(self, cfg, r, cap, n):
-        if cap.addr + n < 0:
-            return FAILED
-        return upd_pc_addr(cfg.with_regs({r: replace(cap, addr=cap.addr + n)}))
-
-    def restrict(self, cfg, r1, cap, n):
-        from .core import dec_perm, perm_leq
-        p = dec_perm(n)
-        if perm_leq(p, cap.perm):
-            return upd_pc_addr(cfg.with_regs({r1: replace(cap, perm=p)}))
-        return FAILED
-
-    def seta2b(self, cfg, r1, cap):
-        return upd_pc_addr(cfg.with_regs({r1: replace(cap, addr=cap.base)}))
-
-    def split(self, cfg, r1, r2, r3, cap, n):
-        if cap.base <= n < cap.end:
-            c1 = replace(cap, end=n)
-            c2 = replace(cap, base=n + 1)
-            return upd_pc_addr(
-                cfg.with_regs({r3: 0}).with_regs({r1: c1}).with_regs({r2: c2}))
-        return FAILED
-
-    def splice(self, cfg, r1, r2, r3, c2, c3):
-        if (c2.perm == c3.perm and c2.end + 1 == c3.base
-                and c2.base <= c2.end and c3.base <= c3.end):
-            c = StkPtr(c2.perm, c2.base, c3.end, c3.addr)
-            return upd_pc_addr(
-                cfg.with_regs({r2: 0}).with_regs({r3: 0}).with_regs({r1: c}))
-        return FAILED
+    pointers = (MemCap, StkPtr)
 
     def xjump_result(self, c1, c2, cfg, gc):
         if not (isinstance(c1, RetPtrCode) and isinstance(c2, RetPtrData)):
@@ -154,7 +102,7 @@ class SourceExtension(MachineExtension):
             return FAILED
         ms_stk = dict(cfg.ms_stk)
         ms_stk.update(frame.ms)
-        cfg = replace(cfg, stk=cfg.stk[1:], ms_stk=ms_stk)
+        cfg = SourceConfig(cfg.mem, cfg.reg, cfg.stk[1:], ms_stk)
         return Running(cfg.with_regs({
             PC: MemCap(Perm.RX, Lin.NORMAL, c1.base, c1.end, c1.addr),
             RDATA: 0,
@@ -180,7 +128,7 @@ class SourceExtension(MachineExtension):
 
 
 def exec_call(cfg: SourceConfig, params: CallParams,
-              ext: MachineExtension, gc: GlobalConstants) -> StepOutcome:
+              ext: MachineExtension, gc: GlobalConstants):
     """The call sequence as one atomic step."""
     r1, r2 = params.r1, params.r2
     if RTMP1 in (r1, r2):
@@ -213,8 +161,8 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     ms_priv = {x: cfg.ms_stk[x] for x in cfg.ms_stk if a_stk <= x <= e_stk}
     ms_priv[a_stk] = 42
     ms_rest = {x: w for x, w in cfg.ms_stk.items() if not (a_stk <= x <= e_stk)}
-    cfg = replace(cfg, ms_stk=ms_rest,
-                  stk=(StackFrame(opc, ms_priv),) + cfg.stk)
+    cfg = SourceConfig(cfg.mem, cfg.reg, (StackFrame(opc, ms_priv),) + cfg.stk,
+                       ms_rest)
     cfg = cfg.with_regs({
         r1: lin_cons(w1),
         r2: lin_cons(w2),
@@ -223,17 +171,7 @@ def exec_call(cfg: SourceConfig, params: CallParams,
         RRETDATA: Sealed(sigma, RetPtrData(a_stk, e_stk)),
         RTMP1: 0,
     })
-    from .machine import xjump_result
     return xjump_result(w1.inner, w2.inner, cfg, ext, gc)
 
 
 SOURCE_EXTENSION = SourceExtension()
-
-
-def step_source(cfg: SourceConfig, gc: GlobalConstants) -> StepOutcome:
-    return step(cfg, SOURCE_EXTENSION, gc)
-
-
-def run_source(cfg: SourceConfig, gc: GlobalConstants, fuel: int = 100_000,
-               trace: Optional[list] = None, check=None):
-    return run(cfg, SOURCE_EXTENSION, gc, fuel, trace, check)

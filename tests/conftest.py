@@ -1,7 +1,6 @@
 from capmach.core import (
     GlobalConstants, Lin, MemCap, Perm, fresh_registers,
 )
-from capmach.machine import TargetConfig
 from capmach.source import SourceConfig
 
 NOWHERE = GlobalConstants(frozenset(), 0)
@@ -18,7 +17,7 @@ def rw(b, e, a, lin=Lin.NORMAL):
 def tcfg(mem=None, **regvals):
     reg = fresh_registers()
     reg.update(regvals)
-    return TargetConfig(dict(mem or {}), reg)
+    return SourceConfig(dict(mem or {}), reg)
 
 
 def scfg(mem=None, stk=(), ms_stk=None, **regvals):

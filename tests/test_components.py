@@ -13,7 +13,6 @@ from capmach.fixtures import (
     STK_BASE, STK_END, context_cb, corpus, minimal_context, std_gc,
     trusted_one_call,
 )
-from capmach.machine import TargetConfig
 from capmach.source import SourceConfig
 
 HALT = enc_instr(mk_instr("halt"))
@@ -200,7 +199,8 @@ def test_corpus_validates_clean():
 def test_initial_config_target():
     p = link(*corpus()[0][1:])
     cfg = initial_config(p, "target", STK_BASE, STK_END)
-    assert isinstance(cfg, TargetConfig)
+    assert isinstance(cfg, SourceConfig)
+    assert cfg.stk == () and cfg.ms_stk == {}
     assert cfg.reg["rstk"] == MemCap(Perm.RW, Lin.LINEAR,
                                      STK_BASE, STK_END, STK_END)
     assert all(cfg.mem[x] == 0 for x in range(STK_BASE, STK_END + 1))

@@ -1,8 +1,7 @@
-import pytest
-
 from capmach import cli
 from capmach.components import format_component, link
-from capmach.core import Lin, MemCap, Perm, Sealed
+from capmach import fixtures
+from capmach.core import INF, Lin, MemCap, Perm, Sealed
 from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
     scenario_second_stack, trusted_one_call, trusted_simple,
@@ -36,6 +35,31 @@ def test_paranoid_corpus():
         assert v.source.violations == [] and v.target.violations == [], name
 
 
+def test_closure_called_twice_without_reload():
+    # sequential-calls without the reload between its calls: xjmp leaves
+    # the sealed closure in r1/r2, as the source's atomic call does
+    text = f"""\
+entry:
+{fixtures._LOAD_CB}
+  call sealw 0 r1 r2
+  call sealw 1 r1 r2
+  halt
+sealw: .seal 1 3 1
+"""
+    def mains(res):
+        return fixtures._main_pair(res, "entry", fixtures.T_DATA,
+                                   fixtures.T_DATA + 1, 3)
+    t = fixtures._trusted(
+        text, {fixtures.T_DATA: 0, fixtures.T_DATA + 1: 0}, {1, 2}, {3},
+        lambda res: list(zip(("main_code", "main_data"), mains(res))),
+        mains=mains, imports=((fixtures.T_DATA, "cb_code"),
+                              (fixtures.T_DATA + 1, "cb_data")))
+    v = run_diff(t, context_cb("  plus r6 r6 1"), STK_BASE, STK_END)
+    assert v.agreement, v.detail
+    assert (v.source.outcome, v.source.steps) == ("halted", 11)
+    assert (v.target.outcome, v.target.steps) == ("halted", 11 + 24 * 2)
+
+
 def test_scenarios_as_expected():
     for name, fn in SCENARIOS.items():
         r = fn()
@@ -67,6 +91,10 @@ def test_check_linearity():
     assert check_linearity(hidden)  # sealing does not hide duplication
     ok = cfg.with_regs({"r1": lincap(2000, 2010), "r2": lincap(2011, 2020)})
     assert check_linearity(ok) == []
+    far = 2 * 10 ** 9
+    unbounded = MemCap(Perm.RW, Lin.LINEAR, far, INF, far)
+    high = cfg.with_regs({"r1": unbounded, "r2": lincap(far + 5, far + 9)})
+    assert check_linearity(high)  # an infinite end has no stand-in cap
 
 
 def test_check_stack_partition():
@@ -167,9 +195,40 @@ def test_cli_scenarios():
 
 def test_cli_usage_errors(tmp_path):
     assert cli.main(["frobnicate"]) == 3
-    missing = str(tmp_path / "nope.comp")
-    with pytest.raises(FileNotFoundError):
-        cli.main(["validate", missing])
     garbled = tmp_path / "g.comp"
     garbled.write_text("not a container\n")
     assert cli.main(["validate", str(garbled)]) == 3
+
+
+def test_cli_missing_input(tmp_path, capsys):
+    missing = str(tmp_path / "nope.comp")
+    good = _write(tmp_path, "good.comp", trusted_simple("  halt"))
+    out = str(tmp_path / "out")
+    for argv in (["asm", missing, "-o", out], ["validate", missing],
+                 ["link", good, missing, "-o", out],
+                 ["run", missing, "--machine", "source"],
+                 ["diff", missing, good]):
+        assert cli.main(argv) == 3, argv
+        assert "error: " in capsys.readouterr().err, argv
+
+
+def test_cli_unknown_permission(tmp_path, capsys):
+    text = format_component(trusted_simple("  halt"))
+    text = text.replace("cap:rw,", "cap:zz,", 1)
+    assert "cap:zz," in text
+    bad = tmp_path / "perm.comp"
+    bad.write_text(text)
+    assert cli.main(["validate", str(bad)]) == 3
+    assert "'zz' is not a valid Perm" in capsys.readouterr().err
+
+
+def test_cli_negative_fuel(tmp_path, capsys):
+    t = _write(tmp_path, "t.comp", trusted_simple("  halt"))
+    c = _write(tmp_path, "c.comp", minimal_context())
+    out = str(tmp_path / "p.comp")
+    assert cli.main(["link", t, c, "-o", out]) == 0
+    run = ["run", out, "--no-validate", "--machine", "target"]
+    assert cli.main(run + ["--fuel", "0"]) == 1
+    assert cli.main(run + ["--fuel", "-5"]) == 3
+    assert cli.main(["diff", t, c, "--fuel", "-5"]) == 3
+    assert "fuel must be non-negative" in capsys.readouterr().err

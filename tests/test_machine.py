@@ -1,13 +1,14 @@
-from conftest import NOWHERE, rw, rx, tcfg
+from conftest import NOWHERE, rw, rx, scfg, tcfg
 
 from capmach.core import (
-    Lin, MemCap, Perm, SealCap, Sealed, enc_instr, enc_lin, enc_perm,
+    Lin, MemCap, Perm, SealCap, Sealed, StkPtr, enc_instr, enc_lin, enc_perm,
     enc_type, mk_instr,
 )
+from capmach.harness import run_report
 from capmach.machine import (
-    FAILED, HALTED, NULL_EXTENSION, Failed, Halted, Running, exec_instr,
-    run, step, upd_pc_addr,
+    FAILED, HALTED, NULL_EXTENSION, Running, exec_instr, step, upd_pc_addr,
 )
+from capmach.source import SOURCE_EXTENSION
 
 
 def ex(cfg, op, *args):
@@ -196,6 +197,22 @@ def test_xjmp():
     assert ex(tcfg(pc=pc, r1=code, r2=data), "xjmp", "r1", "r2") is FAILED
 
 
+def test_target_refuses_stack_pointers():
+    # The same cell is mapped in both segments, so only the pointer kind
+    # decides: the source accepts each case, the target refuses it.
+    sp = StkPtr(Perm.RW, 0, 9, 5)
+    cfg = scfg({5: 0}, ms_stk={5: 0}, pc=rx(0, 9, 0), r1=sp, r2=7,
+               r7=StkPtr(Perm.RW, 0, 4, 2), r8=StkPtr(Perm.RW, 5, 9, 7))
+    cases = [("store", "r1", "r2"), ("load", "r3", "r1"), ("cca", "r1", 1),
+             ("restrict", "r1", enc_perm(Perm.R)), ("seta2b", "r1"),
+             ("split", "r4", "r5", "r1", 6), ("splice", "r6", "r7", "r8")]
+    for op, *args in cases:
+        instr = mk_instr(op, *args)
+        assert exec_instr(instr, cfg, NULL_EXTENSION, NOWHERE) is FAILED, op
+        assert isinstance(exec_instr(instr, cfg, SOURCE_EXTENSION, NOWHERE),
+                          Running), op
+
+
 def test_step_guards():
     halt = enc_instr(mk_instr("halt"))
     assert step(tcfg({0: halt}, pc=rx(0, 0, 1))) is FAILED  # out of bounds
@@ -207,12 +224,14 @@ def test_step_guards():
 def test_run():
     halt = enc_instr(mk_instr("halt"))
     fail = enc_instr(mk_instr("fail"))
-    out, steps = run(tcfg({0: halt}, pc=rx(0, 0, 0)))
-    assert isinstance(out, Halted) and steps == 1
-    out, steps = run(tcfg({0: fail}, pc=rx(0, 0, 0)))
-    assert isinstance(out, Failed) and steps == 1
-    out, steps = run(tcfg({0: halt}, pc=rx(0, 0, 0)), fuel=0)
-    assert isinstance(out, Running) and steps == 0
+
+    def outcome(mem, fuel):
+        r = run_report(tcfg(mem, pc=rx(0, 0, 0)), "target", NOWHERE, fuel)
+        return r.outcome, r.steps
+
+    assert outcome({0: halt}, 10) == ("halted", 1)
+    assert outcome({0: fail}, 10) == ("failed", 1)
+    assert outcome({0: halt}, 0) == ("fuel-exhausted", 0)
 
 
 def test_step_determinism():

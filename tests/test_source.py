@@ -5,9 +5,9 @@ from capmach.core import (
     GlobalConstants, Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap,
     Sealed, StkPtr, enc_instr, enc_perm, mk_instr,
 )
-from capmach.machine import FAILED, Running, exec_instr
+from capmach.machine import FAILED, Running, exec_instr, step
 from capmach.source import (
-    SOURCE_EXTENSION, StackFrame, exec_call, memory_overlap, step_source,
+    SOURCE_EXTENSION, StackFrame, exec_call, memory_overlap,
 )
 
 GC = GlobalConstants(frozenset(), 1000)
@@ -184,7 +184,7 @@ def test_call_recognition_in_ta():
     cfg = _call_cfg()
     cfg = scfg({**mem, **cfg.mem}, ms_stk=cfg.ms_stk,
                **{r: cfg.reg[r] for r in ("pc", "r3", "r4", "rstk")})
-    out = step_source(cfg, gc)
+    out = step(cfg, SOURCE_EXTENSION, gc)
     assert isinstance(out, Running)
     assert out.cfg.stk  # one step, one frame: the big-step rule fired
     assert out.cfg.reg["pc"] == rx(200, 210, 200)
@@ -195,7 +195,7 @@ def test_same_bytes_outside_ta_run_raw():
     cfg = _call_cfg()
     cfg = scfg({**mem, **cfg.mem}, ms_stk=cfg.ms_stk,
                **{r: cfg.reg[r] for r in ("pc", "r3", "r4", "rstk")})
-    out = step_source(cfg, GC)  # empty trusted set
+    out = step(cfg, SOURCE_EXTENSION, GC)  # empty trusted set
     assert isinstance(out, Running)
     assert out.cfg.stk == ()            # no frame: just the first instruction
     assert out.cfg.reg["rtmp1"] == 42   # move rtmp1 42
@@ -209,7 +209,7 @@ def test_call_truncated_by_pc_bound_runs_raw():
     cfg = _call_cfg(pc=rx(0, 20, 10))   # capability ends mid-macro
     cfg = scfg({**mem, **cfg.mem}, ms_stk=cfg.ms_stk,
                **{r: cfg.reg[r] for r in ("pc", "r3", "r4", "rstk")})
-    out = step_source(cfg, gc)
+    out = step(cfg, SOURCE_EXTENSION, gc)
     assert isinstance(out, Running)
     assert out.cfg.stk == ()
     assert out.cfg.reg["rtmp1"] == 42
