@@ -2,8 +2,9 @@
 differential harness for comparing them."""
 
 from .core import (
-    INF, GlobalConstants, Instr, Lin, MemCap, Perm, RetPtrCode, RetPtrData,
-    SealCap, Sealed, StkPtr, dec_instr, dec_perm, enc_instr, enc_perm,
+    INF, GlobalConstants, Instr, Lin, Memory, MemCap, Perm, RetPtrCode,
+    RetPtrData, SealCap, Sealed, StkPtr, dec_instr, dec_perm, enc_instr,
+    enc_perm,
 )
 from .machine import step
 from .source import SourceConfig, StackFrame

@@ -81,14 +81,26 @@ def expand_scall(params: CallParams, stk_base: int,
                         params.r1, params.r2, stk_base, check_stk_base)
 
 
+# The first cell of every call expansion.  Decoding is injective on
+# instruction images, so a cell decodes to this instruction exactly when
+# it holds this integer.
+_CALL_HEAD = enc_instr(Instr("move", (RTMP1, 42)))
+
+
 def call_cond(mem, a: int, stk_base: int,
               check_stk_base: bool = True) -> Optional[CallParams]:
     """Recognize the call expansion starting at address ``a``.
 
-    Parameters are recovered from the fixed positions (pc-offset at
-    index 6, seal offset at index 8, the xjmp register pair at 14) and
-    the whole window is then checked cell-by-cell against the expansion.
+    A window whose first cell is not the expansion's first instruction
+    is rejected before anything is decoded.  Otherwise the parameters
+    are recovered from the fixed positions (pc-offset at index 6, seal
+    offset at index 8, the xjmp register pair at 14) and the whole
+    window is then checked cell-by-cell against the expansion; the
+    ``fail`` at index 22 is compared decoded, since every integer that
+    is not an instruction image decodes to it.
     """
+    if mem.get(a) != _CALL_HEAD:
+        return None
     cells = []
     for i in range(CALL_LEN):
         w = mem.get(a + i)
@@ -118,25 +130,34 @@ def call_cond(mem, a: int, stk_base: int,
 # ---------------------------------------------------------------------------
 # Hidden-call detection
 
-def _part_template(i, instr, stk_base, check_stk_base=True):
-    """Match ``instr`` against call-part ``i``; return the parameter
-    bindings it induces, or None on mismatch."""
-    probe = _call_instrs(7, 0, "r0", "r0", stk_base, check_stk_base)[i]
-    if i == _OFF_PC_INDEX:
-        if instr.op == "cca" and instr.args[0] == RTMP1 \
-                and isinstance(instr.args[1], int) and instr.args[1] + 5 >= 0:
-            return {"off_pc": instr.args[1] + 5}
-        return None
-    if i == _OFF_SIGMA_INDEX:
-        if instr.op == "cca" and instr.args[0] == RTMP1 \
-                and isinstance(instr.args[1], int) and instr.args[1] >= 0:
-            return {"off_sigma": instr.args[1]}
-        return None
-    if i == _XJMP_INDEX:
-        if instr.op == "xjmp":
-            return {"r1": instr.args[0], "r2": instr.args[1]}
-        return None
-    return {} if instr == probe else None
+def _fixed_parts(stk_base, check_stk_base=True):
+    """Each instruction of the call expansion that no parameter changes,
+    mapped to the indexes it sits at."""
+    fixed = {}
+    expansion = _call_instrs(0, 0, "r0", "r0", stk_base, check_stk_base)
+    for i, instr in enumerate(expansion):
+        if i not in (_OFF_PC_INDEX, _OFF_SIGMA_INDEX, _XJMP_INDEX):
+            fixed.setdefault(instr, []).append(i)
+    return fixed
+
+
+def _parts_of(instr, fixed):
+    """The call-part indexes ``instr`` can stand at, in ascending order.
+
+    Each parameter is read from one part only (pc-offset from 6, seal
+    offset from 8, the register pair from 14), so the parts of one
+    window never bind a parameter two ways.
+    """
+    parts = list(fixed.get(instr, ()))
+    if instr.op == "cca" and instr.args[0] == RTMP1 \
+            and isinstance(instr.args[1], int):
+        if instr.args[1] + 5 >= 0:
+            parts.append(_OFF_PC_INDEX)
+        if instr.args[1] >= 0:
+            parts.append(_OFF_SIGMA_INDEX)
+    elif instr.op == "xjmp":
+        parts.append(_XJMP_INDEX)
+    return sorted(parts)
 
 
 @dataclass(frozen=True)
@@ -154,40 +175,24 @@ def find_hidden_calls(code, stk_base: int,
     26-cell window is fully in the segment and consistent (a complete
     call) or some in-segment cell of the window contradicts it.
     """
+    fixed = _fixed_parts(stk_base, check_stk_base)
+    # A non-integer cell can stand at no part.
+    parts = {a: _parts_of(dec_instr(w), fixed) if isinstance(w, int) else ()
+             for a, w in code.items()}
     violations = []
     for addr in sorted(code):
-        w = code[addr]
-        if not isinstance(w, int):
-            continue
-        instr = dec_instr(w)
-        for i in range(CALL_LEN):
-            if _part_template(i, instr, stk_base, check_stk_base) is None:
-                continue
+        for i in parts[addr]:
             start = addr - i
-            binds = {}
-            consistent = True
             full = True
             for j in range(CALL_LEN):
-                cell = code.get(start + j)
-                if cell is None or not isinstance(cell, int):
-                    full = full and cell is not None
-                    if cell is not None:
-                        consistent = False
-                        break
-                    continue
-                b = _part_template(j, dec_instr(cell), stk_base, check_stk_base)
-                if b is None:
-                    consistent = False
+                p = parts.get(start + j)
+                if p is None:
+                    full = False
+                elif j not in p:
                     break
-                for k, v in b.items():
-                    if k in binds and binds[k] != v:
-                        consistent = False
-                        break
-                    binds[k] = v
-                if not consistent:
-                    break
-            if consistent and not full:
-                violations.append(HiddenCallViolation(start, i, addr))
+            else:
+                if not full:
+                    violations.append(HiddenCallViolation(start, i, addr))
     return violations
 
 

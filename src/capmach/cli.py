@@ -30,8 +30,17 @@ EXIT_INVALID = 4
 
 
 def _parse_range(s):
-    lo, hi = s.split("..")
-    return int(lo), int(hi)
+    try:
+        lo, hi = s.split("..")
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a range lo..hi, got {s!r}") from None
+
+
+def _ta(s):
+    """``auto`` (the component's own code) or a range ``lo..hi``."""
+    return s if s == "auto" else _parse_range(s)
 
 
 def _fuel(s):
@@ -46,11 +55,22 @@ def _read(path):
         return fh.read()
 
 
+def _write(path, text):
+    """Write ``text`` to ``path``; exit code 0, or 3 with a message."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
+
+
 def _gc(comp, args):
     if args.ta == "auto":
         ta = frozenset(comp.ms_code)
     else:
-        lo, hi = _parse_range(args.ta)
+        lo, hi = args.ta
         ta = frozenset(range(lo, hi + 1))
     return GlobalConstants(ta, args.stk_base, not args.no_check_stk_base)
 
@@ -69,10 +89,7 @@ def cmd_asm(args):
         lines.append("[symbols]")
         for name in sorted(res.labels):
             lines.append(f"{name}\t{res.labels[name]}")
-    out = "\n".join(lines) + "\n"
-    with open(args.output, "w") as fh:
-        fh.write(out)
-    return EXIT_OK
+    return _write(args.output, "\n".join(lines) + "\n")
 
 
 def cmd_validate(args):
@@ -99,9 +116,7 @@ def cmd_link(args):
     except LinkError as e:
         print(f"link error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    with open(args.output, "w") as fh:
-        fh.write(format_component(c3))
-    return EXIT_OK
+    return _write(args.output, format_component(c3))
 
 
 def _report_exit(report):
@@ -210,7 +225,7 @@ def build_parser():
 
     sp = sub.add_parser("validate")
     sp.add_argument("component")
-    sp.add_argument("--ta", default="auto")
+    sp.add_argument("--ta", type=_ta, default="auto")
     common(sp)
     sp.set_defaults(fn=cmd_validate)
 
@@ -224,7 +239,7 @@ def build_parser():
     sp.add_argument("program")
     sp.add_argument("--machine", choices=("source", "target"),
                     required=True)
-    sp.add_argument("--ta", default="auto")
+    sp.add_argument("--ta", type=_ta, default="auto")
     sp.add_argument("--trace")
     sp.add_argument("--paranoid", action="store_true")
     sp.add_argument("--no-validate", action="store_true")

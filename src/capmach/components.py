@@ -9,13 +9,13 @@ hand out linear capabilities over.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .asm import CALL_LEN, call_cond, find_hidden_calls, format_word, parse_word
 from .core import (
-    INF, PC, RDATA, RSTK, GlobalConstants, Lin, MemCap, Perm, SealCap, Sealed,
-    StkPtr, Word, fresh_registers, is_linear, non_exec, perm_leq,
+    INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap, Perm, SealCap,
+    Sealed, StkPtr, Word, fresh_registers, is_linear, non_exec, perm_leq,
 )
 from .source import SourceConfig
 
@@ -329,11 +329,11 @@ def initial_config(p: Component, machine_kind: str,
         reg[RSTK] = MemCap(Perm.RW, Lin.LINEAR, b_stk, e_stk, e_stk)
         for x in range(b_stk, e_stk + 1):
             mem[x] = 0
-        return SourceConfig(mem, reg)
+        return SourceConfig(Memory(mem), reg)
     if machine_kind == "source":
         reg[RSTK] = StkPtr(Perm.RW, b_stk, e_stk, e_stk)
-        ms_stk = {x: 0 for x in range(b_stk, e_stk + 1)}
-        return SourceConfig(mem, reg, (), ms_stk)
+        ms_stk = Memory(dict.fromkeys(range(b_stk, e_stk + 1), 0))
+        return SourceConfig(Memory(mem), reg, (), ms_stk)
     raise ConfigError(f"unknown machine kind {machine_kind!r}")
 
 

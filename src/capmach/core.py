@@ -8,7 +8,9 @@ distinction), but the target machine can never fabricate them.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -219,6 +221,117 @@ def fresh_registers(fill: Word = 0) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Memory
+
+_ABSENT = object()   # not in the overlay
+_GONE = object()     # in the overlay: removed since the base was made
+
+
+class Memory(Mapping):
+    """An immutable map from addresses to words.
+
+    A version is a base dict, shared by every version derived from it
+    and never mutated, plus a private overlay of the cells written or
+    removed since.  Each change copies only the overlay, and folds it
+    into a fresh base once it holds more than √|base| cells, so writing
+    or removing a cell costs O(√n) amortized.  A read probes the overlay
+    and then the base.  Iteration and ``items`` walk the base itself, or
+    a merged copy while the overlay is not empty: C speed either way.
+    """
+
+    __slots__ = ("_base", "_over", "_len")
+
+    def __init__(self, cells=()):
+        self._base = dict(cells)
+        self._over = {}
+        self._len = len(self._base)
+
+    @staticmethod
+    def _of(base: dict, over: dict, n: int) -> "Memory":
+        if len(over) * len(over) > len(base):
+            base = Memory._merge(base, over)
+            over = {}
+        m = Memory.__new__(Memory)
+        m._base = base
+        m._over = over
+        m._len = n
+        return m
+
+    @staticmethod
+    def _merge(base: dict, over: dict) -> dict:
+        cells = {**base, **over}
+        for a, w in over.items():
+            if w is _GONE:
+                del cells[a]
+        return cells
+
+    def _cells(self) -> dict:
+        """All cells as one dict; the caller must not mutate it."""
+        return self._merge(self._base, self._over) if self._over else self._base
+
+    def __getitem__(self, a):
+        w = self._over.get(a, _ABSENT)
+        if w is _ABSENT:
+            return self._base[a]
+        if w is _GONE:
+            raise KeyError(a)
+        return w
+
+    def get(self, a, default=None):
+        w = self._over.get(a, _ABSENT)
+        if w is _ABSENT:
+            return self._base.get(a, default)
+        return default if w is _GONE else w
+
+    def __contains__(self, a):
+        w = self._over.get(a, _ABSENT)
+        return a in self._base if w is _ABSENT else w is not _GONE
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return iter(self._cells())
+
+    def items(self):
+        return self._cells().items()
+
+    def __repr__(self):
+        return f"Memory({self._cells()!r})"
+
+    def set(self, a, w: Word) -> "Memory":
+        """This memory with cell ``a`` holding ``w``."""
+        over = self._over.copy()
+        over[a] = w
+        return Memory._of(self._base, over, self._len + (a not in self))
+
+    def update(self, cells) -> "Memory":
+        """This memory with every cell of the mapping ``cells`` written."""
+        over = self._over.copy()
+        n = self._len
+        for a, w in cells.items():
+            n += a not in self
+            over[a] = w
+        return Memory._of(self._base, over, n)
+
+    def split(self, lo, hi):
+        """(the cells at addresses ``lo..hi`` as a dict, this memory
+        without them).  ``hi`` may be ``INF``."""
+        if hi - lo < self._len:
+            span = range(lo, hi + 1)
+        else:  # a range wider than the memory: walk the memory instead
+            span = [a for a in self if lo <= a <= hi]
+        part = {}
+        over = self._over.copy()
+        for a in span:
+            w = self.get(a, _ABSENT)
+            if w is not _ABSENT:
+                part[a] = w
+                over[a] = _GONE
+        return part, Memory._of(self._base, over, self._len - len(part))
+
+
+# ---------------------------------------------------------------------------
 # Global constants threaded through the source semantics
 
 @dataclass(frozen=True)
@@ -369,7 +482,14 @@ def enc_instr(i: Instr) -> int:
 
 def dec_instr(w: Word) -> Instr:
     """Total decoder: capabilities and non-image integers decode to fail."""
-    if not isinstance(w, int) or w < 0:
+    if not isinstance(w, int):
+        return FAIL
+    return _dec_int(w)
+
+
+@functools.lru_cache(maxsize=4096)
+def _dec_int(w: int) -> Instr:
+    if w < 0:
         return FAIL
     op = _OPLIST[w % _NOPS]
     rest = w // _NOPS

@@ -11,7 +11,7 @@ extension, which accepts memory capabilities only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     PC, RDATA, GlobalConstants, Instr, Lin, MemCap, RetPtrCode, RetPtrData,
@@ -45,7 +45,8 @@ HALTED = Halted()
 def upd_pc_addr(cfg):
     pc = cfg.reg[PC]
     if isinstance(pc, MemCap):
-        return Running(cfg.with_regs({PC: replace(pc, addr=pc.addr + 1)}))
+        return Running(cfg.with_regs(
+            {PC: MemCap(pc.perm, pc.lin, pc.base, pc.end, pc.addr + 1)}))
     return FAILED
 
 
@@ -89,6 +90,32 @@ def _with_cell(cfg, c, w):
     if isinstance(c, StkPtr):
         return cfg.with_stk_cell(c.addr, w)
     return cfg.with_mem_cell(c.addr, w)
+
+
+# Capabilities are rebuilt field by field: ``dataclasses.replace`` costs
+# about twice as much, and these run on most steps.
+
+def _with_addr(c, a):
+    """Pointer ``c`` moved to address ``a``."""
+    if isinstance(c, StkPtr):
+        return StkPtr(c.perm, c.base, c.end, a)
+    return MemCap(c.perm, c.lin, c.base, c.end, a)
+
+
+def _with_perm(c, p):
+    """Pointer ``c`` with permission ``p``."""
+    if isinstance(c, StkPtr):
+        return StkPtr(p, c.base, c.end, c.addr)
+    return MemCap(p, c.lin, c.base, c.end, c.addr)
+
+
+def _with_range(c, base, end):
+    """Pointer or seal ``c`` over ``base..end``."""
+    if isinstance(c, StkPtr):
+        return StkPtr(c.perm, base, end, c.addr)
+    if isinstance(c, SealCap):
+        return SealCap(base, end, c.cur)
+    return MemCap(c.perm, c.lin, base, end, c.addr)
 
 
 def exec_fail(cfg, ext, gc):
@@ -183,12 +210,12 @@ def exec_load(cfg, ext, gc, r1, r2):
     c = cfg.reg[r2]
     if (isinstance(c, ext.pointers) and read_allowed(c.perm)
             and within_bounds(c) and r1 != PC):
-        seg = _segment(cfg, c)
-        if c.addr in seg:
-            w = seg[c.addr]
-            if lin_cons_perm(c.perm, w):
-                return upd_pc_addr(
-                    _with_cell(cfg, c, lin_cons(w)).with_regs({r1: w}))
+        w = _segment(cfg, c).get(c.addr)
+        if w is not None and lin_cons_perm(c.perm, w):
+            # lin_cons changes only a linear word's cell: write no other.
+            if is_linear(w):
+                cfg = _with_cell(cfg, c, 0)
+            return upd_pc_addr(cfg.with_regs({r1: w}))
     return FAILED
 
 
@@ -200,11 +227,12 @@ def exec_cca(cfg, ext, gc, r, rn):
     if isinstance(c, ext.pointers):
         if c.addr + n < 0:
             return FAILED
-        return upd_pc_addr(cfg.with_regs({r: replace(c, addr=c.addr + n)}))
+        return upd_pc_addr(cfg.with_regs({r: _with_addr(c, c.addr + n)}))
     if isinstance(c, SealCap):
         if c.cur + n < 0:
             return FAILED
-        return upd_pc_addr(cfg.with_regs({r: replace(c, cur=c.cur + n)}))
+        return upd_pc_addr(
+            cfg.with_regs({r: SealCap(c.base, c.end, c.cur + n)}))
     return FAILED
 
 
@@ -215,7 +243,7 @@ def exec_restrict(cfg, ext, gc, r1, rn):
     c = cfg.reg[r1]
     p = dec_perm(n)
     if isinstance(c, ext.pointers) and perm_leq(p, c.perm):
-        return upd_pc_addr(cfg.with_regs({r1: replace(c, perm=p)}))
+        return upd_pc_addr(cfg.with_regs({r1: _with_perm(c, p)}))
     return FAILED
 
 
@@ -244,9 +272,9 @@ def exec_seta2b(cfg, ext, gc, r1):
         return FAILED
     c = cfg.reg[r1]
     if isinstance(c, ext.pointers):
-        return upd_pc_addr(cfg.with_regs({r1: replace(c, addr=c.base)}))
+        return upd_pc_addr(cfg.with_regs({r1: _with_addr(c, c.base)}))
     if isinstance(c, SealCap):
-        return upd_pc_addr(cfg.with_regs({r1: replace(c, cur=c.base)}))
+        return upd_pc_addr(cfg.with_regs({r1: SealCap(c.base, c.end, c.base)}))
     return FAILED
 
 
@@ -267,7 +295,8 @@ def exec_split(cfg, ext, gc, r1, r2, r3, rn4):
             and c.base <= n < c.end):
         # Seals are normal: lin_cons leaves the seal in r3.
         return upd_pc_addr(cfg.with_regs({
-            r3: lin_cons(c), r1: replace(c, end=n), r2: replace(c, base=n + 1)}))
+            r3: lin_cons(c), r1: _with_range(c, c.base, n),
+            r2: _with_range(c, n + 1, c.end)}))
     return FAILED
 
 
@@ -285,7 +314,8 @@ def exec_splice(cfg, ext, gc, r1, r2, r3):
             c2.perm != c3.perm or is_linear(c2) != is_linear(c3)):
         return FAILED
     return upd_pc_addr(cfg.with_regs({
-        r2: lin_cons(c2), r3: lin_cons(c3), r1: replace(c3, base=c2.base)}))
+        r2: lin_cons(c2), r3: lin_cons(c3),
+        r1: _with_range(c3, c2.base, c3.end)}))
 
 
 def xjump_result(c1, c2, cfg, ext, gc):
@@ -328,6 +358,7 @@ def step(cfg, ext: MachineExtension = NULL_EXTENSION,
     pc = cfg.reg[PC]
     if not (isinstance(pc, MemCap) and within_bounds(pc) and is_exec(pc)):
         return FAILED
-    if pc.addr not in cfg.mem:
+    w = cfg.mem.get(pc.addr)
+    if w is None:
         return FAILED
-    return exec_instr(dec_instr(cfg.mem[pc.addr]), cfg, ext, gc)
+    return exec_instr(dec_instr(w), cfg, ext, gc)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from .asm import CALL_LEN, CallParams, call_cond
 from .core import (
     PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2, GlobalConstants, Lin,
-    MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, Word,
-    is_exec, lin_cons, non_exec,
+    Memory, MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
+    Word, is_exec, lin_cons, non_exec,
 )
 from .machine import FAILED, MachineExtension, Running, xjump_result
 
@@ -42,10 +42,11 @@ class SourceConfig:
     they run several times per step, and ``dataclasses.replace`` costs
     about twice as much.
     """
-    mem: dict
+    mem: Memory
     reg: dict
     stk: tuple = ()      # call frames, innermost first
-    ms_stk: dict = field(default_factory=dict)  # the accessible stack memory
+    # the accessible stack memory
+    ms_stk: Memory = field(default_factory=Memory)
 
     def with_regs(self, updates: dict) -> "SourceConfig":
         reg = dict(self.reg)
@@ -53,14 +54,12 @@ class SourceConfig:
         return SourceConfig(self.mem, reg, self.stk, self.ms_stk)
 
     def with_mem_cell(self, a: int, w: Word) -> "SourceConfig":
-        mem = dict(self.mem)
-        mem[a] = w
-        return SourceConfig(mem, self.reg, self.stk, self.ms_stk)
+        return SourceConfig(self.mem.set(a, w), self.reg, self.stk,
+                            self.ms_stk)
 
     def with_stk_cell(self, a: int, w: Word) -> "SourceConfig":
-        ms = dict(self.ms_stk)
-        ms[a] = w
-        return SourceConfig(self.mem, self.reg, self.stk, ms)
+        return SourceConfig(self.mem, self.reg, self.stk,
+                            self.ms_stk.set(a, w))
 
 
 def memory_overlap(cfg: SourceConfig):
@@ -100,9 +99,8 @@ class SourceExtension(MachineExtension):
             return FAILED
         if set(frame.ms) != set(range(e_stk + 1, e_priv + 1)):
             return FAILED
-        ms_stk = dict(cfg.ms_stk)
-        ms_stk.update(frame.ms)
-        cfg = SourceConfig(cfg.mem, cfg.reg, cfg.stk[1:], ms_stk)
+        cfg = SourceConfig(cfg.mem, cfg.reg, cfg.stk[1:],
+                           cfg.ms_stk.update(frame.ms))
         return Running(cfg.with_regs({
             PC: MemCap(Perm.RX, Lin.NORMAL, c1.base, c1.end, c1.addr),
             RDATA: 0,
@@ -158,9 +156,8 @@ def exec_call(cfg: SourceConfig, params: CallParams,
         return FAILED
 
     opc = a + CALL_LEN
-    ms_priv = {x: cfg.ms_stk[x] for x in cfg.ms_stk if a_stk <= x <= e_stk}
+    ms_priv, ms_rest = cfg.ms_stk.split(a_stk, e_stk)
     ms_priv[a_stk] = 42
-    ms_rest = {x: w for x, w in cfg.ms_stk.items() if not (a_stk <= x <= e_stk)}
     cfg = SourceConfig(cfg.mem, cfg.reg, (StackFrame(opc, ms_priv),) + cfg.stk,
                        ms_rest)
     cfg = cfg.with_regs({

@@ -1,5 +1,5 @@
 from capmach.core import (
-    GlobalConstants, Lin, MemCap, Perm, fresh_registers,
+    GlobalConstants, Lin, Memory, MemCap, Perm, fresh_registers,
 )
 from capmach.source import SourceConfig
 
@@ -17,10 +17,11 @@ def rw(b, e, a, lin=Lin.NORMAL):
 def tcfg(mem=None, **regvals):
     reg = fresh_registers()
     reg.update(regvals)
-    return SourceConfig(dict(mem or {}), reg)
+    return SourceConfig(Memory(mem or {}), reg)
 
 
 def scfg(mem=None, stk=(), ms_stk=None, **regvals):
     reg = fresh_registers()
     reg.update(regvals)
-    return SourceConfig(dict(mem or {}), reg, tuple(stk), dict(ms_stk or {}))
+    return SourceConfig(Memory(mem or {}), reg, tuple(stk),
+                        Memory(ms_stk or {}))

@@ -51,6 +51,11 @@ def test_call_cond_roundtrip():
     mem_nc = enc_call(p, at=7, check=False)
     assert call_cond(mem_nc, 7, 1000, check_stk_base=False) == p
     assert call_cond(mem_nc, 7, 1000) is None
+    # every integer that is not an instruction image decodes to fail, so
+    # the fail cell (index 22) may hold any of them
+    for junk in (-1, enc_instr(mk_instr("fail")) + 23 * 5):
+        assert dec_instr(junk).op == "fail"
+        assert call_cond({**mem, 7 + 22: junk}, 7, 1000) == p
     mem[20] = SealCap(0, 9, 0)                   # non-integer cell
     assert call_cond(mem, 7, 1000) is None
 

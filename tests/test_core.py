@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from capmach.core import (
-    FAIL, INF, REGISTERS, Instr, Lin, MemCap, Perm, RetPtrCode, RetPtrData,
+    FAIL, INF, REGISTERS, Instr, Lin, Memory, MemCap, Perm, RetPtrCode,
+    RetPtrData,
     SealCap, Sealed, StkPtr, TYPE_INT, TYPE_MEMCAP, TYPE_SEAL, TYPE_SEALED,
     dec_instr, dec_perm, enc_instr, enc_lin, enc_perm, enc_type, is_exec,
     is_linear, lin_cons, lin_cons_perm, mk_instr, perm_leq, read_allowed,
@@ -140,3 +141,65 @@ def test_instr_encode_errors():
         mk_instr("store", "r1", 5)   # second operand must be a register
     with pytest.raises(EncodingError):
         mk_instr("nosuch")
+
+
+# ---------------------------------------------------------------------------
+# Memory, against a plain dict as the model
+
+ADDRS = st.integers(0, 40)
+WORDS = st.one_of(st.integers(-3, 3), st.just(SealCap(0, 5, 0)))
+MEM_OPS = st.one_of(
+    st.tuples(st.just("set"), ADDRS, WORDS),
+    st.tuples(st.just("update"), st.dictionaries(ADDRS, WORDS, max_size=6)),
+    st.tuples(st.just("split"), ADDRS,
+              st.one_of(st.integers(-1, 60), st.just(INF))),
+)
+
+
+def _same(m, model):
+    assert len(m) == len(model)
+    assert sorted(m) == sorted(model) == sorted(m.keys())
+    assert dict(m.items()) == model
+    assert sorted(m.values(), key=repr) == sorted(model.values(), key=repr)
+    assert m == model and model == m and m == Memory(model)
+    for a in range(-1, 42):
+        assert (a in m) == (a in model)
+        assert m.get(a, "none") == model.get(a, "none")
+        if a in model:
+            assert m[a] == model[a]
+        else:
+            with pytest.raises(KeyError):
+                m[a]
+
+
+@given(st.dictionaries(ADDRS, WORDS),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), MEM_OPS), max_size=40))
+def test_memory_model(init, ops):
+    """Every operation, applied to any earlier version, agrees with a
+    dict, and leaves every earlier version as it was."""
+    versions = [(Memory(init), dict(init))]
+    for pick, op in ops:
+        m, model = versions[pick % len(versions)]
+        if op[0] == "set":
+            _, a, w = op
+            versions.append((m.set(a, w), {**model, a: w}))
+        elif op[0] == "update":
+            versions.append((m.update(op[1]), {**model, **op[1]}))
+        else:
+            _, lo, hi = op
+            part, rest = m.split(lo, hi)
+            assert isinstance(part, dict)
+            assert part == {a: w for a, w in model.items() if lo <= a <= hi}
+            versions.append((rest, {a: w for a, w in model.items()
+                                    if not lo <= a <= hi}))
+    for m, model in versions:
+        _same(m, model)
+
+
+def test_memory_split_beyond_the_memory():
+    m = Memory({a: a for a in range(10, 20)}).set(15, "x")
+    part, rest = m.split(18, INF)
+    assert part == {18: 18, 19: 19} and sorted(rest) == list(range(10, 18))
+    part, rest = m.split(12, 10 ** 12)
+    assert sorted(part) == list(range(12, 20)) and part[15] == "x"
+    assert sorted(rest) == [10, 11]

@@ -232,3 +232,30 @@ def test_cli_negative_fuel(tmp_path, capsys):
     assert cli.main(run + ["--fuel", "-5"]) == 3
     assert cli.main(["diff", t, c, "--fuel", "-5"]) == 3
     assert "fuel must be non-negative" in capsys.readouterr().err
+
+
+def test_cli_malformed_ta(tmp_path, capsys):
+    t = _write(tmp_path, "t.comp", trusted_simple("  halt"))
+    c = _write(tmp_path, "c.comp", minimal_context())
+    out = str(tmp_path / "p.comp")
+    assert cli.main(["link", t, c, "-o", out]) == 0
+    for bad in ("5", "1..x", ".."):
+        assert cli.main(["validate", t, "--ta", bad]) == 3, bad
+        assert "expected a range lo..hi" in capsys.readouterr().err
+        assert cli.main(["run", out, "--machine", "target", "--no-validate",
+                         "--ta", bad]) == 3, bad
+        assert "expected a range lo..hi" in capsys.readouterr().err
+    assert cli.main(["run", out, "--machine", "target", "--no-validate",
+                     "--ta", "0..5"]) == 0
+
+
+def test_cli_output_in_missing_directory(tmp_path, capsys):
+    src = tmp_path / "a.s"
+    src.write_text(".org 0\nstart: halt\n")
+    t = _write(tmp_path, "t.comp", trusted_simple("  halt"))
+    c = _write(tmp_path, "c.comp", minimal_context())
+    out = str(tmp_path / "no" / "such" / "out")
+    assert cli.main(["asm", str(src), "-o", out]) == 3
+    assert "error: " in capsys.readouterr().err
+    assert cli.main(["link", t, c, "-o", out]) == 3
+    assert "error: " in capsys.readouterr().err

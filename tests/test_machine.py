@@ -88,8 +88,15 @@ def test_store():
 def test_load():
     pc = rx(0, 9, 0)
     ro = MemCap(Perm.R, Lin.NORMAL, 5, 5, 5)
-    out = ex(tcfg({5: 9}, pc=pc, r2=ro), "load", "r1", "r2")
+    cfg = tcfg({5: 9}, pc=pc, r2=ro)
+    out = ex(cfg, "load", "r1", "r2")
     assert out.cfg.reg["r1"] == 9 and out.cfg.mem[5] == 9
+    # a non-linear word stays in its cell: the load writes no memory
+    assert out.cfg.mem is cfg.mem
+    seal = SealCap(0, 5, 0)
+    cfg = tcfg({5: seal}, pc=pc, r2=ro)
+    out = ex(cfg, "load", "r1", "r2")
+    assert out.cfg.reg["r1"] == seal and out.cfg.mem is cfg.mem
     lin = rw(0, 1, 0, Lin.LINEAR)
     assert ex(tcfg({5: lin}, pc=pc, r2=ro), "load", "r1", "r2") is FAILED
     out = ex(tcfg({5: lin}, pc=pc, r2=rw(5, 5, 5)), "load", "r1", "r2")

@@ -29,9 +29,9 @@ def test_stkptr_store_load():
     # a stack pointer never reaches ordinary memory
     assert ex(scfg({1005: 0}, pc=pc, r1=sp(1000, 1010, 1005), r2=7),
               "store", "r1", "r2") is FAILED
-    out = ex(scfg(ms_stk={1005: 9}, pc=pc, r2=sp(1000, 1010, 1005)),
-             "load", "r1", "r2")
-    assert out.cfg.reg["r1"] == 9
+    cfg = scfg(ms_stk={1005: 9}, pc=pc, r2=sp(1000, 1010, 1005))
+    out = ex(cfg, "load", "r1", "r2")
+    assert out.cfg.reg["r1"] == 9 and out.cfg.ms_stk is cfg.ms_stk
     lin = rw(0, 1, 0, Lin.LINEAR)
     out = ex(scfg(ms_stk={1005: lin}, pc=pc, r2=sp(1000, 1010, 1005)),
              "load", "r1", "r2")
