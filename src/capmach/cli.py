@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .asm import assemble, format_word
+from .asm import assemble, format_symbols, format_word
 from .components import (
     ConfigError, LinkError, format_component, initial_config, is_program,
     link, parse_component,
@@ -27,6 +27,8 @@ EXIT_FAILED = 1
 EXIT_DISAGREE = 2
 EXIT_USAGE = 3
 EXIT_INVALID = 4
+
+DEFAULT_STACK = (1000, 1063)
 
 
 def _parse_range(s):
@@ -66,13 +68,13 @@ def _write(path, text):
     return EXIT_OK
 
 
-def _gc(comp, args):
+def _gc(comp, args, stk_base):
     if args.ta == "auto":
         ta = frozenset(comp.ms_code)
     else:
         lo, hi = args.ta
         ta = frozenset(range(lo, hi + 1))
-    return GlobalConstants(ta, args.stk_base, not args.no_check_stk_base)
+    return GlobalConstants(ta, stk_base, not args.no_check_stk_base)
 
 
 def cmd_asm(args):
@@ -85,11 +87,10 @@ def cmd_asm(args):
     lines = ["[mem]"]
     for a in sorted(res.segment):
         lines.append(f"{a}\t{format_word(res.segment[a])}")
+    text = "\n".join(lines) + "\n"
     if res.labels:
-        lines.append("[symbols]")
-        for name in sorted(res.labels):
-            lines.append(f"{name}\t{res.labels[name]}")
-    return _write(args.output, "\n".join(lines) + "\n")
+        text += "[symbols]\n" + format_symbols(res.labels)
+    return _write(args.output, text)
 
 
 def cmd_validate(args):
@@ -98,7 +99,7 @@ def cmd_validate(args):
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    diags = validate_component(comp, _gc(comp, args))
+    diags = validate_component(comp, _gc(comp, args, args.stk_base))
     for d in diags:
         print(d)
     return EXIT_INVALID if diags else EXIT_OK
@@ -132,14 +133,14 @@ def cmd_run(args):
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    gc = _gc(prog, args)
+    b_stk, e_stk = args.stack
+    gc = _gc(prog, args, b_stk)
     if not args.no_validate:
         diags = validate_component(prog, gc)
         if diags:
             for d in diags:
                 print(d)
             return EXIT_INVALID
-    b_stk, e_stk = args.stack
     try:
         cfg = initial_config(prog, args.machine, b_stk, e_stk)
     except ConfigError as e:
@@ -161,7 +162,7 @@ def cmd_diff(args):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        v = run_diff(trusted, context, args.stk_base, args.stack[1], args.fuel,
+        v = run_diff(trusted, context, *args.stack, args.fuel,
                      not args.no_check_stk_base, args.paranoid,
                      want_trace=args.trace_dir is not None,
                      validate=not args.no_validate)
@@ -211,11 +212,13 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp, stack=False):
-        sp.add_argument("--stk-base", type=int, default=None)
         sp.add_argument("--no-check-stk-base", action="store_true")
-        if stack:
-            sp.add_argument("--stack", type=_parse_range, default=(1000, 1063))
+        if stack:  # the low end of the stack is also its base
+            sp.add_argument("--stack", type=_parse_range,
+                            default=DEFAULT_STACK)
             sp.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL)
+        else:
+            sp.add_argument("--stk-base", type=int, default=DEFAULT_STACK[0])
 
     sp = sub.add_parser("asm")
     sp.add_argument("input")
@@ -268,10 +271,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    if getattr(args, "stk_base", None) is None and hasattr(args, "stack"):
-        args.stk_base = args.stack[0]
-    elif getattr(args, "stk_base", None) is None:
-        args.stk_base = 0
     return args.fn(args)
 
 

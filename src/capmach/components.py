@@ -15,7 +15,8 @@ from typing import Optional
 from .asm import CALL_LEN, call_cond, find_hidden_calls, format_word, parse_word
 from .core import (
     INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap, Perm, SealCap,
-    Sealed, StkPtr, Word, fresh_registers, is_linear, non_exec, perm_leq,
+    Sealed, StkPtr, Word, fresh_registers, is_linear, linear_overlaps,
+    linear_range, non_exec, perm_leq,
 )
 from .source import SourceConfig
 
@@ -56,14 +57,10 @@ def _code_bounds(code):
     return lo, lo + 1, hi - 1, hi
 
 
-def _linear_ranges(word, loc, out):
-    """Yield (base, end, loc) for every linear capability inside a word."""
-    if isinstance(word, Sealed):
-        yield from _linear_ranges(word.inner, loc, out)
-    elif is_linear(word) and isinstance(word, MemCap):
-        yield (word.base, word.end, loc)
-    elif is_linear(word):
-        _diag(out, "comp-value", loc, f"token in static memory: {word!r}")
+def _range_within(lo, hi, addrs) -> bool:
+    """Whether every address ``lo..hi`` is in the set ``addrs``: a range
+    longer than the set cannot be, so compare lengths before probing."""
+    return hi - lo < len(addrs) and addrs.issuperset(range(lo, hi + 1))
 
 
 def validate_component(c: Component, gc: GlobalConstants) -> list:
@@ -149,9 +146,9 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
         _diag(out, "comp-code", "seals",
               f"return seal {sigma} claimed by no call")
 
-    # comp-value over data, with a constructed linear-ownership partition
-    nonlinear = (set(c.ms_code) | set(c.ms_data)) - c.a_linear
-    owned: dict = {}
+    # comp-value over data; the linear data words own disjoint ranges
+    own = set(c.ms_code) | set(c.ms_data)
+    nonlinear = own - c.a_linear
 
     def comp_value(w, loc, allow_sealed):
         if isinstance(w, int):
@@ -169,33 +166,28 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
             if w.end == INF:
                 _diag(out, "comp-value", loc, "unbounded capability")
                 return
-            rng = set(range(w.base, w.end + 1))
             if w.lin is Lin.LINEAR:
-                if not rng:
+                if w.base > w.end:
                     _diag(out, "comp-value", loc, "empty linear capability")
-                elif not rng <= c.a_linear:
+                elif not _range_within(w.base, w.end, c.a_linear):
                     _diag(out, "comp-value", loc,
                           "linear range outside a_linear")
-            else:
-                if not rng <= nonlinear:
-                    _diag(out, "comp-value", loc,
-                          "range escapes the component's nonlinear addresses")
+            elif not _range_within(w.base, w.end, nonlinear):
+                _diag(out, "comp-value", loc,
+                      "range escapes the component's nonlinear addresses")
             return
         _diag(out, "comp-value", loc, f"disallowed word: {w!r}")
 
-    def claim_linear(w, loc):
-        for lb, le, lloc in _linear_ranges(w, loc, out):
-            for x in range(lb, le + 1) if le != INF else ():
-                if x in owned:
-                    _diag(out, "comp-value", lloc,
-                          f"linear address {x} owned twice "
-                          f"(also at {owned[x]})")
-                else:
-                    owned[x] = lloc
-
+    owners = []
     for a in sorted(c.ms_data):
-        comp_value(c.ms_data[a], f"addr {a}", allow_sealed=True)
-        claim_linear(c.ms_data[a], f"addr {a}")
+        w = c.ms_data[a]
+        comp_value(w, f"addr {a}", allow_sealed=True)
+        r = linear_range(w)
+        if r is not None:
+            owners.append((r[0], r[1], f"addr {a}"))
+    for x, first, loc in linear_overlaps(owners):
+        _diag(out, "comp-value", loc,
+              f"linear address {x} owned twice (also at {first})")
 
     # comp-export: sealed closures under an owned closure seal, or plain
     # nonlinear values
@@ -207,9 +199,7 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
                       f"seal {w.sigma} not among the closure seals")
             inner = w.inner
             if isinstance(inner, MemCap):
-                if inner.end != INF \
-                        and not set(range(inner.base, inner.end + 1)) \
-                        <= set(c.ms_code) | set(c.ms_data):
+                if not _range_within(inner.base, inner.end, own):
                     _diag(out, "comp-export", loc,
                           "closure range escapes the component")
                 if is_linear(inner):
@@ -433,11 +423,12 @@ def parse_component(text: str) -> Component:
 
 def format_component(c: Component) -> str:
     lines = []
-    if c.ms_code:
-        b = min(c.ms_code) + 1
-        lines.append(f"[code base={b}]")
-        for a in sorted(c.ms_code):
-            lines.append(format_word(c.ms_code[a]))
+    prev = None
+    for a in sorted(c.ms_code):   # one section per contiguous block
+        if a - 1 != prev:
+            lines.append(f"[code base={a + 1}]")
+        lines.append(format_word(c.ms_code[a]))
+        prev = a
     lines.append("[data]")
     for a in sorted(c.ms_data):
         lines.append(f"{a}\t{format_word(c.ms_data[a])}")

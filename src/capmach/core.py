@@ -164,6 +164,35 @@ def is_linear(w: Word) -> bool:
     return False
 
 
+def linear_range(w: Word):
+    """The ``(base, end)`` a linear word owns, bare or under a seal, or
+    None for a word that owns nothing."""
+    while isinstance(w, Sealed):
+        w = w.inner
+    if isinstance(w, MemCap):
+        return (w.base, w.end) if w.lin is Lin.LINEAR else None
+    if isinstance(w, (StkPtr, RetPtrData)):
+        return (w.base, w.end)
+    return None
+
+
+def linear_overlaps(owners) -> list:
+    """``(addr, earlier, later)`` for each ``(base, end, where)`` owner
+    that starts inside an earlier one (by base): ``addr`` is the later
+    owner's base, and both owners own it.  An empty range (base > end)
+    owns nothing.  Empty exactly when no address has two owners."""
+    out = []
+    reach, holder = -INF, None   # the furthest end so far, and its owner
+    for base, end, where in sorted(owners):
+        if base > end:
+            continue
+        if base <= reach:
+            out.append((base, holder, where))
+        if end > reach:
+            reach, holder = end, where
+    return out
+
+
 def lin_cons(w: Word) -> Word:
     return 0 if is_linear(w) else w
 
@@ -235,8 +264,9 @@ class Memory(Mapping):
     removed since.  Each change copies only the overlay, and folds it
     into a fresh base once it holds more than √|base| cells, so writing
     or removing a cell costs O(√n) amortized.  A read probes the overlay
-    and then the base.  Iteration and ``items`` walk the base itself, or
-    a merged copy while the overlay is not empty: C speed either way.
+    and then the base.  Iteration, ``keys`` and ``items`` walk the base
+    itself, or a merged copy while the overlay is not empty: C speed
+    either way.
     """
 
     __slots__ = ("_base", "_over", "_len")
@@ -292,6 +322,9 @@ class Memory(Mapping):
 
     def __iter__(self):
         return iter(self._cells())
+
+    def keys(self):
+        return self._cells().keys()
 
     def items(self):
         return self._cells().items()

@@ -12,10 +12,10 @@ from typing import Optional
 
 from .components import Component, initial_config, link, is_program, \
     validate_component
-from .core import PC, GlobalConstants, MemCap, RetPtrData, Sealed, StkPtr, \
-    dec_instr, is_linear
+from .core import PC, GlobalConstants, MemCap, dec_instr, linear_overlaps, \
+    linear_range
 from .machine import Failed, Halted, NULL_EXTENSION, step
-from .source import SOURCE_EXTENSION, SourceConfig, memory_overlap
+from .source import SOURCE_EXTENSION, SourceConfig
 
 DEFAULT_FUEL = 100_000
 
@@ -46,52 +46,42 @@ class DiffVerdict:
 # ---------------------------------------------------------------------------
 # Invariant checks
 
-def _collect_linear(w, where, out):
-    if isinstance(w, Sealed):
-        _collect_linear(w.inner, where, out)
-        return
-    if not is_linear(w):
-        return
-    if isinstance(w, (MemCap, StkPtr, RetPtrData)):
-        out.append((w.base, w.end, where))
-
-
 def check_linearity(cfg) -> list:
-    """Addresses covered by two linear capabilities anywhere in a
-    configuration (registers, memory, stack memory, saved frames)."""
-    caps = []
-    for r, w in cfg.reg.items():
-        _collect_linear(w, f"reg {r}", caps)
-    for a, w in cfg.mem.items():
-        _collect_linear(w, f"mem {a}", caps)
-    for a, w in cfg.ms_stk.items():
-        _collect_linear(w, f"stk {a}", caps)
-    for i, f in enumerate(cfg.stk):
-        for a, w in f.ms.items():
-            _collect_linear(w, f"frame {i} addr {a}", caps)
-    caps.sort(key=lambda t: t[0])
-    dups = []
-    for (b1, e1, w1), (b2, e2, w2) in zip(caps, caps[1:]):
-        if b2 <= e1:
-            dups.append((b2, w1, w2))
-    return dups
+    """``(addr, earlier, later)`` for each linear capability that shares
+    an address with another one anywhere in a configuration: registers,
+    memory, stack memory and saved frames (see ``core.linear_overlaps``)."""
+    places = [("reg", cfg.reg), ("mem", cfg.mem), ("stk", cfg.ms_stk)]
+    places += [(f"frame {i} addr", f.ms) for i, f in enumerate(cfg.stk)]
+    owners = []
+    for name, cells in places:
+        for k, w in cells.items():
+            if isinstance(w, int):
+                continue
+            r = linear_range(w)
+            if r is not None:
+                owners.append((r[0], r[1], f"{name} {k}"))
+    return linear_overlaps(owners)
 
 
 def check_stack_partition(cfg: SourceConfig) -> list:
-    """Disjointness and bottom-up ordering of stack regions."""
+    """The stack regions ``ms_stk``, frame 0, frame 1, ... rise
+    strictly, which makes them disjoint, and none shares an address with
+    ``mem``.  A configuration without stack regions (the target's)
+    passes at once."""
+    regions = [("ms_stk", cfg.ms_stk)] if cfg.ms_stk else []
+    regions += [(f"frame {i}", f.ms) for i, f in enumerate(cfg.stk) if f.ms]
     out = []
-    overlap = memory_overlap(cfg)
-    if overlap:
-        out.append(f"region overlap at {sorted(overlap)[:4]}")
-    regions = []
-    if cfg.ms_stk:
-        regions.append(("ms_stk", min(cfg.ms_stk), max(cfg.ms_stk)))
-    for i, f in enumerate(cfg.stk):
-        if f.ms:
-            regions.append((f"frame {i}", min(f.ms), max(f.ms)))
-    for (n1, _, hi), (n2, lo, _) in zip(regions, regions[1:]):
-        if lo <= hi:
-            out.append(f"{n2} not above {n1}")
+    if not regions:
+        return out
+    mem = cfg.mem.keys()
+    below = None     # (name, top address) of the region below
+    for name, cells in regions:
+        dom = cells.keys()
+        if not mem.isdisjoint(dom):
+            out.append(f"{name} overlaps mem at {sorted(mem & dom)[:4]}")
+        if below is not None and min(dom) <= below[1]:
+            out.append(f"{name} not above {below[0]}")
+        below = (name, max(dom))
     return out
 
 
@@ -118,10 +108,9 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
                fuel: int = DEFAULT_FUEL, paranoid: bool = False,
                want_trace: bool = False) -> RunReport:
     """Step ``cfg`` on one machine until it halts, fails or runs out of
-    ``fuel``.  ``paranoid`` checks the invariants before every step;
+    ``fuel``.  ``paranoid`` checks both invariants before every step;
     ``want_trace`` records one TraceRecord per step."""
-    source = machine_kind == "source"
-    ext = SOURCE_EXTENSION if source else NULL_EXTENSION
+    ext = SOURCE_EXTENSION if machine_kind == "source" else NULL_EXTENSION
     trace = [] if want_trace else None
     violations: list = []
     steps = 0
@@ -129,9 +118,8 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
         if paranoid:
             for dup in check_linearity(cfg):
                 violations.append(f"step {steps}: duplicated linear addr {dup}")
-            if source:
-                for v in check_stack_partition(cfg):
-                    violations.append(f"step {steps}: {v}")
+            for v in check_stack_partition(cfg):
+                violations.append(f"step {steps}: {v}")
         nxt = step(cfg, ext, gc)
         steps += 1
         if want_trace:

@@ -62,18 +62,6 @@ class SourceConfig:
                             self.ms_stk.set(a, w))
 
 
-def memory_overlap(cfg: SourceConfig):
-    """Addresses shared between regions that must stay disjoint."""
-    bad = set(cfg.mem) & set(cfg.ms_stk)
-    seen = set(cfg.ms_stk)
-    for f in cfg.stk:
-        dom = set(f.ms)
-        bad |= dom & set(cfg.mem)
-        bad |= dom & seen
-        seen |= dom
-    return bad
-
-
 class SourceExtension(MachineExtension):
     """Stack pointers index ms_stk, and the call and return-token rules
     each fire as one step."""

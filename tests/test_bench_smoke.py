@@ -1,6 +1,7 @@
-"""The benchmark script runs each workload and its oracle accepts the
-results.  A refactor that breaks a name the benchmark imports or patches
-fails here; wall times are not checked, being too noisy for a test."""
+"""The benchmark script runs each workload, its oracle accepts the
+results and no operation fails.  A refactor that breaks a name the
+benchmark imports or patches fails here; wall times are not checked,
+being too noisy for a test."""
 
 import json
 import subprocess
@@ -21,3 +22,4 @@ def test_bench_workload_runs_correct(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, result
+    assert result["attempted"] >= 1 and result["failed"] == 0, result

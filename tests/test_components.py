@@ -6,8 +6,8 @@ from capmach.components import (
     is_program, link, parse_component, plug, validate_component,
 )
 from capmach.core import (
-    GlobalConstants, Lin, MemCap, Perm, SealCap, Sealed, StkPtr, enc_instr,
-    mk_instr,
+    INF, GlobalConstants, Lin, MemCap, Perm, SealCap, Sealed, StkPtr,
+    enc_instr, mk_instr,
 )
 from capmach.fixtures import (
     STK_BASE, STK_END, context_cb, corpus, minimal_context, std_gc,
@@ -127,6 +127,25 @@ def test_broken_linear_outside_own():
         ms_data={700: MemCap(Perm.RW, Lin.LINEAR, 710, 712, 710)})
     ds = diags(c)
     assert any("outside a_linear" in d for d in ds)
+
+
+def test_validation_cost_bounded_by_component():
+    # spans of 2**40 cells: each containment test compares lengths before
+    # probing addresses, so no per-address set or dict is built
+    far = 2 ** 40
+    c = simple_trusted(ms_data={
+        700: MemCap(Perm.RW, Lin.NORMAL, 0, far, 0),
+        701: MemCap(Perm.RW, Lin.LINEAR, 0, far, 0)})
+    assert diags(c) == [
+        "comp-value\taddr 700\trange escapes the component's nonlinear "
+        "addresses",
+        "comp-value\taddr 701\tlinear range outside a_linear"]
+
+
+def test_broken_unbounded_closure():
+    clo = Sealed(5, MemCap(Perm.RX, Lin.NORMAL, 100, INF, 100))
+    ds = diags(simple_trusted(exports=(("clo", clo),)))
+    assert any("closure range escapes the component" in d for d in ds)
 
 
 def test_broken_import_into_code():
@@ -250,6 +269,14 @@ def test_container_roundtrip():
     for name, t, ctx in corpus():
         for c in (t, ctx):
             assert parse_component(format_component(c)) == c, name
+
+
+def test_container_roundtrip_linked():
+    # a linked program has one code block per component, each with its
+    # own pads; the container keeps each block at its own address
+    for name, t, ctx in corpus():
+        p = link(t, ctx)
+        assert parse_component(format_component(p)) == p, name
 
 
 def test_container_parse_details():

@@ -1,7 +1,14 @@
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
 from capmach import cli
 from capmach.components import format_component, link
 from capmach import fixtures
-from capmach.core import INF, Lin, MemCap, Perm, Sealed
+from capmach.core import (
+    INF, REGISTERS, Lin, Memory, MemCap, Perm, RetPtrCode, RetPtrData,
+    SealCap, Sealed, StkPtr, fresh_registers,
+)
 from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
     scenario_second_stack, trusted_one_call, trusted_simple,
@@ -95,6 +102,76 @@ def test_check_linearity():
     unbounded = MemCap(Perm.RW, Lin.LINEAR, far, INF, far)
     high = cfg.with_regs({"r1": unbounded, "r2": lincap(far + 5, far + 9)})
     assert check_linearity(high)  # an infinite end has no stand-in cap
+    # an empty range owns nothing, even where its base falls inside
+    # another owner's range
+    empty = cfg.with_regs({"r1": lincap(5, 7),
+                           "r2": MemCap(Perm.RW, Lin.LINEAR, 6, 4, 6)})
+    assert check_linearity(empty) == []
+    # an owner that starts inside a wide one but after a narrow one
+    wide = cfg.with_regs({"r1": lincap(2000, 2100), "r2": lincap(2001, 2002),
+                          "r3": lincap(2050, 2060)})
+    assert [d[0] for d in check_linearity(wide)] == [2001, 2050]
+
+
+# ---------------------------------------------------------------------------
+# The linearity checker against a brute-force count of owners
+
+_SMALL = st.integers(0, 12)
+_CAPS = st.one_of(
+    st.builds(MemCap, st.sampled_from([Perm.RW, Perm.RX, Perm.R]),
+              st.sampled_from(list(Lin)), _SMALL, _SMALL, _SMALL),
+    st.builds(StkPtr, st.just(Perm.RW), _SMALL, _SMALL, _SMALL),
+    st.builds(RetPtrData, _SMALL, _SMALL),
+    st.builds(RetPtrCode, _SMALL, _SMALL, _SMALL),
+    st.builds(SealCap, _SMALL, _SMALL, _SMALL))
+# ints and every kind of capability over small ranges, some of them
+# empty, some sealed
+_WORDS = st.one_of(_SMALL, _CAPS, st.builds(Sealed, _SMALL, _CAPS))
+_CELLS = st.dictionaries(st.integers(0, 40), _WORDS, max_size=4)
+
+
+def _owned(w):
+    """The addresses a word owns, written out independently of core."""
+    if isinstance(w, Sealed):
+        w = w.inner
+    if isinstance(w, (StkPtr, RetPtrData)) or (
+            isinstance(w, MemCap) and w.lin is Lin.LINEAR):
+        return set(range(w.base, w.end + 1))
+    return set()
+
+
+@st.composite
+def _linearity_cfgs(draw):
+    reg = fresh_registers()
+    reg.update(draw(st.dictionaries(st.sampled_from(REGISTERS), _WORDS,
+                                    max_size=4)))
+    frames = tuple(StackFrame(0, draw(_CELLS))
+                   for _ in range(draw(st.integers(0, 2))))
+    return SourceConfig(Memory(draw(_CELLS)), reg, frames,
+                        Memory(draw(_CELLS)))
+
+
+def _places(cfg):
+    """Each place of a configuration by the name ``check_linearity``
+    gives it, with the word it holds."""
+    out = {f"reg {r}": w for r, w in cfg.reg.items()}
+    out.update({f"mem {a}": w for a, w in cfg.mem.items()})
+    out.update({f"stk {a}": w for a, w in cfg.ms_stk.items()})
+    for i, f in enumerate(cfg.stk):
+        out.update({f"frame {i} addr {a}": w for a, w in f.ms.items()})
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_linearity_cfgs())
+def test_check_linearity_against_brute_force(cfg):
+    places = _places(cfg)
+    owners = Counter(x for w in places.values() for x in _owned(w))
+    dups = check_linearity(cfg)
+    assert bool(dups) == any(n > 1 for n in owners.values())
+    for addr, first, second in dups:
+        assert first != second
+        assert addr in _owned(places[first]) & _owned(places[second])
 
 
 def test_check_stack_partition():
@@ -110,6 +187,13 @@ def test_check_stack_partition():
                                (StackFrame(0, {900: 0}),),
                                {STK_BASE: 0})
     assert check_stack_partition(upside_down)
+    # the accessible stack may not reach into memory
+    shared = SourceConfig(cfg.mem, cfg.reg, (),
+                          cfg.ms_stk.set(min(cfg.mem), 0))
+    assert check_stack_partition(shared)
+    # the target has no stack regions
+    target = initial_config(link(t, ctx), "target", STK_BASE, STK_END)
+    assert check_stack_partition(target) == []
 
 
 def test_write_trace(tmp_path):
@@ -259,3 +343,44 @@ def test_cli_output_in_missing_directory(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
     assert cli.main(["link", t, c, "-o", out]) == 3
     assert "error: " in capsys.readouterr().err
+
+
+def test_cli_link_keeps_code_blocks(tmp_path, capsys):
+    # the context's code stays at its own address after link, so the
+    # linked program runs as `diff` runs the pair
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["stack-smash"]
+    out = str(tmp_path / "p.comp")
+    assert cli.main(["link", _write(tmp_path, "t.comp", t),
+                     _write(tmp_path, "c.comp", ctx), "-o", out]) == 0
+    capsys.readouterr()
+    for machine in ("source", "target"):
+        assert cli.main(["run", out, "--no-validate",
+                         "--machine", machine]) == 0, machine
+        assert capsys.readouterr().out == "halted after 72 steps\n"
+
+
+def test_cli_one_stack_base(tmp_path, capsys):
+    # call-return's trusted call checks the stack base, so validation
+    # needs the base that run and diff use
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
+    tf, cf = _write(tmp_path, "t.comp", t), _write(tmp_path, "c.comp", ctx)
+    assert cli.main(["validate", tf]) == 0
+    assert cli.main(["validate", tf, "--stk-base", "0"]) == 4
+    assert cli.main(["diff", tf, cf]) == 0
+    # the base is the low end of --stack; there is no second flag for it
+    assert cli.main(["diff", tf, cf, "--stk-base", "1000"]) == 3
+    out = str(tmp_path / "p.comp")
+    assert cli.main(["link", tf, cf, "-o", out]) == 0
+    assert cli.main(["run", out, "--machine", "source", "--no-validate",
+                     "--stk-base", "1000"]) == 3
+    capsys.readouterr()
+    # a stack that does not start at the base the call was assembled for:
+    # run and diff both take the base from it, and agree
+    run = ["run", out, "--no-validate", "--stack", "1010..1063", "--machine"]
+    assert cli.main(run + ["source"]) == 1
+    assert cli.main(run + ["target"]) == 1
+    assert capsys.readouterr().out == "failed after 27 steps\n" * 2
+    assert cli.main(["diff", tf, cf, "--stack", "1010..1063",
+                     "--no-validate"]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "source: failed after 27 steps", "target: failed after 27 steps"]

@@ -5,10 +5,9 @@ from capmach.core import (
     GlobalConstants, Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap,
     Sealed, StkPtr, enc_instr, enc_perm, mk_instr,
 )
+from capmach.harness import check_stack_partition
 from capmach.machine import FAILED, Running, exec_instr, step
-from capmach.source import (
-    SOURCE_EXTENSION, StackFrame, exec_call, memory_overlap,
-)
+from capmach.source import SOURCE_EXTENSION, StackFrame, exec_call
 
 GC = GlobalConstants(frozenset(), 1000)
 
@@ -92,7 +91,7 @@ def test_exec_call():
     assert set(frame.ms) == set(range(1005, 1011))
     assert frame.ms[1005] == 42  # the caller's canary cell
     assert set(cfg.ms_stk) == set(range(1000, 1005))
-    assert not memory_overlap(cfg)
+    assert check_stack_partition(cfg) == []
 
 
 def test_exec_call_sigma_offset():
