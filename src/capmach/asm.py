@@ -7,13 +7,14 @@ reinterprets it as one atomic step when it sits at trusted addresses.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    INF, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2, Instr, Lin,
-    MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, Word,
+    INF, OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2, Instr,
+    Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, Word,
     dec_instr, enc_instr, is_register, mk_instr,
 )
 
@@ -87,49 +88,7 @@ def expand_scall(params: CallParams, stk_base: int,
 _CALL_HEAD = enc_instr(Instr("move", (RTMP1, 42)))
 
 
-def call_cond(mem, a: int, stk_base: int,
-              check_stk_base: bool = True) -> Optional[CallParams]:
-    """Recognize the call expansion starting at address ``a``.
-
-    A window whose first cell is not the expansion's first instruction
-    is rejected before anything is decoded.  Otherwise the parameters
-    are recovered from the fixed positions (pc-offset at index 6, seal
-    offset at index 8, the xjmp register pair at 14) and the whole
-    window is then checked cell-by-cell against the expansion; the
-    ``fail`` at index 22 is compared decoded, since every integer that
-    is not an instruction image decodes to it.
-    """
-    if mem.get(a) != _CALL_HEAD:
-        return None
-    cells = []
-    for i in range(CALL_LEN):
-        w = mem.get(a + i)
-        if not isinstance(w, int):
-            return None
-        cells.append(dec_instr(w))
-    i6 = cells[_OFF_PC_INDEX]
-    i8 = cells[_OFF_SIGMA_INDEX]
-    i14 = cells[_XJMP_INDEX]
-    if not (i6.op == "cca" and i6.args[0] == RTMP1 and isinstance(i6.args[1], int)):
-        return None
-    if not (i8.op == "cca" and i8.args[0] == RTMP1 and isinstance(i8.args[1], int)):
-        return None
-    if i14.op != "xjmp":
-        return None
-    off_pc = i6.args[1] + 5
-    off_sigma = i8.args[1]
-    if off_pc < 0 or off_sigma < 0:
-        return None
-    r1, r2 = i14.args
-    expect = _call_instrs(off_pc, off_sigma, r1, r2, stk_base, check_stk_base)
-    if cells != expect:
-        return None
-    return CallParams(off_pc, off_sigma, r1, r2)
-
-
-# ---------------------------------------------------------------------------
-# Hidden-call detection
-
+@functools.lru_cache(maxsize=16)
 def _fixed_parts(stk_base, check_stk_base=True):
     """Each instruction of the call expansion that no parameter changes,
     mapped to the indexes it sits at."""
@@ -159,6 +118,32 @@ def _parts_of(instr, fixed):
         parts.append(_XJMP_INDEX)
     return sorted(parts)
 
+
+def call_cond(mem, a: int, stk_base: int,
+              check_stk_base: bool = True) -> Optional[CallParams]:
+    """Recognize the call expansion starting at address ``a``.
+
+    A window whose first cell is not the expansion's first instruction
+    is rejected before anything is decoded.  Otherwise the window is a
+    call when each cell ``a + j`` is an integer that can stand at part
+    ``j`` (see ``_parts_of``); the parameters are then read from parts
+    6, 8 and 14.  The ``fail`` at part 22 is matched decoded, since
+    every integer that is not an instruction image decodes to it.
+    """
+    if mem.get(a) != _CALL_HEAD:
+        return None
+    fixed = _fixed_parts(stk_base, check_stk_base)
+    for j in range(1, CALL_LEN):
+        w = mem.get(a + j)
+        if not isinstance(w, int) or j not in _parts_of(dec_instr(w), fixed):
+            return None
+    off_pc, off_sigma, xjmp = (dec_instr(mem[a + j]) for j in (
+        _OFF_PC_INDEX, _OFF_SIGMA_INDEX, _XJMP_INDEX))
+    return CallParams(off_pc.args[1] + 5, off_sigma.args[1], *xjmp.args)
+
+
+# ---------------------------------------------------------------------------
+# Hidden-call detection
 
 @dataclass(frozen=True)
 class HiddenCallViolation:
@@ -272,8 +257,6 @@ class AsmError(ValueError):
 class AsmResult:
     segment: dict
     labels: dict
-    imports: list = field(default_factory=list)   # (addr, symbol)
-    exports: list = field(default_factory=list)   # (symbol, Word)
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):\s*(.*)$")
@@ -302,28 +285,15 @@ def _parse_items(src):
     return items
 
 
-def _size_of(stmt):
-    parts = stmt.text.split()
-    head = parts[0]
-    if head == ".org":
-        return None
-    if head in (".import", ".export"):
-        return 0
-    if head in (".word", ".seal"):
-        return 1
-    if head == "call":
-        return CALL_LEN
-    return 1
-
-
 def assemble(src: str, stk_base: int = 0,
              check_stk_base: bool = True) -> AsmResult:
     """Assemble the textual format into a memory segment.
 
     One instruction per line; ``;`` comments; ``name:`` labels;
-    directives .org/.word/.seal/.import/.export; the ``call`` macro
-    occupies 26 cells and may name its seal by label (pc-offset is then
-    computed relative to the macro's first address).
+    directives .org/.word/.seal; the ``call`` macro occupies 26 cells
+    and may name its seal by label (pc-offset is then computed relative
+    to the macro's first address).  Any other head must be an
+    instruction.
     """
     items = _parse_items(src)
 
@@ -342,9 +312,8 @@ def assemble(src: str, stk_base: int = 0,
             except (IndexError, ValueError):
                 raise AsmError(".org needs an address", it.line)
         else:
-            size = _size_of(it)
             it.addr = loc
-            loc += size
+            loc += CALL_LEN if parts[0] == "call" else 1
 
     def resolve(tok, line, at):
         m = _IMM_RE.match(tok)
@@ -393,26 +362,6 @@ def assemble(src: str, stk_base: int = 0,
                                   resolve(parts[3], it.line, it.addr)),
                  it.line)
             continue
-        if head == ".import":
-            if len(parts) != 3 or not parts[2].startswith("@"):
-                raise AsmError(".import needs: .import sym @addr", it.line)
-            result.imports.append(
-                (resolve(parts[2][1:], it.line, 0), parts[1]))
-            continue
-        if head == ".export":
-            m = re.match(r"\.export\s+(\S+)\s*=\s*(.+)$", it.text)
-            if not m:
-                raise AsmError(".export needs: .export sym = value", it.line)
-            val = m.group(2).strip()
-            if val in labels:
-                word: Word = labels[val]
-            else:
-                try:
-                    word = parse_word(val)
-                except ValueError as e:
-                    raise AsmError(str(e), it.line)
-            result.exports.append((m.group(1), word))
-            continue
         if head == "call":
             if len(parts) != 5:
                 raise AsmError("call needs: call seal off_sigma r1 r2", it.line)
@@ -434,6 +383,8 @@ def assemble(src: str, stk_base: int = 0,
                 emit(it.addr + k, enc_instr(ins), it.line)
             continue
         # plain instruction
+        if head not in OPCODES:
+            raise AsmError(f"unknown instruction {head!r}", it.line)
         try:
             args = [operand(t, it.line, it.addr) for t in parts[1:]]
             instr = mk_instr(head, *args)

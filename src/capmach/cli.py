@@ -40,6 +40,13 @@ def _parse_range(s):
             f"expected a range lo..hi, got {s!r}") from None
 
 
+def _stack(s):
+    lo, hi = _parse_range(s)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty stack range {s!r}")
+    return lo, hi
+
+
 def _ta(s):
     """``auto`` (the component's own code) or a range ``lo..hi``."""
     return s if s == "auto" else _parse_range(s)
@@ -214,7 +221,7 @@ def build_parser():
     def common(sp, stack=False):
         sp.add_argument("--no-check-stk-base", action="store_true")
         if stack:  # the low end of the stack is also its base
-            sp.add_argument("--stack", type=_parse_range,
+            sp.add_argument("--stack", type=_stack,
                             default=DEFAULT_STACK)
             sp.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL)
         else:

@@ -150,38 +150,42 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
     own = set(c.ms_code) | set(c.ms_data)
     nonlinear = own - c.a_linear
 
-    def comp_value(w, loc, allow_sealed):
+    def sealed_cap(w, rule, loc):
+        """The memory capability a sealed word wraps, or None."""
+        if isinstance(w.inner, MemCap):
+            return w.inner
+        _diag(out, rule, loc, f"sealed word wraps {w.inner!r}")
+        return None
+
+    def comp_value(w, loc):
         if isinstance(w, int):
             return
         if isinstance(w, Sealed):
-            if not allow_sealed:
-                _diag(out, "comp-value", loc, "unexpected sealed word")
-            elif is_linear(w.inner) and not isinstance(w.inner, MemCap):
-                _diag(out, "comp-value", loc, "token under a seal")
-            return
-        if isinstance(w, MemCap):
-            if not perm_leq(w.perm, Perm.RW):
-                _diag(out, "comp-value", loc,
-                      f"perm ⊑ rw violated: {w.perm.value}")
-            if w.end == INF:
-                _diag(out, "comp-value", loc, "unbounded capability")
+            # a sealed closure half may be code, so perm ⊑ rw is not asked
+            w = sealed_cap(w, "comp-value", loc)
+            if w is None:
                 return
-            if w.lin is Lin.LINEAR:
-                if w.base > w.end:
-                    _diag(out, "comp-value", loc, "empty linear capability")
-                elif not _range_within(w.base, w.end, c.a_linear):
-                    _diag(out, "comp-value", loc,
-                          "linear range outside a_linear")
-            elif not _range_within(w.base, w.end, nonlinear):
-                _diag(out, "comp-value", loc,
-                      "range escapes the component's nonlinear addresses")
+        elif not isinstance(w, MemCap):
+            _diag(out, "comp-value", loc, f"disallowed word: {w!r}")
             return
-        _diag(out, "comp-value", loc, f"disallowed word: {w!r}")
+        elif not perm_leq(w.perm, Perm.RW):
+            _diag(out, "comp-value", loc,
+                  f"perm ⊑ rw violated: {w.perm.value}")
+        if w.end == INF:
+            _diag(out, "comp-value", loc, "unbounded capability")
+        elif w.lin is Lin.LINEAR:
+            if w.base > w.end:
+                _diag(out, "comp-value", loc, "empty linear capability")
+            elif not _range_within(w.base, w.end, c.a_linear):
+                _diag(out, "comp-value", loc, "linear range outside a_linear")
+        elif not _range_within(w.base, w.end, nonlinear):
+            _diag(out, "comp-value", loc,
+                  "range escapes the component's nonlinear addresses")
 
     owners = []
     for a in sorted(c.ms_data):
         w = c.ms_data[a]
-        comp_value(w, f"addr {a}", allow_sealed=True)
+        comp_value(w, f"addr {a}")
         r = linear_range(w)
         if r is not None:
             owners.append((r[0], r[1], f"addr {a}"))
@@ -197,20 +201,16 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
             if w.sigma not in c.sig_clos:
                 _diag(out, "comp-export", loc,
                       f"seal {w.sigma} not among the closure seals")
-            inner = w.inner
-            if isinstance(inner, MemCap):
-                if not _range_within(inner.base, inner.end, own):
-                    _diag(out, "comp-export", loc,
-                          "closure range escapes the component")
-                if is_linear(inner):
-                    _diag(out, "comp-export", loc, "linear export")
-            else:
+            w = sealed_cap(w, "comp-export", loc)
+            if w is None:
+                continue
+            if not _range_within(w.base, w.end, own):
                 _diag(out, "comp-export", loc,
-                      f"sealed export wraps {inner!r}")
+                      "closure range escapes the component")
         else:
-            comp_value(w, loc, allow_sealed=False)
-            if is_linear(w):
-                _diag(out, "comp-export", loc, "linear export")
+            comp_value(w, loc)
+        if is_linear(w):
+            _diag(out, "comp-export", loc, "linear export")
 
     # imports target data addresses; symbol sanity
     export_syms = {sym for sym, _ in c.exports}
@@ -339,22 +339,27 @@ def plug(ctx: Component, comp: Component, machine_kind: str,
 # Container format
 
 def _parse_sigs(s):
-    s = s.strip()
-    if not s:
-        return frozenset()
+    """The set written as comma-separated numbers and ``lo..hi`` runs."""
     got = set()
     for part in s.split(","):
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..")
-            got |= set(range(int(lo), int(hi) + 1))
+            got.update(range(int(lo), int(hi) + 1))
         elif part:
             got.add(int(part))
     return frozenset(got)
 
 
 def _fmt_sigs(s):
-    return ",".join(str(x) for x in sorted(s))
+    """Maximal runs of ``s``, each as ``lo..hi`` or a single number."""
+    runs = []
+    for x in sorted(s):
+        if runs and x == runs[-1][1] + 1:
+            runs[-1][1] = x
+        else:
+            runs.append([x, x])
+    return ",".join(f"{lo}..{hi}" if lo < hi else str(lo) for lo, hi in runs)
 
 
 _SECTION_RE = re.compile(r"^\[(\w+)(?:\s+(.*?))?\]$")
@@ -404,11 +409,7 @@ def parse_component(text: str) -> Component:
             sym, lit = line.split(None, 1)
             exports.append((sym, parse_word(lit)))
         elif section == "linear":
-            if ".." in line:
-                lo, hi = line.split("..")
-                a_linear |= set(range(int(lo), int(hi) + 1))
-            else:
-                a_linear.add(int(line))
+            a_linear |= _parse_sigs(line)
         elif section == "main":
             mains.append(parse_word(line))
         else:
@@ -442,9 +443,7 @@ def format_component(c: Component) -> str:
             lines.append(f"{sym}\t{format_word(w)}")
     lines.append(f"[seals ret={_fmt_sigs(c.sig_ret)} clos={_fmt_sigs(c.sig_clos)}]")
     if c.a_linear:
-        lines.append("[linear]")
-        for a in sorted(c.a_linear):
-            lines.append(str(a))
+        lines += ["[linear]", _fmt_sigs(c.a_linear)]
     if c.mains is not None:
         lines.append("[main]")
         lines.append(format_word(c.mains[0]))

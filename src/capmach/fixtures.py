@@ -3,7 +3,8 @@
 Every fixture pairs a trusted component (its code is the trusted
 address set) with a context.  Addresses follow one layout: trusted code
 near 100 with data at 300, context code near 500 with data at 700, the
-stack at [1000, 1063] with guard cells just outside.
+stack at [1000, 1063] with guard cells just outside.  Every component
+is built by ``component``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 from .asm import assemble
 from .components import Component
-from .core import GlobalConstants, Lin, MemCap, Perm, SealCap, Sealed
-from .harness import DiffVerdict, RunReport, run_diff
+from .core import GlobalConstants, Lin, MemCap, Perm, Sealed
+from .harness import DiffVerdict, run_diff
 
 STK_BASE = 1000
 STK_END = 1063
@@ -23,90 +24,89 @@ T_DATA = 300
 C_CODE = 500
 C_DATA = 700
 
+_MAIN = ("main_code", "main_data")
+
 
 def std_gc(trusted: Component, check_stk_base: bool = True) -> GlobalConstants:
     return GlobalConstants(frozenset(trusted.ms_code), STK_BASE, check_stk_base)
 
 
-def _pad(segment: dict) -> dict:
-    b, e = min(segment), max(segment)
-    assert set(segment) == set(range(b, e + 1)), "code must be contiguous"
-    return {b - 1: 0, **segment, e + 1: 0}
+def component(base: int, text: str, data=None, *, ret=(), clos=(),
+              exports=None, main=None, imports=(), linear=(),
+              check_stk_base: bool = True) -> Component:
+    """Assemble ``text`` at ``base`` into a component with guard pads.
+
+    A value in ``data`` or ``exports`` may be a closure-half spec, which
+    becomes its sealed word: ``(σ, label)`` is the rx code half over the
+    whole block, entering at ``label``; ``(σ, lo, hi)`` is the rw data
+    half over ``lo..hi``.  ``exports`` maps symbols to words in order,
+    ``main`` names the two exports that form the main pair, and
+    ``imports`` holds ``(addr, symbol)`` pairs.
+    """
+    res = assemble(f".org {base}\n{text}", STK_BASE, check_stk_base)
+    lo, hi = min(res.segment), max(res.segment)
+    assert len(res.segment) == hi - lo + 1, "code must be contiguous"
+
+    def word(w):
+        if not isinstance(w, tuple):
+            return w
+        if len(w) == 2:
+            sigma, label = w
+            return Sealed(sigma, MemCap(Perm.RX, Lin.NORMAL, lo, hi,
+                                        res.labels[label]))
+        sigma, b, e = w
+        return Sealed(sigma, MemCap(Perm.RW, Lin.NORMAL, b, e, b))
+
+    exported = {sym: word(w) for sym, w in (exports or {}).items()}
+    return Component({lo - 1: 0, **res.segment, hi + 1: 0},
+                     {a: word(w) for a, w in (data or {}).items()},
+                     tuple(imports), tuple(exported.items()),
+                     frozenset(ret), frozenset(clos), frozenset(linear),
+                     tuple(exported[sym] for sym in main) if main else None)
 
 
-def _seal(sigma, inner):
-    return Sealed(sigma, inner)
+def _zeros(lo: int, hi: int) -> dict:
+    return dict.fromkeys(range(lo, hi + 1), 0)
 
 
-def _rx(b, e, a):
-    return MemCap(Perm.RX, Lin.NORMAL, b, e, a)
+def _trusted_main(text: str, sigma: int, data_hi: int, data=None, *,
+                  exports=None, **kw) -> Component:
+    """A trusted component at ``T_CODE`` whose main pair, sealed with
+    ``sigma``, enters at ``entry`` over data ``T_DATA..data_hi`` (zeros
+    unless ``data`` is given)."""
+    main = {"main_code": (sigma, "entry"),
+            "main_data": (sigma, T_DATA, data_hi)}
+    return component(T_CODE, text,
+                     _zeros(T_DATA, data_hi) if data is None else data,
+                     exports={**main, **(exports or {})}, main=_MAIN, **kw)
 
 
-def _rw(b, e, a):
-    return MemCap(Perm.RW, Lin.NORMAL, b, e, a)
-
-
-def _asm(base, text, check_stk_base=True):
-    return assemble(f".org {base}\n{text}", STK_BASE, check_stk_base)
-
-
-def _code_cap(res, label):
-    b, e = min(res.segment), max(res.segment)
-    return _rx(b, e, res.labels[label])
+def _ctx(text: str, data=None, **kw) -> Component:
+    """A context at ``C_CODE`` owning closure seal 9, whose seal word
+    ends its code."""
+    return component(C_CODE, f"{text}\ncsealw: .seal 9 9 9", data,
+                     clos={9}, **kw)
 
 
 # ---------------------------------------------------------------------------
-# Context building blocks
+# Building blocks
 
 def minimal_context() -> Component:
     """Just the mandatory seal word; no exports, no behaviour."""
-    return Component(_pad({C_CODE: SealCap(9, 9, 9)}), {},
-                     sig_clos=frozenset({9}))
-
-
-def _context(text, data, exports, mains=None, imports=(),
-             a_linear=frozenset()):
-    res = _asm(C_CODE, text + "\ncsealw: .seal 9 9 9")
-    comp = Component(_pad(res.segment), dict(data), tuple(imports),
-                     tuple(exports(res)), frozenset(), frozenset({9}),
-                     frozenset(a_linear),
-                     mains(res) if mains else None)
-    return comp
+    return _ctx("")
 
 
 def context_cb(body: str) -> Component:
     """A context exporting one callback closure with body ``body``."""
-    return _context(
-        f"cb:\n{body}\n  xjmp rretcode rretdata",
-        {C_DATA: 0},
-        lambda res: [("cb_code", _seal(9, _code_cap(res, "cb"))),
-                     ("cb_data", _seal(9, _rw(C_DATA, C_DATA, C_DATA)))])
-
-
-# ---------------------------------------------------------------------------
-# Trusted building blocks
-
-def _trusted(text, data, sig_ret, sig_clos, exports, mains=None, imports=()):
-    res = _asm(T_CODE, text)
-    return Component(_pad(res.segment), dict(data), tuple(imports),
-                     tuple(exports(res)), frozenset(sig_ret),
-                     frozenset(sig_clos), frozenset(),
-                     mains(res) if mains else None)
-
-
-def _main_pair(res, entry, data_lo, data_hi, sigma):
-    return (_seal(sigma, _code_cap(res, entry)),
-            _seal(sigma, _rw(data_lo, data_hi, data_lo)))
+    return _ctx(f"cb:\n{body}\n  xjmp rretcode rretdata", {C_DATA: 0},
+                exports={"cb_code": (9, "cb"),
+                         "cb_data": (9, C_DATA, C_DATA)})
 
 
 def trusted_simple(body: str) -> Component:
     """A trusted main with no calls (clos seal only)."""
-    def exports(res):
-        mc, md = _main_pair(res, "entry", T_DATA, T_DATA, 2)
-        return [("main_code", mc), ("main_data", md)]
-    return _trusted(f"entry:\n{body}\nsealw: .seal 2 2 2",
-                    {T_DATA: 0}, (), {2}, exports,
-                    mains=lambda res: _main_pair(res, "entry", T_DATA, T_DATA, 2))
+    return _trusted_main(f"entry:\n{body}\nsealw: .seal 2 2 2", 2, T_DATA,
+                         clos={2})
 
 
 _LOAD_CB = """\
@@ -114,6 +114,8 @@ _LOAD_CB = """\
   load r1 r3
   cca r3 1
   load r2 r3"""
+
+_CB_IMPORTS = ((T_DATA, "cb_code"), (T_DATA + 1, "cb_data"))
 
 
 def trusted_one_call(pre: str = "", post: str = "") -> Component:
@@ -125,13 +127,8 @@ entry:
 {post}  halt
 sealw: .seal 1 2 1
 """
-    def exports(res):
-        mc, md = _main_pair(res, "entry", T_DATA, T_DATA + 1, 2)
-        return [("main_code", mc), ("main_data", md)]
-    return _trusted(text, {T_DATA: 0, T_DATA + 1: 0}, {1}, {2}, exports,
-                    mains=lambda res: _main_pair(res, "entry", T_DATA,
-                                                 T_DATA + 1, 2),
-                    imports=((T_DATA, "cb_code"), (T_DATA + 1, "cb_data")))
+    return _trusted_main(text, 2, T_DATA + 1, ret={1}, clos={2},
+                         imports=_CB_IMPORTS)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +171,8 @@ entry:
   halt
 sealw: .seal 1 3 1
 """
-    def exports(res):
-        mc, md = _main_pair(res, "entry", T_DATA, T_DATA + 1, 3)
-        return [("main_code", mc), ("main_data", md)]
-    t = _trusted(text, {T_DATA: 0, T_DATA + 1: 0}, {1, 2}, {3}, exports,
-                 mains=lambda res: _main_pair(res, "entry", T_DATA,
-                                              T_DATA + 1, 3),
-                 imports=((T_DATA, "cb_code"), (T_DATA + 1, "cb_data")))
+    t = _trusted_main(text, 3, T_DATA + 1, ret={1, 2}, clos={3},
+                      imports=_CB_IMPORTS)
     return t, context_cb("  plus r6 r6 1")
 
 
@@ -197,16 +189,10 @@ clo2:
   xjmp rretcode rretdata
 sealw: .seal 1 3 1
 """
-    def t_exports(res):
-        mc, md = _main_pair(res, "entry", T_DATA, T_DATA + 1, 2)
-        return [("main_code", mc), ("main_data", md),
-                ("clo2_code", _seal(3, _code_cap(res, "clo2"))),
-                ("clo2_data", _seal(3, _rw(T_DATA + 2, T_DATA + 2, T_DATA + 2)))]
-    t = _trusted(t_text, {T_DATA: 0, T_DATA + 1: 0, T_DATA + 2: 0},
-                 {1}, {2, 3}, t_exports,
-                 mains=lambda res: _main_pair(res, "entry", T_DATA,
-                                              T_DATA + 1, 2),
-                 imports=((T_DATA, "cb_code"), (T_DATA + 1, "cb_data")))
+    t = _trusted_main(t_text, 2, T_DATA + 1, _zeros(T_DATA, T_DATA + 2),
+                      exports={"clo2_code": (3, "clo2"),
+                               "clo2_data": (3, T_DATA + 2, T_DATA + 2)},
+                      ret={1}, clos={2, 3}, imports=_CB_IMPORTS)
     c_text = """\
 cb:
   move r8 rretcode
@@ -217,12 +203,10 @@ cb:
   load r4 r5
   call csealw 0 r3 r4
   xjmp r8 r9"""
-    c = _context(
-        c_text,
-        {C_DATA: 0, C_DATA + 1: 0},
-        lambda res: [("cb_code", _seal(9, _code_cap(res, "cb"))),
-                     ("cb_data", _seal(9, _rw(C_DATA, C_DATA + 1, C_DATA)))],
-        imports=((C_DATA, "clo2_code"), (C_DATA + 1, "clo2_data")))
+    c = _ctx(c_text, _zeros(C_DATA, C_DATA + 1),
+             exports={"cb_code": (9, "cb"),
+                      "cb_data": (9, C_DATA, C_DATA + 1)},
+             imports=((C_DATA, "clo2_code"), (C_DATA + 1, "clo2_data")))
     return t, c
 
 
@@ -271,29 +255,18 @@ clo2:
   xjmp r8 r9
 sealw: .seal 1 3 1
 """
-    def exports(res):
-        mc, md = _main_pair(res, "entry", T_DATA, T_DATA + 1, 3)
-        return [("main_code", mc), ("main_data", md)]
-
-    def mains(res):
-        return _main_pair(res, "entry", T_DATA, T_DATA + 1, 3)
-
-    res_probe = _asm(T_CODE, text)
-    clo2_code = _seal(3, _code_cap(res_probe, "clo2"))
-    clo2_data = _seal(3, _rw(T_DATA + 2, T_DATA + 3, T_DATA + 2))
-    t = _trusted(text,
-                 {T_DATA: clo2_code, T_DATA + 1: clo2_data,
-                  T_DATA + 2: 0, T_DATA + 3: 0},
-                 {1, 2}, {3}, exports, mains=mains,
-                 imports=((T_DATA + 2, "cb_code"), (T_DATA + 3, "cb_data")))
+    data = {T_DATA: (3, "clo2"), T_DATA + 1: (3, T_DATA + 2, T_DATA + 3),
+            T_DATA + 2: 0, T_DATA + 3: 0}
+    t = _trusted_main(text, 3, T_DATA + 1, data, ret={1, 2}, clos={3},
+                      imports=((T_DATA + 2, "cb_code"),
+                               (T_DATA + 3, "cb_data")))
     return t, context_cb("  plus r6 r6 1")
 
 
 def _fx_stack_smash():
     # no trusted calls: the context mangles its stack freely; both
     # machines agree step for step
-    t = Component(_pad({T_CODE: SealCap(2, 2, 2)}), {},
-                  sig_clos=frozenset({2}))
+    t = component(T_CODE, "sealw: .seal 2 2 2", clos={2})
     text = """\
 entry:
   move r7 7
@@ -309,12 +282,9 @@ loop:
   split r4 rstk rstk 1031
   splice rstk r4 rstk
   halt"""
-    c = _context(
-        text, {C_DATA: 0},
-        lambda res: [("main_code", _seal(9, _code_cap(res, "entry"))),
-                     ("main_data", _seal(9, _rw(C_DATA, C_DATA, C_DATA)))],
-        mains=lambda res: (_seal(9, _code_cap(res, "entry")),
-                           _seal(9, _rw(C_DATA, C_DATA, C_DATA))))
+    c = _ctx(text, {C_DATA: 0},
+             exports={"main_code": (9, "entry"),
+                      "main_data": (9, C_DATA, C_DATA)}, main=_MAIN)
     return t, c
 
 
@@ -328,12 +298,12 @@ cloB:
   fail
 sealw: .seal 1 3 1
 """
-    def t_exports(res):
-        return [("cloA_code", _seal(2, _code_cap(res, "cloA"))),
-                ("cloA_data", _seal(2, _rw(T_DATA, T_DATA + 1, T_DATA))),
-                ("cloB_code", _seal(3, _code_cap(res, "cloB")))]
-    t = _trusted(t_text, {T_DATA: 0, T_DATA + 1: 0}, {1}, {2, 3}, t_exports,
-                 imports=((T_DATA, "cb_code"), (T_DATA + 1, "cb_data")))
+    t = component(T_CODE, t_text, _zeros(T_DATA, T_DATA + 1),
+                  ret={1}, clos={2, 3},
+                  exports={"cloA_code": (2, "cloA"),
+                           "cloA_data": (2, T_DATA, T_DATA + 1),
+                           "cloB_code": (3, "cloB")},
+                  imports=_CB_IMPORTS)
     c_text = """\
 entry:
   move r5 rdata
@@ -344,18 +314,13 @@ entry:
 cb:
   plus r6 r6 1
   xjmp rretcode rretdata"""
-    c = _context(
-        c_text,
-        {C_DATA: 0, C_DATA + 1: 0, C_DATA + 2: 0},
-        lambda res: [("main_code", _seal(9, _code_cap(res, "entry"))),
-                     ("main_data",
-                      _seal(9, _rw(C_DATA, C_DATA + 1, C_DATA))),
-                     ("cb_code", _seal(9, _code_cap(res, "cb"))),
-                     ("cb_data",
-                      _seal(9, _rw(C_DATA + 2, C_DATA + 2, C_DATA + 2)))],
-        mains=lambda res: (_seal(9, _code_cap(res, "entry")),
-                           _seal(9, _rw(C_DATA, C_DATA + 1, C_DATA))),
-        imports=((C_DATA, "cloA_code"), (C_DATA + 1, "cloA_data")))
+    c = _ctx(c_text, _zeros(C_DATA, C_DATA + 2),
+             exports={"main_code": (9, "entry"),
+                      "main_data": (9, C_DATA, C_DATA + 1),
+                      "cb_code": (9, "cb"),
+                      "cb_data": (9, C_DATA + 2, C_DATA + 2)},
+             main=_MAIN,
+             imports=((C_DATA, "cloA_code"), (C_DATA + 1, "cloA_data")))
     return t, c
 
 
@@ -394,6 +359,7 @@ class ScenarioResult:
     name: str
     verdict: DiffVerdict
     expected: str       # "both-failed" | "disagreement"
+    components: tuple   # the (trusted, context) pair that was run
 
     @property
     def as_expected(self) -> bool:
@@ -403,12 +369,17 @@ class ScenarioResult:
         return s == "failed" and t == "halted" and not self.verdict.agreement
 
 
+def _scenario(name, expected, t, c, check_stk_base=True) -> ScenarioResult:
+    v = run_diff(t, c, STK_BASE, STK_END, fuel=1000,
+                 check_stk_base=check_stk_base)
+    return ScenarioResult(name, v, expected, (t, c))
+
+
 def scenario_partial_stack_return() -> ScenarioResult:
     """The callee keeps the top of the stack and tries to return."""
-    t = trusted_one_call()
-    c = context_cb("  split rstk r7 rstk 1050")
-    v = run_diff(t, c, STK_BASE, STK_END, fuel=1000)
-    return ScenarioResult("partial-stack-return", v, "both-failed")
+    return _scenario("partial-stack-return", "both-failed",
+                     trusted_one_call(),
+                     context_cb("  split rstk r7 rstk 1050"))
 
 
 def _second_stack_components(check_stk_base: bool):
@@ -418,12 +389,10 @@ entry:
   halt
 sealw: .seal 1 2 1
 """
-    res = _asm(T_CODE, t_text, check_stk_base)
-    def t_exports(r):
-        return [("tmain_code", _seal(2, _code_cap(r, "entry"))),
-                ("tmain_data", _seal(2, _rw(T_DATA, T_DATA, T_DATA)))]
-    t = Component(_pad(res.segment), {T_DATA: 0}, (), tuple(t_exports(res)),
-                  frozenset({1}), frozenset({2}), frozenset())
+    t = component(T_CODE, t_text, {T_DATA: 0}, ret={1}, clos={2},
+                  exports={"tmain_code": (2, "entry"),
+                           "tmain_data": (2, T_DATA, T_DATA)},
+                  check_stk_base=check_stk_base)
 
     fake_lo, fake_hi = C_DATA + 10, C_DATA + 68
     c_text = """\
@@ -441,27 +410,20 @@ entry:
   xjmp r3 r4
 cb:
   xjmp rretcode rretdata"""
-    data = {C_DATA: 0, C_DATA + 1: 0, C_DATA + 4:
-            MemCap(Perm.RW, Lin.LINEAR, fake_lo, fake_hi, fake_hi),
-            C_DATA + 69: 0}
-    data.update({x: 0 for x in range(fake_lo, fake_hi + 1)})
-
-    def c_exports(r):
-        cb = [("cb_code", _seal(9, _code_cap(r, "cb"))),
-              ("cb_data", _seal(9, _rw(C_DATA + 69, C_DATA + 69, C_DATA + 69)))]
-        return cb + [("main_code", _seal(9, _code_cap(r, "entry"))),
-                     ("main_data", _seal(9, _rw(C_DATA, C_DATA + 4, C_DATA)))]
-    cres = _asm(C_CODE, c_text + "\ncsealw: .seal 9 9 9")
     # the context keeps its own callback pair in data so the trusted
     # macro finds a sealed pair in r1/r2
-    data[C_DATA + 2] = _seal(9, _code_cap(cres, "cb"))
-    data[C_DATA + 3] = _seal(9, _rw(C_DATA + 69, C_DATA + 69, C_DATA + 69))
-    c = Component(_pad(cres.segment), data,
-                  ((C_DATA, "tmain_code"), (C_DATA + 1, "tmain_data")),
-                  tuple(c_exports(cres)), frozenset(), frozenset({9}),
-                  frozenset(range(fake_lo, fake_hi + 1)),
-                  (_seal(9, _code_cap(cres, "entry")),
-                   _seal(9, _rw(C_DATA, C_DATA + 4, C_DATA))))
+    cb_data = (9, C_DATA + 69, C_DATA + 69)
+    data = {C_DATA: 0, C_DATA + 1: 0, C_DATA + 2: (9, "cb"),
+            C_DATA + 3: cb_data,
+            C_DATA + 4: MemCap(Perm.RW, Lin.LINEAR, fake_lo, fake_hi, fake_hi),
+            **_zeros(fake_lo, fake_hi), C_DATA + 69: 0}
+    c = _ctx(c_text, data,
+             exports={"cb_code": (9, "cb"), "cb_data": cb_data,
+                      "main_code": (9, "entry"),
+                      "main_data": (9, C_DATA, C_DATA + 4)},
+             main=_MAIN,
+             imports=((C_DATA, "tmain_code"), (C_DATA + 1, "tmain_data")),
+             linear=range(fake_lo, fake_hi + 1))
     return t, c
 
 
@@ -472,12 +434,11 @@ def scenario_second_stack(check_stk_base: bool = True) -> ScenarioResult:
     check compiled out the target completes the ill-bracketed return
     while the source still refuses — a visible disagreement.
     """
-    t, c = _second_stack_components(check_stk_base)
-    v = run_diff(t, c, STK_BASE, STK_END, fuel=1000,
-                 check_stk_base=check_stk_base)
     name = "second-stack" if check_stk_base else "second-stack-nocheck"
-    return ScenarioResult(name, v,
-                          "both-failed" if check_stk_base else "disagreement")
+    expected = "both-failed" if check_stk_base else "disagreement"
+    return _scenario(name, expected,
+                     *_second_stack_components(check_stk_base),
+                     check_stk_base=check_stk_base)
 
 
 def scenario_double_return() -> ScenarioResult:
@@ -494,30 +455,20 @@ entry:
   halt
 sealw: .seal 1 2 1
 """
-    def exports(res):
-        mc, md = _main_pair(res, "entry", T_DATA, T_DATA + 3, 2)
-        return [("main_code", mc), ("main_data", md)]
-    t = _trusted(t_text,
-                 {T_DATA: 0, T_DATA + 1: 0, T_DATA + 2: 0, T_DATA + 3: 0},
-                 {1}, {2}, exports,
-                 mains=lambda res: _main_pair(res, "entry", T_DATA,
-                                              T_DATA + 3, 2),
-                 imports=((T_DATA, "cb_code"), (T_DATA + 1, "cb_data"),
-                          (T_DATA + 2, "cb2_code"), (T_DATA + 3, "cb2_data")))
+    t = _trusted_main(t_text, 2, T_DATA + 3, ret={1}, clos={2},
+                      imports=_CB_IMPORTS + ((T_DATA + 2, "cb2_code"),
+                                             (T_DATA + 3, "cb2_data")))
     c_text = """\
 cb:
   xjmp rretcode rretdata
 cb2:
   xjmp rretcode rretdata"""
-    c = _context(
-        c_text, {C_DATA: 0, C_DATA + 1: 0},
-        lambda res: [("cb_code", _seal(9, _code_cap(res, "cb"))),
-                     ("cb_data", _seal(9, _rw(C_DATA, C_DATA, C_DATA))),
-                     ("cb2_code", _seal(9, _code_cap(res, "cb2"))),
-                     ("cb2_data", _seal(9, _rw(C_DATA + 1, C_DATA + 1,
-                                               C_DATA + 1)))])
-    v = run_diff(t, c, STK_BASE, STK_END, fuel=1000)
-    return ScenarioResult("double-return", v, "both-failed")
+    c = _ctx(c_text, _zeros(C_DATA, C_DATA + 1),
+             exports={"cb_code": (9, "cb"),
+                      "cb_data": (9, C_DATA, C_DATA),
+                      "cb2_code": (9, "cb2"),
+                      "cb2_data": (9, C_DATA + 1, C_DATA + 1)})
+    return _scenario("double-return", "both-failed", t, c)
 
 
 SCENARIOS = {

@@ -1,11 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capmach.asm import (
     CALL_LEN, RET_PT_OFFSET, AsmError, CallParams, HiddenCallViolation,
-    assemble, call_cond, disassemble, expand_scall, find_hidden_calls,
-    format_symbols, format_word, parse_word,
+    _call_instrs, assemble, call_cond, disassemble, expand_scall,
+    find_hidden_calls, format_symbols, format_word, parse_word,
 )
 from capmach.core import (
     Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
@@ -68,6 +69,65 @@ def test_call_cond_perturbation():
         mem = dict(base)
         mem[i] = mem[i] + 1
         assert call_cond(mem, 0, 77) is None, f"cell {i} perturbation missed"
+
+
+def _reference_call_cond(mem, a, stk_base, check_stk_base):
+    """The window is a call when, decoded, it equals the expansion of the
+    parameters read from parts 6, 8 and 14."""
+    cells = [mem.get(a + j) for j in range(CALL_LEN)]
+    if not all(isinstance(w, int) for w in cells):
+        return None
+    ins = [dec_instr(w) for w in cells]
+    i6, i8, i14 = ins[6], ins[8], ins[14]
+    if not (i6.op == i8.op == "cca" and i6.args[0] == i8.args[0] == "rtmp1"
+            and isinstance(i6.args[1], int) and isinstance(i8.args[1], int)
+            and i14.op == "xjmp"):
+        return None
+    p = CallParams(i6.args[1] + 5, i8.args[1], *i14.args)
+    if p.off_pc < 0 or p.off_sigma < 0:
+        return None
+    expect = _call_instrs(p.off_pc, p.off_sigma, p.r1, p.r2, stk_base,
+                          check_stk_base)
+    return p if ins == expect else None
+
+
+_params = st.builds(CallParams, st.integers(0, 40), st.integers(0, 4),
+                    *[st.sampled_from(("r0", "r3", "rtmp1", "pc"))] * 2)
+# integers that decode to fail but are not its image, and images that
+# bind a parameter out of range or stand at no part
+_STRAY = (-1, 10 ** 15, enc_instr(mk_instr("fail")) + 23 * 5,
+          enc_instr(mk_instr("cca", "rtmp1", -6)),
+          enc_instr(mk_instr("cca", "rtmp1", -1)),
+          enc_instr(mk_instr("halt")), SealCap(0, 9, 0))
+
+
+def _raw_call(p, check):
+    # rtmp1 and pc operands too: recognition does not reject them
+    return [enc_instr(i) for i in _call_instrs(
+        p.off_pc, p.off_sigma, p.r1, p.r2, 1000, check)]
+
+
+@st.composite
+def _call_windows(draw):
+    """An encoded expansion with one or two cells swapped for a cell of
+    another expansion (at the same part or another), or a stray word."""
+    cells = _raw_call(draw(_params), draw(st.booleans()))
+    for j in draw(st.lists(st.integers(0, CALL_LEN - 1), max_size=2)):
+        kind = draw(st.sampled_from(("same part", "other part", "stray")))
+        if kind == "stray":
+            cells[j] = draw(st.sampled_from(_STRAY))
+            continue
+        other = _raw_call(draw(_params), draw(st.booleans()))
+        k = j if kind == "same part" else draw(st.integers(0, CALL_LEN - 1))
+        cells[j] = other[k]
+    return dict(enumerate(cells))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_call_windows(), st.booleans())
+def test_call_cond_against_reference(mem, check):
+    assert call_cond(mem, 0, 1000, check) == \
+        _reference_call_cond(mem, 0, 1000, check)
 
 
 def test_find_hidden_calls():
@@ -134,17 +194,17 @@ def test_assemble_basics():
     halt
     .word cap:rw,normal,0,9,0
     .seal 3 9 3
-    .export entry = start
-    .import other @20
     """)
     assert r.labels == {"start": 10, "loop": 11}
     assert dec_instr(r.segment[10]) == mk_instr("move", "r0", 5)
     assert dec_instr(r.segment[13]) == mk_instr("halt")
     assert r.segment[14] == MemCap(Perm.RW, Lin.NORMAL, 0, 9, 0)
     assert r.segment[15] == SealCap(3, 9, 3)
-    assert r.exports == [("entry", 10)]
-    assert r.imports == [(20, "other")]
     assert format_symbols(r.labels) == "loop\t11\nstart\t10\n"
+    # components are built by fixtures.component, not by directives
+    for line in (".export entry = start", ".import other @20"):
+        with pytest.raises(AsmError, match="unknown instruction"):
+            assemble(f".org 10\nstart: halt\n{line}\n")
 
 
 def test_assemble_labels_as_operands():

@@ -1,6 +1,6 @@
 import pytest
 
-from capmach.asm import assemble
+from capmach.asm import assemble, parse_word
 from capmach.components import (
     Component, ConfigError, LinkError, format_component, initial_config,
     is_program, link, parse_component, plug, validate_component,
@@ -10,8 +10,8 @@ from capmach.core import (
     enc_instr, mk_instr,
 )
 from capmach.fixtures import (
-    STK_BASE, STK_END, context_cb, corpus, minimal_context, std_gc,
-    trusted_one_call,
+    SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
+    std_gc, trusted_one_call,
 )
 from capmach.source import SourceConfig
 
@@ -127,6 +127,19 @@ def test_broken_linear_outside_own():
         ms_data={700: MemCap(Perm.RW, Lin.LINEAR, 710, 712, 710)})
     ds = diags(c)
     assert any("outside a_linear" in d for d in ds)
+
+
+@pytest.mark.parametrize("literal", [
+    "sealed:5,(cap:rwx,normal,0,1000000,0)",   # escapes the component
+    "sealed:5,(cap:rw,linear,5000,inf,5000)",  # unbounded
+    "sealed:5,(retptrcode:0,10,3)",            # not a memory capability
+    "sealed:5,(seal:0,100,0)",
+])
+def test_broken_sealed_data_word(literal):
+    # a sealed word in data gets the range tests of the capability it
+    # wraps, which must be a memory capability
+    ds = diags(simple_trusted(ms_data={700: parse_word(literal)}))
+    assert any("\taddr 700\t" in d for d in ds), ds
 
 
 def test_validation_cost_bounded_by_component():
@@ -266,9 +279,15 @@ def test_plug_equals_link_then_config():
 
 
 def test_container_roundtrip():
-    for name, t, ctx in corpus():
-        for c in (t, ctx):
+    pairs = [(name, (t, ctx)) for name, t, ctx in corpus()]
+    pairs += [(name, fn().components) for name, fn in SCENARIOS.items()]
+    for name, comps in pairs:
+        for c in comps:
             assert parse_component(format_component(c)) == c, name
+    # seal and linear sets are written as runs
+    ctx = SCENARIOS["second-stack"]().components[1]
+    text = format_component(ctx)
+    assert "[seals ret= clos=9]\n[linear]\n710..768\n[main]\n" in text
 
 
 def test_container_roundtrip_linked():
@@ -307,3 +326,8 @@ def test_container_seal_ranges():
     c = parse_component("[data]\n[seals ret=1..3 clos=4,6]\n")
     assert c.sig_ret == frozenset({1, 2, 3})
     assert c.sig_clos == frozenset({4, 6})
+    assert format_component(c).endswith("[seals ret=1..3 clos=4,6]\n")
+    # [linear] takes runs, lists and one address per line alike
+    c = parse_component("[data]\n[linear]\n10..12\n14,20..21\n30\n31\n")
+    assert c.a_linear == frozenset({10, 11, 12, 14, 20, 21, 30, 31})
+    assert format_component(c).endswith("[linear]\n10..12,14,20..21,30..31\n")

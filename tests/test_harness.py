@@ -53,14 +53,12 @@ entry:
   halt
 sealw: .seal 1 3 1
 """
-    def mains(res):
-        return fixtures._main_pair(res, "entry", fixtures.T_DATA,
-                                   fixtures.T_DATA + 1, 3)
-    t = fixtures._trusted(
-        text, {fixtures.T_DATA: 0, fixtures.T_DATA + 1: 0}, {1, 2}, {3},
-        lambda res: list(zip(("main_code", "main_data"), mains(res))),
-        mains=mains, imports=((fixtures.T_DATA, "cb_code"),
-                              (fixtures.T_DATA + 1, "cb_data")))
+    d = fixtures.T_DATA
+    t = fixtures.component(
+        fixtures.T_CODE, text, {d: 0, d + 1: 0}, ret={1, 2}, clos={3},
+        exports={"main_code": (3, "entry"), "main_data": (3, d, d + 1)},
+        main=("main_code", "main_data"),
+        imports=((d, "cb_code"), (d + 1, "cb_data")))
     v = run_diff(t, context_cb("  plus r6 r6 1"), STK_BASE, STK_END)
     assert v.agreement, v.detail
     assert (v.source.outcome, v.source.steps) == ("halted", 11)
@@ -331,6 +329,17 @@ def test_cli_malformed_ta(tmp_path, capsys):
         assert "expected a range lo..hi" in capsys.readouterr().err
     assert cli.main(["run", out, "--machine", "target", "--no-validate",
                      "--ta", "0..5"]) == 0
+
+
+def test_cli_empty_stack_range(tmp_path, capsys):
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
+    tf, cf = _write(tmp_path, "t.comp", t), _write(tmp_path, "c.comp", ctx)
+    out = str(tmp_path / "p.comp")
+    assert cli.main(["link", tf, cf, "-o", out]) == 0
+    for argv in (["diff", tf, cf], ["run", out, "--machine", "source"]):
+        assert cli.main(argv + ["--stack", "1063..1000"]) == 3, argv
+        assert "empty stack range" in capsys.readouterr().err, argv
+    assert cli.main(["diff", tf, cf, "--stack", "1000..1000"]) != 3
 
 
 def test_cli_output_in_missing_directory(tmp_path, capsys):
