@@ -13,7 +13,7 @@ from .asm import (
     expand_scall, find_hidden_calls,
 )
 from .components import (
-    Component, format_component, initial_config, link, parse_component, plug,
+    Component, format_component, initial_config, link, parse_component,
     validate_component,
 )
 from .harness import (

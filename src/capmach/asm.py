@@ -432,7 +432,3 @@ def disassemble(seg, stk_base: Optional[int] = None,
         prev = a
         i += 1
     return "\n".join(lines) + "\n"
-
-
-def format_symbols(labels: dict) -> str:
-    return "".join(f"{name}\t{addr}\n" for name, addr in sorted(labels.items()))

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 halted/agreement, 1 failed, 2 disagreement, 3 usage or
-parse error, 4 validation failure.
+Exit codes: 0 halted/agreement, 1 failed, 2 disagreement, 3 usage,
+parse or file error, 4 invalid input.  ``main`` alone maps errors to the
+last two.
 """
 
 from __future__ import annotations
@@ -10,16 +11,16 @@ import argparse
 import os
 import sys
 
-from .asm import assemble, format_symbols, format_word
+from .asm import assemble
 from .components import (
-    ConfigError, LinkError, format_component, initial_config, is_program,
+    Component, ConfigError, LinkError, format_component, initial_config,
     link, parse_component,
 )
 from .core import GlobalConstants
 from .fixtures import SCENARIOS
 from .harness import (
-    DEFAULT_FUEL, ValidationFailure, run_report, validate_component,
-    write_trace,
+    DEFAULT_FUEL, ValidationFailure, format_trace, run_diff, run_report,
+    validate_component,
 )
 
 EXIT_OK = 0
@@ -64,48 +65,43 @@ def _read(path):
         return fh.read()
 
 
+def _load(path):
+    return parse_component(_read(path))
+
+
 def _write(path, text):
-    """Write ``text`` to ``path``; exit code 0, or 3 with a message."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
-def _gc(comp, args, stk_base):
+def _gc(comp, args, stk_base, guards=()):
+    """Global constants for ``comp``.  A range ``--ta`` keeps only the
+    addresses in it that a run can test: the component's code and data,
+    and the stack's ``guards`` (the only other cells of memory)."""
     if args.ta == "auto":
         ta = frozenset(comp.ms_code)
     else:
         lo, hi = args.ta
-        ta = frozenset(range(lo, hi + 1))
+        ta = frozenset(a for a in (*comp.ms_code, *comp.ms_data, *guards)
+                       if lo <= a <= hi)
     return GlobalConstants(ta, stk_base, not args.no_check_stk_base)
 
 
 def cmd_asm(args):
-    try:
-        res = assemble(_read(args.input), args.stk_base,
-                       not args.no_check_stk_base)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    lines = ["[mem]"]
-    for a in sorted(res.segment):
-        lines.append(f"{a}\t{format_word(res.segment[a])}")
-    text = "\n".join(lines) + "\n"
-    if res.labels:
-        text += "[symbols]\n" + format_symbols(res.labels)
-    return _write(args.output, text)
+    res = assemble(_read(args.input), args.stk_base,
+                   not args.no_check_stk_base)
+    if not res.segment:
+        raise ValueError("nothing to assemble")
+    lo, hi = min(res.segment), max(res.segment)
+    code = Component({lo - 1: 0, **res.segment, hi + 1: 0}, {})
+    labels = "".join(f"; {name}\t{addr}\n" for name, addr in
+                     sorted(res.labels.items(), key=lambda kv: kv[1]))
+    _write(args.output, labels + format_component(code))
+    return EXIT_OK
 
 
 def cmd_validate(args):
-    try:
-        comp = parse_component(_read(args.component))
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    comp = _load(args.component)
     diags = validate_component(comp, _gc(comp, args, args.stk_base))
     for d in diags:
         print(d)
@@ -113,18 +109,9 @@ def cmd_validate(args):
 
 
 def cmd_link(args):
-    try:
-        c1 = parse_component(_read(args.left))
-        c2 = parse_component(_read(args.right))
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        c3 = link(c1, c2)
-    except LinkError as e:
-        print(f"link error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    return _write(args.output, format_component(c3))
+    _write(args.output, format_component(link(_load(args.left),
+                                              _load(args.right))))
+    return EXIT_OK
 
 
 def _report_exit(report):
@@ -135,53 +122,31 @@ def _report_exit(report):
 
 
 def cmd_run(args):
-    try:
-        prog = parse_component(_read(args.program))
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    prog = _load(args.program)
     b_stk, e_stk = args.stack
-    gc = _gc(prog, args, b_stk)
+    gc = _gc(prog, args, b_stk, (b_stk - 1, e_stk + 1))
     if not args.no_validate:
         diags = validate_component(prog, gc)
         if diags:
-            for d in diags:
-                print(d)
-            return EXIT_INVALID
-    try:
-        cfg = initial_config(prog, args.machine, b_stk, e_stk)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+            raise ValidationFailure(diags)
+    cfg = initial_config(prog, args.machine, b_stk, e_stk)
     report = run_report(cfg, args.machine, gc, args.fuel, args.paranoid,
                         want_trace=args.trace is not None)
     if args.trace:
-        write_trace(args.trace, args.machine, report.trace)
+        _write(args.trace, format_trace(args.machine, report.trace))
     return _report_exit(report)
 
 
 def cmd_diff(args):
-    from .harness import run_diff
-    try:
-        trusted = parse_component(_read(args.trusted))
-        context = parse_component(_read(args.context))
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        v = run_diff(trusted, context, *args.stack, args.fuel,
-                     not args.no_check_stk_base, args.paranoid,
-                     want_trace=args.trace_dir is not None,
-                     validate=not args.no_validate)
-    except (ValidationFailure, LinkError, ConfigError) as e:
-        print(f"validation failure:\n{e}", file=sys.stderr)
-        return EXIT_INVALID
+    v = run_diff(_load(args.trusted), _load(args.context), *args.stack,
+                 args.fuel, not args.no_check_stk_base, args.paranoid,
+                 want_trace=args.trace_dir is not None,
+                 validate=not args.no_validate)
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
-        write_trace(os.path.join(args.trace_dir, "source.trace"),
-                    "source", v.source.trace)
-        write_trace(os.path.join(args.trace_dir, "target.trace"),
-                    "target", v.target.trace)
+        for kind, report in (("source", v.source), ("target", v.target)):
+            _write(os.path.join(args.trace_dir, f"{kind}.trace"),
+                   format_trace(kind, report.trace))
     print(f"source: {v.source.outcome} after {v.source.steps} steps")
     print(f"target: {v.target.outcome} after {v.target.steps} steps")
     if v.agreement:
@@ -196,11 +161,9 @@ def cmd_scenarios(args):
         for name in SCENARIOS:
             print(name)
         return EXIT_OK
-    fn = SCENARIOS.get(args.run)
-    if fn is None:
-        print(f"unknown scenario {args.run!r}", file=sys.stderr)
-        return EXIT_USAGE
-    result = fn()
+    if args.run not in SCENARIOS:
+        raise ValueError(f"unknown scenario {args.run!r}")
+    result = SCENARIOS[args.run]()
     v = result.verdict
     print(f"{result.name}: source {v.source.outcome} "
           f"({v.source.steps} steps), target {v.target.outcome} "
@@ -278,7 +241,17 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    return args.fn(args)
+    # LinkError and ConfigError are ValueErrors, so they go first; a
+    # defect anywhere else still shows its traceback
+    try:
+        return args.fn(args)
+    except (LinkError, ConfigError, ValidationFailure) as e:
+        for line in str(e).splitlines():
+            print(f"invalid: {line}", file=sys.stderr)
+        return EXIT_INVALID
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

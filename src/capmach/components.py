@@ -15,7 +15,7 @@ from typing import Optional
 from .asm import CALL_LEN, call_cond, find_hidden_calls, format_word, parse_word
 from .core import (
     INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap, Perm, SealCap,
-    Sealed, StkPtr, Word, fresh_registers, is_linear, linear_overlaps,
+    Sealed, StkPtr, fresh_registers, is_linear, linear_overlaps,
     linear_range, non_exec, perm_leq,
 )
 from .source import SourceConfig
@@ -31,9 +31,6 @@ class Component:
     sig_clos: frozenset = frozenset()
     a_linear: frozenset = frozenset()
     mains: Optional[tuple] = None   # (main code word, main data word)
-
-    def export_map(self):
-        return dict(self.exports)
 
 
 def is_program(c: Component) -> bool:
@@ -52,7 +49,7 @@ def _code_bounds(code):
     if len(code) < 3:
         return None
     lo, hi = min(code), max(code)
-    if set(code) != set(range(lo, hi + 1)):
+    if len(code) != hi - lo + 1:   # the keys are distinct
         return None
     return lo, lo + 1, hi - 1, hi
 
@@ -99,7 +96,7 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
         _diag(out, "comp-code", "seals", "component owns no seals")
         return out
     sig_b, sig_e = min(sigs), max(sigs)
-    if sigs != set(range(sig_b, sig_e + 1)):
+    if len(sigs) != sig_e - sig_b + 1:
         _diag(out, "comp-code", "seals", "owned seals are not contiguous")
 
     # rule A: code cells are integers or the component's own seal word
@@ -325,14 +322,6 @@ def initial_config(p: Component, machine_kind: str,
         ms_stk = Memory(dict.fromkeys(range(b_stk, e_stk + 1), 0))
         return SourceConfig(Memory(mem), reg, (), ms_stk)
     raise ConfigError(f"unknown machine kind {machine_kind!r}")
-
-
-def plug(ctx: Component, comp: Component, machine_kind: str,
-         b_stk: int, e_stk: int):
-    p = link(ctx, comp)
-    if not is_program(p):
-        raise ConfigError("link is not a program")
-    return initial_config(p, machine_kind, b_stk, e_stk)
 
 
 # ---------------------------------------------------------------------------

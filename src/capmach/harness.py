@@ -135,11 +135,11 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
     return RunReport("fuel-exhausted", steps, violations, cfg, trace)
 
 
-def write_trace(path, machine_kind: str, records):
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(f"{r.step}\t{machine_kind}\t{r.pc_addr}\t"
-                     f"{r.instr}\t{r.outcome}\n")
+def format_trace(machine_kind: str, records) -> str:
+    """One tab-separated line per record: step, machine, pc, instr,
+    outcome."""
+    return "".join(f"{r.step}\t{machine_kind}\t{r.pc_addr}\t"
+                   f"{r.instr}\t{r.outcome}\n" for r in records)
 
 
 def _outcomes_agree(a: str, b: str) -> bool:

@@ -85,7 +85,9 @@ class SourceExtension(MachineExtension):
             return FAILED
         if e_stk + 1 != a_stk:
             return FAILED
-        if set(frame.ms) != set(range(e_stk + 1, e_priv + 1)):
+        # count first, so a span the frame cannot fill builds no set
+        if len(frame.ms) != e_priv - e_stk or \
+                frame.ms.keys() != set(range(e_stk + 1, e_priv + 1)):
             return FAILED
         cfg = SourceConfig(cfg.mem, cfg.reg, cfg.stk[1:],
                            cfg.ms_stk.update(frame.ms))

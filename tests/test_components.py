@@ -3,15 +3,15 @@ import pytest
 from capmach.asm import assemble, parse_word
 from capmach.components import (
     Component, ConfigError, LinkError, format_component, initial_config,
-    is_program, link, parse_component, plug, validate_component,
+    is_program, link, parse_component, validate_component,
 )
 from capmach.core import (
     INF, GlobalConstants, Lin, MemCap, Perm, SealCap, Sealed, StkPtr,
     enc_instr, mk_instr,
 )
 from capmach.fixtures import (
-    SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
-    std_gc, trusted_one_call,
+    SCENARIOS, STK_BASE, STK_END, context_cb, corpus, std_gc,
+    trusted_one_call,
 )
 from capmach.source import SourceConfig
 
@@ -215,7 +215,7 @@ def test_link_commutes_on_fixtures():
     t, ctx = trusted_one_call(), context_cb("  halt")
     p, q = link(t, ctx), link(ctx, t)
     assert p.ms_code == q.ms_code and p.ms_data == q.ms_data
-    assert p.export_map() == q.export_map()
+    assert dict(p.exports) == dict(q.exports)
     assert (p.sig_ret, p.sig_clos, p.a_linear, p.mains) == \
         (q.sig_ret, q.sig_clos, q.a_linear, q.mains)
     assert is_program(p)
@@ -268,14 +268,6 @@ def test_initial_config_errors():
         initial_config(noimp, "target", STK_BASE, STK_END)
     with pytest.raises(ConfigError, match="machine kind"):
         initial_config(p, "middle", STK_BASE, STK_END)
-
-
-def test_plug_equals_link_then_config():
-    t, ctx = corpus()[2][1], corpus()[2][2]
-    assert plug(ctx, t, "target", STK_BASE, STK_END) == \
-        initial_config(link(ctx, t), "target", STK_BASE, STK_END)
-    with pytest.raises(ConfigError, match="not a program"):
-        plug(minimal_context(), simple_trusted(), "target", STK_BASE, STK_END)
 
 
 def test_container_roundtrip():

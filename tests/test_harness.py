@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from capmach import cli
-from capmach.components import format_component, link
+from capmach.asm import assemble
+from capmach.components import format_component, link, parse_component
 from capmach import fixtures
 from capmach.core import (
     INF, REGISTERS, Lin, Memory, MemCap, Perm, RetPtrCode, RetPtrData,
@@ -14,8 +18,8 @@ from capmach.fixtures import (
     scenario_second_stack, trusted_one_call, trusted_simple,
 )
 from capmach.harness import (
-    check_linearity, check_stack_partition, run_diff, visible_observations,
-    write_trace,
+    check_linearity, check_stack_partition, format_trace, run_diff,
+    visible_observations,
 )
 from capmach.source import SourceConfig, StackFrame
 
@@ -197,13 +201,19 @@ def test_check_stack_partition():
 def test_write_trace(tmp_path):
     t, ctx = trusted_simple("  halt"), minimal_context()
     v = run_diff(t, ctx, STK_BASE, STK_END, want_trace=True)
-    p = tmp_path / "t.trace"
-    write_trace(p, "source", v.source.trace)
-    lines = p.read_text().splitlines()
+    text = format_trace("source", v.source.trace)
+    lines = text.splitlines()
     assert len(lines) == v.source.steps
     step, kind, pc_addr, instr, outcome = lines[0].split("\t")
     assert (step, kind, outcome) == ("1", "source", "halted")
     assert instr == "halt"
+    # `run --trace` writes the same text
+    prog = tmp_path / "p.comp"
+    prog.write_text(format_component(link(t, ctx)))
+    p = tmp_path / "t.trace"
+    assert cli.main(["run", str(prog), "--no-validate", "--machine",
+                     "source", "--trace", str(p)]) == 0
+    assert p.read_text() == text
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +227,101 @@ def _write(tmp_path, name, comp):
 
 def test_cli_asm(tmp_path):
     src = tmp_path / "a.s"
-    src.write_text(".org 0\nstart: halt\n")
-    out = tmp_path / "a.mem"
+    src.write_text(".org 10\nstart: halt\nnext: fail\n")
+    out = tmp_path / "a.comp"
     assert cli.main(["asm", str(src), "-o", str(out)]) == 0
     text = out.read_text()
-    assert "[mem]" in text and "[symbols]" in text and "start\t0" in text
+    assert text.startswith("; start\t10\n; next\t11\n[code base=10]\n")
+    # the segment between two zero guard pads, labels as comments
+    comp = parse_component(text)
+    res = assemble(src.read_text())
+    assert comp.ms_code == {9: 0, **res.segment, 12: 0}
+    assert comp.ms_data == {} and comp.exports == () and comp.mains is None
     src.write_text("bogus r9\n")
     assert cli.main(["asm", str(src), "-o", str(out)]) == 3
+    src.write_text("; nothing\n")
+    assert cli.main(["asm", str(src), "-o", str(out)]) == 3
+
+
+def test_cli_asm_pipeline(tmp_path, capsys):
+    # asm writes a container: complete it by hand, then validate and diff
+    src = tmp_path / "t.s"
+    src.write_text(".org 100\nentry:\n  halt\nsealw: .seal 2 2 2\n")
+    t = tmp_path / "t.comp"
+    assert cli.main(["asm", str(src), "-o", str(t)]) == 0
+    code = "sealed:2,(cap:rx,normal,100,101,100)"
+    data = "sealed:2,(cap:rw,normal,300,300,300)"
+    with open(t, "a") as fh:
+        fh.write(f"[data]\n300\tint:0\n[seals ret= clos=2]\n"
+                 f"[exports]\nmain_code\t{code}\nmain_data\t{data}\n"
+                 f"[main]\n{code}\n{data}\n")
+    assert parse_component(t.read_text()) == trusted_simple("  halt")
+    c = _write(tmp_path, "c.comp", minimal_context())
+    assert cli.main(["validate", str(t)]) == 0
+    assert cli.main(["diff", str(t), c]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "agreement"
+
+
+_CLI_UNDER_1GB = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from capmach.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _cli_under_1gb(argv):
+    """``capmach argv`` in its own process with 1 GB of address space,
+    so building a set per address ends in MemoryError, not a full host."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, "-c", _CLI_UNDER_1GB, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_malformed_inputs(tmp_path):
+    t = _write(tmp_path, "t.comp", trusted_simple("  halt"))
+    c = _write(tmp_path, "c.comp", minimal_context())
+    prog = str(tmp_path / "p.comp")
+    assert cli.main(["link", t, c, "-o", prog]) == 0
+    afile = str(tmp_path / "afile")
+    open(afile, "w").close()
+    far_code = tmp_path / "far.comp"      # code blocks at 1 and 10^9
+    far_code.write_text("[code base=2]\nint:0\nint:0\n"
+                        "[code base=1000000001]\nint:0\nint:0\n")
+    far_seals = tmp_path / "seals.comp"   # seals 1 and 10^9
+    far_seals.write_text(format_component(trusted_simple("  halt")).replace(
+        "clos=2]", "clos=2,1000000000]"))
+    run = ["run", "--machine", "source"]
+    cases = [
+        (3, "error: ", run + [prog, "--no-validate", "--trace",
+                              str(tmp_path / "no" / "such" / "t")]),
+        (3, "error: ", ["diff", t, c, "--trace-dir",
+                        str(tmp_path / "afile" / "x")]),
+        (3, "error: ", ["diff", t, c, "--trace-dir", afile]),
+        (4, "code domain is not contiguous", run + [str(far_code)]),
+        (4, "owned seals are not contiguous", run + [str(far_seals)]),
+        (4, "data overlaps trusted addresses",
+         run + [t, "--ta", "0..2000000000"]),
+    ]
+    for code, message, argv in cases:
+        p = _cli_under_1gb(argv)
+        assert p.returncode == code, (argv, p.stderr[-300:])
+        assert message in p.stderr, (argv, p.stderr[-300:])
+        assert "Traceback" not in p.stderr, argv
+
+
+def test_cli_wide_ta_range(tmp_path):
+    # a range --ta keeps the program's own addresses in it, so the
+    # trusted call is still recognized: the gate's 8 source steps
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
+    prog = str(tmp_path / "p.comp")
+    assert cli.main(["link", _write(tmp_path, "t.comp", t),
+                     _write(tmp_path, "c.comp", ctx), "-o", prog]) == 0
+    run = ["run", prog, "--machine", "source", "--no-validate", "--ta"]
+    for ta in ("auto", "0..2000000000", "100..140"):
+        p = _cli_under_1gb(run + [ta])
+        assert (p.returncode, p.stdout) == (0, "halted after 8 steps\n"), ta
 
 
 def test_cli_validate(tmp_path, capsys):

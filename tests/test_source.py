@@ -1,11 +1,13 @@
 from conftest import rw, rx, scfg
 
 from capmach.asm import CALL_LEN, CallParams, expand_scall
+from capmach.components import initial_config, link
 from capmach.core import (
-    GlobalConstants, Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap,
+    INF, GlobalConstants, Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap,
     Sealed, StkPtr, enc_instr, enc_perm, mk_instr,
 )
-from capmach.harness import check_stack_partition
+from capmach.fixtures import STK_BASE, STK_END, corpus, std_gc
+from capmach.harness import check_stack_partition, run_report
 from capmach.machine import FAILED, Running, exec_instr, step
 from capmach.source import SOURCE_EXTENSION, StackFrame, exec_call
 
@@ -165,6 +167,18 @@ def test_return_token_guards():
     cfg = _ret_cfg()
     fails(scfg(stk=(), ms_stk=cfg.ms_stk, **{r: cfg.reg[r] for r in
                ("pc", "r1", "r2", "rstk")}))       # nothing to return to
+
+
+def test_return_to_unbounded_stack_fails():
+    # a frame's span is compared by length first, so an unbounded one
+    # fails the return instead of building a range up to INF
+    assert ex(_ret_cfg(r2=Sealed(5, RetPtrData(1005, INF))),
+              "xjmp", "r1", "r2") is FAILED
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
+    cfg = initial_config(link(t, ctx), "source", STK_BASE, STK_END)
+    cfg = cfg.with_regs({"rstk": sp(STK_BASE, INF, STK_END)})
+    report = run_report(cfg, "source", std_gc(t))
+    assert (report.outcome, report.steps) == ("failed", 7)
 
 
 def _macro_mem(at, ta_extra=()):
