@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    INF, OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2, Instr,
-    Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, Word,
-    dec_instr, enc_instr, is_register, mk_instr,
+    CALL_HEAD, INF, OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1,
+    RTMP2, Instr, Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed,
+    StkPtr, Word, dec_instr, enc_instr, is_register, mk_instr,
 )
 
 CALL_LEN = 26
@@ -82,12 +82,6 @@ def expand_scall(params: CallParams, stk_base: int,
                         params.r1, params.r2, stk_base, check_stk_base)
 
 
-# The first cell of every call expansion.  Decoding is injective on
-# instruction images, so a cell decodes to this instruction exactly when
-# it holds this integer.
-_CALL_HEAD = enc_instr(Instr("move", (RTMP1, 42)))
-
-
 @functools.lru_cache(maxsize=16)
 def _fixed_parts(stk_base, check_stk_base=True):
     """Each instruction of the call expansion that no parameter changes,
@@ -130,7 +124,7 @@ def call_cond(mem, a: int, stk_base: int,
     6, 8 and 14.  The ``fail`` at part 22 is matched decoded, since
     every integer that is not an instruction image decodes to it.
     """
-    if mem.get(a) != _CALL_HEAD:
+    if mem.get(a) != CALL_HEAD:
         return None
     fixed = _fixed_parts(stk_base, check_stk_base)
     for j in range(1, CALL_LEN):

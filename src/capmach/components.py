@@ -304,8 +304,7 @@ def initial_config(p: Component, machine_kind: str,
         raise ConfigError("main data half is executable")
     if b_stk > e_stk:
         raise ConfigError("empty stack range")
-    static = set(p.ms_code) | set(p.ms_data)
-    if static & set(range(b_stk - 1, e_stk + 2)):
+    if any(b_stk - 1 <= a <= e_stk + 1 for a in (*p.ms_code, *p.ms_data)):
         raise ConfigError("stack (with guards) overlaps code or data")
 
     reg = fresh_registers()
@@ -314,8 +313,7 @@ def initial_config(p: Component, machine_kind: str,
     mem = {**p.ms_code, **p.ms_data, b_stk - 1: 0, e_stk + 1: 0}
     if machine_kind == "target":
         reg[RSTK] = MemCap(Perm.RW, Lin.LINEAR, b_stk, e_stk, e_stk)
-        for x in range(b_stk, e_stk + 1):
-            mem[x] = 0
+        mem.update(dict.fromkeys(range(b_stk, e_stk + 1), 0))
         return SourceConfig(Memory(mem), reg)
     if machine_kind == "source":
         reg[RSTK] = StkPtr(Perm.RW, b_stk, e_stk, e_stk)

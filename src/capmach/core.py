@@ -1,8 +1,9 @@
 """Shared domain types for both capability machines.
 
-Words are either plain Python ints or one of the capability dataclasses
-below.  Stack-pointer and return-pointer tokens are source-machine-only
-shapes; nothing here enforces that (the source configuration owns that
+Words are either plain Python ints or one of the capability records
+below, immutable tuples with named fields (see ``Record``).
+Stack-pointer and return-pointer tokens are source-machine-only shapes;
+nothing here enforces that (the source configuration owns that
 distinction), but the target machine can never fabricate them.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -18,8 +20,6 @@ from typing import Union
 INF = math.inf
 
 Addr = int
-SealId = int
-Bound = Union[int, float]  # finite address/seal id, or INF
 
 
 class Perm(Enum):
@@ -80,53 +80,57 @@ def write_allowed(p: Perm) -> bool:
     return p in (Perm.RWX, Perm.RW)
 
 
-@dataclass(frozen=True)
-class MemCap:
-    perm: Perm
-    lin: Lin
-    base: Addr
-    end: Bound
-    addr: Addr
+class Record(tuple):
+    """Base of the immutable records below: a tuple whose fields are
+    named through ``namedtuple``.  A record equals only a record of its
+    own type with equal fields, so ``RetPtrCode(1, 2, 3) != SealCap(1,
+    2, 3)`` and no record equals a plain tuple; equal records hash
+    equally.  Assigning an attribute raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    # tuple's own __ne__ would compare fields alone
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+
+# Addresses and seal ids are ints; a capability's ``end`` may be INF.
+
+class MemCap(Record, namedtuple("MemCap", "perm lin base end addr")):
+    __slots__ = ()
 
     def __repr__(self):
         return f"cap({self.perm.value},{self.lin.value},{self.base},{self.end},{self.addr})"
 
 
-@dataclass(frozen=True)
-class SealCap:
-    base: SealId
-    end: Bound
-    cur: SealId
+class SealCap(Record, namedtuple("SealCap", "base end cur")):
+    __slots__ = ()
 
     def __repr__(self):
         return f"seal({self.base},{self.end},{self.cur})"
 
 
-@dataclass(frozen=True)
-class StkPtr:
-    perm: Perm
-    base: Addr
-    end: Bound
-    addr: Addr
+class StkPtr(Record, namedtuple("StkPtr", "perm base end addr")):
+    __slots__ = ()
 
     def __repr__(self):
         return f"stkptr({self.perm.value},{self.base},{self.end},{self.addr})"
 
 
-@dataclass(frozen=True)
-class RetPtrData:
-    base: Addr
-    end: Addr
+class RetPtrData(Record, namedtuple("RetPtrData", "base end")):
+    __slots__ = ()
 
     def __repr__(self):
         return f"retptrdata({self.base},{self.end})"
 
 
-@dataclass(frozen=True)
-class RetPtrCode:
-    base: Addr
-    end: Addr
-    addr: Addr
+class RetPtrCode(Record, namedtuple("RetPtrCode", "base end addr")):
+    __slots__ = ()
 
     def __repr__(self):
         return f"retptrcode({self.base},{self.end},{self.addr})"
@@ -135,10 +139,8 @@ class RetPtrCode:
 SealableCap = Union[MemCap, SealCap, StkPtr, RetPtrData, RetPtrCode]
 
 
-@dataclass(frozen=True)
-class Sealed:
-    sigma: SealId
-    inner: SealableCap
+class Sealed(Record, namedtuple("Sealed", "sigma inner")):
+    __slots__ = ()
 
     def __repr__(self):
         return f"sealed({self.sigma},{self.inner!r})"
@@ -511,6 +513,12 @@ def enc_instr(i: Instr) -> int:
     for a in reversed(i.args):
         val = val * _FIELD_RADIX + _enc_field(a)
     return val * _NOPS + _OPIDX[i.op]
+
+
+# The first cell of every call expansion (see ``asm.call_cond``).
+# Decoding is injective on instruction images, so a cell decodes to
+# this instruction exactly when it holds this integer.
+CALL_HEAD = enc_instr(Instr("move", (RTMP1, 42)))
 
 
 def dec_instr(w: Word) -> Instr:

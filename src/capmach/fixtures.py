@@ -48,7 +48,7 @@ def component(base: int, text: str, data=None, *, ret=(), clos=(),
     assert len(res.segment) == hi - lo + 1, "code must be contiguous"
 
     def word(w):
-        if not isinstance(w, tuple):
+        if type(w) is not tuple:   # capabilities are tuples too
             return w
         if len(w) == 2:
             sigma, label = w

@@ -1,29 +1,32 @@
 """Single-step instruction interpretation shared by both machines.
 
 Every function here is pure: configurations are immutable snapshots and
-each step builds a fresh one.  A memory capability indexes ``mem`` and a
-stack pointer indexes ``ms_stk``; every pointer case is written once over
-the pointer and the segment it indexes.  A ``MachineExtension`` names the
-pointer kinds its machine accepts and supplies the source-only rules
-(call recognition, return-token jumps); the target machine uses the null
-extension, which accepts memory capabilities only.
+each step builds a fresh one, copying the registers once.  A memory
+capability indexes ``mem`` and a stack pointer indexes ``ms_stk``; every
+pointer case is written once over the pointer and the segment it
+indexes.  A ``MachineExtension`` names the pointer kinds its machine
+accepts and supplies the source-only rules (call recognition,
+return-token jumps); the target machine uses the null extension, which
+accepts memory capabilities only.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import (
-    PC, RDATA, GlobalConstants, Instr, Lin, MemCap, RetPtrCode, RetPtrData,
-    SealCap, Sealed, StkPtr, dec_instr, dec_perm, enc_lin, enc_perm,
-    enc_type, is_exec, is_linear, is_sealable, lin_cons, lin_cons_perm,
-    non_exec, non_zero, perm_leq, read_allowed, within_bounds, write_allowed,
+    CALL_HEAD, OPCODES, PC, RDATA, GlobalConstants, Instr, Lin, MemCap,
+    Record, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, dec_instr,
+    dec_perm, enc_lin, enc_perm, enc_type, is_exec, is_linear, is_sealable,
+    lin_cons, lin_cons_perm, non_exec, non_zero, perm_leq, read_allowed,
+    within_bounds, write_allowed,
 )
 
 
-@dataclass(frozen=True)
-class Running:
-    cfg: object
+class Running(Record, namedtuple("Running", "cfg")):
+    __slots__ = ()
 
     kind = "running"
 
@@ -42,11 +45,16 @@ FAILED = Failed()
 HALTED = Halted()
 
 
-def upd_pc_addr(cfg):
-    pc = cfg.reg[PC]
+def upd_pc_addr(cfg, updates: dict):
+    """``cfg`` with the register ``updates`` written and pc moved to the
+    next cell, in one register copy; ``updates`` is the caller's own
+    dict and gains the new pc.  pc is read after the updates, so a step
+    that writes pc (``plus pc 1 2``, ``move r5 pc`` on a linear pc)
+    fails."""
+    pc = updates.get(PC, cfg.reg[PC])
     if isinstance(pc, MemCap):
-        return Running(cfg.with_regs(
-            {PC: MemCap(pc.perm, pc.lin, pc.base, pc.end, pc.addr + 1)}))
+        updates[PC] = MemCap(pc.perm, pc.lin, pc.base, pc.end, pc.addr + 1)
+        return Running(cfg.with_regs(updates))
     return FAILED
 
 
@@ -65,7 +73,9 @@ class MachineExtension:
         return None
 
     def recognize_call(self, cfg, gc):
-        """Big-step call dispatch; None means no call fires here."""
+        """Big-step call dispatch; None means no call fires here.  ``step``
+        calls it only when pc is an executable memory capability whose
+        cell holds ``CALL_HEAD``."""
         return None
 
 
@@ -92,8 +102,8 @@ def _with_cell(cfg, c, w):
     return cfg.with_mem_cell(c.addr, w)
 
 
-# Capabilities are rebuilt field by field: ``dataclasses.replace`` costs
-# about twice as much, and these run on most steps.
+# Capabilities are rebuilt field by field through their constructors,
+# the cheapest way to build a record; these run on most steps.
 
 def _with_addr(c, a):
     """Pointer ``c`` moved to address ``a``."""
@@ -136,11 +146,11 @@ def exec_jnz(cfg, ext, gc, r, rn):
     if non_zero(operand):
         target = cfg.reg[r]
         return Running(cfg.with_regs({r: lin_cons(target), PC: target}))
-    return upd_pc_addr(cfg)
+    return upd_pc_addr(cfg, {})
 
 
 def exec_gettype(cfg, ext, gc, r1, r2):
-    return upd_pc_addr(cfg.with_regs({r1: enc_type(cfg.reg[r2])}))
+    return upd_pc_addr(cfg, {r1: enc_type(cfg.reg[r2])})
 
 
 def exec_geta(cfg, ext, gc, r1, r2):
@@ -151,7 +161,7 @@ def exec_geta(cfg, ext, gc, r1, r2):
         v = w.cur
     else:
         v = -1
-    return upd_pc_addr(cfg.with_regs({r1: v}))
+    return upd_pc_addr(cfg, {r1: v})
 
 
 def exec_getb(cfg, ext, gc, r1, r2):
@@ -160,7 +170,7 @@ def exec_getb(cfg, ext, gc, r1, r2):
         v = w.base
     else:
         v = -1
-    return upd_pc_addr(cfg.with_regs({r1: v}))
+    return upd_pc_addr(cfg, {r1: v})
 
 
 def exec_gete(cfg, ext, gc, r1, r2):
@@ -169,7 +179,7 @@ def exec_gete(cfg, ext, gc, r1, r2):
         v = w.end
     else:
         v = -1
-    return upd_pc_addr(cfg.with_regs({r1: v}))
+    return upd_pc_addr(cfg, {r1: v})
 
 
 def exec_getp(cfg, ext, gc, r1, r2):
@@ -178,23 +188,23 @@ def exec_getp(cfg, ext, gc, r1, r2):
         v = enc_perm(w.perm)
     else:
         v = -1
-    return upd_pc_addr(cfg.with_regs({r1: v}))
+    return upd_pc_addr(cfg, {r1: v})
 
 
 def exec_getlin(cfg, ext, gc, r1, r2):
     lin = Lin.LINEAR if is_linear(cfg.reg[r2]) else Lin.NORMAL
-    return upd_pc_addr(cfg.with_regs({r1: enc_lin(lin)}))
+    return upd_pc_addr(cfg, {r1: enc_lin(lin)})
 
 
 def exec_move(cfg, ext, gc, r, rn):
     if r == PC:
         return FAILED
     if isinstance(rn, int):
-        return upd_pc_addr(cfg.with_regs({r: rn}))
+        return upd_pc_addr(cfg, {r: rn})
     # Clear the source register first, then write the destination:
     # correct even when r == rn (a linear cap stays put).
     old = cfg.reg[rn]
-    return upd_pc_addr(cfg.with_regs({rn: lin_cons(old), r: old}))
+    return upd_pc_addr(cfg, {rn: lin_cons(old), r: old})
 
 
 def exec_store(cfg, ext, gc, r1, r2):
@@ -202,7 +212,7 @@ def exec_store(cfg, ext, gc, r1, r2):
     if (isinstance(c, ext.pointers) and write_allowed(c.perm)
             and within_bounds(c) and r2 != PC and c.addr in _segment(cfg, c)):
         w = cfg.reg[r2]
-        return upd_pc_addr(_with_cell(cfg.with_regs({r2: lin_cons(w)}), c, w))
+        return upd_pc_addr(_with_cell(cfg, c, w), {r2: lin_cons(w)})
     return FAILED
 
 
@@ -215,7 +225,7 @@ def exec_load(cfg, ext, gc, r1, r2):
             # lin_cons changes only a linear word's cell: write no other.
             if is_linear(w):
                 cfg = _with_cell(cfg, c, 0)
-            return upd_pc_addr(cfg.with_regs({r1: w}))
+            return upd_pc_addr(cfg, {r1: w})
     return FAILED
 
 
@@ -227,12 +237,11 @@ def exec_cca(cfg, ext, gc, r, rn):
     if isinstance(c, ext.pointers):
         if c.addr + n < 0:
             return FAILED
-        return upd_pc_addr(cfg.with_regs({r: _with_addr(c, c.addr + n)}))
+        return upd_pc_addr(cfg, {r: _with_addr(c, c.addr + n)})
     if isinstance(c, SealCap):
         if c.cur + n < 0:
             return FAILED
-        return upd_pc_addr(
-            cfg.with_regs({r: SealCap(c.base, c.end, c.cur + n)}))
+        return upd_pc_addr(cfg, {r: SealCap(c.base, c.end, c.cur + n)})
     return FAILED
 
 
@@ -243,7 +252,7 @@ def exec_restrict(cfg, ext, gc, r1, rn):
     c = cfg.reg[r1]
     p = dec_perm(n)
     if isinstance(c, ext.pointers) and perm_leq(p, c.perm):
-        return upd_pc_addr(cfg.with_regs({r1: _with_perm(c, p)}))
+        return upd_pc_addr(cfg, {r1: _with_perm(c, p)})
     return FAILED
 
 
@@ -252,19 +261,23 @@ def _binop(cfg, r0, rn1, rn2, fn):
     n2 = _operand(cfg, rn2)
     if n1 is None or n2 is None:
         return FAILED
-    return upd_pc_addr(cfg.with_regs({r0: fn(n1, n2)}))
+    return upd_pc_addr(cfg, {r0: fn(n1, n2)})
+
+
+def _lt(a, b):
+    return 1 if a < b else 0
 
 
 def exec_lt(cfg, ext, gc, r0, rn1, rn2):
-    return _binop(cfg, r0, rn1, rn2, lambda a, b: 1 if a < b else 0)
+    return _binop(cfg, r0, rn1, rn2, _lt)
 
 
 def exec_plus(cfg, ext, gc, r0, rn1, rn2):
-    return _binop(cfg, r0, rn1, rn2, lambda a, b: a + b)
+    return _binop(cfg, r0, rn1, rn2, operator.add)
 
 
 def exec_minus(cfg, ext, gc, r0, rn1, rn2):
-    return _binop(cfg, r0, rn1, rn2, lambda a, b: a - b)
+    return _binop(cfg, r0, rn1, rn2, operator.sub)
 
 
 def exec_seta2b(cfg, ext, gc, r1):
@@ -272,9 +285,9 @@ def exec_seta2b(cfg, ext, gc, r1):
         return FAILED
     c = cfg.reg[r1]
     if isinstance(c, ext.pointers):
-        return upd_pc_addr(cfg.with_regs({r1: _with_addr(c, c.base)}))
+        return upd_pc_addr(cfg, {r1: _with_addr(c, c.base)})
     if isinstance(c, SealCap):
-        return upd_pc_addr(cfg.with_regs({r1: SealCap(c.base, c.end, c.base)}))
+        return upd_pc_addr(cfg, {r1: SealCap(c.base, c.end, c.base)})
     return FAILED
 
 
@@ -282,7 +295,7 @@ def exec_cseal(cfg, ext, gc, r1, r2):
     sc = cfg.reg[r1]
     s = cfg.reg[r2]
     if is_sealable(sc) and isinstance(s, SealCap) and within_bounds(s):
-        return upd_pc_addr(cfg.with_regs({r1: Sealed(s.cur, sc)}))
+        return upd_pc_addr(cfg, {r1: Sealed(s.cur, sc)})
     return FAILED
 
 
@@ -294,9 +307,9 @@ def exec_split(cfg, ext, gc, r1, r2, r3, rn4):
     if ((isinstance(c, ext.pointers) or isinstance(c, SealCap))
             and c.base <= n < c.end):
         # Seals are normal: lin_cons leaves the seal in r3.
-        return upd_pc_addr(cfg.with_regs({
+        return upd_pc_addr(cfg, {
             r3: lin_cons(c), r1: _with_range(c, c.base, n),
-            r2: _with_range(c, n + 1, c.end)}))
+            r2: _with_range(c, n + 1, c.end)})
     return FAILED
 
 
@@ -313,9 +326,9 @@ def exec_splice(cfg, ext, gc, r1, r2, r3):
     if not isinstance(c2, SealCap) and (
             c2.perm != c3.perm or is_linear(c2) != is_linear(c3)):
         return FAILED
-    return upd_pc_addr(cfg.with_regs({
+    return upd_pc_addr(cfg, {
         r2: lin_cons(c2), r3: lin_cons(c3),
-        r1: _with_range(c3, c2.base, c3.end)}))
+        r1: _with_range(c3, c2.base, c3.end)})
 
 
 def xjump_result(c1, c2, cfg, ext, gc):
@@ -345,20 +358,28 @@ def exec_xjmp(cfg, ext, gc, r1, r2):
     return FAILED
 
 
+_HANDLER = {op: "exec_" + op for op in OPCODES}
+_MODULE = globals()
+
+
 def exec_instr(instr: Instr, cfg, ext: MachineExtension, gc: GlobalConstants):
-    # Looked up by name on every call, so a wrapped handler is seen.
-    return globals()["exec_" + instr.op](cfg, ext, gc, *instr.args)
+    # Looked up in the module's globals on every call, so a wrapped
+    # handler is seen.
+    return _MODULE[_HANDLER[instr.op]](cfg, ext, gc, *instr.args)
 
 
 def step(cfg, ext: MachineExtension = NULL_EXTENSION,
          gc: GlobalConstants = None):
-    out = ext.recognize_call(cfg, gc)
-    if out is not None:
-        return out
     pc = cfg.reg[PC]
-    if not (isinstance(pc, MemCap) and within_bounds(pc) and is_exec(pc)):
+    if not (isinstance(pc, MemCap) and is_exec(pc)):
         return FAILED
     w = cfg.mem.get(pc.addr)
-    if w is None:
+    # A call sequence starts with CALL_HEAD (``call_cond`` rejects any
+    # other first cell), so no other cell needs call recognition.
+    if w == CALL_HEAD:
+        out = ext.recognize_call(cfg, gc)
+        if out is not None:
+            return out
+    if w is None or not within_bounds(pc):
         return FAILED
     return exec_instr(dec_instr(w), cfg, ext, gc)

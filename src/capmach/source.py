@@ -11,21 +11,22 @@ at trusted addresses, and jumps through return tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .asm import CALL_LEN, CallParams, call_cond
 from .core import (
     PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2, GlobalConstants, Lin,
-    Memory, MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
-    Word, is_exec, lin_cons, non_exec,
+    Memory, MemCap, Perm, Record, RetPtrCode, RetPtrData, SealCap, Sealed,
+    StkPtr, Word, lin_cons, non_exec,
 )
 from .machine import FAILED, MachineExtension, Running, xjump_result
 
 
-@dataclass(frozen=True)
-class StackFrame:
-    opc: int      # return address in the caller's code capability
-    ms: dict      # the caller's private stack portion
+class StackFrame(Record, namedtuple("StackFrame", "opc ms")):
+    """A saved call frame: ``opc`` is the return address in the caller's
+    code capability, ``ms`` the caller's private stack portion (a dict)."""
+
+    __slots__ = ()
 
     def __repr__(self):
         lo = min(self.ms) if self.ms else None
@@ -33,25 +34,21 @@ class StackFrame:
         return f"frame(opc={self.opc}, [{lo},{hi}])"
 
 
-@dataclass(frozen=True)
-class SourceConfig:
-    """A configuration of either machine.
+class SourceConfig(Record, namedtuple("SourceConfig", "mem reg stk ms_stk",
+                                     defaults=((), Memory()))):
+    """A configuration of either machine: memory, registers (a dict),
+    call frames innermost first, and the accessible stack memory.
 
     The target keeps its stack in ``mem``, so its ``stk`` and ``ms_stk``
     stay empty.  The ``with_*`` methods call the constructor directly:
-    they run several times per step, and ``dataclasses.replace`` costs
-    about twice as much.
+    each step runs at least one of them.
     """
-    mem: Memory
-    reg: dict
-    stk: tuple = ()      # call frames, innermost first
-    # the accessible stack memory
-    ms_stk: Memory = field(default_factory=Memory)
+
+    __slots__ = ()
 
     def with_regs(self, updates: dict) -> "SourceConfig":
-        reg = dict(self.reg)
-        reg.update(updates)
-        return SourceConfig(self.mem, reg, self.stk, self.ms_stk)
+        return SourceConfig(self.mem, {**self.reg, **updates}, self.stk,
+                            self.ms_stk)
 
     def with_mem_cell(self, a: int, w: Word) -> "SourceConfig":
         return SourceConfig(self.mem.set(a, w), self.reg, self.stk,
@@ -101,8 +98,6 @@ class SourceExtension(MachineExtension):
 
     def recognize_call(self, cfg, gc):
         pc = cfg.reg[PC]
-        if not (isinstance(pc, MemCap) and is_exec(pc)):
-            return None
         a = pc.addr
         params = call_cond(cfg.mem, a, gc.stk_base, gc.check_stk_base)
         if params is None:

@@ -10,8 +10,8 @@ from capmach.core import (
     enc_instr, mk_instr,
 )
 from capmach.fixtures import (
-    SCENARIOS, STK_BASE, STK_END, context_cb, corpus, std_gc,
-    trusted_one_call,
+    C_CODE, C_DATA, SCENARIOS, STK_BASE, STK_END, component, context_cb,
+    corpus, std_gc, trusted_one_call,
 )
 from capmach.source import SourceConfig
 
@@ -228,6 +228,22 @@ def test_corpus_validates_clean():
         assert validate_component(ctx, gc) == [], name
 
 
+def test_component_closure_specs():
+    # Only a plain tuple is a closure-half spec: capabilities are tuples
+    # too, and a 2- or 3-field one passes through as the word it is.
+    seal = SealCap(1, 5, 1)
+    clo = Sealed(9, MemCap(Perm.RX, Lin.NORMAL, 500, 501, 500))
+    c = component(C_CODE, "entry:\n  halt", {C_DATA: seal, C_DATA + 1: clo,
+                                           C_DATA + 2: (9, C_DATA, C_DATA + 2)},
+                  exports={"code": (9, "entry"), "clo": clo})
+    assert c.ms_data == {
+        C_DATA: seal, C_DATA + 1: clo,
+        C_DATA + 2: Sealed(9, MemCap(Perm.RW, Lin.NORMAL, C_DATA, C_DATA + 2,
+                                     C_DATA))}
+    code = Sealed(9, MemCap(Perm.RX, Lin.NORMAL, C_CODE, C_CODE, C_CODE))
+    assert c.exports == (("code", code), ("clo", clo))
+
+
 def test_initial_config_target():
     p = link(*corpus()[0][1:])
     cfg = initial_config(p, "target", STK_BASE, STK_END)
@@ -257,6 +273,15 @@ def test_initial_config_errors():
         initial_config(p, "target", 10, 9)
     with pytest.raises(ConfigError, match="overlaps"):
         initial_config(p, "target", 100, 120)  # lands on trusted code
+    # a guard cell on the last static cell overlaps, one beyond it does not
+    top = max((*p.ms_code, *p.ms_data))
+    for kind in ("source", "target"):
+        with pytest.raises(ConfigError, match="overlaps"):
+            initial_config(p, kind, top + 1, top + 10)
+        assert initial_config(p, kind, top + 2, top + 10).mem[top + 1] == 0
+        # the overlap test does not walk the stack range
+        with pytest.raises(ConfigError, match="overlaps"):
+            initial_config(p, kind, 0, 2 ** 40)
     wc, wd = p.mains
     bad = Component(p.ms_code, p.ms_data, (), p.exports, p.sig_ret,
                     p.sig_clos, p.a_linear, (wc, Sealed(wd.sigma + 1, wd.inner)))

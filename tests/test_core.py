@@ -9,6 +9,8 @@ from capmach.core import (
     is_linear, lin_cons, lin_cons_perm, mk_instr, perm_leq, read_allowed,
     within_bounds, write_allowed, OPCODES, IMM_RANGE, EncodingError,
 )
+from capmach.machine import Running
+from capmach.source import SourceConfig, StackFrame
 
 PERMS = list(Perm)
 
@@ -84,6 +86,39 @@ def test_within_bounds():
     assert not within_bounds(SealCap(3, 3, 4))
     assert not within_bounds(RetPtrData(0, 5))
     assert within_bounds(MemCap(Perm.RW, Lin.NORMAL, 0, INF, 10 ** 12))
+
+
+def test_records():
+    cap = MemCap(Perm.RW, Lin.NORMAL, 1, 9, 3)
+    # type-strict equality, whichever side is on the left
+    assert RetPtrCode(1, 2, 3) != SealCap(1, 2, 3)
+    assert not RetPtrCode(1, 2, 3) == SealCap(1, 2, 3)
+    assert SealCap(1, 2, 3) != RetPtrCode(1, 2, 3)
+    fields = (Perm.RW, Lin.NORMAL, 1, 9, 3)
+    assert cap != fields and fields != cap
+    assert not (cap == fields or fields == cap)
+    assert Sealed(5, cap) != Sealed(5, StkPtr(Perm.RW, 1, 9, 3))
+    assert cap != 0 and 0 != cap
+    # equal words are equal and hash equally
+    twin = MemCap(Perm.RW, Lin.NORMAL, 1, 9, 3)
+    assert cap == twin and not cap != twin and hash(cap) == hash(twin)
+    assert hash(Sealed(5, cap)) == hash(Sealed(5, twin))
+    assert len({cap, twin, Sealed(5, cap), Sealed(5, twin)}) == 2
+    # field names, reprs and constructors are kept
+    assert (cap.perm, cap.lin, cap.base, cap.end, cap.addr) == fields
+    assert repr(Sealed(5, cap)) == "sealed(5,cap(rw,normal,1,9,3))"
+    assert repr(RetPtrData(4, 6)) == "retptrdata(4,6)"
+    assert StkPtr(perm=Perm.RW, base=1, end=INF, addr=2).end == INF
+    # immutable: no field can be assigned and no attribute added
+    cfg = SourceConfig(Memory(), {})
+    assert cfg.stk == () and cfg.ms_stk == Memory()
+    frame = StackFrame(3, {})
+    for rec in (cap, SealCap(1, 2, 3), StkPtr(Perm.RW, 1, 9, 3),
+                RetPtrData(4, 6), RetPtrCode(1, 2, 3), Sealed(5, cap), cfg,
+                frame, Running(cfg)):
+        for attr in (*rec._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rec, attr, 0)
 
 
 def test_perm_encoding():

@@ -21,10 +21,33 @@ def regs_after(out):
 
 
 def test_upd_pc_addr():
-    out = upd_pc_addr(tcfg(pc=rx(0, 9, 3)))
+    out = upd_pc_addr(tcfg(pc=rx(0, 9, 3)), {})
     assert regs_after(out)["pc"].addr == 4
-    assert upd_pc_addr(tcfg(pc=0)) is FAILED
-    assert upd_pc_addr(tcfg(pc=Sealed(1, rx(0, 9, 3)))) is FAILED
+    out = upd_pc_addr(tcfg(pc=rx(0, 9, 3)), {"r1": 7})
+    assert regs_after(out)["pc"].addr == 4 and regs_after(out)["r1"] == 7
+    assert upd_pc_addr(tcfg(pc=0), {}) is FAILED
+    assert upd_pc_addr(tcfg(pc=Sealed(1, rx(0, 9, 3))), {}) is FAILED
+    # pc is read after the updates
+    assert upd_pc_addr(tcfg(pc=rx(0, 9, 3)), {"pc": 3}) is FAILED
+    out = upd_pc_addr(tcfg(pc=0), {"pc": rx(0, 9, 5)})
+    assert regs_after(out)["pc"].addr == 6
+
+
+def test_handler_writing_pc_fails():
+    # A handler that writes pc leaves no capability for the pc step to
+    # move, so the step fails on both machines (a halt follows it).
+    pc = rx(0, 9, 0)
+    halt = enc_instr(mk_instr("halt"))
+    cases = [(pc, op, "pc", "r1") for op in
+             ("gettype", "geta", "getb", "gete", "getp", "getlin")]
+    cases += [(pc, op, "pc", 1, 2) for op in ("lt", "plus", "minus")]
+    cases.append((MemCap(Perm.RX, Lin.LINEAR, 0, 9, 0), "move", "r5", "pc"))
+    for pc_cap, op, *args in cases:
+        cfg = scfg({0: enc_instr(mk_instr(op, *args)), 1: halt}, pc=pc_cap,
+                   r1=rw(2, 8, 4))
+        for kind in ("source", "target"):
+            r = run_report(cfg, kind, NOWHERE, 5)
+            assert (r.outcome, r.steps) == ("failed", 1), (op, args, kind)
 
 
 def test_jmp_and_jnz():
