@@ -283,6 +283,11 @@ class ConfigError(ValueError):
     pass
 
 
+# Both machines hold one cell per stack address, so a wider stack is
+# refused before any cell is built.
+MAX_STACK_CELLS = 2 ** 20
+
+
 def initial_config(p: Component, machine_kind: str,
                    b_stk: int, e_stk: int):
     """⇝: the starting configuration of a program.
@@ -306,6 +311,9 @@ def initial_config(p: Component, machine_kind: str,
         raise ConfigError("empty stack range")
     if any(b_stk - 1 <= a <= e_stk + 1 for a in (*p.ms_code, *p.ms_data)):
         raise ConfigError("stack (with guards) overlaps code or data")
+    if e_stk - b_stk + 1 > MAX_STACK_CELLS:
+        raise ConfigError(f"stack of {e_stk - b_stk + 1} cells is wider "
+                          f"than {MAX_STACK_CELLS}")
 
     reg = fresh_registers()
     reg[PC] = wc.inner

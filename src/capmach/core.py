@@ -334,6 +334,28 @@ class Memory(Mapping):
     def __repr__(self):
         return f"Memory({self._cells()!r})"
 
+    def changed_since(self, old: "Memory") -> list:
+        """The addresses whose cell is not the same word object here as
+        in ``old``, a cell present in only one of the two included.  Two
+        versions that share a base differ only in their overlays, so
+        only those are compared; otherwise every cell is, which after a
+        fold happens once per ~√n writes."""
+        if self is old:
+            return []
+        if self._base is old._base:
+            # a cell missing from the base reads as removed (_GONE)
+            base, over, old_over = self._base, self._over, old._over
+            out = [a for a, w in over.items()
+                   if old_over.get(a, base.get(a, _GONE)) is not w]
+            out += [a for a, w in old_over.items()
+                    if a not in over and base.get(a, _GONE) is not w]
+            return out
+        new, prev = self._cells(), old._cells()
+        get = prev.get
+        out = [a for a, w in new.items() if get(a, _ABSENT) is not w]
+        out.extend(prev.keys() - new.keys())
+        return out
+
     def set(self, a, w: Word) -> "Memory":
         """This memory with cell ``a`` holding ``w``."""
         over = self._over.copy()

@@ -8,6 +8,8 @@ so fuel exhaustion stands in for divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import is_not
 from typing import Optional
 
 from .components import Component, initial_config, link, is_program, \
@@ -46,20 +48,33 @@ class DiffVerdict:
 # ---------------------------------------------------------------------------
 # Invariant checks
 
+def _owner(name: str, k, w):
+    """``(base, end, "name k")`` when the word ``w`` at place ``name k``
+    owns addresses, else None: every check names its places here."""
+    r = linear_range(w)
+    return None if r is None else (r[0], r[1], f"{name} {k}")
+
+
+def _owners(name: str, cells) -> dict:
+    """``k -> owner`` for each linear word ``cells[k]`` (ints skipped
+    before the call: most cells hold one)."""
+    return {k: o for k, w in cells.items()
+            if not isinstance(w, int) and (o := _owner(name, k, w))}
+
+
+def _frame_owners(stk) -> list:
+    return [o for i, f in enumerate(stk)
+            for o in _owners(f"frame {i} addr", f.ms).values()]
+
+
 def check_linearity(cfg) -> list:
     """``(addr, earlier, later)`` for each linear capability that shares
     an address with another one anywhere in a configuration: registers,
     memory, stack memory and saved frames (see ``core.linear_overlaps``)."""
-    places = [("reg", cfg.reg), ("mem", cfg.mem), ("stk", cfg.ms_stk)]
-    places += [(f"frame {i} addr", f.ms) for i, f in enumerate(cfg.stk)]
-    owners = []
-    for name, cells in places:
-        for k, w in cells.items():
-            if isinstance(w, int):
-                continue
-            r = linear_range(w)
-            if r is not None:
-                owners.append((r[0], r[1], f"{name} {k}"))
+    owners = _frame_owners(cfg.stk)
+    for name, cells in (("reg", cfg.reg), ("mem", cfg.mem),
+                        ("stk", cfg.ms_stk)):
+        owners += _owners(name, cells).values()
     return linear_overlaps(owners)
 
 
@@ -68,21 +83,139 @@ def check_stack_partition(cfg: SourceConfig) -> list:
     strictly, which makes them disjoint, and none shares an address with
     ``mem``.  A configuration without stack regions (the target's)
     passes at once."""
-    regions = [("ms_stk", cfg.ms_stk)] if cfg.ms_stk else []
-    regions += [(f"frame {i}", f.ms) for i, f in enumerate(cfg.stk) if f.ms]
+    return _partition(cfg, max(cfg.ms_stk, default=None))
+
+
+def _partition(cfg, top) -> list:
+    """``check_stack_partition(cfg)``, given ``top``, the highest address
+    of ``ms_stk`` (None when it is empty)."""
+    regions = [] if top is None else [("ms_stk", cfg.ms_stk, None, top)]
+    regions += [(f"frame {i}", f.ms, min(f.ms), max(f.ms))
+                for i, f in enumerate(cfg.stk) if f.ms]
     out = []
-    if not regions:
-        return out
-    mem = cfg.mem.keys()
+    mem = cfg.mem
     below = None     # (name, top address) of the region below
-    for name, cells in regions:
-        dom = cells.keys()
-        if not mem.isdisjoint(dom):
-            out.append(f"{name} overlaps mem at {sorted(mem & dom)[:4]}")
-        if below is not None and min(dom) <= below[1]:
+    for name, cells, lo, hi in regions:
+        # walk the smaller side: the stack memory may be far larger
+        small, big = (mem, cells) if len(mem) <= len(cells) else (cells, mem)
+        shared = [a for a in small if a in big]
+        if shared:
+            out.append(f"{name} overlaps mem at {sorted(shared)[:4]}")
+        if below is not None and lo <= below[1]:
             out.append(f"{name} not above {below[0]}")
-        below = (name, max(dom))
+        below = (name, hi)
     return out
+
+
+def _top(cells, top, moved):
+    """The highest address of ``cells``, from ``top``, the highest before
+    the addresses ``moved`` were added or removed.  When the top cell
+    went, the walk down passes only removed addresses while the cells
+    are contiguous; a gap falls back to a full scan."""
+    for a in moved:
+        if a in cells and (top is None or a > top):
+            top = a
+    if top is None or top in cells:
+        return top
+    for a in range(top - 1, top - 1 - len(moved), -1):
+        if a in cells:
+            return a
+    return max(cells, default=None)
+
+
+class _Invariants:
+    """Both checks over the configurations of one run, kept up to date
+    step by step at the cost of what each step changed.
+
+    One full scan fills a table of linear owners per place; each later
+    configuration updates it for the registers and cells that are not
+    the same word object as before, and for the frames when ``stk`` is a
+    new tuple (at a call or a return; rebuilding renumbers the frames).
+    The overlaps are recomputed only when an owner changed, and the
+    partition only when a memory's domain or the frames did, from the
+    highest stack-memory address, which is kept up to date too.  ``at``
+    answers what ``check_linearity`` and ``check_stack_partition``
+    would.
+    """
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.regs = _owners("reg", cfg.reg)
+        self.mem = _owners("mem", cfg.mem)
+        self.stk = _owners("stk", cfg.ms_stk)
+        self.frames = _frame_owners(cfg.stk)
+        self.overlaps = linear_overlaps(self._all())
+        self.top = max(cfg.ms_stk, default=None)
+        self.partition = _partition(cfg, self.top)
+
+    def _all(self) -> list:
+        return [*self.regs.values(), *self.mem.values(), *self.stk.values(),
+                *self.frames]
+
+    def at(self, cfg):
+        """``(check_linearity(cfg), check_stack_partition(cfg))`` for a
+        configuration that follows the last one asked about."""
+        old, self.cfg = self.cfg, cfg
+        if cfg is old:
+            return self.overlaps, self.partition
+        changed = domain = False
+        reg, prev = cfg.reg, old.reg
+        if len(reg) != len(prev):
+            # with_regs appended a register the first configuration lacked
+            self.regs = _owners("reg", reg)
+            changed = True
+        else:
+            # with_regs keeps the key order, so the values line up
+            for r in compress(reg, map(is_not, reg.values(), prev.values())):
+                changed |= _reown(self.regs, "reg", r, reg[r])
+        if cfg.stk is not old.stk:
+            frames = _frame_owners(cfg.stk)
+            changed |= frames != self.frames
+            self.frames = frames
+            domain = True
+        if cfg.mem is not old.mem:
+            c, moved = _recell(self.mem, "mem", cfg.mem, old.mem)
+            changed |= c
+            domain |= bool(moved)
+        if cfg.ms_stk is not old.ms_stk:
+            c, moved = _recell(self.stk, "stk", cfg.ms_stk, old.ms_stk)
+            changed |= c
+            if moved:
+                domain = True
+                self.top = _top(cfg.ms_stk, self.top, moved)
+        if changed:
+            self.overlaps = linear_overlaps(self._all())
+        if domain:
+            self.partition = _partition(cfg, self.top)
+        return self.overlaps, self.partition
+
+
+_MISSING = object()
+
+
+def _recell(table: dict, name: str, new, prev):
+    """Update ``table``, the owners of memory ``name``, from version
+    ``prev`` to ``new``: (an owner changed, the addresses added or
+    removed)."""
+    changed, moved = False, []
+    for a in new.changed_since(prev):
+        w = new.get(a, _MISSING)
+        if w is _MISSING or a not in prev:
+            moved.append(a)
+        changed |= _reown(table, name, a, w)
+    return changed, moved
+
+
+def _reown(table: dict, name: str, k, w) -> bool:
+    """Set the owner of place ``name k`` in ``table`` to word ``w``
+    (``_MISSING`` for a removed cell); True when it changed."""
+    o = None if w is _MISSING or isinstance(w, int) else _owner(name, k, w)
+    if o is None:
+        return table.pop(k, None) is not None
+    if table.get(k) == o:
+        return False
+    table[k] = o
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +241,20 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
                fuel: int = DEFAULT_FUEL, paranoid: bool = False,
                want_trace: bool = False) -> RunReport:
     """Step ``cfg`` on one machine until it halts, fails or runs out of
-    ``fuel``.  ``paranoid`` checks both invariants before every step;
-    ``want_trace`` records one TraceRecord per step."""
+    ``fuel``.  ``paranoid`` checks both invariants before every step
+    (one full scan, then the changes of each step); ``want_trace``
+    records one TraceRecord per step."""
     ext = SOURCE_EXTENSION if machine_kind == "source" else NULL_EXTENSION
     trace = [] if want_trace else None
     violations: list = []
+    checks = _Invariants(cfg) if paranoid else None
     steps = 0
     while steps < fuel:
         if paranoid:
-            for dup in check_linearity(cfg):
+            dups, partition = checks.at(cfg)
+            for dup in dups:
                 violations.append(f"step {steps}: duplicated linear addr {dup}")
-            for v in check_stack_partition(cfg):
+            for v in partition:
                 violations.append(f"step {steps}: {v}")
         nxt = step(cfg, ext, gc)
         steps += 1

@@ -2,8 +2,8 @@ import pytest
 
 from capmach.asm import assemble, parse_word
 from capmach.components import (
-    Component, ConfigError, LinkError, format_component, initial_config,
-    is_program, link, parse_component, validate_component,
+    MAX_STACK_CELLS, Component, ConfigError, LinkError, format_component,
+    initial_config, is_program, link, parse_component, validate_component,
 )
 from capmach.core import (
     INF, GlobalConstants, Lin, MemCap, Perm, SealCap, Sealed, StkPtr,
@@ -282,6 +282,9 @@ def test_initial_config_errors():
         # the overlap test does not walk the stack range
         with pytest.raises(ConfigError, match="overlaps"):
             initial_config(p, kind, 0, 2 ** 40)
+        # a stack wider than MAX_STACK_CELLS builds no cell
+        with pytest.raises(ConfigError, match="wider than"):
+            initial_config(p, kind, top + 2, top + 2 + MAX_STACK_CELLS)
     wc, wd = p.mains
     bad = Component(p.ms_code, p.ms_data, (), p.exports, p.sig_ret,
                     p.sig_clos, p.a_linear, (wc, Sealed(wd.sigma + 1, wd.inner)))

@@ -207,11 +207,22 @@ def _same(m, model):
                 m[a]
 
 
+def _same_changes(m, model, old, old_model):
+    """``m.changed_since(old)`` names each address whose word is not the
+    same object in the two models, once."""
+    missing = object()
+    want = {a for a in model.keys() | old_model.keys()
+            if model.get(a, missing) is not old_model.get(a, missing)}
+    got = m.changed_since(old)
+    assert sorted(got) == sorted(want)
+
+
 @given(st.dictionaries(ADDRS, WORDS),
        st.lists(st.tuples(st.integers(0, 10 ** 6), MEM_OPS), max_size=40))
 def test_memory_model(init, ops):
     """Every operation, applied to any earlier version, agrees with a
-    dict, and leaves every earlier version as it was."""
+    dict, and leaves every earlier version as it was; ``changed_since``
+    names the cells that differ from the version it came from."""
     versions = [(Memory(init), dict(init))]
     for pick, op in ops:
         m, model = versions[pick % len(versions)]
@@ -227,8 +238,10 @@ def test_memory_model(init, ops):
             assert part == {a: w for a, w in model.items() if lo <= a <= hi}
             versions.append((rest, {a: w for a, w in model.items()
                                     if not lo <= a <= hi}))
+        _same_changes(*versions[-1], m, model)
     for m, model in versions:
         _same(m, model)
+    _same_changes(*versions[-1], *versions[0])
 
 
 def test_memory_split_beyond_the_memory():
@@ -238,3 +251,32 @@ def test_memory_split_beyond_the_memory():
     part, rest = m.split(12, 10 ** 12)
     assert sorted(part) == list(range(12, 20)) and part[15] == "x"
     assert sorted(rest) == [10, 11]
+
+
+def test_memory_changed_since():
+    base = Memory({a: a * 1000 for a in range(100)})   # folds past 10 cells
+    assert base.changed_since(base) == []
+    # versions that share a base: only the overlays are compared
+    m1, m2 = base.set(5, "x"), base.set(7, "y")
+    assert m1._base is m2._base is base._base
+    assert sorted(m1.changed_since(base)) == [5]
+    assert sorted(base.changed_since(m1)) == [5]
+    assert sorted(m2.changed_since(m1)) == [5, 7]
+    assert base.set(5, base[5]).changed_since(base) == []  # the same word
+    # across a fold the bases differ, and every cell is compared
+    m = base
+    for a in range(20):
+        m = m.set(a, f"w{a}")
+    assert m._base is not base._base
+    assert sorted(m.changed_since(base)) == list(range(20))
+    assert sorted(m.changed_since(m1)) == list(range(20))
+    # removed cells, then the same words put back
+    part, rest = m.split(10, 29)
+    assert sorted(rest.changed_since(m)) == list(range(10, 30))
+    assert sorted(m.changed_since(rest)) == list(range(10, 30))
+    back = rest.update(part)
+    assert back.changed_since(m) == []
+    assert sorted(back.changed_since(rest)) == list(range(10, 30))
+    # a cell present in only one version
+    grown = m.set(500, 0)
+    assert grown.changed_since(m) == [500] and m.changed_since(grown) == [500]

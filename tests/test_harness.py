@@ -3,15 +3,19 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from capmach import cli
+from capmach import cli, harness
 from capmach.asm import assemble
-from capmach.components import format_component, link, parse_component
+from capmach.components import (
+    format_component, initial_config, link, parse_component,
+)
 from capmach import fixtures
 from capmach.core import (
-    INF, REGISTERS, Lin, Memory, MemCap, Perm, RetPtrCode, RetPtrData,
-    SealCap, Sealed, StkPtr, fresh_registers,
+    INF, OPCODES, PC, REGISTERS, GlobalConstants, Instr, Lin, Memory, MemCap,
+    Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, enc_instr,
+    fresh_registers, linear_range,
 )
 from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
@@ -19,9 +23,10 @@ from capmach.fixtures import (
 )
 from capmach.harness import (
     check_linearity, check_stack_partition, format_trace, run_diff,
-    visible_observations,
+    run_report, visible_observations,
 )
-from capmach.source import SourceConfig, StackFrame
+from capmach.machine import NULL_EXTENSION, Running, step
+from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
 
 def test_corpus_agreement():
@@ -193,9 +198,280 @@ def test_check_stack_partition():
     shared = SourceConfig(cfg.mem, cfg.reg, (),
                           cfg.ms_stk.set(min(cfg.mem), 0))
     assert check_stack_partition(shared)
+    # a frame that starts on the accessible part's top address
+    touching = SourceConfig(cfg.mem, cfg.reg,
+                            (StackFrame(0, {STK_END: 0}),), cfg.ms_stk)
+    assert check_stack_partition(touching) == ["frame 0 not above ms_stk"]
     # the target has no stack regions
     target = initial_config(link(t, ctx), "target", STK_BASE, STK_END)
     assert check_stack_partition(target) == []
+
+
+def test_stack_top_after_moves():
+    # the tracker's highest stack address, from the previous one and
+    # the addresses added or removed since
+    cells = Memory(dict.fromkeys(range(10, 21), 0))
+    _, low = cells.split(18, 20)
+    assert harness._top(low, 20, [18, 19, 20]) == 17   # walked down
+    assert harness._top(cells, 17, [18, 19, 20]) == 20  # added back
+    _, gap = low.split(12, 16)
+    _, rest = gap.split(17, 17)
+    assert harness._top(rest, 17, [17]) == 11          # past a gap
+    assert harness._top(Memory(), 10, [10]) is None
+    assert harness._top(Memory({5: 0}), None, [5]) == 5
+
+
+# ---------------------------------------------------------------------------
+# run_report's step-by-step checks against the two full checks
+
+def _fully_checked(cfg, kind, gc, fuel):
+    """(violations, steps) of a paranoid run, from ``check_linearity``
+    and ``check_stack_partition`` on every configuration."""
+    ext = SOURCE_EXTENSION if kind == "source" else NULL_EXTENSION
+    out, steps = [], 0
+    while steps < fuel:
+        out += [f"step {steps}: duplicated linear addr {d}"
+                for d in check_linearity(cfg)]
+        out += [f"step {steps}: {v}" for v in check_stack_partition(cfg)]
+        nxt = step(cfg, ext, gc)
+        steps += 1
+        if not isinstance(nxt, Running):
+            break
+        cfg = nxt.cfg
+    return out, steps
+
+
+def _same_checks(cfg, gc, fuel, kinds=("source", "target")):
+    """Each machine's paranoid report, checked against ``_fully_checked``."""
+    reports = [run_report(cfg, kind, gc, fuel, paranoid=True)
+               for kind in kinds]
+    for kind, r in zip(kinds, reports):
+        assert (r.violations, r.steps) == _fully_checked(cfg, kind, gc, fuel)
+    return reports
+
+
+_CODE = 100                 # random code sits at _CODE.., words below it
+_RUN_GC = GlobalConstants(frozenset(range(_CODE, _CODE + 16)), 12)
+_RUN_REGS = ("r0", "r1", "r2", "r3", "rstk", "rdata", "rretcode",
+             "rretdata")
+# every opcode, and more often the ones that move words between places
+_RUN_OPS = sorted(OPCODES) + ["move"] * 6 + ["load", "store"] * 4 + \
+    ["split", "splice", "cca"] * 2
+
+
+def _run_word(rng):
+    """An int, or any kind of capability (some of them sealed), mostly
+    over a rising range of 0..24 and pointing into it, sometimes over
+    an empty one."""
+    if rng.random() < 0.3:
+        return rng.randint(-2, 12)
+    lo, hi = rng.randint(0, 24), rng.randint(0, 24)
+    if lo % 4:
+        lo, hi = min(lo, hi), max(lo, hi)
+    at = rng.randint(min(lo, hi), max(lo, hi))
+    w = (MemCap(rng.choice([Perm.RW, Perm.RWX, Perm.R]), rng.choice(list(Lin)),
+                lo, hi, at),
+         StkPtr(rng.choice([Perm.RW, Perm.R]), lo, hi, at),
+         RetPtrData(lo, hi), RetPtrCode(lo, hi, at),
+         SealCap(lo, hi, at))[rng.randrange(5)]
+    return Sealed(rng.randint(0, 3), w) if rng.random() < 0.3 else w
+
+
+def _run_instr(rng):
+    op = rng.choice(_RUN_OPS)
+    return enc_instr(Instr(op, tuple(
+        rng.choice(_RUN_REGS) if k == "r" or rng.random() < 0.5
+        else rng.randint(-3, 24) for k in OPCODES[op])))
+
+
+def _run_cfg(rng):
+    """A short random program over small memories, stack memory and
+    frames that hold linear capabilities, sealed linear words, stack
+    pointers and return tokens: memory at 0..11, stack cells at 12..24,
+    16 code cells at _CODE.
+
+    The program is generated by execution on the source: each cell the
+    pc reaches gets the first of a few drawn instructions that steps
+    without failing; cells never reached hold ``halt``."""
+    def cells():
+        return {a: _run_word(rng)
+                for a in rng.sample(range(12, 25), rng.randint(0, 6))}
+    mem = dict.fromkeys(range(_CODE, _CODE + 16), enc_instr(Instr("halt")))
+    mem.update({a: _run_word(rng) for a in range(12)})
+    reg = fresh_registers()
+    reg.update({r: _run_word(rng) for r in _RUN_REGS})
+    reg[PC] = MemCap(Perm.RWX, Lin.NORMAL, _CODE, _CODE + 15, _CODE)
+    frames = tuple(StackFrame(_CODE, cells())
+                   for _ in range(rng.randint(0, 2)))
+    cfg = SourceConfig(Memory(mem), reg, frames, Memory(cells()))
+    code, cur = {}, cfg
+    for _ in range(rng.randint(4, 12)):
+        a = cur.reg[PC].addr
+        if a in code or not _CODE <= a < _CODE + 16:
+            break
+        for _ in range(4):
+            code[a] = _run_instr(rng)
+            nxt = step(cur.with_mem_cell(a, code[a]), SOURCE_EXTENSION,
+                       _RUN_GC)
+            if isinstance(nxt, Running):
+                break
+        if not isinstance(nxt, Running) or not isinstance(
+                nxt.cfg.reg[PC], MemCap):
+            break
+        cur = nxt.cfg
+    return SourceConfig(cfg.mem.update(code), reg, frames, cfg.ms_stk)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_paranoid_steps_against_full_checks(rng):
+    _same_checks(_run_cfg(rng), _RUN_GC, 20)
+
+
+def _edit(rng, cfg):
+    """``cfg`` with one random change that no step makes on its own: any
+    register, a cell written, added or removed in either memory, a frame
+    pushed or popped."""
+    kind = rng.randrange(6)
+    mem, ms_stk, stk = cfg.mem, cfg.ms_stk, cfg.stk
+    if kind == 0:
+        return cfg.with_regs({rng.choice(REGISTERS): _run_word(rng)})
+    if kind == 1:
+        mem = mem.set(rng.randint(0, 24), _run_word(rng))
+    elif kind == 2:
+        ms_stk = ms_stk.set(rng.randint(0, 30), _run_word(rng))
+    elif kind == 3:
+        lo = rng.randint(0, 30)
+        part, ms_stk = ms_stk.split(lo, lo + rng.randint(0, 4))
+        if rng.random() < 0.5:
+            stk = (StackFrame(_CODE, part),) + stk
+    elif kind == 4:
+        stk = stk[1:]
+        if cfg.stk and rng.random() < 0.5:
+            ms_stk = ms_stk.update(cfg.stk[0].ms)
+    else:
+        _, mem = mem.split(*sorted((rng.randint(0, 24), rng.randint(0, 24))))
+    return SourceConfig(mem, cfg.reg, stk, ms_stk)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_paranoid_tracker_against_full_checks_on_edits(rng):
+    # the tracker is exact for any next configuration, not only for the
+    # changes the machines make; the registers start partial, so that
+    # edits add some
+    cfg = _run_cfg(rng)
+    cfg = SourceConfig(cfg.mem, {r: cfg.reg[r] for r in _RUN_REGS},
+                       cfg.stk, cfg.ms_stk)
+    checks = harness._Invariants(cfg)
+    for _ in range(12):
+        cfg = _edit(rng, cfg)
+        assert checks.at(cfg) == (check_linearity(cfg),
+                                  check_stack_partition(cfg))
+
+
+def test_paranoid_violation_comes_and_goes():
+    code = [Instr("move", ("r2", 0)), Instr("halt")]
+    reg = fresh_registers()
+    reg.update({PC: MemCap(Perm.RX, Lin.NORMAL, _CODE, _CODE + 1, _CODE),
+                "r1": lincap(2000, 2010), "r2": lincap(2005, 2015)})
+    cfg = SourceConfig(Memory({_CODE + i: enc_instr(x)
+                               for i, x in enumerate(code)}), reg)
+    gc = GlobalConstants(frozenset(), STK_BASE)
+    for r in _same_checks(cfg, gc, 10):
+        assert (r.outcome, r.steps) == ("halted", 2)
+        assert r.violations == [
+            "step 0: duplicated linear addr (2005, 'reg r1', 'reg r2')"]
+
+
+def test_paranoid_frames_renumbered():
+    # deep-trusted makes two nested atomic calls on the source.  A linear
+    # word in the caller's private stack, and a memory cell planted at
+    # its address, move from ``stk`` to frame 0, to frame 1 under the
+    # nested call, and back: both checks follow the renumbering
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["deep-trusted"]
+    cfg = initial_config(link(t, ctx), "source", STK_BASE, STK_END)
+    cfg = SourceConfig(cfg.mem.set(STK_END, 0), {**cfg.reg, "rstk": StkPtr(
+        Perm.RW, STK_BASE, STK_END, STK_END - 1), "r12": lincap(5003, 5008)},
+        (), cfg.ms_stk.set(STK_END, lincap(5000, 5005)))
+    gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
+    r, = _same_checks(cfg, gc, 1000, kinds=("source",))
+    assert r.outcome == "halted"
+    at_step = {}
+    for v in r.violations:
+        n, text = v.split(": ", 1)
+        at_step.setdefault(n, []).append(text)
+    assert len(at_step) == r.steps
+    seen = []
+    for texts in at_step.values():
+        if not seen or texts != seen[-1]:
+            seen.append(texts)
+
+    def both(place, region):
+        return [f"duplicated linear addr (5003, '{place}', 'reg r12')",
+                f"{region} overlaps mem at [{STK_END}]"]
+    assert seen == [both(f"stk {STK_END}", "ms_stk"),
+                    both(f"frame 0 addr {STK_END}", "frame 0"),
+                    both(f"frame 1 addr {STK_END}", "frame 1"),
+                    both(f"frame 0 addr {STK_END}", "frame 0"),
+                    both(f"stk {STK_END}", "ms_stk")]
+
+
+def _paranoid_words_per_step(kind, cells):
+    """``linear_range`` calls per paranoid step after the initial scan,
+    on a program that sweeps 16 cells down its stack and back, with
+    every stack cell holding a word that owns nothing, so that a full
+    scan would examine each one."""
+    body = """  move r7 16
+  move r4 5
+  move r5 pc
+  cca r5 @down+1
+down:
+  store rstk r4
+  cca rstk -1
+  minus r7 r7 1
+  jnz r5 r7
+  move r7 16
+  move r5 pc
+  cca r5 @up+1
+up:
+  cca rstk 1
+  load r8 rstk
+  minus r7 r7 1
+  jnz r5 r7
+  halt"""
+    t, ctx = trusted_simple(body), minimal_context()
+    top = STK_BASE + cells - 1
+    cfg = initial_config(link(t, ctx), kind, STK_BASE, top)
+    idle = SealCap(0, 0, 0)
+    if kind == "source":
+        cfg = SourceConfig(cfg.mem, cfg.reg, cfg.stk,
+                           Memory(dict.fromkeys(cfg.ms_stk, idle)))
+    else:
+        cfg = SourceConfig(cfg.mem.update(dict.fromkeys(
+            range(STK_BASE, top + 1), idle)), cfg.reg)
+    gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
+    calls = Counter()
+
+    def counted(w):
+        calls["n"] += 1
+        return linear_range(w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "linear_range", counted)
+        first = run_report(cfg, kind, gc, 1, paranoid=True)
+        scan = calls["n"]
+        r = run_report(cfg, kind, gc, 1000, paranoid=True)
+    assert r.outcome == "halted" and r.violations == [] and first.steps == 1
+    assert r.steps > 60
+    return (calls["n"] - 2 * scan) / (r.steps - 1)
+
+
+def test_paranoid_cost_flat_in_stack_size():
+    for kind in ("source", "target"):
+        small = _paranoid_words_per_step(kind, 64)
+        large = _paranoid_words_per_step(kind, 16 * 1024)
+        assert 0 < small and large <= 2 * small, (kind, small, large)
 
 
 def test_write_trace(tmp_path):
@@ -309,6 +585,23 @@ def test_cli_malformed_inputs(tmp_path):
         assert p.returncode == code, (argv, p.stderr[-300:])
         assert message in p.stderr, (argv, p.stderr[-300:])
         assert "Traceback" not in p.stderr, argv
+
+
+def test_cli_wide_stack(tmp_path, capsys):
+    # both machines build one cell per stack address, so a stack wider
+    # than MAX_STACK_CELLS is refused before any cell is built
+    t = _write(tmp_path, "t.comp", trusted_simple("  halt"))
+    c = _write(tmp_path, "c.comp", minimal_context())
+    prog = str(tmp_path / "p.comp")
+    assert cli.main(["link", t, c, "-o", prog]) == 0
+    wide = ["--stack", "1000..2000000000"]
+    refused = "invalid: stack of 1999999001 cells is wider than 1048576\n"
+    p = _cli_under_1gb(["run", prog, "--machine", "source", "--no-validate"]
+                       + wide)
+    assert (p.returncode, p.stderr) == (4, refused)
+    capsys.readouterr()
+    assert cli.main(["diff", t, c] + wide) == 4
+    assert capsys.readouterr().err == refused
 
 
 def test_cli_wide_ta_range(tmp_path):
