@@ -113,6 +113,14 @@ def _parts_of(instr, fixed):
     return sorted(parts)
 
 
+@functools.lru_cache(maxsize=4096)
+def _word_parts(w, stk_base, check_stk_base=True) -> tuple:
+    """``_parts_of`` the word ``w`` decodes to, memoized by the word:
+    ``Instr`` hashes and compares in Python, an int in C."""
+    return tuple(_parts_of(dec_instr(w), _fixed_parts(stk_base,
+                                                      check_stk_base)))
+
+
 def call_cond(mem, a: int, stk_base: int,
               check_stk_base: bool = True) -> Optional[CallParams]:
     """Recognize the call expansion starting at address ``a``.
@@ -126,10 +134,10 @@ def call_cond(mem, a: int, stk_base: int,
     """
     if mem.get(a) != CALL_HEAD:
         return None
-    fixed = _fixed_parts(stk_base, check_stk_base)
     for j in range(1, CALL_LEN):
         w = mem.get(a + j)
-        if not isinstance(w, int) or j not in _parts_of(dec_instr(w), fixed):
+        if not isinstance(w, int) \
+                or j not in _word_parts(w, stk_base, check_stk_base):
             return None
     off_pc, off_sigma, xjmp = (dec_instr(mem[a + j]) for j in (
         _OFF_PC_INDEX, _OFF_SIGMA_INDEX, _XJMP_INDEX))
@@ -154,10 +162,9 @@ def find_hidden_calls(code, stk_base: int,
     26-cell window is fully in the segment and consistent (a complete
     call) or some in-segment cell of the window contradicts it.
     """
-    fixed = _fixed_parts(stk_base, check_stk_base)
     # A non-integer cell can stand at no part.
-    parts = {a: _parts_of(dec_instr(w), fixed) if isinstance(w, int) else ()
-             for a, w in code.items()}
+    parts = {a: _word_parts(w, stk_base, check_stk_base)
+             if isinstance(w, int) else () for a, w in code.items()}
     violations = []
     for addr in sorted(code):
         for i in parts[addr]:

@@ -334,15 +334,23 @@ def initial_config(p: Component, machine_kind: str,
 # Container format
 
 def _parse_sigs(s):
-    """The set written as comma-separated numbers and ``lo..hi`` runs."""
-    got = set()
+    """The set written as comma-separated numbers and ``lo..hi`` runs.
+    The set holds one int per number, so a list whose runs together span
+    more than ``MAX_STACK_CELLS`` numbers is refused before it is built."""
+    runs = []
     for part in s.split(","):
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..")
-            got.update(range(int(lo), int(hi) + 1))
+            runs.append((int(lo), int(hi)))
         elif part:
-            got.add(int(part))
+            runs.append((int(part), int(part)))
+    if sum(max(0, hi - lo + 1) for lo, hi in runs) > MAX_STACK_CELLS:
+        raise ValueError(f"a seal or linear list spans more than "
+                         f"{MAX_STACK_CELLS} numbers")
+    got = set()
+    for lo, hi in runs:
+        got.update(range(lo, hi + 1))
     return frozenset(got)
 
 
@@ -367,7 +375,7 @@ def parse_component(text: str) -> Component:
     exports: list = []
     sig_ret = frozenset()
     sig_clos = frozenset()
-    a_linear: set = set()
+    linear: list = []     # the [linear] lines, parsed as one list
     mains: list = []
     section = None
     code_next = None
@@ -404,7 +412,7 @@ def parse_component(text: str) -> Component:
             sym, lit = line.split(None, 1)
             exports.append((sym, parse_word(lit)))
         elif section == "linear":
-            a_linear |= _parse_sigs(line)
+            linear.append(line)
         elif section == "main":
             mains.append(parse_word(line))
         else:
@@ -413,7 +421,7 @@ def parse_component(text: str) -> Component:
     if mains and len(mains) != 2:
         raise ValueError("[main] needs exactly two words")
     return Component(code, data, tuple(imports), tuple(exports),
-                     sig_ret, sig_clos, frozenset(a_linear),
+                     sig_ret, sig_clos, _parse_sigs(",".join(linear)),
                      tuple(mains) if mains else None)
 
 

@@ -196,6 +196,8 @@ def linear_overlaps(owners) -> list:
 
 
 def lin_cons(w: Word) -> Word:
+    if isinstance(w, int):   # most words: no call to is_linear
+        return w
     return 0 if is_linear(w) else w
 
 
@@ -203,8 +205,11 @@ def lin_cons_perm(p: Perm, w: Word) -> bool:
     return write_allowed(p) if is_linear(w) else True
 
 
+EXEC_PERMS = (Perm.RWX, Perm.RX)
+
+
 def is_exec(w: Word) -> bool:
-    return isinstance(w, MemCap) and w.perm in (Perm.RWX, Perm.RX)
+    return isinstance(w, MemCap) and w.perm in EXEC_PERMS
 
 
 def non_exec(w: Word) -> bool:

@@ -16,7 +16,7 @@ from .components import Component, initial_config, link, is_program, \
     validate_component
 from .core import PC, GlobalConstants, MemCap, dec_instr, linear_overlaps, \
     linear_range
-from .machine import Failed, Halted, NULL_EXTENSION, step
+from .machine import Failed, Halted, NULL_EXTENSION, Running, step
 from .source import SOURCE_EXTENSION, SourceConfig
 
 DEFAULT_FUEL = 100_000
@@ -263,11 +263,13 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
             pc_addr = pc.addr if isinstance(pc, MemCap) else None
             trace.append(TraceRecord(steps, pc_addr, current_instr_repr(cfg),
                                      nxt.kind))
+        if type(nxt) is Running:
+            cfg = nxt.cfg
+            continue
         if isinstance(nxt, Halted):
             return RunReport("halted", steps, violations, cfg, trace)
         if isinstance(nxt, Failed):
             return RunReport("failed", steps, violations, cfg, trace)
-        cfg = nxt.cfg
     return RunReport("fuel-exhausted", steps, violations, cfg, trace)
 
 

@@ -1,7 +1,13 @@
 """Single-step instruction interpretation shared by both machines.
 
 Every function here is pure: configurations are immutable snapshots and
-each step builds a fresh one, copying the registers once.  A memory
+each step builds a fresh one, copying the registers once.  ``step``
+decodes each distinct word once: a bounded memo keyed by the word (never
+by its address, so a store into code runs the new word) gives the
+handler's name and operands, and the handler is then looked up by name
+in the module.  The records most steps build (the next pc, the
+configuration, ``Running``) are made with ``tuple.__new__``, which
+skips the Python-level constructor that ``namedtuple`` generates.  A memory
 capability indexes ``mem`` and a stack pointer indexes ``ms_stk``; every
 pointer case is written once over the pointer and the segment it
 indexes.  A ``MachineExtension`` names the pointer kinds its machine
@@ -12,16 +18,17 @@ accepts memory capabilities only.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import (
-    CALL_HEAD, OPCODES, PC, RDATA, GlobalConstants, Instr, Lin, MemCap,
-    Record, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, dec_instr,
-    dec_perm, enc_lin, enc_perm, enc_type, is_exec, is_linear, is_sealable,
-    lin_cons, lin_cons_perm, non_exec, non_zero, perm_leq, read_allowed,
-    within_bounds, write_allowed,
+    CALL_HEAD, EXEC_PERMS, OPCODES, PC, RDATA, GlobalConstants, Instr, Lin,
+    MemCap, Record, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, dec_instr,
+    dec_perm, enc_lin, enc_perm, enc_type, is_linear, is_sealable, lin_cons,
+    lin_cons_perm, non_exec, non_zero, perm_leq, read_allowed, within_bounds,
+    write_allowed,
 )
 
 
@@ -44,6 +51,10 @@ class Halted:
 FAILED = Failed()
 HALTED = Halted()
 
+# Builds a record from its fields without the Python-level ``__new__``
+# that ``namedtuple`` generates: the same class, fields and equality.
+_new = tuple.__new__
+
 
 def upd_pc_addr(cfg, updates: dict):
     """``cfg`` with the register ``updates`` written and pc moved to the
@@ -53,8 +64,9 @@ def upd_pc_addr(cfg, updates: dict):
     fails."""
     pc = updates.get(PC, cfg.reg[PC])
     if isinstance(pc, MemCap):
-        updates[PC] = MemCap(pc.perm, pc.lin, pc.base, pc.end, pc.addr + 1)
-        return Running(cfg.with_regs(updates))
+        updates[PC] = _new(MemCap, (pc.perm, pc.lin, pc.base, pc.end,
+                                    pc.addr + 1))
+        return _new(Running, (cfg.with_regs(updates),))
     return FAILED
 
 
@@ -102,14 +114,14 @@ def _with_cell(cfg, c, w):
     return cfg.with_mem_cell(c.addr, w)
 
 
-# Capabilities are rebuilt field by field through their constructors,
-# the cheapest way to build a record; these run on most steps.
+# Capabilities are rebuilt field by field through their constructors;
+# ``_with_addr`` runs on most pointer steps, so it skips the constructor.
 
 def _with_addr(c, a):
     """Pointer ``c`` moved to address ``a``."""
     if isinstance(c, StkPtr):
-        return StkPtr(c.perm, c.base, c.end, a)
-    return MemCap(c.perm, c.lin, c.base, c.end, a)
+        return _new(StkPtr, (c.perm, c.base, c.end, a))
+    return _new(MemCap, (c.perm, c.lin, c.base, c.end, a))
 
 
 def _with_perm(c, p):
@@ -138,14 +150,15 @@ def exec_halt(cfg, ext, gc):
 
 def exec_jmp(cfg, ext, gc, r):
     target = cfg.reg[r]
-    return Running(cfg.with_regs({r: lin_cons(target), PC: target}))
+    return _new(Running, (cfg.with_regs({r: lin_cons(target), PC: target}),))
 
 
 def exec_jnz(cfg, ext, gc, r, rn):
     operand = rn if isinstance(rn, int) else cfg.reg[rn]
     if non_zero(operand):
         target = cfg.reg[r]
-        return Running(cfg.with_regs({r: lin_cons(target), PC: target}))
+        return _new(Running,
+                    (cfg.with_regs({r: lin_cons(target), PC: target}),))
     return upd_pc_addr(cfg, {})
 
 
@@ -362,16 +375,25 @@ _HANDLER = {op: "exec_" + op for op in OPCODES}
 _MODULE = globals()
 
 
+@functools.lru_cache(maxsize=4096)
+def _decode(w):
+    """(handler name, operands) of the word ``w``: ``dec_instr`` and the
+    handler table run once per distinct word, not once per step."""
+    instr = dec_instr(w)
+    return _HANDLER[instr.op], instr.args
+
+
 def exec_instr(instr: Instr, cfg, ext: MachineExtension, gc: GlobalConstants):
-    # Looked up in the module's globals on every call, so a wrapped
-    # handler is seen.
+    """One decoded instruction through the handler table ``step`` uses.
+    The handler is looked up in the module's globals on every call, so a
+    wrapped handler is seen."""
     return _MODULE[_HANDLER[instr.op]](cfg, ext, gc, *instr.args)
 
 
 def step(cfg, ext: MachineExtension = NULL_EXTENSION,
          gc: GlobalConstants = None):
     pc = cfg.reg[PC]
-    if not (isinstance(pc, MemCap) and is_exec(pc)):
+    if not (isinstance(pc, MemCap) and pc.perm in EXEC_PERMS):
         return FAILED
     w = cfg.mem.get(pc.addr)
     # A call sequence starts with CALL_HEAD (``call_cond`` rejects any
@@ -380,6 +402,9 @@ def step(cfg, ext: MachineExtension = NULL_EXTENSION,
         out = ext.recognize_call(cfg, gc)
         if out is not None:
             return out
-    if w is None or not within_bounds(pc):
+    if w is None or not pc.base <= pc.addr <= pc.end:
         return FAILED
-    return exec_instr(dec_instr(w), cfg, ext, gc)
+    # The memo holds the handler's name, not the function, so a wrapped
+    # handler is seen.
+    name, args = _decode(w)
+    return _MODULE[name](cfg, ext, gc, *args)

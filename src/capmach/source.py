@@ -41,14 +41,15 @@ class SourceConfig(Record, namedtuple("SourceConfig", "mem reg stk ms_stk",
 
     The target keeps its stack in ``mem``, so its ``stk`` and ``ms_stk``
     stay empty.  The ``with_*`` methods call the constructor directly:
-    each step runs at least one of them.
+    each step runs at least one of them.  ``with_regs``, which runs on
+    nearly every step, skips the constructor's Python-level ``__new__``.
     """
 
     __slots__ = ()
 
     def with_regs(self, updates: dict) -> "SourceConfig":
-        return SourceConfig(self.mem, {**self.reg, **updates}, self.stk,
-                            self.ms_stk)
+        return tuple.__new__(SourceConfig, (
+            self.mem, {**self.reg, **updates}, self.stk, self.ms_stk))
 
     def with_mem_cell(self, a: int, w: Word) -> "SourceConfig":
         return SourceConfig(self.mem.set(a, w), self.reg, self.stk,

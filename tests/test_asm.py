@@ -1,12 +1,13 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from capmach.asm import (
     CALL_LEN, RET_PT_OFFSET, AsmError, CallParams, HiddenCallViolation,
-    _call_instrs, assemble, call_cond, disassemble, expand_scall,
-    find_hidden_calls, format_word, parse_word,
+    _call_instrs, _fixed_parts, _parts_of, _word_parts, assemble, call_cond,
+    disassemble, expand_scall, find_hidden_calls, format_word, parse_word,
 )
 from capmach.core import (
     Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
@@ -128,6 +129,29 @@ def _call_windows(draw):
 def test_call_cond_against_reference(mem, check):
     assert call_cond(mem, 0, 1000, check) == \
         _reference_call_cond(mem, 0, 1000, check)
+
+
+def test_word_parts_match_decoded_parts():
+    # the parts table keyed by the word agrees with the one keyed by the
+    # decoded instruction: every cell of the expansion under both
+    # stack-base variants, and random ints and capabilities
+    rng = random.Random(7)
+    words = [w for check in (True, False)
+             for w in _raw_call(CallParams(12, 3, "r3", "r4"), check)]
+    for _ in range(500):
+        p = CallParams(rng.randint(-3, 40), rng.randint(-3, 4),
+                       *rng.sample(("r0", "r3", "rtmp1", "pc"), 2))
+        words.append(rng.choice(_raw_call(p, rng.random() < 0.5)))
+        words.append(rng.choice((rng.randint(-5, 10 ** 6),
+                                 rng.randint(0, 10 ** 18))))
+    words += [MemCap(Perm.RX, Lin.NORMAL, 0, 9, 3), SealCap(0, 9, 0),
+              StkPtr(Perm.RW, 0, 9, 9), Sealed(2, SealCap(1, 2, 1)),
+              RetPtrData(3, 9), RetPtrCode(0, 9, 4)]
+    for check in (True, False):
+        fixed = _fixed_parts(1000, check)
+        for w in words:
+            assert _word_parts(w, 1000, check) == \
+                tuple(_parts_of(dec_instr(w), fixed)), (w, check)
 
 
 def test_find_hidden_calls():

@@ -604,6 +604,27 @@ def test_cli_wide_stack(tmp_path, capsys):
     assert capsys.readouterr().err == refused
 
 
+def test_cli_wide_seal_and_linear_lists(tmp_path):
+    # a container's seal and linear lists hold one int per number, so a
+    # list that spans more than MAX_STACK_CELLS numbers is refused before
+    # it is built: exit 3 and one error line, not a full host
+    text = format_component(trusted_simple("  halt"))
+    assert "[seals ret= clos=2]" in text
+    for name, wide in (
+            ("ret", text.replace("[seals ret=", "[seals ret=0..100000000")),
+            ("clos", text.replace("clos=2]",    # the runs, not one run
+                                  "clos=2,0..600000,700000..1300000]")),
+            ("linear", text + "[linear]\n0..100000000\n"),
+            ("lines", text + "[linear]\n" + "".join(    # each line under it
+                f"{k * 10 ** 6}..{k * 10 ** 6 + 999999}\n" for k in range(20)))):
+        path = tmp_path / f"{name}.comp"
+        path.write_text(wide)
+        p = _cli_under_1gb(["validate", str(path)])
+        assert p.returncode == 3, (name, p.stderr[-300:])
+        assert p.stderr == ("error: a seal or linear list spans more than "
+                            "1048576 numbers\n"), name
+
+
 def test_cli_wide_ta_range(tmp_path):
     # a range --ta keeps the program's own addresses in it, so the
     # trusted call is still recognized: the gate's 8 source steps

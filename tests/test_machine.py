@@ -1,7 +1,9 @@
 from conftest import NOWHERE, rw, rx, scfg, tcfg
+from hypothesis import given, settings, strategies as st
 
 from capmach.core import (
-    Lin, MemCap, Perm, SealCap, Sealed, StkPtr, enc_instr, enc_lin, enc_perm,
+    OPCODES, REGISTERS, Instr, Lin, MemCap, Perm, RetPtrCode, RetPtrData,
+    SealCap, Sealed, StkPtr, dec_instr, enc_instr, enc_lin, enc_perm,
     enc_type, mk_instr,
 )
 from capmach.harness import run_report
@@ -270,3 +272,85 @@ def test_step_determinism():
     a = step(cfg)
     b = step(cfg)
     assert a == b
+
+
+# ``step`` decodes through a memo keyed by the word; these pin what the
+# memo must not change.
+
+def _enc(op, *args):
+    return enc_instr(mk_instr(op, *args))
+
+
+def test_self_modifying_code():
+    # an rwx pc stores a new word into cell 3 and runs it, twice over
+    # with different words: 10 is added, then 100
+    add10, add100 = _enc("plus", "r0", "r0", 10), _enc("plus", "r0", "r0", 100)
+    code = {0: _enc("store", "r1", "r2"),
+            1: _enc("move", "r2", "r7"),
+            2: _enc("minus", "r5", "r5", 1),
+            3: _enc("halt"),
+            4: _enc("jnz", "r6", "r5"),
+            5: _enc("halt")}
+    rwx = MemCap(Perm.RWX, Lin.NORMAL, 0, 9, 0)
+    cfg = scfg(code, pc=rwx, r1=rwx._replace(addr=3), r2=add10, r5=2,
+               r6=rwx, r7=add100)
+    for kind in ("source", "target", "source"):
+        r = run_report(cfg, kind, NOWHERE, 50)
+        assert (r.outcome, r.steps) == ("halted", 11), kind
+        assert r.final_cfg.reg["r0"] == 110, kind
+        assert r.final_cfg.mem[3] == add100, kind
+
+
+# every kind of word; and a few that pair up (an xjmp pair, adjacent
+# capabilities to splice)
+_POOLS = ([0, 1, 3, -1, 7, rx(0, 15, 2), rw(0, 15, 4),
+           rw(20, 30, 25, Lin.LINEAR), MemCap(Perm.RWX, Lin.NORMAL, 0, 15, 6),
+           StkPtr(Perm.RW, 20, 30, 22), SealCap(0, 9, 3), Sealed(3, rx(0, 15, 1)),
+           Sealed(3, rw(0, 15, 2)), RetPtrData(20, 30), RetPtrCode(0, 15, 5)],
+          [Sealed(3, rx(0, 15, 1)), Sealed(3, rw(0, 15, 2)), rw(0, 4, 2),
+           rw(5, 15, 6)])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_step_matches_exec_instr(rng):
+    # for each opcode, a step over its encoded word at pc does what the
+    # decoded instruction does through ``exec_instr``
+    for op, sig in OPCODES.items():
+        args = tuple(rng.choice(REGISTERS) if k == "r" or rng.random() < 0.5
+                     else rng.randint(-3, 12) for k in sig)
+        w = enc_instr(Instr(op, args))
+        at = rng.randint(0, 15)
+        pool = rng.choice(_POOLS)
+        mem = {a: rng.choice(pool) for a in range(16)}
+        mem[at] = w
+        reg = {r: rng.choice(pool) for r in REGISTERS}
+        reg["pc"] = MemCap(rng.choice([Perm.RX, Perm.RWX]), Lin.NORMAL,
+                           0, 15, at)
+        cfg = scfg(mem, ms_stk={a: rng.choice(pool) for a in range(20, 31)},
+                   **reg)
+        for ext in (NULL_EXTENSION, SOURCE_EXTENSION):
+            assert step(cfg, ext, NOWHERE) == \
+                exec_instr(dec_instr(w), cfg, ext, NOWHERE), (op, args)
+
+
+def test_non_instruction_cells_fail():
+    # a capability, a negative int and an int that is no instruction's
+    # image (fail's image plus a stray field) fail in one step
+    for w in (rw(0, 9, 0), SealCap(0, 9, 0), -1, _enc("fail") + 23 * 5):
+        cfg = scfg({0: w, 1: _enc("halt")}, pc=rx(0, 9, 0))
+        for kind in ("source", "target"):
+            r = run_report(cfg, kind, NOWHERE, 5)
+            assert (r.outcome, r.steps) == ("failed", 1), (w, kind)
+
+
+def test_more_distinct_words_than_the_memo_holds():
+    # 5000 distinct words (plus r0 r0 k, k = 1..5000), run twice
+    n = 5000
+    code = {k: _enc("plus", "r0", "r0", k + 1) for k in range(n)}
+    code[n] = _enc("halt")
+    cfg = tcfg(code, pc=rx(0, n, 0))
+    for kind in ("source", "target", "source"):
+        r = run_report(cfg, kind, NOWHERE, n + 5)
+        assert (r.outcome, r.steps) == ("halted", n + 1), kind
+        assert r.final_cfg.reg["r0"] == n * (n + 1) // 2, kind
