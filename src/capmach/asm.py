@@ -194,13 +194,18 @@ def _bound_str(b):
     return "inf" if b == INF else str(b)
 
 
+_INT_RE = re.compile(r"-?\d+")
+_SEALED_RE = re.compile(r"(\d+),\((.*)\)")
+
+
 def parse_word(text: str) -> Word:
     text = text.strip()
-    if re.fullmatch(r"-?\d+", text):
+    # every code cell a container holds is written ``int:N``
+    if text.startswith("int:"):
+        return int(text[4:])
+    if _INT_RE.fullmatch(text):
         return int(text)
     kind, _, rest = text.partition(":")
-    if kind == "int":
-        return int(rest)
     if kind == "cap":
         p, l, b, e, a = rest.split(",")
         return MemCap(Perm(p.lower()), Lin(l), int(b), _bound(e), int(a))
@@ -212,16 +217,20 @@ def parse_word(text: str) -> Word:
         return StkPtr(Perm(p.lower()), int(b), _bound(e), int(a))
     if kind == "retptrcode":
         b, e, a = rest.split(",")
-        return RetPtrCode(int(b), int(e), int(a))
+        return RetPtrCode(int(b), _bound(e), int(a))
     if kind == "retptrdata":
         b, e = rest.split(",")
-        return RetPtrData(int(b), int(e))
+        return RetPtrData(int(b), _bound(e))
     if kind == "sealed":
-        m = re.fullmatch(r"(\d+),\((.*)\)", rest)
+        m = _SEALED_RE.fullmatch(rest)
         if not m:
             raise ValueError(f"bad sealed literal: {text!r}")
+        # refused before the recursion: a sealed word nests no other,
+        # so nesting depth cannot exhaust the stack
+        if m.group(2).lstrip().startswith("sealed:"):
+            raise ValueError(f"sealed wraps a sealable capability: {text!r}")
         inner = parse_word(m.group(2))
-        if isinstance(inner, (int, Sealed)):
+        if isinstance(inner, int):
             raise ValueError(f"sealed wraps a sealable capability: {text!r}")
         return Sealed(int(m.group(1)), inner)
     raise ValueError(f"bad word literal: {text!r}")
@@ -237,9 +246,9 @@ def format_word(w: Word) -> str:
     if isinstance(w, StkPtr):
         return f"stkptr:{w.perm.value},{w.base},{_bound_str(w.end)},{w.addr}"
     if isinstance(w, RetPtrCode):
-        return f"retptrcode:{w.base},{w.end},{w.addr}"
+        return f"retptrcode:{w.base},{_bound_str(w.end)},{w.addr}"
     if isinstance(w, RetPtrData):
-        return f"retptrdata:{w.base},{w.end}"
+        return f"retptrdata:{w.base},{_bound_str(w.end)}"
     if isinstance(w, Sealed):
         return f"sealed:{w.sigma},({format_word(w.inner)})"
     raise TypeError(f"not a word: {w!r}")

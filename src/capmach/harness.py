@@ -8,14 +8,12 @@ so fuel exhaustion stands in for divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import is_not
 from typing import Optional
 
 from .components import Component, initial_config, link, is_program, \
     validate_component
-from .core import PC, GlobalConstants, MemCap, dec_instr, linear_overlaps, \
-    linear_range
+from .core import PC, GlobalConstants, Lin, MemCap, dec_instr, \
+    linear_overlaps, linear_range
 from .machine import Failed, Halted, NULL_EXTENSION, Running, step
 from .source import SOURCE_EXTENSION, SourceConfig
 
@@ -48,18 +46,12 @@ class DiffVerdict:
 # ---------------------------------------------------------------------------
 # Invariant checks
 
-def _owner(name: str, k, w):
-    """``(base, end, "name k")`` when the word ``w`` at place ``name k``
-    owns addresses, else None: every check names its places here."""
-    r = linear_range(w)
-    return None if r is None else (r[0], r[1], f"{name} {k}")
-
-
 def _owners(name: str, cells) -> dict:
-    """``k -> owner`` for each linear word ``cells[k]`` (ints skipped
-    before the call: most cells hold one)."""
-    return {k: o for k, w in cells.items()
-            if not isinstance(w, int) and (o := _owner(name, k, w))}
+    """``k -> (base, end, "name k")`` for each linear word ``cells[k]``
+    (ints skipped before the call: most cells hold one); every check
+    names its places this way."""
+    return {k: (r[0], r[1], f"{name} {k}") for k, w in cells.items()
+            if not isinstance(w, int) and (r := linear_range(w))}
 
 
 def _frame_owners(stk) -> list:
@@ -83,22 +75,27 @@ def check_stack_partition(cfg: SourceConfig) -> list:
     strictly, which makes them disjoint, and none shares an address with
     ``mem``.  A configuration without stack regions (the target's)
     passes at once."""
-    return _partition(cfg, max(cfg.ms_stk, default=None))
-
-
-def _partition(cfg, top) -> list:
-    """``check_stack_partition(cfg)``, given ``top``, the highest address
-    of ``ms_stk`` (None when it is empty)."""
-    regions = [] if top is None else [("ms_stk", cfg.ms_stk, None, top)]
+    mem = cfg.mem
+    # the lowest address of ms_stk is never compared
+    regions = [("ms_stk", cfg.ms_stk, None, max(cfg.ms_stk))] \
+        if cfg.ms_stk else []
     regions += [(f"frame {i}", f.ms, min(f.ms), max(f.ms))
                 for i, f in enumerate(cfg.stk) if f.ms]
     out = []
-    mem = cfg.mem
-    below = None     # (name, top address) of the region below
     for name, cells, lo, hi in regions:
         # walk the smaller side: the stack memory may be far larger
         small, big = (mem, cells) if len(mem) <= len(cells) else (cells, mem)
-        shared = [a for a in small if a in big]
+        out.append((name, [a for a in small if a in big], lo, hi))
+    return _partition(out)
+
+
+def _partition(regions) -> list:
+    """The partition verdict over the non-empty stack regions, in stack
+    order, each given as ``(name, its addresses that mem holds too, its
+    lowest address, its highest)``."""
+    out = []
+    below = None     # (name, top address) of the region below
+    for name, shared, lo, hi in regions:
         if shared:
             out.append(f"{name} overlaps mem at {sorted(shared)[:4]}")
         if below is not None and lo <= below[1]:
@@ -123,17 +120,53 @@ def _top(cells, top, moved):
     return max(cells, default=None)
 
 
+def _follow(shared: set, cells, mem_keys: set, moved):
+    """Update ``shared``, the addresses of ``cells`` that mem holds too,
+    for the addresses ``moved`` into or out of either."""
+    for a in moved:
+        if a in cells and a in mem_keys:
+            shared.add(a)
+        else:
+            shared.discard(a)
+
+
+class _Frame:
+    """One saved frame, scanned once: ``owned`` lists ``(base, end,
+    addr)`` for each linear word (named only with the frame's index),
+    ``lo``/``hi`` bound its addresses (None when it is empty), and
+    ``shared`` holds those of its addresses that mem holds too."""
+
+    __slots__ = ("frame", "owned", "lo", "hi", "shared")
+
+    def __init__(self, frame, mem_keys: set):
+        self.frame = frame
+        ms = frame.ms
+        self.owned = [(r[0], r[1], a) for a, w in ms.items()
+                      if not isinstance(w, int) and (r := linear_range(w))]
+        self.lo = min(ms, default=None)
+        self.hi = max(ms, default=None)
+        self.shared = ms.keys() & mem_keys
+
+
+_NORMAL = Lin.NORMAL
+
+
 class _Invariants:
     """Both checks over the configurations of one run, kept up to date
-    step by step at the cost of what each step changed.
+    step by step at the cost of what each step wrote.
 
-    One full scan fills a table of linear owners per place; each later
-    configuration updates it for the registers and cells that are not
-    the same word object as before, and for the frames when ``stk`` is a
-    new tuple (at a call or a return; rebuilding renumbers the frames).
-    The overlaps are recomputed only when an owner changed, and the
-    partition only when a memory's domain or the frames did, from the
-    highest stack-memory address, which is kept up to date too.  ``at``
+    One full scan fills a table of linear owners per place, and for each
+    stack region the addresses that mem holds too.  Each later
+    configuration comes with its step's write set: the registers it
+    names are visited, and an int or a normal memory capability, which
+    owns nothing, is told apart without a call.  Memory cells are
+    visited when they are not the same word object as before.  Frames
+    are scanned once each, when pushed: a call scans the new frame, a
+    return drops the old one, and the frames' owners are renamed (their
+    names carry the frame's index) only when some frame holds one.  The
+    overlaps are recomputed only when an owner changed; the partition
+    verdict only when a memory's domain or the frames did, from the
+    kept regions, after following the moved addresses alone.  ``at``
     answers what ``check_linearity`` and ``check_stack_partition``
     would.
     """
@@ -143,50 +176,96 @@ class _Invariants:
         self.regs = _owners("reg", cfg.reg)
         self.mem = _owners("mem", cfg.mem)
         self.stk = _owners("stk", cfg.ms_stk)
-        self.frames = _frame_owners(cfg.stk)
-        self.overlaps = linear_overlaps(self._all())
+        self.mem_keys = set(cfg.mem)
+        self.stk_shared = cfg.ms_stk.keys() & self.mem_keys
         self.top = max(cfg.ms_stk, default=None)
-        self.partition = _partition(cfg, self.top)
+        self.frames = [_Frame(f, self.mem_keys) for f in cfg.stk]
+        self.frame_owners = self._name_frame_owners()
+        self.overlaps = linear_overlaps(self._all())
+        self.partition = self._partition()
 
     def _all(self) -> list:
         return [*self.regs.values(), *self.mem.values(), *self.stk.values(),
-                *self.frames]
+                *self.frame_owners]
 
-    def at(self, cfg):
+    def _name_frame_owners(self) -> list:
+        return [(b, e, f"frame {i} addr {a}")
+                for i, f in enumerate(self.frames) for b, e, a in f.owned]
+
+    def _partition(self) -> list:
+        regions = [] if self.top is None else \
+            [("ms_stk", self.stk_shared, None, self.top)]
+        regions += [(f"frame {i}", f.shared, f.lo, f.hi)
+                    for i, f in enumerate(self.frames) if f.lo is not None]
+        return _partition(regions)
+
+    def _reframe(self, stk) -> bool:
+        """Follow the frames to ``stk``; True when a frame owner changed
+        or was renamed.  Calls and returns push and pop at the front, so
+        the frames that ``stk`` ends with are kept."""
+        old = self.frames
+        kept = 0
+        while kept < len(stk) and kept < len(old) and \
+                stk[-1 - kept] is old[-1 - kept].frame:
+            kept += 1
+        new = [_Frame(f, self.mem_keys) for f in stk[:len(stk) - kept]]
+        self.frames = new + old[len(old) - kept:]
+        if not self.frame_owners and not any(f.owned for f in new):
+            return False
+        named = self._name_frame_owners()
+        changed = named != self.frame_owners
+        self.frame_owners = named
+        return changed
+
+    def at(self, cfg, wrote):
         """``(check_linearity(cfg), check_stack_partition(cfg))`` for a
-        configuration that follows the last one asked about."""
+        configuration that follows the last one asked about; ``wrote``
+        names every register whose word is not the same object as there
+        (registers are never removed)."""
         old, self.cfg = self.cfg, cfg
         if cfg is old:
             return self.overlaps, self.partition
         changed = domain = False
-        reg, prev = cfg.reg, old.reg
-        if len(reg) != len(prev):
-            # with_regs appended a register the first configuration lacked
-            self.regs = _owners("reg", reg)
-            changed = True
-        else:
-            # with_regs keeps the key order, so the values line up
-            for r in compress(reg, map(is_not, reg.values(), prev.values())):
-                changed |= _reown(self.regs, "reg", r, reg[r])
-        if cfg.stk is not old.stk:
-            frames = _frame_owners(cfg.stk)
-            changed |= frames != self.frames
-            self.frames = frames
-            domain = True
-        if cfg.mem is not old.mem:
-            c, moved = _recell(self.mem, "mem", cfg.mem, old.mem)
-            changed |= c
-            domain |= bool(moved)
-        if cfg.ms_stk is not old.ms_stk:
-            c, moved = _recell(self.stk, "stk", cfg.ms_stk, old.ms_stk)
+        mem, reg, stk, ms_stk = cfg
+        old_mem, _, old_stk, old_ms_stk = old
+        regs = self.regs
+        for r in wrote:
+            w = reg[r]
+            t = type(w)
+            if t is int or t is MemCap and w.lin is _NORMAL:
+                if r in regs:
+                    del regs[r]
+                    changed = True
+            else:
+                changed |= _reown(regs, "reg", r, w)
+        if mem is not old_mem:
+            c, moved = _recell(self.mem, "mem", mem, old_mem)
             changed |= c
             if moved:
                 domain = True
-                self.top = _top(cfg.ms_stk, self.top, moved)
+                keys = self.mem_keys
+                for a in moved:
+                    if a in mem:
+                        keys.add(a)
+                    else:
+                        keys.discard(a)
+                _follow(self.stk_shared, ms_stk, keys, moved)
+                for f in self.frames:
+                    _follow(f.shared, f.frame.ms, keys, moved)
+        if stk is not old_stk:
+            changed |= self._reframe(stk)
+            domain = True
+        if ms_stk is not old_ms_stk:
+            c, moved = _recell(self.stk, "stk", ms_stk, old_ms_stk)
+            changed |= c
+            if moved:
+                domain = True
+                self.top = _top(ms_stk, self.top, moved)
+                _follow(self.stk_shared, ms_stk, self.mem_keys, moved)
         if changed:
             self.overlaps = linear_overlaps(self._all())
         if domain:
-            self.partition = _partition(cfg, self.top)
+            self.partition = self._partition()
         return self.overlaps, self.partition
 
 
@@ -208,13 +287,15 @@ def _recell(table: dict, name: str, new, prev):
 
 def _reown(table: dict, name: str, k, w) -> bool:
     """Set the owner of place ``name k`` in ``table`` to word ``w``
-    (``_MISSING`` for a removed cell); True when it changed."""
-    o = None if w is _MISSING or isinstance(w, int) else _owner(name, k, w)
-    if o is None:
+    (``_MISSING`` for a removed cell); True when it changed.  The
+    owner's name is built only when its range changed."""
+    r = None if w is _MISSING or isinstance(w, int) else linear_range(w)
+    if r is None:
         return table.pop(k, None) is not None
-    if table.get(k) == o:
+    o = table.get(k)
+    if o is not None and o[0] == r[0] and o[1] == r[1]:
         return False
-    table[k] = o
+    table[k] = (r[0], r[1], f"{name} {k}")
     return True
 
 
@@ -249,9 +330,10 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
     violations: list = []
     checks = _Invariants(cfg) if paranoid else None
     steps = 0
+    wrote = ()
     while steps < fuel:
         if paranoid:
-            dups, partition = checks.at(cfg)
+            dups, partition = checks.at(cfg, wrote)
             for dup in dups:
                 violations.append(f"step {steps}: duplicated linear addr {dup}")
             for v in partition:
@@ -265,6 +347,8 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
                                      nxt.kind))
         if type(nxt) is Running:
             cfg = nxt.cfg
+            if paranoid:
+                wrote = nxt.wrote
             continue
         if isinstance(nxt, Halted):
             return RunReport("halted", steps, violations, cfg, trace)

@@ -32,7 +32,11 @@ from .core import (
 )
 
 
-class Running(Record, namedtuple("Running", "cfg")):
+class Running(Record, namedtuple("Running", "cfg wrote")):
+    """The next configuration, and ``wrote``, the names of the registers
+    the step wrote (a step writes no other): the update dict it passed
+    to ``with_regs``."""
+
     __slots__ = ()
 
     kind = "running"
@@ -66,7 +70,7 @@ def upd_pc_addr(cfg, updates: dict):
     if isinstance(pc, MemCap):
         updates[PC] = _new(MemCap, (pc.perm, pc.lin, pc.base, pc.end,
                                     pc.addr + 1))
-        return _new(Running, (cfg.with_regs(updates),))
+        return _new(Running, (cfg.with_regs(updates), updates))
     return FAILED
 
 
@@ -75,13 +79,15 @@ class MachineExtension:
 
     ``pointers`` lists the capability kinds that load, store and the
     pointer instructions accept.  Each hook returns a step outcome when
-    its case applies and None otherwise.  This base class is the target
-    machine: memory capabilities only, no source-only rules.
+    its case applies and None otherwise; ``xjump_result`` also gets the
+    registers the jump has written so far (see ``xjump_result`` below).
+    This base class is the target machine: memory capabilities only, no
+    source-only rules.
     """
 
     pointers = (MemCap,)
 
-    def xjump_result(self, c1, c2, cfg, gc):
+    def xjump_result(self, c1, c2, cfg, gc, updates):
         return None
 
     def recognize_call(self, cfg, gc):
@@ -150,15 +156,16 @@ def exec_halt(cfg, ext, gc):
 
 def exec_jmp(cfg, ext, gc, r):
     target = cfg.reg[r]
-    return _new(Running, (cfg.with_regs({r: lin_cons(target), PC: target}),))
+    updates = {r: lin_cons(target), PC: target}
+    return _new(Running, (cfg.with_regs(updates), updates))
 
 
 def exec_jnz(cfg, ext, gc, r, rn):
     operand = rn if isinstance(rn, int) else cfg.reg[rn]
     if non_zero(operand):
         target = cfg.reg[r]
-        return _new(Running,
-                    (cfg.with_regs({r: lin_cons(target), PC: target}),))
+        updates = {r: lin_cons(target), PC: target}
+        return _new(Running, (cfg.with_regs(updates), updates))
     return upd_pc_addr(cfg, {})
 
 
@@ -344,16 +351,21 @@ def exec_splice(cfg, ext, gc, r1, r2, r3):
         r1: _with_range(c3, c2.base, c3.end)})
 
 
-def xjump_result(c1, c2, cfg, ext, gc):
+def xjump_result(c1, c2, cfg, ext, gc, updates: dict):
     """Dispatch after unsealing an xjmp pair.
 
+    ``updates`` holds the registers the jump has written so far, which
+    are not yet in ``cfg``: each outcome adds its own to them and writes
+    them all in one register copy, so they are the step's write set.
     The base case loads the code half into pc and the data half into
     r_data; the source extension adds the return-token case.
     """
     if (not isinstance(c1, RetPtrCode) and not isinstance(c2, RetPtrData)
             and non_exec(c2)):
-        return Running(cfg.with_regs({PC: c1, RDATA: c2}))
-    out = ext.xjump_result(c1, c2, cfg, gc)
+        updates[PC] = c1
+        updates[RDATA] = c2
+        return _new(Running, (cfg.with_regs(updates), updates))
+    out = ext.xjump_result(c1, c2, cfg, gc, updates)
     if out is not None:
         return out
     return FAILED
@@ -366,8 +378,8 @@ def exec_xjmp(cfg, ext, gc, r1, r2):
             and w1.sigma == w2.sigma):
         # The registers keep the sealed words, as under the atomic call
         # rule; only linear halves are cleared.
-        cleared = cfg.with_regs({r1: lin_cons(w1), r2: lin_cons(w2)})
-        return xjump_result(w1.inner, w2.inner, cleared, ext, gc)
+        return xjump_result(w1.inner, w2.inner, cfg, ext, gc,
+                            {r1: lin_cons(w1), r2: lin_cons(w2)})
     return FAILED
 
 

@@ -66,10 +66,11 @@ class SourceExtension(MachineExtension):
 
     pointers = (MemCap, StkPtr)
 
-    def xjump_result(self, c1, c2, cfg, gc):
+    def xjump_result(self, c1, c2, cfg, gc, updates):
         if not (isinstance(c1, RetPtrCode) and isinstance(c2, RetPtrData)):
             return None
-        rstk = cfg.reg[RSTK]
+        # rstk as the jump left it: the atomic call writes it
+        rstk = updates.get(RSTK, cfg.reg[RSTK])
         if not (isinstance(rstk, StkPtr) and rstk.perm == Perm.RW):
             return FAILED
         e_stk = rstk.end
@@ -89,13 +90,14 @@ class SourceExtension(MachineExtension):
             return FAILED
         cfg = SourceConfig(cfg.mem, cfg.reg, cfg.stk[1:],
                            cfg.ms_stk.update(frame.ms))
-        return Running(cfg.with_regs({
+        updates.update({
             PC: MemCap(Perm.RX, Lin.NORMAL, c1.base, c1.end, c1.addr),
             RDATA: 0,
             RSTK: StkPtr(Perm.RW, gc.stk_base, e_priv, a_stk),
             RTMP1: 0,
             RTMP2: 0,
-        }))
+        })
+        return Running(cfg.with_regs(updates), updates)
 
     def recognize_call(self, cfg, gc):
         pc = cfg.reg[PC]
@@ -146,7 +148,8 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     ms_priv[a_stk] = 42
     cfg = SourceConfig(cfg.mem, cfg.reg, (StackFrame(opc, ms_priv),) + cfg.stk,
                        ms_rest)
-    cfg = cfg.with_regs({
+    # the jump writes these registers together with its own
+    return xjump_result(w1.inner, w2.inner, cfg, ext, gc, {
         r1: lin_cons(w1),
         r2: lin_cons(w2),
         RSTK: StkPtr(Perm.RW, rstk.base, a_stk - 1, a_stk - 1),
@@ -154,7 +157,6 @@ def exec_call(cfg: SourceConfig, params: CallParams,
         RRETDATA: Sealed(sigma, RetPtrData(a_stk, e_stk)),
         RTMP1: 0,
     })
-    return xjump_result(w1.inner, w2.inner, cfg, ext, gc)
 
 
 SOURCE_EXTENSION = SourceExtension()

@@ -209,6 +209,25 @@ def test_word_literals_roundtrip():
         parse_word("bogus:1,2")
 
 
+_ADDR = st.integers(-5, 2 ** 40)
+_BOUND = st.one_of(_ADDR, st.just(math.inf))
+_PERM = st.sampled_from(list(Perm))
+_SEALABLE = st.one_of(
+    st.builds(MemCap, _PERM, st.sampled_from(list(Lin)), _ADDR, _BOUND, _ADDR),
+    st.builds(SealCap, _ADDR, _BOUND, _ADDR),
+    st.builds(StkPtr, _PERM, _ADDR, _BOUND, _ADDR),
+    st.builds(RetPtrCode, _ADDR, _BOUND, _ADDR),
+    st.builds(RetPtrData, _ADDR, _BOUND))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(st.integers(), _SEALABLE,
+                 st.builds(Sealed, st.integers(0, 2 ** 40), _SEALABLE)))
+def test_word_literals_roundtrip_every_kind(w):
+    # every word kind, bare and sealed, with negative ints and inf ends
+    assert parse_word(format_word(w)) == w
+
+
 def test_assemble_basics():
     r = assemble("""
     .org 10

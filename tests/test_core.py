@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from capmach.core import (
     FAIL, INF, REGISTERS, Instr, Lin, Memory, MemCap, Perm, RetPtrCode,
@@ -115,7 +115,7 @@ def test_records():
     frame = StackFrame(3, {})
     for rec in (cap, SealCap(1, 2, 3), StkPtr(Perm.RW, 1, 9, 3),
                 RetPtrData(4, 6), RetPtrCode(1, 2, 3), Sealed(5, cap), cfg,
-                frame, Running(cfg)):
+                frame, Running(cfg, {})):
         for attr in (*rec._fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(rec, attr, 0)
@@ -156,6 +156,7 @@ def instrs(draw):
     return Instr(op, args)
 
 
+@settings(derandomize=True, deadline=None)
 @given(instrs())
 def test_instr_roundtrip(i):
     assert dec_instr(enc_instr(i)) == i
@@ -217,6 +218,7 @@ def _same_changes(m, model, old, old_model):
     assert sorted(got) == sorted(want)
 
 
+@settings(derandomize=True, deadline=None)
 @given(st.dictionaries(ADDRS, WORDS),
        st.lists(st.tuples(st.integers(0, 10 ** 6), MEM_OPS), max_size=40))
 def test_memory_model(init, ops):

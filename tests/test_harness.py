@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -14,8 +15,8 @@ from capmach.components import (
 from capmach import fixtures
 from capmach.core import (
     INF, OPCODES, PC, REGISTERS, GlobalConstants, Instr, Lin, Memory, MemCap,
-    Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, enc_instr,
-    fresh_registers, linear_range,
+    Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, dec_instr,
+    enc_instr, fresh_registers, linear_range,
 )
 from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
@@ -250,6 +251,28 @@ def _same_checks(cfg, gc, fuel, kinds=("source", "target")):
     return reports
 
 
+def test_paranoid_corpus_and_scenarios_against_full_checks():
+    # every run of the corpus and the scenarios, made paranoid, reports
+    # the violations of the full checks at the same steps
+    real, kinds = harness.run_report, Counter()
+
+    def compared(cfg, kind, gc, fuel=harness.DEFAULT_FUEL, paranoid=False,
+                 want_trace=False):
+        r = real(cfg, kind, gc, fuel, True, want_trace)
+        assert (r.violations, r.steps) == _fully_checked(cfg, kind, gc, fuel)
+        kinds[kind] += 1
+        return r
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_report", compared)
+        for name, t, ctx in corpus():
+            run_diff(t, ctx, STK_BASE, STK_END, fuel=2000)
+        for fn in SCENARIOS.values():
+            assert fn().as_expected
+    runs = len(corpus()) + len(SCENARIOS)
+    assert kinds == {"source": runs, "target": runs}
+
+
 _CODE = 100                 # random code sits at _CODE.., words below it
 _RUN_GC = GlobalConstants(frozenset(range(_CODE, _CODE + 16)), 12)
 _RUN_REGS = ("r0", "r1", "r2", "r3", "rstk", "rdata", "rretcode",
@@ -328,14 +351,51 @@ def test_paranoid_steps_against_full_checks(rng):
     _same_checks(_run_cfg(rng), _RUN_GC, 20)
 
 
+def test_write_set_names_every_changed_register():
+    # a step's write set names every register whose word is not the
+    # same object after it, for every opcode on both machines, the
+    # atomic call and the return-token jump: random programs, the corpus
+    # and the scenarios, through the step that run_report calls
+    seen = set()
+
+    def checked(cfg, ext, gc):
+        nxt = step(cfg, ext, gc)
+        if type(nxt) is Running:
+            new, wrote = nxt
+            changed = {r for r in cfg.reg.keys() | new.reg.keys()
+                       if new.reg.get(r) is not cfg.reg.get(r)}
+            assert changed <= set(wrote), (changed, wrote)
+            depth = len(new.stk) - len(cfg.stk)
+            op = "call" if depth > 0 else "return" if depth < 0 else \
+                dec_instr(cfg.mem[cfg.reg[PC].addr]).op
+            seen.add((ext is SOURCE_EXTENSION, op))
+        return nxt
+
+    rng = random.Random(5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "step", checked)
+        for _ in range(300):
+            cfg = _run_cfg(rng)
+            for kind in ("source", "target"):
+                run_report(cfg, kind, _RUN_GC, 20)
+        for name, t, ctx in corpus():
+            run_diff(t, ctx, STK_BASE, STK_END, fuel=2000)
+        for fn in SCENARIOS.values():
+            fn()
+    ops = set(OPCODES) - {"fail", "halt"}
+    assert {op for source, op in seen if not source} == ops
+    assert {op for source, op in seen if source} == ops | {"call", "return"}
+
+
 def _edit(rng, cfg):
-    """``cfg`` with one random change that no step makes on its own: any
-    register, a cell written, added or removed in either memory, a frame
-    pushed or popped."""
+    """(``cfg`` with one random change that no step makes on its own:
+    any register, a cell written, added or removed in either memory, a
+    frame pushed or popped; the registers it wrote)."""
     kind = rng.randrange(6)
     mem, ms_stk, stk = cfg.mem, cfg.ms_stk, cfg.stk
     if kind == 0:
-        return cfg.with_regs({rng.choice(REGISTERS): _run_word(rng)})
+        r = rng.choice(REGISTERS)
+        return cfg.with_regs({r: _run_word(rng)}), (r,)
     if kind == 1:
         mem = mem.set(rng.randint(0, 24), _run_word(rng))
     elif kind == 2:
@@ -351,7 +411,7 @@ def _edit(rng, cfg):
             ms_stk = ms_stk.update(cfg.stk[0].ms)
     else:
         _, mem = mem.split(*sorted((rng.randint(0, 24), rng.randint(0, 24))))
-    return SourceConfig(mem, cfg.reg, stk, ms_stk)
+    return SourceConfig(mem, cfg.reg, stk, ms_stk), ()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -365,8 +425,8 @@ def test_paranoid_tracker_against_full_checks_on_edits(rng):
                        cfg.stk, cfg.ms_stk)
     checks = harness._Invariants(cfg)
     for _ in range(12):
-        cfg = _edit(rng, cfg)
-        assert checks.at(cfg) == (check_linearity(cfg),
+        cfg, wrote = _edit(rng, cfg)
+        assert checks.at(cfg, wrote) == (check_linearity(cfg),
                                   check_stack_partition(cfg))
 
 
@@ -417,6 +477,24 @@ def test_paranoid_frames_renumbered():
                     both(f"stk {STK_END}", "ms_stk")]
 
 
+def _linear_range_calls_per_step(cfg, kind, gc, fuel=1000):
+    """(``linear_range`` calls per paranoid step after the initial scan,
+    the run's report)."""
+    calls = Counter()
+
+    def counted(w):
+        calls["n"] += 1
+        return linear_range(w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "linear_range", counted)
+        first = run_report(cfg, kind, gc, 1, paranoid=True)
+        scan = calls["n"]
+        r = run_report(cfg, kind, gc, fuel, paranoid=True)
+    assert first.steps == 1
+    return (calls["n"] - 2 * scan) / (r.steps - 1), r
+
+
 def _paranoid_words_per_step(kind, cells):
     """``linear_range`` calls per paranoid step after the initial scan,
     on a program that sweeps 16 cells down its stack and back, with
@@ -451,20 +529,9 @@ up:
         cfg = SourceConfig(cfg.mem.update(dict.fromkeys(
             range(STK_BASE, top + 1), idle)), cfg.reg)
     gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
-    calls = Counter()
-
-    def counted(w):
-        calls["n"] += 1
-        return linear_range(w)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "linear_range", counted)
-        first = run_report(cfg, kind, gc, 1, paranoid=True)
-        scan = calls["n"]
-        r = run_report(cfg, kind, gc, 1000, paranoid=True)
-    assert r.outcome == "halted" and r.violations == [] and first.steps == 1
-    assert r.steps > 60
-    return (calls["n"] - 2 * scan) / (r.steps - 1)
+    per_step, r = _linear_range_calls_per_step(cfg, kind, gc)
+    assert r.outcome == "halted" and r.violations == [] and r.steps > 60
+    return per_step
 
 
 def test_paranoid_cost_flat_in_stack_size():
@@ -472,6 +539,30 @@ def test_paranoid_cost_flat_in_stack_size():
         small = _paranoid_words_per_step(kind, 64)
         large = _paranoid_words_per_step(kind, 16 * 1024)
         assert 0 < small and large <= 2 * small, (kind, small, large)
+
+
+def _frame_words_per_step(cells):
+    """``linear_range`` calls per paranoid step of deep-trusted's nested
+    calls and returns on the source, under an outer frame of ``cells``
+    words that own nothing, which a rescan of the frames would examine
+    at every call and return."""
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["deep-trusted"]
+    cfg = initial_config(link(t, ctx), "source", STK_BASE, STK_END)
+    # above the stack and the guard cell mem holds just above it
+    outer = StackFrame(_CODE, dict.fromkeys(
+        range(STK_END + 2, STK_END + 2 + cells), SealCap(0, 0, 0)))
+    cfg = SourceConfig(cfg.mem, cfg.reg, (outer,), cfg.ms_stk)
+    gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
+    per_step, r = _linear_range_calls_per_step(cfg, "source", gc)
+    assert r.outcome == "halted" and r.violations == []
+    assert r.final_cfg.stk == (outer,)
+    return per_step
+
+
+def test_paranoid_cost_flat_in_frame_size():
+    small = _frame_words_per_step(64)
+    large = _frame_words_per_step(16 * 1024)
+    assert 0 < small and large <= 2 * small, (small, large)
 
 
 def test_write_trace(tmp_path):
@@ -623,6 +714,20 @@ def test_cli_wide_seal_and_linear_lists(tmp_path):
         assert p.returncode == 3, (name, p.stderr[-300:])
         assert p.stderr == ("error: a seal or linear list spans more than "
                             "1048576 numbers\n"), name
+
+
+def test_cli_deeply_nested_sealed(tmp_path):
+    # a sealed word wraps only a sealable capability, so an inner sealed
+    # literal is refused before parse_word recurses into it: exit 3 and
+    # one error line at any depth, not a RecursionError
+    word = "sealed:1,(" * 3000 + "seal:1,2,1" + ")" * 3000
+    path = tmp_path / "nested.comp"
+    path.write_text(format_component(trusted_simple("  halt"))
+                    + f"[data]\n700 {word}\n")
+    p = _cli_under_1gb(["validate", str(path)])
+    assert p.returncode == 3, p.stderr[-300:]
+    assert p.stderr.startswith("error: sealed wraps a sealable capability")
+    assert p.stderr.count("\n") == 1 and "Traceback" not in p.stderr
 
 
 def test_cli_wide_ta_range(tmp_path):
