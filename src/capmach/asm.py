@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    CALL_HEAD, INF, OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1,
-    RTMP2, Instr, Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed,
-    StkPtr, Word, dec_instr, enc_instr, is_register, mk_instr,
+    CALL_HEAD, OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2,
+    Instr, SealCap, _bound, dec_instr, enc_instr, is_register, mk_instr,
+    parse_word,
 )
 
 CALL_LEN = 26
@@ -180,78 +180,6 @@ def find_hidden_calls(code, stk_base: int,
                 if not full:
                     violations.append(HiddenCallViolation(start, i, addr))
     return violations
-
-
-# ---------------------------------------------------------------------------
-# Word literal syntax (shared with the component container format)
-
-
-def _bound(s):
-    return INF if s == "inf" else int(s)
-
-
-def _bound_str(b):
-    return "inf" if b == INF else str(b)
-
-
-_INT_RE = re.compile(r"-?\d+")
-_SEALED_RE = re.compile(r"(\d+),\((.*)\)")
-
-
-def parse_word(text: str) -> Word:
-    text = text.strip()
-    # every code cell a container holds is written ``int:N``
-    if text.startswith("int:"):
-        return int(text[4:])
-    if _INT_RE.fullmatch(text):
-        return int(text)
-    kind, _, rest = text.partition(":")
-    if kind == "cap":
-        p, l, b, e, a = rest.split(",")
-        return MemCap(Perm(p.lower()), Lin(l), int(b), _bound(e), int(a))
-    if kind == "seal":
-        b, e, c = rest.split(",")
-        return SealCap(int(b), _bound(e), int(c))
-    if kind == "stkptr":
-        p, b, e, a = rest.split(",")
-        return StkPtr(Perm(p.lower()), int(b), _bound(e), int(a))
-    if kind == "retptrcode":
-        b, e, a = rest.split(",")
-        return RetPtrCode(int(b), _bound(e), int(a))
-    if kind == "retptrdata":
-        b, e = rest.split(",")
-        return RetPtrData(int(b), _bound(e))
-    if kind == "sealed":
-        m = _SEALED_RE.fullmatch(rest)
-        if not m:
-            raise ValueError(f"bad sealed literal: {text!r}")
-        # refused before the recursion: a sealed word nests no other,
-        # so nesting depth cannot exhaust the stack
-        if m.group(2).lstrip().startswith("sealed:"):
-            raise ValueError(f"sealed wraps a sealable capability: {text!r}")
-        inner = parse_word(m.group(2))
-        if isinstance(inner, int):
-            raise ValueError(f"sealed wraps a sealable capability: {text!r}")
-        return Sealed(int(m.group(1)), inner)
-    raise ValueError(f"bad word literal: {text!r}")
-
-
-def format_word(w: Word) -> str:
-    if isinstance(w, int):
-        return f"int:{w}"
-    if isinstance(w, MemCap):
-        return f"cap:{w.perm.value},{w.lin.value},{w.base},{_bound_str(w.end)},{w.addr}"
-    if isinstance(w, SealCap):
-        return f"seal:{w.base},{_bound_str(w.end)},{w.cur}"
-    if isinstance(w, StkPtr):
-        return f"stkptr:{w.perm.value},{w.base},{_bound_str(w.end)},{w.addr}"
-    if isinstance(w, RetPtrCode):
-        return f"retptrcode:{w.base},{_bound_str(w.end)},{w.addr}"
-    if isinstance(w, RetPtrData):
-        return f"retptrdata:{w.base},{_bound_str(w.end)}"
-    if isinstance(w, Sealed):
-        return f"sealed:{w.sigma},({format_word(w.inner)})"
-    raise TypeError(f"not a word: {w!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +357,11 @@ def disassemble(seg, stk_base: Optional[int] = None,
                     i += 1
                 continue
         w = seg[a]
-        if isinstance(w, int):
-            instr = dec_instr(w)
-            if instr.op == "fail" and w != enc_instr(instr):
-                lines.append(f".word {format_word(w)}")
-            else:
-                lines.append(repr(instr))
-        elif isinstance(w, SealCap):
-            lines.append(f".seal {w.base} {_bound_str(w.end)} {w.cur}")
+        instr = dec_instr(w)
+        if isinstance(w, int) and w == enc_instr(instr):
+            lines.append(repr(instr))
         else:
-            lines.append(f".word {format_word(w)}")
+            lines.append(f".word {w!r}")
         prev = a
         i += 1
     return "\n".join(lines) + "\n"

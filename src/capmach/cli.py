@@ -50,7 +50,10 @@ def _stack(s):
 
 def _ta(s):
     """``auto`` (the component's own code) or a range ``lo..hi``."""
-    return s if s == "auto" else _parse_range(s)
+    if s == "auto":
+        return s
+    lo, hi = _parse_range(s)
+    return range(lo, hi + 1)
 
 
 def _fuel(s):
@@ -74,16 +77,8 @@ def _write(path, text):
         fh.write(text)
 
 
-def _gc(comp, args, stk_base, guards=()):
-    """Global constants for ``comp``.  A range ``--ta`` keeps only the
-    addresses in it that a run can test: the component's code and data,
-    and the stack's ``guards`` (the only other cells of memory)."""
-    if args.ta == "auto":
-        ta = frozenset(comp.ms_code)
-    else:
-        lo, hi = args.ta
-        ta = frozenset(a for a in (*comp.ms_code, *comp.ms_data, *guards)
-                       if lo <= a <= hi)
+def _gc(comp, args, stk_base):
+    ta = frozenset(comp.ms_code) if args.ta == "auto" else args.ta
     return GlobalConstants(ta, stk_base, not args.no_check_stk_base)
 
 
@@ -114,17 +109,16 @@ def cmd_link(args):
     return EXIT_OK
 
 
-def _report_exit(report):
-    print(f"{report.outcome} after {report.steps} steps")
+def _print_report(report, prefix=""):
+    print(f"{prefix}{report.outcome} after {report.steps} steps")
     for v in report.violations:
-        print(f"violation: {v}")
-    return EXIT_OK if report.outcome == "halted" else EXIT_FAILED
+        print(f"{prefix}violation: {v}")
 
 
 def cmd_run(args):
     prog = _load(args.program)
     b_stk, e_stk = args.stack
-    gc = _gc(prog, args, b_stk, (b_stk - 1, e_stk + 1))
+    gc = _gc(prog, args, b_stk)
     if not args.no_validate:
         diags = validate_component(prog, gc)
         if diags:
@@ -134,7 +128,8 @@ def cmd_run(args):
                         want_trace=args.trace is not None)
     if args.trace:
         _write(args.trace, format_trace(args.machine, report.trace))
-    return _report_exit(report)
+    _print_report(report)
+    return EXIT_OK if report.outcome == "halted" else EXIT_FAILED
 
 
 def cmd_diff(args):
@@ -147,8 +142,8 @@ def cmd_diff(args):
         for kind, report in (("source", v.source), ("target", v.target)):
             _write(os.path.join(args.trace_dir, f"{kind}.trace"),
                    format_trace(kind, report.trace))
-    print(f"source: {v.source.outcome} after {v.source.steps} steps")
-    print(f"target: {v.target.outcome} after {v.target.steps} steps")
+    _print_report(v.source, "source: ")
+    _print_report(v.target, "target: ")
     if v.agreement:
         print("agreement")
         return EXIT_OK

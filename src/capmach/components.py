@@ -12,11 +12,11 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .asm import CALL_LEN, call_cond, find_hidden_calls, format_word, parse_word
+from .asm import CALL_LEN, call_cond, find_hidden_calls
 from .core import (
     INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap, Perm, SealCap,
     Sealed, StkPtr, fresh_registers, is_linear, linear_overlaps,
-    linear_range, non_exec, perm_leq,
+    linear_range, non_exec, parse_word, perm_leq,
 )
 from .source import SourceConfig
 
@@ -73,13 +73,13 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
         _diag(out, "comp", f"addr {pad_lo},{pad_hi}", "guard pads must be 0")
     if set(c.ms_code) & set(c.ms_data):
         _diag(out, "comp", "code/data", "code and data domains overlap")
-    if set(c.ms_data) & gc.ta:
+    trusted_at = gc.ta.__contains__
+    if any(map(trusted_at, c.ms_data)):
         _diag(out, "comp", "data", "data overlaps trusted addresses")
 
-    code_dom = set(c.ms_code)
-    if code_dom <= gc.ta:
+    if all(map(trusted_at, c.ms_code)):
         trusted = True
-    elif not (code_dom & gc.ta):
+    elif not any(map(trusted_at, c.ms_code)):
         trusted = False
         if c.sig_ret:
             _diag(out, "comp", "seals",
@@ -431,11 +431,11 @@ def format_component(c: Component) -> str:
     for a in sorted(c.ms_code):   # one section per contiguous block
         if a - 1 != prev:
             lines.append(f"[code base={a + 1}]")
-        lines.append(format_word(c.ms_code[a]))
+        lines.append(repr(c.ms_code[a]))
         prev = a
     lines.append("[data]")
     for a in sorted(c.ms_data):
-        lines.append(f"{a}\t{format_word(c.ms_data[a])}")
+        lines.append(f"{a}\t{c.ms_data[a]!r}")
     if c.imports:
         lines.append("[imports]")
         for addr, sym in c.imports:
@@ -443,12 +443,12 @@ def format_component(c: Component) -> str:
     if c.exports:
         lines.append("[exports]")
         for sym, w in c.exports:
-            lines.append(f"{sym}\t{format_word(w)}")
+            lines.append(f"{sym}\t{w!r}")
     lines.append(f"[seals ret={_fmt_sigs(c.sig_ret)} clos={_fmt_sigs(c.sig_clos)}]")
     if c.a_linear:
         lines += ["[linear]", _fmt_sigs(c.a_linear)]
     if c.mains is not None:
         lines.append("[main]")
-        lines.append(format_word(c.mains[0]))
-        lines.append(format_word(c.mains[1]))
+        lines.append(repr(c.mains[0]))
+        lines.append(repr(c.mains[1]))
     return "\n".join(lines) + "\n"

@@ -1,7 +1,8 @@
 """Shared domain types for both capability machines.
 
 Words are either plain Python ints or one of the capability records
-below, immutable tuples with named fields (see ``Record``).
+below, immutable tuples with named fields (see ``Record``).  A word's
+repr is its literal, and ``parse_word`` reads it back (see ``LITERALS``).
 Stack-pointer and return-pointer tokens are source-machine-only shapes;
 nothing here enforces that (the source configuration owns that
 distinction), but the target machine can never fabricate them.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Container, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -99,57 +100,99 @@ class Record(tuple):
     __hash__ = tuple.__hash__
 
 
+class _WordRecord(Record):
+    """Base of the word records.  A word's repr is its literal: the name
+    ``LITERALS`` gives its class, then its fields' reprs in parentheses
+    (``inf`` for an unbounded end).  ``parse_word`` reads it back."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"{_LITERAL_NAMES[type(self)]}({','.join(map(repr, self))})"
+
+
 # Addresses and seal ids are ints; a capability's ``end`` may be INF.
 
-class MemCap(Record, namedtuple("MemCap", "perm lin base end addr")):
+class MemCap(_WordRecord, namedtuple("MemCap", "perm lin base end addr")):
     __slots__ = ()
 
-    def __repr__(self):
-        return f"cap({self.perm.value},{self.lin.value},{self.base},{self.end},{self.addr})"
 
-
-class SealCap(Record, namedtuple("SealCap", "base end cur")):
+class SealCap(_WordRecord, namedtuple("SealCap", "base end cur")):
     __slots__ = ()
 
-    def __repr__(self):
-        return f"seal({self.base},{self.end},{self.cur})"
 
-
-class StkPtr(Record, namedtuple("StkPtr", "perm base end addr")):
+class StkPtr(_WordRecord, namedtuple("StkPtr", "perm base end addr")):
     __slots__ = ()
 
-    def __repr__(self):
-        return f"stkptr({self.perm.value},{self.base},{self.end},{self.addr})"
 
-
-class RetPtrData(Record, namedtuple("RetPtrData", "base end")):
+class RetPtrData(_WordRecord, namedtuple("RetPtrData", "base end")):
     __slots__ = ()
 
-    def __repr__(self):
-        return f"retptrdata({self.base},{self.end})"
 
-
-class RetPtrCode(Record, namedtuple("RetPtrCode", "base end addr")):
+class RetPtrCode(_WordRecord, namedtuple("RetPtrCode", "base end addr")):
     __slots__ = ()
-
-    def __repr__(self):
-        return f"retptrcode({self.base},{self.end},{self.addr})"
 
 
 SealableCap = Union[MemCap, SealCap, StkPtr, RetPtrData, RetPtrCode]
 
 
-class Sealed(Record, namedtuple("Sealed", "sigma inner")):
+class Sealed(_WordRecord, namedtuple("Sealed", "sigma inner")):
     __slots__ = ()
-
-    def __repr__(self):
-        return f"sealed({self.sigma},{self.inner!r})"
 
 
 Cap = Union[SealableCap, Sealed]
 Word = Union[int, Cap]
 
 _SEALABLE = (MemCap, SealCap, StkPtr, RetPtrData, RetPtrCode)
+
+
+# ---------------------------------------------------------------------------
+# Word literals: ``N`` for an int, ``kind(f1,...,fn)`` for a record
+
+def _bound(text: str):
+    return INF if text == "inf" else int(text)
+
+
+def _perm(text: str) -> Perm:
+    return Perm(text.lower())
+
+
+def _sealable(text: str):
+    # refused before the recursion: a sealed word nests no other, so
+    # nesting depth cannot exhaust the stack
+    kind = text.partition("(")[0]
+    if kind == "sealed" or kind not in LITERALS:
+        raise ValueError(f"sealed wraps a sealable capability: {text!r}")
+    return parse_word(text)
+
+
+# literal name -> (record class, one parser per field)
+LITERALS = {
+    "cap": (MemCap, (_perm, Lin, int, _bound, int)),
+    "seal": (SealCap, (int, _bound, int)),
+    "stkptr": (StkPtr, (_perm, int, _bound, int)),
+    "retptrcode": (RetPtrCode, (int, _bound, int)),
+    "retptrdata": (RetPtrData, (int, _bound)),
+    "sealed": (Sealed, (int, _sealable)),
+}
+_LITERAL_NAMES = {cls: name for name, (cls, _) in LITERALS.items()}
+
+
+def parse_word(text: str) -> Word:
+    """The word whose repr is ``text``, surrounding blanks aside."""
+    text = text.strip()
+    if text.lstrip("-").isdecimal():   # digits with an optional minus
+        return int(text)
+    kind, _, body = text.partition("(")
+    entry = LITERALS.get(kind)
+    if entry is None or not body.endswith(")"):
+        raise ValueError(f"bad word literal: {text!r}")
+    cls, parsers = entry
+    # only the last field, a sealed word's inner word, may hold commas
+    fields = body[:-1].split(",", len(parsers) - 1)
+    if len(fields) != len(parsers):
+        raise ValueError(f"{kind} takes {len(parsers)} fields: {text!r}")
+    return cls(*[parse(f) for parse, f in zip(parsers, fields)])
 
 
 def is_sealable(w: Word) -> bool:
@@ -398,7 +441,7 @@ class Memory(Mapping):
 
 @dataclass(frozen=True)
 class GlobalConstants:
-    ta: frozenset
+    ta: Container   # trusted addresses: a frozenset, or a range (``--ta``)
     stk_base: Addr
     # Harness knob: when False, call recognition and expansion use the
     # variant macro whose stack-base check is neutralized.

@@ -115,7 +115,9 @@ class SourceExtension(MachineExtension):
 
 def exec_call(cfg: SourceConfig, params: CallParams,
               ext: MachineExtension, gc: GlobalConstants):
-    """The call sequence as one atomic step."""
+    """The call sequence as one atomic step.  ``step`` reaches it only
+    through ``recognize_call``, with an executable memory capability in
+    pc."""
     r1, r2 = params.r1, params.r2
     if RTMP1 in (r1, r2):
         return FAILED
@@ -131,8 +133,6 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     if a_stk not in cfg.ms_stk:
         return FAILED
     pc = cfg.reg[PC]
-    if not isinstance(pc, MemCap):
-        return FAILED
     a = pc.addr
     if not (pc.base <= a + params.off_pc <= pc.end):
         return FAILED

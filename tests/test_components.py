@@ -1,13 +1,13 @@
 import pytest
 
-from capmach.asm import assemble, parse_word
+from capmach.asm import assemble
 from capmach.components import (
     MAX_STACK_CELLS, Component, ConfigError, LinkError, format_component,
     initial_config, is_program, link, parse_component, validate_component,
 )
 from capmach.core import (
     INF, GlobalConstants, Lin, MemCap, Perm, SealCap, Sealed, StkPtr,
-    enc_instr, mk_instr,
+    enc_instr, mk_instr, parse_word,
 )
 from capmach.fixtures import (
     C_CODE, C_DATA, SCENARIOS, STK_BASE, STK_END, component, context_cb,
@@ -130,10 +130,10 @@ def test_broken_linear_outside_own():
 
 
 @pytest.mark.parametrize("literal", [
-    "sealed:5,(cap:rwx,normal,0,1000000,0)",   # escapes the component
-    "sealed:5,(cap:rw,linear,5000,inf,5000)",  # unbounded
-    "sealed:5,(retptrcode:0,10,3)",            # not a memory capability
-    "sealed:5,(seal:0,100,0)",
+    "sealed(5,cap(rwx,normal,0,1000000,0))",   # escapes the component
+    "sealed(5,cap(rw,linear,5000,inf,5000))",  # unbounded
+    "sealed(5,retptrcode(0,10,3))",            # not a memory capability
+    "sealed(5,seal(0,100,0))",
 ])
 def test_broken_sealed_data_word(literal):
     # a sealed word in data gets the range tests of the capability it
@@ -321,14 +321,14 @@ def test_container_roundtrip_linked():
 def test_container_parse_details():
     text = """\
 [code base=100]
-int:0
-int:{halt}
-seal:5,5,5
-int:0
+0
+{halt}
+seal(5,5,5)
+0
 [data]
-300\tint:7
+300\t7
 [exports]
-clo\tsealed:5,(cap:rx,normal,100,101,100)
+clo\tsealed(5,cap(rx,normal,100,101,100))
 [seals ret= clos=5]
 [linear]
 [main]

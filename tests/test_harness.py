@@ -616,10 +616,10 @@ def test_cli_asm_pipeline(tmp_path, capsys):
     src.write_text(".org 100\nentry:\n  halt\nsealw: .seal 2 2 2\n")
     t = tmp_path / "t.comp"
     assert cli.main(["asm", str(src), "-o", str(t)]) == 0
-    code = "sealed:2,(cap:rx,normal,100,101,100)"
-    data = "sealed:2,(cap:rw,normal,300,300,300)"
+    code = "sealed(2,cap(rx,normal,100,101,100))"
+    data = "sealed(2,cap(rw,normal,300,300,300))"
     with open(t, "a") as fh:
-        fh.write(f"[data]\n300\tint:0\n[seals ret= clos=2]\n"
+        fh.write(f"[data]\n300\t0\n[seals ret= clos=2]\n"
                  f"[exports]\nmain_code\t{code}\nmain_data\t{data}\n"
                  f"[main]\n{code}\n{data}\n")
     assert parse_component(t.read_text()) == trusted_simple("  halt")
@@ -654,11 +654,22 @@ def test_cli_malformed_inputs(tmp_path):
     afile = str(tmp_path / "afile")
     open(afile, "w").close()
     far_code = tmp_path / "far.comp"      # code blocks at 1 and 10^9
-    far_code.write_text("[code base=2]\nint:0\nint:0\n"
-                        "[code base=1000000001]\nint:0\nint:0\n")
+    far_code.write_text("[code base=2]\n0\n0\n"
+                        "[code base=1000000001]\n0\n0\n")
     far_seals = tmp_path / "seals.comp"   # seals 1 and 10^9
-    far_seals.write_text(format_component(trusted_simple("  halt")).replace(
-        "clos=2]", "clos=2,1000000000]"))
+    text = format_component(trusted_simple("  halt"))
+    far_seals.write_text(text.replace("clos=2]", "clos=2,1000000000]"))
+    literals = []                         # one malformed word literal each
+    for old, new, message in (
+            ("seal(2,2,2)", "seal(2,2,2", "bad word literal"),    # unbalanced
+            ("seal(2,2,2)", "seal(2,2)", "seal takes 3 fields"),
+            ("seal(2,2,2)", "sael(2,2,2)", "bad word literal"),
+            ("300\t0", "300\tsealed(1,5)", "sealed wraps a sealable"),
+            ("300\t0", "300\tint:0", "bad word literal"),       # old spellings
+            ("300\t0", "300\tcap:rw,normal,300,300,300", "bad word literal")):
+        path = tmp_path / f"literal{len(literals)}.comp"
+        path.write_text(text.replace(old, new, 1))
+        literals.append((3, f"error: {message}", ["validate", str(path)]))
     run = ["run", "--machine", "source"]
     cases = [
         (3, "error: ", run + [prog, "--no-validate", "--trace",
@@ -670,12 +681,14 @@ def test_cli_malformed_inputs(tmp_path):
         (4, "owned seals are not contiguous", run + [str(far_seals)]),
         (4, "data overlaps trusted addresses",
          run + [t, "--ta", "0..2000000000"]),
-    ]
+    ] + literals
     for code, message, argv in cases:
         p = _cli_under_1gb(argv)
         assert p.returncode == code, (argv, p.stderr[-300:])
         assert message in p.stderr, (argv, p.stderr[-300:])
         assert "Traceback" not in p.stderr, argv
+        if code == 3:   # one error line
+            assert p.stderr.count("\n") == 1, (argv, p.stderr[-300:])
 
 
 def test_cli_wide_stack(tmp_path, capsys):
@@ -720,7 +733,7 @@ def test_cli_deeply_nested_sealed(tmp_path):
     # a sealed word wraps only a sealable capability, so an inner sealed
     # literal is refused before parse_word recurses into it: exit 3 and
     # one error line at any depth, not a RecursionError
-    word = "sealed:1,(" * 3000 + "seal:1,2,1" + ")" * 3000
+    word = "sealed(1," * 3000 + "seal(1,2,1)" + ")" * 3000
     path = tmp_path / "nested.comp"
     path.write_text(format_component(trusted_simple("  halt"))
                     + f"[data]\n700 {word}\n")
@@ -785,6 +798,41 @@ def test_cli_diff(tmp_path):
     assert (tmp_path / "traces" / "target.trace").exists()
 
 
+def test_cli_paranoid_violations(tmp_path, capsys):
+    # two data words own the same linear range: with validation off, the
+    # paranoid checks find it, and run and diff print what they found
+    twice = ("[data]\n310\tcap(rw,linear,320,321,320)\n"
+             "311\tcap(rw,linear,320,321,320)\n")
+    t, ctx = trusted_simple("  halt"), minimal_context()
+    prog = tmp_path / "p.comp"
+    prog.write_text(format_component(link(t, ctx)).replace("[data]\n", twice))
+    found = "violation: step 0: duplicated linear addr (320, 'mem 310', " \
+            "'mem 311')"
+    assert cli.main(["run", str(prog), "--machine", "source", "--no-validate",
+                     "--paranoid"]) == 0
+    assert capsys.readouterr().out == f"halted after 1 steps\n{found}\n"
+    c = tmp_path / "c.comp"
+    c.write_text(format_component(ctx).replace("[data]\n", twice))
+    assert cli.main(["diff", _write(tmp_path, "t.comp", t), str(c),
+                     "--no-validate", "--paranoid"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "source: halted after 1 steps", f"source: {found}",
+        "target: halted after 1 steps", f"target: {found}", "agreement"]
+
+
+def test_cli_diff_disagreement(tmp_path, capsys):
+    # second-stack with the stack-base check compiled out: the target
+    # completes the ill-bracketed return, the source refuses it
+    t, ctx = SCENARIOS["second-stack-nocheck"]().components
+    argv = ["diff", _write(tmp_path, "t.comp", t),
+            _write(tmp_path, "c.comp", ctx), "--no-check-stk-base"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "source: failed after 12 steps", "target: halted after 38 steps",
+        "disagreement: source failed after 12 steps, "
+        "target halted after 38 steps"]
+
+
 def test_cli_scenarios():
     assert cli.main(["scenarios"]) == 0
     assert cli.main(["scenarios", "--run", "partial-stack-return"]) == 0
@@ -813,8 +861,8 @@ def test_cli_missing_input(tmp_path, capsys):
 
 def test_cli_unknown_permission(tmp_path, capsys):
     text = format_component(trusted_simple("  halt"))
-    text = text.replace("cap:rw,", "cap:zz,", 1)
-    assert "cap:zz," in text
+    text = text.replace("cap(rw,", "cap(zz,", 1)
+    assert "cap(zz," in text
     bad = tmp_path / "perm.comp"
     bad.write_text(text)
     assert cli.main(["validate", str(bad)]) == 3
