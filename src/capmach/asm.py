@@ -158,27 +158,28 @@ def find_hidden_calls(code, stk_base: int,
                       check_stk_base: bool = True) -> list:
     """Report partial or overhanging call fragments in a code segment.
 
-    A cell that looks like call part ``i`` is fine if the aligned
-    26-cell window is fully in the segment and consistent (a complete
-    call) or some in-segment cell of the window contradicts it.
+    Each start a cell's part points to is walked once: its window is a
+    violation when each cell of it that the segment holds can stand at
+    its part, but the segment does not hold all 26.  Each held cell of
+    it is reported, by address and then by part.
     """
     # A non-integer cell can stand at no part.
     parts = {a: _word_parts(w, stk_base, check_stk_base)
              if isinstance(w, int) else () for a, w in code.items()}
     violations = []
-    for addr in sorted(code):
-        for i in parts[addr]:
-            start = addr - i
-            full = True
-            for j in range(CALL_LEN):
-                p = parts.get(start + j)
-                if p is None:
-                    full = False
-                elif j not in p:
+    for start in {a - i for a, ps in parts.items() for i in ps}:
+        held = []
+        for j in range(CALL_LEN):
+            p = parts.get(start + j)
+            if p is not None:
+                if j not in p:
                     break
-            else:
-                if not full:
-                    violations.append(HiddenCallViolation(start, i, addr))
+                held.append(j)
+        else:
+            if len(held) < CALL_LEN:
+                violations += [HiddenCallViolation(start, j, start + j)
+                               for j in held]
+    violations.sort(key=lambda v: (v.addr, v.index))
     return violations
 
 
@@ -350,7 +351,7 @@ def disassemble(seg, stk_base: Optional[int] = None,
             lines.append(f".org {a}")
         if stk_base is not None:
             p = call_cond(seg, a, stk_base, check_stk_base)
-            if p is not None and all(a + k in seg for k in range(CALL_LEN)):
+            if p is not None:
                 lines.append(f"call {p.off_pc} {p.off_sigma} {p.r1} {p.r2}")
                 prev = a + CALL_LEN - 1
                 while i < len(addrs) and addrs[i] <= prev:

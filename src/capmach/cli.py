@@ -14,14 +14,12 @@ import sys
 from .asm import assemble
 from .components import (
     Component, ConfigError, LinkError, format_component, initial_config,
-    link, parse_component,
+    link, parse_component, validate_component,
 )
 from .core import GlobalConstants
 from .fixtures import SCENARIOS
-from .harness import (
-    DEFAULT_FUEL, ValidationFailure, format_trace, run_diff, run_report,
-    validate_component,
-)
+from .harness import DEFAULT_FUEL, ValidationFailure, format_trace, \
+    run_diff, run_report
 
 EXIT_OK = 0
 EXIT_FAILED = 1

@@ -33,10 +33,6 @@ class Component:
     mains: Optional[tuple] = None   # (main code word, main data word)
 
 
-def is_program(c: Component) -> bool:
-    return c.mains is not None and not c.imports
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -333,10 +329,8 @@ def initial_config(p: Component, machine_kind: str,
 # ---------------------------------------------------------------------------
 # Container format
 
-def _parse_sigs(s):
-    """The set written as comma-separated numbers and ``lo..hi`` runs.
-    The set holds one int per number, so a list whose runs together span
-    more than ``MAX_STACK_CELLS`` numbers is refused before it is built."""
+def _runs(s) -> list:
+    """The ``(lo, hi)`` runs of a list such as ``1,4..6``."""
     runs = []
     for part in s.split(","):
         part = part.strip()
@@ -345,6 +339,13 @@ def _parse_sigs(s):
             runs.append((int(lo), int(hi)))
         elif part:
             runs.append((int(part), int(part)))
+    return runs
+
+
+def _number_set(runs):
+    """The set of the numbers in ``runs``.  The set holds one int per
+    number, so runs that together span more than ``MAX_STACK_CELLS``
+    numbers are refused before it is built."""
     if sum(max(0, hi - lo + 1) for lo, hi in runs) > MAX_STACK_CELLS:
         raise ValueError(f"a seal or linear list spans more than "
                          f"{MAX_STACK_CELLS} numbers")
@@ -375,7 +376,7 @@ def parse_component(text: str) -> Component:
     exports: list = []
     sig_ret = frozenset()
     sig_clos = frozenset()
-    linear: list = []     # the [linear] lines, parsed as one list
+    linear: list = []     # the runs of every [linear] line
     mains: list = []
     section = None
     code_next = None
@@ -396,32 +397,35 @@ def parse_component(text: str) -> Component:
             elif section == "seals":
                 ret_m = re.search(r"ret=([0-9.,]*)", attrs)
                 clos_m = re.search(r"clos=([0-9.,]*)", attrs)
-                sig_ret = _parse_sigs(ret_m.group(1) if ret_m else "")
-                sig_clos = _parse_sigs(clos_m.group(1) if clos_m else "")
+                sig_ret = _number_set(_runs(ret_m[1] if ret_m else ""))
+                sig_clos = _number_set(_runs(clos_m[1] if clos_m else ""))
             continue
-        if section == "code":
-            code[code_next] = parse_word(line)
-            code_next += 1
-        elif section == "data":
-            addr, lit = line.split(None, 1)
-            data[int(addr)] = parse_word(lit)
-        elif section == "imports":
-            sym, addr = line.split()
-            imports.append((int(addr), sym))
-        elif section == "exports":
-            sym, lit = line.split(None, 1)
-            exports.append((sym, parse_word(lit)))
-        elif section == "linear":
-            linear.append(line)
-        elif section == "main":
-            mains.append(parse_word(line))
-        else:
-            raise ValueError(f"line {lineno}: content outside a section")
+        try:
+            if section == "code":
+                code[code_next] = parse_word(line)
+                code_next += 1
+            elif section == "data":
+                addr, lit = line.split(None, 1)
+                data[int(addr)] = parse_word(lit)
+            elif section == "imports":
+                sym, addr = line.split()
+                imports.append((int(addr), sym))
+            elif section == "exports":
+                sym, lit = line.split(None, 1)
+                exports.append((sym, parse_word(lit)))
+            elif section == "linear":
+                linear += _runs(line)
+            elif section == "main":
+                mains.append(parse_word(line))
+            else:
+                raise ValueError("content outside a section")
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
 
     if mains and len(mains) != 2:
         raise ValueError("[main] needs exactly two words")
     return Component(code, data, tuple(imports), tuple(exports),
-                     sig_ret, sig_clos, _parse_sigs(",".join(linear)),
+                     sig_ret, sig_clos, _number_set(linear),
                      tuple(mains) if mains else None)
 
 

@@ -199,16 +199,6 @@ def is_sealable(w: Word) -> bool:
     return isinstance(w, _SEALABLE)
 
 
-def is_linear(w: Word) -> bool:
-    if isinstance(w, MemCap):
-        return w.lin is Lin.LINEAR
-    if isinstance(w, (StkPtr, RetPtrData)):
-        return True
-    if isinstance(w, Sealed):
-        return is_linear(w.inner)
-    return False
-
-
 def linear_range(w: Word):
     """The ``(base, end)`` a linear word owns, bare or under a seal, or
     None for a word that owns nothing."""
@@ -219,6 +209,10 @@ def linear_range(w: Word):
     if isinstance(w, (StkPtr, RetPtrData)):
         return (w.base, w.end)
     return None
+
+
+def is_linear(w: Word) -> bool:
+    return linear_range(w) is not None
 
 
 def linear_overlaps(owners) -> list:
@@ -238,17 +232,19 @@ def linear_overlaps(owners) -> list:
     return out
 
 
+_NORMAL = Lin.NORMAL
+EXEC_PERMS = (Perm.RWX, Perm.RX)
+
+
 def lin_cons(w: Word) -> Word:
-    if isinstance(w, int):   # most words: no call to is_linear
+    t = type(w)
+    if t is int or t is MemCap and w.lin is _NORMAL:   # most words: no call
         return w
     return 0 if is_linear(w) else w
 
 
 def lin_cons_perm(p: Perm, w: Word) -> bool:
     return write_allowed(p) if is_linear(w) else True
-
-
-EXEC_PERMS = (Perm.RWX, Perm.RX)
 
 
 def is_exec(w: Word) -> bool:
@@ -319,22 +315,20 @@ class Memory(Mapping):
     either way.
     """
 
-    __slots__ = ("_base", "_over", "_len")
+    __slots__ = ("_base", "_over")
 
     def __init__(self, cells=()):
         self._base = dict(cells)
         self._over = {}
-        self._len = len(self._base)
 
     @staticmethod
-    def _of(base: dict, over: dict, n: int) -> "Memory":
+    def _of(base: dict, over: dict) -> "Memory":
         if len(over) * len(over) > len(base):
             base = Memory._merge(base, over)
             over = {}
         m = Memory.__new__(Memory)
         m._base = base
         m._over = over
-        m._len = n
         return m
 
     @staticmethod
@@ -368,7 +362,10 @@ class Memory(Mapping):
         return a in self._base if w is _ABSENT else w is not _GONE
 
     def __len__(self):
-        return self._len
+        # an overlay cell is new (+1), a removed base cell (-1) or neither
+        base = self._base
+        return len(base) + sum((w is not _GONE) - (a in base)
+                               for a, w in self._over.items())
 
     def __iter__(self):
         return iter(self._cells())
@@ -408,21 +405,18 @@ class Memory(Mapping):
         """This memory with cell ``a`` holding ``w``."""
         over = self._over.copy()
         over[a] = w
-        return Memory._of(self._base, over, self._len + (a not in self))
+        return Memory._of(self._base, over)
 
     def update(self, cells) -> "Memory":
         """This memory with every cell of the mapping ``cells`` written."""
         over = self._over.copy()
-        n = self._len
-        for a, w in cells.items():
-            n += a not in self
-            over[a] = w
-        return Memory._of(self._base, over, n)
+        over.update(cells)
+        return Memory._of(self._base, over)
 
     def split(self, lo, hi):
         """(the cells at addresses ``lo..hi`` as a dict, this memory
         without them).  ``hi`` may be ``INF``."""
-        if hi - lo < self._len:
+        if hi - lo < len(self._base):
             span = range(lo, hi + 1)
         else:  # a range wider than the memory: walk the memory instead
             span = [a for a in self if lo <= a <= hi]
@@ -433,7 +427,7 @@ class Memory(Mapping):
             if w is not _ABSENT:
                 part[a] = w
                 over[a] = _GONE
-        return part, Memory._of(self._base, over, self._len - len(part))
+        return part, Memory._of(self._base, over)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .components import Component, initial_config, link, is_program, \
+from .components import Component, initial_config, link, \
     validate_component
 from .core import PC, GlobalConstants, Lin, MemCap, dec_instr, \
     linear_overlaps, linear_range
@@ -334,8 +334,9 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
     while steps < fuel:
         if paranoid:
             dups, partition = checks.at(cfg, wrote)
-            for dup in dups:
-                violations.append(f"step {steps}: duplicated linear addr {dup}")
+            for x, first, later in dups:
+                violations.append(f"step {steps}: linear address {x} owned "
+                                  f"by both {first} and {later}")
             for v in partition:
                 violations.append(f"step {steps}: {v}")
         nxt = step(cfg, ext, gc)
@@ -380,8 +381,6 @@ def run_diff(trusted: Component, context: Component,
         if diags:
             raise ValidationFailure(diags)
     prog = link(trusted, context)
-    if not is_program(prog):
-        raise ValidationFailure(["link\tprogram\tlink does not yield a program"])
     src = run_report(initial_config(prog, "source", b_stk, e_stk),
                      "source", gc, fuel, paranoid, want_trace)
     trg = run_report(initial_config(prog, "target", b_stk, e_stk),

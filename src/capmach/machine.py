@@ -120,30 +120,13 @@ def _with_cell(cfg, c, w):
     return cfg.with_mem_cell(c.addr, w)
 
 
-# Capabilities are rebuilt field by field through their constructors;
-# ``_with_addr`` runs on most pointer steps, so it skips the constructor.
+# ``_with_addr`` runs on most pointer steps, so it skips ``_replace``.
 
 def _with_addr(c, a):
     """Pointer ``c`` moved to address ``a``."""
     if isinstance(c, StkPtr):
         return _new(StkPtr, (c.perm, c.base, c.end, a))
     return _new(MemCap, (c.perm, c.lin, c.base, c.end, a))
-
-
-def _with_perm(c, p):
-    """Pointer ``c`` with permission ``p``."""
-    if isinstance(c, StkPtr):
-        return StkPtr(p, c.base, c.end, c.addr)
-    return MemCap(p, c.lin, c.base, c.end, c.addr)
-
-
-def _with_range(c, base, end):
-    """Pointer or seal ``c`` over ``base..end``."""
-    if isinstance(c, StkPtr):
-        return StkPtr(c.perm, base, end, c.addr)
-    if isinstance(c, SealCap):
-        return SealCap(base, end, c.cur)
-    return MemCap(c.perm, c.lin, base, end, c.addr)
 
 
 def exec_fail(cfg, ext, gc):
@@ -272,7 +255,7 @@ def exec_restrict(cfg, ext, gc, r1, rn):
     c = cfg.reg[r1]
     p = dec_perm(n)
     if isinstance(c, ext.pointers) and perm_leq(p, c.perm):
-        return upd_pc_addr(cfg, {r1: _with_perm(c, p)})
+        return upd_pc_addr(cfg, {r1: c._replace(perm=p)})
     return FAILED
 
 
@@ -328,8 +311,8 @@ def exec_split(cfg, ext, gc, r1, r2, r3, rn4):
             and c.base <= n < c.end):
         # Seals are normal: lin_cons leaves the seal in r3.
         return upd_pc_addr(cfg, {
-            r3: lin_cons(c), r1: _with_range(c, c.base, n),
-            r2: _with_range(c, n + 1, c.end)})
+            r3: lin_cons(c), r1: c._replace(end=n),
+            r2: c._replace(base=n + 1)})
     return FAILED
 
 
@@ -348,7 +331,7 @@ def exec_splice(cfg, ext, gc, r1, r2, r3):
         return FAILED
     return upd_pc_addr(cfg, {
         r2: lin_cons(c2), r3: lin_cons(c3),
-        r1: _with_range(c3, c2.base, c3.end)})
+        r1: c3._replace(base=c2.base)})
 
 
 def xjump_result(c1, c2, cfg, ext, gc, updates: dict):

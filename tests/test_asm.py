@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from capmach.asm import (
     CALL_LEN, RET_PT_OFFSET, AsmError, CallParams, HiddenCallViolation,
@@ -175,6 +175,66 @@ def test_find_hidden_calls():
     # unrelated code is clean
     plain = {i: enc_instr(mk_instr("plus", "r0", "r0", 1)) for i in range(40)}
     assert find_hidden_calls(plain, 1000) == []
+
+
+def _reference_hidden_calls(code, stk_base, check_stk_base):
+    """The per-(cell, part) walk: each cell that can stand at part ``i``
+    tests the window starting ``i`` cells before it."""
+    fixed = _fixed_parts(stk_base, check_stk_base)
+    parts = {a: _parts_of(dec_instr(w), fixed) if isinstance(w, int) else []
+             for a, w in code.items()}
+    violations = []
+    for addr in sorted(code):
+        for i in parts[addr]:
+            start = addr - i
+            full = True
+            for j in range(CALL_LEN):
+                p = parts.get(start + j)
+                if p is None:
+                    full = False
+                elif j not in p:
+                    break
+            else:
+                if not full:
+                    violations.append(HiddenCallViolation(start, i, addr))
+    return violations
+
+
+_FILLER = enc_instr(mk_instr("plus", "r0", "r0", 1))
+
+
+@st.composite
+def _code_segments(draw):
+    """One to three blocks, each a call expansion of either stack-base
+    variant cut to ``lo..hi`` (a prefix, a suffix, both or neither),
+    with up to two stray words, maybe a one-cell gap, and filler; the
+    next block may overlap this one's window or sit past a gap."""
+    seg = {}
+    at = draw(st.integers(-CALL_LEN, CALL_LEN))
+    for _ in range(draw(st.integers(1, 3))):
+        cells = _raw_call(draw(_params), draw(st.booleans()))
+        for j in draw(st.lists(st.integers(0, CALL_LEN - 1), max_size=2)):
+            cells[j] = draw(st.sampled_from(_STRAY))
+        lo = draw(st.integers(0, CALL_LEN - 1))
+        hi = draw(st.integers(lo, CALL_LEN - 1))
+        seg.update((at + j, cells[j]) for j in range(lo, hi + 1))
+        if draw(st.booleans()):
+            seg.pop(at + draw(st.integers(lo, hi)))
+        at += hi + 1
+        for _ in range(draw(st.integers(0, 3))):
+            seg[at] = _FILLER
+            at += 1
+        at += draw(st.integers(-CALL_LEN, CALL_LEN))
+    return seg
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_code_segments(), st.booleans())
+# one cell at parts 6 and 8: two windows, reported by part
+@example({50: enc_instr(mk_instr("cca", "rtmp1", 5))}, True)
+def test_find_hidden_calls_against_reference(code, check):
+    assert find_hidden_calls(code, 1000, check) == \
+        _reference_hidden_calls(code, 1000, check)
 
 
 def test_find_hidden_calls_overhang():

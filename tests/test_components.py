@@ -3,7 +3,7 @@ import pytest
 from capmach.asm import assemble
 from capmach.components import (
     MAX_STACK_CELLS, Component, ConfigError, LinkError, format_component,
-    initial_config, is_program, link, parse_component, validate_component,
+    initial_config, link, parse_component, validate_component,
 )
 from capmach.core import (
     INF, GlobalConstants, Lin, MemCap, Perm, SealCap, Sealed, StkPtr,
@@ -218,7 +218,8 @@ def test_link_commutes_on_fixtures():
     assert dict(p.exports) == dict(q.exports)
     assert (p.sig_ret, p.sig_clos, p.a_linear, p.mains) == \
         (q.sig_ret, q.sig_clos, q.a_linear, q.mains)
-    assert is_program(p)
+    # a program: every import resolved, and the mains present
+    assert p.imports == () and p.mains is not None
 
 
 def test_corpus_validates_clean():
@@ -340,6 +341,23 @@ clo\tsealed(5,cap(rx,normal,100,101,100))
     assert c.sig_clos == frozenset({5}) and c.sig_ret == frozenset()
     assert c.mains is None
     assert diags(c) == []
+
+
+@pytest.mark.parametrize("section, bad", [
+    ("[code base=100]", "cap(rw,normal,1,2)"),
+    ("[data]", "300\tint:0"),
+    ("[data]", "x300\t0"),
+    ("[imports]", "cb\t30o"),
+    ("[exports]", "clo\tsealed(5,"),
+    ("[linear]", "10..1x"),
+    ("[main]", "cap:rw"),
+])
+def test_container_errors_name_the_line(section, bad):
+    # a malformed word, address or field names its line, as a [code]
+    # header without base= does
+    text = "[data]\n300\t7\n[seals ret= clos=5]\n"
+    with pytest.raises(ValueError, match=r"^line 5: "):
+        parse_component(f"{text}{section}\n{bad}\n")
 
 
 def test_container_seal_ranges():

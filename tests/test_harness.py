@@ -231,8 +231,8 @@ def _fully_checked(cfg, kind, gc, fuel):
     ext = SOURCE_EXTENSION if kind == "source" else NULL_EXTENSION
     out, steps = [], 0
     while steps < fuel:
-        out += [f"step {steps}: duplicated linear addr {d}"
-                for d in check_linearity(cfg)]
+        out += [f"step {steps}: linear address {x} owned by both {a} and {b}"
+                for x, a, b in check_linearity(cfg)]
         out += [f"step {steps}: {v}" for v in check_stack_partition(cfg)]
         nxt = step(cfg, ext, gc)
         steps += 1
@@ -441,7 +441,7 @@ def test_paranoid_violation_comes_and_goes():
     for r in _same_checks(cfg, gc, 10):
         assert (r.outcome, r.steps) == ("halted", 2)
         assert r.violations == [
-            "step 0: duplicated linear addr (2005, 'reg r1', 'reg r2')"]
+            "step 0: linear address 2005 owned by both reg r1 and reg r2"]
 
 
 def test_paranoid_frames_renumbered():
@@ -468,7 +468,7 @@ def test_paranoid_frames_renumbered():
             seen.append(texts)
 
     def both(place, region):
-        return [f"duplicated linear addr (5003, '{place}', 'reg r12')",
+        return [f"linear address 5003 owned by both {place} and reg r12",
                 f"{region} overlaps mem at [{STK_END}]"]
     assert seen == [both(f"stk {STK_END}", "ms_stk"),
                     both(f"frame 0 addr {STK_END}", "frame 0"),
@@ -669,7 +669,9 @@ def test_cli_malformed_inputs(tmp_path):
             ("300\t0", "300\tcap:rw,normal,300,300,300", "bad word literal")):
         path = tmp_path / f"literal{len(literals)}.comp"
         path.write_text(text.replace(old, new, 1))
-        literals.append((3, f"error: {message}", ["validate", str(path)]))
+        line = text[:text.index(old)].count("\n") + 1
+        literals.append((3, f"error: line {line}: {message}",
+                         ["validate", str(path)]))
     run = ["run", "--machine", "source"]
     cases = [
         (3, "error: ", run + [prog, "--no-validate", "--trace",
@@ -735,11 +737,13 @@ def test_cli_deeply_nested_sealed(tmp_path):
     # one error line at any depth, not a RecursionError
     word = "sealed(1," * 3000 + "seal(1,2,1)" + ")" * 3000
     path = tmp_path / "nested.comp"
-    path.write_text(format_component(trusted_simple("  halt"))
-                    + f"[data]\n700 {word}\n")
+    text = format_component(trusted_simple("  halt")) + "[data]\n"
+    path.write_text(text + f"700 {word}\n")
     p = _cli_under_1gb(["validate", str(path)])
     assert p.returncode == 3, p.stderr[-300:]
-    assert p.stderr.startswith("error: sealed wraps a sealable capability")
+    line = text.count("\n") + 1
+    assert p.stderr.startswith(
+        f"error: line {line}: sealed wraps a sealable capability")
     assert p.stderr.count("\n") == 1 and "Traceback" not in p.stderr
 
 
@@ -806,8 +810,8 @@ def test_cli_paranoid_violations(tmp_path, capsys):
     t, ctx = trusted_simple("  halt"), minimal_context()
     prog = tmp_path / "p.comp"
     prog.write_text(format_component(link(t, ctx)).replace("[data]\n", twice))
-    found = "violation: step 0: duplicated linear addr (320, 'mem 310', " \
-            "'mem 311')"
+    found = "violation: step 0: linear address 320 owned by both mem 310 " \
+            "and mem 311"
     assert cli.main(["run", str(prog), "--machine", "source", "--no-validate",
                      "--paranoid"]) == 0
     assert capsys.readouterr().out == f"halted after 1 steps\n{found}\n"
@@ -818,6 +822,18 @@ def test_cli_paranoid_violations(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "source: halted after 1 steps", f"source: {found}",
         "target: halted after 1 steps", f"target: {found}", "agreement"]
+
+
+def test_cli_diff_unresolved_import(tmp_path, capsys):
+    # both components validate, but the context exports no callback for
+    # the trusted call: the linked program has unresolved imports, which
+    # initial_config refuses
+    argv = ["diff", _write(tmp_path, "t.comp", trusted_one_call()),
+            _write(tmp_path, "c.comp", minimal_context())]
+    assert cli.main(argv) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "invalid: program has unresolved imports\n"
 
 
 def test_cli_diff_disagreement(tmp_path, capsys):
