@@ -3,19 +3,20 @@
 A component owns a contiguous code block (with one zero guard pad on
 each side), a data segment, import/export symbol lists, two seal-id
 sets (return seals and closure seals) and the set of addresses it may
-hand out linear capabilities over.
+hand out linear capabilities over; the three sets are ``Ranges``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .asm import CALL_LEN, call_cond, find_hidden_calls
 from .core import (
-    INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap, Perm, SealCap,
-    Sealed, StkPtr, fresh_registers, is_linear, linear_overlaps,
+    INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges,
+    SealCap, Sealed, StkPtr, fresh_registers, is_linear, linear_overlaps,
     linear_range, non_exec, parse_word, perm_leq,
 )
 from .source import SourceConfig
@@ -27,10 +28,21 @@ class Component:
     ms_data: dict
     imports: tuple = ()        # (addr, symbol) pairs
     exports: tuple = ()        # (symbol, word) pairs
-    sig_ret: frozenset = frozenset()
-    sig_clos: frozenset = frozenset()
-    a_linear: frozenset = frozenset()
+    sig_ret: Ranges = ()     # any int iterable; kept as a Ranges
+    sig_clos: Ranges = ()
+    a_linear: Ranges = ()
     mains: Optional[tuple] = None   # (main code word, main data word)
+
+    def __post_init__(self):
+        for name in ("sig_ret", "sig_clos", "a_linear"):
+            v = getattr(self, name)
+            if type(v) is not Ranges:
+                object.__setattr__(self, name, Ranges.of(v))
+
+    @cached_property
+    def domain(self) -> Ranges:
+        """The addresses of the code and the data, found once."""
+        return Ranges.of({**self.ms_code, **self.ms_data})
 
 
 # ---------------------------------------------------------------------------
@@ -40,34 +52,20 @@ def _diag(out, rule, loc, msg):
     out.append(f"{rule}\t{loc}\t{msg}")
 
 
-def _code_bounds(code):
-    """(pad_lo, b, e, pad_hi) when the domain is contiguous, else None."""
-    if len(code) < 3:
-        return None
-    lo, hi = min(code), max(code)
-    if len(code) != hi - lo + 1:   # the keys are distinct
-        return None
-    return lo, lo + 1, hi - 1, hi
-
-
-def _range_within(lo, hi, addrs) -> bool:
-    """Whether every address ``lo..hi`` is in the set ``addrs``: a range
-    longer than the set cannot be, so compare lengths before probing."""
-    return hi - lo < len(addrs) and addrs.issuperset(range(lo, hi + 1))
-
-
 def validate_component(c: Component, gc: GlobalConstants) -> list:
     """All well-formedness premises, in order; empty list means ok."""
     out: list = []
 
-    bounds = _code_bounds(c.ms_code)
-    if bounds is None:
+    code, data = Ranges.of(c.ms_code), Ranges.of(c.ms_data)
+    runs = code.runs
+    if len(runs) != 1 or runs[0][1] - runs[0][0] < 2:   # pad, code, pad
         _diag(out, "comp", "code", "code domain is not contiguous with pads")
         return out
-    pad_lo, b, e, pad_hi = bounds
+    (pad_lo, pad_hi), = runs
+    b, e = pad_lo + 1, pad_hi - 1
     if c.ms_code[pad_lo] != 0 or c.ms_code[pad_hi] != 0:
         _diag(out, "comp", f"addr {pad_lo},{pad_hi}", "guard pads must be 0")
-    if set(c.ms_code) & set(c.ms_data):
+    if code & data:
         _diag(out, "comp", "code/data", "code and data domains overlap")
     trusted_at = gc.ta.__contains__
     if any(map(trusted_at, c.ms_data)):
@@ -84,15 +82,15 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
         _diag(out, "comp", "code", "code partially trusted")
         trusted = False
 
-    if c.sig_ret & c.sig_clos:
+    if overlap := c.sig_ret & c.sig_clos:
         _diag(out, "comp-code", "seals",
-              f"return/closure seal overlap: {sorted(c.sig_ret & c.sig_clos)}")
-    sigs = c.sig_ret | c.sig_clos
-    if not sigs:
+              f"return/closure seal overlap: {overlap}")
+    runs = (c.sig_ret | c.sig_clos).runs
+    if not runs:
         _diag(out, "comp-code", "seals", "component owns no seals")
         return out
-    sig_b, sig_e = min(sigs), max(sigs)
-    if len(sigs) != sig_e - sig_b + 1:
+    sig_b, sig_e = runs[0][0], runs[-1][1]
+    if len(runs) > 1:
         _diag(out, "comp-code", "seals", "owned seals are not contiguous")
 
     # rule A: code cells are integers or the component's own seal word
@@ -135,12 +133,18 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
                   f"seal {sigma} claimed twice (also by call at {claimed[sigma]})")
         else:
             claimed[sigma] = a
-    for sigma in sorted(c.sig_ret - set(claimed)):
-        _diag(out, "comp-code", "seals",
-              f"return seal {sigma} claimed by no call")
+    # a line per seal, or per run when more seals go unclaimed than the
+    # code has cells, so that a wide list prints O(runs) lines
+    if len(claimed) < len(c.sig_ret):
+        unclaimed = c.sig_ret - Ranges.of(claimed)
+        wide = len(unclaimed) > len(c.ms_code)
+        for lo, hi in unclaimed.runs if wide else ((s, s) for s in unclaimed):
+            seals = f"seal {lo}" if lo == hi else f"seals {lo}..{hi}"
+            _diag(out, "comp-code", "seals",
+                  f"return {seals} claimed by no call")
 
     # comp-value over data; the linear data words own disjoint ranges
-    own = set(c.ms_code) | set(c.ms_data)
+    own = code | data
     nonlinear = own - c.a_linear
 
     def sealed_cap(w, rule, loc):
@@ -169,9 +173,9 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
         elif w.lin is Lin.LINEAR:
             if w.base > w.end:
                 _diag(out, "comp-value", loc, "empty linear capability")
-            elif not _range_within(w.base, w.end, c.a_linear):
+            elif not c.a_linear.covers(w.base, w.end):
                 _diag(out, "comp-value", loc, "linear range outside a_linear")
-        elif not _range_within(w.base, w.end, nonlinear):
+        elif not nonlinear.covers(w.base, w.end):
             _diag(out, "comp-value", loc,
                   "range escapes the component's nonlinear addresses")
 
@@ -197,7 +201,7 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
             w = sealed_cap(w, "comp-export", loc)
             if w is None:
                 continue
-            if not _range_within(w.base, w.end, own):
+            if not own.covers(w.base, w.end):
                 _diag(out, "comp-export", loc,
                       "closure range escapes the component")
         else:
@@ -279,18 +283,14 @@ class ConfigError(ValueError):
     pass
 
 
-# Both machines hold one cell per stack address, so a wider stack is
-# refused before any cell is built.
-MAX_STACK_CELLS = 2 ** 20
-
-
 def initial_config(p: Component, machine_kind: str,
                    b_stk: int, e_stk: int):
     """⇝: the starting configuration of a program.
 
     On the target the stack is ordinary memory reached through a linear
     RW capability; on the source it is the separate stack segment
-    reached through a stack-pointer token.
+    reached through a stack-pointer token.  Either way it is one zero
+    run, so a configuration costs O(program) at any stack width.
     """
     if p.imports:
         raise ConfigError("program has unresolved imports")
@@ -305,11 +305,8 @@ def initial_config(p: Component, machine_kind: str,
         raise ConfigError("main data half is executable")
     if b_stk > e_stk:
         raise ConfigError("empty stack range")
-    if any(b_stk - 1 <= a <= e_stk + 1 for a in (*p.ms_code, *p.ms_data)):
+    if p.domain & Ranges.span(b_stk - 1, e_stk + 1):
         raise ConfigError("stack (with guards) overlaps code or data")
-    if e_stk - b_stk + 1 > MAX_STACK_CELLS:
-        raise ConfigError(f"stack of {e_stk - b_stk + 1} cells is wider "
-                          f"than {MAX_STACK_CELLS}")
 
     reg = fresh_registers()
     reg[PC] = wc.inner
@@ -317,54 +314,19 @@ def initial_config(p: Component, machine_kind: str,
     mem = {**p.ms_code, **p.ms_data, b_stk - 1: 0, e_stk + 1: 0}
     if machine_kind == "target":
         reg[RSTK] = MemCap(Perm.RW, Lin.LINEAR, b_stk, e_stk, e_stk)
-        mem.update(dict.fromkeys(range(b_stk, e_stk + 1), 0))
-        return SourceConfig(Memory(mem), reg)
+        domain = p.domain | Ranges.span(b_stk - 1, e_stk + 1)
+        return SourceConfig(Memory(mem, domain), reg)
     if machine_kind == "source":
         reg[RSTK] = StkPtr(Perm.RW, b_stk, e_stk, e_stk)
-        ms_stk = Memory(dict.fromkeys(range(b_stk, e_stk + 1), 0))
-        return SourceConfig(Memory(mem), reg, (), ms_stk)
+        domain = p.domain | Ranges([(b_stk - 1, b_stk - 1),
+                                    (e_stk + 1, e_stk + 1)])
+        return SourceConfig(Memory(mem, domain), reg, (),
+                            Memory((), Ranges.span(b_stk, e_stk)))
     raise ConfigError(f"unknown machine kind {machine_kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # Container format
-
-def _runs(s) -> list:
-    """The ``(lo, hi)`` runs of a list such as ``1,4..6``."""
-    runs = []
-    for part in s.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            runs.append((int(lo), int(hi)))
-        elif part:
-            runs.append((int(part), int(part)))
-    return runs
-
-
-def _number_set(runs):
-    """The set of the numbers in ``runs``.  The set holds one int per
-    number, so runs that together span more than ``MAX_STACK_CELLS``
-    numbers are refused before it is built."""
-    if sum(max(0, hi - lo + 1) for lo, hi in runs) > MAX_STACK_CELLS:
-        raise ValueError(f"a seal or linear list spans more than "
-                         f"{MAX_STACK_CELLS} numbers")
-    got = set()
-    for lo, hi in runs:
-        got.update(range(lo, hi + 1))
-    return frozenset(got)
-
-
-def _fmt_sigs(s):
-    """Maximal runs of ``s``, each as ``lo..hi`` or a single number."""
-    runs = []
-    for x in sorted(s):
-        if runs and x == runs[-1][1] + 1:
-            runs[-1][1] = x
-        else:
-            runs.append([x, x])
-    return ",".join(f"{lo}..{hi}" if lo < hi else str(lo) for lo, hi in runs)
-
 
 _SECTION_RE = re.compile(r"^\[(\w+)(?:\s+(.*?))?\]$")
 
@@ -374,9 +336,7 @@ def parse_component(text: str) -> Component:
     data: dict = {}
     imports: list = []
     exports: list = []
-    sig_ret = frozenset()
-    sig_clos = frozenset()
-    linear: list = []     # the runs of every [linear] line
+    sig_ret = sig_clos = linear = Ranges()
     mains: list = []
     section = None
     code_next = None
@@ -386,27 +346,30 @@ def parse_component(text: str) -> Component:
             else raw.strip()
         if not line:
             continue
-        m = _SECTION_RE.match(line)
-        if m:
-            section, attrs = m.group(1), m.group(2) or ""
-            if section == "code":
-                am = re.search(r"base=(-?\d+)", attrs)
-                if not am:
-                    raise ValueError(f"line {lineno}: [code] needs base=")
-                code_next = int(am.group(1)) - 1  # pad precedes the base
-            elif section == "seals":
-                ret_m = re.search(r"ret=([0-9.,]*)", attrs)
-                clos_m = re.search(r"clos=([0-9.,]*)", attrs)
-                sig_ret = _number_set(_runs(ret_m[1] if ret_m else ""))
-                sig_clos = _number_set(_runs(clos_m[1] if clos_m else ""))
-            continue
         try:
-            if section == "code":
+            m = line[0] == "[" and _SECTION_RE.match(line)
+            if m:
+                section, attrs = m.group(1), m.group(2) or ""
+                if section == "code":
+                    am = re.search(r"base=(-?\d+)", attrs)
+                    if not am:
+                        raise ValueError("[code] needs base=")
+                    code_next = int(am.group(1)) - 1  # pad precedes the base
+                elif section == "seals":
+                    ret_m = re.search(r"ret=([0-9.,]*)", attrs)
+                    clos_m = re.search(r"clos=([0-9.,]*)", attrs)
+                    sig_ret = Ranges.parse(ret_m[1] if ret_m else "")
+                    sig_clos = Ranges.parse(clos_m[1] if clos_m else "")
+            elif section == "code":
+                if code_next in code:
+                    raise ValueError(f"address {code_next} given twice")
                 code[code_next] = parse_word(line)
                 code_next += 1
             elif section == "data":
                 addr, lit = line.split(None, 1)
-                data[int(addr)] = parse_word(lit)
+                if (a := int(addr)) in data:
+                    raise ValueError(f"address {a} given twice")
+                data[a] = parse_word(lit)
             elif section == "imports":
                 sym, addr = line.split()
                 imports.append((int(addr), sym))
@@ -414,7 +377,7 @@ def parse_component(text: str) -> Component:
                 sym, lit = line.split(None, 1)
                 exports.append((sym, parse_word(lit)))
             elif section == "linear":
-                linear += _runs(line)
+                linear |= Ranges.parse(line)
             elif section == "main":
                 mains.append(parse_word(line))
             else:
@@ -425,7 +388,7 @@ def parse_component(text: str) -> Component:
     if mains and len(mains) != 2:
         raise ValueError("[main] needs exactly two words")
     return Component(code, data, tuple(imports), tuple(exports),
-                     sig_ret, sig_clos, _number_set(linear),
+                     sig_ret, sig_clos, linear,
                      tuple(mains) if mains else None)
 
 
@@ -448,9 +411,9 @@ def format_component(c: Component) -> str:
         lines.append("[exports]")
         for sym, w in c.exports:
             lines.append(f"{sym}\t{w!r}")
-    lines.append(f"[seals ret={_fmt_sigs(c.sig_ret)} clos={_fmt_sigs(c.sig_clos)}]")
+    lines.append(f"[seals ret={c.sig_ret} clos={c.sig_clos}]")
     if c.a_linear:
-        lines += ["[linear]", _fmt_sigs(c.a_linear)]
+        lines += ["[linear]", str(c.a_linear)]
     if c.mains is not None:
         lines.append("[main]")
         lines.append(repr(c.mains[0]))

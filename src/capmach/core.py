@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Container, Mapping
+from itertools import chain
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -42,31 +44,9 @@ class Lin(Enum):
         return self.value
 
 
-# Hasse diagram edges of the permission hierarchy; perm_leq is its
-# reflexive-transitive closure.
-_PERM_EDGES = {
-    (Perm.P0, Perm.R),
-    (Perm.R, Perm.RW),
-    (Perm.R, Perm.RX),
-    (Perm.RW, Perm.RWX),
-    (Perm.RX, Perm.RWX),
-}
-
-
-def _close():
-    leq = {(p, p) for p in Perm} | _PERM_EDGES
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(leq):
-            for (c, d) in list(leq):
-                if b == c and (a, d) not in leq:
-                    leq.add((a, d))
-                    changed = True
-    return frozenset(leq)
-
-
-_PERM_LEQ = _close()
+# p ⊑ q when q has every letter of p; the bottom permission 0 is below all
+_PERM_LEQ = frozenset((p, q) for p in Perm for q in Perm
+                      if p is Perm.P0 or set(p.value) <= set(q.value))
 
 
 def perm_leq(p: Perm, q: Perm) -> bool:
@@ -237,8 +217,10 @@ EXEC_PERMS = (Perm.RWX, Perm.RX)
 
 
 def lin_cons(w: Word) -> Word:
+    """``w``, or 0 when it is linear: ``lin_cons(w) is w`` when ``w`` owns
+    nothing.  Ints and normal memory capabilities take no further call."""
     t = type(w)
-    if t is int or t is MemCap and w.lin is _NORMAL:   # most words: no call
+    if t is int or t is MemCap and w.lin is _NORMAL:
         return w
     return 0 if is_linear(w) else w
 
@@ -296,39 +278,182 @@ def fresh_registers(fill: Word = 0) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Address sets
+
+class Ranges:
+    """An immutable set of ints as sorted runs ``lo..hi``, a gap between
+    any two.  ``in`` and ``covers`` cost a bisect; ``len``, ``& | -``,
+    ``split``, ``parse`` and ``str`` (``1..3,5``) cost O(runs), however
+    many ints the runs hold.  Iteration is ascending."""
+
+    __slots__ = ("_lo", "_hi")
+
+    def __init__(self, runs=()):
+        """The ints of the ``(lo, hi)`` pairs ``runs``, in any order."""
+        los, his = [], []
+        for lo, hi in sorted(r for r in runs if r[0] <= r[1]):
+            if his and lo <= his[-1] + 1:
+                his[-1] = max(his[-1], hi)
+            else:
+                los.append(lo)
+                his.append(hi)
+        self._lo, self._hi = tuple(los), tuple(his)
+
+    @staticmethod
+    def _new(los: tuple, his: tuple) -> "Ranges":
+        r = object.__new__(Ranges)
+        r._lo, r._hi = los, his
+        return r
+
+    @staticmethod
+    def span(lo, hi) -> "Ranges":
+        return Ranges._new((lo,), (hi,)) if lo <= hi else _NO_INTS
+
+    @staticmethod
+    def of(ints) -> "Ranges":
+        """The ints of ``ints``: one sort, no Python loop per int."""
+        if type(ints) is Ranges:
+            return ints
+        s = sorted(ints if isinstance(ints, (dict, frozenset, set))
+                   else set(ints))
+        if not s or s[-1] - s[0] == len(s) - 1:   # no run, or one
+            return Ranges.span(s[0], s[-1]) if s else _NO_INTS
+        gaps = [(a, b) for a, b in zip(s, s[1:]) if b - a > 1]
+        return Ranges._new((s[0], *[b for _, b in gaps]),
+                           (*[a for a, _ in gaps], s[-1]))
+
+    @staticmethod
+    def parse(text: str) -> "Ranges":
+        """The set ``str`` wrote; a malformed run raises ValueError."""
+        runs = []
+        for part in filter(None, map(str.strip, text.split(","))):
+            lo, dots, hi = part.partition("..")
+            try:
+                runs.append((int(lo), int(hi if dots else lo)))
+            except ValueError:
+                raise ValueError(f"bad run {part!r}") from None
+        return Ranges(runs) if runs else _NO_INTS
+
+    @property
+    def runs(self) -> tuple:
+        return tuple(zip(self._lo, self._hi))
+
+    def __contains__(self, a):
+        i = bisect_right(self._lo, a)
+        return i > 0 and a <= self._hi[i - 1]
+
+    def covers(self, lo, hi) -> bool:
+        """Whether all of ``lo..hi`` is in the set (``hi`` may be INF)."""
+        i = bisect_right(self._lo, lo)
+        return lo > hi or i > 0 and hi <= self._hi[i - 1]
+
+    def __len__(self):
+        return sum(self._hi) - sum(self._lo) + len(self._lo)
+
+    def __bool__(self):
+        return bool(self._lo)
+
+    def __iter__(self):
+        return chain.from_iterable(map(range, self._lo, map(_succ, self._hi)))
+
+    def __eq__(self, other):
+        if type(other) is not Ranges:
+            return NotImplemented
+        return self._lo == other._lo and self._hi == other._hi
+
+    def split(self, lo, hi):
+        """(the ints ``lo..hi`` in the set, the others); ``hi`` may be INF."""
+        los, his = self._lo, self._hi
+        i = bisect_left(his, lo)    # the first run that ends at lo or above
+        j = bisect_right(los, hi)   # the runs from j on start above hi
+        if i >= j or lo > hi:
+            return _NO_INTS, self
+        in_lo, in_hi, out_lo, out_hi = los[i:j], his[i:j], los[:i], his[:i]
+        if in_lo[0] < lo:           # the part of run i below lo stays out
+            out_lo, out_hi = out_lo + in_lo[:1], out_hi + (lo - 1,)
+            in_lo = (lo, *in_lo[1:])
+        if in_hi[-1] > hi:          # and so does that of run j - 1 above hi
+            out_lo, out_hi = out_lo + (hi + 1,), out_hi + in_hi[-1:]
+            in_hi = (*in_hi[:-1], hi)
+        return (Ranges._new(in_lo, in_hi),
+                Ranges._new(out_lo + los[j:], out_hi + his[j:]))
+
+    def __or__(self, other: "Ranges") -> "Ranges":
+        a, b = (self, other) if self._lo < other._lo else (other, self)
+        if not a._lo:
+            return b
+        gap = b._lo[0] - a._hi[-1]   # > 0: all of a lies below b
+        if gap > 1:
+            return Ranges._new(a._lo + b._lo, a._hi + b._hi)
+        if gap == 1:                 # a's last run and b's first touch
+            return Ranges._new(a._lo + b._lo[1:], a._hi[:-1] + b._hi)
+        return Ranges(zip(a._lo + b._lo, a._hi + b._hi))
+
+    def __and__(self, other: "Ranges") -> "Ranges":
+        if not self._lo or not other._lo:
+            return _NO_INTS
+        if len(self._lo) < len(other._lo):   # split the side with more runs
+            self, other = other, self
+        out = _NO_INTS
+        for lo, hi in zip(other._lo, other._hi):
+            part = self.split(lo, hi)[0]
+            out = Ranges._new(out._lo + part._lo, out._hi + part._hi) \
+                if out._lo else part
+        return out
+
+    def __sub__(self, other: "Ranges") -> "Ranges":
+        for lo, hi in zip(other._lo, other._hi):
+            self = self.split(lo, hi)[1]
+        return self
+
+    def __str__(self):
+        return ",".join(f"{lo}..{hi}" if lo < hi else str(lo)
+                        for lo, hi in zip(self._lo, self._hi))
+
+    def __repr__(self):
+        return f"Ranges.parse({str(self)!r})"
+
+
+_NO_INTS = Ranges()
+_succ = (1).__add__
+
+
+# ---------------------------------------------------------------------------
 # Memory
 
-_ABSENT = object()   # not in the overlay
-_GONE = object()     # in the overlay: removed since the base was made
+_GONE = object()   # no word; in the overlay, the base's word is gone
 
 
 class Memory(Mapping):
-    """An immutable map from addresses to words.
+    """An immutable map from the addresses of ``domain``, a ``Ranges``,
+    to words: every address that holds no written word reads 0.
 
-    A version is a base dict, shared by every version derived from it
-    and never mutated, plus a private overlay of the cells written or
-    removed since.  Each change copies only the overlay, and folds it
-    into a fresh base once it holds more than √|base| cells, so writing
-    or removing a cell costs O(√n) amortized.  A read probes the overlay
-    and then the base.  Iteration, ``keys`` and ``items`` walk the base
-    itself, or a merged copy while the overlay is not empty: C speed
-    either way.
-    """
+    The written words sit in a base dict, shared by every version
+    derived from it and never mutated, plus an overlay of the cells
+    written or removed since, which a change copies and folds into a
+    fresh base once it holds more than √|base| cells (and 8, so that a
+    small memory is not folded at every write): O(√n) amortized.
+    A read probes the overlay, the base, then the domain.  Iteration
+    walks the domain, ascending; ``written`` is C speed."""
 
-    __slots__ = ("_base", "_over")
+    __slots__ = ("_base", "_over", "domain")
 
-    def __init__(self, cells=()):
+    def __init__(self, cells=(), domain: Ranges = None):
+        """The cells of ``cells`` over ``domain`` (by default their
+        addresses), which must hold them."""
         self._base = dict(cells)
         self._over = {}
+        self.domain = Ranges.of(self._base) if domain is None else domain
 
     @staticmethod
-    def _of(base: dict, over: dict) -> "Memory":
-        if len(over) * len(over) > len(base):
+    def _of(base: dict, over: dict, domain: Ranges) -> "Memory":
+        if len(over) > 8 and len(over) * len(over) > len(base):
             base = Memory._merge(base, over)
             over = {}
         m = Memory.__new__(Memory)
         m._base = base
         m._over = over
+        m.domain = domain
         return m
 
     @staticmethod
@@ -339,52 +464,48 @@ class Memory(Mapping):
                 del cells[a]
         return cells
 
-    def _cells(self) -> dict:
-        """All cells as one dict; the caller must not mutate it."""
+    def written(self) -> dict:
+        """The written cells as one dict; the caller must not mutate it.
+        Every other address of the domain reads 0."""
         return self._merge(self._base, self._over) if self._over else self._base
 
     def __getitem__(self, a):
-        w = self._over.get(a, _ABSENT)
-        if w is _ABSENT:
-            return self._base[a]
+        w = self.get(a, _GONE)
         if w is _GONE:
             raise KeyError(a)
         return w
 
     def get(self, a, default=None):
-        w = self._over.get(a, _ABSENT)
-        if w is _ABSENT:
-            return self._base.get(a, default)
-        return default if w is _GONE else w
+        w = self._over.get(a, self._base.get(a, _GONE))
+        if w is _GONE:   # unwritten: 0 in the domain
+            return 0 if a in self.domain else default
+        return w
 
     def __contains__(self, a):
-        w = self._over.get(a, _ABSENT)
-        return a in self._base if w is _ABSENT else w is not _GONE
+        return self._over.get(a, self._base.get(a, _GONE)) is not _GONE \
+            or a in self.domain
 
     def __len__(self):
-        # an overlay cell is new (+1), a removed base cell (-1) or neither
-        base = self._base
-        return len(base) + sum((w is not _GONE) - (a in base)
-                               for a, w in self._over.items())
+        return len(self.domain)
 
     def __iter__(self):
-        return iter(self._cells())
+        return iter(self.domain)
 
-    def keys(self):
-        return self._cells().keys()
-
-    def items(self):
-        return self._cells().items()
+    def __eq__(self, other):
+        if not isinstance(other, Memory):
+            return NotImplemented
+        return self.domain == other.domain and all(
+            x.get(a) == w for x, y in ((self, other), (other, self))
+            for a, w in y.written().items())
 
     def __repr__(self):
-        return f"Memory({self._cells()!r})"
+        return f"Memory({self.written()!r}, {self.domain!r})"
 
     def changed_since(self, old: "Memory") -> list:
-        """The addresses whose cell is not the same word object here as
-        in ``old``, a cell present in only one of the two included.  Two
-        versions that share a base differ only in their overlays, so
-        only those are compared; otherwise every cell is, which after a
-        fold happens once per ~√n writes."""
+        """The addresses whose written word is not the same object here
+        as in ``old`` (or is written in one only).  Versions that share a
+        base are told apart by their overlays; others (once per fold)
+        by every written cell."""
         if self is old:
             return []
         if self._base is old._base:
@@ -395,39 +516,48 @@ class Memory(Mapping):
             out += [a for a, w in old_over.items()
                     if a not in over and base.get(a, _GONE) is not w]
             return out
-        new, prev = self._cells(), old._cells()
+        new, prev = self.written(), old.written()
         get = prev.get
-        out = [a for a, w in new.items() if get(a, _ABSENT) is not w]
+        out = [a for a, w in new.items() if get(a, _GONE) is not w]
         out.extend(prev.keys() - new.keys())
         return out
 
     def set(self, a, w: Word) -> "Memory":
         """This memory with cell ``a`` holding ``w``."""
         over = self._over.copy()
+        held = over.get(a, self._base.get(a, _GONE))
         over[a] = w
-        return Memory._of(self._base, over)
+        domain = self.domain
+        if held is _GONE and a not in domain:   # a new address
+            domain = domain | Ranges.span(a, a)
+        return Memory._of(self._base, over, domain)
 
-    def update(self, cells) -> "Memory":
-        """This memory with every cell of the mapping ``cells`` written."""
+    def update(self, cells: "Memory") -> "Memory":
+        """This memory joined with the memory ``cells``: its domain added
+        and its written cells written.  An unwritten address of ``cells``
+        keeps the word this memory holds there, and reads 0 when it
+        holds none (a frame that comes back to the stack)."""
         over = self._over.copy()
-        over.update(cells)
-        return Memory._of(self._base, over)
+        over.update(cells.written())
+        return Memory._of(self._base, over, self.domain | cells.domain)
 
     def split(self, lo, hi):
-        """(the cells at addresses ``lo..hi`` as a dict, this memory
-        without them).  ``hi`` may be ``INF``."""
-        if hi - lo < len(self._base):
-            span = range(lo, hi + 1)
-        else:  # a range wider than the memory: walk the memory instead
-            span = [a for a in self if lo <= a <= hi]
+        """(the cells at addresses ``lo..hi``, this memory without them),
+        both memories.  ``hi`` may be ``INF``."""
+        inside, outside = self.domain.split(lo, hi)
+        base, over = self._base, self._over.copy()
+        if hi - lo < len(base) + len(over):
+            addrs = range(lo, hi + 1)
+        else:  # fewer written cells than addresses: walk those instead
+            addrs = [a for a in (*base, *over) if lo <= a <= hi]
         part = {}
-        over = self._over.copy()
-        for a in span:
-            w = self.get(a, _ABSENT)
-            if w is not _ABSENT:
+        for a in addrs:
+            w = over.get(a, base.get(a, _GONE))
+            if w is not _GONE:
                 part[a] = w
                 over[a] = _GONE
-        return part, Memory._of(self._base, over)
+        return (Memory._of(part, {}, inside),
+                Memory._of(base, over, outside))
 
 
 # ---------------------------------------------------------------------------

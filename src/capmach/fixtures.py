@@ -61,7 +61,7 @@ def component(base: int, text: str, data=None, *, ret=(), clos=(),
     return Component({lo - 1: 0, **res.segment, hi + 1: 0},
                      {a: word(w) for a, w in (data or {}).items()},
                      tuple(imports), tuple(exported.items()),
-                     frozenset(ret), frozenset(clos), frozenset(linear),
+                     ret, clos, linear,
                      tuple(exported[sym] for sym in main) if main else None)
 
 

@@ -8,11 +8,12 @@ so fuel exhaustion stands in for divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 from .components import Component, initial_config, link, \
     validate_component
-from .core import PC, GlobalConstants, Lin, MemCap, dec_instr, \
+from .core import PC, GlobalConstants, MemCap, dec_instr, lin_cons, \
     linear_overlaps, linear_range
 from .machine import Failed, Halted, NULL_EXTENSION, Running, step
 from .source import SOURCE_EXTENSION, SourceConfig
@@ -46,26 +47,22 @@ class DiffVerdict:
 # ---------------------------------------------------------------------------
 # Invariant checks
 
-def _owners(name: str, cells) -> dict:
+def _owners(name: str, cells: dict) -> dict:
     """``k -> (base, end, "name k")`` for each linear word ``cells[k]``
     (ints skipped before the call: most cells hold one); every check
-    names its places this way."""
+    names its places this way.  Of a memory, only ``written`` cells own."""
     return {k: (r[0], r[1], f"{name} {k}") for k, w in cells.items()
             if not isinstance(w, int) and (r := linear_range(w))}
-
-
-def _frame_owners(stk) -> list:
-    return [o for i, f in enumerate(stk)
-            for o in _owners(f"frame {i} addr", f.ms).values()]
 
 
 def check_linearity(cfg) -> list:
     """``(addr, earlier, later)`` for each linear capability that shares
     an address with another one anywhere in a configuration: registers,
     memory, stack memory and saved frames (see ``core.linear_overlaps``)."""
-    owners = _frame_owners(cfg.stk)
-    for name, cells in (("reg", cfg.reg), ("mem", cfg.mem),
-                        ("stk", cfg.ms_stk)):
+    owners = [o for i, f in enumerate(cfg.stk)
+              for o in _owners(f"frame {i} addr", f.ms.written()).values()]
+    for name, cells in (("reg", cfg.reg), ("mem", cfg.mem.written()),
+                        ("stk", cfg.ms_stk.written())):
         owners += _owners(name, cells).values()
     return linear_overlaps(owners)
 
@@ -74,130 +71,59 @@ def check_stack_partition(cfg: SourceConfig) -> list:
     """The stack regions ``ms_stk``, frame 0, frame 1, ... rise
     strictly, which makes them disjoint, and none shares an address with
     ``mem``.  A configuration without stack regions (the target's)
-    passes at once."""
-    mem = cfg.mem
-    # the lowest address of ms_stk is never compared
-    regions = [("ms_stk", cfg.ms_stk, None, max(cfg.ms_stk))] \
-        if cfg.ms_stk else []
-    regions += [(f"frame {i}", f.ms, min(f.ms), max(f.ms))
-                for i, f in enumerate(cfg.stk) if f.ms]
-    out = []
-    for name, cells, lo, hi in regions:
-        # walk the smaller side: the stack memory may be far larger
-        small, big = (mem, cells) if len(mem) <= len(cells) else (cells, mem)
-        out.append((name, [a for a in small if a in big], lo, hi))
-    return _partition(out)
-
-
-def _partition(regions) -> list:
-    """The partition verdict over the non-empty stack regions, in stack
-    order, each given as ``(name, its addresses that mem holds too, its
-    lowest address, its highest)``."""
+    passes at once.  It costs O(runs) of the memories' domains."""
+    regions = [("ms_stk", cfg.ms_stk.domain)]
+    regions += [(f"frame {i}", f.ms.domain) for i, f in enumerate(cfg.stk)]
     out = []
     below = None     # (name, top address) of the region below
-    for name, shared, lo, hi in regions:
-        if shared:
-            out.append(f"{name} overlaps mem at {sorted(shared)[:4]}")
-        if below is not None and lo <= below[1]:
+    for name, domain in regions:
+        if not domain:
+            continue
+        if shared := domain & cfg.mem.domain:
+            out.append(f"{name} overlaps mem at {list(islice(shared, 4))}")
+        runs = domain.runs
+        if below is not None and runs[0][0] <= below[1]:
             out.append(f"{name} not above {below[0]}")
-        below = (name, hi)
+        below = (name, runs[-1][1])
     return out
 
 
-def _top(cells, top, moved):
-    """The highest address of ``cells``, from ``top``, the highest before
-    the addresses ``moved`` were added or removed.  When the top cell
-    went, the walk down passes only removed addresses while the cells
-    are contiguous; a gap falls back to a full scan."""
-    for a in moved:
-        if a in cells and (top is None or a > top):
-            top = a
-    if top is None or top in cells:
-        return top
-    for a in range(top - 1, top - 1 - len(moved), -1):
-        if a in cells:
-            return a
-    return max(cells, default=None)
-
-
-def _follow(shared: set, cells, mem_keys: set, moved):
-    """Update ``shared``, the addresses of ``cells`` that mem holds too,
-    for the addresses ``moved`` into or out of either."""
-    for a in moved:
-        if a in cells and a in mem_keys:
-            shared.add(a)
-        else:
-            shared.discard(a)
-
-
-class _Frame:
-    """One saved frame, scanned once: ``owned`` lists ``(base, end,
-    addr)`` for each linear word (named only with the frame's index),
-    ``lo``/``hi`` bound its addresses (None when it is empty), and
-    ``shared`` holds those of its addresses that mem holds too."""
-
-    __slots__ = ("frame", "owned", "lo", "hi", "shared")
-
-    def __init__(self, frame, mem_keys: set):
-        self.frame = frame
-        ms = frame.ms
-        self.owned = [(r[0], r[1], a) for a, w in ms.items()
-                      if not isinstance(w, int) and (r := linear_range(w))]
-        self.lo = min(ms, default=None)
-        self.hi = max(ms, default=None)
-        self.shared = ms.keys() & mem_keys
-
-
-_NORMAL = Lin.NORMAL
+def _scan(frame) -> tuple:
+    """(``frame``, its owners, named ``addr k`` until its index is known)."""
+    return frame, list(_owners("addr", frame.ms.written()).values())
 
 
 class _Invariants:
     """Both checks over the configurations of one run, kept up to date
     step by step at the cost of what each step wrote.
 
-    One full scan fills a table of linear owners per place, and for each
-    stack region the addresses that mem holds too.  Each later
-    configuration comes with its step's write set: the registers it
-    names are visited, and an int or a normal memory capability, which
-    owns nothing, is told apart without a call.  Memory cells are
-    visited when they are not the same word object as before.  Frames
-    are scanned once each, when pushed: a call scans the new frame, a
-    return drops the old one, and the frames' owners are renamed (their
-    names carry the frame's index) only when some frame holds one.  The
-    overlaps are recomputed only when an owner changed; the partition
-    verdict only when a memory's domain or the frames did, from the
-    kept regions, after following the moved addresses alone.  ``at``
-    answers what ``check_linearity`` and ``check_stack_partition``
-    would.
-    """
+    One full scan fills a table of linear owners per place.  Later, only
+    the registers a step names are visited, and memory cells whose
+    written word is not the same object as before.  Frames are scanned
+    once, when pushed, and their owners renamed (the names carry the
+    frame's index) only when some frame holds one.  The overlaps are
+    recomputed only when an owner changed, and the partition verdict,
+    ``check_stack_partition``'s own, only when a memory's domain or the
+    frames did.  ``at`` answers what the two checks would."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.regs = _owners("reg", cfg.reg)
-        self.mem = _owners("mem", cfg.mem)
-        self.stk = _owners("stk", cfg.ms_stk)
-        self.mem_keys = set(cfg.mem)
-        self.stk_shared = cfg.ms_stk.keys() & self.mem_keys
-        self.top = max(cfg.ms_stk, default=None)
-        self.frames = [_Frame(f, self.mem_keys) for f in cfg.stk]
+        self.mem = _owners("mem", cfg.mem.written())
+        self.stk = _owners("stk", cfg.ms_stk.written())
+        self.frames = [_scan(f) for f in cfg.stk]
         self.frame_owners = self._name_frame_owners()
         self.overlaps = linear_overlaps(self._all())
-        self.partition = self._partition()
+        self.partition = check_stack_partition(cfg)
 
     def _all(self) -> list:
         return [*self.regs.values(), *self.mem.values(), *self.stk.values(),
                 *self.frame_owners]
 
     def _name_frame_owners(self) -> list:
-        return [(b, e, f"frame {i} addr {a}")
-                for i, f in enumerate(self.frames) for b, e, a in f.owned]
-
-    def _partition(self) -> list:
-        regions = [] if self.top is None else \
-            [("ms_stk", self.stk_shared, None, self.top)]
-        regions += [(f"frame {i}", f.shared, f.lo, f.hi)
-                    for i, f in enumerate(self.frames) if f.lo is not None]
-        return _partition(regions)
+        return [(b, e, f"frame {i} {n}")
+                for i, (_, owned) in enumerate(self.frames)
+                for b, e, n in owned]
 
     def _reframe(self, stk) -> bool:
         """Follow the frames to ``stk``; True when a frame owner changed
@@ -206,11 +132,11 @@ class _Invariants:
         old = self.frames
         kept = 0
         while kept < len(stk) and kept < len(old) and \
-                stk[-1 - kept] is old[-1 - kept].frame:
+                stk[-1 - kept] is old[-1 - kept][0]:
             kept += 1
-        new = [_Frame(f, self.mem_keys) for f in stk[:len(stk) - kept]]
+        new = [_scan(f) for f in stk[:len(stk) - kept]]
         self.frames = new + old[len(old) - kept:]
-        if not self.frame_owners and not any(f.owned for f in new):
+        if not self.frame_owners and not any(owned for _, owned in new):
             return False
         named = self._name_frame_owners()
         changed = named != self.frame_owners
@@ -225,64 +151,44 @@ class _Invariants:
         old, self.cfg = self.cfg, cfg
         if cfg is old:
             return self.overlaps, self.partition
-        changed = domain = False
+        changed = False
         mem, reg, stk, ms_stk = cfg
         old_mem, _, old_stk, old_ms_stk = old
         regs = self.regs
         for r in wrote:
             w = reg[r]
-            t = type(w)
-            if t is int or t is MemCap and w.lin is _NORMAL:
+            if lin_cons(w) is w:   # owns nothing
                 if r in regs:
                     del regs[r]
                     changed = True
             else:
                 changed |= _reown(regs, "reg", r, w)
-        if mem is not old_mem:
-            c, moved = _recell(self.mem, "mem", mem, old_mem)
-            changed |= c
-            if moved:
-                domain = True
-                keys = self.mem_keys
-                for a in moved:
-                    if a in mem:
-                        keys.add(a)
-                    else:
-                        keys.discard(a)
-                _follow(self.stk_shared, ms_stk, keys, moved)
-                for f in self.frames:
-                    _follow(f.shared, f.frame.ms, keys, moved)
-        if stk is not old_stk:
+        domain = stk is not old_stk
+        if domain:
             changed |= self._reframe(stk)
-            domain = True
+        if mem is not old_mem:
+            changed |= _recell(self.mem, "mem", mem, old_mem)
+            domain |= mem.domain is not old_mem.domain
         if ms_stk is not old_ms_stk:
-            c, moved = _recell(self.stk, "stk", ms_stk, old_ms_stk)
-            changed |= c
-            if moved:
-                domain = True
-                self.top = _top(ms_stk, self.top, moved)
-                _follow(self.stk_shared, ms_stk, self.mem_keys, moved)
+            changed |= _recell(self.stk, "stk", ms_stk, old_ms_stk)
+            domain |= ms_stk.domain is not old_ms_stk.domain
         if changed:
             self.overlaps = linear_overlaps(self._all())
         if domain:
-            self.partition = self._partition()
+            self.partition = check_stack_partition(cfg)
         return self.overlaps, self.partition
 
 
 _MISSING = object()
 
 
-def _recell(table: dict, name: str, new, prev):
+def _recell(table: dict, name: str, new, prev) -> bool:
     """Update ``table``, the owners of memory ``name``, from version
-    ``prev`` to ``new``: (an owner changed, the addresses added or
-    removed)."""
-    changed, moved = False, []
+    ``prev`` to ``new``; True when an owner changed."""
+    changed = False
     for a in new.changed_since(prev):
-        w = new.get(a, _MISSING)
-        if w is _MISSING or a not in prev:
-            moved.append(a)
-        changed |= _reown(table, name, a, w)
-    return changed, moved
+        changed |= _reown(table, name, a, new.get(a, _MISSING))
+    return changed
 
 
 def _reown(table: dict, name: str, k, w) -> bool:

@@ -16,22 +16,18 @@ from collections import namedtuple
 from .asm import CALL_LEN, CallParams, call_cond
 from .core import (
     PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2, GlobalConstants, Lin,
-    Memory, MemCap, Perm, Record, RetPtrCode, RetPtrData, SealCap, Sealed,
-    StkPtr, Word, lin_cons, non_exec,
+    Memory, MemCap, Perm, Ranges, Record, RetPtrCode, RetPtrData, SealCap,
+    Sealed, StkPtr, Word, lin_cons, non_exec,
 )
 from .machine import FAILED, MachineExtension, Running, xjump_result
 
 
 class StackFrame(Record, namedtuple("StackFrame", "opc ms")):
     """A saved call frame: ``opc`` is the return address in the caller's
-    code capability, ``ms`` the caller's private stack portion (a dict)."""
+    code capability, ``ms`` the caller's private stack portion (a
+    ``Memory``)."""
 
     __slots__ = ()
-
-    def __repr__(self):
-        lo = min(self.ms) if self.ms else None
-        hi = max(self.ms) if self.ms else None
-        return f"frame(opc={self.opc}, [{lo},{hi}])"
 
 
 class SourceConfig(Record, namedtuple("SourceConfig", "mem reg stk ms_stk",
@@ -84,9 +80,7 @@ class SourceExtension(MachineExtension):
             return FAILED
         if e_stk + 1 != a_stk:
             return FAILED
-        # count first, so a span the frame cannot fill builds no set
-        if len(frame.ms) != e_priv - e_stk or \
-                frame.ms.keys() != set(range(e_stk + 1, e_priv + 1)):
+        if frame.ms.domain != Ranges.span(e_stk + 1, e_priv):
             return FAILED
         cfg = SourceConfig(cfg.mem, cfg.reg, cfg.stk[1:],
                            cfg.ms_stk.update(frame.ms))
@@ -144,8 +138,7 @@ def exec_call(cfg: SourceConfig, params: CallParams,
         return FAILED
 
     opc = a + CALL_LEN
-    ms_priv, ms_rest = cfg.ms_stk.split(a_stk, e_stk)
-    ms_priv[a_stk] = 42
+    ms_priv, ms_rest = cfg.ms_stk.set(a_stk, 42).split(a_stk, e_stk)
     cfg = SourceConfig(cfg.mem, cfg.reg, (StackFrame(opc, ms_priv),) + cfg.stk,
                        ms_rest)
     # the jump writes these registers together with its own

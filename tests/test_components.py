@@ -1,13 +1,15 @@
+import re
+
 import pytest
 
 from capmach.asm import assemble
 from capmach.components import (
-    MAX_STACK_CELLS, Component, ConfigError, LinkError, format_component,
-    initial_config, link, parse_component, validate_component,
+    Component, ConfigError, LinkError, format_component, initial_config,
+    link, parse_component, validate_component,
 )
 from capmach.core import (
-    INF, GlobalConstants, Lin, MemCap, Perm, SealCap, Sealed, StkPtr,
-    enc_instr, mk_instr, parse_word,
+    INF, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, SealCap, Sealed,
+    StkPtr, enc_instr, mk_instr, parse_word,
 )
 from capmach.fixtures import (
     C_CODE, C_DATA, SCENARIOS, STK_BASE, STK_END, component, context_cb,
@@ -105,6 +107,12 @@ def test_broken_unclaimed_return_seal():
     ds = diags(Component(code, {}, exports=(), sig_ret=frozenset({4}),
                          sig_clos=frozenset({5})))
     assert any("claimed by no call" in d for d in ds)
+    # a line per seal while the code could still claim them, else per run
+    for ret, lines in (({3, 4}, ["seal 3", "seal 4"]),
+                       (range(-99, 5), ["seals -99..4"])):
+        ds = diags(Component(code, {}, sig_ret=ret, sig_clos=frozenset({5})))
+        assert [d.split("\t")[2] for d in ds if "claimed" in d] == \
+            [f"return {x} claimed by no call" for x in lines]
 
 
 def test_broken_linear_overlap():
@@ -249,7 +257,7 @@ def test_initial_config_target():
     p = link(*corpus()[0][1:])
     cfg = initial_config(p, "target", STK_BASE, STK_END)
     assert isinstance(cfg, SourceConfig)
-    assert cfg.stk == () and cfg.ms_stk == {}
+    assert cfg.stk == () and cfg.ms_stk == Memory()
     assert cfg.reg["rstk"] == MemCap(Perm.RW, Lin.LINEAR,
                                      STK_BASE, STK_END, STK_END)
     assert all(cfg.mem[x] == 0 for x in range(STK_BASE, STK_END + 1))
@@ -283,9 +291,13 @@ def test_initial_config_errors():
         # the overlap test does not walk the stack range
         with pytest.raises(ConfigError, match="overlaps"):
             initial_config(p, kind, 0, 2 ** 40)
-        # a stack wider than MAX_STACK_CELLS builds no cell
-        with pytest.raises(ConfigError, match="wider than"):
-            initial_config(p, kind, top + 2, top + 2 + MAX_STACK_CELLS)
+        # a stack of 2^40 cells is one zero run: it builds no cell
+        cfg = initial_config(p, kind, top + 2, top + 1 + 2 ** 40)
+        stack = cfg.mem if kind == "target" else cfg.ms_stk
+        assert stack.domain.covers(top + 2, top + 1 + 2 ** 40)
+        assert stack[top + 2 ** 40] == 0 and stack.written() == (
+            {} if kind == "source" else {**p.ms_code, **p.ms_data,
+                                         top + 1: 0, top + 2 + 2 ** 40: 0})
     wc, wd = p.mains
     bad = Component(p.ms_code, p.ms_data, (), p.exports, p.sig_ret,
                     p.sig_clos, p.a_linear, (wc, Sealed(wd.sigma + 1, wd.inner)))
@@ -338,7 +350,7 @@ clo\tsealed(5,cap(rx,normal,100,101,100))
     assert c.ms_code[99] == 0 and c.ms_code[100] == HALT
     assert c.ms_code[101] == SealCap(5, 5, 5)
     assert c.ms_data == {300: 7}
-    assert c.sig_clos == frozenset({5}) and c.sig_ret == frozenset()
+    assert c.sig_clos == Ranges.span(5, 5) and c.sig_ret == Ranges()
     assert c.mains is None
     assert diags(c) == []
 
@@ -351,21 +363,45 @@ clo\tsealed(5,cap(rx,normal,100,101,100))
     ("[exports]", "clo\tsealed(5,"),
     ("[linear]", "10..1x"),
     ("[main]", "cap:rw"),
+    ("[data]", "[seals ret=1..2..3 clos=]"),
+    ("[data]", "[seals ret=. clos=]"),
+    ("[linear]", "1..2..3"),
 ])
 def test_container_errors_name_the_line(section, bad):
-    # a malformed word, address or field names its line, as a [code]
-    # header without base= does
+    # a malformed word, address, field or list names its line, as a
+    # [code] header without base= does
     text = "[data]\n300\t7\n[seals ret= clos=5]\n"
-    with pytest.raises(ValueError, match=r"^line 5: "):
+    with pytest.raises(ValueError, match=r"^line 5: ") as e:
         parse_component(f"{text}{section}\n{bad}\n")
+    # a list names its bad run, in a [seals] header as on a [linear] line
+    runs = re.findall(r"ret=(\S*)", bad) or \
+        ([bad] if section == "[linear]" else [])
+    for run in runs:
+        assert str(e.value) == f"line 5: bad run {run!r}"
+
+
+def test_container_address_given_twice(tmp_path, capsys):
+    # a second word for one address is refused, not kept silently: in
+    # [data], and where a [code] block's pad lands on an earlier block
+    from capmach import cli
+    code = f"[code base=100]\n0\n{HALT}\n0\n"
+    for text, line, addr in (
+            ("[data]\n300 5\n300 7\n", 3, 300),
+            (code + "[code base=101]\n0\n0\n", 6, 100)):
+        message = f"line {line}: address {addr} given twice"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_component(text)
+        path = tmp_path / "twice.comp"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_container_seal_ranges():
     c = parse_component("[data]\n[seals ret=1..3 clos=4,6]\n")
-    assert c.sig_ret == frozenset({1, 2, 3})
-    assert c.sig_clos == frozenset({4, 6})
+    assert list(c.sig_ret) == [1, 2, 3] and list(c.sig_clos) == [4, 6]
     assert format_component(c).endswith("[seals ret=1..3 clos=4,6]\n")
     # [linear] takes runs, lists and one address per line alike
     c = parse_component("[data]\n[linear]\n10..12\n14,20..21\n30\n31\n")
-    assert c.a_linear == frozenset({10, 11, 12, 14, 20, 21, 30, 31})
+    assert list(c.a_linear) == [10, 11, 12, 14, 20, 21, 30, 31]
     assert format_component(c).endswith("[linear]\n10..12,14,20..21,30..31\n")

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capmach.core import (
-    FAIL, INF, REGISTERS, Instr, Lin, Memory, MemCap, Perm, RetPtrCode,
-    RetPtrData,
-    SealCap, Sealed, StkPtr, TYPE_INT, TYPE_MEMCAP, TYPE_SEAL, TYPE_SEALED,
+    FAIL, INF, REGISTERS, Instr, Lin, Memory, MemCap, Perm, Ranges,
+    RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, TYPE_INT, TYPE_MEMCAP,
+    TYPE_SEAL, TYPE_SEALED,
     dec_instr, dec_perm, enc_instr, enc_lin, enc_perm, enc_type, is_exec,
     is_linear, lin_cons, lin_cons_perm, mk_instr, perm_leq, read_allowed,
     within_bounds, write_allowed, OPCODES, IMM_RANGE, EncodingError,
@@ -112,7 +112,7 @@ def test_records():
     # immutable: no field can be assigned and no attribute added
     cfg = SourceConfig(Memory(), {})
     assert cfg.stk == () and cfg.ms_stk == Memory()
-    frame = StackFrame(3, {})
+    frame = StackFrame(3, Memory())
     for rec in (cap, SealCap(1, 2, 3), StkPtr(Perm.RW, 1, 9, 3),
                 RetPtrData(4, 6), RetPtrCode(1, 2, 3), Sealed(5, cap), cfg,
                 frame, Running(cfg, {})):
@@ -180,24 +180,70 @@ def test_instr_encode_errors():
 
 
 # ---------------------------------------------------------------------------
-# Memory, against a plain dict as the model
+# Ranges, against a Python set as the model
+
+RUNS = st.lists(st.tuples(st.integers(-20, 60), st.integers(-20, 60)),
+                max_size=6)
+
+
+def _ints(runs) -> set:
+    return {a for lo, hi in runs for a in range(lo, hi + 1)}
+
+
+@settings(derandomize=True, deadline=None)
+@given(RUNS, RUNS, st.sets(st.integers(-25, 65), max_size=12))
+def test_ranges_model(runs, other_runs, ints):
+    r, o = Ranges(runs), Ranges(other_runs)
+    model, other = _ints(runs), _ints(other_runs)
+    assert list(r) == sorted(model) and len(r) == len(model)
+    assert bool(r) == bool(model)
+    for a in range(-25, 66):
+        assert (a in r) == (a in model)
+    for lo, hi in other_runs:
+        assert r.covers(lo, hi) == (set(range(lo, hi + 1)) <= model)
+    assert not r.covers(0, INF)
+    for got, want in ((r & o, model & other), (r | o, model | other),
+                      (r - o, model - other)):
+        assert got == Ranges.of(want) and list(got) == sorted(want)
+    assert Ranges.of(ints) == Ranges((a, a) for a in ints)
+    assert list(Ranges.of(ints)) == sorted(ints)
+    # runs are maximal: no two touch, so equal sets are equal Ranges
+    assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(r.runs, r.runs[1:]))
+    assert Ranges.parse(str(r)) == r
+
+
+def test_ranges_text():
+    r = Ranges([(4, 6), (1, 1), (-3, -2), (7, 7)])
+    assert str(r) == "-3..-2,1,4..7" and str(Ranges()) == ""
+    assert repr(r) == "Ranges.parse('-3..-2,1,4..7')"
+    assert Ranges.parse(" 1, ,4..6,5..2") == Ranges([(1, 1), (4, 6)])
+    for bad in ("1..2..3", ".", "1..", "x", "1.5"):
+        with pytest.raises(ValueError, match=f"^bad run '{bad}'$"):
+            Ranges.parse(f"0,{bad}")
+
+
+# ---------------------------------------------------------------------------
+# Memory, against a plain dict that holds the zeros as the model
 
 ADDRS = st.integers(0, 40)
 WORDS = st.one_of(st.integers(-3, 3), st.just(SealCap(0, 5, 0)))
+SPANS = st.tuples(ADDRS, st.one_of(st.integers(-1, 60), st.just(INF)))
 MEM_OPS = st.one_of(
     st.tuples(st.just("set"), ADDRS, WORDS),
     st.tuples(st.just("update"), st.dictionaries(ADDRS, WORDS, max_size=6)),
-    st.tuples(st.just("split"), ADDRS,
-              st.one_of(st.integers(-1, 60), st.just(INF))),
+    st.tuples(st.just("split"), SPANS),
+    # a part split off a version, written into another
+    st.tuples(st.just("move"), SPANS, st.integers(0, 10 ** 6)),
 )
 
 
 def _same(m, model):
     assert len(m) == len(model)
-    assert sorted(m) == sorted(model) == sorted(m.keys())
+    assert list(m) == sorted(model) == sorted(m.keys())
     assert dict(m.items()) == model
     assert sorted(m.values(), key=repr) == sorted(model.values(), key=repr)
-    assert m == model and model == m and m == Memory(model)
+    assert m == Memory(model) and m != model
+    assert m == Memory(m.written(), m.domain)
     for a in range(-1, 42):
         assert (a in m) == (a in model)
         assert m.get(a, "none") == model.get(a, "none")
@@ -209,47 +255,102 @@ def _same(m, model):
 
 
 def _same_changes(m, model, old, old_model):
-    """``m.changed_since(old)`` names each address whose word is not the
-    same object in the two models, once."""
+    """``m.changed_since(old)`` names, once each, every address whose
+    word is not the same object in the two models, short of those that
+    read 0 or nothing in both, and only addresses written in one."""
     missing = object()
-    want = {a for a in model.keys() | old_model.keys()
-            if model.get(a, missing) is not old_model.get(a, missing)}
+
+    def zeroish(w):
+        return w is missing or type(w) is int and w == 0
+
     got = m.changed_since(old)
-    assert sorted(got) == sorted(want)
+    assert len(got) == len(set(got))
+    assert set(got) <= m.written().keys() | old.written().keys()
+    for a in model.keys() | old_model.keys():
+        w, was = model.get(a, missing), old_model.get(a, missing)
+        if w is not was and not (zeroish(w) and zeroish(was)):
+            assert a in got, a
+
+
+def _split(model, lo, hi):
+    return ({a: w for a, w in model.items() if lo <= a <= hi},
+            {a: w for a, w in model.items() if not lo <= a <= hi})
 
 
 @settings(derandomize=True, deadline=None)
-@given(st.dictionaries(ADDRS, WORDS),
+@given(st.dictionaries(ADDRS, WORDS), RUNS,
        st.lists(st.tuples(st.integers(0, 10 ** 6), MEM_OPS), max_size=40))
-def test_memory_model(init, ops):
+def test_memory_model(init, zeros, ops):
     """Every operation, applied to any earlier version, agrees with a
-    dict, and leaves every earlier version as it was; ``changed_since``
-    names the cells that differ from the version it came from."""
-    versions = [(Memory(init), dict(init))]
+    dict that holds the zeros, and leaves every earlier version as it
+    was; ``changed_since`` names the cells that differ from the version
+    it came from."""
+    zeros = Ranges(zeros)
+    versions = [(Memory(init, zeros | Ranges.of(init)),
+                 {**dict.fromkeys(zeros, 0), **init})]
     for pick, op in ops:
         m, model = versions[pick % len(versions)]
         if op[0] == "set":
             _, a, w = op
             versions.append((m.set(a, w), {**model, a: w}))
         elif op[0] == "update":
-            versions.append((m.update(op[1]), {**model, **op[1]}))
-        else:
-            _, lo, hi = op
+            versions.append((m.update(Memory(op[1])), {**model, **op[1]}))
+        elif op[0] == "split":
+            (lo, hi), = op[1:]
             part, rest = m.split(lo, hi)
-            assert isinstance(part, dict)
-            assert part == {a: w for a, w in model.items() if lo <= a <= hi}
-            versions.append((rest, {a: w for a, w in model.items()
-                                    if not lo <= a <= hi}))
+            want_part, want_rest = _split(model, lo, hi)
+            assert isinstance(part, Memory)
+            _same(part, want_part)
+            versions.append((rest, want_rest))
+        else:
+            (lo, hi), other = op[1:]
+            donor = versions[other % len(versions)][0]
+            part, _ = donor.split(lo, hi)
+            # written cells win; unwritten ones keep what is held, or read 0
+            versions.append((m.update(part), {**dict.fromkeys(part, 0),
+                                              **model, **part.written()}))
         _same_changes(*versions[-1], m, model)
     for m, model in versions:
         _same(m, model)
     _same_changes(*versions[-1], *versions[0])
 
 
+def test_memory_update_joins_a_split_part():
+    m = Memory({5: 7, 6: 8, 20: 9}, Ranges.span(0, 30))
+    moved, rest = m.split(4, 7)
+    assert rest.update(moved) == m      # a frame comes back as it went
+    assert rest.set(20, 1).update(moved) == m.set(20, 1)
+    # a written cell wins; an unwritten one keeps what is held, or reads 0
+    part = Memory({6: 1}, Ranges.span(4, 7))
+    assert m.update(part) == Memory({5: 7, 6: 1, 20: 9}, Ranges.span(0, 30))
+    assert rest.update(part) == Memory({6: 1, 20: 9}, Ranges.span(0, 30))
+
+
+def test_memory_zero_run_walks_no_address():
+    # a memory 2^40 addresses wide costs what was written: repr, ==,
+    # len, reads, writes and splits never walk the zero run
+    wide = Ranges.span(5, 4 + 2 ** 40)
+    m = Memory({5: 1}, wide)
+    with pytest.MonkeyPatch.context() as mp:
+        def walk(self):
+            raise AssertionError("walked a zero run")
+        mp.setattr(Ranges, "__iter__", walk)
+        assert repr(m) == f"Memory({{5: 1}}, {Memory({5: 1}, wide).domain!r})"
+        assert m == Memory({5: 1}, wide) and m != Memory({5: 1})
+        assert m != Memory({5: 1}, Ranges.span(5, 3 + 2 ** 40))
+        assert m != {5: 1} and len(m) == 2 ** 40
+        n = m.set(2 ** 39, 7)
+        assert (n[2 ** 39], n[2 ** 39 + 1], m[2 ** 39]) == (7, 0, 0)
+        part, rest = n.split(2 ** 38, INF)
+        assert part.written() == {2 ** 39: 7} and rest.written() == {5: 1}
+        assert rest.update(part) == n and n.changed_since(m) == [2 ** 39]
+
+
 def test_memory_split_beyond_the_memory():
     m = Memory({a: a for a in range(10, 20)}).set(15, "x")
     part, rest = m.split(18, INF)
-    assert part == {18: 18, 19: 19} and sorted(rest) == list(range(10, 18))
+    assert part == Memory({18: 18, 19: 19})
+    assert sorted(rest) == list(range(10, 18))
     part, rest = m.split(12, 10 ** 12)
     assert sorted(part) == list(range(12, 20)) and part[15] == "x"
     assert sorted(rest) == [10, 11]

@@ -153,7 +153,7 @@ def _linearity_cfgs(draw):
     reg = fresh_registers()
     reg.update(draw(st.dictionaries(st.sampled_from(REGISTERS), _WORDS,
                                     max_size=4)))
-    frames = tuple(StackFrame(0, draw(_CELLS))
+    frames = tuple(StackFrame(0, Memory(draw(_CELLS)))
                    for _ in range(draw(st.integers(0, 2))))
     return SourceConfig(Memory(draw(_CELLS)), reg, frames,
                         Memory(draw(_CELLS)))
@@ -188,12 +188,12 @@ def test_check_stack_partition():
     cfg = initial_config(link(t, ctx), "source", STK_BASE, STK_END)
     assert check_stack_partition(cfg) == []
     bad = SourceConfig(cfg.mem, cfg.reg,
-                       (StackFrame(0, {STK_BASE: 0}),), cfg.ms_stk)
+                       (StackFrame(0, Memory({STK_BASE: 0})),), cfg.ms_stk)
     assert check_stack_partition(bad)
     # frames must sit above the accessible part, innermost on top
     upside_down = SourceConfig(cfg.mem, cfg.reg,
-                               (StackFrame(0, {900: 0}),),
-                               {STK_BASE: 0})
+                               (StackFrame(0, Memory({900: 0})),),
+                               Memory({STK_BASE: 0}))
     assert check_stack_partition(upside_down)
     # the accessible stack may not reach into memory
     shared = SourceConfig(cfg.mem, cfg.reg, (),
@@ -201,25 +201,11 @@ def test_check_stack_partition():
     assert check_stack_partition(shared)
     # a frame that starts on the accessible part's top address
     touching = SourceConfig(cfg.mem, cfg.reg,
-                            (StackFrame(0, {STK_END: 0}),), cfg.ms_stk)
+                            (StackFrame(0, Memory({STK_END: 0})),), cfg.ms_stk)
     assert check_stack_partition(touching) == ["frame 0 not above ms_stk"]
     # the target has no stack regions
     target = initial_config(link(t, ctx), "target", STK_BASE, STK_END)
     assert check_stack_partition(target) == []
-
-
-def test_stack_top_after_moves():
-    # the tracker's highest stack address, from the previous one and
-    # the addresses added or removed since
-    cells = Memory(dict.fromkeys(range(10, 21), 0))
-    _, low = cells.split(18, 20)
-    assert harness._top(low, 20, [18, 19, 20]) == 17   # walked down
-    assert harness._top(cells, 17, [18, 19, 20]) == 20  # added back
-    _, gap = low.split(12, 16)
-    _, rest = gap.split(17, 17)
-    assert harness._top(rest, 17, [17]) == 11          # past a gap
-    assert harness._top(Memory(), 10, [10]) is None
-    assert harness._top(Memory({5: 0}), None, [5]) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +310,7 @@ def _run_cfg(rng):
     reg = fresh_registers()
     reg.update({r: _run_word(rng) for r in _RUN_REGS})
     reg[PC] = MemCap(Perm.RWX, Lin.NORMAL, _CODE, _CODE + 15, _CODE)
-    frames = tuple(StackFrame(_CODE, cells())
+    frames = tuple(StackFrame(_CODE, Memory(cells()))
                    for _ in range(rng.randint(0, 2)))
     cfg = SourceConfig(Memory(mem), reg, frames, Memory(cells()))
     code, cur = {}, cfg
@@ -342,7 +328,7 @@ def _run_cfg(rng):
                 nxt.cfg.reg[PC], MemCap):
             break
         cur = nxt.cfg
-    return SourceConfig(cfg.mem.update(code), reg, frames, cfg.ms_stk)
+    return SourceConfig(cfg.mem.update(Memory(code)), reg, frames, cfg.ms_stk)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -526,8 +512,8 @@ up:
         cfg = SourceConfig(cfg.mem, cfg.reg, cfg.stk,
                            Memory(dict.fromkeys(cfg.ms_stk, idle)))
     else:
-        cfg = SourceConfig(cfg.mem.update(dict.fromkeys(
-            range(STK_BASE, top + 1), idle)), cfg.reg)
+        cfg = SourceConfig(cfg.mem.update(Memory(dict.fromkeys(
+            range(STK_BASE, top + 1), idle))), cfg.reg)
     gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
     per_step, r = _linear_range_calls_per_step(cfg, kind, gc)
     assert r.outcome == "halted" and r.violations == [] and r.steps > 60
@@ -549,8 +535,8 @@ def _frame_words_per_step(cells):
     t, ctx = dict((n, (a, b)) for n, a, b in corpus())["deep-trusted"]
     cfg = initial_config(link(t, ctx), "source", STK_BASE, STK_END)
     # above the stack and the guard cell mem holds just above it
-    outer = StackFrame(_CODE, dict.fromkeys(
-        range(STK_END + 2, STK_END + 2 + cells), SealCap(0, 0, 0)))
+    outer = StackFrame(_CODE, Memory(dict.fromkeys(
+        range(STK_END + 2, STK_END + 2 + cells), SealCap(0, 0, 0))))
     cfg = SourceConfig(cfg.mem, cfg.reg, (outer,), cfg.ms_stk)
     gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
     per_step, r = _linear_range_calls_per_step(cfg, "source", gc)
@@ -693,42 +679,77 @@ def test_cli_malformed_inputs(tmp_path):
             assert p.stderr.count("\n") == 1, (argv, p.stderr[-300:])
 
 
-def test_cli_wide_stack(tmp_path, capsys):
-    # both machines build one cell per stack address, so a stack wider
-    # than MAX_STACK_CELLS is refused before any cell is built
-    t = _write(tmp_path, "t.comp", trusted_simple("  halt"))
-    c = _write(tmp_path, "c.comp", minimal_context())
+def test_cli_wide_stack(tmp_path):
+    # the stack is one zero run on both machines, so a stack of two
+    # billion cells runs as one of 64 does, in 1 GB of address space:
+    # the same outcome and steps, paranoid checks included
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
+    t, c = _write(tmp_path, "t.comp", t), _write(tmp_path, "c.comp", ctx)
     prog = str(tmp_path / "p.comp")
     assert cli.main(["link", t, c, "-o", prog]) == 0
-    wide = ["--stack", "1000..2000000000"]
-    refused = "invalid: stack of 1999999001 cells is wider than 1048576\n"
-    p = _cli_under_1gb(["run", prog, "--machine", "source", "--no-validate"]
-                       + wide)
-    assert (p.returncode, p.stderr) == (4, refused)
-    capsys.readouterr()
-    assert cli.main(["diff", t, c] + wide) == 4
-    assert capsys.readouterr().err == refused
+    run = ["run", prog, "--no-validate", "--paranoid", "--machine"]
+    for argv, out in (
+            (run + ["source"], "halted after 8 steps\n"),
+            (run + ["target"], "halted after 32 steps\n"),
+            (["diff", t, c, "--paranoid"], "source: halted after 8 steps\n"
+             "target: halted after 32 steps\nagreement\n")):
+        for stack in ([], ["--stack", "1000..2000000000"]):
+            p = _cli_under_1gb(argv + stack)
+            assert (p.returncode, p.stdout, p.stderr) == (0, out, ""), stack
 
 
 def test_cli_wide_seal_and_linear_lists(tmp_path):
-    # a container's seal and linear lists hold one int per number, so a
-    # list that spans more than MAX_STACK_CELLS numbers is refused before
-    # it is built: exit 3 and one error line, not a full host
+    # a container's seal and linear lists are read as runs, so lists of
+    # any width parse, link writes them back and validate reports on
+    # them, in 1 GB of address space: a few lines, not one per seal;
+    # the empty component leaves the other one as it is
     text = format_component(trusted_simple("  halt"))
     assert "[seals ret= clos=2]" in text
-    for name, wide in (
-            ("ret", text.replace("[seals ret=", "[seals ret=0..100000000")),
+    empty = tmp_path / "empty.comp"
+    empty.write_text("[data]\n")
+    for name, wide, runs, verdict in (
+            ("ret", text.replace("[seals ret=", "[seals ret=3..100000000"),
+             "[seals ret=3..100000000 clos=2]",
+             "return seals 3..100000000 claimed by no call"),
             ("clos", text.replace("clos=2]",    # the runs, not one run
-                                  "clos=2,0..600000,700000..1300000]")),
-            ("linear", text + "[linear]\n0..100000000\n"),
-            ("lines", text + "[linear]\n" + "".join(    # each line under it
-                f"{k * 10 ** 6}..{k * 10 ** 6 + 999999}\n" for k in range(20)))):
-        path = tmp_path / f"{name}.comp"
+                                  "clos=2,0..600000,700000..1300000]"),
+             "clos=0..600000,700000..1300000]",
+             "owned seals are not contiguous"),
+            ("linear", text + "[linear]\n0..100000000\n",
+             "[linear]\n0..100000000\n", None),
+            ("lines", text + "[linear]\n" + "".join(    # runs that touch
+                f"{k * 10 ** 6}..{k * 10 ** 6 + 999999}\n" for k in range(20)),
+             "[linear]\n0..19999999\n", None),
+            ("both", text.replace("ret= clos=2]",
+                                  "ret=0..100000000 clos=0..100000000]"),
+             None, "return/closure seal overlap: 0..100000000")):
+        path, out = tmp_path / f"{name}.comp", tmp_path / f"{name}.out"
         path.write_text(wide)
+        if runs is not None:
+            p = _cli_under_1gb(["link", str(path), str(empty), "-o", str(out)])
+            assert (p.returncode, p.stderr) == (0, ""), name
+            assert runs in out.read_text(), name
+            assert parse_component(out.read_text()) == parse_component(wide)
         p = _cli_under_1gb(["validate", str(path)])
-        assert p.returncode == 3, (name, p.stderr[-300:])
-        assert p.stderr == ("error: a seal or linear list spans more than "
-                            "1048576 numbers\n"), name
+        assert (p.returncode, p.stderr) == (4 if verdict else 0, ""), name
+        assert len(p.stdout.splitlines()) < 5, name
+        assert verdict is None or verdict in p.stdout, name
+
+
+def test_paranoid_runs_at_a_wide_stack():
+    # at a stack of 2^30 cells, calls, stack locals and nested calls run
+    # as at 64 cells: the same outcomes and steps, and no violation
+    programs = dict((n, (a, b)) for n, a, b in corpus())
+    for name in ("call-return", "stack-locals", "deep-trusted"):
+        narrow, wide = (run_diff(*programs[name], STK_BASE, top, paranoid=True)
+                        for top in (STK_END, STK_BASE + 2 ** 30 - 1))
+        for n, w in ((narrow.source, wide.source),
+                     (narrow.target, wide.target)):
+            assert (w.outcome, w.steps, w.violations) == \
+                ("halted", n.steps, []), name
+        assert (narrow.source.steps, narrow.target.steps) == \
+            {"call-return": (8, 32), "stack-locals": (15, 39),
+             "deep-trusted": (16, 64)}[name]
 
 
 def test_cli_deeply_nested_sealed(tmp_path):

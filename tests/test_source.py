@@ -3,8 +3,8 @@ from conftest import rw, rx, scfg
 from capmach.asm import CALL_LEN, CallParams, expand_scall
 from capmach.components import initial_config, link
 from capmach.core import (
-    INF, GlobalConstants, Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap,
-    Sealed, StkPtr, enc_instr, enc_perm, mk_instr,
+    INF, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
+    RetPtrData, SealCap, Sealed, StkPtr, enc_instr, enc_perm, mk_instr,
 )
 from capmach.fixtures import STK_BASE, STK_END, corpus, std_gc
 from capmach.harness import check_stack_partition, run_report
@@ -135,8 +135,7 @@ def _ret_cfg(**over):
         rtmp2=9,
     )
     reg.update(over)
-    frame = StackFrame(36, {a: 42 if a == 1005 else 0
-                            for a in range(1005, 1011)})
+    frame = StackFrame(36, Memory({1005: 42}, Ranges.span(1005, 1010)))
     return scfg(stk=(frame,), ms_stk={a: 0 for a in range(1000, 1005)}, **reg)
 
 
@@ -170,8 +169,8 @@ def test_return_token_guards():
 
 
 def test_return_to_unbounded_stack_fails():
-    # a frame's span is compared by length first, so an unbounded one
-    # fails the return instead of building a range up to INF
+    # a frame's span is compared as one run, so an unbounded one fails
+    # the return without a walk up to INF
     assert ex(_ret_cfg(r2=Sealed(5, RetPtrData(1005, INF))),
               "xjmp", "r1", "r2") is FAILED
     t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
