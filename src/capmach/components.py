@@ -133,12 +133,8 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
                   f"seal {sigma} claimed twice (also by call at {claimed[sigma]})")
         else:
             claimed[sigma] = a
-    # a line per seal, or per run when more seals go unclaimed than the
-    # code has cells, so that a wide list prints O(runs) lines
-    if len(claimed) < len(c.sig_ret):
-        unclaimed = c.sig_ret - Ranges.of(claimed)
-        wide = len(unclaimed) > len(c.ms_code)
-        for lo, hi in unclaimed.runs if wide else ((s, s) for s in unclaimed):
+    if len(claimed) < len(c.sig_ret):   # a line per unclaimed run
+        for lo, hi in (c.sig_ret - Ranges.of(claimed)).runs:
             seals = f"seal {lo}" if lo == hi else f"seals {lo}..{hi}"
             _diag(out, "comp-code", "seals",
                   f"return {seals} claimed by no call")
@@ -336,7 +332,8 @@ def parse_component(text: str) -> Component:
     data: dict = {}
     imports: list = []
     exports: list = []
-    sig_ret = sig_clos = linear = Ranges()
+    sig_ret = sig_clos = Ranges()
+    linear: list = []     # the runs of every [linear] line
     mains: list = []
     section = None
     code_next = None
@@ -377,7 +374,7 @@ def parse_component(text: str) -> Component:
                 sym, lit = line.split(None, 1)
                 exports.append((sym, parse_word(lit)))
             elif section == "linear":
-                linear |= Ranges.parse(line)
+                linear += Ranges.parse(line).runs
             elif section == "main":
                 mains.append(parse_word(line))
             else:
@@ -388,7 +385,7 @@ def parse_component(text: str) -> Component:
     if mains and len(mains) != 2:
         raise ValueError("[main] needs exactly two words")
     return Component(code, data, tuple(imports), tuple(exports),
-                     sig_ret, sig_clos, linear,
+                     sig_ret, sig_clos, Ranges(linear),
                      tuple(mains) if mains else None)
 
 

@@ -44,9 +44,31 @@ class Lin(Enum):
         return self.value
 
 
-# p ⊑ q when q has every letter of p; the bottom permission 0 is below all
-_PERM_LEQ = frozenset((p, q) for p in Perm for q in Perm
-                      if p is Perm.P0 or set(p.value) <= set(q.value))
+# Hasse diagram edges of the permission hierarchy; perm_leq is its
+# reflexive-transitive closure.
+_PERM_EDGES = {
+    (Perm.P0, Perm.R),
+    (Perm.R, Perm.RW),
+    (Perm.R, Perm.RX),
+    (Perm.RW, Perm.RWX),
+    (Perm.RX, Perm.RWX),
+}
+
+
+def _close():
+    leq = {(p, p) for p in Perm} | _PERM_EDGES
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(leq):
+            for (c, d) in list(leq):
+                if b == c and (a, d) not in leq:
+                    leq.add((a, d))
+                    changed = True
+    return frozenset(leq)
+
+
+_PERM_LEQ = _close()
 
 
 def perm_leq(p: Perm, q: Perm) -> bool:
@@ -282,9 +304,10 @@ def fresh_registers(fill: Word = 0) -> dict:
 
 class Ranges:
     """An immutable set of ints as sorted runs ``lo..hi``, a gap between
-    any two.  ``in`` and ``covers`` cost a bisect; ``len``, ``& | -``,
-    ``split``, ``parse`` and ``str`` (``1..3,5``) cost O(runs), however
-    many ints the runs hold.  Iteration is ascending."""
+    any two.  ``in`` and ``covers`` cost a bisect; ``len``, ``split`` and
+    ``str`` (``1..3,5``) O(runs); ``&`` and ``-`` a bisect per run of the
+    side with fewer; ``|`` and ``parse`` a sort of the runs, however many
+    ints the runs hold.  Iteration ascends."""
 
     __slots__ = ("_lo", "_hi")
 
@@ -354,7 +377,7 @@ class Ranges:
         return bool(self._lo)
 
     def __iter__(self):
-        return chain.from_iterable(map(range, self._lo, map(_succ, self._hi)))
+        return chain(*map(range, self._lo, [hi + 1 for hi in self._hi]))
 
     def __eq__(self, other):
         if type(other) is not Ranges:
@@ -364,19 +387,15 @@ class Ranges:
     def split(self, lo, hi):
         """(the ints ``lo..hi`` in the set, the others); ``hi`` may be INF."""
         los, his = self._lo, self._hi
-        i = bisect_left(his, lo)    # the first run that ends at lo or above
-        j = bisect_right(los, hi)   # the runs from j on start above hi
+        i, j = bisect_left(his, lo), bisect_right(los, hi)  # i..j-1 meet it
         if i >= j or lo > hi:
             return _NO_INTS, self
-        in_lo, in_hi, out_lo, out_hi = los[i:j], his[i:j], los[:i], his[:i]
-        if in_lo[0] < lo:           # the part of run i below lo stays out
-            out_lo, out_hi = out_lo + in_lo[:1], out_hi + (lo - 1,)
-            in_lo = (lo, *in_lo[1:])
-        if in_hi[-1] > hi:          # and so does that of run j - 1 above hi
-            out_lo, out_hi = out_lo + (hi + 1,), out_hi + in_hi[-1:]
-            in_hi = (*in_hi[:-1], hi)
-        return (Ranges._new(in_lo, in_hi),
-                Ranges._new(out_lo + los[j:], out_hi + his[j:]))
+        a, b = max(lo, los[i]), min(hi, his[j - 1])   # the ends taken
+        below = ((los[i],), (a - 1,)) if los[i] < a else ((), ())  # run i's
+        above = ((b + 1,), his[j - 1:j]) if b < his[j - 1] else ((), ())
+        return (Ranges._new((a, *los[i + 1:j]), (*his[i:j - 1], b)),
+                Ranges._new(los[:i] + below[0] + above[0] + los[j:],
+                            his[:i] + below[1] + above[1] + his[j:]))
 
     def __or__(self, other: "Ranges") -> "Ranges":
         a, b = (self, other) if self._lo < other._lo else (other, self)
@@ -390,21 +409,25 @@ class Ranges:
         return Ranges(zip(a._lo + b._lo, a._hi + b._hi))
 
     def __and__(self, other: "Ranges") -> "Ranges":
-        if not self._lo or not other._lo:
-            return _NO_INTS
-        if len(self._lo) < len(other._lo):   # split the side with more runs
+        """Each run of the side with fewer clips the runs of the other
+        that it meets, found by a bisect."""
+        if len(self._lo) > len(other._lo):
             self, other = other, self
-        out = _NO_INTS
-        for lo, hi in zip(other._lo, other._hi):
-            part = self.split(lo, hi)[0]
-            out = Ranges._new(out._lo + part._lo, out._hi + part._hi) \
-                if out._lo else part
-        return out
+        o_lo, o_hi = other._lo, other._hi
+        los, his = [], []
+        for lo, hi in zip(self._lo, self._hi):
+            i, j = bisect_left(o_hi, lo), bisect_right(o_lo, hi)
+            if i < j:
+                los += (max(lo, o_lo[i]), *o_lo[i + 1:j])
+                his += (*o_hi[i:j - 1], min(hi, o_hi[j - 1]))
+        return Ranges._new(tuple(los), tuple(his)) if los else _NO_INTS
 
     def __sub__(self, other: "Ranges") -> "Ranges":
-        for lo, hi in zip(other._lo, other._hi):
-            self = self.split(lo, hi)[1]
-        return self
+        """The ints of ``self`` in the gaps of ``other``."""
+        if not other._lo:
+            return self
+        return self & Ranges._new((-INF, *[hi + 1 for hi in other._hi]),
+                                  (*[lo - 1 for lo in other._lo], INF))
 
     def __str__(self):
         return ",".join(f"{lo}..{hi}" if lo < hi else str(lo)
@@ -415,7 +438,6 @@ class Ranges:
 
 
 _NO_INTS = Ranges()
-_succ = (1).__add__
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +473,7 @@ class Memory(Mapping):
             base = Memory._merge(base, over)
             over = {}
         m = Memory.__new__(Memory)
-        m._base = base
-        m._over = over
-        m.domain = domain
+        m._base, m._over, m.domain = base, over, domain
         return m
 
     @staticmethod
@@ -542,22 +562,16 @@ class Memory(Mapping):
         return Memory._of(self._base, over, self.domain | cells.domain)
 
     def split(self, lo, hi):
-        """(the cells at addresses ``lo..hi``, this memory without them),
-        both memories.  ``hi`` may be ``INF``."""
+        """(the cells ``lo..hi``, the rest) as memories; ``hi`` may be INF."""
         inside, outside = self.domain.split(lo, hi)
         base, over = self._base, self._over.copy()
-        if hi - lo < len(base) + len(over):
-            addrs = range(lo, hi + 1)
-        else:  # fewer written cells than addresses: walk those instead
-            addrs = [a for a in (*base, *over) if lo <= a <= hi]
-        part = {}
-        for a in addrs:
-            w = over.get(a, base.get(a, _GONE))
-            if w is not _GONE:
-                part[a] = w
-                over[a] = _GONE
-        return (Memory._of(part, {}, inside),
-                Memory._of(base, over, outside))
+        # walk the span, or the written cells when they are fewer
+        addrs = range(lo, hi + 1) if hi - lo < len(base) + len(over) \
+            else [a for a in self.written() if lo <= a <= hi]
+        part = {a: w for a in addrs
+                if (w := over.get(a, base.get(a, _GONE))) is not _GONE}
+        over.update(dict.fromkeys(part, _GONE))
+        return Memory._of(part, {}, inside), Memory._of(base, over, outside)
 
 
 # ---------------------------------------------------------------------------

@@ -179,23 +179,20 @@ class _Invariants:
         return self.overlaps, self.partition
 
 
-_MISSING = object()
-
-
 def _recell(table: dict, name: str, new, prev) -> bool:
     """Update ``table``, the owners of memory ``name``, from version
     ``prev`` to ``new``; True when an owner changed."""
     changed = False
     for a in new.changed_since(prev):
-        changed |= _reown(table, name, a, new.get(a, _MISSING))
+        changed |= _reown(table, name, a, new.get(a, 0))
     return changed
 
 
 def _reown(table: dict, name: str, k, w) -> bool:
     """Set the owner of place ``name k`` in ``table`` to word ``w``
-    (``_MISSING`` for a removed cell); True when it changed.  The
+    (0 for a removed cell); True when it changed.  The
     owner's name is built only when its range changed."""
-    r = None if w is _MISSING or isinstance(w, int) else linear_range(w)
+    r = None if isinstance(w, int) else linear_range(w)
     if r is None:
         return table.pop(k, None) is not None
     o = table.get(k)

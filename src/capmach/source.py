@@ -24,8 +24,7 @@ from .machine import FAILED, MachineExtension, Running, xjump_result
 
 class StackFrame(Record, namedtuple("StackFrame", "opc ms")):
     """A saved call frame: ``opc`` is the return address in the caller's
-    code capability, ``ms`` the caller's private stack portion (a
-    ``Memory``)."""
+    code capability, ``ms`` the memory of the caller's private stack."""
 
     __slots__ = ()
 

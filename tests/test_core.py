@@ -255,17 +255,20 @@ def _same(m, model):
 
 
 def _same_changes(m, model, old, old_model):
-    """``m.changed_since(old)`` names, once each, every address whose
-    word is not the same object in the two models, short of those that
-    read 0 or nothing in both, and only addresses written in one."""
+    """``m.changed_since(old)`` names, once each, exactly the addresses
+    whose written word is not the same object in the two versions, and
+    so every address whose word differs in the two models, short of
+    those that read 0 or nothing in both."""
     missing = object()
 
     def zeroish(w):
         return w is missing or type(w) is int and w == 0
 
     got = m.changed_since(old)
-    assert len(got) == len(set(got))
-    assert set(got) <= m.written().keys() | old.written().keys()
+    new, prev = m.written(), old.written()
+    assert sorted(got) == sorted(a for a in new.keys() | prev.keys()
+                                 if new.get(a, missing)
+                                 is not prev.get(a, missing))
     for a in model.keys() | old_model.keys():
         w, was = model.get(a, missing), old_model.get(a, missing)
         if w is not was and not (zeroish(w) and zeroish(was)):
