@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    CALL_HEAD, OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2,
-    Instr, SealCap, _bound, dec_instr, enc_instr, is_register, mk_instr,
-    parse_word,
+    CALL_HEAD, INF, OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1,
+    RTMP2, Instr, SealCap, _bound, dec_instr, enc_instr, is_register,
+    mk_instr, parse_int, parse_word,
 )
 
 CALL_LEN = 26
@@ -74,8 +74,11 @@ def _call_instrs(off_pc, off_sigma, r1, r2, stk_base, check_stk_base=True):
 def expand_scall(params: CallParams, stk_base: int,
                  check_stk_base: bool = True) -> list:
     """The 26-instruction expansion of call_{off_pc,off_sigma}(r1,r2)."""
-    if params.r1 in (RTMP1, PC) or params.r2 in (RTMP1, PC):
-        raise ValueError("call operands may not be rtmp1 or pc")
+    for r in (params.r1, params.r2):
+        if not is_register(r):
+            raise ValueError(f"call: {r!r} is not a register")
+        if r in (RTMP1, PC):
+            raise ValueError("call operands may not be rtmp1 or pc")
     if params.off_pc < 0 or params.off_sigma < 0:
         raise ValueError("call offsets must be natural numbers")
     return _call_instrs(params.off_pc, params.off_sigma,
@@ -187,9 +190,7 @@ def find_hidden_calls(code, stk_base: int,
 # Textual assembler
 
 class AsmError(ValueError):
-    def __init__(self, msg, line=None):
-        super().__init__(f"line {line}: {msg}" if line else msg)
-        self.line = line
+    """A malformed assembly; the message starts with ``line N: ``."""
 
 
 @dataclass
@@ -198,30 +199,18 @@ class AsmResult:
     labels: dict
 
 
-_LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):\s*(.*)$")
-_IMM_RE = re.compile(r"^(@?)([A-Za-z_][\w.]*)([+-]\d+)?$")
+_LABEL_RE = re.compile(r"([A-Za-z_][\w.]*):\s*")
+_IMM_RE = re.compile(r"(@?)([A-Za-z_][\w.]*)([+-]\d+)?")
+# the operands of each directive and of the call macro
+_OPERANDS = {".org": "addr", ".seal": "base end cur",
+             "call": "seal off_sigma r1 r2"}
 
 
-class _Item:
-    def __init__(self, kind, line, **kw):
-        self.kind = kind
-        self.line = line
-        self.__dict__.update(kw)
-
-
-def _parse_items(src):
-    items = []
-    for lineno, raw in enumerate(src.splitlines(), 1):
-        line = raw.split(";", 1)[0].strip()
-        while line:
-            m = _LABEL_RE.match(line)
-            if m:
-                items.append(_Item("label", lineno, name=m.group(1)))
-                line = m.group(2).strip()
-                continue
-            items.append(_Item("stmt", lineno, text=line))
-            line = ""
-    return items
+def _operands(parts):
+    names = _OPERANDS[parts[0]].split()
+    if len(parts) != 1 + len(names):
+        raise ValueError(f"{parts[0]} needs {' '.join(names)}")
+    return parts[1:]
 
 
 def assemble(src: str, stk_base: int = 0,
@@ -232,106 +221,68 @@ def assemble(src: str, stk_base: int = 0,
     directives .org/.word/.seal; the ``call`` macro occupies 26 cells
     and may name its seal by label (pc-offset is then computed relative
     to the macro's first address).  Any other head must be an
-    instruction.
+    instruction.  The first malformed line raises ``AsmError``.
     """
-    items = _parse_items(src)
+    labels, stmts, seg, addr = {}, [], {}, 0
 
-    labels = {}
-    loc = 0
-    for it in items:
-        if it.kind == "label":
-            if it.name in labels:
-                raise AsmError(f"duplicate label {it.name!r}", it.line)
-            labels[it.name] = loc
-            continue
-        parts = it.text.split()
-        if parts[0] == ".org":
-            try:
-                loc = int(parts[1])
-            except (IndexError, ValueError):
-                raise AsmError(".org needs an address", it.line)
-        else:
-            it.addr = loc
-            loc += CALL_LEN if parts[0] == "call" else 1
+    def resolve(tok, at):
+        # an int, or a label with an optional offset; ``@`` makes it
+        # relative to the statement's address ``at``
+        m = _IMM_RE.fullmatch(tok)
+        if m is None:
+            return parse_int(tok)
+        rel, name, off = m.groups()
+        if name not in labels:
+            raise ValueError(f"unresolved label {name!r}")
+        return labels[name] + int(off or 0) - (at if rel else 0)
 
-    def resolve(tok, line, at):
-        m = _IMM_RE.match(tok)
-        if m:
-            rel, name, off = m.groups()
-            if name not in labels:
-                raise AsmError(f"unresolved label {name!r}", line)
-            v = labels[name] + (int(off) if off else 0)
-            return v - at if rel else v
-        try:
-            return int(tok)
-        except ValueError:
-            raise AsmError(f"bad immediate {tok!r}", line)
-
-    def operand(tok, line, at):
-        if is_register(tok):
-            return tok
-        return resolve(tok, line, at)
-
-    result = AsmResult({}, labels)
-    seg = result.segment
-
-    def emit(addr, word, line):
-        if addr in seg:
-            raise AsmError(f"address {addr} assembled twice", line)
-        seg[addr] = word
-
-    for it in items:
-        if it.kind == "label":
-            continue
-        parts = it.text.split()
-        head = parts[0]
-        if head == ".org":
-            continue
-        if head == ".word":
-            try:
-                emit(it.addr, parse_word(it.text.split(None, 1)[1]), it.line)
-            except (IndexError, ValueError) as e:
-                raise AsmError(str(e), it.line)
-            continue
-        if head == ".seal":
-            if len(parts) != 4:
-                raise AsmError(".seal needs base end cur", it.line)
-            emit(it.addr, SealCap(resolve(parts[1], it.line, it.addr),
-                                  _bound(parts[2]),
-                                  resolve(parts[3], it.line, it.addr)),
-                 it.line)
-            continue
-        if head == "call":
-            if len(parts) != 5:
-                raise AsmError("call needs: call seal off_sigma r1 r2", it.line)
-            seal_tok, off_s, r1, r2 = parts[1:]
-            if seal_tok in labels:
-                off_pc = labels[seal_tok] - it.addr
+    try:
+        # pass 1: labels and addresses
+        for n, raw in enumerate(src.splitlines(), 1):
+            text = raw.split(";", 1)[0].strip()
+            while m := _LABEL_RE.match(text):
+                if m[1] in labels:
+                    raise ValueError(f"duplicate label {m[1]!r}")
+                labels[m[1]] = addr
+                text = text[m.end():]
+            parts = text.split()
+            if parts[:1] == [".org"]:
+                addr = parse_int(*_operands(parts))
+            elif parts:
+                stmts.append((n, addr, parts, text))
+                addr += CALL_LEN if parts[0] == "call" else 1
+        # pass 2: each statement's words
+        for n, addr, parts, text in stmts:
+            head = parts[0]
+            if head == ".word":
+                words = [parse_word(text[len(head):])]
+            elif head == ".seal":
+                base, end, cur = _operands(parts)
+                words = [SealCap(resolve(base, addr), _bound(end),
+                                 resolve(cur, addr))]
+            elif head == "call":
+                seal, off_sigma, r1, r2 = _operands(parts)
+                off_pc = labels[seal] - addr if seal in labels \
+                    else resolve(seal, addr)
+                if off_pc < 0:
+                    raise ValueError(
+                        "call seal must sit at or after the macro")
+                params = CallParams(off_pc, resolve(off_sigma, addr), r1, r2)
+                words = map(enc_instr,
+                            expand_scall(params, stk_base, check_stk_base))
+            elif head in OPCODES:
+                words = [enc_instr(mk_instr(head, *[
+                    t if is_register(t) else resolve(t, addr)
+                    for t in parts[1:]]))]
             else:
-                off_pc = resolve(seal_tok, it.line, it.addr)
-            if off_pc < 0:
-                raise AsmError("call seal must sit at or after the macro",
-                               it.line)
-            params = CallParams(off_pc, resolve(off_s, it.line, it.addr),
-                                r1, r2)
-            try:
-                instrs = expand_scall(params, stk_base, check_stk_base)
-            except ValueError as e:
-                raise AsmError(str(e), it.line)
-            for k, ins in enumerate(instrs):
-                emit(it.addr + k, enc_instr(ins), it.line)
-            continue
-        # plain instruction
-        if head not in OPCODES:
-            raise AsmError(f"unknown instruction {head!r}", it.line)
-        try:
-            args = [operand(t, it.line, it.addr) for t in parts[1:]]
-            instr = mk_instr(head, *args)
-            emit(it.addr, enc_instr(instr), it.line)
-        except ValueError as e:
-            raise AsmError(str(e), it.line)
-
-    return result
+                raise ValueError(f"unknown instruction {head!r}")
+            for a, w in enumerate(words, addr):
+                if a in seg:
+                    raise ValueError(f"address {a} assembled twice")
+                seg[a] = w
+    except ValueError as e:
+        raise AsmError(f"line {n}: {e}") from None
+    return AsmResult(seg, labels)
 
 
 def disassemble(seg, stk_base: Optional[int] = None,
@@ -342,27 +293,23 @@ def disassemble(seg, stk_base: Optional[int] = None,
     is supplied; words with no instruction reading print as data.
     """
     lines = []
-    addrs = sorted(seg)
-    prev = None
-    i = 0
-    while i < len(addrs):
-        a = addrs[i]
-        if prev is None or a != prev + 1:
+    end = -INF      # the first address after the last line
+    for a in sorted(seg):
+        if a < end:     # a cell of a folded call
+            continue
+        if a != end:
             lines.append(f".org {a}")
-        if stk_base is not None:
-            p = call_cond(seg, a, stk_base, check_stk_base)
-            if p is not None:
-                lines.append(f"call {p.off_pc} {p.off_sigma} {p.r1} {p.r2}")
-                prev = a + CALL_LEN - 1
-                while i < len(addrs) and addrs[i] <= prev:
-                    i += 1
-                continue
+        p = None if stk_base is None else \
+            call_cond(seg, a, stk_base, check_stk_base)
+        if p is not None:
+            lines.append(f"call {p.off_pc} {p.off_sigma} {p.r1} {p.r2}")
+            end = a + CALL_LEN
+            continue
         w = seg[a]
         instr = dec_instr(w)
         if isinstance(w, int) and w == enc_instr(instr):
             lines.append(repr(instr))
         else:
             lines.append(f".word {w!r}")
-        prev = a
-        i += 1
+        end = a + 1
     return "\n".join(lines) + "\n"

@@ -8,7 +8,6 @@ hand out linear capabilities over; the three sets are ``Ranges``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -17,7 +16,7 @@ from .asm import CALL_LEN, call_cond, find_hidden_calls
 from .core import (
     INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges,
     SealCap, Sealed, StkPtr, fresh_registers, is_linear, linear_overlaps,
-    linear_range, non_exec, parse_word, perm_leq,
+    linear_range, non_exec, parse_int, parse_word, perm_leq,
 )
 from .source import SourceConfig
 
@@ -324,7 +323,25 @@ def initial_config(p: Component, machine_kind: str,
 # ---------------------------------------------------------------------------
 # Container format
 
-_SECTION_RE = re.compile(r"^\[(\w+)(?:\s+(.*?))?\]$")
+# each section's name and the keys its header takes
+_SECTIONS = {"code": ("base",), "data": (), "imports": (), "exports": (),
+             "seals": ("ret", "clos"), "linear": (), "main": ()}
+
+
+def _header(line):
+    """The name and keys of a section header ``[name key=value ...]``."""
+    words = line[1:-1].split() if line.endswith("]") else []
+    if not words or words[0] not in _SECTIONS:
+        raise ValueError(f"bad section header {line!r}")
+    name, keys = words[0], {}
+    for field in words[1:]:
+        key, eq, value = field.partition("=")
+        if not eq or key not in _SECTIONS[name]:
+            raise ValueError(f"[{name}] takes no field {field!r}")
+        if key in keys:
+            raise ValueError(f"[{name}] repeats {key}=")
+        keys[key] = value
+    return name, keys
 
 
 def parse_component(text: str) -> Component:
@@ -344,19 +361,16 @@ def parse_component(text: str) -> Component:
         if not line:
             continue
         try:
-            m = line[0] == "[" and _SECTION_RE.match(line)
-            if m:
-                section, attrs = m.group(1), m.group(2) or ""
+            if line[0] == "[":
+                section, keys = _header(line)
                 if section == "code":
-                    am = re.search(r"base=(-?\d+)", attrs)
-                    if not am:
+                    if "base" not in keys:
                         raise ValueError("[code] needs base=")
-                    code_next = int(am.group(1)) - 1  # pad precedes the base
+                    # the pad precedes the base
+                    code_next = parse_int(keys["base"]) - 1
                 elif section == "seals":
-                    ret_m = re.search(r"ret=([0-9.,]*)", attrs)
-                    clos_m = re.search(r"clos=([0-9.,]*)", attrs)
-                    sig_ret = Ranges.parse(ret_m[1] if ret_m else "")
-                    sig_clos = Ranges.parse(clos_m[1] if clos_m else "")
+                    sig_ret = Ranges.parse(keys.get("ret", ""))
+                    sig_clos = Ranges.parse(keys.get("clos", ""))
             elif section == "code":
                 if code_next in code:
                     raise ValueError(f"address {code_next} given twice")
@@ -364,12 +378,12 @@ def parse_component(text: str) -> Component:
                 code_next += 1
             elif section == "data":
                 addr, lit = line.split(None, 1)
-                if (a := int(addr)) in data:
+                if (a := parse_int(addr)) in data:
                     raise ValueError(f"address {a} given twice")
                 data[a] = parse_word(lit)
             elif section == "imports":
                 sym, addr = line.split()
-                imports.append((int(addr), sym))
+                imports.append((parse_int(addr), sym))
             elif section == "exports":
                 sym, lit = line.split(None, 1)
                 exports.append((sym, parse_word(lit)))

@@ -151,8 +151,21 @@ _SEALABLE = (MemCap, SealCap, StkPtr, RetPtrData, RetPtrCode)
 # ---------------------------------------------------------------------------
 # Word literals: ``N`` for an int, ``kind(f1,...,fn)`` for a record
 
+def _is_int(text: str) -> bool:
+    # ASCII digits with an optional minus: the one spelling of an int in
+    # a word, a container and an assembly
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
+def parse_int(text: str) -> int:
+    """The int ``text`` spells; any other spelling raises ValueError."""
+    if not _is_int(text):
+        raise ValueError(f"bad int {text!r}")
+    return int(text)
+
+
 def _bound(text: str):
-    return INF if text == "inf" else int(text)
+    return INF if text == "inf" else parse_int(text)
 
 
 def _perm(text: str) -> Perm:
@@ -170,12 +183,12 @@ def _sealable(text: str):
 
 # literal name -> (record class, one parser per field)
 LITERALS = {
-    "cap": (MemCap, (_perm, Lin, int, _bound, int)),
-    "seal": (SealCap, (int, _bound, int)),
-    "stkptr": (StkPtr, (_perm, int, _bound, int)),
-    "retptrcode": (RetPtrCode, (int, _bound, int)),
-    "retptrdata": (RetPtrData, (int, _bound)),
-    "sealed": (Sealed, (int, _sealable)),
+    "cap": (MemCap, (_perm, Lin, parse_int, _bound, parse_int)),
+    "seal": (SealCap, (parse_int, _bound, parse_int)),
+    "stkptr": (StkPtr, (_perm, parse_int, _bound, parse_int)),
+    "retptrcode": (RetPtrCode, (parse_int, _bound, parse_int)),
+    "retptrdata": (RetPtrData, (parse_int, _bound)),
+    "sealed": (Sealed, (parse_int, _sealable)),
 }
 _LITERAL_NAMES = {cls: name for name, (cls, _) in LITERALS.items()}
 
@@ -183,7 +196,7 @@ _LITERAL_NAMES = {cls: name for name, (cls, _) in LITERALS.items()}
 def parse_word(text: str) -> Word:
     """The word whose repr is ``text``, surrounding blanks aside."""
     text = text.strip()
-    if text.lstrip("-").isdecimal():   # digits with an optional minus
+    if _is_int(text):
         return int(text)
     kind, _, body = text.partition("(")
     entry = LITERALS.get(kind)
@@ -352,7 +365,7 @@ class Ranges:
         for part in filter(None, map(str.strip, text.split(","))):
             lo, dots, hi = part.partition("..")
             try:
-                runs.append((int(lo), int(hi if dots else lo)))
+                runs.append((parse_int(lo), parse_int(hi if dots else lo)))
             except ValueError:
                 raise ValueError(f"bad run {part!r}") from None
         return Ranges(runs) if runs else _NO_INTS

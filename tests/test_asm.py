@@ -41,6 +41,10 @@ def test_expand_rejects_bad_operands():
         expand_scall(CallParams(0, 0, "r3", "pc"), 0)
     with pytest.raises(ValueError):
         expand_scall(CallParams(-1, 0, "r3", "r4"), 0)
+    # any operand that is not a register is refused before encoding
+    for r1, r2 in (("bogus", "r4"), ("r3", 5), ("r3", "5")):
+        with pytest.raises(ValueError, match="is not a register"):
+            expand_scall(CallParams(0, 0, r1, r2), 0)
 
 
 def test_call_cond_roundtrip():
@@ -267,6 +271,13 @@ def test_word_literals_roundtrip():
         parse_word("sealed(1,5)")
     with pytest.raises(ValueError):
         parse_word("bogus(1,2)")
+    # an int is ASCII digits with an optional minus, bare or in a field
+    for bad in ("+5", "1_000", "--5", "\u0663", "seal(+1,1_000, 2)",
+                "seal(1,1000, 2)", "seal(1,+2,1)", "sealed(+1,seal(1,2,3))",
+                "cap(rw,normal,1,2,1_0)", "retptrdata(0, inf)"):
+        with pytest.raises(ValueError):
+            parse_word(bad)
+    assert parse_word(" -5 ") == -5
 
 
 _ADDR = st.integers(-5, 2 ** 40)
@@ -336,17 +347,39 @@ def test_assemble_call_macro():
     assert dec_instr(r.segment[126]) == mk_instr("halt")
 
 
+_ASM_ERRORS = [
+    ("move r0 nolabel", "line 1: unresolved label 'nolabel'"),
+    ("x: halt\nx: halt", "line 2: duplicate label 'x'"),
+    (".org 0\nhalt\n.org 0\nhalt", "line 4: address 0 assembled twice"),
+    ("frob r0", "line 1: unknown instruction 'frob'"),
+    ("s: .seal 0 9 0\ncall s 0 r1 r2",
+     "line 2: call seal must sit at or after the macro"),
+    ("cca r1 @x+", "line 1: bad int '@x+'"),
+    (".seal 1 x 1", "line 1: bad int 'x'"),
+    (".seal 1 1", "line 1: .seal needs base end cur"),
+    (".word", "line 1: bad word literal: ''"),
+    ("halt\n.org", "line 2: .org needs addr"),
+    ("call s 99999999999 r1 r2\ns: .seal 1 1 1",
+     "line 1: immediate 99999999999 out of range"),
+    ("call s 0 bogus r2\ns: .seal 1 1 1",
+     "line 1: call: 'bogus' is not a register"),
+    ("call s 0 r1 5\ns: .seal 1 1 1", "line 1: call: '5' is not a register"),
+    ("call s 0 r1\ns: .seal 1 1 1", "line 1: call needs seal off_sigma r1 r2"),
+    # an int is digits with an optional minus, wherever one is read
+    ("move r0 1_000", "line 1: bad int '1_000'"),
+    ("move r0 +5", "line 1: bad int '+5'"),
+    ("halt\n.org +5", "line 2: bad int '+5'"),
+    (".seal 1 1_0 1", "line 1: bad int '1_0'"),
+    (".word seal(+1,1,1)", "line 1: bad int '+1'"),
+]
+
+
 def test_assemble_errors():
-    with pytest.raises(AsmError):
-        assemble("move r0 nolabel")
-    with pytest.raises(AsmError):
-        assemble("x: halt\nx: halt")
-    with pytest.raises(AsmError):
-        assemble(".org 0\nhalt\n.org 0\nhalt")      # double assembly
-    with pytest.raises(AsmError):
-        assemble("frob r0")                          # unknown mnemonic
-    with pytest.raises(AsmError):
-        assemble("s: .seal 0 9 0\ncall s 0 r1 r2")   # seal before macro
+    # every error names its line once, whichever pass finds it
+    for src, message in _ASM_ERRORS:
+        with pytest.raises(AsmError) as e:
+            assemble(src, stk_base=1000)
+        assert str(e.value) == message, src
 
 
 def test_disassemble_roundtrip():

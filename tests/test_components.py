@@ -366,18 +366,37 @@ clo\tsealed(5,cap(rx,normal,100,101,100))
     ("[data]", "[seals ret=1..2..3 clos=]"),
     ("[data]", "[seals ret=. clos=]"),
     ("[linear]", "1..2..3"),
+    # a header is read whole: a known name, only its own keys, once each
+    ("[data]", "[seals ret=1,x clos=2]"),
+    ("[data]", "[seals ret=1 clos=x]"),
+    ("[data]", "[code base=5x]"),
+    ("[data]", "[code base=5 base=9]"),
+    ("[data]", "[seals ret=1..2 foo=3]"),
+    ("[data]", "[data extra]"),
+    ("[data]", "[main extra]"),
+    ("[data]", "[bogus]"),
+    # an int is digits with an optional minus
+    ("[data]", "[code base=+100]"),
+    ("[data]", "+301\t7"),
+    ("[data]", "1_000\t7"),
+    ("[imports]", "cb\t+30"),
+    ("[code base=100]", "seal(+1,1,1)"),
+    ("[linear]", "1_0..20"),
 ])
 def test_container_errors_name_the_line(section, bad):
-    # a malformed word, address, field or list names its line, as a
-    # [code] header without base= does
+    # a malformed word, address, field, header or list names its line,
+    # as a [code] header without base= does
     text = "[data]\n300\t7\n[seals ret= clos=5]\n"
     with pytest.raises(ValueError, match=r"^line 5: ") as e:
         parse_component(f"{text}{section}\n{bad}\n")
-    # a list names its bad run, in a [seals] header as on a [linear] line
-    runs = re.findall(r"ret=(\S*)", bad) or \
+    # a list names its first bad run, in a [seals] header as on a
+    # [linear] line
+    lists = re.findall(r"(?:ret|clos)=([^\s\]]*)", bad) or \
         ([bad] if section == "[linear]" else [])
-    for run in runs:
-        assert str(e.value) == f"line 5: bad run {run!r}"
+    runs = [run for lst in lists for run in lst.split(",")
+            if run and not re.fullmatch(r"-?[0-9]+(\.\.-?[0-9]+)?", run)]
+    if runs:
+        assert str(e.value) == f"line 5: bad run {runs[0]!r}"
 
 
 def test_container_address_given_twice(tmp_path, capsys):
@@ -401,6 +420,10 @@ def test_container_seal_ranges():
     c = parse_component("[data]\n[seals ret=1..3 clos=4,6]\n")
     assert list(c.sig_ret) == [1, 2, 3] and list(c.sig_clos) == [4, 6]
     assert format_component(c).endswith("[seals ret=1..3 clos=4,6]\n")
+    # a later [seals] header replaces an earlier one; a key left out is
+    # the empty set
+    c = parse_component("[data]\n[seals ret=1..3 clos=4]\n[seals clos=7]\n")
+    assert c.sig_ret == Ranges() and list(c.sig_clos) == [7]
     # [linear] takes runs, lists and one address per line alike
     c = parse_component("[data]\n[linear]\n10..12\n14,20..21\n30\n31\n")
     assert list(c.a_linear) == [10, 11, 12, 14, 20, 21, 30, 31]

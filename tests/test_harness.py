@@ -1,14 +1,19 @@
+import functools
+import io
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from capmach import cli, harness
-from capmach.asm import assemble
+from capmach.asm import assemble, disassemble
 from capmach.components import (
     format_component, initial_config, link, parse_component,
 )
@@ -658,6 +663,20 @@ def test_cli_malformed_inputs(tmp_path):
         line = text[:text.index(old)].count("\n") + 1
         literals.append((3, f"error: line {line}: {message}",
                          ["validate", str(path)]))
+    sources = []                          # one malformed assembly each
+    for src, message in (
+            ("move r0 nolabel", "unresolved label 'nolabel'"),
+            (".org 0\nhalt\n.org 0\nhalt", "address 0 assembled twice"),
+            ("cca r1 @x+", "bad int '@x+'"),
+            (".seal 1 x 1", "bad int 'x'"),
+            (".word", "bad word literal: ''"),
+            ("call s 99999999999 r1 r2", "immediate 99999999999 out of range"),
+            ("call s 0 bogus r2", "call: 'bogus' is not a register")):
+        path = tmp_path / f"source{len(sources)}.s"
+        path.write_text(f"{src}\ns: .seal 1 1 1\n")
+        line = src.count("\n") + 1 if "twice" in message else 1
+        sources.append((3, f"error: line {line}: {message}\n",
+                        ["asm", str(path), "-o", str(tmp_path / "a.comp")]))
     run = ["run", "--machine", "source"]
     cases = [
         (3, "error: ", run + [prog, "--no-validate", "--trace",
@@ -669,7 +688,7 @@ def test_cli_malformed_inputs(tmp_path):
         (4, "owned seals are not contiguous", run + [str(far_seals)]),
         (4, "data overlaps trusted addresses",
          run + [t, "--ta", "0..2000000000"]),
-    ] + literals
+    ] + literals + sources
     for code, message, argv in cases:
         p = _cli_under_1gb(argv)
         assert p.returncode == code, (argv, p.stderr[-300:])
@@ -677,6 +696,62 @@ def test_cli_malformed_inputs(tmp_path):
         assert "Traceback" not in p.stderr, argv
         if code == 3:   # one error line
             assert p.stderr.count("\n") == 1, (argv, p.stderr[-300:])
+
+
+_MUTANTS = ("bogus", "+5", "1_000", "99999999999", "@nolabel", "inf",
+            "seal(1,x,1)", "[bogus]", "ret=1,x")
+
+
+@functools.lru_cache(maxsize=None)
+def _front_end_lines():
+    """The lines of each corpus component's code as ``asm`` reads it and
+    of its container as ``validate`` reads it, as ``(subcommand, lines,
+    index)``, grouped by the kind of line (its first token, numbers
+    aside), so that a rare kind is drawn as often as a common one."""
+    kinds = {}
+    for _, *comps in corpus():
+        for c in comps:
+            for cmd, text in (("asm", disassemble(c.ms_code, STK_BASE)),
+                              ("validate", format_component(c))):
+                lines = text.splitlines()
+                for i, line in enumerate(lines):
+                    kind = re.sub(r"[0-9(].*", "", line.split()[0])
+                    kinds.setdefault((cmd, kind), []).append((cmd, lines, i))
+    return list(kinds.values())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_front_end_fuzz(data):
+    # one token of one line dropped, doubled or replaced: the front end
+    # answers with an exit code and at most one error line, never a
+    # traceback, and names a line at most once
+    kind = data.draw(st.sampled_from(_front_end_lines()))
+    cmd, lines, i = data.draw(st.sampled_from(kind))
+    lines = list(lines)
+    tokens = lines[i].split()
+    j = data.draw(st.integers(0, len(tokens) - 1))
+    how = data.draw(st.sampled_from(("drop", "double", "replace")))
+    if how == "drop":
+        del tokens[j]
+    elif how == "double":
+        tokens.insert(j, tokens[j])
+    else:
+        tokens[j] = data.draw(st.sampled_from(_MUTANTS))
+    lines[i] = " ".join(tokens)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "input")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        argv = [cmd, path] + (["-o", os.path.join(d, "out")]
+                              if cmd == "asm" else [])
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    assert code in (0, 3, 4), (code, lines[i])
+    if code == 3:
+        assert re.fullmatch(r"error: (?!(line \d+: ){2})[^\n]*\n",
+                            err.getvalue()), (lines[i], err.getvalue())
 
 
 def test_cli_wide_stack(tmp_path):
