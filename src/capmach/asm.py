@@ -200,16 +200,12 @@ class AsmResult:
 
 
 _LABEL_RE = re.compile(r"([A-Za-z_][\w.]*):\s*")
-_IMM_RE = re.compile(r"(@?)([A-Za-z_][\w.]*)([+-]\d+)?")
-# the operands of each directive and of the call macro
-_OPERANDS = {".org": "addr", ".seal": "base end cur",
-             "call": "seal off_sigma r1 r2"}
+_IMM_RE = re.compile(r"(@?)([A-Za-z_][\w.]*)([+-][0-9]+)?")
 
 
-def _operands(parts):
-    names = _OPERANDS[parts[0]].split()
-    if len(parts) != 1 + len(names):
-        raise ValueError(f"{parts[0]} needs {' '.join(names)}")
+def _operands(parts, names: str):
+    if len(parts) != 1 + len(names.split()):
+        raise ValueError(f"{parts[0]} needs {names}")
     return parts[1:]
 
 
@@ -247,7 +243,7 @@ def assemble(src: str, stk_base: int = 0,
                 text = text[m.end():]
             parts = text.split()
             if parts[:1] == [".org"]:
-                addr = parse_int(*_operands(parts))
+                addr = parse_int(*_operands(parts, "addr"))
             elif parts:
                 stmts.append((n, addr, parts, text))
                 addr += CALL_LEN if parts[0] == "call" else 1
@@ -257,11 +253,12 @@ def assemble(src: str, stk_base: int = 0,
             if head == ".word":
                 words = [parse_word(text[len(head):])]
             elif head == ".seal":
-                base, end, cur = _operands(parts)
+                base, end, cur = _operands(parts, "base end cur")
                 words = [SealCap(resolve(base, addr), _bound(end),
                                  resolve(cur, addr))]
             elif head == "call":
-                seal, off_sigma, r1, r2 = _operands(parts)
+                seal, off_sigma, r1, r2 = _operands(
+                    parts, "seal off_sigma r1 r2")
                 off_pc = labels[seal] - addr if seal in labels \
                     else resolve(seal, addr)
                 if off_pc < 0:

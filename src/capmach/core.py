@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Container, Mapping
@@ -183,13 +184,16 @@ def _sealable(text: str):
 
 # literal name -> (record class, one parser per field)
 LITERALS = {
-    "cap": (MemCap, (_perm, Lin, parse_int, _bound, parse_int)),
-    "seal": (SealCap, (parse_int, _bound, parse_int)),
-    "stkptr": (StkPtr, (_perm, parse_int, _bound, parse_int)),
-    "retptrcode": (RetPtrCode, (parse_int, _bound, parse_int)),
-    "retptrdata": (RetPtrData, (parse_int, _bound)),
-    "sealed": (Sealed, (parse_int, _sealable)),
+    "cap": (MemCap, (_perm, Lin, int, _bound, int)),
+    "seal": (SealCap, (int, _bound, int)),
+    "stkptr": (StkPtr, (_perm, int, _bound, int)),
+    "retptrcode": (RetPtrCode, (int, _bound, int)),
+    "retptrdata": (RetPtrData, (int, _bound)),
+    "sealed": (Sealed, (int, _sealable)),
 }
+# a record literal's body, checked once: on these characters ``int``
+# reads ASCII digits with an optional minus and nothing else
+_BODY_RE = re.compile(r"[-A-Za-z0-9,()]*\)")
 _LITERAL_NAMES = {cls: name for name, (cls, _) in LITERALS.items()}
 
 
@@ -200,7 +204,7 @@ def parse_word(text: str) -> Word:
         return int(text)
     kind, _, body = text.partition("(")
     entry = LITERALS.get(kind)
-    if entry is None or not body.endswith(")"):
+    if entry is None or _BODY_RE.fullmatch(body) is None:
         raise ValueError(f"bad word literal: {text!r}")
     cls, parsers = entry
     # only the last field, a sealed word's inner word, may hold commas

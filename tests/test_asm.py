@@ -370,7 +370,8 @@ _ASM_ERRORS = [
     ("move r0 +5", "line 1: bad int '+5'"),
     ("halt\n.org +5", "line 2: bad int '+5'"),
     (".seal 1 1_0 1", "line 1: bad int '1_0'"),
-    (".word seal(+1,1,1)", "line 1: bad int '+1'"),
+    (".word seal(+1,1,1)", "line 1: bad word literal: 'seal(+1,1,1)'"),
+    ("x: move r0 x+\u0663", "line 1: bad int 'x+\u0663'"),
 ]
 
 
