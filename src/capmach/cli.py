@@ -16,7 +16,7 @@ from .components import (
     Component, ConfigError, LinkError, format_component, initial_config,
     link, parse_component, validate_component,
 )
-from .core import GlobalConstants
+from .core import GlobalConstants, parse_int
 from .fixtures import SCENARIOS
 from .harness import DEFAULT_FUEL, ValidationFailure, format_trace, \
     run_diff, run_report
@@ -30,10 +30,18 @@ EXIT_INVALID = 4
 DEFAULT_STACK = (1000, 1063)
 
 
+def _int(s):
+    """An int as every input spells it (``core.parse_int``)."""
+    try:
+        return parse_int(s)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _parse_range(s):
     try:
         lo, hi = s.split("..")
-        return int(lo), int(hi)
+        return parse_int(lo), parse_int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a range lo..hi, got {s!r}") from None
@@ -55,7 +63,7 @@ def _ta(s):
 
 
 def _fuel(s):
-    n = int(s)
+    n = _int(s)
     if n < 0:
         raise argparse.ArgumentTypeError(f"fuel must be non-negative, got {n}")
     return n
@@ -181,7 +189,7 @@ def build_parser():
                             default=DEFAULT_STACK)
             sp.add_argument("--fuel", type=_fuel, default=DEFAULT_FUEL)
         else:
-            sp.add_argument("--stk-base", type=int, default=DEFAULT_STACK[0])
+            sp.add_argument("--stk-base", type=_int, default=DEFAULT_STACK[0])
 
     sp = sub.add_parser("asm")
     sp.add_argument("input")

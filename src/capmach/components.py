@@ -344,6 +344,15 @@ def _header(line):
     return name, keys
 
 
+def _fields(line: str, what: str):
+    """The two fields of a line that holds ``what``: its first token and
+    the rest."""
+    fields = line.split(None, 1)
+    if len(fields) != 2:
+        raise ValueError(f"expected {what}, got {line!r}")
+    return fields
+
+
 def parse_component(text: str) -> Component:
     code: dict = {}
     data: dict = {}
@@ -377,15 +386,15 @@ def parse_component(text: str) -> Component:
                 code[code_next] = parse_word(line)
                 code_next += 1
             elif section == "data":
-                addr, lit = line.split(None, 1)
+                addr, lit = _fields(line, "address word")
                 if (a := parse_int(addr)) in data:
                     raise ValueError(f"address {a} given twice")
                 data[a] = parse_word(lit)
             elif section == "imports":
-                sym, addr = line.split()
+                sym, addr = _fields(line, "symbol address")
                 imports.append((parse_int(addr), sym))
             elif section == "exports":
-                sym, lit = line.split(None, 1)
+                sym, lit = _fields(line, "symbol word")
                 exports.append((sym, parse_word(lit)))
             elif section == "linear":
                 linear += Ranges.parse(line).runs

@@ -15,7 +15,7 @@ from .components import Component, initial_config, link, \
     validate_component
 from .core import PC, GlobalConstants, MemCap, dec_instr, lin_cons, \
     linear_overlaps, linear_range
-from .machine import Failed, Halted, NULL_EXTENSION, Running, step
+from .machine import NULL_EXTENSION, Running, advance
 from .source import SOURCE_EXTENSION, SourceConfig
 
 DEFAULT_FUEL = 100_000
@@ -147,10 +147,9 @@ class _Invariants:
         """``(check_linearity(cfg), check_stack_partition(cfg))`` for a
         configuration that follows the last one asked about; ``wrote``
         names every register whose word is not the same object as there
-        (registers are never removed)."""
+        (registers are never removed).  ``cfg`` may be the last one
+        itself, its registers written in place since."""
         old, self.cfg = self.cfg, cfg
-        if cfg is old:
-            return self.overlaps, self.partition
         changed = False
         mem, reg, stk, ms_stk = cfg
         old_mem, _, old_stk, old_ms_stk = old
@@ -227,10 +226,17 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
     """Step ``cfg`` on one machine until it halts, fails or runs out of
     ``fuel``.  ``paranoid`` checks both invariants before every step
     (one full scan, then the changes of each step); ``want_trace``
-    records one TraceRecord per step."""
+    records one TraceRecord per step.
+
+    ``cfg`` is not written.  The run copies its registers once and
+    applies a register-only step's writes to that copy in place, on the
+    same configuration object; a step that changes memory or frames
+    hands over its new configuration, whose registers are its own."""
     ext = SOURCE_EXTENSION if machine_kind == "source" else NULL_EXTENSION
     trace = [] if want_trace else None
     violations: list = []
+    cfg = cfg.with_regs({})
+    reg = cfg.reg
     checks = _Invariants(cfg) if paranoid else None
     steps = 0
     wrote = ()
@@ -242,22 +248,22 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
                                   f"by both {first} and {later}")
             for v in partition:
                 violations.append(f"step {steps}: {v}")
-        nxt = step(cfg, ext, gc)
+        out = advance(cfg, ext, gc)
         steps += 1
         if want_trace:
             pc = cfg.reg[PC]
             pc_addr = pc.addr if isinstance(pc, MemCap) else None
-            trace.append(TraceRecord(steps, pc_addr, current_instr_repr(cfg),
-                                     nxt.kind))
-        if type(nxt) is Running:
-            cfg = nxt.cfg
-            if paranoid:
-                wrote = nxt.wrote
-            continue
-        if isinstance(nxt, Halted):
-            return RunReport("halted", steps, violations, cfg, trace)
-        if isinstance(nxt, Failed):
-            return RunReport("failed", steps, violations, cfg, trace)
+            trace.append(TraceRecord(
+                steps, pc_addr, current_instr_repr(cfg),
+                "running" if isinstance(out, dict) else out.kind))
+        if isinstance(out, dict):
+            reg.update(out)
+            wrote = out
+        elif type(out) is Running:
+            cfg, wrote = out
+            reg = cfg.reg
+        else:
+            return RunReport(out.kind, steps, violations, cfg, trace)
     return RunReport("fuel-exhausted", steps, violations, cfg, trace)
 
 

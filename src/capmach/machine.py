@@ -1,19 +1,27 @@
 """Single-step instruction interpretation shared by both machines.
 
-Every function here is pure: configurations are immutable snapshots and
-each step builds a fresh one, copying the registers once.  ``step``
-decodes each distinct word once: a bounded memo keyed by the word (never
-by its address, so a store into code runs the new word) gives the
-handler's name and operands, and the handler is then looked up by name
-in the module.  The records most steps build (the next pc, the
-configuration, ``Running``) are made with ``tuple.__new__``, which
-skips the Python-level constructor that ``namedtuple`` generates.  A memory
-capability indexes ``mem`` and a stack pointer indexes ``ms_stk``; every
-pointer case is written once over the pointer and the segment it
-indexes.  A ``MachineExtension`` names the pointer kinds its machine
-accepts and supplies the source-only rules (call recognition,
-return-token jumps); the target machine uses the null extension, which
-accepts memory capabilities only.
+No function here writes a configuration.  A handler that writes only
+registers returns its writes as a dict (a ``Jump`` when it sets pc to
+a jump target); one that changes memory or frames returns a
+``Running`` with a fresh configuration.  ``advance`` runs one step and
+adds the next pc to plain writes, building nothing, so that a run
+(``harness.run_report``) applies them in place to registers of its
+own; ``step`` is ``advance`` plus one register copy, and every
+``Running`` owns a fresh register dict.
+
+``advance`` decodes each distinct word once: a bounded memo keyed by
+the word (never by its address, so a store into code runs the new
+word) gives the handler's name and operands, and the handler is then
+looked up by name in the module.  The records a step builds (the next
+pc; the configuration and ``Running`` of a step that changes memory)
+are made with ``tuple.__new__``, which skips the Python-level
+constructor that ``namedtuple`` generates.  A memory capability
+indexes ``mem`` and a stack pointer indexes ``ms_stk``; every pointer
+case is written once over the pointer and the segment it indexes.  A
+``MachineExtension`` names the pointer kinds its machine accepts and
+supplies the source-only rules (call recognition, return-token
+jumps); the target machine uses the null extension, which accepts
+memory capabilities only.
 """
 
 from __future__ import annotations
@@ -60,18 +68,43 @@ HALTED = Halted()
 _new = tuple.__new__
 
 
+class Jump(dict):
+    """The register writes of a jump: pc holds the target, which the
+    step does not move on."""
+
+    __slots__ = ()
+
+
+def _next_pc(pc, out):
+    """``out``, a handler's outcome, as ``advance`` returns it: plain
+    register writes gain pc moved to the next cell.  pc is read after
+    the writes, so a step that writes pc (``plus pc 1 2``, ``move r5
+    pc`` on a linear pc) fails.  Any other outcome, a ``Jump`` included,
+    is returned as it is."""
+    if type(out) is not dict:
+        return out
+    pc = out.get(PC, pc)
+    if isinstance(pc, MemCap):
+        out[PC] = _new(MemCap, (pc.perm, pc.lin, pc.base, pc.end, pc.addr + 1))
+        return out
+    return FAILED
+
+
+def as_running(cfg, out):
+    """A step outcome over ``cfg`` as ``step`` returns it: register
+    writes become a ``Running`` over a fresh copy of ``cfg``'s
+    registers; any other outcome is returned as it is."""
+    if isinstance(out, dict):
+        return _new(Running, (cfg.with_regs(out), out))
+    return out
+
+
 def upd_pc_addr(cfg, updates: dict):
     """``cfg`` with the register ``updates`` written and pc moved to the
-    next cell, in one register copy; ``updates`` is the caller's own
-    dict and gains the new pc.  pc is read after the updates, so a step
-    that writes pc (``plus pc 1 2``, ``move r5 pc`` on a linear pc)
-    fails."""
-    pc = updates.get(PC, cfg.reg[PC])
-    if isinstance(pc, MemCap):
-        updates[PC] = _new(MemCap, (pc.perm, pc.lin, pc.base, pc.end,
-                                    pc.addr + 1))
-        return _new(Running, (cfg.with_regs(updates), updates))
-    return FAILED
+    next cell (see ``_next_pc``), in one register copy; ``updates`` is
+    the caller's own dict and gains the new pc.  Only the handlers that
+    change memory use it: the others return their writes."""
+    return as_running(cfg, _next_pc(cfg.reg[PC], updates))
 
 
 class MachineExtension:
@@ -91,9 +124,9 @@ class MachineExtension:
         return None
 
     def recognize_call(self, cfg, gc):
-        """Big-step call dispatch; None means no call fires here.  ``step``
-        calls it only when pc is an executable memory capability whose
-        cell holds ``CALL_HEAD``."""
+        """Big-step call dispatch; None means no call fires here.
+        ``advance`` calls it only when pc is an executable memory
+        capability whose cell holds ``CALL_HEAD``."""
         return None
 
 
@@ -139,21 +172,19 @@ def exec_halt(cfg, ext, gc):
 
 def exec_jmp(cfg, ext, gc, r):
     target = cfg.reg[r]
-    updates = {r: lin_cons(target), PC: target}
-    return _new(Running, (cfg.with_regs(updates), updates))
+    return Jump({r: lin_cons(target), PC: target})
 
 
 def exec_jnz(cfg, ext, gc, r, rn):
     operand = rn if isinstance(rn, int) else cfg.reg[rn]
     if non_zero(operand):
         target = cfg.reg[r]
-        updates = {r: lin_cons(target), PC: target}
-        return _new(Running, (cfg.with_regs(updates), updates))
-    return upd_pc_addr(cfg, {})
+        return Jump({r: lin_cons(target), PC: target})
+    return {}
 
 
 def exec_gettype(cfg, ext, gc, r1, r2):
-    return upd_pc_addr(cfg, {r1: enc_type(cfg.reg[r2])})
+    return {r1: enc_type(cfg.reg[r2])}
 
 
 def exec_geta(cfg, ext, gc, r1, r2):
@@ -164,7 +195,7 @@ def exec_geta(cfg, ext, gc, r1, r2):
         v = w.cur
     else:
         v = -1
-    return upd_pc_addr(cfg, {r1: v})
+    return {r1: v}
 
 
 def exec_getb(cfg, ext, gc, r1, r2):
@@ -173,7 +204,7 @@ def exec_getb(cfg, ext, gc, r1, r2):
         v = w.base
     else:
         v = -1
-    return upd_pc_addr(cfg, {r1: v})
+    return {r1: v}
 
 
 def exec_gete(cfg, ext, gc, r1, r2):
@@ -182,7 +213,7 @@ def exec_gete(cfg, ext, gc, r1, r2):
         v = w.end
     else:
         v = -1
-    return upd_pc_addr(cfg, {r1: v})
+    return {r1: v}
 
 
 def exec_getp(cfg, ext, gc, r1, r2):
@@ -191,23 +222,23 @@ def exec_getp(cfg, ext, gc, r1, r2):
         v = enc_perm(w.perm)
     else:
         v = -1
-    return upd_pc_addr(cfg, {r1: v})
+    return {r1: v}
 
 
 def exec_getlin(cfg, ext, gc, r1, r2):
     lin = Lin.LINEAR if is_linear(cfg.reg[r2]) else Lin.NORMAL
-    return upd_pc_addr(cfg, {r1: enc_lin(lin)})
+    return {r1: enc_lin(lin)}
 
 
 def exec_move(cfg, ext, gc, r, rn):
     if r == PC:
         return FAILED
     if isinstance(rn, int):
-        return upd_pc_addr(cfg, {r: rn})
+        return {r: rn}
     # Clear the source register first, then write the destination:
     # correct even when r == rn (a linear cap stays put).
     old = cfg.reg[rn]
-    return upd_pc_addr(cfg, {rn: lin_cons(old), r: old})
+    return {rn: lin_cons(old), r: old}
 
 
 def exec_store(cfg, ext, gc, r1, r2):
@@ -227,8 +258,8 @@ def exec_load(cfg, ext, gc, r1, r2):
         if w is not None and lin_cons_perm(c.perm, w):
             # lin_cons changes only a linear word's cell: write no other.
             if is_linear(w):
-                cfg = _with_cell(cfg, c, 0)
-            return upd_pc_addr(cfg, {r1: w})
+                return upd_pc_addr(_with_cell(cfg, c, 0), {r1: w})
+            return {r1: w}
     return FAILED
 
 
@@ -240,11 +271,11 @@ def exec_cca(cfg, ext, gc, r, rn):
     if isinstance(c, ext.pointers):
         if c.addr + n < 0:
             return FAILED
-        return upd_pc_addr(cfg, {r: _with_addr(c, c.addr + n)})
+        return {r: _with_addr(c, c.addr + n)}
     if isinstance(c, SealCap):
         if c.cur + n < 0:
             return FAILED
-        return upd_pc_addr(cfg, {r: SealCap(c.base, c.end, c.cur + n)})
+        return {r: SealCap(c.base, c.end, c.cur + n)}
     return FAILED
 
 
@@ -255,7 +286,7 @@ def exec_restrict(cfg, ext, gc, r1, rn):
     c = cfg.reg[r1]
     p = dec_perm(n)
     if isinstance(c, ext.pointers) and perm_leq(p, c.perm):
-        return upd_pc_addr(cfg, {r1: c._replace(perm=p)})
+        return {r1: c._replace(perm=p)}
     return FAILED
 
 
@@ -264,7 +295,7 @@ def _binop(cfg, r0, rn1, rn2, fn):
     n2 = _operand(cfg, rn2)
     if n1 is None or n2 is None:
         return FAILED
-    return upd_pc_addr(cfg, {r0: fn(n1, n2)})
+    return {r0: fn(n1, n2)}
 
 
 def _lt(a, b):
@@ -288,9 +319,9 @@ def exec_seta2b(cfg, ext, gc, r1):
         return FAILED
     c = cfg.reg[r1]
     if isinstance(c, ext.pointers):
-        return upd_pc_addr(cfg, {r1: _with_addr(c, c.base)})
+        return {r1: _with_addr(c, c.base)}
     if isinstance(c, SealCap):
-        return upd_pc_addr(cfg, {r1: SealCap(c.base, c.end, c.base)})
+        return {r1: SealCap(c.base, c.end, c.base)}
     return FAILED
 
 
@@ -298,7 +329,7 @@ def exec_cseal(cfg, ext, gc, r1, r2):
     sc = cfg.reg[r1]
     s = cfg.reg[r2]
     if is_sealable(sc) and isinstance(s, SealCap) and within_bounds(s):
-        return upd_pc_addr(cfg, {r1: Sealed(s.cur, sc)})
+        return {r1: Sealed(s.cur, sc)}
     return FAILED
 
 
@@ -310,9 +341,9 @@ def exec_split(cfg, ext, gc, r1, r2, r3, rn4):
     if ((isinstance(c, ext.pointers) or isinstance(c, SealCap))
             and c.base <= n < c.end):
         # Seals are normal: lin_cons leaves the seal in r3.
-        return upd_pc_addr(cfg, {
+        return {
             r3: lin_cons(c), r1: c._replace(end=n),
-            r2: c._replace(base=n + 1)})
+            r2: c._replace(base=n + 1)}
     return FAILED
 
 
@@ -329,25 +360,26 @@ def exec_splice(cfg, ext, gc, r1, r2, r3):
     if not isinstance(c2, SealCap) and (
             c2.perm != c3.perm or is_linear(c2) != is_linear(c3)):
         return FAILED
-    return upd_pc_addr(cfg, {
+    return {
         r2: lin_cons(c2), r3: lin_cons(c3),
-        r1: c3._replace(base=c2.base)})
+        r1: c3._replace(base=c2.base)}
 
 
 def xjump_result(c1, c2, cfg, ext, gc, updates: dict):
     """Dispatch after unsealing an xjmp pair.
 
     ``updates`` holds the registers the jump has written so far, which
-    are not yet in ``cfg``: each outcome adds its own to them and writes
-    them all in one register copy, so they are the step's write set.
-    The base case loads the code half into pc and the data half into
-    r_data; the source extension adds the return-token case.
+    are not yet in ``cfg``: each outcome adds its own to them, so they
+    are the step's write set.  The base case loads the code half into pc
+    and the data half into r_data and returns them all as a ``Jump``
+    over ``cfg``; the source extension adds the return-token case, a
+    ``Running``.
     """
     if (not isinstance(c1, RetPtrCode) and not isinstance(c2, RetPtrData)
             and non_exec(c2)):
         updates[PC] = c1
         updates[RDATA] = c2
-        return _new(Running, (cfg.with_regs(updates), updates))
+        return Jump(updates)
     out = ext.xjump_result(c1, c2, cfg, gc, updates)
     if out is not None:
         return out
@@ -379,14 +411,20 @@ def _decode(w):
 
 
 def exec_instr(instr: Instr, cfg, ext: MachineExtension, gc: GlobalConstants):
-    """One decoded instruction through the handler table ``step`` uses.
-    The handler is looked up in the module's globals on every call, so a
-    wrapped handler is seen."""
-    return _MODULE[_HANDLER[instr.op]](cfg, ext, gc, *instr.args)
+    """One decoded instruction through the handler table ``step`` uses,
+    as ``step`` returns its outcome.  The handler is looked up in the
+    module's globals on every call, so a wrapped handler is seen."""
+    out = _MODULE[_HANDLER[instr.op]](cfg, ext, gc, *instr.args)
+    return as_running(cfg, _next_pc(cfg.reg[PC], out))
 
 
-def step(cfg, ext: MachineExtension = NULL_EXTENSION,
-         gc: GlobalConstants = None):
+def advance(cfg, ext: MachineExtension = NULL_EXTENSION,
+            gc: GlobalConstants = None):
+    """One step of ``cfg`` that builds no configuration when it writes
+    only registers: FAILED, HALTED, a ``Running`` for a step that
+    changes memory or frames, or else the step's register writes, pc
+    included (a dict, a ``Jump`` for a jump).  ``cfg`` is not written;
+    the caller applies the writes."""
     pc = cfg.reg[PC]
     if not (isinstance(pc, MemCap) and pc.perm in EXEC_PERMS):
         return FAILED
@@ -402,4 +440,11 @@ def step(cfg, ext: MachineExtension = NULL_EXTENSION,
     # The memo holds the handler's name, not the function, so a wrapped
     # handler is seen.
     name, args = _decode(w)
-    return _MODULE[name](cfg, ext, gc, *args)
+    return _next_pc(pc, _MODULE[name](cfg, ext, gc, *args))
+
+
+def step(cfg, ext: MachineExtension = NULL_EXTENSION,
+         gc: GlobalConstants = None):
+    """One step of ``cfg``: FAILED, HALTED, or a ``Running`` that owns a
+    fresh register dict.  ``cfg`` is not written."""
+    return as_running(cfg, advance(cfg, ext, gc))

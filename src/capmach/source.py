@@ -19,7 +19,9 @@ from .core import (
     Memory, MemCap, Perm, Ranges, Record, RetPtrCode, RetPtrData, SealCap,
     Sealed, StkPtr, Word, lin_cons, non_exec,
 )
-from .machine import FAILED, MachineExtension, Running, xjump_result
+from .machine import (
+    FAILED, MachineExtension, Running, as_running, xjump_result,
+)
 
 
 class StackFrame(Record, namedtuple("StackFrame", "opc ms")):
@@ -35,9 +37,10 @@ class SourceConfig(Record, namedtuple("SourceConfig", "mem reg stk ms_stk",
     call frames innermost first, and the accessible stack memory.
 
     The target keeps its stack in ``mem``, so its ``stk`` and ``ms_stk``
-    stay empty.  The ``with_*`` methods call the constructor directly:
-    each step runs at least one of them.  ``with_regs``, which runs on
-    nearly every step, skips the constructor's Python-level ``__new__``.
+    stay empty.  The ``with_*`` methods call the constructor directly.
+    ``with_regs``, which every ``step`` and every step that changes
+    memory or frames runs, skips the constructor's Python-level
+    ``__new__``.
     """
 
     __slots__ = ()
@@ -108,7 +111,7 @@ class SourceExtension(MachineExtension):
 
 def exec_call(cfg: SourceConfig, params: CallParams,
               ext: MachineExtension, gc: GlobalConstants):
-    """The call sequence as one atomic step.  ``step`` reaches it only
+    """The call sequence as one atomic step.  ``advance`` reaches it only
     through ``recognize_call``, with an executable memory capability in
     pc."""
     r1, r2 = params.r1, params.r2
@@ -140,15 +143,16 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     ms_priv, ms_rest = cfg.ms_stk.set(a_stk, 42).split(a_stk, e_stk)
     cfg = SourceConfig(cfg.mem, cfg.reg, (StackFrame(opc, ms_priv),) + cfg.stk,
                        ms_rest)
-    # the jump writes these registers together with its own
-    return xjump_result(w1.inner, w2.inner, cfg, ext, gc, {
+    # the jump writes these registers together with its own, over the
+    # pushed frame: not over the configuration ``advance`` got
+    return as_running(cfg, xjump_result(w1.inner, w2.inner, cfg, ext, gc, {
         r1: lin_cons(w1),
         r2: lin_cons(w2),
         RSTK: StkPtr(Perm.RW, rstk.base, a_stk - 1, a_stk - 1),
         RRETCODE: Sealed(sigma, RetPtrCode(pc.base, pc.end, opc)),
         RRETDATA: Sealed(sigma, RetPtrData(a_stk, e_stk)),
         RTMP1: 0,
-    })
+    }))
 
 
 SOURCE_EXTENSION = SourceExtension()

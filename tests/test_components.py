@@ -399,6 +399,18 @@ def test_container_errors_name_the_line(section, bad):
         assert str(e.value) == f"line 5: bad run {runs[0]!r}"
 
 
+@pytest.mark.parametrize("section, line, what", [
+    ("[data]", "300", "address word"),
+    ("[imports]", "cb", "symbol address"),
+    ("[exports]", "clo", "symbol word"),
+])
+def test_container_line_with_too_few_fields(section, line, what):
+    # a line with one field says what its section's lines hold
+    with pytest.raises(ValueError, match=re.escape(
+            f"line 2: expected {what}, got {line!r}") + "$"):
+        parse_component(f"{section}\n{line}\n")
+
+
 def test_container_address_given_twice(tmp_path, capsys):
     # a second word for one address is refused, not kept silently: in
     # [data], and where a [code] block's pad lands on an earlier block

@@ -31,7 +31,9 @@ from capmach.harness import (
     check_linearity, check_stack_partition, format_trace, run_diff,
     run_report, visible_observations,
 )
-from capmach.machine import NULL_EXTENSION, Running, step
+from capmach.machine import (
+    NULL_EXTENSION, Running, advance, as_running, step,
+)
 from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
 
@@ -216,43 +218,64 @@ def test_check_stack_partition():
 # ---------------------------------------------------------------------------
 # run_report's step-by-step checks against the two full checks
 
-def _fully_checked(cfg, kind, gc, fuel):
-    """(violations, steps) of a paranoid run, from ``check_linearity``
-    and ``check_stack_partition`` on every configuration."""
+def _folded(cfg, kind, gc, fuel, paranoid=True):
+    """(outcome, steps, final configuration, violations) of a run made
+    by folding the pure ``step``; when ``paranoid``, the violations come
+    from ``check_linearity`` and ``check_stack_partition`` on every
+    configuration."""
     ext = SOURCE_EXTENSION if kind == "source" else NULL_EXTENSION
-    out, steps = [], 0
+    out, steps, outcome = [], 0, "fuel-exhausted"
     while steps < fuel:
-        out += [f"step {steps}: linear address {x} owned by both {a} and {b}"
-                for x, a, b in check_linearity(cfg)]
-        out += [f"step {steps}: {v}" for v in check_stack_partition(cfg)]
+        if paranoid:
+            out += [f"step {steps}: linear address {x} owned by both {a} "
+                    f"and {b}" for x, a, b in check_linearity(cfg)]
+            out += [f"step {steps}: {v}" for v in check_stack_partition(cfg)]
         nxt = step(cfg, ext, gc)
         steps += 1
         if not isinstance(nxt, Running):
+            outcome = nxt.kind
             break
         cfg = nxt.cfg
-    return out, steps
+    return outcome, steps, cfg, out
+
+
+def _same_as_folded(cfg, kind, gc, fuel):
+    """``run_report``'s paranoid report, checked with paranoid checks on
+    and off against ``_folded``: the same outcome, steps, final
+    configuration and violations, and ``cfg`` as it was (the same
+    register words, memories and frames), though the run writes
+    registers in place on its own copy."""
+    regs, parts = dict(cfg.reg), (cfg.mem, cfg.stk, cfg.ms_stk)
+    for paranoid in (False, True):
+        r = run_report(cfg, kind, gc, fuel, paranoid)
+        outcome, steps, final, violations = _folded(cfg, kind, gc, fuel,
+                                                    paranoid)
+        assert (r.outcome, r.steps, r.violations) == \
+            (outcome, steps, violations), (kind, paranoid)
+        assert r.final_cfg == final, (kind, paranoid)
+        assert cfg.reg.keys() == regs.keys() and all(
+            cfg.reg[k] is w for k, w in regs.items()), (kind, paranoid)
+        assert all(a is b for a, b in zip(
+            (cfg.mem, cfg.stk, cfg.ms_stk), parts)), (kind, paranoid)
+    return r
 
 
 def _same_checks(cfg, gc, fuel, kinds=("source", "target")):
-    """Each machine's paranoid report, checked against ``_fully_checked``."""
-    reports = [run_report(cfg, kind, gc, fuel, paranoid=True)
-               for kind in kinds]
-    for kind, r in zip(kinds, reports):
-        assert (r.violations, r.steps) == _fully_checked(cfg, kind, gc, fuel)
-    return reports
+    """Each machine's paranoid report, checked by ``_same_as_folded``."""
+    return [_same_as_folded(cfg, kind, gc, fuel) for kind in kinds]
 
 
 def test_paranoid_corpus_and_scenarios_against_full_checks():
     # every run of the corpus and the scenarios, made paranoid, reports
-    # the violations of the full checks at the same steps
+    # the violations of the full checks at the same steps; with paranoid
+    # checks on and off it is the run that folding ``step`` makes
     real, kinds = harness.run_report, Counter()
 
     def compared(cfg, kind, gc, fuel=harness.DEFAULT_FUEL, paranoid=False,
                  want_trace=False):
-        r = real(cfg, kind, gc, fuel, True, want_trace)
-        assert (r.violations, r.steps) == _fully_checked(cfg, kind, gc, fuel)
+        _same_as_folded(cfg, kind, gc, fuel)
         kinds[kind] += 1
-        return r
+        return real(cfg, kind, gc, fuel, paranoid, want_trace)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "run_report", compared)
@@ -336,7 +359,7 @@ def _run_cfg(rng):
     return SourceConfig(cfg.mem.update(Memory(code)), reg, frames, cfg.ms_stk)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=True))
 def test_paranoid_steps_against_full_checks(rng):
     _same_checks(_run_cfg(rng), _RUN_GC, 20)
@@ -346,11 +369,13 @@ def test_write_set_names_every_changed_register():
     # a step's write set names every register whose word is not the
     # same object after it, for every opcode on both machines, the
     # atomic call and the return-token jump: random programs, the corpus
-    # and the scenarios, through the step that run_report calls
+    # and the scenarios, through the ``advance`` that run_report calls
+    # (its register writes, or its Running, seen as ``step`` returns it)
     seen = set()
 
     def checked(cfg, ext, gc):
-        nxt = step(cfg, ext, gc)
+        out = advance(cfg, ext, gc)
+        nxt = as_running(cfg, out)
         if type(nxt) is Running:
             new, wrote = nxt
             changed = {r for r in cfg.reg.keys() | new.reg.keys()
@@ -360,11 +385,11 @@ def test_write_set_names_every_changed_register():
             op = "call" if depth > 0 else "return" if depth < 0 else \
                 dec_instr(cfg.mem[cfg.reg[PC].addr]).op
             seen.add((ext is SOURCE_EXTENSION, op))
-        return nxt
+        return out
 
     rng = random.Random(5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "step", checked)
+        mp.setattr(harness, "advance", checked)
         for _ in range(300):
             cfg = _run_cfg(rng)
             for kind in ("source", "target"):
@@ -696,6 +721,27 @@ def test_cli_malformed_inputs(tmp_path):
         assert "Traceback" not in p.stderr, argv
         if code == 3:   # one error line
             assert p.stderr.count("\n") == 1, (argv, p.stderr[-300:])
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--stk-base", "1_000", "bad int '1_000'"),
+    ("--stk-base", "+5", "bad int '+5'"),
+    ("--ta", "+1..1_0", "expected a range lo..hi, got '+1..1_0'"),
+    ("--fuel", "1_000", "bad int '1_000'"),
+    ("--fuel", "+5", "bad int '+5'"),
+    ("--stack", "+1000..1063", "expected a range lo..hi, got '+1000..1063'"),
+])
+def test_cli_flag_ints_have_one_spelling(tmp_path, capsys, flag, value,
+                                         message):
+    # a flag reads an int as every other input does: ASCII digits with
+    # an optional minus; any other spelling is a usage error
+    t = _write(tmp_path, "t.comp", trusted_simple("  halt"))
+    c = _write(tmp_path, "c.comp", minimal_context())
+    argv = ["validate", t] if flag in ("--stk-base", "--ta") else \
+        ["diff", t, c]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + [flag, value]) == 3
+    assert f"argument {flag}: {message}\n" in capsys.readouterr().err
 
 
 _MUTANTS = ("bogus", "+5", "1_000", "99999999999", "@nolabel", "inf",
