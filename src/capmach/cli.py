@@ -130,24 +130,26 @@ def cmd_run(args):
         if diags:
             raise ValidationFailure(diags)
     cfg = initial_config(prog, args.machine, b_stk, e_stk)
-    report = run_report(cfg, args.machine, gc, args.fuel, args.paranoid,
-                        want_trace=args.trace is not None)
-    if args.trace:
-        _write(args.trace, format_trace(args.machine, report.trace))
+    report = run_report(cfg, args.machine, gc, args.fuel, args.paranoid)
+    if args.trace:   # a second run: runs never write their input
+        _write(args.trace, format_trace(cfg, args.machine, gc, args.fuel))
     _print_report(report)
     return EXIT_OK if report.outcome == "halted" else EXIT_FAILED
 
 
 def cmd_diff(args):
-    v = run_diff(_load(args.trusted), _load(args.context), *args.stack,
-                 args.fuel, not args.no_check_stk_base, args.paranoid,
-                 want_trace=args.trace_dir is not None,
-                 validate=not args.no_validate)
-    if args.trace_dir:
+    trusted, context = _load(args.trusted), _load(args.context)
+    check = not args.no_check_stk_base
+    v = run_diff(trusted, context, *args.stack, args.fuel, check,
+                 args.paranoid, validate=not args.no_validate)
+    if args.trace_dir:   # second runs, over run_diff's own inputs
         os.makedirs(args.trace_dir, exist_ok=True)
-        for kind, report in (("source", v.source), ("target", v.target)):
+        gc = GlobalConstants(frozenset(trusted.ms_code), args.stack[0], check)
+        prog = link(trusted, context)
+        for kind in ("source", "target"):
+            cfg = initial_config(prog, kind, *args.stack)
             _write(os.path.join(args.trace_dir, f"{kind}.trace"),
-                   format_trace(kind, report.trace))
+                   format_trace(cfg, kind, gc, args.fuel))
     _print_report(v.source, "source: ")
     _print_report(v.target, "target: ")
     if v.agreement:

@@ -45,31 +45,10 @@ class Lin(Enum):
         return self.value
 
 
-# Hasse diagram edges of the permission hierarchy; perm_leq is its
-# reflexive-transitive closure.
-_PERM_EDGES = {
-    (Perm.P0, Perm.R),
-    (Perm.R, Perm.RW),
-    (Perm.R, Perm.RX),
-    (Perm.RW, Perm.RWX),
-    (Perm.RX, Perm.RWX),
-}
-
-
-def _close():
-    leq = {(p, p) for p in Perm} | _PERM_EDGES
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(leq):
-            for (c, d) in list(leq):
-                if b == c and (a, d) not in leq:
-                    leq.add((a, d))
-                    changed = True
-    return frozenset(leq)
-
-
-_PERM_LEQ = _close()
+# A permission is below another when it grants a subset of its rights
+# (``0`` grants none): 0 < r < rw, rx < rwx, with rw and rx unordered.
+_PERM_LEQ = frozenset((p, q) for p in Perm for q in Perm
+                      if set(p.value) - {"0"} <= set(q.value))
 
 
 def perm_leq(p: Perm, q: Perm) -> bool:

@@ -1,5 +1,7 @@
-"""Differential runner and per-step invariant checks.
+"""Runs, their per-step invariant checks, and the differential runner.
 
+``Run`` is the one loop over steps, and a caller steps it: ``run_report``
+(with the paranoid checks when asked) and ``format_trace`` consume it.
 A diff run plugs the same trusted/context pair into both machines and
 compares termination behaviour; the observables are termination-based,
 so fuel exhaustion stands in for divergence.
@@ -7,9 +9,9 @@ so fuel exhaustion stands in for divergence.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Optional
 
 from .components import Component, initial_config, link, \
     validate_component
@@ -33,7 +35,6 @@ class RunReport:
     steps: int
     violations: list = field(default_factory=list)
     final_cfg: object = None
-    trace: Optional[list] = None
 
 
 @dataclass
@@ -204,86 +205,96 @@ def _reown(table: dict, name: str, k, w) -> bool:
 # ---------------------------------------------------------------------------
 # Running
 
-@dataclass(frozen=True)
-class TraceRecord:
-    step: int
-    pc_addr: object
-    instr: str
-    outcome: str
+class Run:
+    """The one loop over steps.  Iterated (once), it yields ``(cfg,
+    wrote)`` before each step until the run halts, fails or has taken
+    ``fuel`` steps; ``wrote`` names the registers the last step wrote.
+    It then sets ``outcome`` (halted, failed or fuel-exhausted),
+    ``steps`` and ``cfg``, the final configuration; until then ``cfg``
+    is the first.
 
+    ``cfg`` is not written: the run copies its registers once and
+    applies a register-only step's writes to that copy in place, so a
+    yielded configuration is valid until the next item.  A caller that
+    keeps one copies it with ``with_regs({})``, and may start a new run
+    from the copy.  A step that changes memory or frames hands over a
+    configuration with registers of its own."""
 
-def current_instr_repr(cfg) -> str:
-    pc = cfg.reg[PC]
-    if not isinstance(pc, MemCap):
-        return "<no pc cap>"
-    w = cfg.mem.get(pc.addr)
-    return repr(dec_instr(w)) if w is not None else "<unmapped>"
+    def __init__(self, cfg, machine_kind: str, gc: GlobalConstants,
+                 fuel: int = DEFAULT_FUEL):
+        self.ext = SOURCE_EXTENSION if machine_kind == "source" \
+            else NULL_EXTENSION
+        self.gc, self.fuel, self.cfg = gc, fuel, cfg.with_regs({})
+
+    def __iter__(self):
+        # The counter and the fuel stay in locals: this is the hot loop.
+        ext, gc, fuel, cfg = self.ext, self.gc, self.fuel, self.cfg
+        reg = cfg.reg
+        steps = 0
+        wrote = ()
+        outcome = "fuel-exhausted"
+        while steps < fuel:
+            yield cfg, wrote
+            out = advance(cfg, ext, gc)
+            steps += 1
+            if isinstance(out, dict):
+                reg.update(out)
+                wrote = out
+            elif type(out) is Running:
+                cfg, wrote = out
+                reg = cfg.reg
+            else:
+                outcome = out.kind
+                break
+        self.outcome, self.steps, self.cfg = outcome, steps, cfg
 
 
 def run_report(cfg, machine_kind: str, gc: GlobalConstants,
-               fuel: int = DEFAULT_FUEL, paranoid: bool = False,
-               want_trace: bool = False) -> RunReport:
-    """Step ``cfg`` on one machine until it halts, fails or runs out of
-    ``fuel``.  ``paranoid`` checks both invariants before every step
-    (one full scan, then the changes of each step); ``want_trace``
-    records one TraceRecord per step.
-
-    ``cfg`` is not written.  The run copies its registers once and
-    applies a register-only step's writes to that copy in place, on the
-    same configuration object; a step that changes memory or frames
-    hands over its new configuration, whose registers are its own."""
-    ext = SOURCE_EXTENSION if machine_kind == "source" else NULL_EXTENSION
-    trace = [] if want_trace else None
+               fuel: int = DEFAULT_FUEL, paranoid: bool = False) -> RunReport:
+    """The ``Run`` of ``cfg``, reported.  ``paranoid`` checks both
+    invariants before every step: one full scan of the first
+    configuration, then the changes of each step (``_Invariants``)."""
+    run = Run(cfg, machine_kind, gc, fuel)
     violations: list = []
-    cfg = cfg.with_regs({})
-    reg = cfg.reg
-    checks = _Invariants(cfg) if paranoid else None
-    steps = 0
-    wrote = ()
-    while steps < fuel:
-        if paranoid:
+    if paranoid:
+        checks = _Invariants(run.cfg)
+        for steps, (cfg, wrote) in enumerate(run):
             dups, partition = checks.at(cfg, wrote)
             for x, first, later in dups:
-                violations.append(f"step {steps}: linear address {x} owned "
-                                  f"by both {first} and {later}")
+                violations.append(f"step {steps}: linear address {x} "
+                                  f"owned by both {first} and {later}")
             for v in partition:
                 violations.append(f"step {steps}: {v}")
-        out = advance(cfg, ext, gc)
-        steps += 1
-        if want_trace:
-            pc = cfg.reg[PC]
-            pc_addr = pc.addr if isinstance(pc, MemCap) else None
-            trace.append(TraceRecord(
-                steps, pc_addr, current_instr_repr(cfg),
-                "running" if isinstance(out, dict) else out.kind))
-        if isinstance(out, dict):
-            reg.update(out)
-            wrote = out
-        elif type(out) is Running:
-            cfg, wrote = out
-            reg = cfg.reg
+    else:
+        deque(run, 0)   # no Python code per step
+    return RunReport(run.outcome, run.steps, violations, run.cfg)
+
+
+def format_trace(cfg, machine_kind: str, gc: GlobalConstants,
+                 fuel: int = DEFAULT_FUEL) -> str:
+    """The ``Run`` of ``cfg`` as text: per step, its number, the machine,
+    pc's address and the instruction there before the step, and
+    ``running``, or the outcome of a run that halts or fails at it."""
+    run = Run(cfg, machine_kind, gc, fuel)
+    rows = []
+    for cfg, _ in run:
+        pc = cfg.reg[PC]
+        if isinstance(pc, MemCap):
+            w = cfg.mem.get(pc.addr)
+            rows.append([pc.addr, "<unmapped>" if w is None
+                         else repr(dec_instr(w)), "running"])
         else:
-            return RunReport(out.kind, steps, violations, cfg, trace)
-    return RunReport("fuel-exhausted", steps, violations, cfg, trace)
-
-
-def format_trace(machine_kind: str, records) -> str:
-    """One tab-separated line per record: step, machine, pc, instr,
-    outcome."""
-    return "".join(f"{r.step}\t{machine_kind}\t{r.pc_addr}\t"
-                   f"{r.instr}\t{r.outcome}\n" for r in records)
-
-
-def _outcomes_agree(a: str, b: str) -> bool:
-    if a == "halted" or b == "halted":
-        return a == b
-    return True  # failed / fuel-exhausted both count as non-termination
+            rows.append([None, "<no pc cap>", "running"])
+    if run.outcome != "fuel-exhausted":
+        rows[-1][2] = run.outcome
+    return "".join(f"{n}\t{machine_kind}\t{at}\t{instr}\t{end}\n"
+                   for n, (at, instr, end) in enumerate(rows, 1))
 
 
 def run_diff(trusted: Component, context: Component,
              b_stk: int, e_stk: int, fuel: int = DEFAULT_FUEL,
              check_stk_base: bool = True, paranoid: bool = False,
-             want_trace: bool = False, validate: bool = True) -> DiffVerdict:
+             validate: bool = True) -> DiffVerdict:
     gc = GlobalConstants(frozenset(trusted.ms_code), b_stk, check_stk_base)
     if validate:
         diags = validate_component(trusted, gc) + validate_component(context, gc)
@@ -291,10 +302,12 @@ def run_diff(trusted: Component, context: Component,
             raise ValidationFailure(diags)
     prog = link(trusted, context)
     src = run_report(initial_config(prog, "source", b_stk, e_stk),
-                     "source", gc, fuel, paranoid, want_trace)
+                     "source", gc, fuel, paranoid)
     trg = run_report(initial_config(prog, "target", b_stk, e_stk),
-                     "target", gc, fuel, paranoid, want_trace)
-    agree = _outcomes_agree(src.outcome, trg.outcome)
+                     "target", gc, fuel, paranoid)
+    ends = (src.outcome, trg.outcome)
+    # failing and running out of fuel both count as not terminating
+    agree = ends[0] == ends[1] or "halted" not in ends
     detail = "" if agree else (
         f"source {src.outcome} after {src.steps} steps, "
         f"target {trg.outcome} after {trg.steps} steps")

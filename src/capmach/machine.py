@@ -4,10 +4,12 @@ No function here writes a configuration.  A handler that writes only
 registers returns its writes as a dict (a ``Jump`` when it sets pc to
 a jump target); one that changes memory or frames returns a
 ``Running`` with a fresh configuration.  ``advance`` runs one step and
-adds the next pc to plain writes, building nothing, so that a run
-(``harness.run_report``) applies them in place to registers of its
-own; ``step`` is ``advance`` plus one register copy, and every
-``Running`` owns a fresh register dict.
+adds the next pc to plain writes, building nothing, so that
+``harness.Run``, the one loop over steps, applies them in place to
+registers of its own.  ``step`` (``advance`` plus one register copy:
+every ``Running`` owns a fresh register dict) and ``exec_instr`` (one
+decoded instruction) stay as the one-step API: the tests fold ``step``
+as the reference for every run, and call ``exec_instr``.
 
 ``advance`` decodes each distinct word once: a bounded memo keyed by
 the word (never by its address, so a store into code runs the new

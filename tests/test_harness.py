@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import os
 import random
 import re
@@ -28,29 +29,21 @@ from capmach.fixtures import (
     scenario_second_stack, trusted_one_call, trusted_simple,
 )
 from capmach.harness import (
-    check_linearity, check_stack_partition, format_trace, run_diff,
-    run_report, visible_observations,
+    Run, check_linearity, check_stack_partition, format_trace, run_diff,
+    run_report,
 )
 from capmach.machine import (
     NULL_EXTENSION, Running, advance, as_running, step,
 )
 from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
+from conftest import tcfg
+
 
 def test_corpus_agreement():
     for name, t, ctx in corpus():
         v = run_diff(t, ctx, STK_BASE, STK_END, fuel=2000)
         assert v.agreement, f"{name}: {v.detail}"
-
-
-def test_call_return_verdict():
-    t, ctx = trusted_one_call(), context_cb("  move r5 7")
-    v = run_diff(t, ctx, STK_BASE, STK_END, want_trace=True)
-    assert v.source.outcome == "halted" and v.target.outcome == "halted"
-    assert v.target.steps == v.source.steps + 24
-    mism, ints = visible_observations(v.source.final_cfg, v.target.final_cfg)
-    assert mism == []
-    assert ints["r5"] == 7
 
 
 def test_paranoid_corpus():
@@ -218,14 +211,17 @@ def test_check_stack_partition():
 # ---------------------------------------------------------------------------
 # run_report's step-by-step checks against the two full checks
 
-def _folded(cfg, kind, gc, fuel, paranoid=True):
+def _folded(cfg, kind, gc, fuel, paranoid=True, seen=None):
     """(outcome, steps, final configuration, violations) of a run made
     by folding the pure ``step``; when ``paranoid``, the violations come
     from ``check_linearity`` and ``check_stack_partition`` on every
-    configuration."""
+    configuration.  ``seen``, when given, gets each configuration that
+    a step starts from."""
     ext = SOURCE_EXTENSION if kind == "source" else NULL_EXTENSION
     out, steps, outcome = [], 0, "fuel-exhausted"
     while steps < fuel:
+        if seen is not None:
+            seen.append(cfg)
         if paranoid:
             out += [f"step {steps}: linear address {x} owned by both {a} "
                     f"and {b}" for x, a, b in check_linearity(cfg)]
@@ -271,11 +267,10 @@ def test_paranoid_corpus_and_scenarios_against_full_checks():
     # checks on and off it is the run that folding ``step`` makes
     real, kinds = harness.run_report, Counter()
 
-    def compared(cfg, kind, gc, fuel=harness.DEFAULT_FUEL, paranoid=False,
-                 want_trace=False):
+    def compared(cfg, kind, gc, fuel=harness.DEFAULT_FUEL, paranoid=False):
         _same_as_folded(cfg, kind, gc, fuel)
         kinds[kind] += 1
-        return real(cfg, kind, gc, fuel, paranoid, want_trace)
+        return real(cfg, kind, gc, fuel, paranoid)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "run_report", compared)
@@ -583,13 +578,12 @@ def test_paranoid_cost_flat_in_frame_size():
 
 def test_write_trace(tmp_path):
     t, ctx = trusted_simple("  halt"), minimal_context()
-    v = run_diff(t, ctx, STK_BASE, STK_END, want_trace=True)
-    text = format_trace("source", v.source.trace)
-    lines = text.splitlines()
-    assert len(lines) == v.source.steps
-    step, kind, pc_addr, instr, outcome = lines[0].split("\t")
-    assert (step, kind, outcome) == ("1", "source", "halted")
-    assert instr == "halt"
+    cfg = initial_config(link(t, ctx), "source", STK_BASE, STK_END)
+    gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
+    text = format_trace(cfg, "source", gc)
+    step, kind, pc_addr, instr, outcome = text.split("\t")
+    assert (step, kind, pc_addr) == ("1", "source", str(cfg.reg[PC].addr))
+    assert (instr, outcome) == ("halt", "halted\n")
     # `run --trace` writes the same text
     prog = tmp_path / "p.comp"
     prog.write_text(format_component(link(t, ctx)))
@@ -597,6 +591,95 @@ def test_write_trace(tmp_path):
     assert cli.main(["run", str(prog), "--no-validate", "--machine",
                      "source", "--trace", str(p)]) == 0
     assert p.read_text() == text
+
+
+def _machine_runs():
+    """(cfg, kind, gc) of every machine run that the corpus, through
+    ``run_diff``, and the scenarios make."""
+    runs, real = [], harness.run_report
+
+    def kept(cfg, kind, gc, *args):
+        runs.append((cfg, kind, gc))
+        return real(cfg, kind, gc, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_report", kept)
+        for name, t, ctx in corpus():
+            run_diff(t, ctx, STK_BASE, STK_END, fuel=2000)
+        for fn in SCENARIOS.values():
+            fn()
+    return runs
+
+
+def test_trace_against_folded_steps():
+    # one line per step of the ``step`` fold, with the pc and the
+    # instruction the step starts from, and the run's own ending: the
+    # corpus and the scenarios halt, fail and run out of fuel, and two
+    # runs fail at once, one on a pc that is no capability and one on a
+    # pc that points at no cell
+    no_cap = tcfg({}, pc=0)
+    unmapped = tcfg({}, pc=MemCap(Perm.RX, Lin.NORMAL, 0, 9, 3))
+    runs = _machine_runs() + [(c, kind, _RUN_GC) for c in (no_cap, unmapped)
+                              for kind in ("source", "target")]
+    endings = Counter()
+    for cfg, kind, gc in runs:
+        for fuel in (0, 5, 2000):
+            seen = []
+            outcome, steps, _, _ = _folded(cfg, kind, gc, fuel, False, seen)
+            lines = [line.split("\t") for line in
+                     format_trace(cfg, kind, gc, fuel).splitlines()]
+            assert len(lines) == steps == len(seen), (kind, fuel)
+            for n, (line, before) in enumerate(zip(lines, seen), 1):
+                pc = before.reg[PC]
+                if not isinstance(pc, MemCap):
+                    at, instr = "None", "<no pc cap>"
+                elif pc.addr not in before.mem:
+                    at, instr = str(pc.addr), "<unmapped>"
+                else:
+                    at = str(pc.addr)
+                    instr = repr(dec_instr(before.mem[pc.addr]))
+                assert line[:4] == [str(n), kind, at, instr], (kind, fuel)
+            last = "running" if outcome == "fuel-exhausted" else outcome
+            assert [line[4] for line in lines] == \
+                ["running"] * (steps - 1) + [last] * (steps > 0)
+            endings[outcome, steps > 0] += 1
+    assert set(endings) == {("halted", True), ("failed", True),
+                            ("fuel-exhausted", True),
+                            ("fuel-exhausted", False)}
+
+
+def test_run_paused_and_resumed():
+    # a run stopped after k steps, and a new run from a copy of the
+    # configuration it yielded there with the fuel that is left, end as
+    # one uninterrupted run does; no run writes its input
+    fuel, paused = 2000, Counter()
+    for name, t, ctx in corpus():
+        gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
+        for kind in ("source", "target"):
+            cfg = initial_config(link(t, ctx), kind, STK_BASE, STK_END)
+            regs, parts = dict(cfg.reg), (cfg.mem, cfg.stk, cfg.ms_stk)
+            whole = Run(cfg, kind, gc, fuel)
+            for _ in whole:
+                pass
+            for k in (1, 5, 19):
+                first = Run(cfg, kind, gc, fuel)
+                item = next(itertools.islice(first, k, None), None)
+                if item is None:      # the run ended in k steps or fewer
+                    assert whole.steps <= k, (name, kind, k)
+                    continue
+                copy = item[0].with_regs({})
+                rest = Run(copy, kind, gc, fuel - k)
+                for _ in rest:
+                    pass
+                assert (rest.outcome, k + rest.steps, rest.cfg) == \
+                    (whole.outcome, whole.steps, whole.cfg), (name, kind, k)
+                paused[name, k] += 1
+            assert cfg.reg.keys() == regs.keys() and all(
+                cfg.reg[r] is w for r, w in regs.items()), (name, kind)
+            assert all(a is b for a, b in zip(
+                (cfg.mem, cfg.stk, cfg.ms_stk), parts)), (name, kind)
+    assert paused["call-return", 1] == paused["call-return", 5] == 2
+    assert paused["call-return", 19] == 1     # the source takes 8 steps
 
 
 # ---------------------------------------------------------------------------
