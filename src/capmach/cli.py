@@ -18,8 +18,8 @@ from .components import (
 )
 from .core import GlobalConstants, parse_int
 from .fixtures import SCENARIOS
-from .harness import DEFAULT_FUEL, ValidationFailure, format_trace, \
-    run_diff, run_report
+from .harness import DEFAULT_FUEL, ValidationFailure, diff_start, \
+    format_trace, run_diff, run_report
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -144,10 +144,9 @@ def cmd_diff(args):
                  args.paranoid, validate=not args.no_validate)
     if args.trace_dir:   # second runs, over run_diff's own inputs
         os.makedirs(args.trace_dir, exist_ok=True)
-        gc = GlobalConstants(frozenset(trusted.ms_code), args.stack[0], check)
-        prog = link(trusted, context)
-        for kind in ("source", "target"):
-            cfg = initial_config(prog, kind, *args.stack)
+        gc, cfgs = diff_start(trusted, context, *args.stack, check,
+                              validate=False)
+        for kind, cfg in cfgs.items():
             _write(os.path.join(args.trace_dir, f"{kind}.trace"),
                    format_trace(cfg, kind, gc, args.fuel))
     _print_report(v.source, "source: ")

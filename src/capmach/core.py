@@ -439,51 +439,39 @@ _NO_INTS = Ranges()
 # ---------------------------------------------------------------------------
 # Memory
 
-_GONE = object()   # no word; in the overlay, the base's word is gone
+_GONE = object()   # no word written
 
 
 class Memory(Mapping):
     """An immutable map from the addresses of ``domain``, a ``Ranges``,
     to words: every address that holds no written word reads 0.
 
-    The written words sit in a base dict, shared by every version
-    derived from it and never mutated, plus an overlay of the cells
-    written or removed since, which a change copies and folds into a
-    fresh base once it holds more than √|base| cells (and 8, so that a
-    small memory is not folded at every write): O(√n) amortized.
-    A read probes the overlay, the base, then the domain.  Iteration
-    walks the domain, ascending; ``written`` is C speed."""
+    The written words sit in one dict, which ``set``, ``update`` and
+    ``split`` copy: O(written cells) per change.  A version they make
+    keeps the dict it was copied from (not that ``Memory``, so no chain
+    of versions stays alive) and the addresses it wrote, which is all
+    that ``changed_since`` that version compares.  A read probes the
+    dict, then the domain.  Iteration walks the domain, ascending."""
 
-    __slots__ = ("_base", "_over", "domain")
+    __slots__ = ("_cells", "domain", "_parent", "_wrote")
 
     def __init__(self, cells=(), domain: Ranges = None):
         """The cells of ``cells`` over ``domain`` (by default their
         addresses), which must hold them."""
-        self._base = dict(cells)
-        self._over = {}
-        self.domain = Ranges.of(self._base) if domain is None else domain
+        self._cells = dict(cells)
+        self.domain = Ranges.of(self._cells) if domain is None else domain
+        self._parent, self._wrote = None, ()
 
     @staticmethod
-    def _of(base: dict, over: dict, domain: Ranges) -> "Memory":
-        if len(over) > 8 and len(over) * len(over) > len(base):
-            base = Memory._merge(base, over)
-            over = {}
+    def _of(cells: dict, domain: Ranges, parent=None, wrote=()) -> "Memory":
         m = Memory.__new__(Memory)
-        m._base, m._over, m.domain = base, over, domain
+        m._cells, m.domain, m._parent, m._wrote = cells, domain, parent, wrote
         return m
-
-    @staticmethod
-    def _merge(base: dict, over: dict) -> dict:
-        cells = {**base, **over}
-        for a, w in over.items():
-            if w is _GONE:
-                del cells[a]
-        return cells
 
     def written(self) -> dict:
         """The written cells as one dict; the caller must not mutate it.
         Every other address of the domain reads 0."""
-        return self._merge(self._base, self._over) if self._over else self._base
+        return self._cells
 
     def __getitem__(self, a):
         w = self.get(a, _GONE)
@@ -492,14 +480,13 @@ class Memory(Mapping):
         return w
 
     def get(self, a, default=None):
-        w = self._over.get(a, self._base.get(a, _GONE))
+        w = self._cells.get(a, _GONE)
         if w is _GONE:   # unwritten: 0 in the domain
             return 0 if a in self.domain else default
         return w
 
     def __contains__(self, a):
-        return self._over.get(a, self._base.get(a, _GONE)) is not _GONE \
-            or a in self.domain
+        return a in self._cells or a in self.domain
 
     def __len__(self):
         return len(self.domain)
@@ -512,27 +499,20 @@ class Memory(Mapping):
             return NotImplemented
         return self.domain == other.domain and all(
             x.get(a) == w for x, y in ((self, other), (other, self))
-            for a, w in y.written().items())
+            for a, w in y._cells.items())
 
     def __repr__(self):
-        return f"Memory({self.written()!r}, {self.domain!r})"
+        return f"Memory({self._cells!r}, {self.domain!r})"
 
     def changed_since(self, old: "Memory") -> list:
         """The addresses whose written word is not the same object here
-        as in ``old`` (or is written in one only).  Versions that share a
-        base are told apart by their overlays; others (once per fold)
-        by every written cell."""
-        if self is old:
-            return []
-        if self._base is old._base:
-            # a cell missing from the base reads as removed (_GONE)
-            base, over, old_over = self._base, self._over, old._over
-            out = [a for a, w in over.items()
-                   if old_over.get(a, base.get(a, _GONE)) is not w]
-            out += [a for a, w in old_over.items()
-                    if a not in over and base.get(a, _GONE) is not w]
-            return out
-        new, prev = self.written(), old.written()
+        as in ``old`` (or is written in one only).  Against the version
+        this one was made from, only the addresses it wrote are
+        compared; against any other, every written cell."""
+        new, prev = self._cells, old._cells
+        if self._parent is prev:
+            return [a for a in self._wrote
+                    if new.get(a, _GONE) is not prev.get(a, _GONE)]
         get = prev.get
         out = [a for a, w in new.items() if get(a, _GONE) is not w]
         out.extend(prev.keys() - new.keys())
@@ -540,34 +520,29 @@ class Memory(Mapping):
 
     def set(self, a, w: Word) -> "Memory":
         """This memory with cell ``a`` holding ``w``."""
-        over = self._over.copy()
-        held = over.get(a, self._base.get(a, _GONE))
-        over[a] = w
+        cells = self._cells.copy()
+        cells[a] = w
         domain = self.domain
-        if held is _GONE and a not in domain:   # a new address
+        if a not in self._cells and a not in domain:   # a new address
             domain = domain | Ranges.span(a, a)
-        return Memory._of(self._base, over, domain)
+        return Memory._of(cells, domain, self._cells, (a,))
 
     def update(self, cells: "Memory") -> "Memory":
         """This memory joined with the memory ``cells``: its domain added
         and its written cells written.  An unwritten address of ``cells``
         keeps the word this memory holds there, and reads 0 when it
         holds none (a frame that comes back to the stack)."""
-        over = self._over.copy()
-        over.update(cells.written())
-        return Memory._of(self._base, over, self.domain | cells.domain)
+        wrote = cells._cells
+        return Memory._of({**self._cells, **wrote},
+                          self.domain | cells.domain, self._cells, wrote)
 
     def split(self, lo, hi):
         """(the cells ``lo..hi``, the rest) as memories; ``hi`` may be INF."""
         inside, outside = self.domain.split(lo, hi)
-        base, over = self._base, self._over.copy()
-        # walk the span, or the written cells when they are fewer
-        addrs = range(lo, hi + 1) if hi - lo < len(base) + len(over) \
-            else [a for a in self.written() if lo <= a <= hi]
-        part = {a: w for a in addrs
-                if (w := over.get(a, base.get(a, _GONE))) is not _GONE}
-        over.update(dict.fromkeys(part, _GONE))
-        return Memory._of(part, {}, inside), Memory._of(base, over, outside)
+        rest = self._cells.copy()
+        part = {a: rest.pop(a) for a in self._cells if lo <= a <= hi}
+        return (Memory._of(part, inside),
+                Memory._of(rest, outside, self._cells, part))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from .machine import NULL_EXTENSION, Running, advance
 from .source import SOURCE_EXTENSION, SourceConfig
 
 DEFAULT_FUEL = 100_000
+# machine kind -> the extension its steps run under
+_EXTENSIONS = {"source": SOURCE_EXTENSION, "target": NULL_EXTENSION}
 
 
 class ValidationFailure(Exception):
@@ -222,8 +224,9 @@ class Run:
 
     def __init__(self, cfg, machine_kind: str, gc: GlobalConstants,
                  fuel: int = DEFAULT_FUEL):
-        self.ext = SOURCE_EXTENSION if machine_kind == "source" \
-            else NULL_EXTENSION
+        if machine_kind not in _EXTENSIONS:
+            raise ValueError(f"unknown machine kind {machine_kind!r}")
+        self.ext = _EXTENSIONS[machine_kind]
         self.gc, self.fuel, self.cfg = gc, fuel, cfg.with_regs({})
 
     def __iter__(self):
@@ -291,20 +294,31 @@ def format_trace(cfg, machine_kind: str, gc: GlobalConstants,
                    for n, (at, instr, end) in enumerate(rows, 1))
 
 
-def run_diff(trusted: Component, context: Component,
-             b_stk: int, e_stk: int, fuel: int = DEFAULT_FUEL,
-             check_stk_base: bool = True, paranoid: bool = False,
-             validate: bool = True) -> DiffVerdict:
+def diff_start(trusted: Component, context: Component, b_stk: int,
+               e_stk: int, check_stk_base: bool = True,
+               validate: bool = True):
+    """``(gc, cfgs)``: a diff run's global constants, which trust the
+    trusted component's code, and ``cfgs``, the linked program's initial
+    configuration per machine kind.  ``validate`` first checks both
+    components, and raises ``ValidationFailure`` on a diagnostic."""
     gc = GlobalConstants(frozenset(trusted.ms_code), b_stk, check_stk_base)
     if validate:
         diags = validate_component(trusted, gc) + validate_component(context, gc)
         if diags:
             raise ValidationFailure(diags)
     prog = link(trusted, context)
-    src = run_report(initial_config(prog, "source", b_stk, e_stk),
-                     "source", gc, fuel, paranoid)
-    trg = run_report(initial_config(prog, "target", b_stk, e_stk),
-                     "target", gc, fuel, paranoid)
+    return gc, {kind: initial_config(prog, kind, b_stk, e_stk)
+                for kind in _EXTENSIONS}
+
+
+def run_diff(trusted: Component, context: Component,
+             b_stk: int, e_stk: int, fuel: int = DEFAULT_FUEL,
+             check_stk_base: bool = True, paranoid: bool = False,
+             validate: bool = True) -> DiffVerdict:
+    gc, cfgs = diff_start(trusted, context, b_stk, e_stk, check_stk_base,
+                          validate)
+    src = run_report(cfgs["source"], "source", gc, fuel, paranoid)
+    trg = run_report(cfgs["target"], "target", gc, fuel, paranoid)
     ends = (src.outcome, trg.outcome)
     # failing and running out of fuel both count as not terminating
     agree = ends[0] == ends[1] or "halted" not in ends

@@ -23,10 +23,10 @@ from capmach.core import (
     read_allowed, write_allowed,
 )
 from capmach.fixtures import (
-    SCENARIOS, STK_BASE, STK_END, context_cb, corpus, scenario_second_stack,
-    std_gc, trusted_one_call,
+    SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
+    scenario_second_stack, std_gc, trusted_one_call,
 )
-from capmach.harness import run_diff, visible_observations
+from capmach.harness import ValidationFailure, run_diff, visible_observations
 from capmach.machine import Running, exec_instr, NULL_EXTENSION
 from capmach.source import SOURCE_EXTENSION
 from conftest import NOWHERE, scfg, tcfg
@@ -290,6 +290,9 @@ def test_criterion_9_validation_fixtures():
         gc = GlobalConstants(frozenset(c.ms_code), STK_BASE)
         ds = validate_component(c, gc)
         assert any(needle in d for d in ds), name
+        with pytest.raises(ValidationFailure) as e:   # before any link
+            run_diff(c, minimal_context(), STK_BASE, STK_END)
+        assert e.value.diagnostics == ds, name
         seen += 1
 
     a = Component(**_base())

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -190,21 +191,29 @@ def test_broken_export_under_foreign_seal():
 
 def test_link_errors():
     a = simple_trusted()
-    with pytest.raises(LinkError, match="code domains overlap"):
-        link(a, simple_trusted(sig_clos=frozenset({6}), exports=()))
-    b = Component({199: 0, 200: HALT, 201: SealCap(5, 5, 5), 202: 0}, {},
-                  sig_clos=frozenset({5}))
-    with pytest.raises(LinkError, match="seal sets overlap"):
-        link(a, b)
-    c = Component({199: 0, 200: HALT, 201: SealCap(5, 5, 5), 202: 0}, {},
-                  sig_ret=frozenset({5}))
-    with pytest.raises(LinkError, match="clash"):
-        link(a, c)
-    d = Component({199: 0, 200: HALT, 201: SealCap(6, 6, 6), 202: 0}, {},
-                  sig_clos=frozenset({6}),
-                  exports=(("clo", 1),))
-    with pytest.raises(LinkError, match="duplicate exports"):
-        link(a, d)
+    mains = (Sealed(5, MemCap(Perm.RX, Lin.NORMAL, 100, 101, 100)),
+             Sealed(5, MemCap(Perm.RW, Lin.NORMAL, 300, 300, 300)))
+    full = simple_trusted(ms_data={300: 0}, a_linear={300}, mains=mains)
+
+    def other(seal=6, **over):   # code at 199..202, closure seal ``seal``
+        return Component(**{"ms_code": {199: 0, 200: HALT, 202: 0,
+                                         201: SealCap(seal, seal, seal)},
+                            "ms_data": {}, "sig_clos": {seal}, **over})
+
+    for left, right, message in (
+            (a, simple_trusted(sig_clos={6}, exports=()),
+             "code domains overlap"),
+            (a, other(5), "seal sets overlap"),
+            (a, other(5, sig_clos=(), sig_ret={5}),
+             "return and closure seals clash"),
+            (a, other(exports=(("clo", 1),)), "duplicate exports: ['clo']"),
+            (full, other(ms_data={300: 0}), "data domains overlap"),
+            (a, simple_trusted(ms_code={}, ms_data={101: 0}, exports=()),
+             "linked code and data overlap"),
+            (full, other(a_linear={300}), "linear address sets overlap"),
+            (full, other(mains=mains), "both sides carry mains")):
+        with pytest.raises(LinkError, match=f"^{re.escape(message)}$"):
+            link(left, right)
 
 
 def test_link_resolves_imports():
@@ -299,14 +308,16 @@ def test_initial_config_errors():
             {} if kind == "source" else {**p.ms_code, **p.ms_data,
                                          top + 1: 0, top + 2 + 2 ** 40: 0})
     wc, wd = p.mains
-    bad = Component(p.ms_code, p.ms_data, (), p.exports, p.sig_ret,
-                    p.sig_clos, p.a_linear, (wc, Sealed(wd.sigma + 1, wd.inner)))
-    with pytest.raises(ConfigError, match="seals differ"):
-        initial_config(bad, "target", STK_BASE, STK_END)
-    noimp = Component(p.ms_code, p.ms_data, ((300, "x"),), p.exports,
-                      p.sig_ret, p.sig_clos, p.a_linear, p.mains)
-    with pytest.raises(ConfigError, match="unresolved"):
-        initial_config(noimp, "target", STK_BASE, STK_END)
+    for over, message in (
+            ({"mains": (wc, Sealed(wd.sigma + 1, wd.inner))},
+             "main seals differ"),
+            ({"imports": ((300, "x"),)}, "program has unresolved imports"),
+            ({"mains": None}, "program has no mains"),
+            ({"mains": (wc.inner, wd)}, "mains must be a sealed pair"),
+            ({"mains": (wc, Sealed(wd.sigma, wc.inner))},
+             "main data half is executable")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            initial_config(replace(p, **over), "target", STK_BASE, STK_END)
     with pytest.raises(ConfigError, match="machine kind"):
         initial_config(p, "middle", STK_BASE, STK_END)
 
@@ -382,13 +393,15 @@ clo\tsealed(5,cap(rx,normal,100,101,100))
     ("[imports]", "cb\t+30"),
     ("[code base=100]", "seal(+1,1,1)"),
     ("[linear]", "1_0..20"),
+    ("[data]", "[code]"),
 ])
 def test_container_errors_name_the_line(section, bad):
-    # a malformed word, address, field, header or list names its line,
-    # as a [code] header without base= does
+    # a malformed word, address, field, header or list names its line
     text = "[data]\n300\t7\n[seals ret= clos=5]\n"
     with pytest.raises(ValueError, match=r"^line 5: ") as e:
         parse_component(f"{text}{section}\n{bad}\n")
+    if bad == "[code]":
+        assert str(e.value) == "line 5: [code] needs base="
     # a list names its first bad run, in a [seals] header as on a
     # [linear] line
     lists = re.findall(r"(?:ret|clos)=([^\s\]]*)", bad) or \

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -362,20 +364,21 @@ def test_memory_split_beyond_the_memory():
 
 
 def test_memory_changed_since():
-    base = Memory({a: a * 1000 for a in range(100)})   # folds past 10 cells
+    base = Memory({a: a * 1000 for a in range(100)})
     assert base.changed_since(base) == []
-    # versions that share a base: only the overlays are compared
+    # versions made from base: the addresses they wrote are compared
     m1, m2 = base.set(5, "x"), base.set(7, "y")
-    assert m1._base is m2._base is base._base
+    assert base == Memory({a: a * 1000 for a in range(100)})
+    assert (m1[5], m1[7], m2[5], m2[7]) == ("x", 7000, 5000, "y")
     assert sorted(m1.changed_since(base)) == [5]
     assert sorted(base.changed_since(m1)) == [5]
     assert sorted(m2.changed_since(m1)) == [5, 7]
     assert base.set(5, base[5]).changed_since(base) == []  # the same word
-    # across a fold the bases differ, and every cell is compared
+    # versions further apart: every written cell is compared
     m = base
     for a in range(20):
         m = m.set(a, f"w{a}")
-    assert m._base is not base._base
+    assert m.written() == {**base.written(), **{a: f"w{a}" for a in range(20)}}
     assert sorted(m.changed_since(base)) == list(range(20))
     assert sorted(m.changed_since(m1)) == list(range(20))
     # removed cells, then the same words put back
@@ -388,3 +391,19 @@ def test_memory_changed_since():
     # a cell present in only one version
     grown = m.set(500, 0)
     assert grown.changed_since(m) == [500] and m.changed_since(grown) == [500]
+
+
+def test_memory_keeps_no_earlier_memory():
+    # a version references dicts and words, never an earlier Memory, so
+    # a run that drops its old versions frees them
+    m = Memory({a: a for a in range(10)}, Ranges.span(0, 30))
+    for _ in range(3):
+        part, rest = m.set(20, 1).split(2, 5)
+        m = rest.update(part)
+    seen, todo = set(), [gc.get_referents(m)]
+    while todo:
+        for r in todo.pop():
+            if id(r) not in seen and isinstance(r, (dict, tuple, Ranges)):
+                seen.add(id(r))
+                todo.append(gc.get_referents(r))
+            assert not isinstance(r, Memory), r

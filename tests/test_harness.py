@@ -682,6 +682,18 @@ def test_run_paused_and_resumed():
     assert paused["call-return", 19] == 1     # the source takes 8 steps
 
 
+def test_run_refuses_an_unknown_machine_kind():
+    # a kind is "source" or "target", spelled so: any other is refused
+    # before a step, by Run and by both of its consumers
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
+    cfg = initial_config(link(t, ctx), "source", STK_BASE, STK_END)
+    for kind in ("Source", "middle"):
+        for run in (Run, run_report, format_trace):
+            with pytest.raises(ValueError,
+                               match=f"^unknown machine kind {kind!r}$"):
+                run(cfg, kind, _RUN_GC)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -1023,8 +1035,12 @@ def test_cli_diff(tmp_path):
     c = _write(tmp_path, "c.comp", context_cb("  move r5 7"))
     tdir = str(tmp_path / "traces")
     assert cli.main(["diff", t, c, "--trace-dir", tdir]) == 0
-    assert (tmp_path / "traces" / "source.trace").exists()
-    assert (tmp_path / "traces" / "target.trace").exists()
+    # each machine traced from the configuration the diff started from
+    gc, cfgs = harness.diff_start(trusted_one_call(),
+                                  context_cb("  move r5 7"), *cli.DEFAULT_STACK)
+    for kind, cfg in cfgs.items():
+        assert (tmp_path / "traces" / f"{kind}.trace").read_text() == \
+            format_trace(cfg, kind, gc)
 
 
 def test_cli_paranoid_violations(tmp_path, capsys):

@@ -136,6 +136,7 @@ def test_cca():
     assert r["r1"].cur == 5
     assert ex(tcfg(pc=pc, r1=7), "cca", "r1", 1) is FAILED
     assert ex(tcfg(pc=pc, r1=rw(0, 9, 0)), "cca", "r1", -1) is FAILED
+    assert ex(tcfg(pc=pc, r1=SealCap(0, 9, 2)), "cca", "r1", -3) is FAILED
     assert ex(tcfg(pc=pc, r1=rw(0, 9, 5), r2=rw(0, 9, 5)),
               "cca", "r1", "r2") is FAILED  # operand not an integer
 

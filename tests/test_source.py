@@ -157,6 +157,8 @@ def test_return_token_guards():
         assert ex(cfg, "xjmp", "r1", "r2") is FAILED
 
     fails(_ret_cfg(rstk=sp(999, 1004, 1004)))      # wrong stack base
+    fails(_ret_cfg(rstk=rw(1000, 1004, 1004)))     # rstk no stack pointer
+    fails(_ret_cfg(rstk=StkPtr(Perm.R, 1000, 1004, 1004)))  # not RW
     fails(_ret_cfg(rstk=sp(1000, 1003, 1003)))     # not adjacent to frame
     fails(_ret_cfg(r1=Sealed(5, RetPtrCode(0, 100, 37))))  # opc mismatch
     fails(_ret_cfg(r2=Sealed(5, RetPtrData(1005, 1012))))  # wrong frame span
