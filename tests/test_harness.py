@@ -984,17 +984,65 @@ def test_cli_deeply_nested_sealed(tmp_path):
     assert p.stderr.count("\n") == 1 and "Traceback" not in p.stderr
 
 
+def _link_corpus(tmp_path, name):
+    """The containers of corpus program ``name``: (trusted, context,
+    linked program) paths."""
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())[name]
+    t, ctx = _write(tmp_path, "t.comp", t), _write(tmp_path, "c.comp", ctx)
+    prog = str(tmp_path / "p.comp")
+    assert cli.main(["link", t, ctx, "-o", prog]) == 0
+    return t, ctx, prog
+
+
 def test_cli_wide_ta_range(tmp_path):
     # a range --ta keeps the program's own addresses in it, so the
     # trusted call is still recognized: the gate's 8 source steps
-    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
-    prog = str(tmp_path / "p.comp")
-    assert cli.main(["link", _write(tmp_path, "t.comp", t),
-                     _write(tmp_path, "c.comp", ctx), "-o", prog]) == 0
+    _, _, prog = _link_corpus(tmp_path, "call-return")
     run = ["run", prog, "--machine", "source", "--no-validate", "--ta"]
     for ta in ("auto", "0..2000000000", "100..140"):
         p = _cli_under_1gb(run + [ta])
         assert (p.returncode, p.stdout) == (0, "halted after 8 steps\n"), ta
+
+
+def test_cli_ta_edges_of_the_call_window(tmp_path, capsys):
+    # call-return's one trusted call fills 104..129 and both ends count:
+    # that exact window runs it as one atomic call (the gate's 8 source
+    # steps), and one cell short at either end runs its 26 cells one by
+    # one (32, the target's count)
+    _, _, prog = _link_corpus(tmp_path, "call-return")
+    run = ["run", prog, "--machine", "source", "--no-validate", "--ta"]
+    for ta, steps in (("104..129", 8), ("104..128", 32), ("105..129", 32)):
+        assert cli.main(run + [ta]) == 0, ta
+        assert capsys.readouterr().out == f"halted after {steps} steps\n", ta
+
+
+def test_cli_validate_trust_edges(tmp_path, capsys):
+    # the trusted component's code is 99..132: trusting part of it is
+    # refused, a call window with an untrusted cell claims no seal, and
+    # a component trusted nowhere may own no return seal
+    t, _, _ = _link_corpus(tmp_path, "call-return")
+    partly = "comp\tcode\tcode partially trusted\n"
+    unclaimed = "comp-code\tseals\treturn seal 1 claimed by no call\n"
+    owner = "comp\tseals\tuntrusted component owns return seals\n"
+    for ta, out in (("104..129", partly), ("99..128", partly + unclaimed),
+                    ("0..5", owner + unclaimed)):
+        assert cli.main(["validate", t, "--ta", ta]) == 4, ta
+        assert capsys.readouterr().out == out, ta
+    assert cli.main(["validate", t, "--ta", "99..132"]) == 0
+
+
+def test_cli_run_auto_ta_trusts_linked_context_code(tmp_path, capsys):
+    # a linked container records no boundary between the trusted code and
+    # the context's, so --ta auto trusts both and the context's calls run
+    # atomically: 16 source steps where diff takes 40; --ta 99..134 (the
+    # trusted code alone) gives diff's count
+    t, ctx, prog = _link_corpus(tmp_path, "nested-mixed")
+    run = ["run", prog, "--machine", "source", "--no-validate", "--ta"]
+    for ta, steps in (("auto", 16), ("99..134", 40)):
+        assert cli.main(run + [ta]) == 0, ta
+        assert capsys.readouterr().out == f"halted after {steps} steps\n", ta
+    assert cli.main(["diff", t, ctx]) == 0
+    assert capsys.readouterr().out.startswith("source: halted after 40 steps\n")
 
 
 def test_cli_validate(tmp_path, capsys):
