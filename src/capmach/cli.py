@@ -16,7 +16,7 @@ from .components import (
     Component, ConfigError, LinkError, format_component, initial_config,
     link, parse_component, validate_component,
 )
-from .core import GlobalConstants, parse_int
+from .core import GlobalConstants, Ranges, parse_int
 from .fixtures import SCENARIOS
 from .harness import DEFAULT_FUEL, ValidationFailure, diff_start, \
     format_trace, run_diff, run_report
@@ -58,8 +58,7 @@ def _ta(s):
     """``auto`` (the component's own code) or a range ``lo..hi``."""
     if s == "auto":
         return s
-    lo, hi = _parse_range(s)
-    return range(lo, hi + 1)
+    return Ranges.span(*_parse_range(s))
 
 
 def _fuel(s):
@@ -84,7 +83,7 @@ def _write(path, text):
 
 
 def _gc(comp, args, stk_base):
-    ta = frozenset(comp.ms_code) if args.ta == "auto" else args.ta
+    ta = comp.ms_code if args.ta == "auto" else args.ta
     return GlobalConstants(ta, stk_base, not args.no_check_stk_base)
 
 

@@ -14,9 +14,9 @@ from typing import Optional
 
 from .asm import CALL_LEN, call_cond, find_hidden_calls
 from .core import (
-    INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges,
-    SealCap, Sealed, StkPtr, fresh_registers, is_linear, linear_overlaps,
-    linear_range, non_exec, parse_int, parse_word, perm_leq,
+    CALL_HEAD, INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap,
+    Perm, Ranges, SealCap, Sealed, StkPtr, fresh_registers, is_linear,
+    linear_overlaps, linear_range, non_exec, parse_int, parse_word, perm_leq,
 )
 from .source import SourceConfig
 
@@ -66,20 +66,14 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
         _diag(out, "comp", f"addr {pad_lo},{pad_hi}", "guard pads must be 0")
     if code & data:
         _diag(out, "comp", "code/data", "code and data domains overlap")
-    trusted_at = gc.ta.__contains__
-    if any(map(trusted_at, c.ms_data)):
+    if data & gc.ta:
         _diag(out, "comp", "data", "data overlaps trusted addresses")
-
-    if all(map(trusted_at, c.ms_code)):
-        trusted = True
-    elif not any(map(trusted_at, c.ms_code)):
-        trusted = False
+    if not code & gc.ta:
         if c.sig_ret:
             _diag(out, "comp", "seals",
                   "untrusted component owns return seals")
-    else:
+    elif not gc.ta.covers(pad_lo, pad_hi):
         _diag(out, "comp", "code", "code partially trusted")
-        trusted = False
 
     if overlap := c.sig_ret & c.sig_clos:
         _diag(out, "comp-code", "seals",
@@ -111,11 +105,12 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
         _diag(out, "comp-code", f"addr {v.addr}",
               f"hidden call fragment (part {v.index} of a call at {v.start})")
 
-    # rule B / d_sigma: every complete call inside ta claims one return seal
+    # rule B / d_sigma: every complete call inside ta claims one return
+    # seal; a call starts at a cell that holds the expansion's first word
     claimed: dict = {}
-    for a in range(b, e + 1 - CALL_LEN + 1):
+    for a in sorted(a for a, w in c.ms_code.items() if w == CALL_HEAD):
         p = call_cond(c.ms_code, a, gc.stk_base, gc.check_stk_base)
-        if p is None or not all(a + k in gc.ta for k in range(CALL_LEN)):
+        if p is None or not gc.ta.covers(a, a + CALL_LEN - 1):
             continue
         sw = c.ms_code.get(a + p.off_pc)
         if not isinstance(sw, SealCap):

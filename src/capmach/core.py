@@ -15,7 +15,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from collections.abc import Container, Mapping
+from collections.abc import Mapping
 from itertools import chain
 from dataclasses import dataclass
 from enum import Enum
@@ -380,6 +380,9 @@ class Ranges:
             return NotImplemented
         return self._lo == other._lo and self._hi == other._hi
 
+    def __hash__(self):
+        return hash((self._lo, self._hi))
+
     def split(self, lo, hi):
         """(the ints ``lo..hi`` in the set, the others); ``hi`` may be INF."""
         los, his = self._lo, self._hi
@@ -550,11 +553,14 @@ class Memory(Mapping):
 
 @dataclass(frozen=True)
 class GlobalConstants:
-    ta: Container   # trusted addresses: a frozenset, or a range (``--ta``)
+    ta: Ranges      # trusted addresses: any int iterable, kept as a Ranges
     stk_base: Addr
     # Harness knob: when False, call recognition and expansion use the
     # variant macro whose stack-base check is neutralized.
     check_stk_base: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "ta", Ranges.of(self.ta))
 
 
 # ---------------------------------------------------------------------------

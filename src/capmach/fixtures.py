@@ -28,7 +28,7 @@ _MAIN = ("main_code", "main_data")
 
 
 def std_gc(trusted: Component, check_stk_base: bool = True) -> GlobalConstants:
-    return GlobalConstants(frozenset(trusted.ms_code), STK_BASE, check_stk_base)
+    return GlobalConstants(trusted.ms_code, STK_BASE, check_stk_base)
 
 
 def component(base: int, text: str, data=None, *, ret=(), clos=(),

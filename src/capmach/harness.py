@@ -301,7 +301,7 @@ def diff_start(trusted: Component, context: Component, b_stk: int,
     trusted component's code, and ``cfgs``, the linked program's initial
     configuration per machine kind.  ``validate`` first checks both
     components, and raises ``ValidationFailure`` on a diagnostic."""
-    gc = GlobalConstants(frozenset(trusted.ms_code), b_stk, check_stk_base)
+    gc = GlobalConstants(trusted.ms_code, b_stk, check_stk_base)
     if validate:
         diags = validate_component(trusted, gc) + validate_component(context, gc)
         if diags:

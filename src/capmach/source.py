@@ -99,12 +99,9 @@ class SourceExtension(MachineExtension):
         pc = cfg.reg[PC]
         a = pc.addr
         params = call_cond(cfg.mem, a, gc.stk_base, gc.check_stk_base)
-        if params is None:
-            return None
-        span = range(a, a + CALL_LEN)
-        if not all(x in gc.ta for x in span):
-            return None
-        if not (pc.base <= a and a + CALL_LEN - 1 <= pc.end):
+        last = a + CALL_LEN - 1
+        if params is None or not gc.ta.covers(a, last) \
+                or not (pc.base <= a and last <= pc.end):
             return None
         return exec_call(cfg, params, self, gc)
 

@@ -42,6 +42,18 @@ def rules(ds):
     return {d.split("\t")[0] for d in ds}
 
 
+def test_global_constants_keep_ta_as_ranges():
+    # any int iterable becomes one Ranges, so equal trusted sets give
+    # equal, equally hashed global constants
+    t = trusted_one_call()
+    gcs = [GlobalConstants(ta, STK_BASE) for ta in
+           (frozenset(t.ms_code), t.ms_code, Ranges.of(t.ms_code))]
+    assert all(type(gc.ta) is Ranges for gc in gcs)
+    assert gcs[0] == gcs[1] == gcs[2] == std_gc(t)
+    assert len({hash(gc) for gc in gcs}) == 1
+    assert gcs[0].ta == Ranges.span(min(t.ms_code), max(t.ms_code))
+
+
 def test_simple_trusted_is_clean():
     assert diags(simple_trusted()) == []
 

@@ -208,6 +208,7 @@ def test_ranges_model(runs, other_runs, ints):
                       (r - o, model - other)):
         assert got == Ranges.of(want) and list(got) == sorted(want)
     assert Ranges.of(ints) == Ranges((a, a) for a in ints)
+    assert hash(Ranges.of(model)) == hash(Ranges(runs))
     assert list(Ranges.of(ints)) == sorted(ints)
     # runs are maximal: no two touch, so equal sets are equal Ranges
     assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(r.runs, r.runs[1:]))
