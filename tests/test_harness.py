@@ -995,25 +995,17 @@ def _link_corpus(tmp_path, name):
 
 
 def test_cli_wide_ta_range(tmp_path):
-    # a range --ta keeps the program's own addresses in it, so the
-    # trusted call is still recognized: the gate's 8 source steps
+    # a range --ta that holds call-return's one trusted call, 104..129,
+    # runs it as one atomic call (the gate's 8 source steps) at any
+    # width; one cell short at either end runs its 26 cells one by one
+    # (32, the target's count)
     _, _, prog = _link_corpus(tmp_path, "call-return")
     run = ["run", prog, "--machine", "source", "--no-validate", "--ta"]
-    for ta in ("auto", "0..2000000000", "100..140"):
+    for ta, steps in (("auto", 8), ("0..2000000000", 8), ("100..140", 8),
+                      ("104..129", 8), ("104..128", 32), ("105..129", 32)):
         p = _cli_under_1gb(run + [ta])
-        assert (p.returncode, p.stdout) == (0, "halted after 8 steps\n"), ta
-
-
-def test_cli_ta_edges_of_the_call_window(tmp_path, capsys):
-    # call-return's one trusted call fills 104..129 and both ends count:
-    # that exact window runs it as one atomic call (the gate's 8 source
-    # steps), and one cell short at either end runs its 26 cells one by
-    # one (32, the target's count)
-    _, _, prog = _link_corpus(tmp_path, "call-return")
-    run = ["run", prog, "--machine", "source", "--no-validate", "--ta"]
-    for ta, steps in (("104..129", 8), ("104..128", 32), ("105..129", 32)):
-        assert cli.main(run + [ta]) == 0, ta
-        assert capsys.readouterr().out == f"halted after {steps} steps\n", ta
+        assert (p.returncode, p.stdout) == \
+            (0, f"halted after {steps} steps\n"), ta
 
 
 def test_cli_validate_trust_edges(tmp_path, capsys):
