@@ -35,21 +35,87 @@ def test_upd_pc_addr():
     assert regs_after(out)["pc"].addr == 6
 
 
+# (op, operands under which it runs on, the positions of the register
+# operands it writes) for every instruction but a jump that writes a
+# register.
+_WRITERS = [
+    (op, ("r3", "r1"), (0,))
+    for op in ("gettype", "geta", "getb", "gete", "getp", "getlin", "move",
+               "load")]
+_WRITERS += [(op, ("r3", 1, 2), (0,)) for op in ("lt", "plus", "minus")]
+_WRITERS += [
+    ("cseal", ("r1", "r2"), (0,)), ("cca", ("r1", 1), (0,)),
+    ("restrict", ("r1", enc_perm(Perm.R)), (0,)), ("seta2b", ("r1",), (0,)),
+    ("store", ("r1", "r2"), (1,)), ("split", ("r3", "r4", "r1", 5), (0, 1, 2)),
+    ("splice", ("r3", "r4", "r5"), (0, 1, 2))]
+
+
 def test_handler_writing_pc_fails():
-    # A handler that writes pc leaves no capability for the pc step to
-    # move, so the step fails on both machines (a halt follows it).
+    # Only a jump sets pc.  Every other instruction whose written register
+    # operand is pc fails at step 1 on both machines (a halt follows it);
+    # with that operand not pc, the same instruction runs on.
     pc = rx(0, 9, 0)
     halt = enc_instr(mk_instr("halt"))
-    cases = [(pc, op, "pc", "r1") for op in
-             ("gettype", "geta", "getb", "gete", "getp", "getlin")]
-    cases += [(pc, op, "pc", 1, 2) for op in ("lt", "plus", "minus")]
-    cases.append((MemCap(Perm.RX, Lin.LINEAR, 0, 9, 0), "move", "r5", "pc"))
-    for pc_cap, op, *args in cases:
-        cfg = scfg({0: enc_instr(mk_instr(op, *args)), 1: halt}, pc=pc_cap,
-                   r1=rw(2, 8, 4))
-        for kind in ("source", "target"):
-            r = run_report(cfg, kind, NOWHERE, 5)
-            assert (r.outcome, r.steps) == ("failed", 1), (op, args, kind)
+    regs = dict(r1=rw(2, 8, 4), r2=SealCap(0, 9, 4), r4=rw(2, 4, 2),
+                r5=rw(5, 8, 5))
+    for op, args, written in _WRITERS:
+        for at in (None,) + written:
+            instr = mk_instr(op, *("pc" if i == at else a
+                                   for i, a in enumerate(args)))
+            cfg = scfg({0: enc_instr(instr), 1: halt,
+                        **{a: a for a in range(2, 9)}}, pc=pc, **regs)
+            want = ("halted", 2) if at is None else ("failed", 1)
+            for kind in ("source", "target"):
+                r = run_report(cfg, kind, NOWHERE, 5)
+                assert (r.outcome, r.steps) == want, (instr, kind)
+
+
+def test_jump_target_is_checked_at_the_next_step():
+    # A jump sets pc to its target as it is: a target that is no
+    # executable capability fails at the next step, and a linear RX one
+    # runs on.
+    halt = enc_instr(mk_instr("halt"))
+    cases = [(5, "failed"), (SealCap(0, 9, 2), "failed"),
+             (rw(0, 9, 2), "failed"),
+             (MemCap(Perm.RX, Lin.LINEAR, 0, 9, 2), "halted")]
+    for jump in (mk_instr("jmp", "r1"), mk_instr("jnz", "r1", "r2")):
+        for target, outcome in cases:
+            cfg = scfg({0: enc_instr(jump), 1: enc_instr(mk_instr("fail")),
+                        2: halt}, pc=rx(0, 9, 0), r1=target, r2=1)
+            for kind in ("source", "target"):
+                r = run_report(cfg, kind, NOWHERE, 5)
+                assert (r.outcome, r.steps) == (outcome, 2), (
+                    jump, target, kind)
+
+
+def test_store_through_pc():
+    # pc is store's pointer operand, which is read, not written: an RWX
+    # pc writes its own cell and runs on
+    rwx = MemCap(Perm.RWX, Lin.NORMAL, 0, 9, 0)
+    halt = enc_instr(mk_instr("halt"))
+    cfg = scfg({0: enc_instr(mk_instr("store", "pc", "r2")), 1: halt},
+               pc=rwx, r2=7)
+    for kind in ("source", "target"):
+        r = run_report(cfg, kind, NOWHERE, 5)
+        assert (r.outcome, r.steps) == ("halted", 2), kind
+        assert r.final_cfg.mem[0] == 7, kind
+        assert r.final_cfg.reg["pc"] == rwx._replace(addr=1), kind
+
+
+def test_move_from_pc():
+    # move r5 pc copies a normal pc, which then moves on; a linear pc
+    # cannot be both copied and kept, so the step fails
+    halt = enc_instr(mk_instr("halt"))
+    mem = {0: enc_instr(mk_instr("move", "r5", "pc")), 1: halt}
+    pc = rx(0, 9, 0)
+    for kind in ("source", "target"):
+        r = run_report(scfg(mem, pc=pc), kind, NOWHERE, 5)
+        assert (r.outcome, r.steps) == ("halted", 2), kind
+        assert r.final_cfg.reg["r5"] == pc, kind
+        assert r.final_cfg.reg["pc"] == pc._replace(addr=1), kind
+        linear = scfg(mem, pc=pc._replace(lin=Lin.LINEAR))
+        r = run_report(linear, kind, NOWHERE, 5)
+        assert (r.outcome, r.steps) == ("failed", 1), kind
 
 
 def test_jmp_and_jnz():
@@ -326,8 +392,8 @@ def test_step_matches_exec_instr(rng):
         mem = {a: rng.choice(pool) for a in range(16)}
         mem[at] = w
         reg = {r: rng.choice(pool) for r in REGISTERS}
-        reg["pc"] = MemCap(rng.choice([Perm.RX, Perm.RWX]), Lin.NORMAL,
-                           0, 15, at)
+        reg["pc"] = MemCap(rng.choice([Perm.RX, Perm.RWX]),
+                           rng.choice([Lin.NORMAL, Lin.LINEAR]), 0, 15, at)
         cfg = scfg(mem, ms_stk={a: rng.choice(pool) for a in range(20, 31)},
                    **reg)
         for ext in (NULL_EXTENSION, SOURCE_EXTENSION):
