@@ -231,13 +231,13 @@ class LinkError(ValueError):
 
 def link(c1: Component, c2: Component) -> Component:
     """⋈: disjoint unions plus import resolution."""
-    if set(c1.ms_code) & set(c2.ms_code):
+    if c1.ms_code.keys() & c2.ms_code.keys():
         raise LinkError("code domains overlap")
-    if set(c1.ms_data) & set(c2.ms_data):
+    if c1.ms_data.keys() & c2.ms_data.keys():
         raise LinkError("data domains overlap")
     code = {**c1.ms_code, **c2.ms_code}
     data = {**c1.ms_data, **c2.ms_data}
-    if set(code) & set(data):
+    if code.keys() & data.keys():
         raise LinkError("linked code and data overlap")
     if c1.sig_ret & c2.sig_ret or c1.sig_clos & c2.sig_clos:
         raise LinkError("seal sets overlap")

@@ -449,32 +449,28 @@ class Memory(Mapping):
     """An immutable map from the addresses of ``domain``, a ``Ranges``,
     to words: every address that holds no written word reads 0.
 
-    The written words sit in one dict, which ``set``, ``update`` and
-    ``split`` copy: O(written cells) per change.  A version they make
-    keeps the dict it was copied from (not that ``Memory``, so no chain
-    of versions stays alive) and the addresses it wrote, which is all
-    that ``changed_since`` that version compares.  A read probes the
-    dict, then the domain.  Iteration walks the domain, ascending."""
+    The written words sit in one dict, ``written``, which no caller may
+    mutate and which ``set``, ``update`` and ``split`` copy: O(written
+    cells) per change.  A version they make keeps the dict it was copied
+    from (not that ``Memory``, so no chain of versions stays alive) and
+    the addresses it wrote, which is all that ``changed_since`` that
+    version compares.  A read probes the dict, then the domain.
+    Iteration walks the domain, ascending."""
 
-    __slots__ = ("_cells", "domain", "_parent", "_wrote")
+    __slots__ = ("written", "domain", "_parent", "_wrote")
 
     def __init__(self, cells=(), domain: Ranges = None):
         """The cells of ``cells`` over ``domain`` (by default their
         addresses), which must hold them."""
-        self._cells = dict(cells)
-        self.domain = Ranges.of(self._cells) if domain is None else domain
+        self.written = dict(cells)
+        self.domain = Ranges.of(self.written) if domain is None else domain
         self._parent, self._wrote = None, ()
 
     @staticmethod
     def _of(cells: dict, domain: Ranges, parent=None, wrote=()) -> "Memory":
         m = Memory.__new__(Memory)
-        m._cells, m.domain, m._parent, m._wrote = cells, domain, parent, wrote
+        m.written, m.domain, m._parent, m._wrote = cells, domain, parent, wrote
         return m
-
-    def written(self) -> dict:
-        """The written cells as one dict; the caller must not mutate it.
-        Every other address of the domain reads 0."""
-        return self._cells
 
     def __getitem__(self, a):
         w = self.get(a, _GONE)
@@ -483,13 +479,13 @@ class Memory(Mapping):
         return w
 
     def get(self, a, default=None):
-        w = self._cells.get(a, _GONE)
+        w = self.written.get(a, _GONE)
         if w is _GONE:   # unwritten: 0 in the domain
             return 0 if a in self.domain else default
         return w
 
     def __contains__(self, a):
-        return a in self._cells or a in self.domain
+        return a in self.written or a in self.domain
 
     def __len__(self):
         return len(self.domain)
@@ -502,17 +498,17 @@ class Memory(Mapping):
             return NotImplemented
         return self.domain == other.domain and all(
             x.get(a) == w for x, y in ((self, other), (other, self))
-            for a, w in y._cells.items())
+            for a, w in y.written.items())
 
     def __repr__(self):
-        return f"Memory({self._cells!r}, {self.domain!r})"
+        return f"Memory({self.written!r}, {self.domain!r})"
 
     def changed_since(self, old: "Memory") -> list:
         """The addresses whose written word is not the same object here
         as in ``old`` (or is written in one only).  Against the version
         this one was made from, only the addresses it wrote are
         compared; against any other, every written cell."""
-        new, prev = self._cells, old._cells
+        new, prev = self.written, old.written
         if self._parent is prev:
             return [a for a in self._wrote
                     if new.get(a, _GONE) is not prev.get(a, _GONE)]
@@ -523,29 +519,29 @@ class Memory(Mapping):
 
     def set(self, a, w: Word) -> "Memory":
         """This memory with cell ``a`` holding ``w``."""
-        cells = self._cells.copy()
+        cells = self.written.copy()
         cells[a] = w
         domain = self.domain
-        if a not in self._cells and a not in domain:   # a new address
+        if a not in self.written and a not in domain:   # a new address
             domain = domain | Ranges.span(a, a)
-        return Memory._of(cells, domain, self._cells, (a,))
+        return Memory._of(cells, domain, self.written, (a,))
 
     def update(self, cells: "Memory") -> "Memory":
         """This memory joined with the memory ``cells``: its domain added
         and its written cells written.  An unwritten address of ``cells``
         keeps the word this memory holds there, and reads 0 when it
         holds none (a frame that comes back to the stack)."""
-        wrote = cells._cells
-        return Memory._of({**self._cells, **wrote},
-                          self.domain | cells.domain, self._cells, wrote)
+        wrote = cells.written
+        return Memory._of({**self.written, **wrote},
+                          self.domain | cells.domain, self.written, wrote)
 
     def split(self, lo, hi):
         """(the cells ``lo..hi``, the rest) as memories; ``hi`` may be INF."""
         inside, outside = self.domain.split(lo, hi)
-        rest = self._cells.copy()
-        part = {a: rest.pop(a) for a in self._cells if lo <= a <= hi}
+        rest = self.written.copy()
+        part = {a: rest.pop(a) for a in self.written if lo <= a <= hi}
         return (Memory._of(part, inside),
-                Memory._of(rest, outside, self._cells, part))
+                Memory._of(rest, outside, self.written, part))
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,9 @@ def check_linearity(cfg) -> list:
     an address with another one anywhere in a configuration: registers,
     memory, stack memory and saved frames (see ``core.linear_overlaps``)."""
     owners = [o for i, f in enumerate(cfg.stk)
-              for o in _owners(f"frame {i} addr", f.ms.written()).values()]
-    for name, cells in (("reg", cfg.reg), ("mem", cfg.mem.written()),
-                        ("stk", cfg.ms_stk.written())):
+              for o in _owners(f"frame {i} addr", f.ms.written).values()]
+    for name, cells in (("reg", cfg.reg), ("mem", cfg.mem.written),
+                        ("stk", cfg.ms_stk.written)):
         owners += _owners(name, cells).values()
     return linear_overlaps(owners)
 
@@ -93,7 +93,7 @@ def check_stack_partition(cfg: SourceConfig) -> list:
 
 def _scan(frame) -> tuple:
     """(``frame``, its owners, named ``addr k`` until its index is known)."""
-    return frame, list(_owners("addr", frame.ms.written()).values())
+    return frame, list(_owners("addr", frame.ms.written).values())
 
 
 class _Invariants:
@@ -112,8 +112,8 @@ class _Invariants:
     def __init__(self, cfg):
         self.cfg = cfg
         self.regs = _owners("reg", cfg.reg)
-        self.mem = _owners("mem", cfg.mem.written())
-        self.stk = _owners("stk", cfg.ms_stk.written())
+        self.mem = _owners("mem", cfg.mem.written)
+        self.stk = _owners("stk", cfg.ms_stk.written)
         self.frames = [_scan(f) for f in cfg.stk]
         self.frame_owners = self._name_frame_owners()
         self.overlaps = linear_overlaps(self._all())

@@ -1,29 +1,27 @@
 """Single-step instruction interpretation shared by both machines.
 
 No function here writes a configuration.  A handler that writes only
-registers returns its writes as a dict (a ``Jump`` when it sets pc to
-a jump target); one that changes memory or frames returns a
-``Running`` with a fresh configuration.  ``advance`` runs one step and
-adds the next pc to plain writes, building nothing, so that
-``harness.Run``, the one loop over steps, applies them in place to
-registers of its own.  ``step`` (``advance`` plus one register copy:
-every ``Running`` owns a fresh register dict) and ``exec_instr`` (one
-decoded instruction) stay as the one-step API: the tests fold ``step``
-as the reference for every run, and call ``exec_instr``.
+registers returns its writes as a dict; one that changes memory or
+frames returns a ``Running`` with a fresh configuration.  Only a jump
+(jmp, jnz, xjmp) sets pc: any other instruction that names pc as a
+register it writes decodes to fail.  So writes that name pc are a
+jump's, and ``advance`` adds the next pc to any others, building
+nothing: ``harness.Run``, the one loop over steps, applies them in
+place, and a register-only step is one ``advance`` call plus its
+handler's.  ``step`` (``advance`` plus one register copy) and
+``exec_instr`` (one decoded instruction) are the one-step API.
 
-``advance`` decodes each distinct word once: a bounded memo keyed by
-the word (never by its address, so a store into code runs the new
-word) gives the handler's name and operands, and the handler is then
-looked up by name in the module.  The records a step builds (the next
-pc; the configuration and ``Running`` of a step that changes memory)
-are made with ``tuple.__new__``, which skips the Python-level
-constructor that ``namedtuple`` generates.  A memory capability
-indexes ``mem`` and a stack pointer indexes ``ms_stk``; every pointer
-case is written once over the pointer and the segment it indexes.  A
-``MachineExtension`` names the pointer kinds its machine accepts and
-supplies the source-only rules (call recognition, return-token
-jumps); the target machine uses the null extension, which accepts
-memory capabilities only.
+``advance`` reads pc's cell from the memory's written cells and
+decodes each distinct word once: a bounded memo keyed by the word
+(never by its address, so a store into code runs the new word) gives
+the handler's name and operands, and the handler is then looked up by
+name in the module.  Records are built with ``tuple.__new__``, which
+skips the Python-level constructor that ``namedtuple`` generates.  A
+memory capability indexes ``mem`` and a stack pointer ``ms_stk``;
+every pointer case is written once over the pointer and its segment.
+A ``MachineExtension`` names the pointer kinds its machine accepts and
+supplies the source-only rules (call recognition, return-token jumps);
+the target uses the null extension: memory capabilities only.
 """
 
 from __future__ import annotations
@@ -70,26 +68,16 @@ HALTED = Halted()
 _new = tuple.__new__
 
 
-class Jump(dict):
-    """The register writes of a jump: pc holds the target, which the
-    step does not move on."""
-
-    __slots__ = ()
-
-
 def _next_pc(pc, out):
-    """``out``, a handler's outcome, as ``advance`` returns it: plain
-    register writes gain pc moved to the next cell.  pc is read after
-    the writes, so a step that writes pc (``plus pc 1 2``, ``move r5
-    pc`` on a linear pc) fails.  Any other outcome, a ``Jump`` included,
-    is returned as it is."""
-    if type(out) is not dict:
-        return out
-    pc = out.get(PC, pc)
-    if isinstance(pc, MemCap):
+    """``out``, a handler's outcome, as a step returns it: register
+    writes that do not name pc (a jump's do) gain ``pc`` moved to the
+    next cell, and fail when it is no memory capability.  Any other
+    outcome is returned as it is: the next step checks a jump's target."""
+    if type(out) is dict and PC not in out:
+        if not isinstance(pc, MemCap):
+            return FAILED
         out[PC] = _new(MemCap, (pc.perm, pc.lin, pc.base, pc.end, pc.addr + 1))
-        return out
-    return FAILED
+    return out
 
 
 def as_running(cfg, out):
@@ -102,10 +90,9 @@ def as_running(cfg, out):
 
 
 def upd_pc_addr(cfg, updates: dict):
-    """``cfg`` with the register ``updates`` written and pc moved to the
-    next cell (see ``_next_pc``), in one register copy; ``updates`` is
-    the caller's own dict and gains the new pc.  Only the handlers that
-    change memory use it: the others return their writes."""
+    """``cfg`` with the register ``updates`` (the caller's own dict, which
+    never names pc) written and pc moved on by ``_next_pc``, in one
+    register copy.  Only the handlers that change memory use it."""
     return as_running(cfg, _next_pc(cfg.reg[PC], updates))
 
 
@@ -155,10 +142,9 @@ def _with_cell(cfg, c, w):
     return cfg.with_mem_cell(c.addr, w)
 
 
-# ``_with_addr`` runs on most pointer steps, so it skips ``_replace``.
-
 def _with_addr(c, a):
-    """Pointer ``c`` moved to address ``a``."""
+    """Pointer ``c`` moved to address ``a`` (without ``_replace``: this
+    runs on most pointer steps)."""
     if isinstance(c, StkPtr):
         return _new(StkPtr, (c.perm, c.base, c.end, a))
     return _new(MemCap, (c.perm, c.lin, c.base, c.end, a))
@@ -174,14 +160,14 @@ def exec_halt(cfg, ext, gc):
 
 def exec_jmp(cfg, ext, gc, r):
     target = cfg.reg[r]
-    return Jump({r: lin_cons(target), PC: target})
+    return {r: lin_cons(target), PC: target}
 
 
 def exec_jnz(cfg, ext, gc, r, rn):
     operand = rn if isinstance(rn, int) else cfg.reg[rn]
     if non_zero(operand):
         target = cfg.reg[r]
-        return Jump({r: lin_cons(target), PC: target})
+        return {r: lin_cons(target), PC: target}
     return {}
 
 
@@ -233,20 +219,21 @@ def exec_getlin(cfg, ext, gc, r1, r2):
 
 
 def exec_move(cfg, ext, gc, r, rn):
-    if r == PC:
-        return FAILED
     if isinstance(rn, int):
         return {r: rn}
+    old = cfg.reg[rn]
+    if rn == PC:   # pc moves on, so it is copied, never cleared
+        return {r: old} if type(old) is MemCap and old.lin is Lin.NORMAL \
+            else FAILED
     # Clear the source register first, then write the destination:
     # correct even when r == rn (a linear cap stays put).
-    old = cfg.reg[rn]
     return {rn: lin_cons(old), r: old}
 
 
 def exec_store(cfg, ext, gc, r1, r2):
     c = cfg.reg[r1]
     if (isinstance(c, ext.pointers) and write_allowed(c.perm)
-            and within_bounds(c) and r2 != PC and c.addr in _segment(cfg, c)):
+            and within_bounds(c) and c.addr in _segment(cfg, c)):
         w = cfg.reg[r2]
         return upd_pc_addr(_with_cell(cfg, c, w), {r2: lin_cons(w)})
     return FAILED
@@ -255,7 +242,7 @@ def exec_store(cfg, ext, gc, r1, r2):
 def exec_load(cfg, ext, gc, r1, r2):
     c = cfg.reg[r2]
     if (isinstance(c, ext.pointers) and read_allowed(c.perm)
-            and within_bounds(c) and r1 != PC):
+            and within_bounds(c)):
         w = _segment(cfg, c).get(c.addr)
         if w is not None and lin_cons_perm(c.perm, w):
             # lin_cons changes only a linear word's cell: write no other.
@@ -267,7 +254,7 @@ def exec_load(cfg, ext, gc, r1, r2):
 
 def exec_cca(cfg, ext, gc, r, rn):
     n = _operand(cfg, rn)
-    if n is None or r == PC:
+    if n is None:
         return FAILED
     c = cfg.reg[r]
     if isinstance(c, ext.pointers):
@@ -283,7 +270,7 @@ def exec_cca(cfg, ext, gc, r, rn):
 
 def exec_restrict(cfg, ext, gc, r1, rn):
     n = _operand(cfg, rn)
-    if n is None or r1 == PC:
+    if n is None:
         return FAILED
     c = cfg.reg[r1]
     p = dec_perm(n)
@@ -317,8 +304,6 @@ def exec_minus(cfg, ext, gc, r0, rn1, rn2):
 
 
 def exec_seta2b(cfg, ext, gc, r1):
-    if r1 == PC:
-        return FAILED
     c = cfg.reg[r1]
     if isinstance(c, ext.pointers):
         return {r1: _with_addr(c, c.base)}
@@ -337,7 +322,7 @@ def exec_cseal(cfg, ext, gc, r1, r2):
 
 def exec_split(cfg, ext, gc, r1, r2, r3, rn4):
     n = _operand(cfg, rn4)
-    if n is None or PC in (r1, r2, r3):
+    if n is None:
         return FAILED
     c = cfg.reg[r3]
     if ((isinstance(c, ext.pointers) or isinstance(c, SealCap))
@@ -350,8 +335,6 @@ def exec_split(cfg, ext, gc, r1, r2, r3, rn4):
 
 
 def exec_splice(cfg, ext, gc, r1, r2, r3):
-    if PC in (r1, r2, r3):
-        return FAILED
     c2 = cfg.reg[r2]
     c3 = cfg.reg[r3]
     if not (type(c2) is type(c3)
@@ -373,7 +356,7 @@ def xjump_result(c1, c2, cfg, ext, gc, updates: dict):
     ``updates`` holds the registers the jump has written so far, which
     are not yet in ``cfg``: each outcome adds its own to them, so they
     are the step's write set.  The base case loads the code half into pc
-    and the data half into r_data and returns them all as a ``Jump``
+    and the data half into r_data and returns them all, a jump's writes
     over ``cfg``; the source extension adds the return-token case, a
     ``Running``.
     """
@@ -381,7 +364,7 @@ def xjump_result(c1, c2, cfg, ext, gc, updates: dict):
             and non_exec(c2)):
         updates[PC] = c1
         updates[RDATA] = c2
-        return Jump(updates)
+        return updates
     out = ext.xjump_result(c1, c2, cfg, gc, updates)
     if out is not None:
         return out
@@ -403,20 +386,35 @@ def exec_xjmp(cfg, ext, gc, r1, r2):
 _HANDLER = {op: "exec_" + op for op in OPCODES}
 _MODULE = globals()
 
+# op -> the positions of the register operands it writes, but for the
+# jumps, which alone set pc (``exec_move`` decides ``move r pc``).
+_WRITES = dict.fromkeys(
+    ("gettype", "geta", "getb", "gete", "getp", "getlin", "lt", "plus",
+     "minus", "cseal", "load", "cca", "restrict", "seta2b", "move"), (0,))
+_WRITES.update(store=(1,), split=(0, 1, 2), splice=(0, 1, 2))
+
+
+def _handler(instr: Instr):
+    """(handler name, operands) of ``instr``, or fail's when it names pc
+    as a register it writes: no handler tests for pc."""
+    args = instr.args
+    if any(args[i] == PC for i in _WRITES.get(instr.op, ())):
+        return _HANDLER["fail"], ()
+    return _HANDLER[instr.op], args
+
 
 @functools.lru_cache(maxsize=4096)
 def _decode(w):
-    """(handler name, operands) of the word ``w``: ``dec_instr`` and the
-    handler table run once per distinct word, not once per step."""
-    instr = dec_instr(w)
-    return _HANDLER[instr.op], instr.args
+    """``_handler`` of the word ``w``, once per distinct word."""
+    return _handler(dec_instr(w))
 
 
 def exec_instr(instr: Instr, cfg, ext: MachineExtension, gc: GlobalConstants):
     """One decoded instruction through the handler table ``step`` uses,
     as ``step`` returns its outcome.  The handler is looked up in the
     module's globals on every call, so a wrapped handler is seen."""
-    out = _MODULE[_HANDLER[instr.op]](cfg, ext, gc, *instr.args)
+    name, args = _handler(instr)
+    out = _MODULE[name](cfg, ext, gc, *args)
     return as_running(cfg, _next_pc(cfg.reg[PC], out))
 
 
@@ -425,24 +423,30 @@ def advance(cfg, ext: MachineExtension = NULL_EXTENSION,
     """One step of ``cfg`` that builds no configuration when it writes
     only registers: FAILED, HALTED, a ``Running`` for a step that
     changes memory or frames, or else the step's register writes, pc
-    included (a dict, a ``Jump`` for a jump).  ``cfg`` is not written;
-    the caller applies the writes."""
+    included.  ``cfg`` is not written; the caller applies the writes."""
     pc = cfg.reg[PC]
     if not (isinstance(pc, MemCap) and pc.perm in EXEC_PERMS):
         return FAILED
-    w = cfg.mem.get(pc.addr)
+    perm, lin, base, end, a = pc
+    w = cfg.mem.written.get(a)
+    if w is None:   # unwritten: 0 in the domain, None outside it
+        w = cfg.mem.get(a)
     # A call sequence starts with CALL_HEAD (``call_cond`` rejects any
     # other first cell), so no other cell needs call recognition.
     if w == CALL_HEAD:
         out = ext.recognize_call(cfg, gc)
         if out is not None:
             return out
-    if w is None or not pc.base <= pc.addr <= pc.end:
+    if w is None or not base <= a <= end:
         return FAILED
     # The memo holds the handler's name, not the function, so a wrapped
     # handler is seen.
     name, args = _decode(w)
-    return _next_pc(pc, _MODULE[name](cfg, ext, gc, *args))
+    out = _MODULE[name](cfg, ext, gc, *args)
+    # ``_next_pc``'s rule, over a pc known to be a memory capability
+    if type(out) is dict and PC not in out:
+        out[PC] = _new(MemCap, (perm, lin, base, end, a + 1))
+    return out
 
 
 def step(cfg, ext: MachineExtension = NULL_EXTENSION,

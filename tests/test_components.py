@@ -316,7 +316,7 @@ def test_initial_config_errors():
         cfg = initial_config(p, kind, top + 2, top + 1 + 2 ** 40)
         stack = cfg.mem if kind == "target" else cfg.ms_stk
         assert stack.domain.covers(top + 2, top + 1 + 2 ** 40)
-        assert stack[top + 2 ** 40] == 0 and stack.written() == (
+        assert stack[top + 2 ** 40] == 0 and stack.written == (
             {} if kind == "source" else {**p.ms_code, **p.ms_data,
                                          top + 1: 0, top + 2 + 2 ** 40: 0})
     wc, wd = p.mains

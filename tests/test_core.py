@@ -248,7 +248,7 @@ def _same(m, model):
     assert dict(m.items()) == model
     assert sorted(m.values(), key=repr) == sorted(model.values(), key=repr)
     assert m == Memory(model) and m != model
-    assert m == Memory(m.written(), m.domain)
+    assert m == Memory(m.written, m.domain)
     for a in range(-1, 42):
         assert (a in m) == (a in model)
         assert m.get(a, "none") == model.get(a, "none")
@@ -270,7 +270,7 @@ def _same_changes(m, model, old, old_model):
         return w is missing or type(w) is int and w == 0
 
     got = m.changed_since(old)
-    new, prev = m.written(), old.written()
+    new, prev = m.written, old.written
     assert sorted(got) == sorted(a for a in new.keys() | prev.keys()
                                  if new.get(a, missing)
                                  is not prev.get(a, missing))
@@ -316,7 +316,7 @@ def test_memory_model(init, zeros, ops):
             part, _ = donor.split(lo, hi)
             # written cells win; unwritten ones keep what is held, or read 0
             versions.append((m.update(part), {**dict.fromkeys(part, 0),
-                                              **model, **part.written()}))
+                                              **model, **part.written}))
         _same_changes(*versions[-1], m, model)
     for m, model in versions:
         _same(m, model)
@@ -350,7 +350,7 @@ def test_memory_zero_run_walks_no_address():
         n = m.set(2 ** 39, 7)
         assert (n[2 ** 39], n[2 ** 39 + 1], m[2 ** 39]) == (7, 0, 0)
         part, rest = n.split(2 ** 38, INF)
-        assert part.written() == {2 ** 39: 7} and rest.written() == {5: 1}
+        assert part.written == {2 ** 39: 7} and rest.written == {5: 1}
         assert rest.update(part) == n and n.changed_since(m) == [2 ** 39]
 
 
@@ -379,7 +379,7 @@ def test_memory_changed_since():
     m = base
     for a in range(20):
         m = m.set(a, f"w{a}")
-    assert m.written() == {**base.written(), **{a: f"w{a}" for a in range(20)}}
+    assert m.written == {**base.written, **{a: f"w{a}" for a in range(20)}}
     assert sorted(m.changed_since(base)) == list(range(20))
     assert sorted(m.changed_since(m1)) == list(range(20))
     # removed cells, then the same words put back
