@@ -223,8 +223,7 @@ def exec_move(cfg, ext, gc, r, rn):
         return {r: rn}
     old = cfg.reg[rn]
     if rn == PC:   # pc moves on, so it is copied, never cleared
-        return {r: old} if type(old) is MemCap and old.lin is Lin.NORMAL \
-            else FAILED
+        return {r: old} if lin_cons(old) is old else FAILED
     # Clear the source register first, then write the destination:
     # correct even when r == rn (a linear cap stays put).
     return {rn: lin_cons(old), r: old}
