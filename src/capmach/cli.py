@@ -38,27 +38,27 @@ def _int(s):
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _parse_range(s):
+def _parse_range(s, what):
     try:
         lo, hi = s.split("..")
-        return parse_int(lo), parse_int(hi)
+        lo, hi = parse_int(lo), parse_int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a range lo..hi, got {s!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty {what} range {s!r}")
+    return lo, hi
 
 
 def _stack(s):
-    lo, hi = _parse_range(s)
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty stack range {s!r}")
-    return lo, hi
+    return _parse_range(s, "stack")
 
 
 def _ta(s):
     """``auto`` (the component's own code) or a range ``lo..hi``."""
     if s == "auto":
         return s
-    return Ranges.span(*_parse_range(s))
+    return Ranges.span(*_parse_range(s, "trusted"))
 
 
 def _fuel(s):

@@ -353,7 +353,7 @@ def parse_component(text: str) -> Component:
     data: dict = {}
     imports: list = []
     exports: list = []
-    sig_ret = sig_clos = Ranges()
+    seals = None          # (ret, clos) of the [seals] header
     linear: list = []     # the runs of every [linear] line
     mains: list = []
     section = None
@@ -373,8 +373,11 @@ def parse_component(text: str) -> Component:
                     # the pad precedes the base
                     code_next = parse_int(keys["base"]) - 1
                 elif section == "seals":
-                    sig_ret = Ranges.parse(keys.get("ret", ""))
-                    sig_clos = Ranges.parse(keys.get("clos", ""))
+                    sigs = (Ranges.parse(keys.get("ret", "")),
+                            Ranges.parse(keys.get("clos", "")))
+                    if seals is not None:
+                        raise ValueError("[seals] given twice")
+                    seals = sigs
             elif section == "code":
                 if code_next in code:
                     raise ValueError(f"address {code_next} given twice")
@@ -403,7 +406,7 @@ def parse_component(text: str) -> Component:
     if mains and len(mains) != 2:
         raise ValueError("[main] needs exactly two words")
     return Component(code, data, tuple(imports), tuple(exports),
-                     sig_ret, sig_clos, Ranges(linear),
+                     *(seals or (Ranges(), Ranges())), Ranges(linear),
                      tuple(mains) if mains else None)
 
 
@@ -426,7 +429,8 @@ def format_component(c: Component) -> str:
         lines.append("[exports]")
         for sym, w in c.exports:
             lines.append(f"{sym}\t{w!r}")
-    lines.append(f"[seals ret={c.sig_ret} clos={c.sig_clos}]")
+    if c.sig_ret or c.sig_clos:
+        lines.append(f"[seals ret={c.sig_ret} clos={c.sig_clos}]")
     if c.a_linear:
         lines += ["[linear]", str(c.a_linear)]
     if c.mains is not None:

@@ -150,8 +150,8 @@ class _Invariants:
         """``(check_linearity(cfg), check_stack_partition(cfg))`` for a
         configuration that follows the last one asked about; ``wrote``
         names every register whose word is not the same object as there
-        (registers are never removed).  ``cfg`` may be the last one
-        itself, its registers written in place since."""
+        (registers are never removed).  ``cfg`` may share the last one's
+        registers, written in place since."""
         old, self.cfg = self.cfg, cfg
         changed = False
         mem, reg, stk, ms_stk = cfg
@@ -215,12 +215,11 @@ class Run:
     ``steps`` and ``cfg``, the final configuration; until then ``cfg``
     is the first.
 
-    ``cfg`` is not written: the run copies its registers once and
-    applies a register-only step's writes to that copy in place, so a
-    yielded configuration is valid until the next item.  A caller that
-    keeps one copies it with ``with_regs({})``, and may start a new run
-    from the copy.  A step that changes memory or frames hands over a
-    configuration with registers of its own."""
+    ``cfg`` is not written: the run copies its registers once and is
+    their one writer.  It applies each step's writes in place, also under
+    a ``Running``'s new memory and frames, so a yielded configuration is
+    valid until the next item.  A caller that keeps one copies it with
+    ``with_regs({})``, and may start a new run from the copy."""
 
     def __init__(self, cfg, machine_kind: str, gc: GlobalConstants,
                  fuel: int = DEFAULT_FUEL):
@@ -241,14 +240,13 @@ class Run:
             out = advance(cfg, ext, gc)
             steps += 1
             if isinstance(out, dict):
-                reg.update(out)
                 wrote = out
             elif type(out) is Running:
                 cfg, wrote = out
-                reg = cfg.reg
             else:
                 outcome = out.kind
                 break
+            reg.update(wrote)
         self.outcome, self.steps, self.cfg = outcome, steps, cfg
 
 

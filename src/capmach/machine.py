@@ -2,7 +2,7 @@
 
 No function here writes a configuration.  A handler that writes only
 registers returns its writes as a dict; one that changes memory or
-frames returns a ``Running`` with a fresh configuration.  Only a jump
+frames returns a ``Running``, its writes unapplied.  Only a jump
 (jmp, jnz, xjmp) sets pc: any other instruction that names pc as a
 register it writes decodes to fail.  So writes that name pc are a
 jump's, and ``advance`` adds the next pc to any others, building
@@ -41,9 +41,9 @@ from .core import (
 
 
 class Running(Record, namedtuple("Running", "cfg wrote")):
-    """The next configuration, and ``wrote``, the names of the registers
-    the step wrote (a step writes no other): the update dict it passed
-    to ``with_regs``."""
+    """``cfg``, the new memory, frames and stack memory over the register
+    dict the step read, not yet written, and ``wrote``, the step's
+    register writes (a step writes no other)."""
 
     __slots__ = ()
 
@@ -68,32 +68,15 @@ HALTED = Halted()
 _new = tuple.__new__
 
 
-def _next_pc(pc, out):
-    """``out``, a handler's outcome, as a step returns it: register
-    writes that do not name pc (a jump's do) gain ``pc`` moved to the
-    next cell, and fail when it is no memory capability.  Any other
-    outcome is returned as it is: the next step checks a jump's target."""
-    if type(out) is dict and PC not in out:
-        if not isinstance(pc, MemCap):
-            return FAILED
-        out[PC] = _new(MemCap, (pc.perm, pc.lin, pc.base, pc.end, pc.addr + 1))
-    return out
-
-
 def as_running(cfg, out):
-    """A step outcome over ``cfg`` as ``step`` returns it: register
-    writes become a ``Running`` over a fresh copy of ``cfg``'s
-    registers; any other outcome is returned as it is."""
+    """A step outcome over ``cfg`` as ``step`` returns it: its register
+    writes, alone or a ``Running``'s, applied to a fresh copy of the
+    registers; FAILED and HALTED are returned as they are."""
+    if type(out) is Running:
+        cfg, out = out
     if isinstance(out, dict):
         return _new(Running, (cfg.with_regs(out), out))
     return out
-
-
-def upd_pc_addr(cfg, updates: dict):
-    """``cfg`` with the register ``updates`` (the caller's own dict, which
-    never names pc) written and pc moved on by ``_next_pc``, in one
-    register copy.  Only the handlers that change memory use it."""
-    return as_running(cfg, _next_pc(cfg.reg[PC], updates))
 
 
 class MachineExtension:
@@ -234,7 +217,7 @@ def exec_store(cfg, ext, gc, r1, r2):
     if (isinstance(c, ext.pointers) and write_allowed(c.perm)
             and within_bounds(c) and c.addr in _segment(cfg, c)):
         w = cfg.reg[r2]
-        return upd_pc_addr(_with_cell(cfg, c, w), {r2: lin_cons(w)})
+        return _new(Running, (_with_cell(cfg, c, w), {r2: lin_cons(w)}))
     return FAILED
 
 
@@ -246,7 +229,7 @@ def exec_load(cfg, ext, gc, r1, r2):
         if w is not None and lin_cons_perm(c.perm, w):
             # lin_cons changes only a linear word's cell: write no other.
             if is_linear(w):
-                return upd_pc_addr(_with_cell(cfg, c, 0), {r1: w})
+                return _new(Running, (_with_cell(cfg, c, 0), {r1: w}))
             return {r1: w}
     return FAILED
 
@@ -411,10 +394,18 @@ def _decode(w):
 def exec_instr(instr: Instr, cfg, ext: MachineExtension, gc: GlobalConstants):
     """One decoded instruction through the handler table ``step`` uses,
     as ``step`` returns its outcome.  The handler is looked up in the
-    module's globals on every call, so a wrapped handler is seen."""
+    module's globals on every call, so a wrapped handler is seen.  Writes
+    that do not name pc (a jump's do) gain pc moved to the next cell, or
+    fail when pc is no memory capability: ``advance`` has a fast copy."""
     name, args = _handler(instr)
     out = _MODULE[name](cfg, ext, gc, *args)
-    return as_running(cfg, _next_pc(cfg.reg[PC], out))
+    wrote = out.wrote if type(out) is Running else out
+    if type(wrote) is dict and PC not in wrote:
+        pc = cfg.reg[PC]
+        if not isinstance(pc, MemCap):
+            return FAILED
+        wrote[PC] = pc._replace(addr=pc.addr + 1)
+    return as_running(cfg, out)
 
 
 def advance(cfg, ext: MachineExtension = NULL_EXTENSION,
@@ -422,7 +413,8 @@ def advance(cfg, ext: MachineExtension = NULL_EXTENSION,
     """One step of ``cfg`` that builds no configuration when it writes
     only registers: FAILED, HALTED, a ``Running`` for a step that
     changes memory or frames, or else the step's register writes, pc
-    included.  ``cfg`` is not written; the caller applies the writes."""
+    included either way.  ``cfg`` is not written; the caller applies
+    the writes."""
     pc = cfg.reg[PC]
     if not (isinstance(pc, MemCap) and pc.perm in EXEC_PERMS):
         return FAILED
@@ -442,9 +434,12 @@ def advance(cfg, ext: MachineExtension = NULL_EXTENSION,
     # handler is seen.
     name, args = _decode(w)
     out = _MODULE[name](cfg, ext, gc, *args)
-    # ``_next_pc``'s rule, over a pc known to be a memory capability
-    if type(out) is dict and PC not in out:
-        out[PC] = _new(MemCap, (perm, lin, base, end, a + 1))
+    # ``exec_instr``'s pc rule, over a pc known to be a memory capability
+    if type(out) is dict:
+        if PC not in out:
+            out[PC] = _new(MemCap, (perm, lin, base, end, a + 1))
+    elif type(out) is Running and PC not in out[1]:
+        out[1][PC] = _new(MemCap, (perm, lin, base, end, a + 1))
     return out
 
 

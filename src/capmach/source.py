@@ -20,7 +20,7 @@ from .core import (
     Sealed, StkPtr, Word, lin_cons, non_exec,
 )
 from .machine import (
-    FAILED, MachineExtension, Running, as_running, xjump_result,
+    FAILED, MachineExtension, Running, xjump_result,
 )
 
 
@@ -38,9 +38,9 @@ class SourceConfig(Record, namedtuple("SourceConfig", "mem reg stk ms_stk",
 
     The target keeps its stack in ``mem``, so its ``stk`` and ``ms_stk``
     stay empty.  The ``with_*`` methods call the constructor directly.
-    ``with_regs``, which every ``step`` and every step that changes
-    memory or frames runs, skips the constructor's Python-level
-    ``__new__``.
+    ``with_regs``, which every ``step`` and every ``exec_instr`` runs,
+    skips the constructor's Python-level ``__new__``; a run copies its
+    registers once and writes them in place.
     """
 
     __slots__ = ()
@@ -93,7 +93,7 @@ class SourceExtension(MachineExtension):
             RTMP1: 0,
             RTMP2: 0,
         })
-        return Running(cfg.with_regs(updates), updates)
+        return Running(cfg, updates)
 
     def recognize_call(self, cfg, gc):
         pc = cfg.reg[PC]
@@ -137,19 +137,21 @@ def exec_call(cfg: SourceConfig, params: CallParams,
         return FAILED
 
     opc = a + CALL_LEN
-    ms_priv, ms_rest = cfg.ms_stk.set(a_stk, 42).split(a_stk, e_stk)
-    cfg = SourceConfig(cfg.mem, cfg.reg, (StackFrame(opc, ms_priv),) + cfg.stk,
-                       ms_rest)
+    # split first: ``changed_since(cfg.ms_stk)`` then visits moved cells
+    ms_priv, ms_rest = cfg.ms_stk.split(a_stk, e_stk)
+    cfg = SourceConfig(cfg.mem, cfg.reg, (StackFrame(
+        opc, ms_priv.set(a_stk, 42)),) + cfg.stk, ms_rest)
     # the jump writes these registers together with its own, over the
     # pushed frame: not over the configuration ``advance`` got
-    return as_running(cfg, xjump_result(w1.inner, w2.inner, cfg, ext, gc, {
+    out = xjump_result(w1.inner, w2.inner, cfg, ext, gc, {
         r1: lin_cons(w1),
         r2: lin_cons(w2),
         RSTK: StkPtr(Perm.RW, rstk.base, a_stk - 1, a_stk - 1),
         RRETCODE: Sealed(sigma, RetPtrCode(pc.base, pc.end, opc)),
         RRETDATA: Sealed(sigma, RetPtrData(a_stk, e_stk)),
         RTMP1: 0,
-    }))
+    })
+    return Running(cfg, out) if type(out) is dict else out
 
 
 SOURCE_EXTENSION = SourceExtension()

@@ -457,9 +457,11 @@ def test_container_seal_ranges():
     c = parse_component("[data]\n[seals ret=1..3 clos=4,6]\n")
     assert list(c.sig_ret) == [1, 2, 3] and list(c.sig_clos) == [4, 6]
     assert format_component(c).endswith("[seals ret=1..3 clos=4,6]\n")
-    # a later [seals] header replaces an earlier one; a key left out is
-    # the empty set
-    c = parse_component("[data]\n[seals ret=1..3 clos=4]\n[seals clos=7]\n")
+    # a second [seals] header is refused, naming its line; a key left
+    # out is the empty set
+    with pytest.raises(ValueError, match=r"^line 3: \[seals\] given twice$"):
+        parse_component("[data]\n[seals ret=1..3 clos=4]\n[seals clos=7]\n")
+    c = parse_component("[data]\n[seals clos=7]\n")
     assert c.sig_ret == Ranges() and list(c.sig_clos) == [7]
     # [linear] takes runs, lists and one address per line alike
     c = parse_component("[data]\n[linear]\n10..12\n14,20..21\n30\n31\n")

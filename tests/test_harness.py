@@ -365,11 +365,18 @@ def test_write_set_names_every_changed_register():
     # same object after it, for every opcode on both machines, the
     # atomic call and the return-token jump: random programs, the corpus
     # and the scenarios, through the ``advance`` that run_report calls
-    # (its register writes, or its Running, seen as ``step`` returns it)
+    # (its register writes, or its Running, seen as ``step`` returns it);
+    # the step writes no register itself, and a Running holds the very
+    # register dict the step read
     seen = set()
 
     def checked(cfg, ext, gc):
+        before = dict(cfg.reg)
         out = advance(cfg, ext, gc)
+        assert cfg.reg.keys() == before.keys() and all(
+            cfg.reg[r] is w for r, w in before.items())
+        if type(out) is Running:
+            assert out.cfg.reg is cfg.reg
         nxt = as_running(cfg, out)
         if type(nxt) is Running:
             new, wrote = nxt
@@ -797,8 +804,12 @@ def test_cli_malformed_inputs(tmp_path):
         line = src.count("\n") + 1 if "twice" in message else 1
         sources.append((3, f"error: line {line}: {message}\n",
                         ["asm", str(path), "-o", str(tmp_path / "a.comp")]))
+    twice = tmp_path / "twice.comp"       # a second [seals] header
+    twice.write_text(text + "[seals ret=2]\n")
     run = ["run", "--machine", "source"]
     cases = [
+        (3, f"error: line {text.count(chr(10)) + 1}: [seals] given twice",
+         ["validate", str(twice)]),
         (3, "error: ", run + [prog, "--no-validate", "--trace",
                               str(tmp_path / "no" / "such" / "t")]),
         (3, "error: ", ["diff", t, c, "--trace-dir",
@@ -822,6 +833,7 @@ def test_cli_malformed_inputs(tmp_path):
     ("--stk-base", "1_000", "bad int '1_000'"),
     ("--stk-base", "+5", "bad int '+5'"),
     ("--ta", "+1..1_0", "expected a range lo..hi, got '+1..1_0'"),
+    ("--ta", "129..104", "empty trusted range '129..104'"),
     ("--fuel", "1_000", "bad int '1_000'"),
     ("--fuel", "+5", "bad int '+5'"),
     ("--stack", "+1000..1063", "expected a range lo..hi, got '+1000..1063'"),
@@ -1191,6 +1203,10 @@ def test_cli_malformed_ta(tmp_path, capsys):
         assert "expected a range lo..hi" in capsys.readouterr().err
     assert cli.main(["run", out, "--machine", "target", "--no-validate",
                      "--ta", "0..5"]) == 0
+    # a reversed range trusts nothing: refused, as a reversed --stack is
+    assert cli.main(["run", out, "--machine", "target", "--no-validate",
+                     "--ta", "129..104"]) == 3
+    assert "empty trusted range '129..104'" in capsys.readouterr().err
 
 
 def test_cli_empty_stack_range(tmp_path, capsys):

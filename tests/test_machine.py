@@ -8,7 +8,7 @@ from capmach.core import (
 )
 from capmach.harness import run_report
 from capmach.machine import (
-    FAILED, HALTED, NULL_EXTENSION, Running, exec_instr, step, upd_pc_addr,
+    FAILED, HALTED, NULL_EXTENSION, Running, exec_instr, step,
 )
 from capmach.source import SOURCE_EXTENSION
 
@@ -22,16 +22,20 @@ def regs_after(out):
     return out.cfg.reg
 
 
-def test_upd_pc_addr():
-    # The updates never name pc: only a jump sets it.  The machine-level
-    # tests below pin what writing pc does (a written operand named pc,
-    # a jump's target, move from pc).
-    out = upd_pc_addr(tcfg(pc=rx(0, 9, 3)), {})
-    assert regs_after(out)["pc"].addr == 4
-    out = upd_pc_addr(tcfg(pc=rx(0, 9, 3)), {"r1": 7})
+def test_pc_moves_to_the_next_cell():
+    # exec_instr's pc rule: after a register write or a store, pc moves
+    # to the next cell, and a pc that is no memory capability fails.
+    # Only a jump sets pc: the machine-level tests below pin what writing
+    # pc does (a written operand named pc, a jump's target, move from pc).
+    out = ex(tcfg(pc=rx(0, 9, 3)), "move", "r1", 7)
     assert regs_after(out)["pc"].addr == 4 and regs_after(out)["r1"] == 7
-    assert upd_pc_addr(tcfg(pc=0), {}) is FAILED
-    assert upd_pc_addr(tcfg(pc=Sealed(1, rx(0, 9, 3))), {}) is FAILED
+    out = ex(tcfg({5: 0}, pc=rx(0, 9, 3), r1=rw(5, 5, 5), r2=7),
+             "store", "r1", "r2")
+    assert regs_after(out)["pc"].addr == 4 and out.cfg.mem[5] == 7
+    for pc in (0, Sealed(1, rx(0, 9, 3))):
+        assert ex(tcfg(pc=pc), "move", "r1", 7) is FAILED
+        assert ex(tcfg({5: 0}, pc=pc, r1=rw(5, 5, 5), r2=7),
+                  "store", "r1", "r2") is FAILED
 
 
 # (op, operands under which it runs on, the positions of the register

@@ -8,7 +8,7 @@ from capmach.core import (
 )
 from capmach.fixtures import STK_BASE, STK_END, corpus, std_gc
 from capmach.harness import check_stack_partition, run_report
-from capmach.machine import FAILED, Running, exec_instr, step
+from capmach.machine import FAILED, Running, as_running, exec_instr, step
 from capmach.source import SOURCE_EXTENSION, StackFrame, exec_call
 
 GC = GlobalConstants(frozenset(), 1000)
@@ -78,10 +78,17 @@ def _call_cfg(**over):
 PARAMS = CallParams(30, 0, "r3", "r4")
 
 
+def _call(cfg, params=PARAMS):
+    """``exec_call``'s outcome as ``step`` returns it: its register
+    writes applied to a copy.  The call itself writes no register: its
+    ``Running`` holds the registers it read."""
+    out = exec_call(cfg, params, SOURCE_EXTENSION, GC)
+    assert isinstance(out, Running) and out.cfg.reg is cfg.reg
+    return as_running(cfg, out)
+
+
 def test_exec_call():
-    out = exec_call(_call_cfg(), PARAMS, SOURCE_EXTENSION, GC)
-    assert isinstance(out, Running)
-    cfg = out.cfg
+    cfg = _call(_call_cfg()).cfg
     assert cfg.reg["pc"] == rx(200, 210, 200)
     assert cfg.reg["rdata"] == rw(300, 310, 300)
     assert cfg.reg["rstk"] == sp(1000, 1004, 1004)
@@ -97,11 +104,9 @@ def test_exec_call():
 
 
 def test_exec_call_sigma_offset():
-    out = exec_call(_call_cfg(
+    out = _call(_call_cfg(
         r3=Sealed(7, rx(200, 210, 200)),
-        r4=Sealed(7, rw(300, 310, 300))), CallParams(30, 2, "r3", "r4"),
-        SOURCE_EXTENSION, GC)
-    assert isinstance(out, Running)
+        r4=Sealed(7, rw(300, 310, 300))), CallParams(30, 2, "r3", "r4"))
     assert out.cfg.reg["rretcode"].sigma == 7
 
 
