@@ -806,9 +806,10 @@ def test_cli_malformed_inputs(tmp_path):
                         ["asm", str(path), "-o", str(tmp_path / "a.comp")]))
     twice = tmp_path / "twice.comp"       # a second [seals] header
     twice.write_text(text + "[seals ret=2]\n")
+    twice_line = text.count("\n") + 1
     run = ["run", "--machine", "source"]
     cases = [
-        (3, f"error: line {text.count(chr(10)) + 1}: [seals] given twice",
+        (3, f"error: line {twice_line}: [seals] given twice",
          ["validate", str(twice)]),
         (3, "error: ", run + [prog, "--no-validate", "--trace",
                               str(tmp_path / "no" / "such" / "t")]),
