@@ -145,9 +145,9 @@ def cmd_diff(args):
         os.makedirs(args.trace_dir, exist_ok=True)
         gc, cfgs = diff_start(trusted, context, *args.stack, check,
                               validate=False)
-        for kind, cfg in cfgs.items():
+        for kind, cfg in cfgs.items():   # as far as each diff run went
             _write(os.path.join(args.trace_dir, f"{kind}.trace"),
-                   format_trace(cfg, kind, gc, args.fuel))
+                   format_trace(cfg, kind, gc, getattr(v, kind).steps))
     _print_report(v.source, "source: ")
     _print_report(v.target, "target: ")
     if v.agreement:

@@ -446,30 +446,28 @@ _GONE = object()   # no word written
 
 
 class Memory(Mapping):
-    """An immutable map from the addresses of ``domain``, a ``Ranges``,
-    to words: every address that holds no written word reads 0.
+    """A map from the addresses of ``domain``, a ``Ranges``, to words:
+    every address that holds no written word reads 0.
 
-    The written words sit in one dict, ``written``, which no caller may
-    mutate and which ``set``, ``update`` and ``split`` copy: O(written
-    cells) per change.  A version they make keeps the dict it was copied
-    from (not that ``Memory``, so no chain of versions stays alive) and
-    the addresses it wrote, which is all that ``changed_since`` that
-    version compares.  A read probes the dict, then the domain.
-    Iteration walks the domain, ascending."""
+    The written words sit in one dict, ``written``, which ``set``,
+    ``update`` and ``split`` copy: O(written cells) per change.  Only a
+    ``harness.Run`` writes ``written`` in place, in the memories it
+    copied for itself, and only at addresses already in the memory;
+    every other caller treats a memory as immutable.  A read probes the
+    dict, then the domain.  Iteration walks the domain, ascending."""
 
-    __slots__ = ("written", "domain", "_parent", "_wrote")
+    __slots__ = ("written", "domain")
 
     def __init__(self, cells=(), domain: Ranges = None):
         """The cells of ``cells`` over ``domain`` (by default their
         addresses), which must hold them."""
         self.written = dict(cells)
         self.domain = Ranges.of(self.written) if domain is None else domain
-        self._parent, self._wrote = None, ()
 
     @staticmethod
-    def _of(cells: dict, domain: Ranges, parent=None, wrote=()) -> "Memory":
+    def _of(cells: dict, domain: Ranges) -> "Memory":
         m = Memory.__new__(Memory)
-        m.written, m.domain, m._parent, m._wrote = cells, domain, parent, wrote
+        m.written, m.domain = cells, domain
         return m
 
     def __getitem__(self, a):
@@ -503,20 +501,6 @@ class Memory(Mapping):
     def __repr__(self):
         return f"Memory({self.written!r}, {self.domain!r})"
 
-    def changed_since(self, old: "Memory") -> list:
-        """The addresses whose written word is not the same object here
-        as in ``old`` (or is written in one only).  Against the version
-        this one was made from, only the addresses it wrote are
-        compared; against any other, every written cell."""
-        new, prev = self.written, old.written
-        if self._parent is prev:
-            return [a for a in self._wrote
-                    if new.get(a, _GONE) is not prev.get(a, _GONE)]
-        get = prev.get
-        out = [a for a, w in new.items() if get(a, _GONE) is not w]
-        out.extend(prev.keys() - new.keys())
-        return out
-
     def set(self, a, w: Word) -> "Memory":
         """This memory with cell ``a`` holding ``w``."""
         cells = self.written.copy()
@@ -524,24 +508,22 @@ class Memory(Mapping):
         domain = self.domain
         if a not in self.written and a not in domain:   # a new address
             domain = domain | Ranges.span(a, a)
-        return Memory._of(cells, domain, self.written, (a,))
+        return Memory._of(cells, domain)
 
     def update(self, cells: "Memory") -> "Memory":
         """This memory joined with the memory ``cells``: its domain added
         and its written cells written.  An unwritten address of ``cells``
         keeps the word this memory holds there, and reads 0 when it
         holds none (a frame that comes back to the stack)."""
-        wrote = cells.written
-        return Memory._of({**self.written, **wrote},
-                          self.domain | cells.domain, self.written, wrote)
+        return Memory._of({**self.written, **cells.written},
+                          self.domain | cells.domain)
 
     def split(self, lo, hi):
         """(the cells ``lo..hi``, the rest) as memories; ``hi`` may be INF."""
         inside, outside = self.domain.split(lo, hi)
         rest = self.written.copy()
         part = {a: rest.pop(a) for a in self.written if lo <= a <= hi}
-        return (Memory._of(part, inside),
-                Memory._of(rest, outside, self.written, part))
+        return Memory._of(part, inside), Memory._of(rest, outside)
 
 
 # ---------------------------------------------------------------------------

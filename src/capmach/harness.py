@@ -15,12 +15,15 @@ from itertools import islice
 
 from .components import Component, initial_config, link, \
     validate_component
-from .core import PC, GlobalConstants, MemCap, dec_instr, lin_cons, \
-    linear_overlaps, linear_range
+from .core import PC, GlobalConstants, MemCap, Memory, dec_instr, \
+    lin_cons, linear_overlaps, linear_range
 from .machine import NULL_EXTENSION, Running, advance
 from .source import SOURCE_EXTENSION, SourceConfig
 
 DEFAULT_FUEL = 100_000
+# The target's steps beyond the source's one per atomic call (the call
+# macro's cells before its xjmp) and per return (the return code's path)
+_CALL_EXTRA, _RETURN_EXTRA = 14, 10
 # machine kind -> the extension its steps run under
 _EXTENSIONS = {"source": SOURCE_EXTENSION, "target": NULL_EXTENSION}
 
@@ -37,6 +40,8 @@ class RunReport:
     steps: int
     violations: list = field(default_factory=list)
     final_cfg: object = None
+    calls: int = 0               # atomic calls, on the source
+    returns: int = 0             # return-token jumps, on the source
 
 
 @dataclass
@@ -101,11 +106,11 @@ class _Invariants:
     step by step at the cost of what each step wrote.
 
     One full scan fills a table of linear owners per place.  Later, only
-    the registers a step names are visited, and memory cells whose
-    written word is not the same object as before.  Frames are scanned
-    once, when pushed, and their owners renamed (the names carry the
-    frame's index) only when some frame holds one.  The overlaps are
-    recomputed only when an owner changed, and the partition verdict,
+    the registers and the cell a step names are visited, and a memory
+    that is a new object is scanned again.  Frames are scanned once,
+    when pushed, and their owners renamed (the names carry the frame's
+    index) only when some frame holds one.  The overlaps are recomputed
+    only when an owner changed, and the partition verdict,
     ``check_stack_partition``'s own, only when a memory's domain or the
     frames did.  ``at`` answers what the two checks would."""
 
@@ -146,12 +151,13 @@ class _Invariants:
         self.frame_owners = named
         return changed
 
-    def at(self, cfg, wrote):
+    def at(self, cfg, wrote, cell=None):
         """``(check_linearity(cfg), check_stack_partition(cfg))`` for a
         configuration that follows the last one asked about; ``wrote``
         names every register whose word is not the same object as there
-        (registers are never removed).  ``cfg`` may share the last one's
-        registers, written in place since."""
+        (registers are never removed), and ``cell`` (see ``Running``) the
+        one such cell of a memory that is.  ``cfg`` may share the last
+        one's registers and memories, written in place since."""
         old, self.cfg = self.cfg, cfg
         changed = False
         mem, reg, stk, ms_stk = cfg
@@ -165,29 +171,26 @@ class _Invariants:
                     changed = True
             else:
                 changed |= _reown(regs, "reg", r, w)
+        if cell is not None:
+            m, a, w = cell
+            table, name = (self.mem, "mem") if m is mem else (self.stk, "stk")
+            changed |= _reown(table, name, a, w)
         domain = stk is not old_stk
         if domain:
             changed |= self._reframe(stk)
         if mem is not old_mem:
-            changed |= _recell(self.mem, "mem", mem, old_mem)
+            owners, self.mem = self.mem, _owners("mem", mem.written)
+            changed |= owners != self.mem
             domain |= mem.domain is not old_mem.domain
         if ms_stk is not old_ms_stk:
-            changed |= _recell(self.stk, "stk", ms_stk, old_ms_stk)
+            owners, self.stk = self.stk, _owners("stk", ms_stk.written)
+            changed |= owners != self.stk
             domain |= ms_stk.domain is not old_ms_stk.domain
         if changed:
             self.overlaps = linear_overlaps(self._all())
         if domain:
             self.partition = check_stack_partition(cfg)
         return self.overlaps, self.partition
-
-
-def _recell(table: dict, name: str, new, prev) -> bool:
-    """Update ``table``, the owners of memory ``name``, from version
-    ``prev`` to ``new``; True when an owner changed."""
-    changed = False
-    for a in new.changed_since(prev):
-        changed |= _reown(table, name, a, new.get(a, 0))
-    return changed
 
 
 def _reown(table: dict, name: str, k, w) -> bool:
@@ -209,45 +212,56 @@ def _reown(table: dict, name: str, k, w) -> bool:
 
 class Run:
     """The one loop over steps.  Iterated (once), it yields ``(cfg,
-    wrote)`` before each step until the run halts, fails or has taken
-    ``fuel`` steps; ``wrote`` names the registers the last step wrote.
+    wrote, cell)`` before each step until the run halts, fails or has
+    taken ``fuel`` steps; ``wrote`` names the registers the last step
+    wrote, and ``cell`` is its cell write (see ``Running``), or None.
     It then sets ``outcome`` (halted, failed or fuel-exhausted),
-    ``steps`` and ``cfg``, the final configuration; until then ``cfg``
-    is the first.
+    ``steps``, ``calls`` and ``returns`` (atomic calls and return-token
+    jumps, seen as the frames grow and shrink) and ``cfg``, the final
+    configuration; until then ``cfg`` is the first.
 
-    ``cfg`` is not written: the run copies its registers once and is
-    their one writer.  It applies each step's writes in place, also under
-    a ``Running``'s new memory and frames, so a yielded configuration is
-    valid until the next item.  A caller that keeps one copies it with
-    ``with_regs({})``, and may start a new run from the copy."""
+    ``cfg`` is not written: the run copies its registers and memories
+    once and is their one writer.  It applies each step's writes in
+    place, so a yielded configuration is valid until the next item.  A
+    new run may start from one: it makes its own copies."""
 
     def __init__(self, cfg, machine_kind: str, gc: GlobalConstants,
                  fuel: int = DEFAULT_FUEL):
         if machine_kind not in _EXTENSIONS:
             raise ValueError(f"unknown machine kind {machine_kind!r}")
         self.ext = _EXTENSIONS[machine_kind]
-        self.gc, self.fuel, self.cfg = gc, fuel, cfg.with_regs({})
+        self.gc, self.fuel, self.cfg = gc, fuel, cfg.with_regs({})._replace(
+            mem=Memory(cfg.mem.written, cfg.mem.domain),
+            ms_stk=Memory(cfg.ms_stk.written, cfg.ms_stk.domain))
 
     def __iter__(self):
-        # The counter and the fuel stay in locals: this is the hot loop.
+        # The counters and the fuel stay in locals: this is the hot loop.
         ext, gc, fuel, cfg = self.ext, self.gc, self.fuel, self.cfg
         reg = cfg.reg
-        steps = 0
-        wrote = ()
+        steps = calls = returns = 0
+        frames = len(cfg.stk)
+        wrote, cell = (), None
         outcome = "fuel-exhausted"
         while steps < fuel:
-            yield cfg, wrote
+            yield cfg, wrote, cell
             out = advance(cfg, ext, gc)
             steps += 1
             if isinstance(out, dict):
-                wrote = out
+                wrote, cell = out, None
             elif type(out) is Running:
-                cfg, wrote = out
+                cfg, wrote, cell = out
+                if cell is not None:
+                    cell[0].written[cell[1]] = cell[2]
+                elif len(cfg.stk) != frames:   # a call or a return
+                    calls += len(cfg.stk) > frames
+                    returns += len(cfg.stk) < frames
+                    frames = len(cfg.stk)
             else:
                 outcome = out.kind
                 break
             reg.update(wrote)
         self.outcome, self.steps, self.cfg = outcome, steps, cfg
+        self.calls, self.returns = calls, returns
 
 
 def run_report(cfg, machine_kind: str, gc: GlobalConstants,
@@ -259,8 +273,8 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
     violations: list = []
     if paranoid:
         checks = _Invariants(run.cfg)
-        for steps, (cfg, wrote) in enumerate(run):
-            dups, partition = checks.at(cfg, wrote)
+        for steps, (cfg, wrote, cell) in enumerate(run):
+            dups, partition = checks.at(cfg, wrote, cell)
             for x, first, later in dups:
                 violations.append(f"step {steps}: linear address {x} "
                                   f"owned by both {first} and {later}")
@@ -268,7 +282,8 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
                 violations.append(f"step {steps}: {v}")
     else:
         deque(run, 0)   # no Python code per step
-    return RunReport(run.outcome, run.steps, violations, run.cfg)
+    return RunReport(run.outcome, run.steps, violations, run.cfg,
+                     run.calls, run.returns)
 
 
 def format_trace(cfg, machine_kind: str, gc: GlobalConstants,
@@ -278,7 +293,7 @@ def format_trace(cfg, machine_kind: str, gc: GlobalConstants,
     ``running``, or the outcome of a run that halts or fails at it."""
     run = Run(cfg, machine_kind, gc, fuel)
     rows = []
-    for cfg, _ in run:
+    for cfg, _, _ in run:
         pc = cfg.reg[PC]
         if isinstance(pc, MemCap):
             w = cfg.mem.get(pc.addr)
@@ -316,7 +331,10 @@ def run_diff(trusted: Component, context: Component,
     gc, cfgs = diff_start(trusted, context, b_stk, e_stk, check_stk_base,
                           validate)
     src = run_report(cfgs["source"], "source", gc, fuel, paranoid)
-    trg = run_report(cfgs["target"], "target", gc, fuel, paranoid)
+    # fuel counts source steps: the target's run ends at the same point
+    trg = run_report(cfgs["target"], "target", gc,
+                     fuel + _CALL_EXTRA * src.calls
+                     + _RETURN_EXTRA * src.returns, paranoid)
     ends = (src.outcome, trg.outcome)
     # failing and running out of fuel both count as not terminating
     agree = ends[0] == ends[1] or "halted" not in ends

@@ -1,15 +1,15 @@
 """Single-step instruction interpretation shared by both machines.
 
 No function here writes a configuration.  A handler that writes only
-registers returns its writes as a dict; one that changes memory or
-frames returns a ``Running``, its writes unapplied.  Only a jump
-(jmp, jnz, xjmp) sets pc: any other instruction that names pc as a
-register it writes decodes to fail.  So writes that name pc are a
-jump's, and ``advance`` adds the next pc to any others, building
-nothing: ``harness.Run``, the one loop over steps, applies them in
-place, and a register-only step is one ``advance`` call plus its
-handler's.  ``step`` (``advance`` plus one register copy) and
-``exec_instr`` (one decoded instruction) are the one-step API.
+registers returns its writes as a dict; one that writes a cell or the
+frames returns a ``Running``, its writes unapplied.  Only a jump (jmp,
+jnz, xjmp) sets pc: any other instruction that names pc as a register
+it writes decodes to fail.  So writes that name pc are a jump's, and
+``advance`` adds the next pc to any others, building nothing:
+``harness.Run``, the one loop over steps, applies them in place, and a
+register-only step is one ``advance`` call plus its handler's.  ``step``
+(``advance``, applied to copies) and ``exec_instr`` (one decoded
+instruction) are the one-step API.
 
 ``advance`` reads pc's cell from the memory's written cells and
 decodes each distinct word once: a bounded memo keyed by the word
@@ -40,10 +40,12 @@ from .core import (
 )
 
 
-class Running(Record, namedtuple("Running", "cfg wrote")):
-    """``cfg``, the new memory, frames and stack memory over the register
-    dict the step read, not yet written, and ``wrote``, the step's
-    register writes (a step writes no other)."""
+class Running(Record, namedtuple("Running", "cfg wrote cell",
+                                  defaults=(None,))):
+    """A step's writes, unapplied: ``cfg``, the configuration it read,
+    with a call's or a return's new frames and stack memory; ``wrote``,
+    its register writes; ``cell``, None or its one cell write
+    ``(memory, address, word)`` into a memory of ``cfg``."""
 
     __slots__ = ()
 
@@ -71,11 +73,18 @@ _new = tuple.__new__
 def as_running(cfg, out):
     """A step outcome over ``cfg`` as ``step`` returns it: its register
     writes, alone or a ``Running``'s, applied to a fresh copy of the
-    registers; FAILED and HALTED are returned as they are."""
+    registers, and a ``Running``'s cell write to a fresh copy of its
+    memory; FAILED and HALTED are returned as they are."""
     if type(out) is Running:
-        cfg, out = out
+        cfg, out, cell = out
+        if cell is not None:
+            m, a, w = cell
+            if m is cfg.mem:
+                cfg = cfg._replace(mem=m.set(a, w))
+            else:
+                cfg = cfg._replace(ms_stk=m.set(a, w))
     if isinstance(out, dict):
-        return _new(Running, (cfg.with_regs(out), out))
+        return _new(Running, (cfg.with_regs(out), out, None))
     return out
 
 
@@ -116,13 +125,6 @@ def _operand(cfg, rn):
 def _segment(cfg, c):
     """The memory a pointer indexes: the stack memory for a stack pointer."""
     return cfg.ms_stk if isinstance(c, StkPtr) else cfg.mem
-
-
-def _with_cell(cfg, c, w):
-    """``cfg`` with ``w`` written at the cell that pointer ``c`` indexes."""
-    if isinstance(c, StkPtr):
-        return cfg.with_stk_cell(c.addr, w)
-    return cfg.with_mem_cell(c.addr, w)
 
 
 def _with_addr(c, a):
@@ -217,7 +219,8 @@ def exec_store(cfg, ext, gc, r1, r2):
     if (isinstance(c, ext.pointers) and write_allowed(c.perm)
             and within_bounds(c) and c.addr in _segment(cfg, c)):
         w = cfg.reg[r2]
-        return _new(Running, (_with_cell(cfg, c, w), {r2: lin_cons(w)}))
+        return _new(Running, (cfg, {r2: lin_cons(w)},
+                              (_segment(cfg, c), c.addr, w)))
     return FAILED
 
 
@@ -229,7 +232,8 @@ def exec_load(cfg, ext, gc, r1, r2):
         if w is not None and lin_cons_perm(c.perm, w):
             # lin_cons changes only a linear word's cell: write no other.
             if is_linear(w):
-                return _new(Running, (_with_cell(cfg, c, 0), {r1: w}))
+                return _new(Running, (cfg, {r1: w},
+                                      (_segment(cfg, c), c.addr, 0)))
             return {r1: w}
     return FAILED
 
@@ -446,5 +450,6 @@ def advance(cfg, ext: MachineExtension = NULL_EXTENSION,
 def step(cfg, ext: MachineExtension = NULL_EXTENSION,
          gc: GlobalConstants = None):
     """One step of ``cfg``: FAILED, HALTED, or a ``Running`` that owns a
-    fresh register dict.  ``cfg`` is not written."""
+    fresh register dict and a fresh copy of any memory the step wrote.
+    ``cfg`` is not written."""
     return as_running(cfg, advance(cfg, ext, gc))

@@ -17,7 +17,7 @@ from .asm import CALL_LEN, CallParams, call_cond
 from .core import (
     PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2, GlobalConstants, Lin,
     Memory, MemCap, Perm, Ranges, Record, RetPtrCode, RetPtrData, SealCap,
-    Sealed, StkPtr, Word, lin_cons, non_exec,
+    Sealed, StkPtr, lin_cons, non_exec,
 )
 from .machine import (
     FAILED, MachineExtension, Running, xjump_result,
@@ -37,10 +37,10 @@ class SourceConfig(Record, namedtuple("SourceConfig", "mem reg stk ms_stk",
     call frames innermost first, and the accessible stack memory.
 
     The target keeps its stack in ``mem``, so its ``stk`` and ``ms_stk``
-    stay empty.  The ``with_*`` methods call the constructor directly.
-    ``with_regs``, which every ``step`` and every ``exec_instr`` runs,
-    skips the constructor's Python-level ``__new__``; a run copies its
-    registers once and writes them in place.
+    stay empty.  ``with_regs``, which every ``step`` and every
+    ``exec_instr`` runs, skips the constructor's Python-level
+    ``__new__``; a run copies its registers and memories once and writes
+    them in place.
     """
 
     __slots__ = ()
@@ -48,14 +48,6 @@ class SourceConfig(Record, namedtuple("SourceConfig", "mem reg stk ms_stk",
     def with_regs(self, updates: dict) -> "SourceConfig":
         return tuple.__new__(SourceConfig, (
             self.mem, {**self.reg, **updates}, self.stk, self.ms_stk))
-
-    def with_mem_cell(self, a: int, w: Word) -> "SourceConfig":
-        return SourceConfig(self.mem.set(a, w), self.reg, self.stk,
-                            self.ms_stk)
-
-    def with_stk_cell(self, a: int, w: Word) -> "SourceConfig":
-        return SourceConfig(self.mem, self.reg, self.stk,
-                            self.ms_stk.set(a, w))
 
 
 class SourceExtension(MachineExtension):
@@ -137,7 +129,6 @@ def exec_call(cfg: SourceConfig, params: CallParams,
         return FAILED
 
     opc = a + CALL_LEN
-    # split first: ``changed_since(cfg.ms_stk)`` then visits moved cells
     ms_priv, ms_rest = cfg.ms_stk.split(a_stk, e_stk)
     cfg = SourceConfig(cfg.mem, cfg.reg, (StackFrame(
         opc, ms_priv.set(a_stk, 42)),) + cfg.stk, ms_rest)

@@ -259,27 +259,6 @@ def _same(m, model):
                 m[a]
 
 
-def _same_changes(m, model, old, old_model):
-    """``m.changed_since(old)`` names, once each, exactly the addresses
-    whose written word is not the same object in the two versions, and
-    so every address whose word differs in the two models, short of
-    those that read 0 or nothing in both."""
-    missing = object()
-
-    def zeroish(w):
-        return w is missing or type(w) is int and w == 0
-
-    got = m.changed_since(old)
-    new, prev = m.written, old.written
-    assert sorted(got) == sorted(a for a in new.keys() | prev.keys()
-                                 if new.get(a, missing)
-                                 is not prev.get(a, missing))
-    for a in model.keys() | old_model.keys():
-        w, was = model.get(a, missing), old_model.get(a, missing)
-        if w is not was and not (zeroish(w) and zeroish(was)):
-            assert a in got, a
-
-
 def _split(model, lo, hi):
     return ({a: w for a, w in model.items() if lo <= a <= hi},
             {a: w for a, w in model.items() if not lo <= a <= hi})
@@ -291,8 +270,7 @@ def _split(model, lo, hi):
 def test_memory_model(init, zeros, ops):
     """Every operation, applied to any earlier version, agrees with a
     dict that holds the zeros, and leaves every earlier version as it
-    was; ``changed_since`` names the cells that differ from the version
-    it came from."""
+    was."""
     zeros = Ranges(zeros)
     versions = [(Memory(init, zeros | Ranges.of(init)),
                  {**dict.fromkeys(zeros, 0), **init})]
@@ -317,10 +295,8 @@ def test_memory_model(init, zeros, ops):
             # written cells win; unwritten ones keep what is held, or read 0
             versions.append((m.update(part), {**dict.fromkeys(part, 0),
                                               **model, **part.written}))
-        _same_changes(*versions[-1], m, model)
     for m, model in versions:
         _same(m, model)
-    _same_changes(*versions[-1], *versions[0])
 
 
 def test_memory_update_joins_a_split_part():
@@ -351,7 +327,7 @@ def test_memory_zero_run_walks_no_address():
         assert (n[2 ** 39], n[2 ** 39 + 1], m[2 ** 39]) == (7, 0, 0)
         part, rest = n.split(2 ** 38, INF)
         assert part.written == {2 ** 39: 7} and rest.written == {5: 1}
-        assert rest.update(part) == n and n.changed_since(m) == [2 ** 39]
+        assert rest.update(part) == n
 
 
 def test_memory_split_beyond_the_memory():
@@ -362,36 +338,6 @@ def test_memory_split_beyond_the_memory():
     part, rest = m.split(12, 10 ** 12)
     assert sorted(part) == list(range(12, 20)) and part[15] == "x"
     assert sorted(rest) == [10, 11]
-
-
-def test_memory_changed_since():
-    base = Memory({a: a * 1000 for a in range(100)})
-    assert base.changed_since(base) == []
-    # versions made from base: the addresses they wrote are compared
-    m1, m2 = base.set(5, "x"), base.set(7, "y")
-    assert base == Memory({a: a * 1000 for a in range(100)})
-    assert (m1[5], m1[7], m2[5], m2[7]) == ("x", 7000, 5000, "y")
-    assert sorted(m1.changed_since(base)) == [5]
-    assert sorted(base.changed_since(m1)) == [5]
-    assert sorted(m2.changed_since(m1)) == [5, 7]
-    assert base.set(5, base[5]).changed_since(base) == []  # the same word
-    # versions further apart: every written cell is compared
-    m = base
-    for a in range(20):
-        m = m.set(a, f"w{a}")
-    assert m.written == {**base.written, **{a: f"w{a}" for a in range(20)}}
-    assert sorted(m.changed_since(base)) == list(range(20))
-    assert sorted(m.changed_since(m1)) == list(range(20))
-    # removed cells, then the same words put back
-    part, rest = m.split(10, 29)
-    assert sorted(rest.changed_since(m)) == list(range(10, 30))
-    assert sorted(m.changed_since(rest)) == list(range(10, 30))
-    back = rest.update(part)
-    assert back.changed_since(m) == []
-    assert sorted(back.changed_since(rest)) == list(range(10, 30))
-    # a cell present in only one version
-    grown = m.set(500, 0)
-    assert grown.changed_since(m) == [500] and m.changed_since(grown) == [500]
 
 
 def test_memory_keeps_no_earlier_memory():

@@ -235,13 +235,31 @@ def _folded(cfg, kind, gc, fuel, paranoid=True, seen=None):
     return outcome, steps, cfg, out
 
 
+def _contents(cfg) -> list:
+    """Copies of every dict in ``cfg`` that a run could write in place:
+    the registers, and the written cells of the memory, the stack memory
+    and each frame's memory."""
+    return [dict(cfg.reg), dict(cfg.mem.written), dict(cfg.ms_stk.written),
+            *(dict(f.ms.written) for f in cfg.stk)]
+
+
+def _unwritten(cfg, contents, parts):
+    """``cfg`` holds the very words of ``contents`` (``_contents``) at
+    the same places, in the very ``parts``, its memories and frames."""
+    now = _contents(cfg)
+    assert len(now) == len(contents) and all(
+        d.keys() == was.keys() and all(d[k] is w for k, w in was.items())
+        for d, was in zip(now, contents))
+    assert all(a is b for a, b in zip((cfg.mem, cfg.stk, cfg.ms_stk), parts))
+
+
 def _same_as_folded(cfg, kind, gc, fuel):
     """``run_report``'s paranoid report, checked with paranoid checks on
     and off against ``_folded``: the same outcome, steps, final
     configuration and violations, and ``cfg`` as it was (the same
-    register words, memories and frames), though the run writes
-    registers in place on its own copy."""
-    regs, parts = dict(cfg.reg), (cfg.mem, cfg.stk, cfg.ms_stk)
+    words in the same registers, memories and frames), though the run
+    writes registers and cells in place on its own copies."""
+    contents, parts = _contents(cfg), (cfg.mem, cfg.stk, cfg.ms_stk)
     for paranoid in (False, True):
         r = run_report(cfg, kind, gc, fuel, paranoid)
         outcome, steps, final, violations = _folded(cfg, kind, gc, fuel,
@@ -249,10 +267,7 @@ def _same_as_folded(cfg, kind, gc, fuel):
         assert (r.outcome, r.steps, r.violations) == \
             (outcome, steps, violations), (kind, paranoid)
         assert r.final_cfg == final, (kind, paranoid)
-        assert cfg.reg.keys() == regs.keys() and all(
-            cfg.reg[k] is w for k, w in regs.items()), (kind, paranoid)
-        assert all(a is b for a, b in zip(
-            (cfg.mem, cfg.stk, cfg.ms_stk), parts)), (kind, paranoid)
+        _unwritten(cfg, contents, parts)
     return r
 
 
@@ -343,8 +358,8 @@ def _run_cfg(rng):
             break
         for _ in range(4):
             code[a] = _run_instr(rng)
-            nxt = step(cur.with_mem_cell(a, code[a]), SOURCE_EXTENSION,
-                       _RUN_GC)
+            nxt = step(cur._replace(mem=cur.mem.set(a, code[a])),
+                       SOURCE_EXTENSION, _RUN_GC)
             if isinstance(nxt, Running):
                 break
         if not isinstance(nxt, Running) or not isinstance(
@@ -379,7 +394,7 @@ def test_write_set_names_every_changed_register():
             assert out.cfg.reg is cfg.reg
         nxt = as_running(cfg, out)
         if type(nxt) is Running:
-            new, wrote = nxt
+            new, wrote = nxt.cfg, nxt.wrote
             changed = {r for r in cfg.reg.keys() | new.reg.keys()
                        if new.reg.get(r) is not cfg.reg.get(r)}
             assert changed <= set(wrote), (changed, wrote)
@@ -656,15 +671,15 @@ def test_trace_against_folded_steps():
 
 
 def test_run_paused_and_resumed():
-    # a run stopped after k steps, and a new run from a copy of the
-    # configuration it yielded there with the fuel that is left, end as
-    # one uninterrupted run does; no run writes its input
+    # a run stopped after k steps, and a new run from the configuration
+    # it yielded there with the fuel that is left, end as one
+    # uninterrupted run does; no run writes its input
     fuel, paused = 2000, Counter()
     for name, t, ctx in corpus():
         gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
         for kind in ("source", "target"):
             cfg = initial_config(link(t, ctx), kind, STK_BASE, STK_END)
-            regs, parts = dict(cfg.reg), (cfg.mem, cfg.stk, cfg.ms_stk)
+            contents, parts = _contents(cfg), (cfg.mem, cfg.stk, cfg.ms_stk)
             whole = Run(cfg, kind, gc, fuel)
             for _ in whole:
                 pass
@@ -674,19 +689,60 @@ def test_run_paused_and_resumed():
                 if item is None:      # the run ended in k steps or fewer
                     assert whole.steps <= k, (name, kind, k)
                     continue
-                copy = item[0].with_regs({})
-                rest = Run(copy, kind, gc, fuel - k)
+                paused_cfg = item[0]
+                item_contents = _contents(paused_cfg)
+                item_parts = paused_cfg.mem, paused_cfg.stk, paused_cfg.ms_stk
+                rest = Run(paused_cfg, kind, gc, fuel - k)
                 for _ in rest:
                     pass
                 assert (rest.outcome, k + rest.steps, rest.cfg) == \
                     (whole.outcome, whole.steps, whole.cfg), (name, kind, k)
                 paused[name, k] += 1
-            assert cfg.reg.keys() == regs.keys() and all(
-                cfg.reg[r] is w for r, w in regs.items()), (name, kind)
-            assert all(a is b for a, b in zip(
-                (cfg.mem, cfg.stk, cfg.ms_stk), parts)), (name, kind)
+                _unwritten(paused_cfg, item_contents, item_parts)
+            _unwritten(cfg, contents, parts)
     assert paused["call-return", 1] == paused["call-return", 5] == 2
     assert paused["call-return", 19] == 1     # the source takes 8 steps
+
+
+def test_a_store_copies_nothing():
+    # a callback that stores to 40 cells of its stack: on the target the
+    # memory that holds the stack is one object for the whole run, and on
+    # the source the stack memory is replaced only by the call and the
+    # return, which move a frame
+    body = "  move r5 7\n" + "  store rstk r5\n  cca rstk -1\n" * 40
+    t, ctx = trusted_one_call(), context_cb(body)
+    gc, cfgs = harness.diff_start(t, ctx, STK_BASE, STK_END)
+    for kind, cfg in cfgs.items():
+        run = Run(cfg, kind, gc)
+        items = [(c.mem, c.stk, c.ms_stk) for c, *_ in run]
+        assert run.outcome == "halted"
+        for (mem, stk, ms_stk), (mem2, stk2, ms_stk2) in zip(items, items[1:]):
+            assert mem2 is mem, kind
+            assert ms_stk2 is ms_stk or stk2 is not stk, kind
+        stack = run.cfg.mem if kind == "target" else run.cfg.ms_stk
+        assert [stack[a] for a in range(STK_END - 41, STK_END)] == \
+            [0] + [7] * 40, kind
+
+
+def test_diff_fuel_counts_source_steps():
+    # the target gets the source's fuel plus 14 steps per atomic call and
+    # 10 per return that the source made, so runs that fuel cuts short end
+    # at the same point: every terminating corpus program agrees at every
+    # fuel up to its whole target run
+    for name, t, ctx in corpus():
+        whole = run_diff(t, ctx, STK_BASE, STK_END)
+        if whole.target.outcome != "halted":     # spin
+            continue
+        for fuel in range(whole.target.steps + 1):
+            v = run_diff(t, ctx, STK_BASE, STK_END, fuel)
+            assert v.agreement, (name, fuel, v.detail)
+    # second-stack agrees at every fuel; without the stack-base check
+    # the target halts after 38 steps, and the disagreement is real
+    for check in (True, False):
+        t, ctx = scenario_second_stack(check).components
+        disagree = [fuel for fuel in range(60) if not run_diff(
+            t, ctx, STK_BASE, STK_END, fuel, check).agreement]
+        assert disagree == ([] if check else list(range(38, 60)))
 
 
 def test_run_refuses_an_unknown_machine_kind():
@@ -1094,6 +1150,23 @@ def test_cli_diff(tmp_path):
     for kind, cfg in cfgs.items():
         assert (tmp_path / "traces" / f"{kind}.trace").read_text() == \
             format_trace(cfg, kind, gc)
+
+
+def test_cli_diff_fuel_counts_source_steps(tmp_path, capsys):
+    # call-return halts after 8 source steps: at --fuel 8 the target gets
+    # 24 steps more for the call and the return, and halts too; traces
+    # run as far as each diff run did
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
+    tdir = tmp_path / "traces"
+    assert cli.main(["diff", _write(tmp_path, "t.comp", t),
+                     _write(tmp_path, "c.comp", ctx), "--fuel", "8",
+                     "--trace-dir", str(tdir)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "source: halted after 8 steps", "target: halted after 32 steps",
+        "agreement"]
+    for kind, steps in (("source", 8), ("target", 32)):
+        lines = (tdir / f"{kind}.trace").read_text().splitlines()
+        assert len(lines) == steps and lines[-1].endswith("\thalted"), kind
 
 
 def test_cli_paranoid_violations(tmp_path, capsys):

@@ -123,10 +123,9 @@ def test_exec_call_guards():
     fails(_call_cfg(rstk=sp(1000, 1010, 1011)))             # past the end
     fails(_call_cfg(), CallParams(30, 5, "r3", "r4"))       # sigma out of range
     fails(_call_cfg(), CallParams(200, 0, "r3", "r4"))      # seal outside code
-    cfg = _call_cfg().with_mem_cell(40, 7)                  # not a seal word
-    fails(cfg)
     cfg = _call_cfg()
-    fails(cfg.with_stk_cell(1005, 0).with_regs(
+    fails(cfg._replace(mem=cfg.mem.set(40, 7)))             # not a seal word
+    fails(cfg._replace(ms_stk=cfg.ms_stk.set(1005, 0)).with_regs(
         {"rstk": sp(1000, 1020, 1015)}))                    # a_stk unmapped
 
 
