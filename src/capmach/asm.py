@@ -135,14 +135,19 @@ def call_cond(mem, a: int, stk_base: int,
     6, 8 and 14.  The ``fail`` at part 22 is matched decoded, since
     every integer that is not an instruction image decodes to it.
     """
-    if mem.get(a) != CALL_HEAD:
+    # a Memory's written cells, or a dict; an unwritten cell takes get
+    get = getattr(mem, "written", mem).get
+    if get(a) != CALL_HEAD:
         return None
     for j in range(1, CALL_LEN):
-        w = mem.get(a + j)
+        w = get(a + j)
+        if w is None:   # 0 in a Memory's domain
+            w = mem.get(a + j)
         if not isinstance(w, int) \
                 or j not in _word_parts(w, stk_base, check_stk_base):
             return None
-    off_pc, off_sigma, xjmp = (dec_instr(mem[a + j]) for j in (
+    # 0 stands at part 22 alone, so the cells read here are written
+    off_pc, off_sigma, xjmp = (dec_instr(get(a + j)) for j in (
         _OFF_PC_INDEX, _OFF_SIGMA_INDEX, _XJMP_INDEX))
     return CallParams(off_pc.args[1] + 5, off_sigma.args[1], *xjmp.args)
 

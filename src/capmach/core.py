@@ -55,12 +55,18 @@ def perm_leq(p: Perm, q: Perm) -> bool:
     return (p, q) in _PERM_LEQ
 
 
+# tuples, not sets: ``in`` compares identity first, hashing nothing
+READ_PERMS = (Perm.RWX, Perm.RW, Perm.RX, Perm.R)
+WRITE_PERMS = (Perm.RWX, Perm.RW)
+EXEC_PERMS = (Perm.RWX, Perm.RX)
+
+
 def read_allowed(p: Perm) -> bool:
-    return p in (Perm.RWX, Perm.RW, Perm.RX, Perm.R)
+    return p in READ_PERMS
 
 
 def write_allowed(p: Perm) -> bool:
-    return p in (Perm.RWX, Perm.RW)
+    return p in WRITE_PERMS
 
 
 class Record(tuple):
@@ -231,7 +237,6 @@ def linear_overlaps(owners) -> list:
 
 
 _NORMAL = Lin.NORMAL
-EXEC_PERMS = (Perm.RWX, Perm.RX)
 
 
 def lin_cons(w: Word) -> Word:
@@ -241,10 +246,6 @@ def lin_cons(w: Word) -> Word:
     if t is int or t is MemCap and w.lin is _NORMAL:
         return w
     return 0 if is_linear(w) else w
-
-
-def lin_cons_perm(p: Perm, w: Word) -> bool:
-    return write_allowed(p) if is_linear(w) else True
 
 
 def is_exec(w: Word) -> bool:
@@ -261,10 +262,6 @@ def within_bounds(sc: Word) -> bool:
     if isinstance(sc, SealCap):
         return sc.base <= sc.cur <= sc.end
     return False
-
-
-def non_zero(w: Word) -> bool:
-    return not (isinstance(w, int) and w == 0)
 
 
 # ---------------------------------------------------------------------------

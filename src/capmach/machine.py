@@ -18,8 +18,12 @@ the handler's name and operands, and the handler is then looked up by
 name in the module.  Records are built with ``tuple.__new__``, which
 skips the Python-level constructor that ``namedtuple`` generates.  A
 memory capability indexes ``mem`` and a stack pointer ``ms_stk``;
-every pointer case is written once over the pointer and its segment.
-A ``MachineExtension`` names the pointer kinds its machine accepts and
+every pointer case is written once over the pointer and its segment,
+and load and store share one access guard (``_access``: the pointer
+kind, the permission, the bounds).  Handlers read their operands in
+place, and permission sets are tuples, not sets: ``Enum.__hash__`` is
+Python-level, while a tuple's ``in`` tests identity first.  A
+``MachineExtension`` names the pointer kinds its machine accepts and
 supplies the source-only rules (call recognition, return-token jumps);
 the target uses the null extension: memory capabilities only.
 """
@@ -32,11 +36,11 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import (
-    CALL_HEAD, EXEC_PERMS, OPCODES, PC, RDATA, GlobalConstants, Instr, Lin,
-    MemCap, Record, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, dec_instr,
-    dec_perm, enc_lin, enc_perm, enc_type, is_linear, is_sealable, lin_cons,
-    lin_cons_perm, non_exec, non_zero, perm_leq, read_allowed, within_bounds,
-    write_allowed,
+    CALL_HEAD, EXEC_PERMS, OPCODES, PC, RDATA, READ_PERMS, WRITE_PERMS,
+    GlobalConstants, Instr, Lin, MemCap, Record, RetPtrCode, RetPtrData,
+    SealCap, Sealed, StkPtr, dec_instr, dec_perm, enc_lin, enc_perm, enc_type,
+    is_linear, is_sealable, lin_cons, linear_range, non_exec, perm_leq,
+    within_bounds,
 )
 
 
@@ -114,19 +118,6 @@ class MachineExtension:
 NULL_EXTENSION = MachineExtension()
 
 
-def _operand(cfg, rn):
-    """Resolve a register-or-immediate operand to an integer, or None."""
-    if isinstance(rn, int):
-        return rn
-    w = cfg.reg[rn]
-    return w if isinstance(w, int) else None
-
-
-def _segment(cfg, c):
-    """The memory a pointer indexes: the stack memory for a stack pointer."""
-    return cfg.ms_stk if isinstance(c, StkPtr) else cfg.mem
-
-
 def _with_addr(c, a):
     """Pointer ``c`` moved to address ``a`` (without ``_replace``: this
     runs on most pointer steps)."""
@@ -149,8 +140,8 @@ def exec_jmp(cfg, ext, gc, r):
 
 
 def exec_jnz(cfg, ext, gc, r, rn):
-    operand = rn if isinstance(rn, int) else cfg.reg[rn]
-    if non_zero(operand):
+    x = rn if type(rn) is int else cfg.reg[rn]
+    if type(x) is not int or x != 0:   # a capability is never 0
         target = cfg.reg[r]
         return {r: lin_cons(target), PC: target}
     return {}
@@ -173,29 +164,17 @@ def exec_geta(cfg, ext, gc, r1, r2):
 
 def exec_getb(cfg, ext, gc, r1, r2):
     w = cfg.reg[r2]
-    if isinstance(w, (MemCap, StkPtr, SealCap)):
-        v = w.base
-    else:
-        v = -1
-    return {r1: v}
+    return {r1: w.base if isinstance(w, (MemCap, StkPtr, SealCap)) else -1}
 
 
 def exec_gete(cfg, ext, gc, r1, r2):
     w = cfg.reg[r2]
-    if isinstance(w, (MemCap, StkPtr, SealCap)):
-        v = w.end
-    else:
-        v = -1
-    return {r1: v}
+    return {r1: w.end if isinstance(w, (MemCap, StkPtr, SealCap)) else -1}
 
 
 def exec_getp(cfg, ext, gc, r1, r2):
     w = cfg.reg[r2]
-    if isinstance(w, (MemCap, StkPtr)):
-        v = enc_perm(w.perm)
-    else:
-        v = -1
-    return {r1: v}
+    return {r1: enc_perm(w.perm) if isinstance(w, (MemCap, StkPtr)) else -1}
 
 
 def exec_getlin(cfg, ext, gc, r1, r2):
@@ -214,33 +193,46 @@ def exec_move(cfg, ext, gc, r, rn):
     return {rn: lin_cons(old), r: old}
 
 
+def _access(cfg, ext, c, perms):
+    """The memory ``c`` indexes (the stack memory for a stack pointer)
+    when ``c`` is one of ``ext``'s pointer kinds, its permission is in
+    ``perms`` and its address within its bounds; None otherwise."""
+    if (isinstance(c, ext.pointers) and c.perm in perms
+            and c.base <= c.addr <= c.end):
+        return cfg.ms_stk if type(c) is StkPtr else cfg.mem
+    return None
+
+
 def exec_store(cfg, ext, gc, r1, r2):
     c = cfg.reg[r1]
-    if (isinstance(c, ext.pointers) and write_allowed(c.perm)
-            and within_bounds(c) and c.addr in _segment(cfg, c)):
+    m = _access(cfg, ext, c, WRITE_PERMS)
+    if m is not None and (c.addr in m.written or c.addr in m.domain):
         w = cfg.reg[r2]
-        return _new(Running, (cfg, {r2: lin_cons(w)},
-                              (_segment(cfg, c), c.addr, w)))
+        return _new(Running, (cfg, {r2: lin_cons(w)}, (m, c.addr, w)))
     return FAILED
 
 
 def exec_load(cfg, ext, gc, r1, r2):
     c = cfg.reg[r2]
-    if (isinstance(c, ext.pointers) and read_allowed(c.perm)
-            and within_bounds(c)):
-        w = _segment(cfg, c).get(c.addr)
-        if w is not None and lin_cons_perm(c.perm, w):
-            # lin_cons changes only a linear word's cell: write no other.
-            if is_linear(w):
-                return _new(Running, (cfg, {r1: w},
-                                      (_segment(cfg, c), c.addr, 0)))
-            return {r1: w}
+    m = _access(cfg, ext, c, READ_PERMS)
+    if m is None:
+        return FAILED
+    w = m.written.get(c.addr)
+    if w is None:   # unwritten: 0 in the domain, None outside it
+        w = m.get(c.addr)
+        if w is None:
+            return FAILED
+    if type(w) is int or linear_range(w) is None:
+        return {r1: w}
+    # lin_cons empties a linear word's cell, so the pointer must write
+    if c.perm in WRITE_PERMS:
+        return _new(Running, (cfg, {r1: w}, (m, c.addr, 0)))
     return FAILED
 
 
 def exec_cca(cfg, ext, gc, r, rn):
-    n = _operand(cfg, rn)
-    if n is None:
+    n = rn if type(rn) is int else cfg.reg[rn]
+    if type(n) is not int:
         return FAILED
     c = cfg.reg[r]
     if isinstance(c, ext.pointers):
@@ -255,8 +247,8 @@ def exec_cca(cfg, ext, gc, r, rn):
 
 
 def exec_restrict(cfg, ext, gc, r1, rn):
-    n = _operand(cfg, rn)
-    if n is None:
+    n = rn if type(rn) is int else cfg.reg[rn]
+    if type(n) is not int:
         return FAILED
     c = cfg.reg[r1]
     p = dec_perm(n)
@@ -266,11 +258,11 @@ def exec_restrict(cfg, ext, gc, r1, rn):
 
 
 def _binop(cfg, r0, rn1, rn2, fn):
-    n1 = _operand(cfg, rn1)
-    n2 = _operand(cfg, rn2)
-    if n1 is None or n2 is None:
-        return FAILED
-    return {r0: fn(n1, n2)}
+    n1 = rn1 if type(rn1) is int else cfg.reg[rn1]
+    n2 = rn2 if type(rn2) is int else cfg.reg[rn2]
+    if type(n1) is int and type(n2) is int:
+        return {r0: fn(n1, n2)}
+    return FAILED
 
 
 def _lt(a, b):
@@ -307,8 +299,8 @@ def exec_cseal(cfg, ext, gc, r1, r2):
 
 
 def exec_split(cfg, ext, gc, r1, r2, r3, rn4):
-    n = _operand(cfg, rn4)
-    if n is None:
+    n = rn4 if type(rn4) is int else cfg.reg[rn4]
+    if type(n) is not int:
         return FAILED
     c = cfg.reg[r3]
     if ((isinstance(c, ext.pointers) or isinstance(c, SealCap))

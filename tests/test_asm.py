@@ -10,8 +10,8 @@ from capmach.asm import (
     disassemble, expand_scall, find_hidden_calls,
 )
 from capmach.core import (
-    Lin, MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
-    dec_instr, enc_instr, mk_instr, parse_word,
+    Lin, Memory, MemCap, Perm, Ranges, RetPtrCode, RetPtrData, SealCap,
+    Sealed, StkPtr, dec_instr, enc_instr, mk_instr, parse_word,
 )
 
 
@@ -64,6 +64,27 @@ def test_call_cond_roundtrip():
         assert call_cond({**mem, 7 + 22: junk}, 7, 1000) == p
     mem[20] = SealCap(0, 9, 0)                   # non-integer cell
     assert call_cond(mem, 7, 1000) is None
+
+
+def test_call_cond_over_a_memory_and_a_dict():
+    # a Memory and the plain dict of the cells it reads give the same
+    # verdict: a complete window, then each cell unwritten in the domain
+    # (it reads 0) and outside the domain (it reads nothing)
+    p = CallParams(30, 2, "r3", "r4")
+    cells = enc_call(p, at=7)
+    window = Ranges.span(0, 40)
+    assert call_cond(Memory(cells, window), 7, 1000) == p
+    for a in range(7, 7 + CALL_LEN):
+        rest = {x: w for x, w in cells.items() if x != a}
+        unwritten = Memory(rest, window)
+        assert call_cond(unwritten, 7, 1000) == \
+            call_cond({**rest, a: 0}, 7, 1000), a
+        outside = Memory(rest, window - Ranges.span(a, a))
+        assert call_cond(outside, 7, 1000) is None
+        assert call_cond(rest, 7, 1000) is None
+    # 0 is fail's image: only the fail cell (part 22) may read it
+    assert call_cond(Memory({x: w for x, w in cells.items() if x != 29},
+                            window), 7, 1000) == p
 
 
 def test_call_cond_perturbation():

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capmach.core import (
-    FAIL, INF, REGISTERS, Instr, Lin, Memory, MemCap, Perm, Ranges,
-    RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, TYPE_INT, TYPE_MEMCAP,
-    TYPE_SEAL, TYPE_SEALED,
+    EXEC_PERMS, FAIL, INF, READ_PERMS, REGISTERS, WRITE_PERMS, Instr, Lin,
+    Memory, MemCap, Perm, Ranges, RetPtrCode, RetPtrData, SealCap, Sealed,
+    StkPtr, TYPE_INT, TYPE_MEMCAP, TYPE_SEAL, TYPE_SEALED,
     dec_instr, dec_perm, enc_instr, enc_lin, enc_perm, enc_type, is_exec,
-    is_linear, lin_cons, lin_cons_perm, mk_instr, perm_leq, read_allowed,
-    within_bounds, write_allowed, OPCODES, IMM_RANGE, EncodingError,
+    is_linear, lin_cons, mk_instr, perm_leq, read_allowed, within_bounds,
+    write_allowed, OPCODES, IMM_RANGE, EncodingError, fresh_registers,
 )
-from capmach.machine import Running
-from capmach.source import SourceConfig, StackFrame
+from capmach.machine import FAILED, NULL_EXTENSION, Running, exec_instr
+from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
 PERMS = list(Perm)
 
@@ -43,6 +43,15 @@ def test_allowed_sets():
     assert not read_allowed(Perm.P0)
     assert not write_allowed(Perm.RX)
     assert write_allowed(Perm.RW)
+    # the sets the machine tests: what each permission's letters grant
+    for perms, letter in ((READ_PERMS, "r"), (WRITE_PERMS, "w"),
+                          (EXEC_PERMS, "x")):
+        assert type(perms) is tuple
+        assert set(perms) == {p for p in PERMS if letter in p.value}
+    assert [p for p in PERMS if read_allowed(p)] == \
+        [p for p in PERMS if p in READ_PERMS]
+    assert [p for p in PERMS if write_allowed(p)] == \
+        [p for p in PERMS if p in WRITE_PERMS]
     # upward closure
     for p in PERMS:
         for q in PERMS:
@@ -78,9 +87,21 @@ def test_lin_cons():
 
 
 def test_lin_cons_perm():
-    assert lin_cons_perm(Perm.R, 3)
-    assert not lin_cons_perm(Perm.R, MemCap(Perm.RW, Lin.LINEAR, 0, 1, 0))
-    assert lin_cons_perm(Perm.RW, StkPtr(Perm.RW, 0, 1, 0))
+    # the paper's linConsPerm premise, as the load applies it: a linear
+    # word loads only through a pointer that may write its cell empty
+    def load(perm, w, ext=SOURCE_EXTENSION):
+        reg = fresh_registers()
+        reg.update(pc=MemCap(Perm.RX, Lin.NORMAL, 0, 0, 0),
+                   r2=MemCap(perm, Lin.NORMAL, 5, 5, 5))
+        return exec_instr(mk_instr("load", "r1", "r2"),
+                          SourceConfig(Memory({5: w}), reg), ext, None)
+
+    assert load(Perm.R, 3).cfg.reg["r1"] == 3
+    assert load(Perm.R, MemCap(Perm.RW, Lin.LINEAR, 0, 1, 0)) is FAILED
+    assert load(Perm.RX, Sealed(2, RetPtrData(0, 1))) is FAILED
+    out = load(Perm.RW, StkPtr(Perm.RW, 0, 1, 0), NULL_EXTENSION)
+    assert out.cfg.reg["r1"] == StkPtr(Perm.RW, 0, 1, 0)
+    assert out.cfg.mem[5] == 0
 
 
 def test_within_bounds():

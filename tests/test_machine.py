@@ -1,16 +1,18 @@
+from itertools import product
+
 from conftest import NOWHERE, rw, rx, scfg, tcfg
 from hypothesis import given, settings, strategies as st
 
 from capmach.core import (
-    OPCODES, REGISTERS, Instr, Lin, MemCap, Perm, RetPtrCode, RetPtrData,
-    SealCap, Sealed, StkPtr, dec_instr, enc_instr, enc_lin, enc_perm,
-    enc_type, mk_instr,
+    OPCODES, REGISTERS, Instr, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
+    RetPtrData, SealCap, Sealed, StkPtr, dec_instr, enc_instr, enc_lin,
+    enc_perm, enc_type, mk_instr,
 )
 from capmach.harness import run_report
 from capmach.machine import (
     FAILED, HALTED, NULL_EXTENSION, Running, exec_instr, step,
 )
-from capmach.source import SOURCE_EXTENSION
+from capmach.source import SOURCE_EXTENSION, SourceConfig
 
 
 def ex(cfg, op, *args):
@@ -313,6 +315,91 @@ def test_target_refuses_stack_pointers():
         assert exec_instr(instr, cfg, NULL_EXTENSION, NOWHERE) is FAILED, op
         assert isinstance(exec_instr(instr, cfg, SOURCE_EXTENSION, NOWHERE),
                           Running), op
+
+
+def _paper_access(op, ext, c, mem, w):
+    """The load's or the store's writes, ``(registers, cells)``, from the
+    paper's premises, or None when one fails: the pointer kind, the
+    permission (readAllowed or writeAllowed), withinBounds, the address
+    in the memory's domain, and for a load of a linear word
+    linConsPerm.  ``r1`` holds the pointer ``c``, which indexes
+    ``mem``; a load writes ``r3``, a store stores ``w`` from ``r2``."""
+    kinds = (MemCap, StkPtr) if ext is SOURCE_EXTENSION else (MemCap,)
+    if not (type(c) in kinds and c.base <= c.addr <= c.end
+            and c.addr in mem.domain):
+        return None
+    may_read, may_write = "r" in c.perm.value, "w" in c.perm.value
+    linear = isinstance(w, MemCap) and w.lin is Lin.LINEAR
+    if op == "store":
+        return ({"r2": 0 if linear else w}, {c.addr: w}) if may_write \
+            else None
+    w = mem.written.get(c.addr, 0)
+    linear = isinstance(w, MemCap) and w.lin is Lin.LINEAR
+    if not may_read or linear and not may_write:
+        return None
+    return {"r3": w}, ({c.addr: 0} if linear else {})
+
+
+def test_load_and_store_guards_against_the_paper():
+    # every pointer kind, permission, address about the bounds 4..6 and
+    # cell state (written, unwritten in the domain, outside it), with an
+    # int, a normal and a linear word in the cell or in r2; the memory
+    # under test sits in the segment the pointer indexes, an empty one in
+    # the other
+    pc = rx(40, 60, 50)
+    domain = Ranges.span(0, 9)
+    runs = 0
+    for perm, a, w in product(Perm, (3, 4, 6, 7),
+                              (7, rw(0, 3, 1), rw(0, 3, 1, Lin.LINEAR))):
+        for c in (MemCap(perm, Lin.NORMAL, 4, 6, a),
+                  MemCap(perm, Lin.LINEAR, 4, 6, a), StkPtr(perm, 4, 6, a),
+                  SealCap(4, 6, a), a):
+            seg = "ms_stk" if type(c) is StkPtr else "mem"
+            for mem in (Memory({a: w}, domain), Memory({}, domain),
+                        Memory({}, domain - Ranges.span(a, a))):
+                reg = tcfg(pc=pc, r1=c, r2=w).reg
+                cfg = SourceConfig(Memory(), reg)._replace(**{seg: mem})
+                for op, args in (("load", ("r3", "r1")),
+                                 ("store", ("r1", "r2"))):
+                    for ext in (NULL_EXTENSION, SOURCE_EXTENSION):
+                        out = exec_instr(mk_instr(op, *args), cfg, ext,
+                                         NOWHERE)
+                        want = _paper_access(op, ext, c, mem, w)
+                        case = (op, ext, c, w, mem)
+                        runs += 1
+                        if want is None:
+                            assert out is FAILED, case
+                            continue
+                        regs, cells = want
+                        assert out.wrote == {**regs, "pc": rx(40, 60, 51)}, \
+                            case
+                        assert out.cfg.reg == {**reg, **out.wrote}, case
+                        written = mem
+                        for x, v in cells.items():
+                            written = written.set(x, v)
+                        assert getattr(out.cfg, seg) == written, case
+    assert runs == 5 * 4 * 3 * 5 * 3 * 2 * 2
+
+
+def test_operands_read_in_place():
+    # an immediate, a register holding an int and one holding a
+    # capability, for cca, plus and jnz (any word but the int 0 jumps)
+    pc = rx(0, 9, 0)
+    cap = rw(0, 9, 5)
+    cfg = tcfg(pc=pc, r1=cap, r2=2, r3=cap, r4=0, r5=rx(0, 9, 7))
+    operands = ((2, 2), ("r2", 2), ("r3", None))
+    for rn, n in operands:
+        out = ex(cfg, "cca", "r1", rn)
+        assert (out is FAILED) if n is None else \
+            regs_after(out)["r1"] == rw(0, 9, 5 + n), rn
+        for rm, m in operands:
+            out = ex(cfg, "plus", "r0", rn, rm)
+            assert (out is FAILED) if None in (n, m) else \
+                regs_after(out)["r0"] == n + m, (rn, rm)
+    for rn, jumps in ((0, False), (3, True), ("r4", False), ("r2", True),
+                      ("r3", True), ("r1", True)):
+        r = regs_after(ex(cfg, "jnz", "r5", rn))
+        assert r["pc"] == (rx(0, 9, 7) if jumps else rx(0, 9, 1)), rn
 
 
 def test_step_guards():

@@ -1,0 +1,72 @@
+"""Python-level calls per step, counted with ``sys.setprofile``: a cost
+that wall time on a shared host cannot pin, and that does not depend on
+the host's speed."""
+
+import sys
+
+from capmach import fixtures
+from capmach.harness import diff_start, run_report
+
+# r0 cells of the callback's stack: store r4 into each, going down,
+# then load them back into the sum r6, going up
+_SWEEP = """\
+  move r0 32
+  move r4 5
+  move r7 r0
+  move r5 pc
+  cca r5 @down+1
+down:
+  store rstk r4
+  cca rstk -1
+  minus r7 r7 1
+  jnz r5 r7
+  move r7 r0
+  move r5 pc
+  cca r5 @up+1
+up:
+  cca rstk 1
+  load r8 rstk
+  plus r6 r6 r8
+  minus r7 r7 1
+  jnz r5 r7"""
+
+
+def _calls_per_step(trusted, context, fuel):
+    """Python-level ``call`` events per step over a run of each machine,
+    after a first run of each fills the decode memo, and the reports."""
+    gc, cfgs = diff_start(trusted, context, fixtures.STK_BASE,
+                          fixtures.STK_END)
+    for kind in cfgs:
+        run_report(cfgs[kind], kind, gc, fuel)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    old = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        reports = [run_report(cfgs[kind], kind, gc, fuel)
+                   for kind in ("source", "target")]
+    finally:
+        sys.setprofile(old)
+    return calls / sum(r.steps for r in reports), reports
+
+
+def test_spin_step_calls():
+    per_step, reports = _calls_per_step(*dict(fixtures.CORPUS)["spin"](),
+                                        2000)
+    assert [(r.outcome, r.steps) for r in reports] == \
+        [("fuel-exhausted", 2000)] * 2
+    assert per_step <= 4.34, per_step
+
+
+def test_load_store_sweep_step_calls():
+    # a load or a store is one handler call plus one access guard
+    per_step, reports = _calls_per_step(
+        fixtures.trusted_one_call(), fixtures.context_cb(_SWEEP), 5000)
+    assert [(r.outcome, r.steps, r.final_cfg.reg["r6"]) for r in reports] \
+        == [("halted", 303, 160), ("halted", 327, 160)]
+    assert per_step <= 4.8, per_step
