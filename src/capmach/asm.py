@@ -135,7 +135,7 @@ def call_cond(mem, a: int, stk_base: int,
     6, 8 and 14.  The ``fail`` at part 22 is matched decoded, since
     every integer that is not an instruction image decodes to it.
     """
-    # a Memory's written cells, or a dict; an unwritten cell takes get
+    # read in C: a Memory's written cells, or the plain dict itself
     get = getattr(mem, "written", mem).get
     if get(a) != CALL_HEAD:
         return None

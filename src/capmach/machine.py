@@ -19,10 +19,9 @@ name in the module.  Records are built with ``tuple.__new__``, which
 skips the Python-level constructor that ``namedtuple`` generates.  A
 memory capability indexes ``mem`` and a stack pointer ``ms_stk``;
 every pointer case is written once over the pointer and its segment,
-and load and store share one access guard (``_access``: the pointer
-kind, the permission, the bounds).  Handlers read their operands in
-place, and permission sets are tuples, not sets: ``Enum.__hash__`` is
-Python-level, while a tuple's ``in`` tests identity first.  A
+and load and store share one access guard, ``_access``.  Operands are
+read in place, and permission sets are tuples, not sets:
+``Enum.__hash__`` is Python-level, a tuple's ``in`` tests identity.  A
 ``MachineExtension`` names the pointer kinds its machine accepts and
 supplies the source-only rules (call recognition, return-token jumps);
 the target uses the null extension: memory capabilities only.

@@ -48,10 +48,6 @@ def test_allowed_sets():
                           (EXEC_PERMS, "x")):
         assert type(perms) is tuple
         assert set(perms) == {p for p in PERMS if letter in p.value}
-    assert [p for p in PERMS if read_allowed(p)] == \
-        [p for p in PERMS if p in READ_PERMS]
-    assert [p for p in PERMS if write_allowed(p)] == \
-        [p for p in PERMS if p in WRITE_PERMS]
     # upward closure
     for p in PERMS:
         for q in PERMS:
