@@ -203,13 +203,17 @@ def is_sealable(w: Word) -> bool:
     return isinstance(w, _SEALABLE)
 
 
+# module constants: ``Lin.LINEAR`` is a slow class-attribute lookup
+_NORMAL, _LINEAR = Lin.NORMAL, Lin.LINEAR
+
+
 def linear_range(w: Word):
     """The ``(base, end)`` a linear word owns, bare or under a seal, or
     None for a word that owns nothing."""
     while isinstance(w, Sealed):
         w = w.inner
     if isinstance(w, MemCap):
-        return (w.base, w.end) if w.lin is Lin.LINEAR else None
+        return (w.base, w.end) if w.lin is _LINEAR else None
     if isinstance(w, (StkPtr, RetPtrData)):
         return (w.base, w.end)
     return None
@@ -234,9 +238,6 @@ def linear_overlaps(owners) -> list:
         if end > reach:
             reach, holder = end, where
     return out
-
-
-_NORMAL = Lin.NORMAL
 
 
 def lin_cons(w: Word) -> Word:
@@ -353,6 +354,10 @@ class Ranges:
     @property
     def runs(self) -> tuple:
         return tuple(zip(self._lo, self._hi))
+
+    def bounds(self):
+        """``(lowest, highest)`` of the set, or None when it is empty."""
+        return (self._lo[0], self._hi[-1]) if self._lo else None
 
     def __contains__(self, a):
         i = bisect_right(self._lo, a)

@@ -15,8 +15,8 @@ from itertools import islice
 
 from .components import Component, initial_config, link, \
     validate_component
-from .core import PC, GlobalConstants, MemCap, Memory, dec_instr, \
-    lin_cons, linear_overlaps, linear_range
+from .core import PC, GlobalConstants, Lin, MemCap, Memory, dec_instr, \
+    linear_overlaps, linear_range
 from .machine import NULL_EXTENSION, Running, advance
 from .source import SOURCE_EXTENSION, SourceConfig
 
@@ -85,87 +85,57 @@ def check_stack_partition(cfg: SourceConfig) -> list:
     out = []
     below = None     # (name, top address) of the region below
     for name, domain in regions:
-        if not domain:
+        if not (ends := domain.bounds()):
             continue
         if shared := domain & cfg.mem.domain:
             out.append(f"{name} overlaps mem at {list(islice(shared, 4))}")
-        runs = domain.runs
-        if below is not None and runs[0][0] <= below[1]:
+        if below is not None and ends[0] <= below[1]:
             out.append(f"{name} not above {below[0]}")
-        below = (name, runs[-1][1])
+        below = (name, ends[1])
     return out
 
 
-def _scan(frame) -> tuple:
-    """(``frame``, its owners, named ``addr k`` until its index is known)."""
-    return frame, list(_owners("addr", frame.ms.written).values())
+_NORMAL = Lin.NORMAL
+_NOTHING = SourceConfig(Memory(), {})   # no registers, cells or frames
 
 
 class _Invariants:
     """Both checks over the configurations of one run, kept up to date
     step by step at the cost of what each step wrote.
 
-    One full scan fills a table of linear owners per place.  Later, only
-    the registers and the cell a step names are visited, and a memory
-    that is a new object is scanned again.  Frames are scanned once,
-    when pushed, and their owners renamed (the names carry the frame's
-    index) only when some frame holds one.  The overlaps are recomputed
-    only when an owner changed, and the partition verdict,
-    ``check_stack_partition``'s own, only when a memory's domain or the
-    frames did.  ``at`` answers what the two checks would."""
+    The first configuration is scanned whole, as a step from one with
+    nothing in it, into a table of linear owners per place.  A step that
+    keeps the configuration object (all but a call and a return) costs a
+    visit of the registers and the cell it names.  The verdict,
+    ``(overlaps, partition)``, is rebuilt only when an owner changed or,
+    for the partition, when a memory's domain or the frames did."""
 
     def __init__(self, cfg):
-        self.cfg = cfg
-        self.regs = _owners("reg", cfg.reg)
-        self.mem = _owners("mem", cfg.mem.written)
-        self.stk = _owners("stk", cfg.ms_stk.written)
-        self.frames = [_scan(f) for f in cfg.stk]
-        self.frame_owners = self._name_frame_owners()
-        self.overlaps = linear_overlaps(self._all())
-        self.partition = check_stack_partition(cfg)
+        self.cfg, self.found, self.frames = _NOTHING, ([], []), []
+        self.regs, self.mem, self.stk = _owners("reg", cfg.reg), {}, {}
+        self.frame_owners = []
+        self._follow(cfg)
+        self.found = linear_overlaps(self._all()), self.found[1]
 
     def _all(self) -> list:
         return [*self.regs.values(), *self.mem.values(), *self.stk.values(),
                 *self.frame_owners]
-
-    def _name_frame_owners(self) -> list:
-        return [(b, e, f"frame {i} {n}")
-                for i, (_, owned) in enumerate(self.frames)
-                for b, e, n in owned]
-
-    def _reframe(self, stk) -> bool:
-        """Follow the frames to ``stk``; True when a frame owner changed
-        or was renamed.  Calls and returns push and pop at the front, so
-        the frames that ``stk`` ends with are kept."""
-        old = self.frames
-        kept = 0
-        while kept < len(stk) and kept < len(old) and \
-                stk[-1 - kept] is old[-1 - kept][0]:
-            kept += 1
-        new = [_scan(f) for f in stk[:len(stk) - kept]]
-        self.frames = new + old[len(old) - kept:]
-        if not self.frame_owners and not any(owned for _, owned in new):
-            return False
-        named = self._name_frame_owners()
-        changed = named != self.frame_owners
-        self.frame_owners = named
-        return changed
 
     def at(self, cfg, wrote, cell=None):
         """``(check_linearity(cfg), check_stack_partition(cfg))`` for a
         configuration that follows the last one asked about; ``wrote``
         names every register whose word is not the same object as there
         (registers are never removed), and ``cell`` (see ``Running``) the
-        one such cell of a memory that is.  ``cfg`` may share the last
-        one's registers and memories, written in place since."""
-        old, self.cfg = self.cfg, cfg
+        one such cell of a memory that is.  ``cfg`` may be the last one,
+        or share its registers and memories, written in place since.  An
+        int or a normal memory capability owns nothing, and is told apart
+        with no call (the test ``core.lin_cons`` makes first)."""
         changed = False
-        mem, reg, stk, ms_stk = cfg
-        old_mem, _, old_stk, old_ms_stk = old
-        regs = self.regs
+        regs, reg = self.regs, cfg.reg
         for r in wrote:
             w = reg[r]
-            if lin_cons(w) is w:   # owns nothing
+            t = type(w)
+            if t is int or t is MemCap and w.lin is _NORMAL:
                 if r in regs:
                     del regs[r]
                     changed = True
@@ -173,11 +143,25 @@ class _Invariants:
                 changed |= _reown(regs, "reg", r, w)
         if cell is not None:
             m, a, w = cell
-            table, name = (self.mem, "mem") if m is mem else (self.stk, "stk")
-            changed |= _reown(table, name, a, w)
-        domain = stk is not old_stk
+            changed |= _reown(*((self.mem, "mem") if m is cfg.mem
+                                else (self.stk, "stk")), a, w)
+        if cfg is not self.cfg:
+            changed |= self._follow(cfg)
+        if changed:
+            self.found = linear_overlaps(self._all()), self.found[1]
+        return self.found
+
+    def _follow(self, cfg) -> bool:
+        """Take ``cfg``, a new object: scan its memories that are new
+        objects and follow its frames; True when an owner changed.  The
+        partition, ``check_stack_partition``'s own, is rebuilt when a
+        memory's domain or the frames changed."""
+        old, self.cfg = self.cfg, cfg
+        mem, _, stk, ms_stk = cfg
+        old_mem, _, old_stk, old_ms_stk = old
+        changed = domain = stk is not old_stk
         if domain:
-            changed |= self._reframe(stk)
+            changed = self._reframe(stk)
         if mem is not old_mem:
             owners, self.mem = self.mem, _owners("mem", mem.written)
             changed |= owners != self.mem
@@ -186,11 +170,29 @@ class _Invariants:
             owners, self.stk = self.stk, _owners("stk", ms_stk.written)
             changed |= owners != self.stk
             domain |= ms_stk.domain is not old_ms_stk.domain
-        if changed:
-            self.overlaps = linear_overlaps(self._all())
         if domain:
-            self.partition = check_stack_partition(cfg)
-        return self.overlaps, self.partition
+            self.found = self.found[0], check_stack_partition(cfg)
+        return changed
+
+    def _reframe(self, stk) -> bool:
+        """Follow the frames to ``stk``; True when a frame owner changed
+        or was renamed.  Calls and returns push and pop at the front, so
+        the frames that ``stk`` ends with are kept, and only a pushed one
+        is scanned (its owners named ``addr k``, the index left out)."""
+        old = self.frames
+        kept = 0
+        while kept < len(stk) and kept < len(old) and \
+                stk[-1 - kept] is old[-1 - kept][0]:
+            kept += 1
+        new = [(f, list(_owners("addr", f.ms.written).values()))
+               for f in stk[:len(stk) - kept]]
+        self.frames = new + old[len(old) - kept:]
+        named = [(b, e, f"frame {i} {n}")
+                 for i, (_, owned) in enumerate(self.frames)
+                 for b, e, n in owned]
+        changed = named != self.frame_owners
+        self.frame_owners = named
+        return changed
 
 
 def _reown(table: dict, name: str, k, w) -> bool:
@@ -230,9 +232,11 @@ class Run:
         if machine_kind not in _EXTENSIONS:
             raise ValueError(f"unknown machine kind {machine_kind!r}")
         self.ext = _EXTENSIONS[machine_kind]
-        self.gc, self.fuel, self.cfg = gc, fuel, cfg.with_regs({})._replace(
-            mem=Memory(cfg.mem.written, cfg.mem.domain),
-            ms_stk=Memory(cfg.ms_stk.written, cfg.ms_stk.domain))
+        # with_regs copies the registers (the bench counts copies there)
+        mem, reg, stk, ms_stk = cfg.with_regs({})
+        self.gc, self.fuel, self.cfg = gc, fuel, SourceConfig(
+            Memory(mem.written, mem.domain), reg, stk,
+            Memory(ms_stk.written, ms_stk.domain))
 
     def __iter__(self):
         # The counters and the fuel stay in locals: this is the hot loop.
@@ -272,14 +276,14 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
     run = Run(cfg, machine_kind, gc, fuel)
     violations: list = []
     if paranoid:
-        checks = _Invariants(run.cfg)
+        at = _Invariants(run.cfg).at
         for steps, (cfg, wrote, cell) in enumerate(run):
-            dups, partition = checks.at(cfg, wrote, cell)
-            for x, first, later in dups:
-                violations.append(f"step {steps}: linear address {x} "
-                                  f"owned by both {first} and {later}")
-            for v in partition:
-                violations.append(f"step {steps}: {v}")
+            dups, partition = at(cfg, wrote, cell)
+            if dups or partition:
+                violations += [f"step {steps}: linear address {x} owned by "
+                               f"both {first} and {later}"
+                               for x, first, later in dups]
+                violations += [f"step {steps}: {v}" for v in partition]
     else:
         deque(run, 0)   # no Python code per step
     return RunReport(run.outcome, run.steps, violations, run.cfg,

@@ -423,12 +423,26 @@ def test_write_set_names_every_changed_register():
 def _edit(rng, cfg):
     """(``cfg`` with one random change that no step makes on its own:
     any register, a cell written, added or removed in either memory, a
-    frame pushed or popped; the registers it wrote)."""
-    kind = rng.randrange(6)
+    frame pushed or popped; the registers it wrote; the cell it wrote
+    in place, or None).  Two kinds keep the configuration object, as
+    ``Run`` does: a register or a cell of either memory written in
+    place."""
+    kind = rng.randrange(8)
     mem, ms_stk, stk = cfg.mem, cfg.ms_stk, cfg.stk
     if kind == 0:
         r = rng.choice(REGISTERS)
-        return cfg.with_regs({r: _run_word(rng)}), (r,)
+        return cfg.with_regs({r: _run_word(rng)}), (r,), None
+    if kind == 6:
+        r = rng.choice(REGISTERS)
+        cfg.reg[r] = _run_word(rng)
+        return cfg, (r,), None
+    if kind == 7:
+        m = rng.choice((mem, ms_stk))
+        if not m.domain:
+            return cfg, (), None
+        a = rng.choice(list(m.domain))
+        m.written[a] = w = _run_word(rng)
+        return cfg, (), (m, a, w)
     if kind == 1:
         mem = mem.set(rng.randint(0, 24), _run_word(rng))
     elif kind == 2:
@@ -444,23 +458,25 @@ def _edit(rng, cfg):
             ms_stk = ms_stk.update(cfg.stk[0].ms)
     else:
         _, mem = mem.split(*sorted((rng.randint(0, 24), rng.randint(0, 24))))
-    return SourceConfig(mem, cfg.reg, stk, ms_stk), ()
+    return SourceConfig(mem, cfg.reg, stk, ms_stk), (), None
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=True))
 def test_paranoid_tracker_against_full_checks_on_edits(rng):
     # the tracker is exact for any next configuration, not only for the
-    # changes the machines make; the registers start partial, so that
-    # edits add some
+    # changes the machines make, whether it is a new object or the last
+    # one written in place; the registers start partial, so that edits
+    # add some, and the memories are copies the edits may write in place
     cfg = _run_cfg(rng)
-    cfg = SourceConfig(cfg.mem, {r: cfg.reg[r] for r in _RUN_REGS},
-                       cfg.stk, cfg.ms_stk)
+    cfg = SourceConfig(Memory(cfg.mem.written, cfg.mem.domain),
+                       {r: cfg.reg[r] for r in _RUN_REGS}, cfg.stk,
+                       Memory(cfg.ms_stk.written, cfg.ms_stk.domain))
     checks = harness._Invariants(cfg)
     for _ in range(12):
-        cfg, wrote = _edit(rng, cfg)
-        assert checks.at(cfg, wrote) == (check_linearity(cfg),
-                                  check_stack_partition(cfg))
+        cfg, wrote, cell = _edit(rng, cfg)
+        assert checks.at(cfg, wrote, cell) == (check_linearity(cfg),
+                                               check_stack_partition(cfg))
 
 
 def test_paranoid_violation_comes_and_goes():

@@ -31,13 +31,17 @@ up:
   jnz r5 r7"""
 
 
-def _calls_per_step(trusted, context, fuel):
-    """Python-level ``call`` events per step over a run of each machine,
-    after a first run of each fills the decode memo, and the reports."""
-    gc, cfgs = diff_start(trusted, context, fixtures.STK_BASE,
-                          fixtures.STK_END)
-    for kind in cfgs:
-        run_report(cfgs[kind], kind, gc, fuel)
+def _calls_per_step(programs, fuel, paranoid=False):
+    """Python-level ``call`` events per step over a run of each machine
+    on each ``(trusted, context)`` pair of ``programs``, after a first
+    run of each fills the decode memo, and the reports."""
+    runs = []
+    for trusted, context in programs:
+        gc, cfgs = diff_start(trusted, context, fixtures.STK_BASE,
+                              fixtures.STK_END)
+        runs += [(cfgs[kind], kind, gc) for kind in ("source", "target")]
+    for cfg, kind, gc in runs:
+        run_report(cfg, kind, gc, fuel, paranoid)
     calls = 0
 
     def count(frame, event, arg):
@@ -48,16 +52,16 @@ def _calls_per_step(trusted, context, fuel):
     old = sys.getprofile()
     sys.setprofile(count)
     try:
-        reports = [run_report(cfgs[kind], kind, gc, fuel)
-                   for kind in ("source", "target")]
+        reports = [run_report(cfg, kind, gc, fuel, paranoid)
+                   for cfg, kind, gc in runs]
     finally:
         sys.setprofile(old)
     return calls / sum(r.steps for r in reports), reports
 
 
 def test_spin_step_calls():
-    per_step, reports = _calls_per_step(*dict(fixtures.CORPUS)["spin"](),
-                                        2000)
+    per_step, reports = _calls_per_step(
+        [dict(fixtures.CORPUS)["spin"]()], 2000)
     assert [(r.outcome, r.steps) for r in reports] == \
         [("fuel-exhausted", 2000)] * 2
     assert per_step <= 4.34, per_step
@@ -66,7 +70,20 @@ def test_spin_step_calls():
 def test_load_store_sweep_step_calls():
     # a load or a store is one handler call plus one access guard
     per_step, reports = _calls_per_step(
-        fixtures.trusted_one_call(), fixtures.context_cb(_SWEEP), 5000)
+        [(fixtures.trusted_one_call(), fixtures.context_cb(_SWEEP))], 5000)
     assert [(r.outcome, r.steps, r.final_cfg.reg["r6"]) for r in reports] \
         == [("halted", 303, 160), ("halted", 327, 160)]
     assert per_step <= 4.8, per_step
+
+
+def test_paranoid_step_calls():
+    # the paranoid checks visit what a step changed: the registers it
+    # wrote and its cell, told apart in place when they own nothing, and
+    # a memory or the frames only at a call or a return.  Unchecked,
+    # these runs make 5.81 calls per step
+    programs = [(t, ctx) for name, t, ctx in fixtures.corpus()
+                if name != "spin"]
+    per_step, reports = _calls_per_step(programs, 2000, paranoid=True)
+    assert len(reports) == 20 and all(
+        r.outcome == "halted" and r.violations == [] for r in reports)
+    assert per_step <= 8.97, per_step
