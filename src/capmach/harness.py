@@ -15,8 +15,8 @@ from itertools import islice
 
 from .components import Component, initial_config, link, \
     validate_component
-from .core import PC, GlobalConstants, Lin, MemCap, Memory, dec_instr, \
-    linear_overlaps, linear_range
+from .core import _NORMAL, PC, GlobalConstants, MemCap, Memory, \
+    dec_instr, linear_overlaps, linear_range
 from .machine import NULL_EXTENSION, Running, advance
 from .source import SOURCE_EXTENSION, SourceConfig
 
@@ -95,7 +95,6 @@ def check_stack_partition(cfg: SourceConfig) -> list:
     return out
 
 
-_NORMAL = Lin.NORMAL
 _NOTHING = SourceConfig(Memory(), {})   # no registers, cells or frames
 
 
@@ -272,7 +271,8 @@ def run_report(cfg, machine_kind: str, gc: GlobalConstants,
                fuel: int = DEFAULT_FUEL, paranoid: bool = False) -> RunReport:
     """The ``Run`` of ``cfg``, reported.  ``paranoid`` checks both
     invariants before every step: one full scan of the first
-    configuration, then the changes of each step (``_Invariants``)."""
+    configuration, then the changes of each step (``_Invariants``),
+    with a violation formatted only at a step whose verdict holds one."""
     run = Run(cfg, machine_kind, gc, fuel)
     violations: list = []
     if paranoid:
