@@ -2,6 +2,7 @@
 that wall time on a shared host cannot pin, and that does not depend on
 the host's speed."""
 
+import gc
 import sys
 
 from capmach import fixtures
@@ -37,11 +38,11 @@ def _calls_per_step(programs, fuel, paranoid=False):
     run of each fills the decode memo, and the reports."""
     runs = []
     for trusted, context in programs:
-        gc, cfgs = diff_start(trusted, context, fixtures.STK_BASE,
-                              fixtures.STK_END)
-        runs += [(cfgs[kind], kind, gc) for kind in ("source", "target")]
-    for cfg, kind, gc in runs:
-        run_report(cfg, kind, gc, fuel, paranoid)
+        consts, cfgs = diff_start(trusted, context, fixtures.STK_BASE,
+                                  fixtures.STK_END)
+        runs += [(cfgs[kind], kind, consts) for kind in ("source", "target")]
+    for cfg, kind, consts in runs:
+        run_report(cfg, kind, consts, fuel, paranoid)
     calls = 0
 
     def count(frame, event, arg):
@@ -49,13 +50,18 @@ def _calls_per_step(programs, fuel, paranoid=False):
         if event == "call":
             calls += 1
 
+    # a collection inside the count would close unreachable generators
+    # and run finalizers left by earlier code, which counts as calls
+    gc.collect()
+    gc.disable()
     old = sys.getprofile()
     sys.setprofile(count)
     try:
-        reports = [run_report(cfg, kind, gc, fuel, paranoid)
-                   for cfg, kind, gc in runs]
+        reports = [run_report(cfg, kind, consts, fuel, paranoid)
+                   for cfg, kind, consts in runs]
     finally:
         sys.setprofile(old)
+        gc.enable()
     return calls / sum(r.steps for r in reports), reports
 
 
