@@ -13,16 +13,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    CALL_HEAD, INF, OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1,
+    INF, OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1,
     RTMP2, Instr, SealCap, _bound, dec_instr, enc_instr, is_register,
     mk_instr, parse_int, parse_word,
 )
 
 CALL_LEN = 26
-RET_PT_OFFSET = 15  # first instruction of the macro's return code
-_XJMP_INDEX = 14
+CANARY = 42         # the word a call leaves at the caller's a_stk
+_PC_READ_INDEX = 5  # ``move rtmp1 pc``: the pc-offset counts from here
 _OFF_PC_INDEX = 6
 _OFF_SIGMA_INDEX = 8
+_XJMP_INDEX = 14
+RET_PT_OFFSET = _XJMP_INDEX + 1  # first instruction of the return code
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,13 @@ def _call_instrs(off_pc, off_sigma, r1, r2, stk_base, check_stk_base=True):
         else Instr("minus", (RTMP1, RTMP1, RTMP1))
     )
     return [
-        Instr("move", (RTMP1, 42)),
+        Instr("move", (RTMP1, CANARY)),
         Instr("store", (RSTK, RTMP1)),
         Instr("cca", (RSTK, -1)),
         Instr("geta", (RTMP1, RSTK)),
         Instr("split", (RSTK, RRETDATA, RSTK, RTMP1)),
         Instr("move", (RTMP1, PC)),
-        Instr("cca", (RTMP1, off_pc - 5)),
+        Instr("cca", (RTMP1, off_pc - _PC_READ_INDEX)),
         Instr("load", (RTMP1, RTMP1)),
         Instr("cca", (RTMP1, off_sigma)),
         Instr("cseal", (RRETDATA, RTMP1)),
@@ -69,6 +71,11 @@ def _call_instrs(off_pc, off_sigma, r1, r2, stk_base, check_stk_base=True):
         Instr("cca", (RSTK, 1)),
         Instr("move", (RTMP2, 0)),
     ]
+
+
+# The first cell of every call expansion.  Decoding is injective on
+# instruction images, so a cell decodes to it exactly when it holds this.
+CALL_HEAD = enc_instr(_call_instrs(0, 0, "r0", "r0", 0)[0])
 
 
 def expand_scall(params: CallParams, stk_base: int,
@@ -107,7 +114,7 @@ def _parts_of(instr, fixed):
     parts = list(fixed.get(instr, ()))
     if instr.op == "cca" and instr.args[0] == RTMP1 \
             and isinstance(instr.args[1], int):
-        if instr.args[1] + 5 >= 0:
+        if instr.args[1] + _PC_READ_INDEX >= 0:
             parts.append(_OFF_PC_INDEX)
         if instr.args[1] >= 0:
             parts.append(_OFF_SIGMA_INDEX)
@@ -149,7 +156,8 @@ def call_cond(mem, a: int, stk_base: int,
     # 0 stands at part 22 alone, so the cells read here are written
     off_pc, off_sigma, xjmp = (dec_instr(get(a + j)) for j in (
         _OFF_PC_INDEX, _OFF_SIGMA_INDEX, _XJMP_INDEX))
-    return CallParams(off_pc.args[1] + 5, off_sigma.args[1], *xjmp.args)
+    return CallParams(off_pc.args[1] + _PC_READ_INDEX, off_sigma.args[1],
+                      *xjmp.args)
 
 
 # ---------------------------------------------------------------------------

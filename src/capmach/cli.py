@@ -17,7 +17,7 @@ from .components import (
     link, parse_component, validate_component,
 )
 from .core import GlobalConstants, Ranges, parse_int
-from .fixtures import SCENARIOS
+from .fixtures import SCENARIOS, STK_BASE, STK_END
 from .harness import DEFAULT_FUEL, ValidationFailure, diff_start, \
     format_trace, run_diff, run_report
 
@@ -27,7 +27,7 @@ EXIT_DISAGREE = 2
 EXIT_USAGE = 3
 EXIT_INVALID = 4
 
-DEFAULT_STACK = (1000, 1063)
+DEFAULT_STACK = (STK_BASE, STK_END)
 
 
 def _int(s):

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .asm import CALL_LEN, call_cond, find_hidden_calls
+from .asm import CALL_HEAD, CALL_LEN, call_cond, find_hidden_calls
 from .core import (
-    CALL_HEAD, INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap,
+    INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap,
     Perm, Ranges, SealCap, Sealed, StkPtr, fresh_registers, is_linear,
     linear_overlaps, linear_range, non_exec, parse_int, parse_word, perm_leq,
 )

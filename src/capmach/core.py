@@ -444,9 +444,6 @@ _NO_INTS = Ranges()
 # ---------------------------------------------------------------------------
 # Memory
 
-_GONE = object()   # no word written
-
-
 class Memory(Mapping):
     """A map from the addresses of ``domain``, a ``Ranges``, to words:
     every address that holds no written word reads 0.
@@ -473,14 +470,14 @@ class Memory(Mapping):
         return m
 
     def __getitem__(self, a):
-        w = self.get(a, _GONE)
-        if w is _GONE:
+        w = self.get(a)
+        if w is None:
             raise KeyError(a)
         return w
 
     def get(self, a, default=None):
-        w = self.written.get(a, _GONE)
-        if w is _GONE:   # unwritten: 0 in the domain
+        w = self.written.get(a)
+        if w is None:   # unwritten: 0 in the domain
             return 0 if a in self.domain else default
         return w
 
@@ -638,7 +635,6 @@ _NREG = len(REGISTERS)
 _FIELD_RADIX = _NREG + 2 * IMM_RANGE
 
 FAIL = Instr("fail")
-HALT = Instr("halt")
 
 
 class EncodingError(ValueError):
@@ -678,12 +674,6 @@ def enc_instr(i: Instr) -> int:
     for a in reversed(i.args):
         val = val * _FIELD_RADIX + _enc_field(a)
     return val * _NOPS + _OPIDX[i.op]
-
-
-# The first cell of every call expansion (see ``asm.call_cond``).
-# Decoding is injective on instruction images, so a cell decodes to
-# this instruction exactly when it holds this integer.
-CALL_HEAD = enc_instr(Instr("move", (RTMP1, 42)))
 
 
 def dec_instr(w: Word) -> Instr:

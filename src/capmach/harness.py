@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 
+from .asm import CALL_LEN, RET_PT_OFFSET
 from .components import Component, initial_config, link, \
     validate_component
 from .core import _NORMAL, PC, GlobalConstants, MemCap, Memory, \
@@ -21,9 +22,11 @@ from .machine import NULL_EXTENSION, Running, advance
 from .source import SOURCE_EXTENSION, SourceConfig
 
 DEFAULT_FUEL = 100_000
-# The target's steps beyond the source's one per atomic call (the call
-# macro's cells before its xjmp) and per return (the return code's path)
-_CALL_EXTRA, _RETURN_EXTRA = 14, 10
+# The target's steps beyond the source's one per atomic call: the call
+# macro's cells before its xjmp, which sits just before the return code
+_CALL_EXTRA = RET_PT_OFFSET - 1
+# and per return: the return code's cells, less the ``fail`` it jumps over
+_RETURN_EXTRA = CALL_LEN - RET_PT_OFFSET - 1
 # machine kind -> the extension its steps run under
 _EXTENSIONS = {"source": SOURCE_EXTENSION, "target": NULL_EXTENSION}
 
@@ -106,8 +109,9 @@ class _Invariants:
     nothing in it, into a table of linear owners per place.  A step that
     keeps the configuration object (all but a call and a return) costs a
     visit of the registers and the cell it names.  The verdict,
-    ``(overlaps, partition)``, is rebuilt only when an owner changed or,
-    for the partition, when a memory's domain or the frames did."""
+    ``(overlaps, partition)``, is rebuilt when an owner changed for the
+    overlaps, and at every new configuration object (the first, a call,
+    a return) for the partition."""
 
     def __init__(self, cfg):
         self.cfg, self.found, self.frames = _NOTHING, ([], []), []
@@ -152,25 +156,19 @@ class _Invariants:
 
     def _follow(self, cfg) -> bool:
         """Take ``cfg``, a new object: scan its memories that are new
-        objects and follow its frames; True when an owner changed.  The
-        partition, ``check_stack_partition``'s own, is rebuilt when a
-        memory's domain or the frames changed."""
+        objects, follow its frames and rebuild the partition,
+        ``check_stack_partition``'s own; True when an owner changed."""
         old, self.cfg = self.cfg, cfg
         mem, _, stk, ms_stk = cfg
         old_mem, _, old_stk, old_ms_stk = old
-        changed = domain = stk is not old_stk
-        if domain:
-            changed = self._reframe(stk)
+        changed = stk is not old_stk and self._reframe(stk)
         if mem is not old_mem:
             owners, self.mem = self.mem, _owners("mem", mem.written)
             changed |= owners != self.mem
-            domain |= mem.domain is not old_mem.domain
         if ms_stk is not old_ms_stk:
             owners, self.stk = self.stk, _owners("stk", ms_stk.written)
             changed |= owners != self.stk
-            domain |= ms_stk.domain is not old_ms_stk.domain
-        if domain:
-            self.found = self.found[0], check_stack_partition(cfg)
+        self.found = self.found[0], check_stack_partition(cfg)
         return changed
 
     def _reframe(self, stk) -> bool:

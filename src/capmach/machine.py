@@ -34,8 +34,9 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
+from .asm import CALL_HEAD
 from .core import (
-    CALL_HEAD, EXEC_PERMS, OPCODES, PC, RDATA, READ_PERMS, WRITE_PERMS,
+    EXEC_PERMS, OPCODES, PC, RDATA, READ_PERMS, WRITE_PERMS,
     GlobalConstants, Instr, Lin, MemCap, Record, RetPtrCode, RetPtrData,
     SealCap, Sealed, StkPtr, dec_instr, dec_perm, enc_lin, enc_perm, enc_type,
     is_linear, is_sealable, lin_cons, linear_range, non_exec, perm_leq,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .asm import CALL_LEN, CallParams, call_cond
+from .asm import CALL_LEN, CANARY, CallParams, call_cond
 from .core import (
     PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2, GlobalConstants, Lin,
     Memory, MemCap, Perm, Ranges, Record, RetPtrCode, RetPtrData, SealCap,
@@ -131,7 +131,7 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     opc = a + CALL_LEN
     ms_priv, ms_rest = cfg.ms_stk.split(a_stk, e_stk)
     cfg = SourceConfig(cfg.mem, cfg.reg, (StackFrame(
-        opc, ms_priv.set(a_stk, 42)),) + cfg.stk, ms_rest)
+        opc, ms_priv.set(a_stk, CANARY)),) + cfg.stk, ms_rest)
     # the jump writes these registers together with its own, over the
     # pushed frame: not over the configuration ``advance`` got
     out = xjump_result(w1.inner, w2.inner, cfg, ext, gc, {

@@ -761,6 +761,46 @@ def test_diff_fuel_counts_source_steps():
         assert disagree == ([] if check else list(range(38, 60)))
 
 
+def _source_stack_word(cfg, a):
+    """The source's word at stack address ``a``: from ``ms_stk``, else
+    from the frame that holds it (None when no region does)."""
+    for ms in (cfg.ms_stk, *(f.ms for f in cfg.stk)):
+        if a in ms:
+            return ms[a]
+    return None
+
+
+def test_calls_and_returns_leave_the_same_stack():
+    # at each step where the source's frames grow or shrink, the target,
+    # 14 steps further per call and 10 per return so far, is at the same
+    # pc and holds the same word at every stack address: the canary and
+    # the split, sealed and spliced stack of the call macro agree with
+    # the source's atomic call and return
+    points = 0
+    for name, t, ctx in corpus():
+        gc, cfgs = harness.diff_start(t, ctx, STK_BASE, STK_END)
+        if run_report(cfgs["source"], "source", gc, 2000).outcome != "halted":
+            continue
+        trg, at = iter(Run(cfgs["target"], "target", gc, 4000)), 0
+        frames = calls = returns = 0
+        for k, (src, _, _) in enumerate(Run(cfgs["source"], "source", gc,
+                                            2000)):
+            if len(src.stk) == frames:
+                continue
+            calls += len(src.stk) > frames
+            returns += len(src.stk) < frames
+            frames = len(src.stk)
+            j = k + 14 * calls + 10 * returns
+            trg_cfg = next(itertools.islice(trg, j - at, None))[0]
+            at = j + 1
+            assert trg_cfg.reg[PC].addr == src.reg[PC].addr, (name, k)
+            for a in range(STK_BASE, STK_END + 1):
+                assert _source_stack_word(src, a) == trg_cfg.mem.get(a), \
+                    (name, k, a)
+            points += 1
+    assert points == 18
+
+
 def test_run_refuses_an_unknown_machine_kind():
     # a kind is "source" or "target", spelled so: any other is refused
     # before a step, by Run and by both of its consumers
