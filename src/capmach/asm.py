@@ -92,6 +92,14 @@ def expand_scall(params: CallParams, stk_base: int,
                         params.r1, params.r2, stk_base, check_stk_base)
 
 
+@functools.lru_cache(maxsize=256)
+def _call_images(params: CallParams, stk_base: int,
+                 check_stk_base: bool) -> tuple:
+    """The 26 images of ``expand_scall``, memoized by its arguments."""
+    return tuple(map(enc_instr,
+                     expand_scall(params, stk_base, check_stk_base)))
+
+
 @functools.lru_cache(maxsize=16)
 def _fixed_parts(stk_base, check_stk_base=True):
     """Each instruction of the call expansion that no parameter changes,
@@ -222,6 +230,13 @@ def _operands(parts, names: str):
     return parts[1:]
 
 
+@functools.lru_cache(maxsize=4096)
+def _image(op: str, args: tuple) -> int:
+    """The image of instruction ``op args``, memoized by its opcode and
+    resolved operands: never by an address or a line of text."""
+    return enc_instr(mk_instr(op, *args))
+
+
 def assemble(src: str, stk_base: int = 0,
              check_stk_base: bool = True) -> AsmResult:
     """Assemble the textual format into a memory segment.
@@ -278,12 +293,11 @@ def assemble(src: str, stk_base: int = 0,
                     raise ValueError(
                         "call seal must sit at or after the macro")
                 params = CallParams(off_pc, resolve(off_sigma, addr), r1, r2)
-                words = map(enc_instr,
-                            expand_scall(params, stk_base, check_stk_base))
+                words = _call_images(params, stk_base, check_stk_base)
             elif head in OPCODES:
-                words = [enc_instr(mk_instr(head, *[
+                words = [_image(head, tuple(
                     t if is_register(t) else resolve(t, addr)
-                    for t in parts[1:]]))]
+                    for t in parts[1:]))]
             else:
                 raise ValueError(f"unknown instruction {head!r}")
             for a, w in enumerate(words, addr):

@@ -360,8 +360,9 @@ def parse_component(text: str) -> Component:
     code_next = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split(";", 1)[0].strip() if not raw.strip().startswith("[") \
-            else raw.strip()
+        line = raw.strip()
+        if line[:1] != "[":   # a header is read whole, ``;`` and all
+            line = line.partition(";")[0].rstrip()
         if not line:
             continue
         try:

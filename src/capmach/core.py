@@ -182,8 +182,13 @@ _BODY_RE = re.compile(r"[-A-Za-z0-9,()]*\)")
 _LITERAL_NAMES = {cls: name for name, (cls, _) in LITERALS.items()}
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_word(text: str) -> Word:
-    """The word whose repr is ``text``, surrounding blanks aside."""
+    """The word whose repr is ``text``, surrounding blanks aside.
+
+    A bounded memo keyed by the text: words are ints and immutable
+    records, so one can be shared, and a literal that raises is stored
+    nowhere and raises again."""
     text = text.strip()
     if _is_int(text):
         return int(text)
@@ -545,6 +550,7 @@ class GlobalConstants:
 
 _PERM_ENC = {Perm.P0: 0, Perm.R: 1, Perm.RW: 2, Perm.RX: 3, Perm.RWX: 4}
 _PERM_DEC = {v: k for k, v in _PERM_ENC.items()}
+_P0 = Perm.P0
 
 
 def enc_perm(p: Perm) -> int:
@@ -553,11 +559,11 @@ def enc_perm(p: Perm) -> int:
 
 def dec_perm(n: int) -> Perm:
     # Total: anything outside the table decodes to the bottom permission.
-    return _PERM_DEC.get(n, Perm.P0)
+    return _PERM_DEC.get(n, _P0)
 
 
 def enc_lin(l: Lin) -> int:
-    return 1 if l is Lin.LINEAR else 0
+    return 1 if l is _LINEAR else 0
 
 
 TYPE_INT = 0

@@ -36,11 +36,11 @@ from dataclasses import dataclass
 
 from .asm import CALL_HEAD
 from .core import (
-    EXEC_PERMS, OPCODES, PC, RDATA, READ_PERMS, WRITE_PERMS,
-    GlobalConstants, Instr, Lin, MemCap, Record, RetPtrCode, RetPtrData,
-    SealCap, Sealed, StkPtr, dec_instr, dec_perm, enc_lin, enc_perm, enc_type,
-    is_linear, is_sealable, lin_cons, linear_range, non_exec, perm_leq,
-    within_bounds,
+    _LINEAR, _NORMAL, EXEC_PERMS, OPCODES, PC, RDATA, READ_PERMS,
+    WRITE_PERMS, GlobalConstants, Instr, MemCap, Record, RetPtrCode,
+    RetPtrData, SealCap, Sealed, StkPtr, dec_instr, dec_perm, enc_lin,
+    enc_perm, enc_type, is_linear, is_sealable, lin_cons, linear_range,
+    non_exec, perm_leq, within_bounds,
 )
 
 
@@ -178,7 +178,7 @@ def exec_getp(cfg, ext, gc, r1, r2):
 
 
 def exec_getlin(cfg, ext, gc, r1, r2):
-    lin = Lin.LINEAR if is_linear(cfg.reg[r2]) else Lin.NORMAL
+    lin = _LINEAR if is_linear(cfg.reg[r2]) else _NORMAL
     return {r1: enc_lin(lin)}
 
 

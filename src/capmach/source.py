@@ -15,13 +15,17 @@ from collections import namedtuple
 
 from .asm import CALL_LEN, CANARY, CallParams, call_cond
 from .core import (
-    PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2, GlobalConstants, Lin,
-    Memory, MemCap, Perm, Ranges, Record, RetPtrCode, RetPtrData, SealCap,
-    Sealed, StkPtr, lin_cons, non_exec,
+    _NORMAL, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2,
+    GlobalConstants, Memory, MemCap, Perm, Ranges, Record, RetPtrCode,
+    RetPtrData, SealCap, Sealed, StkPtr, lin_cons, non_exec,
 )
 from .machine import (
     FAILED, MachineExtension, Running, xjump_result,
 )
+
+# module constants: ``Perm.RW`` is a slow class-attribute lookup, and a
+# call and a return each make several
+_RW, _RX = Perm.RW, Perm.RX
 
 
 class StackFrame(Record, namedtuple("StackFrame", "opc ms")):
@@ -61,7 +65,7 @@ class SourceExtension(MachineExtension):
             return None
         # rstk as the jump left it: the atomic call writes it
         rstk = updates.get(RSTK, cfg.reg[RSTK])
-        if not (isinstance(rstk, StkPtr) and rstk.perm == Perm.RW):
+        if not (isinstance(rstk, StkPtr) and rstk.perm == _RW):
             return FAILED
         e_stk = rstk.end
         if not (rstk.base == gc.stk_base and gc.stk_base <= e_stk):
@@ -79,9 +83,9 @@ class SourceExtension(MachineExtension):
         cfg = SourceConfig(cfg.mem, cfg.reg, cfg.stk[1:],
                            cfg.ms_stk.update(frame.ms))
         updates.update({
-            PC: MemCap(Perm.RX, Lin.NORMAL, c1.base, c1.end, c1.addr),
+            PC: MemCap(_RX, _NORMAL, c1.base, c1.end, c1.addr),
             RDATA: 0,
-            RSTK: StkPtr(Perm.RW, gc.stk_base, e_priv, a_stk),
+            RSTK: StkPtr(_RW, gc.stk_base, e_priv, a_stk),
             RTMP1: 0,
             RTMP2: 0,
         })
@@ -111,7 +115,7 @@ def exec_call(cfg: SourceConfig, params: CallParams,
             and w1.sigma == w2.sigma and non_exec(w2.inner)):
         return FAILED
     rstk = cfg.reg[RSTK]
-    if not (isinstance(rstk, StkPtr) and rstk.perm == Perm.RW
+    if not (isinstance(rstk, StkPtr) and rstk.perm == _RW
             and rstk.base < rstk.addr <= rstk.end):
         return FAILED
     a_stk, e_stk = rstk.addr, rstk.end
@@ -137,7 +141,7 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     out = xjump_result(w1.inner, w2.inner, cfg, ext, gc, {
         r1: lin_cons(w1),
         r2: lin_cons(w2),
-        RSTK: StkPtr(Perm.RW, rstk.base, a_stk - 1, a_stk - 1),
+        RSTK: StkPtr(_RW, rstk.base, a_stk - 1, a_stk - 1),
         RRETCODE: Sealed(sigma, RetPtrCode(pc.base, pc.end, opc)),
         RRETDATA: Sealed(sigma, RetPtrData(a_stk, e_stk)),
         RTMP1: 0,

@@ -321,6 +321,17 @@ def test_word_literals_roundtrip_every_kind(w):
     assert parse_word(repr(w)) == w
 
 
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(st.integers(), _SEALABLE,
+                 st.builds(Sealed, st.integers(), _SEALABLE)))
+def test_word_memo_matches_a_fresh_parse(w):
+    # the memo hands out the word a fresh parse builds, of the same type
+    text = repr(w)
+    memo, fresh = parse_word(text), parse_word.__wrapped__(text)
+    assert memo == fresh and type(memo) is type(fresh) is type(w)
+    assert parse_word(text) is memo
+
+
 def test_assemble_basics():
     r = assemble("""
     .org 10
@@ -399,6 +410,22 @@ _ASM_ERRORS = [
 def test_assemble_errors():
     # every error names its line once, whichever pass finds it
     for src, message in _ASM_ERRORS:
+        with pytest.raises(AsmError) as e:
+            assemble(src, stk_base=1000)
+        assert str(e.value) == message, src
+
+
+def test_assemble_errors_every_time():
+    # the image memos store no error: a bad operand or call raises at
+    # every assembly, at the line that holds it
+    for src, message in [
+            ("jmp 5", "line 1: jmp: 5 is not a register"),
+            ("jmp 5", "line 1: jmp: 5 is not a register"),
+            ("halt\njmp 5", "line 2: jmp: 5 is not a register"),
+            ("s: call s 0 rtmp1 r2",
+             "line 1: call operands may not be rtmp1 or pc"),
+            ("halt\ns: call s 0 rtmp1 r2",
+             "line 2: call operands may not be rtmp1 or pc")]:
         with pytest.raises(AsmError) as e:
             assemble(src, stk_base=1000)
         assert str(e.value) == message, src

@@ -378,6 +378,27 @@ clo\tsealed(5,cap(rx,normal,100,101,100))
     assert diags(c) == []
 
 
+def test_container_comments():
+    # a content line loses its comment, and a line left empty is skipped
+    c = parse_component("; top\n  [data]  \n  300\t7 ; seven\n  ;\n"
+                        "301\t8;\n[main]\n0 ;a\n  1\n")
+    assert c.ms_data == {300: 7, 301: 8} and c.mains == (0, 1)
+
+
+def test_bad_literal_raises_at_every_line():
+    # the word memo stores no error: a malformed literal raises at each
+    # parse, and at each line that holds it
+    bad = "cap(rw,normal,1,2,3"
+    message = f"bad word literal: {bad!r}"
+    for _ in range(2):
+        with pytest.raises(ValueError) as e:
+            parse_component(f"[code base=100]\n0\n{bad}\n")
+        assert str(e.value) == f"line 3: {message}"
+    with pytest.raises(ValueError) as e:
+        parse_component(f"[data]\n300\t7\n[main]\n0\n{bad}\n")
+    assert str(e.value) == f"line 5: {message}"
+
+
 @pytest.mark.parametrize("section, bad", [
     ("[code base=100]", "cap(rw,normal,1,2)"),
     ("[data]", "300\tint:0"),
@@ -398,6 +419,7 @@ clo\tsealed(5,cap(rx,normal,100,101,100))
     ("[data]", "[data extra]"),
     ("[data]", "[main extra]"),
     ("[data]", "[bogus]"),
+    ("[data]", "[data] ; x"),
     # an int is digits with an optional minus
     ("[data]", "[code base=+100]"),
     ("[data]", "+301\t7"),
