@@ -404,28 +404,19 @@ _ASM_ERRORS = [
     (".seal 1 1_0 1", "line 1: bad int '1_0'"),
     (".word seal(+1,1,1)", "line 1: bad word literal: 'seal(+1,1,1)'"),
     ("x: move r0 x+\u0663", "line 1: bad int 'x+\u0663'"),
+    # the image memos key no line: each error keeps its own
+    ("jmp 5", "line 1: jmp: 5 is not a register"),
+    ("halt\njmp 5", "line 2: jmp: 5 is not a register"),
+    ("s: call s 0 rtmp1 r2", "line 1: call operands may not be rtmp1 or pc"),
+    ("halt\ns: call s 0 rtmp1 r2",
+     "line 2: call operands may not be rtmp1 or pc"),
 ]
 
 
 def test_assemble_errors():
-    # every error names its line once, whichever pass finds it
-    for src, message in _ASM_ERRORS:
-        with pytest.raises(AsmError) as e:
-            assemble(src, stk_base=1000)
-        assert str(e.value) == message, src
-
-
-def test_assemble_errors_every_time():
-    # the image memos store no error: a bad operand or call raises at
-    # every assembly, at the line that holds it
-    for src, message in [
-            ("jmp 5", "line 1: jmp: 5 is not a register"),
-            ("jmp 5", "line 1: jmp: 5 is not a register"),
-            ("halt\njmp 5", "line 2: jmp: 5 is not a register"),
-            ("s: call s 0 rtmp1 r2",
-             "line 1: call operands may not be rtmp1 or pc"),
-            ("halt\ns: call s 0 rtmp1 r2",
-             "line 2: call operands may not be rtmp1 or pc")]:
+    # every error names its line once, whichever pass finds it, and at
+    # every assembly: the memos store no error
+    for src, message in _ASM_ERRORS * 2:
         with pytest.raises(AsmError) as e:
             assemble(src, stk_base=1000)
         assert str(e.value) == message, src
