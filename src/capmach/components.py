@@ -9,7 +9,7 @@ hand out linear capabilities over; the three sets are ``Ranges``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .asm import CALL_HEAD, CALL_LEN, call_cond, find_hidden_calls
@@ -220,6 +220,26 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
                 _diag(out, "comp", f"main {which}", "main word not exported")
 
     return out
+
+
+@lru_cache(maxsize=256)
+def _verdict(key: tuple) -> tuple:
+    """``validate_component``'s diagnostics for the component and the
+    global constants that ``key`` spells out, rebuilt from it, so
+    nothing outside the key reaches validation.  No exception is kept."""
+    code, data, *fields, gc = key
+    return tuple(validate_component(
+        Component(dict(code), dict(data), *fields), gc))
+
+
+def diagnostics(c: Component, gc: GlobalConstants) -> list:
+    """``validate_component(c, gc)`` as a new list, run once per
+    distinct content: the memo's key, built at every call, holds every
+    cell, field and constant that validation reads, so a cell changed
+    in place misses it."""
+    return list(_verdict((tuple(c.ms_code.items()), tuple(c.ms_data.items()),
+                          c.imports, c.exports, c.sig_ret, c.sig_clos,
+                          c.a_linear, c.mains, gc)))
 
 
 # ---------------------------------------------------------------------------

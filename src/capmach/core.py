@@ -61,14 +61,6 @@ WRITE_PERMS = (Perm.RWX, Perm.RW)
 EXEC_PERMS = (Perm.RWX, Perm.RX)
 
 
-def read_allowed(p: Perm) -> bool:
-    return p in READ_PERMS
-
-
-def write_allowed(p: Perm) -> bool:
-    return p in WRITE_PERMS
-
-
 class Record(tuple):
     """Base of the immutable records below: a tuple whose fields are
     named through ``namedtuple``.  A record equals only a record of its

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .asm import assemble
 from .components import Component
-from .core import GlobalConstants, Lin, MemCap, Perm, Sealed
+from .core import Lin, MemCap, Perm, Sealed
 from .harness import DiffVerdict, run_diff
 
 STK_BASE = 1000
@@ -25,10 +25,6 @@ C_CODE = 500
 C_DATA = 700
 
 _MAIN = ("main_code", "main_data")
-
-
-def std_gc(trusted: Component, check_stk_base: bool = True) -> GlobalConstants:
-    return GlobalConstants(trusted.ms_code, STK_BASE, check_stk_base)
 
 
 def component(base: int, text: str, data=None, *, ret=(), clos=(),

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .asm import CALL_LEN, RET_PT_OFFSET
-from .components import Component, initial_config, link, \
-    validate_component
+from .components import Component, diagnostics, initial_config, link
 from .core import _NORMAL, PC, GlobalConstants, MemCap, Memory, \
     dec_instr, linear_overlaps, linear_range
 from .machine import NULL_EXTENSION, Running, advance
@@ -315,10 +314,11 @@ def diff_start(trusted: Component, context: Component, b_stk: int,
     """``(gc, cfgs)``: a diff run's global constants, which trust the
     trusted component's code, and ``cfgs``, the linked program's initial
     configuration per machine kind.  ``validate`` first checks both
-    components, and raises ``ValidationFailure`` on a diagnostic."""
+    components, each distinct one once per process (``diagnostics``),
+    and raises ``ValidationFailure`` on a diagnostic."""
     gc = GlobalConstants(trusted.ms_code, b_stk, check_stk_base)
     if validate:
-        diags = validate_component(trusted, gc) + validate_component(context, gc)
+        diags = diagnostics(trusted, gc) + diagnostics(context, gc)
         if diags:
             raise ValidationFailure(diags)
     prog = link(trusted, context)

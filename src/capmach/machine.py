@@ -352,6 +352,8 @@ def xjump_result(c1, c2, cfg, ext, gc, updates: dict):
 def exec_xjmp(cfg, ext, gc, r1, r2):
     w1 = cfg.reg[r1]
     w2 = cfg.reg[r2]
+    if r1 == r2 and is_linear(w1):   # one linear word cannot be both halves
+        return FAILED
     if (isinstance(w1, Sealed) and isinstance(w2, Sealed)
             and w1.sigma == w2.sigma):
         # The registers keep the sealed words, as under the atomic call

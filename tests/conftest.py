@@ -1,9 +1,16 @@
 from capmach.core import (
     GlobalConstants, Lin, Memory, MemCap, Perm, fresh_registers,
 )
+from capmach.fixtures import STK_BASE
 from capmach.source import SourceConfig
 
 NOWHERE = GlobalConstants(frozenset(), 0)
+
+
+def std_gc(trusted, check_stk_base=True):
+    """The global constants a fixture's diff runs under: its trusted
+    side's code is trusted, and the stack starts at ``STK_BASE``."""
+    return GlobalConstants(trusted.ms_code, STK_BASE, check_stk_base)
 
 
 def rx(b, e, a):

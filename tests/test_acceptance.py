@@ -18,18 +18,18 @@ from capmach.asm import (
 )
 from capmach.components import Component, LinkError, link, validate_component
 from capmach.core import (
-    INF, OPCODES, REGISTERS, GlobalConstants, Lin, MemCap, Perm, SealCap,
-    StkPtr, dec_instr, dec_perm, enc_instr, enc_perm, mk_instr, perm_leq,
-    read_allowed, write_allowed,
+    INF, OPCODES, READ_PERMS, REGISTERS, WRITE_PERMS, GlobalConstants, Lin,
+    MemCap, Perm, SealCap, StkPtr, dec_instr, dec_perm, enc_instr,
+    enc_perm, mk_instr, perm_leq,
 )
 from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
-    scenario_second_stack, std_gc, trusted_one_call,
+    scenario_second_stack, trusted_one_call,
 )
 from capmach.harness import ValidationFailure, run_diff, visible_observations
 from capmach.machine import Running, exec_instr, NULL_EXTENSION
 from capmach.source import SOURCE_EXTENSION
-from conftest import NOWHERE, scfg, tcfg
+from conftest import NOWHERE, scfg, std_gc, tcfg
 
 RNG_SEED = 20260826
 
@@ -93,10 +93,10 @@ def test_criterion_2_lattice_laws():
     for p in perms:
         for q in perms:
             if perm_leq(p, q):
-                if write_allowed(p):
-                    assert write_allowed(q)
-                if read_allowed(p):
-                    assert read_allowed(q)
+                if p in WRITE_PERMS:
+                    assert q in WRITE_PERMS
+                if p in READ_PERMS:
+                    assert q in READ_PERMS
 
 
 def _exec(cfg, ext, op, *args):

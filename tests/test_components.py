@@ -5,8 +5,9 @@ import pytest
 
 from capmach.asm import assemble
 from capmach.components import (
-    Component, ConfigError, LinkError, format_component, initial_config,
-    link, parse_component, validate_component,
+    Component, ConfigError, LinkError, _verdict, diagnostics,
+    format_component, initial_config, link, parse_component,
+    validate_component,
 )
 from capmach.core import (
     INF, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, SealCap, Sealed,
@@ -14,9 +15,11 @@ from capmach.core import (
 )
 from capmach.fixtures import (
     C_CODE, C_DATA, SCENARIOS, STK_BASE, STK_END, component, context_cb,
-    corpus, std_gc, trusted_one_call,
+    corpus, trusted_one_call,
 )
+from capmach.harness import ValidationFailure, diff_start
 from capmach.source import SourceConfig
+from conftest import std_gc
 
 HALT = enc_instr(mk_instr("halt"))
 
@@ -256,6 +259,72 @@ def test_corpus_validates_clean():
         gc = std_gc(t)
         assert validate_component(t, gc) == [], name
         assert validate_component(ctx, gc) == [], name
+
+
+def test_diagnostics_match_validation():
+    # the memo's verdict is validate_component's, for every corpus and
+    # scenario component under the constants its diff runs with, read
+    # cold or warm; and a returned list is the caller's own
+    pairs = [(t, ctx, std_gc(t)) for _, t, ctx in corpus()]
+    for name, fn in SCENARIOS.items():
+        t, ctx = fn().components
+        pairs.append((t, ctx, std_gc(t, name != "second-stack-nocheck")))
+    _verdict.cache_clear()
+    for t, ctx, gc in pairs:
+        for c in (t, ctx, simple_trusted()):
+            want = validate_component(c, gc)
+            got = diagnostics(c, gc)
+            got.append("x")
+            assert diagnostics(c, gc) == want, format_component(c)
+        diff_start(t, ctx, STK_BASE, STK_END, gc.check_stk_base)
+
+
+def _diff_diagnostics(t, ctx, *args):
+    """The diagnostics ``diff_start`` raises, and the memo's misses."""
+    misses = _verdict.cache_info().misses
+    try:
+        diff_start(t, ctx, *args)
+        diags = []
+    except ValidationFailure as e:
+        diags = e.diagnostics
+    return diags, _verdict.cache_info().misses - misses
+
+
+def test_diagnostics_memo_misses_new_content():
+    t, ctx = trusted_one_call(), context_cb("  halt")
+    _verdict.cache_clear()
+    assert _diff_diagnostics(t, ctx, STK_BASE, STK_END) == ([], 2)
+    assert _diff_diagnostics(t, ctx, STK_BASE, STK_END) == ([], 0)
+    # the same components under other constants: validated anew
+    for gc in (std_gc(t, False), GlobalConstants(t.ms_code, STK_BASE + 64)):
+        want = validate_component(t, gc) + validate_component(ctx, gc)
+        assert _diff_diagnostics(t, ctx, gc.stk_base, gc.stk_base + 63,
+                                 gc.check_stk_base) == (want, 2)
+    assert want   # no call macro matches at the other stack base
+    # a cell changed in place after a validated diff: the context alone
+    # is validated anew, and its diagnostics follow the trusted side's
+    pad = min(ctx.ms_code)
+    ctx.ms_code[pad] = 7
+    want = validate_component(ctx, std_gc(t))
+    assert any("guard pads must be 0" in d for d in want)
+    assert _diff_diagnostics(t, ctx, STK_BASE, STK_END) == (want, 1)
+    with pytest.raises(ValidationFailure) as e:
+        diff_start(t, ctx, STK_BASE, STK_END)
+    e.value.diagnostics.append("x")
+    assert _diff_diagnostics(t, ctx, STK_BASE, STK_END) == (want, 0)
+    t.ms_code[min(t.ms_code)] = 7
+    bad_t = validate_component(t, std_gc(t))
+    assert _diff_diagnostics(t, ctx, STK_BASE, STK_END) == (bad_t + want, 1)
+    ctx.ms_code[pad] = 0   # the context as first validated: a hit
+    assert _diff_diagnostics(t, ctx, STK_BASE, STK_END) == (bad_t, 0)
+
+
+def test_diagnostics_memo_is_bounded():
+    bound = _verdict.cache_info().maxsize
+    gc = gc_for(simple_trusted().ms_code)
+    for i in range(bound + 44):
+        assert diagnostics(simple_trusted(ms_data={300: i}), gc) == []
+    assert _verdict.cache_info().currsize == bound == 256
 
 
 def test_component_closure_specs():

@@ -8,8 +8,8 @@ from capmach.core import (
     Memory, MemCap, Perm, Ranges, RetPtrCode, RetPtrData, SealCap, Sealed,
     StkPtr, TYPE_INT, TYPE_MEMCAP, TYPE_SEAL, TYPE_SEALED,
     dec_instr, dec_perm, enc_instr, enc_lin, enc_perm, enc_type, is_exec,
-    is_linear, lin_cons, mk_instr, perm_leq, read_allowed, within_bounds,
-    write_allowed, OPCODES, IMM_RANGE, EncodingError, fresh_registers,
+    is_linear, lin_cons, mk_instr, perm_leq, within_bounds, OPCODES,
+    IMM_RANGE, EncodingError, fresh_registers,
 )
 from capmach.machine import FAILED, NULL_EXTENSION, Running, exec_instr
 from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
@@ -39,10 +39,10 @@ def test_perm_leq_partial_order():
 
 
 def test_allowed_sets():
-    assert read_allowed(Perm.R)
-    assert not read_allowed(Perm.P0)
-    assert not write_allowed(Perm.RX)
-    assert write_allowed(Perm.RW)
+    assert Perm.R in READ_PERMS
+    assert Perm.P0 not in READ_PERMS
+    assert Perm.RX not in WRITE_PERMS
+    assert Perm.RW in WRITE_PERMS
     # the sets the machine tests: what each permission's letters grant
     for perms, letter in ((READ_PERMS, "r"), (WRITE_PERMS, "w"),
                           (EXEC_PERMS, "x")):
@@ -52,10 +52,10 @@ def test_allowed_sets():
     for p in PERMS:
         for q in PERMS:
             if perm_leq(p, q):
-                if write_allowed(p):
-                    assert write_allowed(q)
-                if read_allowed(p):
-                    assert read_allowed(q)
+                if p in WRITE_PERMS:
+                    assert q in WRITE_PERMS
+                if p in READ_PERMS:
+                    assert q in READ_PERMS
 
 
 def test_is_exec_shapes():

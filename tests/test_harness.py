@@ -75,6 +75,19 @@ sealw: .seal 1 3 1
     assert (v.target.outcome, v.target.steps) == ("halted", 11 + 24 * 2)
 
 
+def test_xjmp_one_linear_word_as_both_halves_fails():
+    # the callback jumps with its sealed linear return data in both
+    # operands: the step fails on both machines, and no register ever
+    # holds a copy of it (the target once put it in pc and rdata)
+    ctx = context_cb("  xjmp rretdata rretdata")
+    for name, steps in (("call-return", (6, 20)), ("stack-locals", (9, 23))):
+        t, _ = dict(fixtures.CORPUS)[name]()
+        v = run_diff(t, ctx, STK_BASE, STK_END, fuel=300, paranoid=True)
+        assert [(r.outcome, r.steps, r.violations)
+                for r in (v.source, v.target)] == \
+            [("failed", steps[0], []), ("failed", steps[1], [])], name
+
+
 def test_scenarios_as_expected():
     for name, fn in SCENARIOS.items():
         r = fn()

@@ -299,6 +299,15 @@ def test_xjmp():
     assert ex(tcfg(pc=pc, r1=Sealed(3, code), r2=Sealed(3, code)),
               "xjmp", "r1", "r2") is FAILED  # executable data half
     assert ex(tcfg(pc=pc, r1=code, r2=data), "xjmp", "r1", "r2") is FAILED
+    # one register for both halves: a normal word may be both, but a
+    # linear one would be written into pc and rdata at once
+    r = regs_after(ex(tcfg(pc=pc, r1=Sealed(3, data)), "xjmp", "r1", "r1"))
+    assert r["pc"] == r["rdata"] == data and r["r1"] == Sealed(3, data)
+    lin = rw(40, 50, 40, Lin.LINEAR)
+    for ext, w in ((NULL_EXTENSION, lin), (SOURCE_EXTENSION, lin),
+                   (SOURCE_EXTENSION, StkPtr(Perm.RW, 40, 50, 40))):
+        assert exec_instr(mk_instr("xjmp", "r1", "r1"),
+                          tcfg(pc=pc, r1=Sealed(3, w)), ext, NOWHERE) is FAILED
 
 
 def test_target_refuses_stack_pointers():

@@ -1,4 +1,4 @@
-from conftest import rw, rx, scfg
+from conftest import rw, rx, scfg, std_gc
 
 from capmach.asm import CALL_LEN, CallParams, expand_scall
 from capmach.components import initial_config, link
@@ -6,7 +6,7 @@ from capmach.core import (
     INF, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
     RetPtrData, SealCap, Sealed, StkPtr, enc_instr, enc_perm, mk_instr,
 )
-from capmach.fixtures import STK_BASE, STK_END, corpus, std_gc
+from capmach.fixtures import STK_BASE, STK_END, corpus
 from capmach.harness import check_stack_partition, run_report
 from capmach.machine import FAILED, Running, as_running, exec_instr, step
 from capmach.source import SOURCE_EXTENSION, StackFrame, exec_call

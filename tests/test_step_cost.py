@@ -6,7 +6,7 @@ import gc
 import sys
 
 from capmach import fixtures
-from capmach.components import format_component, parse_component
+from capmach.components import _verdict, format_component, parse_component
 from capmach.harness import diff_start, run_report
 
 # r0 cells of the callback's stack: store r4 into each, going down,
@@ -118,3 +118,23 @@ def test_parse_calls_per_line():
         lambda: [parse_component(text) for text in texts])
     assert (len(texts), lines, again) == (20, 534, parsed)
     assert calls / lines <= 1.5, calls / lines
+
+
+def test_warm_diff_start_calls():
+    # a warm diff_start on parsed containers, as ``capmach diff`` reads
+    # them, builds each side's memo key and hits: 105 calls on
+    # deep-trusted with Python 3.11 (68 with validate=False; the rest
+    # hash and compare the two keys), against 229 when both sides are
+    # validated anew, as a key that always missed would have them
+    t, ctx = (format_component(c) for c in
+              dict(fixtures.CORPUS)["deep-trusted"]())
+    # the stored keys are this test's, whose words parse_word shares
+    _verdict.cache_clear()
+    first = diff_start(parse_component(t), parse_component(ctx),
+                       fixtures.STK_BASE, fixtures.STK_END)
+    args = (parse_component(t), parse_component(ctx), fixtures.STK_BASE,
+            fixtures.STK_END)
+    calls, again = _count_calls(lambda: diff_start(*args))
+    hits, misses = _verdict.cache_info()[:2]
+    assert (hits, misses, again) == (2, 2, first)
+    assert calls <= 115, calls
