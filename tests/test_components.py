@@ -271,8 +271,10 @@ def test_diagnostics_match_validation():
         pairs.append((t, ctx, std_gc(t, name != "second-stack-nocheck")))
     _verdict.cache_clear()
     for t, ctx, gc in pairs:
-        for c in (t, ctx, simple_trusted()):
+        bad = replace(ctx, ms_code={**ctx.ms_code, min(ctx.ms_code): 7})
+        for c in (t, ctx, bad):
             want = validate_component(c, gc)
+            assert bool(want) == (c is bad)
             got = diagnostics(c, gc)
             got.append("x")
             assert diagnostics(c, gc) == want, format_component(c)
