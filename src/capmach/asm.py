@@ -1,4 +1,4 @@
-"""Assembler, disassembler, the secure-call macro, hidden-call detection.
+"""Assembler, the secure-call macro, hidden-call detection.
 
 The call macro expands to a fixed 26-instruction sequence; the source
 machine recognizes that exact sequence in memory (see ``call_cond``) and
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    INF, OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1,
+    OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1,
     RTMP2, Instr, SealCap, _bound, dec_instr, enc_instr, is_register,
     mk_instr, parse_int, parse_word,
 )
@@ -307,33 +307,3 @@ def assemble(src: str, stk_base: int = 0,
     except ValueError as e:
         raise AsmError(f"line {n}: {e}") from None
     return AsmResult(seg, labels)
-
-
-def disassemble(seg, stk_base: Optional[int] = None,
-                check_stk_base: bool = True) -> str:
-    """Per-cell decode of a memory segment.
-
-    Call-macro runs are folded to one ``call`` line when ``stk_base``
-    is supplied; words with no instruction reading print as data.
-    """
-    lines = []
-    end = -INF      # the first address after the last line
-    for a in sorted(seg):
-        if a < end:     # a cell of a folded call
-            continue
-        if a != end:
-            lines.append(f".org {a}")
-        p = None if stk_base is None else \
-            call_cond(seg, a, stk_base, check_stk_base)
-        if p is not None:
-            lines.append(f"call {p.off_pc} {p.off_sigma} {p.r1} {p.r2}")
-            end = a + CALL_LEN
-            continue
-        w = seg[a]
-        instr = dec_instr(w)
-        if isinstance(w, int) and w == enc_instr(instr):
-            lines.append(repr(instr))
-        else:
-            lines.append(f".word {w!r}")
-        end = a + 1
-    return "\n".join(lines) + "\n"

@@ -65,18 +65,6 @@ def _owners(name: str, cells: dict) -> dict:
             if not isinstance(w, int) and (r := linear_range(w))}
 
 
-def check_linearity(cfg) -> list:
-    """``(addr, earlier, later)`` for each linear capability that shares
-    an address with another one anywhere in a configuration: registers,
-    memory, stack memory and saved frames (see ``core.linear_overlaps``)."""
-    owners = [o for i, f in enumerate(cfg.stk)
-              for o in _owners(f"frame {i} addr", f.ms.written).values()]
-    for name, cells in (("reg", cfg.reg), ("mem", cfg.mem.written),
-                        ("stk", cfg.ms_stk.written)):
-        owners += _owners(name, cells).values()
-    return linear_overlaps(owners)
-
-
 def check_stack_partition(cfg: SourceConfig) -> list:
     """The stack regions ``ms_stk``, frame 0, frame 1, ... rise
     strictly, which makes them disjoint, and none shares an address with
@@ -101,8 +89,10 @@ _NOTHING = SourceConfig(Memory(), {})   # no registers, cells or frames
 
 
 class _Invariants:
-    """Both checks over the configurations of one run, kept up to date
-    step by step at the cost of what each step wrote.
+    """The linearity check (``core.linear_overlaps`` of the linear words
+    in the registers, memory, stack memory and saved frames) and the
+    stack-partition check over the configurations of one run, kept up to
+    date step by step at the cost of what each step wrote.
 
     The first configuration is scanned whole, as a step from one with
     nothing in it, into a table of linear owners per place.  A step that
@@ -124,11 +114,11 @@ class _Invariants:
                 *self.frame_owners]
 
     def at(self, cfg, wrote, cell=None):
-        """``(check_linearity(cfg), check_stack_partition(cfg))`` for a
-        configuration that follows the last one asked about; ``wrote``
-        names every register whose word is not the same object as there
-        (registers are never removed), and ``cell`` (see ``Running``) the
-        one such cell of a memory that is.  ``cfg`` may be the last one,
+        """``(overlaps, check_stack_partition(cfg))`` for a configuration
+        that follows the last one asked about; ``wrote`` names every
+        register whose word is not the same object as there (registers
+        are never removed), and ``cell`` (see ``Running``) the one such
+        cell of a memory that is.  ``cfg`` may be the last one,
         or share its registers and memories, written in place since.  An
         int or a normal memory capability owns nothing, and is told apart
         with no call (the test ``core.lin_cons`` makes first)."""
@@ -344,30 +334,3 @@ def run_diff(trusted: Component, context: Component,
         f"source {src.outcome} after {src.steps} steps, "
         f"target {trg.outcome} after {trg.steps} steps")
     return DiffVerdict(src, trg, agree, detail)
-
-
-# ---------------------------------------------------------------------------
-# Observations (for round-trip comparisons)
-
-def visible_observations(src_cfg: SourceConfig, trg_cfg: SourceConfig):
-    """(mismatches, shared-int-register map) between two final states.
-
-    Registers compare as ints; capability-shaped values are
-    representation-dependent (token vs capability) and are skipped.
-    Memory compares on the source's domain (the target additionally
-    maps the stack).
-    """
-    mismatches = []
-    ints = {}
-    for r in src_cfg.reg:
-        a, b = src_cfg.reg[r], trg_cfg.reg[r]
-        if isinstance(a, int) or isinstance(b, int):
-            if a != b:
-                mismatches.append(f"reg {r}: {a!r} vs {b!r}")
-            else:
-                ints[r] = a
-    for addr in src_cfg.mem:
-        a, b = src_cfg.mem[addr], trg_cfg.mem.get(addr)
-        if a != b:
-            mismatches.append(f"mem {addr}: {a!r} vs {b!r}")
-    return mismatches, ints

@@ -7,9 +7,9 @@ jnz, xjmp) sets pc: any other instruction that names pc as a register
 it writes decodes to fail.  So writes that name pc are a jump's, and
 ``advance`` adds the next pc to any others, building nothing:
 ``harness.Run``, the one loop over steps, applies them in place, and a
-register-only step is one ``advance`` call plus its handler's.  ``step``
-(``advance``, applied to copies) and ``exec_instr`` (one decoded
-instruction) are the one-step API.
+register-only step is one ``advance`` call plus its handler's.
+``advance`` is the one-step API, and the one place the next-pc rule is
+written.
 
 ``advance`` reads pc's cell from the memory's written cells and
 decodes each distinct word once: a bounded memo keyed by the word
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .asm import CALL_HEAD
 from .core import (
     _LINEAR, _NORMAL, EXEC_PERMS, OPCODES, PC, RDATA, READ_PERMS,
-    WRITE_PERMS, GlobalConstants, Instr, MemCap, Record, RetPtrCode,
+    WRITE_PERMS, GlobalConstants, MemCap, Record, RetPtrCode,
     RetPtrData, SealCap, Sealed, StkPtr, dec_instr, dec_perm, enc_lin,
     enc_perm, enc_type, is_linear, is_sealable, lin_cons, linear_range,
     non_exec, perm_leq, within_bounds,
@@ -72,24 +72,6 @@ HALTED = Halted()
 # Builds a record from its fields without the Python-level ``__new__``
 # that ``namedtuple`` generates: the same class, fields and equality.
 _new = tuple.__new__
-
-
-def as_running(cfg, out):
-    """A step outcome over ``cfg`` as ``step`` returns it: its register
-    writes, alone or a ``Running``'s, applied to a fresh copy of the
-    registers, and a ``Running``'s cell write to a fresh copy of its
-    memory; FAILED and HALTED are returned as they are."""
-    if type(out) is Running:
-        cfg, out, cell = out
-        if cell is not None:
-            m, a, w = cell
-            if m is cfg.mem:
-                cfg = cfg._replace(mem=m.set(a, w))
-            else:
-                cfg = cfg._replace(ms_stk=m.set(a, w))
-    if isinstance(out, dict):
-        return _new(Running, (cfg.with_regs(out), out, None))
-    return out
 
 
 class MachineExtension:
@@ -374,36 +356,16 @@ _WRITES = dict.fromkeys(
 _WRITES.update(store=(1,), split=(0, 1, 2), splice=(0, 1, 2))
 
 
-def _handler(instr: Instr):
-    """(handler name, operands) of ``instr``, or fail's when it names pc
-    as a register it writes: no handler tests for pc."""
+@functools.lru_cache(maxsize=4096)
+def _decode(w):
+    """(handler name, operands) of the word ``w``, once per distinct
+    word; fail's when it names pc as a register it writes: no handler
+    tests for pc."""
+    instr = dec_instr(w)
     args = instr.args
     if any(args[i] == PC for i in _WRITES.get(instr.op, ())):
         return _HANDLER["fail"], ()
     return _HANDLER[instr.op], args
-
-
-@functools.lru_cache(maxsize=4096)
-def _decode(w):
-    """``_handler`` of the word ``w``, once per distinct word."""
-    return _handler(dec_instr(w))
-
-
-def exec_instr(instr: Instr, cfg, ext: MachineExtension, gc: GlobalConstants):
-    """One decoded instruction through the handler table ``step`` uses,
-    as ``step`` returns its outcome.  The handler is looked up in the
-    module's globals on every call, so a wrapped handler is seen.  Writes
-    that do not name pc (a jump's do) gain pc moved to the next cell, or
-    fail when pc is no memory capability: ``advance`` has a fast copy."""
-    name, args = _handler(instr)
-    out = _MODULE[name](cfg, ext, gc, *args)
-    wrote = out.wrote if type(out) is Running else out
-    if type(wrote) is dict and PC not in wrote:
-        pc = cfg.reg[PC]
-        if not isinstance(pc, MemCap):
-            return FAILED
-        wrote[PC] = pc._replace(addr=pc.addr + 1)
-    return as_running(cfg, out)
 
 
 def advance(cfg, ext: MachineExtension = NULL_EXTENSION,
@@ -432,18 +394,11 @@ def advance(cfg, ext: MachineExtension = NULL_EXTENSION,
     # handler is seen.
     name, args = _decode(w)
     out = _MODULE[name](cfg, ext, gc, *args)
-    # ``exec_instr``'s pc rule, over a pc known to be a memory capability
+    # the next-pc rule: writes that do not name pc (a jump's do) gain pc
+    # moved to the next cell
     if type(out) is dict:
         if PC not in out:
             out[PC] = _new(MemCap, (perm, lin, base, end, a + 1))
     elif type(out) is Running and PC not in out[1]:
         out[1][PC] = _new(MemCap, (perm, lin, base, end, a + 1))
     return out
-
-
-def step(cfg, ext: MachineExtension = NULL_EXTENSION,
-         gc: GlobalConstants = None):
-    """One step of ``cfg``: FAILED, HALTED, or a ``Running`` that owns a
-    fresh register dict and a fresh copy of any memory the step wrote.
-    ``cfg`` is not written."""
-    return as_running(cfg, advance(cfg, ext, gc))

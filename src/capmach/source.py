@@ -17,7 +17,7 @@ from .asm import CALL_LEN, CANARY, CallParams, call_cond
 from .core import (
     _NORMAL, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2,
     GlobalConstants, Memory, MemCap, Perm, Ranges, Record, RetPtrCode,
-    RetPtrData, SealCap, Sealed, StkPtr, lin_cons, non_exec,
+    RetPtrData, SealCap, Sealed, StkPtr, lin_cons,
 )
 from .machine import (
     FAILED, MachineExtension, Running, xjump_result,
@@ -41,10 +41,9 @@ class SourceConfig(Record, namedtuple("SourceConfig", "mem reg stk ms_stk",
     call frames innermost first, and the accessible stack memory.
 
     The target keeps its stack in ``mem``, so its ``stk`` and ``ms_stk``
-    stay empty.  ``with_regs``, which every ``step`` and every
-    ``exec_instr`` runs, skips the constructor's Python-level
-    ``__new__``; a run copies its registers and memories once and writes
-    them in place.
+    stay empty.  ``with_regs`` skips the constructor's Python-level
+    ``__new__``; a run copies its registers and memories once, through
+    it, and writes them in place.
     """
 
     __slots__ = ()
@@ -112,7 +111,7 @@ def exec_call(cfg: SourceConfig, params: CallParams,
         return FAILED
     w1, w2 = cfg.reg[r1], cfg.reg[r2]
     if not (isinstance(w1, Sealed) and isinstance(w2, Sealed)
-            and w1.sigma == w2.sigma and non_exec(w2.inner)):
+            and w1.sigma == w2.sigma):
         return FAILED
     rstk = cfg.reg[RSTK]
     if not (isinstance(rstk, StkPtr) and rstk.perm == _RW

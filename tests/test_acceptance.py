@@ -26,10 +26,10 @@ from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
     scenario_second_stack, trusted_one_call,
 )
-from capmach.harness import ValidationFailure, run_diff, visible_observations
-from capmach.machine import Running, exec_instr, NULL_EXTENSION
+from capmach.harness import ValidationFailure, run_diff
+from capmach.machine import Running, NULL_EXTENSION
 from capmach.source import SOURCE_EXTENSION
-from conftest import NOWHERE, scfg, std_gc, tcfg
+from conftest import HALT, ex, scfg, std_gc, tcfg
 
 RNG_SEED = 20260826
 
@@ -99,10 +99,6 @@ def test_criterion_2_lattice_laws():
                     assert q in READ_PERMS
 
 
-def _exec(cfg, ext, op, *args):
-    return exec_instr(mk_instr(op, *args), cfg, ext, NOWHERE)
-
-
 def test_criterion_3_split_splice_duality():
     rng = random.Random(RNG_SEED)
     pc = MemCap(Perm.RX, Lin.NORMAL, 0, 9, 0)
@@ -114,14 +110,15 @@ def test_criterion_3_split_splice_duality():
             cfg, ext = tcfg(pc=pc, r3=cap), NULL_EXTENSION
         b, e = cap.base, cap.end
         if b == e:
-            assert _exec(cfg, ext, "split", "r1", "r2", "r3", b).kind == "failed"
+            out = ex(cfg, "split", "r1", "r2", "r3", b, ext=ext)
+            assert out.kind == "failed"
             continue
         n = rng.randrange(b, e)
-        out = _exec(cfg, ext, "split", "r1", "r2", "r3", n)
+        out = ex(cfg, "split", "r1", "r2", "r3", n, ext=ext)
         assert isinstance(out, Running)
         lo, hi = out.cfg.reg["r1"], out.cfg.reg["r2"]
         cfg2 = cfg.with_regs({"r2": lo, "r3": hi})
-        out2 = _exec(cfg2, ext, "splice", "r1", "r2", "r3")
+        out2 = ex(cfg2, "splice", "r1", "r2", "r3", ext=ext)
         assert isinstance(out2, Running)
         joined = out2.cfg.reg["r1"]
         # the cursor comes from the right half
@@ -133,7 +130,7 @@ def test_criterion_3_split_splice_duality():
             assert joined.addr == hi.addr
         # rejection: halves presented in the wrong order are not adjacent
         bad = cfg.with_regs({"r2": hi, "r3": lo})
-        assert _exec(bad, ext, "splice", "r1", "r2", "r3").kind == "failed"
+        assert ex(bad, "splice", "r1", "r2", "r3", ext=ext).kind == "failed"
 
 
 def test_criterion_4_linearity_induction():
@@ -219,9 +216,12 @@ def test_criterion_6_round_trip_semantics():
     # target: the call costs 15 prologue steps and the return runs the
     # 11-step return code, 24 extra steps in total
     assert v.target.steps == v.source.steps + 24 == 32
-    mism, ints = visible_observations(v.source.final_cfg, v.target.final_cfg)
-    assert mism == []
-    assert ints["r5"] == 7
+    # ints agree in every register, and memory over the source's domain
+    src, trg = v.source.final_cfg, v.target.final_cfg
+    assert all(src.reg[r] == trg.reg[r] for r in src.reg
+               if isinstance(src.reg[r], int) or isinstance(trg.reg[r], int))
+    assert all(src.mem[a] == trg.mem.get(a) for a in src.mem)
+    assert src.reg["r5"] == 7
 
 
 def test_criterion_7_attack_suite():
@@ -246,9 +246,6 @@ def test_criterion_8_differential_corpus():
         v = run_diff(t, ctx, STK_BASE, STK_END, fuel=100_000)
         assert v.agreement, f"{name}: {v.detail}"
     assert time.monotonic() - t0 < 60.0
-
-
-HALT = enc_instr(mk_instr("halt"))
 
 
 def _base():

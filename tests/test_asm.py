@@ -2,12 +2,13 @@ import math
 import random
 
 import pytest
+from conftest import disassemble
 from hypothesis import example, given, settings, strategies as st
 
 from capmach.asm import (
     CALL_LEN, RET_PT_OFFSET, AsmError, CallParams, HiddenCallViolation,
     _call_instrs, _fixed_parts, _parts_of, _word_parts, assemble, call_cond,
-    disassemble, expand_scall, find_hidden_calls,
+    expand_scall, find_hidden_calls,
 )
 from capmach.core import (
     Lin, Memory, MemCap, Perm, Ranges, RetPtrCode, RetPtrData, SealCap,

@@ -11,7 +11,7 @@ from capmach.components import (
 )
 from capmach.core import (
     INF, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, SealCap, Sealed,
-    StkPtr, enc_instr, mk_instr, parse_word,
+    StkPtr, parse_word,
 )
 from capmach.fixtures import (
     C_CODE, C_DATA, SCENARIOS, STK_BASE, STK_END, component, context_cb,
@@ -19,9 +19,7 @@ from capmach.fixtures import (
 )
 from capmach.harness import ValidationFailure, diff_start
 from capmach.source import SourceConfig
-from conftest import std_gc
-
-HALT = enc_instr(mk_instr("halt"))
+from conftest import HALT, std_gc
 
 
 def gc_for(code, stk_base=STK_BASE):

@@ -1,6 +1,7 @@
 import gc
 
 import pytest
+from conftest import ex, tcfg
 from hypothesis import given, settings, strategies as st
 
 from capmach.core import (
@@ -9,9 +10,9 @@ from capmach.core import (
     StkPtr, TYPE_INT, TYPE_MEMCAP, TYPE_SEAL, TYPE_SEALED,
     dec_instr, dec_perm, enc_instr, enc_lin, enc_perm, enc_type, is_exec,
     is_linear, lin_cons, mk_instr, perm_leq, within_bounds, OPCODES,
-    IMM_RANGE, EncodingError, fresh_registers,
+    IMM_RANGE, EncodingError,
 )
-from capmach.machine import FAILED, NULL_EXTENSION, Running, exec_instr
+from capmach.machine import FAILED, NULL_EXTENSION, Running
 from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
 PERMS = list(Perm)
@@ -86,11 +87,9 @@ def test_lin_cons_perm():
     # the paper's linConsPerm premise, as the load applies it: a linear
     # word loads only through a pointer that may write its cell empty
     def load(perm, w, ext=SOURCE_EXTENSION):
-        reg = fresh_registers()
-        reg.update(pc=MemCap(Perm.RX, Lin.NORMAL, 0, 0, 0),
+        cfg = tcfg({5: w}, pc=MemCap(Perm.RX, Lin.NORMAL, 0, 0, 0),
                    r2=MemCap(perm, Lin.NORMAL, 5, 5, 5))
-        return exec_instr(mk_instr("load", "r1", "r2"),
-                          SourceConfig(Memory({5: w}), reg), ext, None)
+        return ex(cfg, "load", "r1", "r2", ext=ext)
 
     assert load(Perm.R, 3).cfg.reg["r1"] == 3
     assert load(Perm.R, MemCap(Perm.RW, Lin.LINEAR, 0, 1, 0)) is FAILED

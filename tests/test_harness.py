@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capmach import cli, harness
-from capmach.asm import assemble, disassemble
+from capmach.asm import assemble
 from capmach.components import (
     format_component, initial_config, link, parse_component,
 )
@@ -29,15 +29,12 @@ from capmach.fixtures import (
     scenario_second_stack, trusted_one_call, trusted_simple,
 )
 from capmach.harness import (
-    Run, check_linearity, check_stack_partition, format_trace, run_diff,
-    run_report,
+    Run, check_stack_partition, format_trace, run_diff, run_report,
 )
-from capmach.machine import (
-    NULL_EXTENSION, Running, advance, as_running, step,
-)
+from capmach.machine import NULL_EXTENSION, Running, advance
 from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
-from conftest import tcfg
+from conftest import as_running, check_linearity, disassemble, step, tcfg
 
 
 def test_corpus_agreement():

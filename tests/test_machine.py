@@ -1,22 +1,16 @@
 from itertools import product
 
-from conftest import NOWHERE, rw, rx, scfg, tcfg
+from conftest import HALT, NOWHERE, enc, ex, rw, rx, scfg, step, tcfg
 from hypothesis import given, settings, strategies as st
 
 from capmach.core import (
     OPCODES, REGISTERS, Instr, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
-    RetPtrData, SealCap, Sealed, StkPtr, dec_instr, enc_instr, enc_lin,
+    RetPtrData, SealCap, Sealed, StkPtr, enc_instr, enc_lin,
     enc_perm, enc_type, mk_instr,
 )
 from capmach.harness import run_report
-from capmach.machine import (
-    FAILED, HALTED, NULL_EXTENSION, Running, exec_instr, step,
-)
+from capmach.machine import FAILED, HALTED, NULL_EXTENSION, Running
 from capmach.source import SOURCE_EXTENSION, SourceConfig
-
-
-def ex(cfg, op, *args):
-    return exec_instr(mk_instr(op, *args), cfg, NULL_EXTENSION, NOWHERE)
 
 
 def regs_after(out):
@@ -25,8 +19,8 @@ def regs_after(out):
 
 
 def test_pc_moves_to_the_next_cell():
-    # exec_instr's pc rule: after a register write or a store, pc moves
-    # to the next cell, and a pc that is no memory capability fails.
+    # the pc rule: after a register write or a store, pc moves to the
+    # next cell, and a pc that is no memory capability fails.
     # Only a jump sets pc: the machine-level tests below pin what writing
     # pc does (a written operand named pc, a jump's target, move from pc).
     out = ex(tcfg(pc=rx(0, 9, 3)), "move", "r1", 7)
@@ -60,14 +54,13 @@ def test_handler_writing_pc_fails():
     # operand is pc fails at step 1 on both machines (a halt follows it);
     # with that operand not pc, the same instruction runs on.
     pc = rx(0, 9, 0)
-    halt = enc_instr(mk_instr("halt"))
     regs = dict(r1=rw(2, 8, 4), r2=SealCap(0, 9, 4), r4=rw(2, 4, 2),
                 r5=rw(5, 8, 5))
     for op, args, written in _WRITERS:
         for at in (None,) + written:
             instr = mk_instr(op, *("pc" if i == at else a
                                    for i, a in enumerate(args)))
-            cfg = scfg({0: enc_instr(instr), 1: halt,
+            cfg = scfg({0: enc_instr(instr), 1: HALT,
                         **{a: a for a in range(2, 9)}}, pc=pc, **regs)
             want = ("halted", 2) if at is None else ("failed", 1)
             for kind in ("source", "target"):
@@ -79,14 +72,13 @@ def test_jump_target_is_checked_at_the_next_step():
     # A jump sets pc to its target as it is: a target that is no
     # executable capability fails at the next step, and a linear RX one
     # runs on.
-    halt = enc_instr(mk_instr("halt"))
     cases = [(5, "failed"), (SealCap(0, 9, 2), "failed"),
              (rw(0, 9, 2), "failed"),
              (MemCap(Perm.RX, Lin.LINEAR, 0, 9, 2), "halted")]
     for jump in (mk_instr("jmp", "r1"), mk_instr("jnz", "r1", "r2")):
         for target, outcome in cases:
-            cfg = scfg({0: enc_instr(jump), 1: enc_instr(mk_instr("fail")),
-                        2: halt}, pc=rx(0, 9, 0), r1=target, r2=1)
+            cfg = scfg({0: enc_instr(jump), 1: enc("fail"),
+                        2: HALT}, pc=rx(0, 9, 0), r1=target, r2=1)
             for kind in ("source", "target"):
                 r = run_report(cfg, kind, NOWHERE, 5)
                 assert (r.outcome, r.steps) == (outcome, 2), (
@@ -97,9 +89,7 @@ def test_store_through_pc():
     # pc is store's pointer operand, which is read, not written: an RWX
     # pc writes its own cell and runs on
     rwx = MemCap(Perm.RWX, Lin.NORMAL, 0, 9, 0)
-    halt = enc_instr(mk_instr("halt"))
-    cfg = scfg({0: enc_instr(mk_instr("store", "pc", "r2")), 1: halt},
-               pc=rwx, r2=7)
+    cfg = scfg({0: enc("store", "pc", "r2"), 1: HALT}, pc=rwx, r2=7)
     for kind in ("source", "target"):
         r = run_report(cfg, kind, NOWHERE, 5)
         assert (r.outcome, r.steps) == ("halted", 2), kind
@@ -110,8 +100,7 @@ def test_store_through_pc():
 def test_move_from_pc():
     # move r5 pc copies a normal pc, which then moves on; a linear pc
     # cannot be both copied and kept, so the step fails
-    halt = enc_instr(mk_instr("halt"))
-    mem = {0: enc_instr(mk_instr("move", "r5", "pc")), 1: halt}
+    mem = {0: enc("move", "r5", "pc"), 1: HALT}
     pc = rx(0, 9, 0)
     for kind in ("source", "target"):
         r = run_report(scfg(mem, pc=pc), kind, NOWHERE, 5)
@@ -184,14 +173,15 @@ def test_store():
 def test_load():
     pc = rx(0, 9, 0)
     ro = MemCap(Perm.R, Lin.NORMAL, 5, 5, 5)
-    cfg = tcfg({5: 9}, pc=pc, r2=ro)
-    out = ex(cfg, "load", "r1", "r2")
+    load = enc("load", "r1", "r2")
+    cfg = tcfg({0: load, 5: 9}, pc=pc, r2=ro)
+    out = step(cfg)
     assert out.cfg.reg["r1"] == 9 and out.cfg.mem[5] == 9
     # a non-linear word stays in its cell: the load writes no memory
     assert out.cfg.mem is cfg.mem
     seal = SealCap(0, 5, 0)
-    cfg = tcfg({5: seal}, pc=pc, r2=ro)
-    out = ex(cfg, "load", "r1", "r2")
+    cfg = tcfg({0: load, 5: seal}, pc=pc, r2=ro)
+    out = step(cfg)
     assert out.cfg.reg["r1"] == seal and out.cfg.mem is cfg.mem
     lin = rw(0, 1, 0, Lin.LINEAR)
     assert ex(tcfg({5: lin}, pc=pc, r2=ro), "load", "r1", "r2") is FAILED
@@ -306,8 +296,8 @@ def test_xjmp():
     lin = rw(40, 50, 40, Lin.LINEAR)
     for ext, w in ((NULL_EXTENSION, lin), (SOURCE_EXTENSION, lin),
                    (SOURCE_EXTENSION, StkPtr(Perm.RW, 40, 50, 40))):
-        assert exec_instr(mk_instr("xjmp", "r1", "r1"),
-                          tcfg(pc=pc, r1=Sealed(3, w)), ext, NOWHERE) is FAILED
+        assert ex(tcfg(pc=pc, r1=Sealed(3, w)), "xjmp", "r1", "r1",
+                  ext=ext) is FAILED
 
 
 def test_target_refuses_stack_pointers():
@@ -320,9 +310,8 @@ def test_target_refuses_stack_pointers():
              ("restrict", "r1", enc_perm(Perm.R)), ("seta2b", "r1"),
              ("split", "r4", "r5", "r1", 6), ("splice", "r6", "r7", "r8")]
     for op, *args in cases:
-        instr = mk_instr(op, *args)
-        assert exec_instr(instr, cfg, NULL_EXTENSION, NOWHERE) is FAILED, op
-        assert isinstance(exec_instr(instr, cfg, SOURCE_EXTENSION, NOWHERE),
+        assert ex(cfg, op, *args) is FAILED, op
+        assert isinstance(ex(cfg, op, *args, ext=SOURCE_EXTENSION),
                           Running), op
 
 
@@ -375,8 +364,7 @@ def test_load_and_store_guards_against_the_paper():
                 for op, args in (("load", ("r3", "r1")),
                                  ("store", ("r1", "r2"))):
                     for ext in (NULL_EXTENSION, SOURCE_EXTENSION):
-                        out = exec_instr(mk_instr(op, *args), cfg, ext,
-                                         NOWHERE)
+                        out = ex(cfg, op, *args, ext=ext)
                         want = _paper_access(op, ext, c, mem, w)
                         case = (op, ext, c, w, mem)
                         runs += 1
@@ -387,7 +375,9 @@ def test_load_and_store_guards_against_the_paper():
                         assert out.wrote == {**regs, "pc": rx(40, 60, 51)}, \
                             case
                         assert out.cfg.reg == {**reg, **out.wrote}, case
-                        written = mem
+                        # ``ex`` put the instruction in pc's cell, 50
+                        written = mem if seg == "ms_stk" else \
+                            mem.set(50, enc(op, *args))
                         for x, v in cells.items():
                             written = written.set(x, v)
                         assert getattr(out.cfg, seg) == written, case
@@ -416,51 +406,40 @@ def test_operands_read_in_place():
 
 
 def test_step_guards():
-    halt = enc_instr(mk_instr("halt"))
-    assert step(tcfg({0: halt}, pc=rx(0, 0, 1))) is FAILED  # out of bounds
-    assert step(tcfg({0: halt}, pc=rw(0, 0, 0))) is FAILED  # not executable
-    assert step(tcfg({0: halt}, pc=rx(0, 0, 0))) is HALTED
+    assert step(tcfg({0: HALT}, pc=rx(0, 0, 1))) is FAILED  # out of bounds
+    assert step(tcfg({0: HALT}, pc=rw(0, 0, 0))) is FAILED  # not executable
+    assert step(tcfg({0: HALT}, pc=rx(0, 0, 0))) is HALTED
     assert step(tcfg({}, pc=rx(0, 0, 0))) is FAILED  # unmapped cell
 
 
 def test_run():
-    halt = enc_instr(mk_instr("halt"))
-    fail = enc_instr(mk_instr("fail"))
-
     def outcome(mem, fuel):
         r = run_report(tcfg(mem, pc=rx(0, 0, 0)), "target", NOWHERE, fuel)
         return r.outcome, r.steps
 
-    assert outcome({0: halt}, 10) == ("halted", 1)
-    assert outcome({0: fail}, 10) == ("failed", 1)
-    assert outcome({0: halt}, 0) == ("fuel-exhausted", 0)
+    assert outcome({0: HALT}, 10) == ("halted", 1)
+    assert outcome({0: enc("fail")}, 10) == ("failed", 1)
+    assert outcome({0: HALT}, 0) == ("fuel-exhausted", 0)
 
 
 def test_step_determinism():
-    cfg = tcfg({0: enc_instr(mk_instr("plus", "r0", 1, 2)),
-                1: enc_instr(mk_instr("halt"))}, pc=rx(0, 1, 0))
-    a = step(cfg)
-    b = step(cfg)
-    assert a == b
+    cfg = tcfg({0: enc("plus", "r0", 1, 2), 1: HALT}, pc=rx(0, 1, 0))
+    assert step(cfg) == step(cfg)
 
 
 # ``step`` decodes through a memo keyed by the word; these pin what the
 # memo must not change.
 
-def _enc(op, *args):
-    return enc_instr(mk_instr(op, *args))
-
-
 def test_self_modifying_code():
     # an rwx pc stores a new word into cell 3 and runs it, twice over
     # with different words: 10 is added, then 100
-    add10, add100 = _enc("plus", "r0", "r0", 10), _enc("plus", "r0", "r0", 100)
-    code = {0: _enc("store", "r1", "r2"),
-            1: _enc("move", "r2", "r7"),
-            2: _enc("minus", "r5", "r5", 1),
-            3: _enc("halt"),
-            4: _enc("jnz", "r6", "r5"),
-            5: _enc("halt")}
+    add10, add100 = enc("plus", "r0", "r0", 10), enc("plus", "r0", "r0", 100)
+    code = {0: enc("store", "r1", "r2"),
+            1: enc("move", "r2", "r7"),
+            2: enc("minus", "r5", "r5", 1),
+            3: HALT,
+            4: enc("jnz", "r6", "r5"),
+            5: HALT}
     rwx = MemCap(Perm.RWX, Lin.NORMAL, 0, 9, 0)
     cfg = scfg(code, pc=rwx, r1=rwx._replace(addr=3), r2=add10, r5=2,
                r6=rwx, r7=add100)
@@ -481,11 +460,25 @@ _POOLS = ([0, 1, 3, -1, 7, rx(0, 15, 2), rw(0, 15, 4),
            rw(5, 15, 6)])
 
 
+def _paper_pc(op, args, reg):
+    """pc after a step of ``op args`` over the registers ``reg`` that
+    runs on and pushes or pops no frame, by the paper's rule."""
+    if op == "jmp":
+        return reg[args[0]]
+    if op == "jnz":
+        x = args[1] if type(args[1]) is int else reg[args[1]]
+        if type(x) is not int or x != 0:   # taken
+            return reg[args[0]]
+    if op == "xjmp":   # a plain pair: its code half, unsealed
+        return reg[args[0]].inner
+    return reg["pc"]._replace(addr=reg["pc"].addr + 1)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.randoms(use_true_random=True))
-def test_step_matches_exec_instr(rng):
-    # for each opcode, a step over its encoded word at pc does what the
-    # decoded instruction does through ``exec_instr``
+def test_step_follows_the_paper_pc_rule(rng):
+    # for each opcode, a step over its encoded word at pc that runs on
+    # and pushes or pops no frame leaves pc where the paper's rule does
     for op, sig in OPCODES.items():
         args = tuple(rng.choice(REGISTERS) if k == "r" or rng.random() < 0.5
                      else rng.randint(-3, 12) for k in sig)
@@ -500,15 +493,17 @@ def test_step_matches_exec_instr(rng):
         cfg = scfg(mem, ms_stk={a: rng.choice(pool) for a in range(20, 31)},
                    **reg)
         for ext in (NULL_EXTENSION, SOURCE_EXTENSION):
-            assert step(cfg, ext, NOWHERE) == \
-                exec_instr(dec_instr(w), cfg, ext, NOWHERE), (op, args)
+            out = step(cfg, ext, NOWHERE)
+            if isinstance(out, Running) and out.cfg.stk == cfg.stk:
+                assert out.cfg.reg["pc"] == _paper_pc(op, args, cfg.reg), \
+                    (op, args)
 
 
 def test_non_instruction_cells_fail():
     # a capability, a negative int and an int that is no instruction's
     # image (fail's image plus a stray field) fail in one step
-    for w in (rw(0, 9, 0), SealCap(0, 9, 0), -1, _enc("fail") + 23 * 5):
-        cfg = scfg({0: w, 1: _enc("halt")}, pc=rx(0, 9, 0))
+    for w in (rw(0, 9, 0), SealCap(0, 9, 0), -1, enc("fail") + 23 * 5):
+        cfg = scfg({0: w, 1: HALT}, pc=rx(0, 9, 0))
         for kind in ("source", "target"):
             r = run_report(cfg, kind, NOWHERE, 5)
             assert (r.outcome, r.steps) == ("failed", 1), (w, kind)
@@ -517,8 +512,8 @@ def test_non_instruction_cells_fail():
 def test_more_distinct_words_than_the_memo_holds():
     # 5000 distinct words (plus r0 r0 k, k = 1..5000), run twice
     n = 5000
-    code = {k: _enc("plus", "r0", "r0", k + 1) for k in range(n)}
-    code[n] = _enc("halt")
+    code = {k: enc("plus", "r0", "r0", k + 1) for k in range(n)}
+    code[n] = HALT
     cfg = tcfg(code, pc=rx(0, n, 0))
     for kind in ("source", "target", "source"):
         r = run_report(cfg, kind, NOWHERE, n + 5)

@@ -1,14 +1,16 @@
-from conftest import rw, rx, scfg, std_gc
+import functools
+
+from conftest import HALT, as_running, enc, ex, rw, rx, scfg, std_gc, step
 
 from capmach.asm import CALL_LEN, CallParams, expand_scall
 from capmach.components import initial_config, link
 from capmach.core import (
     INF, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
-    RetPtrData, SealCap, Sealed, StkPtr, enc_instr, enc_perm, mk_instr,
+    RetPtrData, SealCap, Sealed, StkPtr, enc_instr, enc_perm,
 )
 from capmach.fixtures import STK_BASE, STK_END, corpus
 from capmach.harness import check_stack_partition, run_report
-from capmach.machine import FAILED, Running, as_running, exec_instr, step
+from capmach.machine import FAILED, Running
 from capmach.source import SOURCE_EXTENSION, StackFrame, exec_call
 
 GC = GlobalConstants(frozenset(), 1000)
@@ -18,15 +20,16 @@ def sp(b, e, a):
     return StkPtr(Perm.RW, b, e, a)
 
 
-def ex(cfg, op, *args):
-    return exec_instr(mk_instr(op, *args), cfg, SOURCE_EXTENSION, GC)
+ex = functools.partial(ex, ext=SOURCE_EXTENSION, gc=GC)
 
 
 def test_stkptr_store_load():
     pc = rx(0, 9, 0)
     out = ex(scfg(ms_stk={1005: 0}, pc=pc, r1=sp(1000, 1010, 1005), r2=7),
              "store", "r1", "r2")
-    assert out.cfg.ms_stk[1005] == 7 and not out.cfg.mem
+    # memory holds the instruction alone, as before the step
+    assert out.cfg.ms_stk[1005] == 7
+    assert out.cfg.mem == Memory({0: enc("store", "r1", "r2")})
     # a stack pointer never reaches ordinary memory
     assert ex(scfg({1005: 0}, pc=pc, r1=sp(1000, 1010, 1005), r2=7),
               "store", "r1", "r2") is FAILED
@@ -186,34 +189,26 @@ def test_return_to_unbounded_stack_fails():
     assert (report.outcome, report.steps) == ("failed", 7)
 
 
-def _macro_mem(at, ta_extra=()):
-    seg = {}
-    for i, ins in enumerate(expand_scall(PARAMS, 1000)):
-        seg[at + i] = enc_instr(ins)
-    seg[at + 30] = SealCap(5, 9, 5)
-    seg[at + CALL_LEN] = enc_instr(mk_instr("halt"))
-    return seg
+_TA = GlobalConstants(frozenset(range(10, 10 + CALL_LEN)), 1000)
+
+
+def _macro_cfg(**over):
+    """``_call_cfg`` with the call macro from pc's cell, 10, and a halt."""
+    cfg = _call_cfg(**over)
+    code = dict(enumerate(map(enc_instr, expand_scall(PARAMS, 1000)), 10))
+    code[10 + CALL_LEN] = HALT
+    return cfg._replace(mem=cfg.mem.update(Memory(code)))
 
 
 def test_call_recognition_in_ta():
-    mem = _macro_mem(10)
-    ta = frozenset(range(10, 10 + CALL_LEN))
-    gc = GlobalConstants(ta, 1000)
-    cfg = _call_cfg()
-    cfg = scfg({**mem, **cfg.mem}, ms_stk=cfg.ms_stk,
-               **{r: cfg.reg[r] for r in ("pc", "r3", "r4", "rstk")})
-    out = step(cfg, SOURCE_EXTENSION, gc)
+    out = step(_macro_cfg(), SOURCE_EXTENSION, _TA)
     assert isinstance(out, Running)
     assert out.cfg.stk  # one step, one frame: the big-step rule fired
     assert out.cfg.reg["pc"] == rx(200, 210, 200)
 
 
 def test_same_bytes_outside_ta_run_raw():
-    mem = _macro_mem(10)
-    cfg = _call_cfg()
-    cfg = scfg({**mem, **cfg.mem}, ms_stk=cfg.ms_stk,
-               **{r: cfg.reg[r] for r in ("pc", "r3", "r4", "rstk")})
-    out = step(cfg, SOURCE_EXTENSION, GC)  # empty trusted set
+    out = step(_macro_cfg(), SOURCE_EXTENSION, GC)  # empty trusted set
     assert isinstance(out, Running)
     assert out.cfg.stk == ()            # no frame: just the first instruction
     assert out.cfg.reg["rtmp1"] == 42   # move rtmp1 42
@@ -221,13 +216,8 @@ def test_same_bytes_outside_ta_run_raw():
 
 
 def test_call_truncated_by_pc_bound_runs_raw():
-    mem = _macro_mem(10)
-    ta = frozenset(range(10, 10 + CALL_LEN))
-    gc = GlobalConstants(ta, 1000)
-    cfg = _call_cfg(pc=rx(0, 20, 10))   # capability ends mid-macro
-    cfg = scfg({**mem, **cfg.mem}, ms_stk=cfg.ms_stk,
-               **{r: cfg.reg[r] for r in ("pc", "r3", "r4", "rstk")})
-    out = step(cfg, SOURCE_EXTENSION, gc)
+    cfg = _macro_cfg(pc=rx(0, 20, 10))   # capability ends mid-macro
+    out = step(cfg, SOURCE_EXTENSION, _TA)
     assert isinstance(out, Running)
     assert out.cfg.stk == ()
     assert out.cfg.reg["rtmp1"] == 42
