@@ -33,6 +33,10 @@ class Perm(Enum):
     RX = "rx"
     RWX = "rwx"
 
+    # members are singletons, equal only to themselves: a C-level hash
+    # (``Enum.__hash__`` is Python-level) agrees with ``==``
+    __hash__ = object.__hash__
+
     def __repr__(self):
         return self.value
 
@@ -40,6 +44,8 @@ class Perm(Enum):
 class Lin(Enum):
     LINEAR = "linear"
     NORMAL = "normal"
+
+    __hash__ = object.__hash__   # as ``Perm``'s
 
     def __repr__(self):
         return self.value

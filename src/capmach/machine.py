@@ -12,16 +12,24 @@ register-only step is one ``advance`` call plus its handler's.
 written.
 
 ``advance`` reads pc's cell from the memory's written cells and
-decodes each distinct word once: a bounded memo keyed by the word
-(never by its address, so a store into code runs the new word) gives
-the handler's name and operands, and the handler is then looked up by
-name in the module.  Records are built with ``tuple.__new__``, which
-skips the Python-level constructor that ``namedtuple`` generates.  A
-memory capability indexes ``mem`` and a stack pointer ``ms_stk``;
-every pointer case is written once over the pointer and its segment,
-and load and store share one access guard, ``_access``.  Operands are
-read in place, and permission sets are tuples, not sets:
-``Enum.__hash__`` is Python-level, a tuple's ``in`` tests identity.  A
+decodes each distinct word once: a bounded dict memo, ``_DECODED``,
+keyed by the word (never by its address, so a store into code runs the
+new word) gives the handler's name and its operands as one tuple.  The
+handler is then looked up by name in the module and called as
+``exec_<op>(cfg, ext, gc, ops)``: a call with a fixed number of
+arguments, which CPython 3.11 inlines into the running interpreter
+loop; a starred call it does not.  The common register steps call no
+helper: a jump to a normal memory capability writes only pc, ``move r
+pc`` tests pc's linearity in place, ``cca`` and ``seta2b`` build the
+moved pointer from its fields, and the arithmetic handlers that
+``_binop`` builds do the work themselves.  Records
+are built with ``tuple.__new__``, which skips the Python-level
+constructor that ``namedtuple`` generates.  A memory capability
+indexes ``mem`` and a stack pointer ``ms_stk``; every pointer case is
+written once over the pointer and its segment, and load and store
+share one access guard, ``_access``.  Operands are read in place, and
+permission sets are tuples, not sets: a tuple's ``in`` tests identity
+first and hashes nothing.  A
 ``MachineExtension`` names the pointer kinds its machine accepts and
 supplies the source-only rules (call recognition, return-token jumps);
 the target uses the null extension: memory capabilities only.
@@ -29,7 +37,6 @@ the target uses the null extension: memory capabilities only.
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
@@ -100,40 +107,41 @@ class MachineExtension:
 NULL_EXTENSION = MachineExtension()
 
 
-def _with_addr(c, a):
-    """Pointer ``c`` moved to address ``a`` (without ``_replace``: this
-    runs on most pointer steps)."""
-    if isinstance(c, StkPtr):
-        return _new(StkPtr, (c.perm, c.base, c.end, a))
-    return _new(MemCap, (c.perm, c.lin, c.base, c.end, a))
-
-
-def exec_fail(cfg, ext, gc):
+def exec_fail(cfg, ext, gc, ops):
     return FAILED
 
 
-def exec_halt(cfg, ext, gc):
+def exec_halt(cfg, ext, gc, ops):
     return HALTED
 
 
-def exec_jmp(cfg, ext, gc, r):
+def exec_jmp(cfg, ext, gc, ops):
+    r, = ops
     target = cfg.reg[r]
+    # r keeps a normal memory capability, so only pc is written
+    if type(target) is MemCap and target.lin is _NORMAL:
+        return {PC: target}
     return {r: lin_cons(target), PC: target}
 
 
-def exec_jnz(cfg, ext, gc, r, rn):
+def exec_jnz(cfg, ext, gc, ops):
+    r, rn = ops
     x = rn if type(rn) is int else cfg.reg[rn]
     if type(x) is not int or x != 0:   # a capability is never 0
         target = cfg.reg[r]
+        if type(target) is MemCap and target.lin is _NORMAL:
+            return {PC: target}
         return {r: lin_cons(target), PC: target}
     return {}
 
 
-def exec_gettype(cfg, ext, gc, r1, r2):
+def exec_gettype(cfg, ext, gc, ops):
+    r1, r2 = ops
     return {r1: enc_type(cfg.reg[r2])}
 
 
-def exec_geta(cfg, ext, gc, r1, r2):
+def exec_geta(cfg, ext, gc, ops):
+    r1, r2 = ops
     w = cfg.reg[r2]
     if isinstance(w, (MemCap, StkPtr)):
         v = w.addr
@@ -144,32 +152,38 @@ def exec_geta(cfg, ext, gc, r1, r2):
     return {r1: v}
 
 
-def exec_getb(cfg, ext, gc, r1, r2):
+def exec_getb(cfg, ext, gc, ops):
+    r1, r2 = ops
     w = cfg.reg[r2]
     return {r1: w.base if isinstance(w, (MemCap, StkPtr, SealCap)) else -1}
 
 
-def exec_gete(cfg, ext, gc, r1, r2):
+def exec_gete(cfg, ext, gc, ops):
+    r1, r2 = ops
     w = cfg.reg[r2]
     return {r1: w.end if isinstance(w, (MemCap, StkPtr, SealCap)) else -1}
 
 
-def exec_getp(cfg, ext, gc, r1, r2):
+def exec_getp(cfg, ext, gc, ops):
+    r1, r2 = ops
     w = cfg.reg[r2]
     return {r1: enc_perm(w.perm) if isinstance(w, (MemCap, StkPtr)) else -1}
 
 
-def exec_getlin(cfg, ext, gc, r1, r2):
+def exec_getlin(cfg, ext, gc, ops):
+    r1, r2 = ops
     lin = _LINEAR if is_linear(cfg.reg[r2]) else _NORMAL
     return {r1: enc_lin(lin)}
 
 
-def exec_move(cfg, ext, gc, r, rn):
-    if isinstance(rn, int):
+def exec_move(cfg, ext, gc, ops):
+    r, rn = ops
+    if type(rn) is int:
         return {r: rn}
     old = cfg.reg[rn]
     if rn == PC:   # pc moves on, so it is copied, never cleared
-        return {r: old} if lin_cons(old) is old else FAILED
+        # ``advance`` has checked that pc is a memory capability
+        return {r: old} if old.lin is _NORMAL else FAILED
     # Clear the source register first, then write the destination:
     # correct even when r == rn (a linear cap stays put).
     return {rn: lin_cons(old), r: old}
@@ -185,7 +199,8 @@ def _access(cfg, ext, c, perms):
     return None
 
 
-def exec_store(cfg, ext, gc, r1, r2):
+def exec_store(cfg, ext, gc, ops):
+    r1, r2 = ops
     c = cfg.reg[r1]
     m = _access(cfg, ext, c, WRITE_PERMS)
     if m is not None and (c.addr in m.written or c.addr in m.domain):
@@ -194,7 +209,8 @@ def exec_store(cfg, ext, gc, r1, r2):
     return FAILED
 
 
-def exec_load(cfg, ext, gc, r1, r2):
+def exec_load(cfg, ext, gc, ops):
+    r1, r2 = ops
     c = cfg.reg[r2]
     m = _access(cfg, ext, c, READ_PERMS)
     if m is None:
@@ -212,7 +228,8 @@ def exec_load(cfg, ext, gc, r1, r2):
     return FAILED
 
 
-def exec_cca(cfg, ext, gc, r, rn):
+def exec_cca(cfg, ext, gc, ops):
+    r, rn = ops
     n = rn if type(rn) is int else cfg.reg[rn]
     if type(n) is not int:
         return FAILED
@@ -220,7 +237,8 @@ def exec_cca(cfg, ext, gc, r, rn):
     if isinstance(c, ext.pointers):
         if c.addr + n < 0:
             return FAILED
-        return {r: _with_addr(c, c.addr + n)}
+        # both pointer records end in addr
+        return {r: _new(type(c), (*c[:-1], c.addr + n))}
     if isinstance(c, SealCap):
         if c.cur + n < 0:
             return FAILED
@@ -228,7 +246,8 @@ def exec_cca(cfg, ext, gc, r, rn):
     return FAILED
 
 
-def exec_restrict(cfg, ext, gc, r1, rn):
+def exec_restrict(cfg, ext, gc, ops):
+    r1, rn = ops
     n = rn if type(rn) is int else cfg.reg[rn]
     if type(n) is not int:
         return FAILED
@@ -239,40 +258,41 @@ def exec_restrict(cfg, ext, gc, r1, rn):
     return FAILED
 
 
-def _binop(cfg, r0, rn1, rn2, fn):
-    n1 = rn1 if type(rn1) is int else cfg.reg[rn1]
-    n2 = rn2 if type(rn2) is int else cfg.reg[rn2]
-    if type(n1) is int and type(n2) is int:
-        return {r0: fn(n1, n2)}
-    return FAILED
+def _binop(fn):
+    """The handler of an arithmetic instruction ``r0 rn1 rn2``: ``fn`` of
+    two ints into ``r0``.  The handler does the work itself, so an
+    arithmetic step calls no helper."""
+    def exec_binop(cfg, ext, gc, ops):
+        r0, rn1, rn2 = ops
+        n1 = rn1 if type(rn1) is int else cfg.reg[rn1]
+        n2 = rn2 if type(rn2) is int else cfg.reg[rn2]
+        if type(n1) is int and type(n2) is int:
+            return {r0: fn(n1, n2)}
+        return FAILED
+    return exec_binop
 
 
 def _lt(a, b):
     return 1 if a < b else 0
 
 
-def exec_lt(cfg, ext, gc, r0, rn1, rn2):
-    return _binop(cfg, r0, rn1, rn2, _lt)
+exec_lt = _binop(_lt)
+exec_plus = _binop(operator.add)
+exec_minus = _binop(operator.sub)
 
 
-def exec_plus(cfg, ext, gc, r0, rn1, rn2):
-    return _binop(cfg, r0, rn1, rn2, operator.add)
-
-
-def exec_minus(cfg, ext, gc, r0, rn1, rn2):
-    return _binop(cfg, r0, rn1, rn2, operator.sub)
-
-
-def exec_seta2b(cfg, ext, gc, r1):
+def exec_seta2b(cfg, ext, gc, ops):
+    r1, = ops
     c = cfg.reg[r1]
     if isinstance(c, ext.pointers):
-        return {r1: _with_addr(c, c.base)}
+        return {r1: _new(type(c), (*c[:-1], c.base))}
     if isinstance(c, SealCap):
         return {r1: SealCap(c.base, c.end, c.base)}
     return FAILED
 
 
-def exec_cseal(cfg, ext, gc, r1, r2):
+def exec_cseal(cfg, ext, gc, ops):
+    r1, r2 = ops
     sc = cfg.reg[r1]
     s = cfg.reg[r2]
     if is_sealable(sc) and isinstance(s, SealCap) and within_bounds(s):
@@ -280,7 +300,8 @@ def exec_cseal(cfg, ext, gc, r1, r2):
     return FAILED
 
 
-def exec_split(cfg, ext, gc, r1, r2, r3, rn4):
+def exec_split(cfg, ext, gc, ops):
+    r1, r2, r3, rn4 = ops
     n = rn4 if type(rn4) is int else cfg.reg[rn4]
     if type(n) is not int:
         return FAILED
@@ -294,7 +315,8 @@ def exec_split(cfg, ext, gc, r1, r2, r3, rn4):
     return FAILED
 
 
-def exec_splice(cfg, ext, gc, r1, r2, r3):
+def exec_splice(cfg, ext, gc, ops):
+    r1, r2, r3 = ops
     c2 = cfg.reg[r2]
     c3 = cfg.reg[r3]
     if not (type(c2) is type(c3)
@@ -331,7 +353,8 @@ def xjump_result(c1, c2, cfg, ext, gc, updates: dict):
     return FAILED
 
 
-def exec_xjmp(cfg, ext, gc, r1, r2):
+def exec_xjmp(cfg, ext, gc, ops):
+    r1, r2 = ops
     w1 = cfg.reg[r1]
     w2 = cfg.reg[r2]
     if r1 == r2 and is_linear(w1):   # one linear word cannot be both halves
@@ -356,16 +379,28 @@ _WRITES = dict.fromkeys(
 _WRITES.update(store=(1,), split=(0, 1, 2), splice=(0, 1, 2))
 
 
-@functools.lru_cache(maxsize=4096)
+# word -> ``_decode(word)``, which fills it
+_DECODED = {}
+
+
 def _decode(w):
-    """(handler name, operands) of the word ``w``, once per distinct
-    word; fail's when it names pc as a register it writes: no handler
-    tests for pc."""
+    """(handler name, operands) of the word ``w``, fail's when it names pc
+    as a register it writes: no handler tests for pc.  It is stored in
+    ``_DECODED``, which ``advance`` reads with ``.get`` first, so each
+    distinct word is decoded once; the memo is emptied when it holds
+    4096 words.  A plain dict, not an ``lru_cache``, whose hit relinks
+    its list: a hit is one C-level ``get``.  The operands stay one tuple,
+    which ``advance`` passes as one argument."""
+    if len(_DECODED) >= 4096:
+        _DECODED.clear()
     instr = dec_instr(w)
     args = instr.args
     if any(args[i] == PC for i in _WRITES.get(instr.op, ())):
-        return _HANDLER["fail"], ()
-    return _HANDLER[instr.op], args
+        out = _HANDLER["fail"], ()
+    else:
+        out = _HANDLER[instr.op], args
+    _DECODED[w] = out
+    return out
 
 
 def advance(cfg, ext: MachineExtension = NULL_EXTENSION,
@@ -392,8 +427,8 @@ def advance(cfg, ext: MachineExtension = NULL_EXTENSION,
         return FAILED
     # The memo holds the handler's name, not the function, so a wrapped
     # handler is seen.
-    name, args = _decode(w)
-    out = _MODULE[name](cfg, ext, gc, *args)
+    name, ops = _DECODED.get(w) or _decode(w)
+    out = _MODULE[name](cfg, ext, gc, ops)
     # the next-pc rule: writes that do not name pc (a jump's do) gain pc
     # moved to the next cell
     if type(out) is dict:

@@ -3,9 +3,10 @@ from itertools import product
 from conftest import HALT, NOWHERE, enc, ex, rw, rx, scfg, step, tcfg
 from hypothesis import given, settings, strategies as st
 
+from capmach import machine
 from capmach.core import (
     OPCODES, REGISTERS, Instr, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
-    RetPtrData, SealCap, Sealed, StkPtr, enc_instr, enc_lin,
+    RetPtrData, SealCap, Sealed, StkPtr, dec_instr, enc_instr, enc_lin,
     enc_perm, enc_type, mk_instr,
 )
 from capmach.harness import run_report
@@ -448,6 +449,20 @@ def test_self_modifying_code():
         assert (r.outcome, r.steps) == ("halted", 11), kind
         assert r.final_cfg.reg["r0"] == 110, kind
         assert r.final_cfg.mem[3] == add100, kind
+
+
+def test_decode_memo_is_bounded():
+    # more distinct images than the memo holds: it is emptied when full,
+    # and each step, before and after that, runs its own word
+    machine._DECODED.clear()
+    for n in range(5000):
+        out = ex(tcfg(pc=rx(0, 9, 0), r1=3), "plus", "r0", "r1", n)
+        assert regs_after(out)["r0"] == 3 + n
+        assert len(machine._DECODED) <= 4096
+    assert 0 < len(machine._DECODED) < 4096   # emptied once, refilled
+    for w, (name, ops) in machine._DECODED.items():
+        instr = dec_instr(w)
+        assert (name, ops) == ("exec_" + instr.op, instr.args)
 
 
 # every kind of word; and a few that pair up (an xjmp pair, adjacent
