@@ -249,7 +249,7 @@ def lin_cons(w: Word) -> Word:
     t = type(w)
     if t is int or t is MemCap and w.lin is _NORMAL:
         return w
-    return 0 if is_linear(w) else w
+    return w if linear_range(w) is None else 0
 
 
 def is_exec(w: Word) -> bool:

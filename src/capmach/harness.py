@@ -1,7 +1,8 @@
 """Runs, their per-step invariant checks, and the differential runner.
 
-``Run`` is the one loop over steps, and a caller steps it: ``run_report``
-(with the paranoid checks when asked) and ``format_trace`` consume it.
+``Run`` is the one loop over steps; a caller that looks at each step
+passes a hook: ``run_report`` the paranoid tracker's, when asked, and
+``format_trace`` a row appender.
 A diff run plugs the same trusted/context pair into both machines and
 compares termination behaviour; the observables are termination-based,
 so fuel exhaustion stands in for divergence.
@@ -9,15 +10,15 @@ so fuel exhaustion stands in for divergence.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .asm import CALL_LEN, RET_PT_OFFSET
+from .asm import CALL_HEAD, CALL_LEN, RET_PT_OFFSET
 from .components import Component, diagnostics, initial_config, link
-from .core import _NORMAL, PC, GlobalConstants, MemCap, Memory, \
-    dec_instr, linear_overlaps, linear_range
-from .machine import NULL_EXTENSION, Running, advance
+from .core import _NORMAL, EXEC_PERMS, PC, GlobalConstants, MemCap, \
+    Memory, dec_instr, linear_overlaps, linear_range
+from .machine import _DECODED, _MODULE, NULL_EXTENSION, Running, _decode, \
+    _new
 from .source import SOURCE_EXTENSION, SourceConfig
 
 DEFAULT_FUEL = 100_000
@@ -100,12 +101,14 @@ class _Invariants:
     visit of the registers and the cell it names.  The verdict,
     ``(overlaps, partition)``, is rebuilt when an owner changed for the
     overlaps, and at every new configuration object (the first, a call,
-    a return) for the partition."""
+    a return) for the partition.  ``observe`` is a run's hook: it counts
+    the steps, and formats a violation only at a step whose verdict
+    holds one."""
 
     def __init__(self, cfg):
         self.cfg, self.found, self.frames = _NOTHING, ([], []), []
         self.regs, self.mem, self.stk = _owners("reg", cfg.reg), {}, {}
-        self.frame_owners = []
+        self.frame_owners, self.steps, self.violations = [], 0, []
         self._follow(cfg)
         self.found = linear_overlaps(self._all()), self.found[1]
 
@@ -113,15 +116,15 @@ class _Invariants:
         return [*self.regs.values(), *self.mem.values(), *self.stk.values(),
                 *self.frame_owners]
 
-    def at(self, cfg, wrote, cell=None):
-        """``(overlaps, check_stack_partition(cfg))`` for a configuration
-        that follows the last one asked about; ``wrote`` names every
-        register whose word is not the same object as there (registers
-        are never removed), and ``cell`` (see ``Running``) the one such
-        cell of a memory that is.  ``cfg`` may be the last one,
-        or share its registers and memories, written in place since.  An
-        int or a normal memory capability owns nothing, and is told apart
-        with no call (the test ``core.lin_cons`` makes first)."""
+    def observe(self, cfg, wrote, cell):
+        """Bring ``found``, ``(overlaps, check_stack_partition(cfg))``, to
+        ``cfg``, which follows the last configuration seen (or is it,
+        written in place since), and add its violations to ``violations``
+        as step ``steps``'s.  ``wrote`` names every register whose word is
+        not the same object as there (registers are never removed), and
+        ``cell`` (see ``Running``) the one such cell of a memory that is.
+        An int or a normal memory capability owns nothing, and is told
+        apart with no call (the test ``core.lin_cons`` makes first)."""
         changed = False
         regs, reg = self.regs, cfg.reg
         for r in wrote:
@@ -141,7 +144,14 @@ class _Invariants:
             changed |= self._follow(cfg)
         if changed:
             self.found = linear_overlaps(self._all()), self.found[1]
-        return self.found
+        dups, partition = self.found
+        if dups or partition:
+            n = self.steps
+            self.violations += [f"step {n}: linear address {x} owned by "
+                                f"both {first} and {later}"
+                                for x, first, later in dups]
+            self.violations += [f"step {n}: {v}" for v in partition]
+        self.steps += 1
 
     def _follow(self, cfg) -> bool:
         """Take ``cfg``, a new object: scan its memories that are new
@@ -199,19 +209,16 @@ def _reown(table: dict, name: str, k, w) -> bool:
 # Running
 
 class Run:
-    """The one loop over steps.  Iterated (once), it yields ``(cfg,
-    wrote, cell)`` before each step until the run halts, fails or has
-    taken ``fuel`` steps; ``wrote`` names the registers the last step
-    wrote, and ``cell`` is its cell write (see ``Running``), or None.
-    It then sets ``outcome`` (halted, failed or fuel-exhausted),
-    ``steps``, ``calls`` and ``returns`` (atomic calls and return-token
-    jumps, seen as the frames grow and shrink) and ``cfg``, the final
-    configuration; until then ``cfg`` is the first.
-
-    ``cfg`` is not written: the run copies its registers and memories
-    once and is their one writer.  It applies each step's writes in
-    place, so a yielded configuration is valid until the next item.  A
-    new run may start from one: it makes its own copies."""
+    """The one loop over steps.  ``go`` takes them until the run halts,
+    fails or has taken ``fuel`` steps, then sets ``outcome`` (halted,
+    failed or fuel-exhausted), ``steps``, ``calls`` and ``returns``
+    (atomic calls and return-token jumps, seen as the frames grow and
+    shrink) and ``cfg``, the final configuration; until then ``cfg`` is
+    the first.  To pause a run, give it less fuel and start a new run
+    from its final ``cfg``.  ``cfg`` is not written: the run copies its
+    registers and memories once, and writes each step's writes into
+    them in place, so what a hook gets is valid until the hook returns.
+    A new run may start from that: it makes its own copies."""
 
     def __init__(self, cfg, machine_kind: str, gc: GlobalConstants,
                  fuel: int = DEFAULT_FUEL):
@@ -224,56 +231,84 @@ class Run:
             Memory(mem.written, mem.domain), reg, stk,
             Memory(ms_stk.written, ms_stk.domain))
 
-    def __iter__(self):
-        # The counters and the fuel stay in locals: this is the hot loop.
+    def go(self, observe=None):
+        """Take the run's steps, once, and return the run.  ``observe``,
+        when given, is called as ``observe(cfg, wrote, cell)`` before
+        each step: ``wrote`` names the registers the last step wrote
+        (none before the first), and ``cell`` is its cell write (see
+        ``machine.Running``), or None."""
+        # Everything the loop reads stays in locals: this is the hot loop,
+        # and a register-only step makes one Python-level call, its
+        # handler's.  The memory locals follow every Running's cfg.
         ext, gc, fuel, cfg = self.ext, self.gc, self.fuel, self.cfg
-        reg = cfg.reg
+        reg, mem, written = cfg.reg, cfg.mem, cfg.mem.written
         steps = calls = returns = 0
-        frames = len(cfg.stk)
+        frames, decoded = len(cfg.stk), _DECODED.get
         wrote, cell = (), None
         outcome = "fuel-exhausted"
         while steps < fuel:
-            yield cfg, wrote, cell
-            out = advance(cfg, ext, gc)
-            steps += 1
-            if isinstance(out, dict):
-                wrote, cell = out, None
+            if observe is not None:
+                observe(cfg, wrote, cell)
+            steps += 1   # a step that fails or halts counts
+            pc = reg[PC]
+            if type(pc) is not MemCap or pc.perm not in EXEC_PERMS:
+                outcome = "failed"
+                break
+            perm, lin, base, end, a = pc
+            w = written.get(a)
+            if w is None:   # unwritten: 0 in the domain, None outside it
+                w = mem.get(a)
+            # A call sequence starts with CALL_HEAD (``call_cond`` rejects
+            # any other first cell), so no other cell needs call
+            # recognition.  A call's writes name pc.
+            out = ext.recognize_call(cfg, gc) if w == CALL_HEAD else None
+            if out is None:
+                if w is None or not base <= a <= end:
+                    outcome = "failed"
+                    break
+                # the memo holds the handler's name, looked up at each
+                # step, so a wrapped handler is seen
+                name, ops = decoded(w) or _decode(w)
+                out = _MODULE[name](cfg, ext, gc, ops)
+            if type(out) is dict:
+                wrote = out
             elif type(out) is Running:
-                cfg, wrote, cell = out
+                wrote = out[1]
+            else:
+                outcome = out.kind
+                break
+            # the next-pc rule: writes that do not name pc (a jump's do)
+            # gain pc moved to the next cell
+            if PC not in wrote:
+                wrote[PC] = _new(MemCap, (perm, lin, base, end, a + 1))
+            if wrote is out:
+                cell = None
+            else:
+                cfg, _, cell = out
+                reg, mem, written = cfg.reg, cfg.mem, cfg.mem.written
                 if cell is not None:
                     cell[0].written[cell[1]] = cell[2]
                 elif len(cfg.stk) != frames:   # a call or a return
                     calls += len(cfg.stk) > frames
                     returns += len(cfg.stk) < frames
                     frames = len(cfg.stk)
-            else:
-                outcome = out.kind
-                break
             reg.update(wrote)
         self.outcome, self.steps, self.cfg = outcome, steps, cfg
         self.calls, self.returns = calls, returns
+        return self
 
 
 def run_report(cfg, machine_kind: str, gc: GlobalConstants,
                fuel: int = DEFAULT_FUEL, paranoid: bool = False) -> RunReport:
     """The ``Run`` of ``cfg``, reported.  ``paranoid`` checks both
     invariants before every step: one full scan of the first
-    configuration, then the changes of each step (``_Invariants``),
-    with a violation formatted only at a step whose verdict holds one."""
+    configuration, then the changes of each step (``_Invariants``, whose
+    ``observe`` is the run's hook)."""
     run = Run(cfg, machine_kind, gc, fuel)
-    violations: list = []
-    if paranoid:
-        at = _Invariants(run.cfg).at
-        for steps, (cfg, wrote, cell) in enumerate(run):
-            dups, partition = at(cfg, wrote, cell)
-            if dups or partition:
-                violations += [f"step {steps}: linear address {x} owned by "
-                               f"both {first} and {later}"
-                               for x, first, later in dups]
-                violations += [f"step {steps}: {v}" for v in partition]
-    else:
-        deque(run, 0)   # no Python code per step
-    return RunReport(run.outcome, run.steps, violations, run.cfg,
+    checks = _Invariants(run.cfg) if paranoid else None
+    run.go(checks.observe if paranoid else None)
+    return RunReport(run.outcome, run.steps,
+                     checks.violations if paranoid else [], run.cfg,
                      run.calls, run.returns)
 
 
@@ -282,9 +317,9 @@ def format_trace(cfg, machine_kind: str, gc: GlobalConstants,
     """The ``Run`` of ``cfg`` as text: per step, its number, the machine,
     pc's address and the instruction there before the step, and
     ``running``, or the outcome of a run that halts or fails at it."""
-    run = Run(cfg, machine_kind, gc, fuel)
     rows = []
-    for cfg, _, _ in run:
+
+    def row(cfg, wrote, cell):
         pc = cfg.reg[PC]
         if isinstance(pc, MemCap):
             w = cfg.mem.get(pc.addr)
@@ -292,6 +327,8 @@ def format_trace(cfg, machine_kind: str, gc: GlobalConstants,
                          else repr(dec_instr(w)), "running"])
         else:
             rows.append([None, "<no pc cap>", "running"])
+
+    run = Run(cfg, machine_kind, gc, fuel).go(row)
     if run.outcome != "fuel-exhausted":
         rows[-1][2] = run.outcome
     return "".join(f"{n}\t{machine_kind}\t{at}\t{instr}\t{end}\n"

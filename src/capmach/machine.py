@@ -1,35 +1,29 @@
-"""Single-step instruction interpretation shared by both machines.
+"""The instruction handlers, the decode memo and the extensions that
+both machines step with; ``harness.Run`` is the loop that calls them.
 
 No function here writes a configuration.  A handler that writes only
 registers returns its writes as a dict; one that writes a cell or the
 frames returns a ``Running``, its writes unapplied.  Only a jump (jmp,
 jnz, xjmp) sets pc: any other instruction that names pc as a register
-it writes decodes to fail.  So writes that name pc are a jump's, and
-``advance`` adds the next pc to any others, building nothing:
-``harness.Run``, the one loop over steps, applies them in place, and a
-register-only step is one ``advance`` call plus its handler's.
-``advance`` is the one-step API, and the one place the next-pc rule is
-written.
-
-``advance`` reads pc's cell from the memory's written cells and
-decodes each distinct word once: a bounded dict memo, ``_DECODED``,
-keyed by the word (never by its address, so a store into code runs the
-new word) gives the handler's name and its operands as one tuple.  The
-handler is then looked up by name in the module and called as
+it writes decodes to fail.  So writes that name pc are a jump's, and the
+run adds the next pc to any others, in the one place that rule is
+written.  ``_DECODED``, a bounded dict memo keyed by the word (never by
+its address, so a store into code runs the new word), gives each
+distinct word's handler name and its operands as one tuple.  The run
+looks the handler up by name here at every step and calls it as
 ``exec_<op>(cfg, ext, gc, ops)``: a call with a fixed number of
-arguments, which CPython 3.11 inlines into the running interpreter
-loop; a starred call it does not.  The common register steps call no
-helper: a jump to a normal memory capability writes only pc, ``move r
-pc`` tests pc's linearity in place, ``cca`` and ``seta2b`` build the
-moved pointer from its fields, and the arithmetic handlers that
-``_binop`` builds do the work themselves.  Records
-are built with ``tuple.__new__``, which skips the Python-level
-constructor that ``namedtuple`` generates.  A memory capability
-indexes ``mem`` and a stack pointer ``ms_stk``; every pointer case is
-written once over the pointer and its segment, and load and store
-share one access guard, ``_access``.  Operands are read in place, and
-permission sets are tuples, not sets: a tuple's ``in`` tests identity
-first and hashes nothing.  A
+arguments, which CPython 3.11 inlines into the running interpreter loop;
+a starred call it does not.  The common steps call no helper: a jump to
+a normal memory capability writes only pc, ``move r pc`` tests pc's
+linearity in place, ``cca`` and ``seta2b`` build the moved pointer from
+its fields, the handlers ``_binop`` builds do the arithmetic themselves,
+and a store of an int or a normal memory capability keeps it with no
+call.  Records are built with ``tuple.__new__``, which skips the
+Python-level constructor that ``namedtuple`` generates.  A memory
+capability indexes ``mem`` and a stack pointer ``ms_stk``; every pointer
+case is written once over the pointer and its segment, and load and
+store share one access guard, ``_access``.  Permission sets are tuples,
+not sets: a tuple's ``in`` tests identity first and hashes nothing.  A
 ``MachineExtension`` names the pointer kinds its machine accepts and
 supplies the source-only rules (call recognition, return-token jumps);
 the target uses the null extension: memory capabilities only.
@@ -41,13 +35,11 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .asm import CALL_HEAD
 from .core import (
-    _LINEAR, _NORMAL, EXEC_PERMS, OPCODES, PC, RDATA, READ_PERMS,
-    WRITE_PERMS, GlobalConstants, MemCap, Record, RetPtrCode,
-    RetPtrData, SealCap, Sealed, StkPtr, dec_instr, dec_perm, enc_lin,
-    enc_perm, enc_type, is_linear, is_sealable, lin_cons, linear_range,
-    non_exec, perm_leq, within_bounds,
+    _LINEAR, _NORMAL, OPCODES, PC, RDATA, READ_PERMS, WRITE_PERMS,
+    MemCap, Record, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
+    dec_instr, dec_perm, enc_lin, enc_perm, enc_type, is_linear,
+    is_sealable, lin_cons, linear_range, non_exec, perm_leq, within_bounds,
 )
 
 
@@ -99,7 +91,7 @@ class MachineExtension:
 
     def recognize_call(self, cfg, gc):
         """Big-step call dispatch; None means no call fires here.
-        ``advance`` calls it only when pc is an executable memory
+        ``harness.Run`` calls it only when pc is an executable memory
         capability whose cell holds ``CALL_HEAD``."""
         return None
 
@@ -182,7 +174,7 @@ def exec_move(cfg, ext, gc, ops):
         return {r: rn}
     old = cfg.reg[rn]
     if rn == PC:   # pc moves on, so it is copied, never cleared
-        # ``advance`` has checked that pc is a memory capability
+        # ``harness.Run`` has checked that pc is a memory capability
         return {r: old} if old.lin is _NORMAL else FAILED
     # Clear the source register first, then write the destination:
     # correct even when r == rn (a linear cap stays put).
@@ -205,7 +197,12 @@ def exec_store(cfg, ext, gc, ops):
     m = _access(cfg, ext, c, WRITE_PERMS)
     if m is not None and (c.addr in m.written or c.addr in m.domain):
         w = cfg.reg[r2]
-        return _new(Running, (cfg, {r2: lin_cons(w)}, (m, c.addr, w)))
+        # an int or a normal memory capability stays in r2: ``lin_cons``'s
+        # own first test, with no call
+        t = type(w)
+        kept = w if t is int or t is MemCap and w.lin is _NORMAL \
+            else lin_cons(w)
+        return _new(Running, (cfg, {r2: kept}, (m, c.addr, w)))
     return FAILED
 
 
@@ -386,11 +383,11 @@ _DECODED = {}
 def _decode(w):
     """(handler name, operands) of the word ``w``, fail's when it names pc
     as a register it writes: no handler tests for pc.  It is stored in
-    ``_DECODED``, which ``advance`` reads with ``.get`` first, so each
+    ``_DECODED``, which ``harness.Run`` reads with ``.get`` first, so each
     distinct word is decoded once; the memo is emptied when it holds
     4096 words.  A plain dict, not an ``lru_cache``, whose hit relinks
     its list: a hit is one C-level ``get``.  The operands stay one tuple,
-    which ``advance`` passes as one argument."""
+    which the run passes as one argument."""
     if len(_DECODED) >= 4096:
         _DECODED.clear()
     instr = dec_instr(w)
@@ -400,40 +397,4 @@ def _decode(w):
     else:
         out = _HANDLER[instr.op], args
     _DECODED[w] = out
-    return out
-
-
-def advance(cfg, ext: MachineExtension = NULL_EXTENSION,
-            gc: GlobalConstants = None):
-    """One step of ``cfg`` that builds no configuration when it writes
-    only registers: FAILED, HALTED, a ``Running`` for a step that
-    changes memory or frames, or else the step's register writes, pc
-    included either way.  ``cfg`` is not written; the caller applies
-    the writes."""
-    pc = cfg.reg[PC]
-    if not (isinstance(pc, MemCap) and pc.perm in EXEC_PERMS):
-        return FAILED
-    perm, lin, base, end, a = pc
-    w = cfg.mem.written.get(a)
-    if w is None:   # unwritten: 0 in the domain, None outside it
-        w = cfg.mem.get(a)
-    # A call sequence starts with CALL_HEAD (``call_cond`` rejects any
-    # other first cell), so no other cell needs call recognition.
-    if w == CALL_HEAD:
-        out = ext.recognize_call(cfg, gc)
-        if out is not None:
-            return out
-    if w is None or not base <= a <= end:
-        return FAILED
-    # The memo holds the handler's name, not the function, so a wrapped
-    # handler is seen.
-    name, ops = _DECODED.get(w) or _decode(w)
-    out = _MODULE[name](cfg, ext, gc, ops)
-    # the next-pc rule: writes that do not name pc (a jump's do) gain pc
-    # moved to the next cell
-    if type(out) is dict:
-        if PC not in out:
-            out[PC] = _new(MemCap, (perm, lin, base, end, a + 1))
-    elif type(out) is Running and PC not in out[1]:
-        out[1][PC] = _new(MemCap, (perm, lin, base, end, a + 1))
     return out

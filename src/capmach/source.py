@@ -103,7 +103,7 @@ class SourceExtension(MachineExtension):
 
 def exec_call(cfg: SourceConfig, params: CallParams,
               ext: MachineExtension, gc: GlobalConstants):
-    """The call sequence as one atomic step.  ``advance`` reaches it only
+    """The call sequence as one atomic step.  A run reaches it only
     through ``recognize_call``, with an executable memory capability in
     pc."""
     r1, r2 = params.r1, params.r2
@@ -136,7 +136,7 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     cfg = SourceConfig(cfg.mem, cfg.reg, (StackFrame(
         opc, ms_priv.set(a_stk, CANARY)),) + cfg.stk, ms_rest)
     # the jump writes these registers together with its own, over the
-    # pushed frame: not over the configuration ``advance`` got
+    # pushed frame: not over the configuration the step started from
     out = xjump_result(w1.inner, w2.inner, cfg, ext, gc, {
         r1: lin_cons(w1),
         r2: lin_cons(w2),

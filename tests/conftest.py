@@ -6,9 +6,9 @@ from capmach.core import (
     enc_instr, fresh_registers, linear_overlaps, mk_instr,
 )
 from capmach.fixtures import STK_BASE
-from capmach.harness import _owners
+from capmach.harness import _EXTENSIONS, Run, _owners
 from capmach.machine import (
-    NULL_EXTENSION, MachineExtension, Running, _new, advance,
+    FAILED, HALTED, NULL_EXTENSION, MachineExtension, Running, _new,
 )
 from capmach.source import SourceConfig
 
@@ -58,33 +58,33 @@ def ex(cfg, op, *args, ext=NULL_EXTENSION, gc=NOWHERE):
     return step(cfg, ext, gc)
 
 
-# Oracles: the pure step whose fold ``harness.Run`` must match, the full
-# scan the paranoid tracker must match, the front-end tests' disassembler.
+# Oracles: the one step that ``harness.Run`` takes, as a value; the full
+# scan the paranoid tracker must match; the front-end tests' disassembler.
 
-def as_running(cfg, out):
-    """A step outcome over ``cfg`` as ``step`` returns it: its register
-    writes, alone or a ``Running``'s, applied to a fresh copy of the
-    registers, and a ``Running``'s cell write to a fresh copy of its
-    memory; FAILED and HALTED are returned as they are."""
-    if type(out) is Running:
-        cfg, out, cell = out
-        if cell is not None:
-            m, a, w = cell
-            if m is cfg.mem:
-                cfg = cfg._replace(mem=m.set(a, w))
-            else:
-                cfg = cfg._replace(ms_stk=m.set(a, w))
-    if isinstance(out, dict):
-        return _new(Running, (cfg.with_regs(out), out, None))
-    return out
+_KINDS = {ext: kind for kind, ext in _EXTENSIONS.items()}
 
 
 def step(cfg, ext: MachineExtension = NULL_EXTENSION,
          gc: GlobalConstants = None):
-    """One step of ``cfg``: FAILED, HALTED, or a ``Running`` that owns a
-    fresh register dict and a fresh copy of any memory the step wrote.
-    ``cfg`` is not written."""
-    return as_running(cfg, advance(cfg, ext, gc))
+    """One step of ``cfg`` on ``ext``'s machine, as a run takes it:
+    FAILED, HALTED, or a ``Running`` that owns a copy of the
+    configuration after the step, its register writes and its cell write
+    (into the copy), or None.  A run of fuel 2 makes it: its hook copies
+    what it gets before the second step.  ``cfg`` is not written."""
+    out = []
+
+    def keep(now, wrote, cell):
+        if wrote:   # before the second step: every step writes pc
+            mem, reg, stk, ms_stk = now
+            copy = SourceConfig(Memory(mem.written, mem.domain), dict(reg),
+                                stk, Memory(ms_stk.written, ms_stk.domain))
+            if cell is not None:
+                m, a, w = cell
+                cell = (copy.mem if m is mem else copy.ms_stk, a, w)
+            out.append(_new(Running, (copy, dict(wrote), cell)))
+
+    run = Run(cfg, _KINDS[ext], gc, 2).go(keep)
+    return out[0] if out else FAILED if run.outcome == "failed" else HALTED
 
 
 def check_linearity(cfg) -> list:

@@ -31,10 +31,10 @@ from capmach.fixtures import (
 from capmach.harness import (
     Run, check_stack_partition, format_trace, run_diff, run_report,
 )
-from capmach.machine import NULL_EXTENSION, Running, advance
+from capmach.machine import NULL_EXTENSION, Running
 from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
-from conftest import as_running, check_linearity, disassemble, step, tcfg
+from conftest import check_linearity, disassemble, step, tcfg
 
 
 def test_corpus_agreement():
@@ -389,45 +389,41 @@ def test_write_set_names_every_changed_register():
     # a step's write set names every register whose word is not the
     # same object after it, for every opcode on both machines, the
     # atomic call and the return-token jump: random programs, the corpus
-    # and the scenarios, through the ``advance`` that run_report calls
-    # (its register writes, or its Running, seen as ``step`` returns it);
-    # the step writes no register itself, and a Running holds the very
-    # register dict the step read
+    # and the scenarios, seen by a hook on each of their runs; every step
+    # writes the one register dict the run started with
     seen = set()
 
-    def checked(cfg, ext, gc):
-        before = dict(cfg.reg)
-        out = advance(cfg, ext, gc)
-        assert cfg.reg.keys() == before.keys() and all(
-            cfg.reg[r] is w for r, w in before.items())
-        if type(out) is Running:
-            assert out.cfg.reg is cfg.reg
-        nxt = as_running(cfg, out)
-        if type(nxt) is Running:
-            new, wrote = nxt.cfg, nxt.wrote
-            changed = {r for r in cfg.reg.keys() | new.reg.keys()
-                       if new.reg.get(r) is not cfg.reg.get(r)}
-            assert changed <= set(wrote), (changed, wrote)
-            depth = len(new.stk) - len(cfg.stk)
-            op = "call" if depth > 0 else "return" if depth < 0 else \
-                dec_instr(cfg.mem[cfg.reg[PC].addr]).op
-            seen.add((ext is SOURCE_EXTENSION, op))
-        return out
+    def checked(cfg, kind, gc, fuel):
+        last = []   # the registers, their words, the frames and the op
+
+        def hook(now, wrote, cell):
+            if last:
+                reg, before, frames, op = last
+                assert now.reg is reg
+                changed = {r for r in reg.keys() | before.keys()
+                           if reg.get(r) is not before.get(r)}
+                assert changed <= set(wrote), (changed, wrote)
+                depth = len(now.stk) - frames
+                seen.add((kind, "call" if depth > 0 else
+                          "return" if depth < 0 else op))
+            pc = now.reg[PC]
+            w = now.mem.get(pc.addr) if isinstance(pc, MemCap) else None
+            last[:] = (now.reg, dict(now.reg), len(now.stk),
+                       w is not None and dec_instr(w).op)
+
+        Run(cfg, kind, gc, fuel).go(hook)
 
     rng = random.Random(5)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "advance", checked)
-        for _ in range(300):
-            cfg = _run_cfg(rng)
-            for kind in ("source", "target"):
-                run_report(cfg, kind, _RUN_GC, 20)
-        for name, t, ctx in corpus():
-            run_diff(t, ctx, STK_BASE, STK_END, fuel=2000)
-        for fn in SCENARIOS.values():
-            fn()
+    for _ in range(300):
+        cfg = _run_cfg(rng)
+        for kind in ("source", "target"):
+            checked(cfg, kind, _RUN_GC, 20)
+    for cfg, kind, gc in _machine_runs():
+        checked(cfg, kind, gc, 4000)
     ops = set(OPCODES) - {"fail", "halt"}
-    assert {op for source, op in seen if not source} == ops
-    assert {op for source, op in seen if source} == ops | {"call", "return"}
+    assert {op for kind, op in seen if kind == "target"} == ops
+    assert {op for kind, op in seen if kind == "source"} == \
+        ops | {"call", "return"}
 
 
 def _edit(rng, cfg):
@@ -485,8 +481,9 @@ def test_paranoid_tracker_against_full_checks_on_edits(rng):
     checks = harness._Invariants(cfg)
     for _ in range(12):
         cfg, wrote, cell = _edit(rng, cfg)
-        assert checks.at(cfg, wrote, cell) == (check_linearity(cfg),
-                                               check_stack_partition(cfg))
+        checks.observe(cfg, wrote, cell)
+        assert checks.found == (check_linearity(cfg),
+                                check_stack_partition(cfg))
 
 
 def test_paranoid_violation_comes_and_goes():
@@ -697,32 +694,30 @@ def test_trace_against_folded_steps():
 
 
 def test_run_paused_and_resumed():
-    # a run stopped after k steps, and a new run from the configuration
-    # it yielded there with the fuel that is left, end as one
-    # uninterrupted run does; no run writes its input
+    # a run given k steps of fuel, and a new run from its final
+    # configuration with the fuel that is left, end as one uninterrupted
+    # run does, with the same calls and returns; no run writes its input
     fuel, paused = 2000, Counter()
     for name, t, ctx in corpus():
         gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
         for kind in ("source", "target"):
             cfg = initial_config(link(t, ctx), kind, STK_BASE, STK_END)
             contents, parts = _contents(cfg), (cfg.mem, cfg.stk, cfg.ms_stk)
-            whole = Run(cfg, kind, gc, fuel)
-            for _ in whole:
-                pass
+            whole = Run(cfg, kind, gc, fuel).go()
             for k in (1, 5, 19):
-                first = Run(cfg, kind, gc, fuel)
-                item = next(itertools.islice(first, k, None), None)
-                if item is None:      # the run ended in k steps or fewer
+                first = Run(cfg, kind, gc, k).go()
+                if first.outcome != "fuel-exhausted":   # ended in k steps
                     assert whole.steps <= k, (name, kind, k)
                     continue
-                paused_cfg = item[0]
+                paused_cfg = first.cfg
                 item_contents = _contents(paused_cfg)
                 item_parts = paused_cfg.mem, paused_cfg.stk, paused_cfg.ms_stk
-                rest = Run(paused_cfg, kind, gc, fuel - k)
-                for _ in rest:
-                    pass
-                assert (rest.outcome, k + rest.steps, rest.cfg) == \
-                    (whole.outcome, whole.steps, whole.cfg), (name, kind, k)
+                rest = Run(paused_cfg, kind, gc, fuel - k).go()
+                assert (rest.outcome, k + rest.steps, rest.cfg,
+                        first.calls + rest.calls,
+                        first.returns + rest.returns) == \
+                    (whole.outcome, whole.steps, whole.cfg, whole.calls,
+                     whole.returns), (name, kind, k)
                 paused[name, k] += 1
                 _unwritten(paused_cfg, item_contents, item_parts)
             _unwritten(cfg, contents, parts)
@@ -739,8 +734,9 @@ def test_a_store_copies_nothing():
     t, ctx = trusted_one_call(), context_cb(body)
     gc, cfgs = harness.diff_start(t, ctx, STK_BASE, STK_END)
     for kind, cfg in cfgs.items():
-        run = Run(cfg, kind, gc)
-        items = [(c.mem, c.stk, c.ms_stk) for c, *_ in run]
+        items = []
+        run = Run(cfg, kind, gc).go(
+            lambda c, *_: items.append((c.mem, c.stk, c.ms_stk)))
         assert run.outcome == "halted"
         for (mem, stk, ms_stk), (mem2, stk2, ms_stk2) in zip(items, items[1:]):
             assert mem2 is mem, kind
@@ -786,28 +782,36 @@ def test_calls_and_returns_leave_the_same_stack():
     # pc and holds the same word at every stack address: the canary and
     # the split, sealed and spliced stack of the call macro agree with
     # the source's atomic call and return
+    stack = range(STK_BASE, STK_END + 1)
     points = 0
     for name, t, ctx in corpus():
         gc, cfgs = harness.diff_start(t, ctx, STK_BASE, STK_END)
         if run_report(cfgs["source"], "source", gc, 2000).outcome != "halted":
             continue
-        trg, at = iter(Run(cfgs["target"], "target", gc, 4000)), 0
+        # target step -> (pc's address, stack words, source step)
+        want, got, steps = {}, {}, itertools.count()
         frames = calls = returns = 0
-        for k, (src, _, _) in enumerate(Run(cfgs["source"], "source", gc,
-                                            2000)):
-            if len(src.stk) == frames:
-                continue
-            calls += len(src.stk) > frames
-            returns += len(src.stk) < frames
-            frames = len(src.stk)
-            j = k + 14 * calls + 10 * returns
-            trg_cfg = next(itertools.islice(trg, j - at, None))[0]
-            at = j + 1
-            assert trg_cfg.reg[PC].addr == src.reg[PC].addr, (name, k)
-            for a in range(STK_BASE, STK_END + 1):
-                assert _source_stack_word(src, a) == trg_cfg.mem.get(a), \
-                    (name, k, a)
-            points += 1
+
+        def at_source(src, wrote, cell):
+            nonlocal frames, calls, returns
+            k = next(steps)
+            if len(src.stk) != frames:
+                calls += len(src.stk) > frames
+                returns += len(src.stk) < frames
+                frames = len(src.stk)
+                want[k + 14 * calls + 10 * returns] = (src.reg[PC].addr, [
+                    _source_stack_word(src, a) for a in stack], k)
+
+        def at_target(trg, wrote, cell, steps=itertools.count()):
+            j = next(steps)
+            if j in want:
+                got[j] = (trg.reg[PC].addr, [trg.mem.get(a) for a in stack],
+                          want[j][2])
+
+        Run(cfgs["source"], "source", gc, 2000).go(at_source)
+        Run(cfgs["target"], "target", gc, 4000).go(at_target)
+        assert got == want, name
+        points += len(want)
     assert points == 18
 
 

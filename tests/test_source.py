@@ -1,6 +1,6 @@
 import functools
 
-from conftest import HALT, as_running, enc, ex, rw, rx, scfg, std_gc, step
+from conftest import HALT, enc, ex, rw, rx, scfg, std_gc, step
 
 from capmach.asm import CALL_LEN, CallParams, expand_scall
 from capmach.components import initial_config, link
@@ -35,7 +35,7 @@ def test_stkptr_store_load():
               "store", "r1", "r2") is FAILED
     cfg = scfg(ms_stk={1005: 9}, pc=pc, r2=sp(1000, 1010, 1005))
     out = ex(cfg, "load", "r1", "r2")
-    assert out.cfg.reg["r1"] == 9 and out.cfg.ms_stk is cfg.ms_stk
+    assert out.cfg.reg["r1"] == 9 and out.cell is None
     lin = rw(0, 1, 0, Lin.LINEAR)
     out = ex(scfg(ms_stk={1005: lin}, pc=pc, r2=sp(1000, 1010, 1005)),
              "load", "r1", "r2")
@@ -82,12 +82,12 @@ PARAMS = CallParams(30, 0, "r3", "r4")
 
 
 def _call(cfg, params=PARAMS):
-    """``exec_call``'s outcome as ``step`` returns it: its register
-    writes applied to a copy.  The call itself writes no register: its
-    ``Running`` holds the registers it read."""
+    """``exec_call``'s outcome, its register writes applied to a copy.
+    The call itself writes no register: its ``Running`` holds the
+    registers it read."""
     out = exec_call(cfg, params, SOURCE_EXTENSION, GC)
     assert isinstance(out, Running) and out.cfg.reg is cfg.reg
-    return as_running(cfg, out)
+    return out._replace(cfg=out.cfg.with_regs(out.wrote))
 
 
 def test_exec_call():
