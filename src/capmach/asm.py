@@ -1,8 +1,8 @@
 """Assembler, the secure-call macro, hidden-call detection.
 
 The call macro expands to a fixed 26-instruction sequence; the source
-machine recognizes that exact sequence in memory (see ``call_cond``) and
-reinterprets it as one atomic step when it sits at trusted addresses.
+machine recognizes that exact sequence at trusted addresses (see
+``call_cond``) and reinterprets it as one atomic step.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1,
-    RTMP2, Instr, SealCap, _bound, dec_instr, enc_instr, is_register,
-    mk_instr, parse_int, parse_word,
+    OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2,
+    GlobalConstants, Instr, SealCap, _bound, dec_instr, enc_instr,
+    is_register, mk_instr, parse_int, parse_word,
 )
 
 CALL_LEN = 26
@@ -139,21 +139,23 @@ def _word_parts(w, stk_base, check_stk_base=True) -> tuple:
                                                       check_stk_base)))
 
 
-def call_cond(mem, a: int, stk_base: int,
-              check_stk_base: bool = True) -> Optional[CallParams]:
-    """Recognize the call expansion starting at address ``a``.
+def call_cond(mem, a: int, gc: GlobalConstants) -> Optional[CallParams]:
+    """The parameters of the trusted call at ``a``, or None: the call
+    expansion for ``gc``'s stack base and check, all 26 cells in
+    ``gc.ta``.  Call recognition and validation's rule B both ask here.
 
-    A window whose first cell is not the expansion's first instruction
-    is rejected before anything is decoded.  Otherwise the window is a
-    call when each cell ``a + j`` is an integer that can stand at part
-    ``j`` (see ``_parts_of``); the parameters are then read from parts
-    6, 8 and 14.  The ``fail`` at part 22 is matched decoded, since
+    A window whose first cell is not the expansion's first instruction,
+    or that is not all trusted, is rejected before anything is decoded.
+    Otherwise each cell ``a + j`` must be an integer that can stand at
+    part ``j`` (see ``_parts_of``); the parameters are then read from
+    parts 6, 8 and 14.  The ``fail`` at part 22 is matched decoded, since
     every integer that is not an instruction image decodes to it.
     """
     # read in C: a Memory's written cells, or the plain dict itself
     get = getattr(mem, "written", mem).get
-    if get(a) != CALL_HEAD:
+    if get(a) != CALL_HEAD or not gc.ta.covers(a, a + CALL_LEN - 1):
         return None
+    stk_base, check_stk_base = gc.stk_base, gc.check_stk_base
     for j in range(1, CALL_LEN):
         w = get(a + j)
         if w is None:   # 0 in a Memory's domain

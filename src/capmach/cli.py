@@ -169,13 +169,11 @@ def cmd_scenarios(args):
     print(f"{result.name}: source {v.source.outcome} "
           f"({v.source.steps} steps), target {v.target.outcome} "
           f"({v.target.steps} steps)")
-    if result.expected == "disagreement":
-        print("expected disagreement "
-              + ("observed" if result.as_expected else "NOT observed"))
-        return EXIT_DISAGREE if result.as_expected else EXIT_FAILED
-    print("expected both-failed "
+    print(f"expected {result.expected} "
           + ("observed" if result.as_expected else "NOT observed"))
-    return EXIT_OK if result.as_expected else EXIT_FAILED
+    if not result.as_expected:
+        return EXIT_FAILED
+    return EXIT_DISAGREE if result.expected == "disagreement" else EXIT_OK
 
 
 def build_parser():

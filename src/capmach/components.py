@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .asm import CALL_HEAD, CALL_LEN, call_cond, find_hidden_calls
+from .asm import CALL_HEAD, call_cond, find_hidden_calls
 from .core import (
     INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap,
     Perm, Ranges, SealCap, Sealed, StkPtr, fresh_registers, is_linear,
@@ -105,12 +105,12 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
         _diag(out, "comp-code", f"addr {v.addr}",
               f"hidden call fragment (part {v.index} of a call at {v.start})")
 
-    # rule B / d_sigma: every complete call inside ta claims one return
-    # seal; a call starts at a cell that holds the expansion's first word
+    # rule B / d_sigma: every trusted call (``call_cond``) claims one
+    # return seal; a call starts at a cell that holds its first word
     claimed: dict = {}
     for a in sorted(a for a, w in c.ms_code.items() if w == CALL_HEAD):
-        p = call_cond(c.ms_code, a, gc.stk_base, gc.check_stk_base)
-        if p is None or not gc.ta.covers(a, a + CALL_LEN - 1):
+        p = call_cond(c.ms_code, a, gc)
+        if p is None:
             continue
         sw = c.ms_code.get(a + p.off_pc)
         if not isinstance(sw, SealCap):

@@ -252,20 +252,8 @@ def lin_cons(w: Word) -> Word:
     return w if linear_range(w) is None else 0
 
 
-def is_exec(w: Word) -> bool:
-    return isinstance(w, MemCap) and w.perm in EXEC_PERMS
-
-
 def non_exec(w: Word) -> bool:
-    return not is_exec(w)
-
-
-def within_bounds(sc: Word) -> bool:
-    if isinstance(sc, (MemCap, StkPtr)):
-        return sc.base <= sc.addr <= sc.end
-    if isinstance(sc, SealCap):
-        return sc.base <= sc.cur <= sc.end
-    return False
+    return not (isinstance(w, MemCap) and w.perm in EXEC_PERMS)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +280,8 @@ def is_register(name) -> bool:
     return name in _REG_INDEX
 
 
-def fresh_registers(fill: Word = 0) -> dict:
-    return {r: fill for r in REGISTERS}
+def fresh_registers() -> dict:
+    return dict.fromkeys(REGISTERS, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -602,31 +590,33 @@ class Instr:
         return self.op + " " + " ".join(str(a) for a in self.args)
 
 
-# op name -> operand signature ("r" register, "n" register-or-immediate)
+# op name -> operand signature: "n" a register or an immediate, "w" a
+# register it writes, "r" any other register.  Only a jump sets pc: a
+# jump's are "r", and any other that names pc at a "w" decodes to fail.
 OPCODES = {
     "fail": "",
     "halt": "",
     "jmp": "r",
     "jnz": "rn",
-    "gettype": "rr",
-    "geta": "rr",
-    "getb": "rr",
-    "gete": "rr",
-    "getp": "rr",
-    "getlin": "rr",
-    "move": "rn",
-    "store": "rr",
-    "load": "rr",
-    "cca": "rn",
-    "restrict": "rn",
-    "lt": "rnn",
-    "plus": "rnn",
-    "minus": "rnn",
-    "seta2b": "r",
+    "gettype": "wr",
+    "geta": "wr",
+    "getb": "wr",
+    "gete": "wr",
+    "getp": "wr",
+    "getlin": "wr",
+    "move": "wn",
+    "store": "rw",
+    "load": "wr",
+    "cca": "wn",
+    "restrict": "wn",
+    "lt": "wnn",
+    "plus": "wnn",
+    "minus": "wnn",
+    "seta2b": "w",
     "xjmp": "rr",
-    "cseal": "rr",
-    "split": "rrrn",
-    "splice": "rrr",
+    "cseal": "wr",
+    "split": "wwwn",
+    "splice": "www",
 }
 
 _OPLIST = tuple(OPCODES)
@@ -652,7 +642,7 @@ def mk_instr(op: str, *args) -> Instr:
     if len(args) != len(sig):
         raise EncodingError(f"{op} expects {len(sig)} operands, got {len(args)}")
     for kind, a in zip(sig, args):
-        if kind == "r":
+        if kind != "n":
             if not is_register(a):
                 raise EncodingError(f"{op}: {a!r} is not a register")
         else:
@@ -701,7 +691,7 @@ def _dec_int(w: int) -> Instr:
         if f < _NREG:
             args.append(REGISTERS[f])
         else:
-            if kind == "r":
+            if kind != "n":
                 return FAIL
             z = f - _NREG
             args.append(z // 2 if z % 2 == 0 else -(z + 1) // 2)

@@ -213,9 +213,10 @@ class Run:
     fails or has taken ``fuel`` steps, then sets ``outcome`` (halted,
     failed or fuel-exhausted), ``steps``, ``calls`` and ``returns``
     (atomic calls and return-token jumps, seen as the frames grow and
-    shrink) and ``cfg``, the final configuration; until then ``cfg`` is
-    the first.  To pause a run, give it less fuel and start a new run
-    from its final ``cfg``.  ``cfg`` is not written: the run copies its
+    shrink), ``cfg``, the final configuration, and ``_last``, the last
+    step's writes as a hook gets them; until then ``cfg`` is the first.
+    To pause a run, give it less fuel and start a new run from its
+    final ``cfg``.  ``cfg`` is not written: the run copies its
     registers and memories once, and writes each step's writes into
     them in place, so what a hook gets is valid until the hook returns.
     A new run may start from that: it makes its own copies."""
@@ -258,14 +259,14 @@ class Run:
             w = written.get(a)
             if w is None:   # unwritten: 0 in the domain, None outside it
                 w = mem.get(a)
+            if w is None or not base <= a <= end:
+                outcome = "failed"
+                break
             # A call sequence starts with CALL_HEAD (``call_cond`` rejects
             # any other first cell), so no other cell needs call
             # recognition.  A call's writes name pc.
             out = ext.recognize_call(cfg, gc) if w == CALL_HEAD else None
             if out is None:
-                if w is None or not base <= a <= end:
-                    outcome = "failed"
-                    break
                 # the memo holds the handler's name, looked up at each
                 # step, so a wrapped handler is seen
                 name, ops = decoded(w) or _decode(w)
@@ -294,19 +295,22 @@ class Run:
                     frames = len(cfg.stk)
             reg.update(wrote)
         self.outcome, self.steps, self.cfg = outcome, steps, cfg
-        self.calls, self.returns = calls, returns
+        self.calls, self.returns, self._last = calls, returns, (wrote, cell)
         return self
 
 
 def run_report(cfg, machine_kind: str, gc: GlobalConstants,
                fuel: int = DEFAULT_FUEL, paranoid: bool = False) -> RunReport:
     """The ``Run`` of ``cfg``, reported.  ``paranoid`` checks both
-    invariants before every step: one full scan of the first
-    configuration, then the changes of each step (``_Invariants``, whose
-    ``observe`` is the run's hook)."""
+    invariants at every configuration the run reaches: one full scan of
+    the first, then the changes of each step (``_Invariants``, whose
+    ``observe`` is the run's hook, and is called once more at the end
+    of a run that runs out of fuel)."""
     run = Run(cfg, machine_kind, gc, fuel)
     checks = _Invariants(run.cfg) if paranoid else None
     run.go(checks.observe if paranoid else None)
+    if paranoid and run.outcome == "fuel-exhausted":   # the last cfg too
+        checks.observe(run.cfg, *run._last)
     return RunReport(run.outcome, run.steps,
                      checks.violations if paranoid else [], run.cfg,
                      run.calls, run.returns)

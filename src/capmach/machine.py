@@ -39,7 +39,7 @@ from .core import (
     _LINEAR, _NORMAL, OPCODES, PC, RDATA, READ_PERMS, WRITE_PERMS,
     MemCap, Record, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
     dec_instr, dec_perm, enc_lin, enc_perm, enc_type, is_linear,
-    is_sealable, lin_cons, linear_range, non_exec, perm_leq, within_bounds,
+    is_sealable, lin_cons, linear_range, non_exec, perm_leq,
 )
 
 
@@ -51,8 +51,6 @@ class Running(Record, namedtuple("Running", "cfg wrote cell",
     ``(memory, address, word)`` into a memory of ``cfg``."""
 
     __slots__ = ()
-
-    kind = "running"
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ class MachineExtension:
     def recognize_call(self, cfg, gc):
         """Big-step call dispatch; None means no call fires here.
         ``harness.Run`` calls it only when pc is an executable memory
-        capability whose cell holds ``CALL_HEAD``."""
+        capability within its bounds whose cell holds ``CALL_HEAD``."""
         return None
 
 
@@ -292,7 +290,8 @@ def exec_cseal(cfg, ext, gc, ops):
     r1, r2 = ops
     sc = cfg.reg[r1]
     s = cfg.reg[r2]
-    if is_sealable(sc) and isinstance(s, SealCap) and within_bounds(s):
+    if is_sealable(sc) and isinstance(s, SealCap) \
+            and s.base <= s.cur <= s.end:
         return {r1: Sealed(s.cur, sc)}
     return FAILED
 
@@ -368,31 +367,24 @@ def exec_xjmp(cfg, ext, gc, ops):
 _HANDLER = {op: "exec_" + op for op in OPCODES}
 _MODULE = globals()
 
-# op -> the positions of the register operands it writes, but for the
-# jumps, which alone set pc (``exec_move`` decides ``move r pc``).
-_WRITES = dict.fromkeys(
-    ("gettype", "geta", "getb", "gete", "getp", "getlin", "lt", "plus",
-     "minus", "cseal", "load", "cca", "restrict", "seta2b", "move"), (0,))
-_WRITES.update(store=(1,), split=(0, 1, 2), splice=(0, 1, 2))
-
 
 # word -> ``_decode(word)``, which fills it
 _DECODED = {}
 
 
 def _decode(w):
-    """(handler name, operands) of the word ``w``, fail's when it names pc
-    as a register it writes: no handler tests for pc.  It is stored in
-    ``_DECODED``, which ``harness.Run`` reads with ``.get`` first, so each
-    distinct word is decoded once; the memo is emptied when it holds
-    4096 words.  A plain dict, not an ``lru_cache``, whose hit relinks
-    its list: a hit is one C-level ``get``.  The operands stay one tuple,
-    which the run passes as one argument."""
+    """(handler name, operands) of the word ``w``, fail's when it names
+    pc at an operand ``OPCODES`` marks "w": no handler tests for pc.  It
+    is stored in ``_DECODED``, which ``harness.Run`` reads with ``.get``
+    first, so each distinct word is decoded once; the memo is emptied
+    when it holds 4096 words.  A plain dict, not an ``lru_cache``, whose
+    hit relinks its list: a hit is one C-level ``get``.  The operands
+    stay one tuple, which the run passes as one argument."""
     if len(_DECODED) >= 4096:
         _DECODED.clear()
     instr = dec_instr(w)
     args = instr.args
-    if any(args[i] == PC for i in _WRITES.get(instr.op, ())):
+    if any(k == "w" and a == PC for k, a in zip(OPCODES[instr.op], args)):
         out = _HANDLER["fail"], ()
     else:
         out = _HANDLER[instr.op], args

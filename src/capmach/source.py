@@ -42,8 +42,9 @@ class SourceConfig(Record, namedtuple("SourceConfig", "mem reg stk ms_stk",
 
     The target keeps its stack in ``mem``, so its ``stk`` and ``ms_stk``
     stay empty.  ``with_regs`` skips the constructor's Python-level
-    ``__new__``; a run copies its registers and memories once, through
-    it, and writes them in place.
+    ``__new__``.  A run copies the registers once, through it, and each
+    memory once, as a new ``Memory`` over its cells, and writes those
+    copies in place.
     """
 
     __slots__ = ()
@@ -93,10 +94,8 @@ class SourceExtension(MachineExtension):
     def recognize_call(self, cfg, gc):
         pc = cfg.reg[PC]
         a = pc.addr
-        params = call_cond(cfg.mem, a, gc.stk_base, gc.check_stk_base)
-        last = a + CALL_LEN - 1
-        if params is None or not gc.ta.covers(a, last) \
-                or not (pc.base <= a and last <= pc.end):
+        params = call_cond(cfg.mem, a, gc)
+        if params is None or a + CALL_LEN - 1 > pc.end:
             return None
         return exec_call(cfg, params, self, gc)
 
@@ -105,7 +104,7 @@ def exec_call(cfg: SourceConfig, params: CallParams,
               ext: MachineExtension, gc: GlobalConstants):
     """The call sequence as one atomic step.  A run reaches it only
     through ``recognize_call``, with an executable memory capability in
-    pc."""
+    pc whose window of ``CALL_LEN`` cells is within its bounds."""
     r1, r2 = params.r1, params.r2
     if RTMP1 in (r1, r2):
         return FAILED

@@ -2,7 +2,7 @@ from typing import Optional
 
 from capmach.asm import CALL_LEN, call_cond
 from capmach.core import (
-    INF, PC, GlobalConstants, Lin, Memory, MemCap, Perm, dec_instr,
+    INF, PC, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, dec_instr,
     enc_instr, fresh_registers, linear_overlaps, mk_instr,
 )
 from capmach.fixtures import STK_BASE
@@ -19,6 +19,12 @@ def std_gc(trusted, check_stk_base=True):
     """The global constants a fixture's diff runs under: its trusted
     side's code is trusted, and the stack starts at ``STK_BASE``."""
     return GlobalConstants(trusted.ms_code, STK_BASE, check_stk_base)
+
+
+def trust_all(stk_base, check_stk_base=True):
+    """Global constants that trust every address: ``call_cond`` under
+    them recognizes any call expansion for ``stk_base``."""
+    return GlobalConstants(Ranges.span(-INF, INF), stk_base, check_stk_base)
 
 
 def rx(b, e, a):
@@ -114,7 +120,7 @@ def disassemble(seg, stk_base: Optional[int] = None,
         if a != end:
             lines.append(f".org {a}")
         p = None if stk_base is None else \
-            call_cond(seg, a, stk_base, check_stk_base)
+            call_cond(seg, a, trust_all(stk_base, check_stk_base))
         if p is not None:
             lines.append(f"call {p.off_pc} {p.off_sigma} {p.r1} {p.r2}")
             end = a + CALL_LEN

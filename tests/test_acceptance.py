@@ -29,7 +29,7 @@ from capmach.fixtures import (
 from capmach.harness import ValidationFailure, run_diff
 from capmach.machine import Running, NULL_EXTENSION
 from capmach.source import SOURCE_EXTENSION
-from conftest import HALT, ex, scfg, std_gc, tcfg
+from conftest import HALT, ex, scfg, std_gc, tcfg, trust_all
 
 RNG_SEED = 20260826
 
@@ -38,7 +38,7 @@ def random_instr(rng):
     op = rng.choice(list(OPCODES))
     args = []
     for kind in OPCODES[op]:
-        if kind == "r" or rng.random() < 0.5:
+        if kind != "n" or rng.random() < 0.5:
             args.append(rng.choice(REGISTERS))
         else:
             args.append(rng.randrange(-2**30, 2**30))
@@ -186,11 +186,11 @@ def test_criterion_5_call_macro_geometry():
     assert ins[22].op == "fail"
 
     seg = {i: enc_instr(w) for i, w in enumerate(ins)}
-    assert call_cond(seg, 0, STK_BASE) == p
+    assert call_cond(seg, 0, trust_all(STK_BASE)) == p
     for i in range(CALL_LEN):
         mut = dict(seg)
         mut[i] = mut[i] + 1
-        assert call_cond(mut, 0, STK_BASE) is None, i
+        assert call_cond(mut, 0, trust_all(STK_BASE)) is None, i
 
     # 40-cell segment: one complete call, one overhanging fragment
     filler = enc_instr(mk_instr("plus", "r0", "r0", 1))

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from conftest import disassemble
+from conftest import disassemble, trust_all
 from hypothesis import example, given, settings, strategies as st
 
 from capmach.asm import (
@@ -11,8 +11,9 @@ from capmach.asm import (
     expand_scall, find_hidden_calls,
 )
 from capmach.core import (
-    Lin, Memory, MemCap, Perm, Ranges, RetPtrCode, RetPtrData, SealCap,
-    Sealed, StkPtr, dec_instr, enc_instr, mk_instr, parse_word,
+    GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
+    RetPtrData, SealCap, Sealed, StkPtr, dec_instr, enc_instr, mk_instr,
+    parse_word,
 )
 
 
@@ -51,20 +52,26 @@ def test_expand_rejects_bad_operands():
 def test_call_cond_roundtrip():
     p = CallParams(30, 2, "r3", "r4")
     mem = enc_call(p, at=7)
-    assert call_cond(mem, 7, 1000) == p
-    assert call_cond(mem, 8, 1000) is None       # misaligned
-    assert call_cond(mem, 7, 999) is None        # wrong stack base baked in
-    assert call_cond(mem, 7, 1000, check_stk_base=False) is None
+    assert call_cond(mem, 7, trust_all(1000)) == p
+    assert call_cond(mem, 8, trust_all(1000)) is None    # misaligned
+    assert call_cond(mem, 7, trust_all(999)) is None     # wrong stack base
+    assert call_cond(mem, 7, trust_all(1000, False)) is None
+    # every cell of the window must be trusted
+    window = Ranges.span(7, 7 + CALL_LEN - 1)
+    assert call_cond(mem, 7, GlobalConstants(window, 1000)) == p
+    for a in window:
+        assert call_cond(mem, 7, GlobalConstants(
+            window - Ranges.span(a, a), 1000)) is None, a
     mem_nc = enc_call(p, at=7, check=False)
-    assert call_cond(mem_nc, 7, 1000, check_stk_base=False) == p
-    assert call_cond(mem_nc, 7, 1000) is None
+    assert call_cond(mem_nc, 7, trust_all(1000, False)) == p
+    assert call_cond(mem_nc, 7, trust_all(1000)) is None
     # every integer that is not an instruction image decodes to fail, so
     # the fail cell (index 22) may hold any of them
     for junk in (-1, enc_instr(mk_instr("fail")) + 23 * 5):
         assert dec_instr(junk).op == "fail"
-        assert call_cond({**mem, 7 + 22: junk}, 7, 1000) == p
+        assert call_cond({**mem, 7 + 22: junk}, 7, trust_all(1000)) == p
     mem[20] = SealCap(0, 9, 0)                   # non-integer cell
-    assert call_cond(mem, 7, 1000) is None
+    assert call_cond(mem, 7, trust_all(1000)) is None
 
 
 def test_call_cond_over_a_memory_and_a_dict():
@@ -73,29 +80,29 @@ def test_call_cond_over_a_memory_and_a_dict():
     # (it reads 0) and outside the domain (it reads nothing)
     p = CallParams(30, 2, "r3", "r4")
     cells = enc_call(p, at=7)
-    window = Ranges.span(0, 40)
-    assert call_cond(Memory(cells, window), 7, 1000) == p
+    window, gc = Ranges.span(0, 40), trust_all(1000)
+    assert call_cond(Memory(cells, window), 7, gc) == p
     for a in range(7, 7 + CALL_LEN):
         rest = {x: w for x, w in cells.items() if x != a}
         unwritten = Memory(rest, window)
-        assert call_cond(unwritten, 7, 1000) == \
-            call_cond({**rest, a: 0}, 7, 1000), a
+        assert call_cond(unwritten, 7, gc) == \
+            call_cond({**rest, a: 0}, 7, gc), a
         outside = Memory(rest, window - Ranges.span(a, a))
-        assert call_cond(outside, 7, 1000) is None
-        assert call_cond(rest, 7, 1000) is None
+        assert call_cond(outside, 7, gc) is None
+        assert call_cond(rest, 7, gc) is None
     # 0 is fail's image: only the fail cell (part 22) may read it
     assert call_cond(Memory({x: w for x, w in cells.items() if x != 29},
-                            window), 7, 1000) == p
+                            window), 7, gc) == p
 
 
 def test_call_cond_perturbation():
     p = CallParams(12, 0, "r0", "r1")
     base = enc_call(p, stk_base=77)
-    assert call_cond(base, 0, 77) == p
+    assert call_cond(base, 0, trust_all(77)) == p
     for i in range(CALL_LEN):
         mem = dict(base)
         mem[i] = mem[i] + 1
-        assert call_cond(mem, 0, 77) is None, f"cell {i} perturbation missed"
+        assert call_cond(mem, 0, trust_all(77)) is None, f"cell {i} perturbation missed"
 
 
 def _reference_call_cond(mem, a, stk_base, check_stk_base):
@@ -153,7 +160,7 @@ def _call_windows(draw):
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(_call_windows(), st.booleans())
 def test_call_cond_against_reference(mem, check):
-    assert call_cond(mem, 0, 1000, check) == \
+    assert call_cond(mem, 0, trust_all(1000, check)) == \
         _reference_call_cond(mem, 0, 1000, check)
 
 
@@ -375,7 +382,7 @@ def test_assemble_call_macro():
     halt
     sealw: .seal 5 9 5
     """, stk_base=1000)
-    assert call_cond(r.segment, 100, 1000) == CallParams(27, 0, "r3", "r4")
+    assert call_cond(r.segment, 100, trust_all(1000)) == CallParams(27, 0, "r3", "r4")
     assert r.labels["sealw"] == 127
     assert dec_instr(r.segment[126]) == mk_instr("halt")
 

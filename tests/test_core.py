@@ -8,8 +8,8 @@ from capmach.core import (
     EXEC_PERMS, FAIL, INF, READ_PERMS, REGISTERS, WRITE_PERMS, Instr, Lin,
     Memory, MemCap, Perm, Ranges, RetPtrCode, RetPtrData, SealCap, Sealed,
     StkPtr, TYPE_INT, TYPE_MEMCAP, TYPE_SEAL, TYPE_SEALED,
-    dec_instr, dec_perm, enc_instr, enc_lin, enc_perm, enc_type, is_exec,
-    is_linear, lin_cons, mk_instr, perm_leq, within_bounds, OPCODES,
+    dec_instr, dec_perm, enc_instr, enc_lin, enc_perm, enc_type, is_linear,
+    lin_cons, mk_instr, non_exec, perm_leq, OPCODES,
     IMM_RANGE, EncodingError,
 )
 from capmach.machine import FAILED, NULL_EXTENSION, Running
@@ -59,11 +59,13 @@ def test_allowed_sets():
                     assert q in READ_PERMS
 
 
-def test_is_exec_shapes():
-    assert is_exec(MemCap(Perm.RX, Lin.NORMAL, 0, 9, 0))
-    assert not is_exec(MemCap(Perm.RW, Lin.NORMAL, 0, 9, 0))
-    assert not is_exec(StkPtr(Perm.RWX, 0, 9, 0))
-    assert not is_exec(7)
+def test_non_exec_shapes():
+    assert not non_exec(MemCap(Perm.RX, Lin.NORMAL, 0, 9, 0))
+    assert not non_exec(MemCap(Perm.RWX, Lin.LINEAR, 0, 9, 0))
+    assert non_exec(MemCap(Perm.RW, Lin.NORMAL, 0, 9, 0))
+    assert non_exec(StkPtr(Perm.RWX, 0, 9, 0))
+    assert non_exec(RetPtrCode(0, 9, 4))
+    assert non_exec(7)
 
 
 def test_is_linear():
@@ -97,13 +99,6 @@ def test_lin_cons_perm():
     out = load(Perm.RW, StkPtr(Perm.RW, 0, 1, 0), NULL_EXTENSION)
     assert out.cfg.reg["r1"] == StkPtr(Perm.RW, 0, 1, 0)
     assert out.cfg.mem[5] == 0
-
-
-def test_within_bounds():
-    assert within_bounds(MemCap(Perm.RW, Lin.NORMAL, 2, 8, 2))
-    assert not within_bounds(SealCap(3, 3, 4))
-    assert not within_bounds(RetPtrData(0, 5))
-    assert within_bounds(MemCap(Perm.RW, Lin.NORMAL, 0, INF, 10 ** 12))
 
 
 def test_records():
@@ -169,7 +164,7 @@ imms = st.integers(min_value=-IMM_RANGE, max_value=IMM_RANGE - 1)
 @st.composite
 def instrs(draw):
     op = draw(st.sampled_from(sorted(OPCODES)))
-    args = tuple(draw(regs) if k == "r" else draw(st.one_of(regs, imms))
+    args = tuple(draw(regs) if k != "n" else draw(st.one_of(regs, imms))
                  for k in OPCODES[op])
     return Instr(op, args)
 

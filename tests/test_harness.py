@@ -20,9 +20,9 @@ from capmach.components import (
 )
 from capmach import fixtures
 from capmach.core import (
-    INF, OPCODES, PC, REGISTERS, GlobalConstants, Instr, Lin, Memory, MemCap,
-    Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, dec_instr,
-    enc_instr, fresh_registers, linear_range,
+    INF, OPCODES, PC, RDATA, REGISTERS, GlobalConstants, Instr, Lin, Memory,
+    MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
+    dec_instr, enc_instr, fresh_registers, linear_range,
 )
 from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
@@ -225,23 +225,31 @@ def _folded(cfg, kind, gc, fuel, paranoid=True, seen=None):
     """(outcome, steps, final configuration, violations) of a run made
     by folding the pure ``step``; when ``paranoid``, the violations come
     from ``check_linearity`` and ``check_stack_partition`` on every
-    configuration.  ``seen``, when given, gets each configuration that
-    a step starts from."""
+    configuration the run reaches: each that a step starts from, and
+    the last of a run that runs out of fuel.  ``seen``, when given, gets
+    each configuration that a step starts from."""
     ext = SOURCE_EXTENSION if kind == "source" else NULL_EXTENSION
     out, steps, outcome = [], 0, "fuel-exhausted"
+
+    def checked(cfg):
+        if paranoid:
+            out.extend(f"step {steps}: linear address {x} owned by both "
+                       f"{a} and {b}" for x, a, b in check_linearity(cfg))
+            out.extend(f"step {steps}: {v}"
+                       for v in check_stack_partition(cfg))
+
     while steps < fuel:
         if seen is not None:
             seen.append(cfg)
-        if paranoid:
-            out += [f"step {steps}: linear address {x} owned by both {a} "
-                    f"and {b}" for x, a, b in check_linearity(cfg)]
-            out += [f"step {steps}: {v}" for v in check_stack_partition(cfg)]
+        checked(cfg)
         nxt = step(cfg, ext, gc)
         steps += 1
         if not isinstance(nxt, Running):
             outcome = nxt.kind
             break
         cfg = nxt.cfg
+    else:
+        checked(cfg)
     return outcome, steps, cfg, out
 
 
@@ -337,7 +345,7 @@ def _run_word(rng):
 def _run_instr(rng):
     op = rng.choice(_RUN_OPS)
     return enc_instr(Instr(op, tuple(
-        rng.choice(_RUN_REGS) if k == "r" or rng.random() < 0.5
+        rng.choice(_RUN_REGS) if k != "n" or rng.random() < 0.5
         else rng.randint(-3, 24) for k in OPCODES[op])))
 
 
@@ -385,31 +393,50 @@ def test_paranoid_steps_against_full_checks(rng):
     _same_checks(_run_cfg(rng), _RUN_GC, 20)
 
 
+def _may_write(instr) -> set:
+    """The registers besides pc that a step of ``instr`` may write, by
+    its ``OPCODES`` signature: a jump's register operands (and rdata,
+    for xjmp), any other instruction's operands marked "w", and the
+    source of a register ``move``, which it clears of a linear word."""
+    args = instr.args
+    if instr.op in ("jmp", "jnz", "xjmp"):
+        return {a for a in args if isinstance(a, str)} | (
+            {RDATA} if instr.op == "xjmp" else set())
+    out = {a for k, a in zip(OPCODES[instr.op], args) if k == "w"}
+    if instr.op == "move" and isinstance(args[1], str):
+        out.add(args[1])
+    return out
+
+
 def test_write_set_names_every_changed_register():
     # a step's write set names every register whose word is not the
     # same object after it, for every opcode on both machines, the
     # atomic call and the return-token jump: random programs, the corpus
     # and the scenarios, seen by a hook on each of their runs; every step
-    # writes the one register dict the run started with
+    # writes the one register dict the run started with.  A step that
+    # pushes or pops no frame writes only what its signature allows
     seen = set()
 
     def checked(cfg, kind, gc, fuel):
-        last = []   # the registers, their words, the frames and the op
+        last = []   # the registers, their words, the frames and the instr
 
         def hook(now, wrote, cell):
             if last:
-                reg, before, frames, op = last
+                reg, before, frames, instr = last
                 assert now.reg is reg
                 changed = {r for r in reg.keys() | before.keys()
                            if reg.get(r) is not before.get(r)}
                 assert changed <= set(wrote), (changed, wrote)
                 depth = len(now.stk) - frames
+                if depth == 0:
+                    assert set(wrote) <= _may_write(instr) | {PC}, \
+                        (instr, wrote)
                 seen.add((kind, "call" if depth > 0 else
-                          "return" if depth < 0 else op))
+                          "return" if depth < 0 else instr.op))
             pc = now.reg[PC]
             w = now.mem.get(pc.addr) if isinstance(pc, MemCap) else None
             last[:] = (now.reg, dict(now.reg), len(now.stk),
-                       w is not None and dec_instr(w).op)
+                       w is not None and dec_instr(w))
 
         Run(cfg, kind, gc, fuel).go(hook)
 
@@ -498,6 +525,25 @@ def test_paranoid_violation_comes_and_goes():
         assert (r.outcome, r.steps) == ("halted", 2)
         assert r.violations == [
             "step 0: linear address 2005 owned by both reg r1 and reg r2"]
+
+
+def test_paranoid_checks_the_configuration_a_run_ends_in():
+    # a run that runs out of fuel is checked at the configuration it
+    # ends in as well: at fuel 0 that is the first, reported as step 0,
+    # and at fuel k the one after k steps, reported as step k
+    spin = MemCap(Perm.RX, Lin.NORMAL, _CODE, _CODE, _CODE)
+    reg = fresh_registers()
+    reg.update({PC: spin, "r5": spin, "r1": lincap(320, 321),
+                "r2": lincap(320, 330)})
+    cfg = SourceConfig(Memory({_CODE: enc_instr(Instr("jmp", ("r5",)))}),
+                       reg)
+    gc = GlobalConstants(frozenset(), STK_BASE)
+    for fuel in (0, 1, 4):
+        for r in _same_checks(cfg, gc, fuel):
+            assert (r.outcome, r.steps) == ("fuel-exhausted", fuel)
+            assert r.violations == [
+                f"step {n}: linear address 320 owned by both reg r1 and "
+                f"reg r2" for n in range(fuel + 1)]
 
 
 def test_paranoid_frames_renumbered():

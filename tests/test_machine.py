@@ -242,7 +242,14 @@ def test_cseal():
     r = regs_after(ex(tcfg(pc=pc, r1=c, r2=SealCap(0, 9, 4)),
                       "cseal", "r1", "r2"))
     assert r["r1"] == Sealed(4, c)
-    assert ex(tcfg(pc=pc, r1=c, r2=SealCap(0, 9, 10)),
+    # the seal's cursor must lie within its bounds: not above, not below
+    for seal in (SealCap(0, 9, 10), SealCap(3, 3, 4), SealCap(5, 9, 4)):
+        assert ex(tcfg(pc=pc, r1=c, r2=seal), "cseal", "r1", "r2") \
+            is FAILED, seal
+    assert regs_after(ex(tcfg(pc=pc, r1=c, r2=SealCap(3, 3, 3)),
+                         "cseal", "r1", "r2"))["r1"] == Sealed(3, c)
+    # only a seal capability seals
+    assert ex(tcfg(pc=pc, r1=c, r2=RetPtrData(0, 5)),
               "cseal", "r1", "r2") is FAILED
     assert ex(tcfg(pc=pc, r1=Sealed(1, c), r2=SealCap(0, 9, 4)),
               "cseal", "r1", "r2") is FAILED
@@ -495,7 +502,7 @@ def test_step_follows_the_paper_pc_rule(rng):
     # for each opcode, a step over its encoded word at pc that runs on
     # and pushes or pops no frame leaves pc where the paper's rule does
     for op, sig in OPCODES.items():
-        args = tuple(rng.choice(REGISTERS) if k == "r" or rng.random() < 0.5
+        args = tuple(rng.choice(REGISTERS) if k != "n" or rng.random() < 0.5
                      else rng.randint(-3, 12) for k in sig)
         w = enc_instr(Instr(op, args))
         at = rng.randint(0, 15)
