@@ -101,6 +101,24 @@ def test_lin_cons_perm():
     assert out.cfg.mem[5] == 0
 
 
+def test_within_bounds():
+    # cseal seals only with a seal capability whose cursor lies within
+    # its bounds: not above, not below
+    pc = MemCap(Perm.RX, Lin.NORMAL, 0, 9, 0)
+    c = MemCap(Perm.RW, Lin.NORMAL, 0, 5, 0)
+
+    def sealed(seal):
+        out = ex(tcfg(pc=pc, r1=c, r2=seal), "cseal", "r1", "r2")
+        return None if out is FAILED else out.cfg.reg["r1"]
+
+    assert sealed(SealCap(2, 8, 2)) == Sealed(2, c)
+    assert sealed(SealCap(3, 3, 3)) == Sealed(3, c)
+    assert sealed(SealCap(0, INF, 10 ** 12)) == Sealed(10 ** 12, c)
+    for seal in (SealCap(0, 9, 10), SealCap(3, 3, 4), SealCap(5, 9, 4),
+                 RetPtrData(0, 5), MemCap(Perm.RW, Lin.NORMAL, 2, 8, 2)):
+        assert sealed(seal) is None, seal
+
+
 def test_records():
     cap = MemCap(Perm.RW, Lin.NORMAL, 1, 9, 3)
     # type-strict equality, whichever side is on the left
