@@ -146,25 +146,33 @@ def call_cond(mem, a: int, gc: GlobalConstants) -> Optional[CallParams]:
 
     A window whose first cell is not the expansion's first instruction,
     or that is not all trusted, is rejected before anything is decoded.
-    Otherwise each cell ``a + j`` must be an integer that can stand at
-    part ``j`` (see ``_parts_of``); the parameters are then read from
-    parts 6, 8 and 14.  The ``fail`` at part 22 is matched decoded, since
-    every integer that is not an instruction image decodes to it.
+    Otherwise the window's 26 words are read once, as a tuple, and
+    ``_window_params`` decides them.
     """
     # read in C: a Memory's written cells, or the plain dict itself
     get = getattr(mem, "written", mem).get
     if get(a) != CALL_HEAD or not gc.ta.covers(a, a + CALL_LEN - 1):
         return None
-    stk_base, check_stk_base = gc.stk_base, gc.check_stk_base
-    for j in range(1, CALL_LEN):
-        w = get(a + j)
-        if w is None:   # 0 in a Memory's domain
-            w = mem.get(a + j)
+    window = tuple(map(get, range(a, a + CALL_LEN)))
+    if None in window:   # 0 in a Memory's domain
+        window = tuple(map(mem.get, range(a, a + CALL_LEN)))
+    return _window_params(window, gc.stk_base, gc.check_stk_base)
+
+
+@functools.lru_cache(maxsize=4096)
+def _window_params(window, stk_base, check_stk_base) -> Optional[CallParams]:
+    """``call_cond``'s verdict on the words ``window``, memoized by them,
+    never by an address: a store into a window is a new key.
+
+    Each word ``window[j]`` must be an integer that can stand at part
+    ``j`` (see ``_parts_of``); the parameters are then read from parts
+    6, 8 and 14.  The ``fail`` at part 22 is matched decoded, since
+    every integer that is not an instruction image decodes to it."""
+    for j, w in enumerate(window):
         if not isinstance(w, int) \
                 or j not in _word_parts(w, stk_base, check_stk_base):
             return None
-    # 0 stands at part 22 alone, so the cells read here are written
-    off_pc, off_sigma, xjmp = (dec_instr(get(a + j)) for j in (
+    off_pc, off_sigma, xjmp = (dec_instr(window[j]) for j in (
         _OFF_PC_INDEX, _OFF_SIGMA_INDEX, _XJMP_INDEX))
     return CallParams(off_pc.args[1] + _PC_READ_INDEX, off_sigma.args[1],
                       *xjmp.args)

@@ -382,10 +382,12 @@ class Ranges:
         i, j = bisect_left(his, lo), bisect_right(los, hi)  # i..j-1 meet it
         if i >= j or lo > hi:
             return _NO_INTS, self
-        a, b = max(lo, los[i]), min(hi, his[j - 1])   # the ends taken
-        below = ((los[i],), (a - 1,)) if los[i] < a else ((), ())  # run i's
-        above = ((b + 1,), his[j - 1:j]) if b < his[j - 1] else ((), ())
-        return (Ranges._new((a, *los[i + 1:j]), (*his[i:j - 1], b)),
+        first, last = los[i], his[j - 1]
+        a = lo if lo > first else first   # the ends taken, with no call
+        b = hi if hi < last else last
+        below = ((first,), (a - 1,)) if first < a else ((), ())  # run i's
+        above = ((b + 1,), (last,)) if b < last else ((), ())
+        return (Ranges._new((a,) + los[i + 1:j], his[i:j - 1] + (b,)),
                 Ranges._new(los[:i] + below[0] + above[0] + los[j:],
                             his[:i] + below[1] + above[1] + his[j:]))
 
@@ -442,8 +444,9 @@ class Memory(Mapping):
     The written words sit in one dict, ``written``, which ``set``,
     ``update`` and ``split`` copy: O(written cells) per change.  Only a
     ``harness.Run`` writes ``written`` in place, in the memories it
-    copied for itself, and only at addresses already in the memory;
-    every other caller treats a memory as immutable.  A read probes the
+    copied for itself, and ``source.exec_call``, in the part a ``split``
+    just made, each only at addresses already in the memory; every
+    other caller treats a memory as immutable.  A read probes the
     dict, then the domain.  Iteration walks the domain, ascending."""
 
     __slots__ = ("written", "domain")

@@ -229,15 +229,10 @@ def exec_cca(cfg, ext, gc, ops):
     if type(n) is not int:
         return FAILED
     c = cfg.reg[r]
-    if isinstance(c, ext.pointers):
-        if c.addr + n < 0:
-            return FAILED
-        # both pointer records end in addr
-        return {r: _new(type(c), (*c[:-1], c.addr + n))}
-    if isinstance(c, SealCap):
-        if c.cur + n < 0:
-            return FAILED
-        return {r: SealCap(c.base, c.end, c.cur + n)}
+    # every pointer record ends in addr, and a seal in cur
+    if (isinstance(c, ext.pointers) or isinstance(c, SealCap)) \
+            and c[-1] + n >= 0:
+        return {r: _new(type(c), (*c[:-1], c[-1] + n))}
     return FAILED
 
 
@@ -249,7 +244,7 @@ def exec_restrict(cfg, ext, gc, ops):
     c = cfg.reg[r1]
     p = dec_perm(n)
     if isinstance(c, ext.pointers) and perm_leq(p, c.perm):
-        return {r1: c._replace(perm=p)}
+        return {r1: _new(type(c), (p, *c[1:]))}   # perm comes first
     return FAILED
 
 
@@ -279,10 +274,8 @@ exec_minus = _binop(operator.sub)
 def exec_seta2b(cfg, ext, gc, ops):
     r1, = ops
     c = cfg.reg[r1]
-    if isinstance(c, ext.pointers):
-        return {r1: _new(type(c), (*c[:-1], c.base))}
-    if isinstance(c, SealCap):
-        return {r1: SealCap(c.base, c.end, c.base)}
+    if isinstance(c, ext.pointers) or isinstance(c, SealCap):
+        return {r1: _new(type(c), (*c[:-1], c.base))}   # as in exec_cca
     return FAILED
 
 
@@ -292,7 +285,7 @@ def exec_cseal(cfg, ext, gc, ops):
     s = cfg.reg[r2]
     if is_sealable(sc) and isinstance(s, SealCap) \
             and s.base <= s.cur <= s.end:
-        return {r1: Sealed(s.cur, sc)}
+        return {r1: _new(Sealed, (s.cur, sc))}
     return FAILED
 
 
@@ -304,10 +297,11 @@ def exec_split(cfg, ext, gc, ops):
     c = cfg.reg[r3]
     if ((isinstance(c, ext.pointers) or isinstance(c, SealCap))
             and c.base <= n < c.end):
-        # Seals are normal: lin_cons leaves the seal in r3.
+        # Seals are normal: lin_cons leaves the seal in r3.  Every
+        # pointer record, and a seal, ends in base, end, addr (or cur).
         return {
-            r3: lin_cons(c), r1: c._replace(end=n),
-            r2: c._replace(base=n + 1)}
+            r3: lin_cons(c), r1: _new(type(c), (*c[:-2], n, c[-1])),
+            r2: _new(type(c), (*c[:-3], n + 1, *c[-2:]))}
     return FAILED
 
 
@@ -325,7 +319,7 @@ def exec_splice(cfg, ext, gc, ops):
         return FAILED
     return {
         r2: lin_cons(c2), r3: lin_cons(c3),
-        r1: c3._replace(base=c2.base)}
+        r1: _new(type(c3), (*c3[:-3], c2.base, *c3[-2:]))}   # as in split
 
 
 def xjump_result(c1, c2, cfg, ext, gc, updates: dict):

@@ -6,7 +6,8 @@ configuration shape, and the target leaves the stack fields empty.
 Stack pointers index ms_stk through the same instruction cases as memory
 capabilities (see ``machine``).  What is left here is source-only: the
 call sequence, executed as a single big step whenever it sits entirely
-at trusted addresses, and jumps through return tokens.
+at trusted addresses, and jumps through return tokens.  Both build their
+records with ``machine._new``, as the handlers do.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from collections import namedtuple
 from .asm import CALL_LEN, CANARY, CallParams, call_cond
 from .core import (
     _NORMAL, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2,
-    GlobalConstants, Memory, MemCap, Perm, Ranges, Record, RetPtrCode,
+    GlobalConstants, Memory, MemCap, Perm, Record, RetPtrCode,
     RetPtrData, SealCap, Sealed, StkPtr, lin_cons,
 )
 from .machine import (
-    FAILED, MachineExtension, Running, xjump_result,
+    FAILED, MachineExtension, Running, _new, xjump_result,
 )
 
 # module constants: ``Perm.RW`` is a slow class-attribute lookup, and a
@@ -78,18 +79,17 @@ class SourceExtension(MachineExtension):
             return FAILED
         if e_stk + 1 != a_stk:
             return FAILED
-        if frame.ms.domain != Ranges.span(e_stk + 1, e_priv):
+        # the frame's domain is ``a_stk..e_priv``: one run, or none
+        if frame.ms.domain.runs != (
+                ((a_stk, e_priv),) if a_stk <= e_priv else ()):
             return FAILED
-        cfg = SourceConfig(cfg.mem, cfg.reg, cfg.stk[1:],
-                           cfg.ms_stk.update(frame.ms))
-        updates.update({
-            PC: MemCap(_RX, _NORMAL, c1.base, c1.end, c1.addr),
-            RDATA: 0,
-            RSTK: StkPtr(_RW, gc.stk_base, e_priv, a_stk),
-            RTMP1: 0,
-            RTMP2: 0,
-        })
-        return Running(cfg, updates)
+        cfg = _new(SourceConfig, (cfg.mem, cfg.reg, cfg.stk[1:],
+                                  cfg.ms_stk.update(frame.ms)))
+        updates[PC] = _new(MemCap, (_RX, _NORMAL, c1.base, c1.end, c1.addr))
+        updates[RDATA] = 0
+        updates[RSTK] = _new(StkPtr, (_RW, gc.stk_base, e_priv, a_stk))
+        updates[RTMP1] = updates[RTMP2] = 0
+        return _new(Running, (cfg, updates, None))
 
     def recognize_call(self, cfg, gc):
         pc = cfg.reg[PC]
@@ -123,7 +123,8 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     a = pc.addr
     if not (pc.base <= a + params.off_pc <= pc.end):
         return FAILED
-    seal = cfg.mem.get(a + params.off_pc)
+    # an unwritten cell reads 0 or nothing, never a seal
+    seal = cfg.mem.written.get(a + params.off_pc)
     if not isinstance(seal, SealCap):
         return FAILED
     sigma = seal.cur + params.off_sigma
@@ -132,19 +133,21 @@ def exec_call(cfg: SourceConfig, params: CallParams,
 
     opc = a + CALL_LEN
     ms_priv, ms_rest = cfg.ms_stk.split(a_stk, e_stk)
-    cfg = SourceConfig(cfg.mem, cfg.reg, (StackFrame(
-        opc, ms_priv.set(a_stk, CANARY)),) + cfg.stk, ms_rest)
+    ms_priv.written[a_stk] = CANARY   # a fresh dict, a_stk in its domain
+    cfg = _new(SourceConfig, (cfg.mem, cfg.reg, (_new(StackFrame, (
+        opc, ms_priv)),) + cfg.stk, ms_rest))
     # the jump writes these registers together with its own, over the
     # pushed frame: not over the configuration the step started from
     out = xjump_result(w1.inner, w2.inner, cfg, ext, gc, {
         r1: lin_cons(w1),
         r2: lin_cons(w2),
-        RSTK: StkPtr(_RW, rstk.base, a_stk - 1, a_stk - 1),
-        RRETCODE: Sealed(sigma, RetPtrCode(pc.base, pc.end, opc)),
-        RRETDATA: Sealed(sigma, RetPtrData(a_stk, e_stk)),
+        RSTK: _new(StkPtr, (_RW, rstk.base, a_stk - 1, a_stk - 1)),
+        RRETCODE: _new(Sealed, (sigma, _new(RetPtrCode, (
+            pc.base, pc.end, opc)))),
+        RRETDATA: _new(Sealed, (sigma, _new(RetPtrData, (a_stk, e_stk)))),
         RTMP1: 0,
     })
-    return Running(cfg, out) if type(out) is dict else out
+    return _new(Running, (cfg, out, None)) if type(out) is dict else out
 
 
 SOURCE_EXTENSION = SourceExtension()

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from capmach.asm import (
     CALL_LEN, RET_PT_OFFSET, AsmError, CallParams, HiddenCallViolation,
-    _call_instrs, _fixed_parts, _parts_of, _word_parts, assemble, call_cond,
+    _call_instrs, _fixed_parts, _parts_of, _window_params, _word_parts,
+    assemble, call_cond,
     expand_scall, find_hidden_calls,
 )
 from capmach.core import (
@@ -163,6 +164,75 @@ def test_call_cond_against_reference(mem, check):
     assert call_cond(mem, 0, trust_all(1000, check)) == \
         _reference_call_cond(mem, 0, 1000, check)
 
+
+
+def _agrees(mem, a, stk_base=1000, check=True):
+    """``call_cond`` under global constants that trust every address,
+    which agrees with the reference; its verdict."""
+    got = call_cond(mem, a, trust_all(stk_base, check))
+    assert got == _reference_call_cond(mem, a, stk_base, check), (a, got)
+    return got
+
+
+# The window memo is keyed by the window's words and the stack base and
+# check, never by the address or the memory: each test below asks again
+# after the memo holds the window's entry.
+
+def test_window_memo_sees_a_cell_written_in_place():
+    p = CallParams(30, 2, "r3", "r4")
+    mem = Memory(enc_call(p, at=7), Ranges.span(0, 40))
+    assert _agrees(mem, 7) == _agrees(mem, 7) == p
+    hits = _window_params.cache_info().hits
+    assert _agrees(mem, 7) == p and _window_params.cache_info().hits > hits
+    # as a run writes a store, into the memory's own dict
+    mem.written[7 + 6] = enc_instr(mk_instr("cca", "rtmp1", 9))
+    assert _agrees(mem, 7) == CallParams(14, 2, "r3", "r4")
+    mem.written[7 + 9] = enc_instr(mk_instr("halt"))
+    assert _agrees(mem, 7) is None
+    mem.written[7 + 9] = enc_call(p)[9]
+    assert _agrees(mem, 7) == CallParams(14, 2, "r3", "r4")
+
+
+def test_window_memo_reads_unwritten_cells_by_the_domain():
+    p = CallParams(30, 2, "r3", "r4")
+    cells = enc_call(p, at=7)
+    for j in (22, 5):   # 0, fail's image, stands at part 22 alone
+        rest = {a: w for a, w in cells.items() if a != 7 + j}
+        inside = Memory(rest, Ranges.span(0, 40))
+        outside = Memory(rest, Ranges.span(0, 40) - Ranges.span(7 + j, 7 + j))
+        # the same words, one unwritten cell: 0 inside the domain,
+        # nothing outside it
+        for _ in range(2):
+            assert _agrees(inside, 7) == (p if j == 22 else None)
+            assert _agrees(outside, 7) is None
+
+
+def test_window_memo_keeps_the_trust_test():
+    p = CallParams(30, 2, "r3", "r4")
+    for at in (7, 107):
+        mem = enc_call(p, at=at)
+        window = Ranges.span(at, at + CALL_LEN - 1)
+        assert call_cond(mem, at, GlobalConstants(window, 1000)) == \
+            _reference_call_cond(mem, at, 1000, True) == p
+        # the same words, where the trusted addresses end a cell early
+        # or start past the window
+        for ta in (window - Ranges.span(at + 25, at + 25),
+                   Ranges.span(at + CALL_LEN, 500)):
+            assert call_cond(mem, at, GlobalConstants(ta, 1000)) is None
+
+
+def test_window_memo_keys_the_stack_base_and_check():
+    p = CallParams(30, 2, "r3", "r4")
+    for stk_base in (1000, 77):
+        for check in (True, False):
+            mem = enc_call(p, stk_base=stk_base, check=check)
+            for _ in range(2):
+                assert _agrees(mem, 0, stk_base, check) == p
+                # the other check, and the other base (a base only the
+                # check names: without it both read the same words)
+                assert _agrees(mem, 0, stk_base, not check) is None
+                assert _agrees(mem, 0, 1077 - stk_base, check) == \
+                    (None if check else p)
 
 def test_word_parts_match_decoded_parts():
     # the parts table keyed by the word agrees with the one keyed by the

@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 from conftest import ex, tcfg
@@ -208,6 +209,23 @@ def test_instr_encode_errors():
         mk_instr("store", "r1", 5)   # second operand must be a register
     with pytest.raises(EncodingError):
         mk_instr("nosuch")
+    # an "n" operand that is neither a register nor an int
+    with pytest.raises(EncodingError,
+                       match=r"^move: '5' is not a register or immediate$"):
+        mk_instr("move", "r1", "5")
+    # an instruction whose operands do not fit its opcode's signature,
+    # or whose opcode is unknown
+    for bad in (Instr("move", ("r1",)), Instr("nosuch")):
+        with pytest.raises(EncodingError, match="^malformed instruction "
+                           + re.escape(repr(bad)) + "$"):
+            enc_instr(bad)
+
+
+def test_type_code_of_a_non_word():
+    for bad in (None, "r1", 1.5, (1, 2)):
+        with pytest.raises(TypeError,
+                           match="^not a word: " + re.escape(repr(bad)) + "$"):
+            enc_type(bad)
 
 
 # ---------------------------------------------------------------------------

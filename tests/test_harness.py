@@ -1339,6 +1339,23 @@ def test_cli_scenarios():
     assert cli.main(["scenarios", "--run", "no-such"]) == 3
 
 
+def test_cli_scenario_that_misses_its_expectation(monkeypatch, capsys):
+    # a scenario whose run does not show what it expects exits 1
+    run = cli.SCENARIOS["double-return"]
+
+    def expects_a_disagreement():
+        result = run()
+        result.expected = "disagreement"
+        return result
+
+    monkeypatch.setitem(cli.SCENARIOS, "double-return",
+                        expects_a_disagreement)
+    assert cli.main(["scenarios", "--run", "double-return"]) == \
+        cli.EXIT_FAILED == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "expected disagreement NOT observed"
+
+
 def test_cli_usage_errors(tmp_path):
     assert cli.main(["frobnicate"]) == 3
     garbled = tmp_path / "g.comp"

@@ -1,15 +1,16 @@
+import dataclasses
 import functools
 
 from conftest import HALT, enc, ex, rw, rx, scfg, std_gc, step
 
-from capmach.asm import CALL_LEN, CallParams, expand_scall
-from capmach.components import initial_config, link
+from capmach.asm import CALL_HEAD, CALL_LEN, CallParams, call_cond, expand_scall
+from capmach.components import initial_config, link, validate_component
 from capmach.core import (
     INF, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
-    RetPtrData, SealCap, Sealed, StkPtr, enc_instr, enc_perm,
+    RetPtrData, SealCap, Sealed, StkPtr, enc_instr, enc_perm, mk_instr,
 )
 from capmach.fixtures import STK_BASE, STK_END, corpus
-from capmach.harness import check_stack_partition, run_report
+from capmach.harness import check_stack_partition, run_diff, run_report
 from capmach.machine import FAILED, Running
 from capmach.source import SOURCE_EXTENSION, StackFrame, exec_call
 
@@ -131,6 +132,31 @@ def test_exec_call_guards():
     fails(cfg._replace(ms_stk=cfg.ms_stk.set(1005, 0)).with_regs(
         {"rstk": sp(1000, 1020, 1015)}))                    # a_stk unmapped
 
+
+
+def test_call_that_names_rtmp1_fails_on_both_machines():
+    # call-return's trusted side loads the callback's code half into
+    # rtmp1, and its call window jumps through it: ``xjmp rtmp1 r2`` at
+    # cell 14, written as raw words, since ``assemble`` refuses rtmp1 as
+    # a call operand.  It validates and the window is a call, but the
+    # macro's own writes to rtmp1 leave 0 there, so the target fails at
+    # the xjmp, and the source must fail at the call: without the
+    # guard, it ran the callback and halted after 8 steps
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
+    code = dict(t.ms_code)
+    (load_r1,) = [a for a, w in code.items()
+                  if w == enc_instr(mk_instr("load", "r1", "r3"))]
+    (start,) = [a for a, w in code.items() if w == CALL_HEAD]
+    code[load_r1] = enc_instr(mk_instr("load", "rtmp1", "r3"))
+    code[start + 14] = enc_instr(mk_instr("xjmp", "rtmp1", "r2"))
+    t = dataclasses.replace(t, ms_code=code)
+    gc = std_gc(t)
+    assert validate_component(t, gc) == validate_component(ctx, gc) == []
+    assert call_cond(code, start, gc).r1 == "rtmp1"
+    v = run_diff(t, ctx, STK_BASE, STK_END)
+    assert (v.source.outcome, v.source.steps, v.source.calls) == \
+        ("failed", 5, 0)
+    assert (v.target.outcome, v.target.steps) == ("failed", 19)
 
 def _ret_cfg(**over):
     reg = dict(

@@ -9,9 +9,11 @@ import sys
 import textwrap
 
 from capmach import fixtures, machine
+from capmach.asm import CALL_HEAD
 from capmach.components import _verdict, format_component, parse_component
 from capmach.core import PC, dec_instr
 from capmach.harness import Run, diff_start, run_report
+from capmach.source import SOURCE_EXTENSION
 
 # r0 cells of the callback's stack: store r4 into each, going down,
 # then load them back into the sum r6, going up
@@ -150,6 +152,34 @@ def test_paranoid_step_calls():
         r.outcome == "halted" and r.violations == [] for r in reports)
     assert per_step <= 6.29, per_step
 
+
+
+def test_call_and_return_step_calls():
+    # call-return's one atomic call (``recognize_call``, its window memo
+    # warm) and its one return (the ``xjmp`` through the return pair),
+    # each counted at the configuration the source run reaches it: 19
+    # and 12 calls with Python 3.11, against 39 and 18 when each call
+    # window was decoded cell by cell and the records were built through
+    # their Python-level constructors
+    consts, cfgs = diff_start(*dict(fixtures.CORPUS)["call-return"](),
+                              fixtures.STK_BASE, fixtures.STK_END)
+    ext, counts = SOURCE_EXTENSION, []
+
+    def count(cfg, wrote, cell):
+        w = cfg.mem[cfg.reg[PC].addr]
+        if w == CALL_HEAD:
+            ext.recognize_call(cfg, consts)
+            counts.append(_count_calls(
+                lambda: ext.recognize_call(cfg, consts))[0])
+        elif dec_instr(w).args == ("rretcode", "rretdata"):
+            counts.append(_count_calls(lambda: machine.exec_xjmp(
+                cfg, ext, consts, ("rretcode", "rretdata")))[0])
+
+    run = Run(cfgs["source"], "source", consts, 100).go(count)
+    assert (run.outcome, run.steps, run.calls, run.returns) == \
+        ("halted", 8, 1, 1)
+    assert len(counts) == 2
+    assert counts[0] <= 21 and counts[1] <= 13, counts
 
 def test_parse_calls_per_line():
     # a warm parse takes each word from the memo, so what is left is a
