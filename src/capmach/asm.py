@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from operator import contains
 from typing import Optional
 
 from .core import (
@@ -24,6 +25,7 @@ _PC_READ_INDEX = 5  # ``move rtmp1 pc``: the pc-offset counts from here
 _OFF_PC_INDEX = 6
 _OFF_SIGMA_INDEX = 8
 _XJMP_INDEX = 14
+_FAIL_INDEX = 22
 RET_PT_OFFSET = _XJMP_INDEX + 1  # first instruction of the return code
 
 
@@ -131,12 +133,14 @@ def _parts_of(instr, fixed):
     return sorted(parts)
 
 
-@functools.lru_cache(maxsize=4096)
-def _word_parts(w, stk_base, check_stk_base=True) -> tuple:
-    """``_parts_of`` the word ``w`` decodes to, memoized by the word:
-    ``Instr`` hashes and compares in Python, an int in C."""
-    return tuple(_parts_of(dec_instr(w), _fixed_parts(stk_base,
-                                                      check_stk_base)))
+@functools.lru_cache(maxsize=4)
+def _word_parts(stk_base, check_stk_base=True):
+    """The function from a word to the ``_parts_of`` it decodes to,
+    memoized by the word alone: an int key hashes in C, with no tuple
+    built for it, and no ``Instr`` hashed and compared in Python."""
+    fixed = _fixed_parts(stk_base, check_stk_base)
+    return functools.lru_cache(maxsize=4096)(
+        lambda w: tuple(_parts_of(dec_instr(w), fixed)))
 
 
 def call_cond(mem, a: int, gc: GlobalConstants) -> Optional[CallParams]:
@@ -162,16 +166,19 @@ def call_cond(mem, a: int, gc: GlobalConstants) -> Optional[CallParams]:
 @functools.lru_cache(maxsize=4096)
 def _window_params(window, stk_base, check_stk_base) -> Optional[CallParams]:
     """``call_cond``'s verdict on the words ``window``, memoized by them,
-    never by an address: a store into a window is a new key.
+    never by an address: a store into a window is a new key.  4096
+    entries of about 470 bytes (a 26-word key) bound the memo below
+    2 MB; the benchmark's call-stack and corpus-diff need 1 and 8.
 
     Each word ``window[j]`` must be an integer that can stand at part
     ``j`` (see ``_parts_of``); the parameters are then read from parts
     6, 8 and 14.  The ``fail`` at part 22 is matched decoded, since
-    every integer that is not an instruction image decodes to it."""
-    for j, w in enumerate(window):
-        if not isinstance(w, int) \
-                or j not in _word_parts(w, stk_base, check_stk_base):
-            return None
+    every integer that is not an instruction image decodes to it, and
+    so does a non-integer word: only that part tests for one."""
+    parts = map(_word_parts(stk_base, check_stk_base), window)
+    if not all(map(contains, parts, range(CALL_LEN))) \
+            or not isinstance(window[_FAIL_INDEX], int):
+        return None
     off_pc, off_sigma, xjmp = (dec_instr(window[j]) for j in (
         _OFF_PC_INDEX, _OFF_SIGMA_INDEX, _XJMP_INDEX))
     return CallParams(off_pc.args[1] + _PC_READ_INDEX, off_sigma.args[1],
@@ -198,8 +205,9 @@ def find_hidden_calls(code, stk_base: int,
     it is reported, by address and then by part.
     """
     # A non-integer cell can stand at no part.
-    parts = {a: _word_parts(w, stk_base, check_stk_base)
-             if isinstance(w, int) else () for a, w in code.items()}
+    word_parts = _word_parts(stk_base, check_stk_base)
+    parts = {a: word_parts(w) if isinstance(w, int) else ()
+             for a, w in code.items()}
     violations = []
     for start in {a - i for a, ps in parts.items() for i in ps}:
         held = []

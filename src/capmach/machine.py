@@ -70,6 +70,12 @@ HALTED = Halted()
 # that ``namedtuple`` generates: the same class, fields and equality.
 _new = tuple.__new__
 
+# The handlers below build pointers and seals by position (``cca``,
+# ``restrict``, ``seta2b``, ``split``, ``splice``): perm comes first, and
+# base, end and addr (a seal's cur) last.
+assert MemCap._fields[0] == StkPtr._fields[0] == "perm" and all(
+    t._fields[-3:-1] == ("base", "end") for t in (MemCap, StkPtr, SealCap))
+
 
 class MachineExtension:
     """What sets one machine apart from the other.
@@ -229,7 +235,6 @@ def exec_cca(cfg, ext, gc, ops):
     if type(n) is not int:
         return FAILED
     c = cfg.reg[r]
-    # every pointer record ends in addr, and a seal in cur
     if (isinstance(c, ext.pointers) or isinstance(c, SealCap)) \
             and c[-1] + n >= 0:
         return {r: _new(type(c), (*c[:-1], c[-1] + n))}
@@ -244,7 +249,7 @@ def exec_restrict(cfg, ext, gc, ops):
     c = cfg.reg[r1]
     p = dec_perm(n)
     if isinstance(c, ext.pointers) and perm_leq(p, c.perm):
-        return {r1: _new(type(c), (p, *c[1:]))}   # perm comes first
+        return {r1: _new(type(c), (p, *c[1:]))}
     return FAILED
 
 
@@ -275,7 +280,7 @@ def exec_seta2b(cfg, ext, gc, ops):
     r1, = ops
     c = cfg.reg[r1]
     if isinstance(c, ext.pointers) or isinstance(c, SealCap):
-        return {r1: _new(type(c), (*c[:-1], c.base))}   # as in exec_cca
+        return {r1: _new(type(c), (*c[:-1], c.base))}
     return FAILED
 
 
@@ -297,8 +302,7 @@ def exec_split(cfg, ext, gc, ops):
     c = cfg.reg[r3]
     if ((isinstance(c, ext.pointers) or isinstance(c, SealCap))
             and c.base <= n < c.end):
-        # Seals are normal: lin_cons leaves the seal in r3.  Every
-        # pointer record, and a seal, ends in base, end, addr (or cur).
+        # Seals are normal: lin_cons leaves the seal in r3.
         return {
             r3: lin_cons(c), r1: _new(type(c), (*c[:-2], n, c[-1])),
             r2: _new(type(c), (*c[:-3], n + 1, *c[-2:]))}
@@ -319,7 +323,7 @@ def exec_splice(cfg, ext, gc, ops):
         return FAILED
     return {
         r2: lin_cons(c2), r3: lin_cons(c3),
-        r1: _new(type(c3), (*c3[:-3], c2.base, *c3[-2:]))}   # as in split
+        r1: _new(type(c3), (*c3[:-3], c2.base, *c3[-2:]))}
 
 
 def xjump_result(c1, c2, cfg, ext, gc, updates: dict):

@@ -165,7 +165,6 @@ def test_call_cond_against_reference(mem, check):
         _reference_call_cond(mem, 0, 1000, check)
 
 
-
 def _agrees(mem, a, stk_base=1000, check=True):
     """``call_cond`` under global constants that trust every address,
     which agrees with the reference; its verdict."""
@@ -234,6 +233,7 @@ def test_window_memo_keys_the_stack_base_and_check():
                 assert _agrees(mem, 0, 1077 - stk_base, check) == \
                     (None if check else p)
 
+
 def test_word_parts_match_decoded_parts():
     # the parts table keyed by the word agrees with the one keyed by the
     # decoded instruction: every cell of the expansion under both
@@ -253,7 +253,7 @@ def test_word_parts_match_decoded_parts():
     for check in (True, False):
         fixed = _fixed_parts(1000, check)
         for w in words:
-            assert _word_parts(w, 1000, check) == \
+            assert _word_parts(1000, check)(w) == \
                 tuple(_parts_of(dec_instr(w), fixed)), (w, check)
 
 

@@ -133,7 +133,6 @@ def test_exec_call_guards():
         {"rstk": sp(1000, 1020, 1015)}))                    # a_stk unmapped
 
 
-
 def test_call_that_names_rtmp1_fails_on_both_machines():
     # call-return's trusted side loads the callback's code half into
     # rtmp1, and its call window jumps through it: ``xjmp rtmp1 r2`` at
@@ -157,6 +156,7 @@ def test_call_that_names_rtmp1_fails_on_both_machines():
     assert (v.source.outcome, v.source.steps, v.source.calls) == \
         ("failed", 5, 0)
     assert (v.target.outcome, v.target.steps) == ("failed", 19)
+
 
 def _ret_cfg(**over):
     reg = dict(

@@ -153,7 +153,6 @@ def test_paranoid_step_calls():
     assert per_step <= 6.29, per_step
 
 
-
 def test_call_and_return_step_calls():
     # call-return's one atomic call (``recognize_call``, its window memo
     # warm) and its one return (the ``xjmp`` through the return pair),
@@ -180,6 +179,7 @@ def test_call_and_return_step_calls():
         ("halted", 8, 1, 1)
     assert len(counts) == 2
     assert counts[0] <= 21 and counts[1] <= 13, counts
+
 
 def test_parse_calls_per_line():
     # a warm parse takes each word from the memo, so what is left is a
