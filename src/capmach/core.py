@@ -441,12 +441,12 @@ class Memory(Mapping):
     """A map from the addresses of ``domain``, a ``Ranges``, to words:
     every address that holds no written word reads 0.
 
-    The written words sit in one dict, ``written``, which ``set``,
-    ``update`` and ``split`` copy: O(written cells) per change.  Only a
-    ``harness.Run`` writes ``written`` in place, in the memories it
-    copied for itself, and ``source.exec_call``, in the part a ``split``
-    just made, each only at addresses already in the memory; every
-    other caller treats a memory as immutable.  A read probes the
+    The written words sit in one dict, ``written``, which ``update`` and
+    ``split`` copy: O(written cells) per change.  Only ``harness.run``
+    writes ``written`` in place, in the memories it copied for itself,
+    and ``source.exec_call``, in the part a ``split`` just made, each
+    only at addresses already in the memory; every other caller treats
+    a memory as immutable.  A read probes the
     dict, then the domain.  Iteration walks the domain, ascending."""
 
     __slots__ = ("written", "domain")
@@ -493,15 +493,6 @@ class Memory(Mapping):
 
     def __repr__(self):
         return f"Memory({self.written!r}, {self.domain!r})"
-
-    def set(self, a, w: Word) -> "Memory":
-        """This memory with cell ``a`` holding ``w``."""
-        cells = self.written.copy()
-        cells[a] = w
-        domain = self.domain
-        if a not in self.written and a not in domain:   # a new address
-            domain = domain | Ranges.span(a, a)
-        return Memory._of(cells, domain)
 
     def update(self, cells: "Memory") -> "Memory":
         """This memory joined with the memory ``cells``: its domain added

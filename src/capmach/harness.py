@@ -1,8 +1,8 @@
 """Runs, their per-step invariant checks, and the differential runner.
 
-``Run`` is the one loop over steps; a caller that looks at each step
-passes a hook: ``run_report`` the paranoid tracker's, when asked, and
-``format_trace`` a row appender.
+``run`` is the one loop over steps; a caller that looks at each
+configuration it reaches passes a hook: ``run_report`` the paranoid
+tracker's, when asked, and ``format_trace`` a row appender.
 A diff run plugs the same trusted/context pair into both machines and
 compares termination behaviour; the observables are termination-based,
 so fuel exhaustion stands in for divergence.
@@ -95,22 +95,20 @@ class _Invariants:
     stack-partition check over the configurations of one run, kept up to
     date step by step at the cost of what each step wrote.
 
-    The first configuration is scanned whole, as a step from one with
-    nothing in it, into a table of linear owners per place.  A step that
-    keeps the configuration object (all but a call and a return) costs a
-    visit of the registers and the cell it names.  The verdict,
-    ``(overlaps, partition)``, is rebuilt when an owner changed for the
-    overlaps, and at every new configuration object (the first, a call,
-    a return) for the partition.  ``observe`` is a run's hook: it counts
-    the steps, and formats a violation only at a step whose verdict
-    holds one."""
+    The first configuration observed is scanned whole, as a step from
+    one with nothing in it, into a table of linear owners per place.  A
+    step that keeps the configuration object (all but a call and a
+    return) costs a visit of the registers and the cell it names.  The
+    verdict, ``(overlaps, partition)``, is rebuilt when an owner changed
+    for the overlaps, and at every new configuration object (the first,
+    a call, a return) for the partition.  ``observe`` is a run's hook:
+    it counts the steps, and formats a violation only at a step whose
+    verdict holds one."""
 
-    def __init__(self, cfg):
+    def __init__(self):
         self.cfg, self.found, self.frames = _NOTHING, ([], []), []
-        self.regs, self.mem, self.stk = _owners("reg", cfg.reg), {}, {}
+        self.regs, self.mem, self.stk = {}, {}, {}
         self.frame_owners, self.steps, self.violations = [], 0, []
-        self._follow(cfg)
-        self.found = linear_overlaps(self._all()), self.found[1]
 
     def _all(self) -> list:
         return [*self.regs.values(), *self.mem.values(), *self.stk.values(),
@@ -154,13 +152,17 @@ class _Invariants:
         self.steps += 1
 
     def _follow(self, cfg) -> bool:
-        """Take ``cfg``, a new object: scan its memories that are new
-        objects, follow its frames and rebuild the partition,
-        ``check_stack_partition``'s own; True when an owner changed."""
+        """Take ``cfg``, a new object: scan its registers and memories
+        that are new objects, follow its frames and rebuild the
+        partition, ``check_stack_partition``'s own; True when an owner
+        changed."""
         old, self.cfg = self.cfg, cfg
-        mem, _, stk, ms_stk = cfg
-        old_mem, _, old_stk, old_ms_stk = old
+        mem, reg, stk, ms_stk = cfg
+        old_mem, old_reg, old_stk, old_ms_stk = old
         changed = stk is not old_stk and self._reframe(stk)
+        if reg is not old_reg:
+            owners, self.regs = self.regs, _owners("reg", reg)
+            changed |= owners != self.regs
         if mem is not old_mem:
             owners, self.mem = self.mem, _owners("mem", mem.written)
             changed |= owners != self.mem
@@ -208,117 +210,104 @@ def _reown(table: dict, name: str, k, w) -> bool:
 # ---------------------------------------------------------------------------
 # Running
 
-class Run:
-    """The one loop over steps.  ``go`` takes them until the run halts,
-    fails or has taken ``fuel`` steps, then sets ``outcome`` (halted,
-    failed or fuel-exhausted), ``steps``, ``calls`` and ``returns``
-    (atomic calls and return-token jumps, seen as the frames grow and
-    shrink), ``cfg``, the final configuration, and ``_last``, the last
-    step's writes as a hook gets them; until then ``cfg`` is the first.
-    To pause a run, give it less fuel and start a new run from its
-    final ``cfg``.  ``cfg`` is not written: the run copies its
-    registers and memories once, and writes each step's writes into
-    them in place, so what a hook gets is valid until the hook returns.
-    A new run may start from that: it makes its own copies."""
-
-    def __init__(self, cfg, machine_kind: str, gc: GlobalConstants,
-                 fuel: int = DEFAULT_FUEL):
-        if machine_kind not in _EXTENSIONS:
-            raise ValueError(f"unknown machine kind {machine_kind!r}")
-        self.ext = _EXTENSIONS[machine_kind]
-        # with_regs copies the registers (the bench counts copies there)
-        mem, reg, stk, ms_stk = cfg.with_regs({})
-        self.gc, self.fuel, self.cfg = gc, fuel, SourceConfig(
-            Memory(mem.written, mem.domain), reg, stk,
-            Memory(ms_stk.written, ms_stk.domain))
-
-    def go(self, observe=None):
-        """Take the run's steps, once, and return the run.  ``observe``,
-        when given, is called as ``observe(cfg, wrote, cell)`` before
-        each step: ``wrote`` names the registers the last step wrote
-        (none before the first), and ``cell`` is its cell write (see
-        ``machine.Running``), or None."""
-        # Everything the loop reads stays in locals: this is the hot loop,
-        # and a register-only step makes one Python-level call, its
-        # handler's.  The memory locals follow every Running's cfg.
-        ext, gc, fuel, cfg = self.ext, self.gc, self.fuel, self.cfg
-        reg, mem, written = cfg.reg, cfg.mem, cfg.mem.written
-        steps = calls = returns = 0
-        frames, decoded = len(cfg.stk), _DECODED.get
-        wrote, cell = (), None
-        outcome = "fuel-exhausted"
-        while steps < fuel:
-            if observe is not None:
-                observe(cfg, wrote, cell)
-            steps += 1   # a step that fails or halts counts
-            pc = reg[PC]
-            if type(pc) is not MemCap or pc.perm not in EXEC_PERMS:
-                outcome = "failed"
-                break
-            perm, lin, base, end, a = pc
-            w = written.get(a)
-            if w is None:   # unwritten: 0 in the domain, None outside it
-                w = mem.get(a)
-            if w is None or not base <= a <= end:
-                outcome = "failed"
-                break
-            # A call sequence starts with CALL_HEAD (``call_cond`` rejects
-            # any other first cell), so no other cell needs call
-            # recognition.  A call's writes name pc.
-            out = ext.recognize_call(cfg, gc) if w == CALL_HEAD else None
-            if out is None:
-                # the memo holds the handler's name, looked up at each
-                # step, so a wrapped handler is seen
-                name, ops = decoded(w) or _decode(w)
-                out = _MODULE[name](cfg, ext, gc, ops)
-            if type(out) is dict:
-                wrote = out
-            elif type(out) is Running:
-                wrote = out[1]
-            else:
-                outcome = out.kind
-                break
-            # the next-pc rule: writes that do not name pc (a jump's do)
-            # gain pc moved to the next cell
-            if PC not in wrote:
-                wrote[PC] = _new(MemCap, (perm, lin, base, end, a + 1))
-            if wrote is out:
-                cell = None
-            else:
-                cfg, _, cell = out
-                reg, mem, written = cfg.reg, cfg.mem, cfg.mem.written
-                if cell is not None:
-                    cell[0].written[cell[1]] = cell[2]
-                elif len(cfg.stk) != frames:   # a call or a return
-                    calls += len(cfg.stk) > frames
-                    returns += len(cfg.stk) < frames
-                    frames = len(cfg.stk)
-            reg.update(wrote)
-        self.outcome, self.steps, self.cfg = outcome, steps, cfg
-        self.calls, self.returns, self._last = calls, returns, (wrote, cell)
-        return self
+def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
+        observe=None) -> RunReport:
+    """The one loop over steps: take them until the run halts, fails or
+    has taken ``fuel`` steps, and report its outcome, steps, calls and
+    returns (atomic calls and return-token jumps, seen as the frames
+    grow and shrink) and final configuration; to pause a run, give it
+    less fuel and run again from its ``final_cfg``.  ``observe``, when
+    given, is called as ``observe(cfg, wrote, cell)`` once at every
+    configuration the run reaches: first with ``wrote == ()`` and
+    ``cell`` None, then after each step that runs on, with the registers
+    it wrote and its cell write (see ``machine.Running``), or None.
+    ``cfg`` is not written: the run copies its registers and memories
+    once and writes each step's writes into them in place, so what a
+    hook gets is valid until the hook returns (a new run may start from
+    it: it makes its own copies)."""
+    if machine_kind not in _EXTENSIONS:
+        raise ValueError(f"unknown machine kind {machine_kind!r}")
+    ext = _EXTENSIONS[machine_kind]
+    # with_regs copies the registers (the bench counts copies there)
+    mem, reg, stk, ms_stk = cfg.with_regs({})
+    cfg = SourceConfig(Memory(mem.written, mem.domain), reg, stk,
+                       Memory(ms_stk.written, ms_stk.domain))
+    # Everything the loop reads stays in locals: this is the hot loop,
+    # and a register-only step makes one Python-level call, its
+    # handler's.  The memory locals follow every Running's cfg.
+    mem, written = cfg.mem, cfg.mem.written
+    steps = calls = returns = 0
+    frames, decoded = len(stk), _DECODED.get
+    outcome = "fuel-exhausted"
+    if observe is not None:
+        observe(cfg, (), None)
+    while steps < fuel:
+        steps += 1   # a step that fails or halts counts
+        pc = reg[PC]
+        if type(pc) is not MemCap or pc.perm not in EXEC_PERMS:
+            outcome = "failed"
+            break
+        perm, lin, base, end, a = pc
+        w = written.get(a)
+        if w is None:   # unwritten: 0 in the domain, None outside it
+            w = mem.get(a)
+        if w is None or not base <= a <= end:
+            outcome = "failed"
+            break
+        # A call sequence starts with CALL_HEAD (``call_cond`` rejects
+        # any other first cell), so no other cell needs call
+        # recognition.  A call's writes name pc.
+        out = ext.recognize_call(cfg, gc) if w == CALL_HEAD else None
+        if out is None:
+            # the memo holds the handler's name, looked up at each
+            # step, so a wrapped handler is seen
+            name, ops = decoded(w) or _decode(w)
+            out = _MODULE[name](cfg, ext, gc, ops)
+        if type(out) is dict:
+            wrote = out
+        elif type(out) is Running:
+            wrote = out[1]
+        else:
+            outcome = out.kind
+            break
+        # the next-pc rule: writes that do not name pc (a jump's do)
+        # gain pc moved to the next cell
+        if PC not in wrote:
+            wrote[PC] = _new(MemCap, (perm, lin, base, end, a + 1))
+        if wrote is out:
+            cell = None
+        else:
+            cfg, _, cell = out
+            reg, mem, written = cfg.reg, cfg.mem, cfg.mem.written
+            if cell is not None:
+                cell[0].written[cell[1]] = cell[2]
+            elif len(cfg.stk) != frames:   # a call or a return
+                calls += len(cfg.stk) > frames
+                returns += len(cfg.stk) < frames
+                frames = len(cfg.stk)
+        reg.update(wrote)
+        if observe is not None:
+            observe(cfg, wrote, cell)
+    return RunReport(outcome, steps, [], cfg, calls, returns)
 
 
 def run_report(cfg, machine_kind: str, gc: GlobalConstants,
                fuel: int = DEFAULT_FUEL, paranoid: bool = False) -> RunReport:
-    """The ``Run`` of ``cfg``, reported.  ``paranoid`` checks both
-    invariants at every configuration the run reaches: one full scan of
-    the first, then the changes of each step (``_Invariants``, whose
-    ``observe`` is the run's hook, and is called once more at the end
-    of a run that runs out of fuel)."""
-    run = Run(cfg, machine_kind, gc, fuel)
-    checks = _Invariants(run.cfg) if paranoid else None
-    run.go(checks.observe if paranoid else None)
-    if paranoid and run.outcome == "fuel-exhausted":   # the last cfg too
-        checks.observe(run.cfg, *run._last)
-    return RunReport(run.outcome, run.steps,
-                     checks.violations if paranoid else [], run.cfg,
-                     run.calls, run.returns)
+    """The ``run`` of ``cfg``.  ``paranoid`` checks both invariants at
+    every configuration the run reaches, and reports their violations:
+    one full scan of the first, then the changes of each step
+    (``_Invariants``, whose ``observe`` is the run's hook)."""
+    if not paranoid:
+        return run(cfg, machine_kind, gc, fuel)
+    checks = _Invariants()
+    report = run(cfg, machine_kind, gc, fuel, checks.observe)
+    report.violations = checks.violations
+    return report
 
 
 def format_trace(cfg, machine_kind: str, gc: GlobalConstants,
                  fuel: int = DEFAULT_FUEL) -> str:
-    """The ``Run`` of ``cfg`` as text: per step, its number, the machine,
+    """The ``run`` of ``cfg`` as text: per step, its number, the machine,
     pc's address and the instruction there before the step, and
     ``running``, or the outcome of a run that halts or fails at it."""
     rows = []
@@ -332,9 +321,11 @@ def format_trace(cfg, machine_kind: str, gc: GlobalConstants,
         else:
             rows.append([None, "<no pc cap>", "running"])
 
-    run = Run(cfg, machine_kind, gc, fuel).go(row)
-    if run.outcome != "fuel-exhausted":
-        rows[-1][2] = run.outcome
+    outcome = run(cfg, machine_kind, gc, fuel, row).outcome
+    if outcome == "fuel-exhausted":
+        rows.pop()   # the configuration the run ends in starts no step
+    else:
+        rows[-1][2] = outcome
     return "".join(f"{n}\t{machine_kind}\t{at}\t{instr}\t{end}\n"
                    for n, (at, instr, end) in enumerate(rows, 1))
 

@@ -1,5 +1,5 @@
 """The instruction handlers, the decode memo and the extensions that
-both machines step with; ``harness.Run`` is the loop that calls them.
+both machines step with; ``harness.run`` is the loop that calls them.
 
 No function here writes a configuration.  A handler that writes only
 registers returns its writes as a dict; one that writes a cell or the
@@ -95,7 +95,7 @@ class MachineExtension:
 
     def recognize_call(self, cfg, gc):
         """Big-step call dispatch; None means no call fires here.
-        ``harness.Run`` calls it only when pc is an executable memory
+        ``harness.run`` calls it only when pc is an executable memory
         capability within its bounds whose cell holds ``CALL_HEAD``."""
         return None
 
@@ -178,7 +178,7 @@ def exec_move(cfg, ext, gc, ops):
         return {r: rn}
     old = cfg.reg[rn]
     if rn == PC:   # pc moves on, so it is copied, never cleared
-        # ``harness.Run`` has checked that pc is a memory capability
+        # ``harness.run`` has checked that pc is a memory capability
         return {r: old} if old.lin is _NORMAL else FAILED
     # Clear the source register first, then write the destination:
     # correct even when r == rn (a linear cap stays put).
@@ -373,7 +373,7 @@ _DECODED = {}
 def _decode(w):
     """(handler name, operands) of the word ``w``, fail's when it names
     pc at an operand ``OPCODES`` marks "w": no handler tests for pc.  It
-    is stored in ``_DECODED``, which ``harness.Run`` reads with ``.get``
+    is stored in ``_DECODED``, which ``harness.run`` reads with ``.get``
     first, so each distinct word is decoded once; the memo is emptied
     when it holds 4096 words.  A plain dict, not an ``lru_cache``, whose
     hit relinks its list: a hit is one C-level ``get``.  The operands

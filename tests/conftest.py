@@ -6,7 +6,7 @@ from capmach.core import (
     enc_instr, fresh_registers, linear_overlaps, mk_instr,
 )
 from capmach.fixtures import STK_BASE
-from capmach.harness import _EXTENSIONS, Run, _owners
+from capmach.harness import _EXTENSIONS, _owners, run
 from capmach.machine import (
     FAILED, HALTED, NULL_EXTENSION, MachineExtension, Running, _new,
 )
@@ -35,6 +35,15 @@ def rw(b, e, a, lin=Lin.NORMAL):
     return MemCap(Perm.RW, lin, b, e, a)
 
 
+def with_cell(mem: Memory, a, w) -> Memory:
+    """A copy of ``mem`` with cell ``a`` holding ``w``: ``a`` joins the
+    domain if it is new.  ``mem`` is not written."""
+    domain = mem.domain
+    if a not in mem:
+        domain = domain | Ranges.span(a, a)
+    return Memory({**mem.written, a: w}, domain)
+
+
 def tcfg(mem=None, **regvals):
     reg = fresh_registers()
     reg.update(regvals)
@@ -60,11 +69,11 @@ def ex(cfg, op, *args, ext=NULL_EXTENSION, gc=NOWHERE):
     has one): the instruction through a run's fetch, decode and pc rule."""
     pc = cfg.reg[PC]
     if isinstance(pc, MemCap):
-        cfg = cfg._replace(mem=cfg.mem.set(pc.addr, enc(op, *args)))
+        cfg = cfg._replace(mem=with_cell(cfg.mem, pc.addr, enc(op, *args)))
     return step(cfg, ext, gc)
 
 
-# Oracles: the one step that ``harness.Run`` takes, as a value; the full
+# Oracles: the one step that ``harness.run`` takes, as a value; the full
 # scan the paranoid tracker must match; the front-end tests' disassembler.
 
 _KINDS = {ext: kind for kind, ext in _EXTENSIONS.items()}
@@ -75,12 +84,12 @@ def step(cfg, ext: MachineExtension = NULL_EXTENSION,
     """One step of ``cfg`` on ``ext``'s machine, as a run takes it:
     FAILED, HALTED, or a ``Running`` that owns a copy of the
     configuration after the step, its register writes and its cell write
-    (into the copy), or None.  A run of fuel 2 makes it: its hook copies
-    what it gets before the second step.  ``cfg`` is not written."""
+    (into the copy), or None.  A run of fuel 1 makes it: its hook copies
+    what it gets after a step that runs on.  ``cfg`` is not written."""
     out = []
 
     def keep(now, wrote, cell):
-        if wrote:   # before the second step: every step writes pc
+        if wrote:   # after the step: the first configuration has none
             mem, reg, stk, ms_stk = now
             copy = SourceConfig(Memory(mem.written, mem.domain), dict(reg),
                                 stk, Memory(ms_stk.written, ms_stk.domain))
@@ -89,8 +98,8 @@ def step(cfg, ext: MachineExtension = NULL_EXTENSION,
                 cell = (copy.mem if m is mem else copy.ms_stk, a, w)
             out.append(_new(Running, (copy, dict(wrote), cell)))
 
-    run = Run(cfg, _KINDS[ext], gc, 2).go(keep)
-    return out[0] if out else FAILED if run.outcome == "failed" else HALTED
+    outcome = run(cfg, _KINDS[ext], gc, 1, keep).outcome
+    return out[0] if out else FAILED if outcome == "failed" else HALTED
 
 
 def check_linearity(cfg) -> list:

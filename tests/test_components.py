@@ -202,6 +202,55 @@ def test_broken_export_under_foreign_seal():
     assert any("not among the closure seals" in d for d in ds)
 
 
+def _calling(*sigmas, seal, **over):
+    """A component whose code makes one call per offset in ``sigmas``
+    under the seal word ``.seal <seal>``, then halts."""
+    body = "".join(f"  call sealw {s} r3 r4\n" for s in sigmas)
+    res = assemble(f".org 100\n{body}  halt\nsealw: .seal {seal}\n",
+                   STK_BASE)
+    return Component({99: 0, **res.segment, max(res.segment) + 1: 0}, {},
+                     **over)
+
+
+def test_each_diagnostic_alone():
+    # one small component per premise, each breaking only that one:
+    # validation gives exactly the line shown
+    clo = simple_trusted().exports[0][1]
+    lin = MemCap(Perm.RW, Lin.LINEAR, 200, 200, 200)
+    rw = MemCap(Perm.RW, Lin.NORMAL, 200, 200, 200)
+    trust_none = GlobalConstants(frozenset(), STK_BASE)
+    trust_data = GlobalConstants(frozenset({*range(99, 103), 200}), STK_BASE)
+    table = [
+        (simple_trusted(ms_data={101: 0}), trust_none,
+         "comp\tcode/data\tcode and data domains overlap"),
+        (simple_trusted(ms_data={200: 0}), trust_data,
+         "comp\tdata\tdata overlaps trusted addresses"),
+        (_calling(0, seal="5 5 5", sig_ret={5}, sig_clos={5}), None,
+         "comp-code\tseals\treturn/closure seal overlap: 5"),
+        (simple_trusted(exports=(), sig_clos=()), None,
+         "comp-code\tseals\tcomponent owns no seals"),
+        (_calling(0, 1, seal="5 6 5", sig_ret={5}, sig_clos={6}), None,
+         "comp-code\taddr 126\tcall claims seal 6 outside the return seals"),
+        (simple_trusted(ms_data={200: SealCap(5, 5, 5)}), None,
+         "comp-value\taddr 200\tdisallowed word: seal(5,5,5)"),
+        (simple_trusted(ms_data={200: lin._replace(base=201)}), None,
+         "comp-value\taddr 200\tempty linear capability"),
+        (simple_trusted(ms_data={200: 0}, a_linear={200},
+                        exports=(("clo", clo), ("lin", lin))), None,
+         "comp-export\texport lin\tlinear export"),
+        (simple_trusted(exports=(("clo", clo), ("clo", clo))), None,
+         "comp\texports\tduplicate export symbol"),
+        (simple_trusted(imports=((300, "x"),)), None,
+         "comp\timport x\timport address 300 not in data"),
+        (simple_trusted(ms_data={200: 0}, imports=((200, "clo"),)), None,
+         "comp\timport clo\tsymbol both imported and exported"),
+        (simple_trusted(ms_data={200: 0}, mains=(clo, rw)), None,
+         "comp\tmain data\tmain word not exported"),
+    ]
+    for c, gc, line in table:
+        assert diags(c, gc) == [line], line
+
+
 def test_link_errors():
     a = simple_trusted()
     mains = (Sealed(5, MemCap(Perm.RX, Lin.NORMAL, 100, 101, 100)),

@@ -2,7 +2,7 @@ import gc
 import re
 
 import pytest
-from conftest import ex, tcfg
+from conftest import ex, tcfg, with_cell
 from hypothesis import given, settings, strategies as st
 
 from capmach.core import (
@@ -325,7 +325,7 @@ def test_memory_model(init, zeros, ops):
         m, model = versions[pick % len(versions)]
         if op[0] == "set":
             _, a, w = op
-            versions.append((m.set(a, w), {**model, a: w}))
+            versions.append((with_cell(m, a, w), {**model, a: w}))
         elif op[0] == "update":
             versions.append((m.update(Memory(op[1])), {**model, **op[1]}))
         elif op[0] == "split":
@@ -350,7 +350,7 @@ def test_memory_update_joins_a_split_part():
     m = Memory({5: 7, 6: 8, 20: 9}, Ranges.span(0, 30))
     moved, rest = m.split(4, 7)
     assert rest.update(moved) == m      # a frame comes back as it went
-    assert rest.set(20, 1).update(moved) == m.set(20, 1)
+    assert with_cell(rest, 20, 1).update(moved) == with_cell(m, 20, 1)
     # a written cell wins; an unwritten one keeps what is held, or reads 0
     part = Memory({6: 1}, Ranges.span(4, 7))
     assert m.update(part) == Memory({5: 7, 6: 1, 20: 9}, Ranges.span(0, 30))
@@ -370,7 +370,7 @@ def test_memory_zero_run_walks_no_address():
         assert m == Memory({5: 1}, wide) and m != Memory({5: 1})
         assert m != Memory({5: 1}, Ranges.span(5, 3 + 2 ** 40))
         assert m != {5: 1} and len(m) == 2 ** 40
-        n = m.set(2 ** 39, 7)
+        n = with_cell(m, 2 ** 39, 7)
         assert (n[2 ** 39], n[2 ** 39 + 1], m[2 ** 39]) == (7, 0, 0)
         part, rest = n.split(2 ** 38, INF)
         assert part.written == {2 ** 39: 7} and rest.written == {5: 1}
@@ -378,7 +378,7 @@ def test_memory_zero_run_walks_no_address():
 
 
 def test_memory_split_beyond_the_memory():
-    m = Memory({a: a for a in range(10, 20)}).set(15, "x")
+    m = with_cell(Memory({a: a for a in range(10, 20)}), 15, "x")
     part, rest = m.split(18, INF)
     assert part == Memory({18: 18, 19: 19})
     assert sorted(rest) == list(range(10, 18))
@@ -392,7 +392,7 @@ def test_memory_keeps_no_earlier_memory():
     # a run that drops its old versions frees them
     m = Memory({a: a for a in range(10)}, Ranges.span(0, 30))
     for _ in range(3):
-        part, rest = m.set(20, 1).split(2, 5)
+        part, rest = with_cell(m, 20, 1).split(2, 5)
         m = rest.update(part)
     seen, todo = set(), [gc.get_referents(m)]
     while todo:

@@ -29,12 +29,12 @@ from capmach.fixtures import (
     scenario_second_stack, trusted_one_call, trusted_simple,
 )
 from capmach.harness import (
-    Run, check_stack_partition, format_trace, run_diff, run_report,
+    check_stack_partition, format_trace, run, run_diff, run_report,
 )
 from capmach.machine import NULL_EXTENSION, Running
 from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
-from conftest import check_linearity, disassemble, step, tcfg
+from conftest import check_linearity, disassemble, step, tcfg, with_cell
 
 
 def test_corpus_agreement():
@@ -207,7 +207,7 @@ def test_check_stack_partition():
     assert check_stack_partition(upside_down)
     # the accessible stack may not reach into memory
     shared = SourceConfig(cfg.mem, cfg.reg, (),
-                          cfg.ms_stk.set(min(cfg.mem), 0))
+                          with_cell(cfg.ms_stk, min(cfg.mem), 0))
     assert check_stack_partition(shared)
     # a frame that starts on the accessible part's top address
     touching = SourceConfig(cfg.mem, cfg.reg,
@@ -376,7 +376,7 @@ def _run_cfg(rng):
             break
         for _ in range(4):
             code[a] = _run_instr(rng)
-            nxt = step(cur._replace(mem=cur.mem.set(a, code[a])),
+            nxt = step(cur._replace(mem=with_cell(cur.mem, a, code[a])),
                        SOURCE_EXTENSION, _RUN_GC)
             if isinstance(nxt, Running):
                 break
@@ -438,7 +438,7 @@ def test_write_set_names_every_changed_register():
             last[:] = (now.reg, dict(now.reg), len(now.stk),
                        w is not None and dec_instr(w))
 
-        Run(cfg, kind, gc, fuel).go(hook)
+        run(cfg, kind, gc, fuel, hook)
 
     rng = random.Random(5)
     for _ in range(300):
@@ -458,7 +458,7 @@ def _edit(rng, cfg):
     any register, a cell written, added or removed in either memory, a
     frame pushed or popped; the registers it wrote; the cell it wrote
     in place, or None).  Two kinds keep the configuration object, as
-    ``Run`` does: a register or a cell of either memory written in
+    ``run`` does: a register or a cell of either memory written in
     place."""
     kind = rng.randrange(8)
     mem, ms_stk, stk = cfg.mem, cfg.ms_stk, cfg.stk
@@ -477,9 +477,9 @@ def _edit(rng, cfg):
         m.written[a] = w = _run_word(rng)
         return cfg, (), (m, a, w)
     if kind == 1:
-        mem = mem.set(rng.randint(0, 24), _run_word(rng))
+        mem = with_cell(mem, rng.randint(0, 24), _run_word(rng))
     elif kind == 2:
-        ms_stk = ms_stk.set(rng.randint(0, 30), _run_word(rng))
+        ms_stk = with_cell(ms_stk, rng.randint(0, 30), _run_word(rng))
     elif kind == 3:
         lo = rng.randint(0, 30)
         part, ms_stk = ms_stk.split(lo, lo + rng.randint(0, 4))
@@ -505,7 +505,8 @@ def test_paranoid_tracker_against_full_checks_on_edits(rng):
     cfg = SourceConfig(Memory(cfg.mem.written, cfg.mem.domain),
                        {r: cfg.reg[r] for r in _RUN_REGS}, cfg.stk,
                        Memory(cfg.ms_stk.written, cfg.ms_stk.domain))
-    checks = harness._Invariants(cfg)
+    checks = harness._Invariants()
+    checks.observe(cfg, (), None)
     for _ in range(12):
         cfg, wrote, cell = _edit(rng, cfg)
         checks.observe(cfg, wrote, cell)
@@ -553,9 +554,10 @@ def test_paranoid_frames_renumbered():
     # nested call, and back: both checks follow the renumbering
     t, ctx = dict((n, (a, b)) for n, a, b in corpus())["deep-trusted"]
     cfg = initial_config(link(t, ctx), "source", STK_BASE, STK_END)
-    cfg = SourceConfig(cfg.mem.set(STK_END, 0), {**cfg.reg, "rstk": StkPtr(
-        Perm.RW, STK_BASE, STK_END, STK_END - 1), "r12": lincap(5003, 5008)},
-        (), cfg.ms_stk.set(STK_END, lincap(5000, 5005)))
+    cfg = SourceConfig(with_cell(cfg.mem, STK_END, 0), {
+        **cfg.reg, "rstk": StkPtr(Perm.RW, STK_BASE, STK_END, STK_END - 1),
+        "r12": lincap(5003, 5008)},
+        (), with_cell(cfg.ms_stk, STK_END, lincap(5000, 5005)))
     gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
     r, = _same_checks(cfg, gc, 1000, kinds=("source",))
     assert r.outcome == "halted"
@@ -739,6 +741,37 @@ def test_trace_against_folded_steps():
                             ("fuel-exhausted", False)}
 
 
+def test_the_hook_sees_every_configuration_once():
+    # the hook is called at the first configuration, with nothing
+    # written, then after each step that runs on, whose writes name pc:
+    # a run that runs out of fuel ends on a configuration that starts
+    # no step, and the last call sees it
+    runs = []
+    for name, fuels in (("spin", (0, 1, 4)), ("call-return", (100,))):
+        gc, cfgs = harness.diff_start(*dict(fixtures.CORPUS)[name](),
+                                      STK_BASE, STK_END)
+        runs += [(cfgs[kind], kind, gc, fuel) for fuel in fuels
+                 for kind in ("source", "target")]
+    runs.append((tcfg({}, pc=0), "source", _RUN_GC, 100))   # fails at once
+    ends = []
+    for cfg, kind, gc, fuel in runs:
+        seen = []
+        report = run(cfg, kind, gc, fuel, lambda now, wrote, cell: seen.append(
+            (wrote, cell, dict(now.reg), dict(now.mem.written),
+             dict(now.ms_stk.written))))
+        ends.append((report.outcome, report.steps))
+        exhausted = report.outcome == "fuel-exhausted"
+        assert len(seen) == report.steps + exhausted, (kind, fuel)
+        assert seen[0][:2] == ((), None), (kind, fuel)
+        assert all(PC in wrote for wrote, *_ in seen[1:]), (kind, fuel)
+        if exhausted:
+            final = report.final_cfg
+            assert seen[-1][2:] == (final.reg, final.mem.written,
+                                    final.ms_stk.written), (kind, fuel)
+    assert ends == [("fuel-exhausted", fuel) for fuel in (0, 0, 1, 1, 4, 4)] \
+        + [("halted", 8), ("halted", 32), ("failed", 1)]
+
+
 def test_run_paused_and_resumed():
     # a run given k steps of fuel, and a new run from its final
     # configuration with the fuel that is left, end as one uninterrupted
@@ -749,20 +782,20 @@ def test_run_paused_and_resumed():
         for kind in ("source", "target"):
             cfg = initial_config(link(t, ctx), kind, STK_BASE, STK_END)
             contents, parts = _contents(cfg), (cfg.mem, cfg.stk, cfg.ms_stk)
-            whole = Run(cfg, kind, gc, fuel).go()
+            whole = run(cfg, kind, gc, fuel)
             for k in (1, 5, 19):
-                first = Run(cfg, kind, gc, k).go()
+                first = run(cfg, kind, gc, k)
                 if first.outcome != "fuel-exhausted":   # ended in k steps
                     assert whole.steps <= k, (name, kind, k)
                     continue
-                paused_cfg = first.cfg
+                paused_cfg = first.final_cfg
                 item_contents = _contents(paused_cfg)
                 item_parts = paused_cfg.mem, paused_cfg.stk, paused_cfg.ms_stk
-                rest = Run(paused_cfg, kind, gc, fuel - k).go()
-                assert (rest.outcome, k + rest.steps, rest.cfg,
+                rest = run(paused_cfg, kind, gc, fuel - k)
+                assert (rest.outcome, k + rest.steps, rest.final_cfg,
                         first.calls + rest.calls,
                         first.returns + rest.returns) == \
-                    (whole.outcome, whole.steps, whole.cfg, whole.calls,
+                    (whole.outcome, whole.steps, whole.final_cfg, whole.calls,
                      whole.returns), (name, kind, k)
                 paused[name, k] += 1
                 _unwritten(paused_cfg, item_contents, item_parts)
@@ -781,13 +814,14 @@ def test_a_store_copies_nothing():
     gc, cfgs = harness.diff_start(t, ctx, STK_BASE, STK_END)
     for kind, cfg in cfgs.items():
         items = []
-        run = Run(cfg, kind, gc).go(
-            lambda c, *_: items.append((c.mem, c.stk, c.ms_stk)))
-        assert run.outcome == "halted"
+        report = run(cfg, kind, gc, observe=lambda c, *_: items.append(
+            (c.mem, c.stk, c.ms_stk)))
+        assert report.outcome == "halted"
         for (mem, stk, ms_stk), (mem2, stk2, ms_stk2) in zip(items, items[1:]):
             assert mem2 is mem, kind
             assert ms_stk2 is ms_stk or stk2 is not stk, kind
-        stack = run.cfg.mem if kind == "target" else run.cfg.ms_stk
+        final = report.final_cfg
+        stack = final.mem if kind == "target" else final.ms_stk
         assert [stack[a] for a in range(STK_END - 41, STK_END)] == \
             [0] + [7] * 40, kind
 
@@ -854,8 +888,8 @@ def test_calls_and_returns_leave_the_same_stack():
                 got[j] = (trg.reg[PC].addr, [trg.mem.get(a) for a in stack],
                           want[j][2])
 
-        Run(cfgs["source"], "source", gc, 2000).go(at_source)
-        Run(cfgs["target"], "target", gc, 4000).go(at_target)
+        run(cfgs["source"], "source", gc, 2000, at_source)
+        run(cfgs["target"], "target", gc, 4000, at_target)
         assert got == want, name
         points += len(want)
     assert points == 18
@@ -863,14 +897,14 @@ def test_calls_and_returns_leave_the_same_stack():
 
 def test_run_refuses_an_unknown_machine_kind():
     # a kind is "source" or "target", spelled so: any other is refused
-    # before a step, by Run and by both of its consumers
+    # before a step, by run and by both of its consumers
     t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
     cfg = initial_config(link(t, ctx), "source", STK_BASE, STK_END)
     for kind in ("Source", "middle"):
-        for run in (Run, run_report, format_trace):
+        for runner in (run, run_report, format_trace):
             with pytest.raises(ValueError,
                                match=f"^unknown machine kind {kind!r}$"):
-                run(cfg, kind, _RUN_GC)
+                runner(cfg, kind, _RUN_GC)
 
 
 # ---------------------------------------------------------------------------

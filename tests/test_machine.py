@@ -1,6 +1,8 @@
 from itertools import product
 
-from conftest import HALT, NOWHERE, enc, ex, rw, rx, scfg, step, tcfg
+from conftest import (
+    HALT, NOWHERE, enc, ex, rw, rx, scfg, step, tcfg, with_cell,
+)
 from hypothesis import given, settings, strategies as st
 
 from capmach import machine
@@ -378,9 +380,9 @@ def test_load_and_store_guards_against_the_paper():
                         assert out.cfg.reg == {**reg, **out.wrote}, case
                         # ``ex`` put the instruction in pc's cell, 50
                         written = mem if seg == "ms_stk" else \
-                            mem.set(50, enc(op, *args))
+                            with_cell(mem, 50, enc(op, *args))
                         for x, v in cells.items():
-                            written = written.set(x, v)
+                            written = with_cell(written, x, v)
                         assert getattr(out.cfg, seg) == written, case
     assert runs == 5 * 4 * 3 * 5 * 3 * 2 * 2
 

@@ -1,7 +1,7 @@
 import dataclasses
 import functools
 
-from conftest import HALT, enc, ex, rw, rx, scfg, std_gc, step
+from conftest import HALT, enc, ex, rw, rx, scfg, std_gc, step, with_cell
 
 from capmach.asm import CALL_HEAD, CALL_LEN, CallParams, call_cond, expand_scall
 from capmach.components import initial_config, link, validate_component
@@ -128,8 +128,8 @@ def test_exec_call_guards():
     fails(_call_cfg(), CallParams(30, 5, "r3", "r4"))       # sigma out of range
     fails(_call_cfg(), CallParams(200, 0, "r3", "r4"))      # seal outside code
     cfg = _call_cfg()
-    fails(cfg._replace(mem=cfg.mem.set(40, 7)))             # not a seal word
-    fails(cfg._replace(ms_stk=cfg.ms_stk.set(1005, 0)).with_regs(
+    fails(cfg._replace(mem=with_cell(cfg.mem, 40, 7)))      # not a seal word
+    fails(cfg._replace(ms_stk=with_cell(cfg.ms_stk, 1005, 0)).with_regs(
         {"rstk": sp(1000, 1020, 1015)}))                    # a_stk unmapped
 
 

@@ -12,7 +12,7 @@ from capmach import fixtures, machine
 from capmach.asm import CALL_HEAD
 from capmach.components import _verdict, format_component, parse_component
 from capmach.core import PC, dec_instr
-from capmach.harness import Run, diff_start, run_report
+from capmach.harness import diff_start, run, run_report
 from capmach.source import SOURCE_EXTENSION
 
 # r0 cells of the callback's stack: store r4 into each, going down,
@@ -101,7 +101,7 @@ def test_handlers_take_one_operand_tuple(monkeypatch):
     for name in machine._HANDLER.values():
         params = inspect.signature(getattr(machine, name)).parameters
         assert list(params) == ["cfg", "ext", "gc", "ops"], name
-    tree = ast.parse(textwrap.dedent(inspect.getsource(Run.go)))
+    tree = ast.parse(textwrap.dedent(inspect.getsource(run)))
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.Call) and (
         any(isinstance(a, ast.Starred) for a in n.args)
         or any(k.arg is None for k in n.keywords))]
@@ -123,13 +123,13 @@ def test_handlers_take_one_operand_tuple(monkeypatch):
     monkeypatch.setattr(machine, "exec_jmp", counting)
     for kind in ("source", "target"):
         calls = jumps = 0
-        Run(cfgs[kind], kind, consts, 300).go(jump)
+        run(cfgs[kind], kind, consts, 300, jump)
         assert calls == jumps == 100, kind
 
 
 def test_load_store_sweep_step_calls():
     # a load or a store is one handler call plus one access guard, and a
-    # store of an int calls nothing else: 1.510 calls per step with
+    # store of an int calls nothing else: 1.443 calls per step with
     # Python 3.11 (3.630 with the generator loop and ``lin_cons`` on
     # every store)
     per_step, reports = _calls_per_step(
@@ -143,8 +143,8 @@ def test_paranoid_step_calls():
     # the paranoid checks visit what a step changed: the registers it
     # wrote and its cell, told apart in place when they own nothing, and
     # a memory or the frames only at a call or a return, in one hook call
-    # per step: 6.193 calls per step with Python 3.11 (8.454 with the
-    # generator loop).  Unchecked, these runs make 3.04
+    # per step: 5.559 calls per step with Python 3.11 (8.454 with the
+    # generator loop).  Unchecked, these runs make 2.405
     programs = [(t, ctx) for name, t, ctx in fixtures.corpus()
                 if name != "spin"]
     per_step, reports = _calls_per_step(programs, 2000, paranoid=True)
@@ -174,8 +174,8 @@ def test_call_and_return_step_calls():
             counts.append(_count_calls(lambda: machine.exec_xjmp(
                 cfg, ext, consts, ("rretcode", "rretdata")))[0])
 
-    run = Run(cfgs["source"], "source", consts, 100).go(count)
-    assert (run.outcome, run.steps, run.calls, run.returns) == \
+    r = run(cfgs["source"], "source", consts, 100, count)
+    assert (r.outcome, r.steps, r.calls, r.returns) == \
         ("halted", 8, 1, 1)
     assert len(counts) == 2
     assert counts[0] <= 21 and counts[1] <= 13, counts
