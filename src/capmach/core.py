@@ -289,10 +289,10 @@ def fresh_registers() -> dict:
 
 class Ranges:
     """An immutable set of ints as sorted runs ``lo..hi``, a gap between
-    any two.  ``in`` and ``covers`` cost a bisect; ``len``, ``split`` and
-    ``str`` (``1..3,5``) O(runs); ``&`` and ``-`` a bisect per run of the
-    side with fewer; ``|`` and ``parse`` a sort of the runs, however many
-    ints the runs hold.  Iteration ascends."""
+    any two.  ``in``, ``covers`` and ``meets`` cost a bisect; ``len``,
+    ``split`` and ``str`` (``1..3,5``) O(runs); ``&`` and ``-`` a bisect
+    per run of the side with fewer; ``|`` and ``parse`` a sort of the
+    runs, however many ints the runs hold.  Iteration ascends."""
 
     __slots__ = ("_lo", "_hi")
 
@@ -358,6 +358,13 @@ class Ranges:
         """Whether all of ``lo..hi`` is in the set (``hi`` may be INF)."""
         i = bisect_right(self._lo, lo)
         return lo > hi or i > 0 and hi <= self._hi[i - 1]
+
+    def meets(self, lo, hi) -> bool:
+        """Whether some int of ``lo..hi`` is in the set: the first run
+        that ends at ``lo`` or above, found by a bisect, starts at ``hi``
+        or below."""
+        i = bisect_left(self._hi, lo)
+        return lo <= hi and i < len(self._lo) and self._lo[i] <= hi
 
     def __len__(self):
         return sum(self._hi) - sum(self._lo) + len(self._lo)

@@ -15,8 +15,9 @@ from itertools import islice
 
 from .asm import CALL_HEAD, CALL_LEN, RET_PT_OFFSET
 from .components import Component, diagnostics, initial_config, link
-from .core import _NORMAL, EXEC_PERMS, PC, GlobalConstants, MemCap, \
-    Memory, dec_instr, linear_overlaps, linear_range
+from .core import _LINEAR, _NORMAL, EXEC_PERMS, PC, GlobalConstants, \
+    MemCap, Memory, RetPtrData, Sealed, StkPtr, dec_instr, \
+    linear_overlaps, linear_range
 from .machine import _DECODED, _MODULE, NULL_EXTENSION, Running, _decode, \
     _new
 from .source import SOURCE_EXTENSION, SourceConfig
@@ -58,19 +59,13 @@ class DiffVerdict:
 # ---------------------------------------------------------------------------
 # Invariant checks
 
-def _owners(name: str, cells: dict) -> dict:
-    """``k -> (base, end, "name k")`` for each linear word ``cells[k]``
-    (ints skipped before the call: most cells hold one); every check
-    names its places this way.  Of a memory, only ``written`` cells own."""
-    return {k: (r[0], r[1], f"{name} {k}") for k, w in cells.items()
-            if not isinstance(w, int) and (r := linear_range(w))}
-
-
 def check_stack_partition(cfg: SourceConfig) -> list:
     """The stack regions ``ms_stk``, frame 0, frame 1, ... rise
     strictly, which makes them disjoint, and none shares an address with
     ``mem``.  A configuration without stack regions (the target's)
-    passes at once.  It costs O(runs) of the memories' domains."""
+    passes at once.  A region is intersected with ``mem`` only when a
+    bisect finds a run of ``mem`` within its bounds."""
+    dom = cfg.mem.domain
     regions = [("ms_stk", cfg.ms_stk.domain)]
     regions += [(f"frame {i}", f.ms.domain) for i, f in enumerate(cfg.stk)]
     out = []
@@ -78,12 +73,49 @@ def check_stack_partition(cfg: SourceConfig) -> list:
     for name, domain in regions:
         if not (ends := domain.bounds()):
             continue
-        if shared := domain & cfg.mem.domain:
+        if dom.meets(*ends) and (shared := domain & dom):
             out.append(f"{name} overlaps mem at {list(islice(shared, 4))}")
         if below is not None and ends[0] <= below[1]:
             out.append(f"{name} not above {below[0]}")
         below = (name, ends[1])
     return out
+
+
+def _scan(cells: dict) -> dict:
+    """``{k: (base, end, 0)}`` for each word ``cells[k]`` that owns
+    ``base..end`` (``core.linear_range``): an owner in
+    ``core.linear_overlaps``'s form, its name left out (0) until a
+    violation names it.  One pass: ints, memory capabilities, stack
+    pointers and return data pointers, bare or under one seal, are told
+    in place, and any other word goes through ``linear_range``.
+    ``_Invariants.observe`` makes the same test inline for registers."""
+    out = {}
+    for k, w in cells.items():
+        if not isinstance(w, int):    # most cells hold an int
+            t = type(w)
+            if t is Sealed:
+                w = w[1]
+                t = type(w)
+            if t is MemCap:
+                if w[1] is _LINEAR:
+                    out[k] = (w[2], w[3], 0)
+            elif t is StkPtr:
+                out[k] = (w[1], w[2], 0)
+            elif t is RetPtrData:
+                out[k] = (w[0], w[1], 0)
+            elif (r := linear_range(w)) is not None:
+                out[k] = (r[0], r[1], 0)
+    return out
+
+
+class _Region:
+    """A stack region as the tracker keeps it, ``ms_stk`` or a saved
+    frame's memory: its owners by address, the bounds of its domain
+    (None when empty), and its two partition faults, whether it shares
+    an address with ``mem`` and whether it is not above the region below
+    it (ms_stk's never is)."""
+
+    __slots__ = ("owned", "ends", "shares", "under")
 
 
 _NOTHING = SourceConfig(Memory(), {})   # no registers, cells or frames
@@ -93,57 +125,117 @@ class _Invariants:
     """The linearity check (``core.linear_overlaps`` of the linear words
     in the registers, memory, stack memory and saved frames) and the
     stack-partition check over the configurations of one run, kept up to
-    date step by step at the cost of what each step wrote.
+    date step by step at the cost of what each step changed.
 
     The first configuration observed is scanned whole, as a step from
-    one with nothing in it, into a table of linear owners per place.  A
-    step that keeps the configuration object (all but a call and a
-    return) costs a visit of the registers and the cell it names.  The
-    verdict, ``(overlaps, partition)``, is rebuilt when an owner changed
-    for the overlaps, and at every new configuration object (the first,
-    a call, a return) for the partition.  ``observe`` is a run's hook:
-    it counts the steps, and formats a violation only at a step whose
-    verdict holds one."""
+    one with nothing in it: one pass per table of linear owners by place
+    (registers, ``mem``, ``ms_stk``; an empty one is skipped).  A step
+    that keeps the configuration object (all but a call and a return)
+    costs a visit of the registers and the cell it names.  A call or a
+    return scans the memories that are new objects, the stack memory and
+    a pushed frame, and keeps the frames it did not push or pop, with
+    their owners and partition faults.  It tests only the regions whose
+    neighbours changed, so it costs the same at any frame depth.
+
+    Owners carry no name: ``found``, the verdict with its places and
+    regions named as the full checks name them, is built when it is
+    read, and ``observe`` reads it only at a step whose verdict holds a
+    violation."""
+
+    __slots__ = ("cfg", "dom", "regs", "mem", "frames", "low",
+                 "owning", "clash", "faults", "_dups", "_partition",
+                 "steps", "violations")
 
     def __init__(self):
-        self.cfg, self.found, self.frames = _NOTHING, ([], []), []
-        self.regs, self.mem, self.stk = {}, {}, {}
-        self.frame_owners, self.steps, self.violations = [], 0, []
+        self.cfg, self.dom = _NOTHING, None     # dom: mem's domain
+        self.regs, self.mem, self.frames = {}, {}, []
+        self.low = low = _Region()                  # ms_stk, empty
+        low.owned, low.ends, low.shares, low.under = {}, None, False, False
+        # how many frames own something; whether two owners share an
+        # address; how many partition faults the regions have
+        self.owning, self.clash, self.faults = 0, False, 0
+        self._dups = self._partition = None     # named when read
+        self.steps, self.violations = 0, []
 
-    def _all(self) -> list:
-        return [*self.regs.values(), *self.mem.values(), *self.stk.values(),
-                *self.frame_owners]
+    @property
+    def found(self) -> tuple:
+        """``(overlaps, partition)`` of the configuration last observed:
+        ``core.linear_overlaps`` of its owners, each named by its place
+        (``reg r``, ``mem a``, ``stk a``, ``frame i addr a``), and
+        ``check_stack_partition``'s findings."""
+        if self._dups is None:
+            places = [("reg", self.regs), ("mem", self.mem),
+                      ("stk", self.low.owned)]
+            places += [(f"frame {i} addr", f.owned)
+                       for i, f in enumerate(self.frames)]
+            self._dups = linear_overlaps([
+                (b, e, f"{name} {k}") for name, owned in places
+                for k, (b, e, _) in owned.items()]) if self.clash else []
+        if self._partition is None:
+            self._partition = check_stack_partition(self.cfg) \
+                if self.faults else []
+        return self._dups, self._partition
 
     def observe(self, cfg, wrote, cell):
-        """Bring ``found``, ``(overlaps, check_stack_partition(cfg))``, to
-        ``cfg``, which follows the last configuration seen (or is it,
-        written in place since), and add its violations to ``violations``
-        as step ``steps``'s.  ``wrote`` names every register whose word is
-        not the same object as there (registers are never removed), and
-        ``cell`` (see ``Running``) the one such cell of a memory that is.
-        An int or a normal memory capability owns nothing, and is told
-        apart with no call (the test ``core.lin_cons`` makes first)."""
+        """Bring the verdict to ``cfg``, which follows the last
+        configuration seen (or is it, written in place since), and add
+        its violations to ``violations`` as step ``steps``'s.  ``wrote``
+        names every register whose word is not the same object as there
+        (registers are never removed), and ``cell`` (see ``Running``)
+        the one such cell of a memory that is."""
         changed = False
         regs, reg = self.regs, cfg.reg
         for r in wrote:
+            # ``_scan``'s test, inlined: most steps write only registers,
+            # and mostly ints and normal memory capabilities
             w = reg[r]
             t = type(w)
-            if t is int or t is MemCap and w.lin is _NORMAL:
+            if t is int or t is MemCap and w[1] is _NORMAL:
                 if r in regs:
                     del regs[r]
                     changed = True
+                continue
+            if t is Sealed:
+                w = w[1]
+                t = type(w)
+            if t is MemCap:
+                o = (w[2], w[3], 0) if w[1] is _LINEAR else None
+            elif t is StkPtr:
+                o = (w[1], w[2], 0)
+            elif t is RetPtrData:
+                o = (w[0], w[1], 0)
             else:
-                changed |= _reown(regs, "reg", r, w)
+                o = linear_range(w)
+                if o is not None:
+                    o = (o[0], o[1], 0)
+            if o is None:
+                if r in regs:
+                    del regs[r]
+                    changed = True
+            elif regs.get(r) != o:
+                regs[r] = o
+                changed = True
         if cell is not None:
             m, a, w = cell
-            changed |= _reown(*((self.mem, "mem") if m is cfg.mem
-                                else (self.stk, "stk")), a, w)
+            owned = self.mem if m is cfg.mem else self.low.owned
+            o = None if type(w) is int else _scan({a: w}).get(a)
+            if o is None:
+                changed |= owned.pop(a, None) is not None
+            elif owned.get(a) != o:
+                owned[a] = o
+                changed = True
         if cfg is not self.cfg:
             changed |= self._follow(cfg)
         if changed:
-            self.found = linear_overlaps(self._all()), self.found[1]
-        dups, partition = self.found
-        if dups or partition:
+            owners = [*self.regs.values(), *self.mem.values(),
+                      *self.low.owned.values()]
+            if self.owning:
+                for f in self.frames:
+                    owners += f.owned.values()
+            self.clash = len(owners) > 1 and bool(linear_overlaps(owners))
+            self._dups = None
+        if self.clash or self.faults:
+            dups, partition = self.found
             n = self.steps
             self.violations += [f"step {n}: linear address {x} owned by "
                                 f"both {first} and {later}"
@@ -153,58 +245,76 @@ class _Invariants:
 
     def _follow(self, cfg) -> bool:
         """Take ``cfg``, a new object: scan its registers and memories
-        that are new objects, follow its frames and rebuild the
-        partition, ``check_stack_partition``'s own; True when an owner
-        changed."""
-        old, self.cfg = self.cfg, cfg
-        mem, reg, stk, ms_stk = cfg
-        old_mem, old_reg, old_stk, old_ms_stk = old
-        changed = stk is not old_stk and self._reframe(stk)
+        that are new objects, follow its frames, and test the regions
+        whose neighbours changed; True when an owner changed or, in a
+        frame that owns, was renumbered."""
+        old_mem, old_reg, old_stk, old_ms = self.cfg
+        mem, reg, stk, ms_stk = self.cfg = cfg
+        changed = False
         if reg is not old_reg:
-            owners, self.regs = self.regs, _owners("reg", reg)
-            changed |= owners != self.regs
+            owned, self.regs = self.regs, _scan(reg)
+            changed = owned != self.regs
         if mem is not old_mem:
-            owners, self.mem = self.mem, _owners("mem", mem.written)
-            changed |= owners != self.mem
-        if ms_stk is not old_ms_stk:
-            owners, self.stk = self.stk, _owners("stk", ms_stk.written)
-            changed |= owners != self.stk
-        self.found = self.found[0], check_stack_partition(cfg)
+            owned, self.mem = self.mem, _scan(mem.written)
+            changed |= owned != self.mem
+        if mem.domain is not self.dom:     # every region is new
+            self.dom = mem.domain
+            old_stk = old_ms = None
+        elif stk is old_stk and ms_stk is old_ms:
+            return changed
+        self._partition = None
+        frames, new = self.frames, 0       # new: how many were pushed
+        if stk is not old_stk and (stk or frames):
+            # calls and returns push and pop at the front: the frames of
+            # the shorter stack are kept when the longer one ends with
+            # them (compared in C, by identity first), and only a pushed
+            # frame is scanned; any other change scans every frame
+            n, m = len(stk), len(frames)
+            kept = n if n < m else m
+            if old_stk is None or stk[n - kept:] != old_stk[m - kept:]:
+                kept = 0
+            owning, new = self.owning, n - kept
+            for f in frames[:m - kept]:
+                self.faults -= f.shares + f.under
+                self.owning -= bool(f.owned)
+            frames = frames[m - kept:]
+            for frame in reversed(stk[:new]):
+                f = self._region(frame.ms)
+                self.faults += f.shares
+                self.owning += bool(f.owned)
+                frames.insert(0, f)
+            self.frames = frames
+            # a frame that owns was pushed, popped or renumbered
+            changed |= (owning or self.owning) > 0
+        if ms_stk is not old_ms:
+            low, self.low = self.low, self._region(ms_stk)
+            self.faults += self.low.shares - low.shares
+            changed |= low.owned != self.low.owned
+        # a region must be above the nearest region below it that is not
+        # empty, which changed for the pushed frames and the first kept
+        # frame that is not empty
+        top = self.low.ends and self.low.ends[1]
+        for i, f in enumerate(frames):
+            if f.ends is not None:
+                under = top is not None and f.ends[0] <= top
+                self.faults += under - f.under
+                f.under, top = under, f.ends[1]
+                if i >= new:
+                    break
         return changed
 
-    def _reframe(self, stk) -> bool:
-        """Follow the frames to ``stk``; True when a frame owner changed
-        or was renamed.  Calls and returns push and pop at the front, so
-        the frames that ``stk`` ends with are kept, and only a pushed one
-        is scanned (its owners named ``addr k``, the index left out)."""
-        old = self.frames
-        kept = 0
-        while kept < len(stk) and kept < len(old) and \
-                stk[-1 - kept] is old[-1 - kept][0]:
-            kept += 1
-        new = [(f, list(_owners("addr", f.ms.written).values()))
-               for f in stk[:len(stk) - kept]]
-        self.frames = new + old[len(old) - kept:]
-        named = [(b, e, f"frame {i} {n}")
-                 for i, (_, owned) in enumerate(self.frames)
-                 for b, e, n in owned]
-        changed = named != self.frame_owners
-        self.frame_owners = named
-        return changed
-
-
-def _reown(table: dict, name: str, k, w) -> bool:
-    """Set the owner of place ``name k`` in ``table`` to word ``w``
-    (0 for a removed cell); True when it changed.  The
-    owner's name is built only when its range changed."""
-    r = None if isinstance(w, int) else linear_range(w)
-    if r is None:
-        return table.pop(k, None) is not None
-    o = table.get(k)
-    if o is not None and o[0] == r[0] and o[1] == r[1]:
-        return False
-    table[k] = (r[0], r[1], f"{name} {k}")
-    return True
+    def _region(self, ms: Memory) -> _Region:
+        """``ms``, a stack region's memory, as the tracker keeps it, not
+        yet tested for being above the region below; it is intersected
+        with ``mem`` only when a bisect finds a run of ``mem`` within
+        its bounds."""
+        r = _Region()
+        r.owned = _scan(ms.written) if ms.written else {}
+        r.ends = ends = ms.domain.bounds()
+        r.shares = ends is not None and self.dom.meets(*ends) and \
+            bool(ms.domain & self.dom)
+        r.under = False
+        return r
 
 
 # ---------------------------------------------------------------------------

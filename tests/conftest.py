@@ -1,12 +1,14 @@
+import gc
+import sys
 from typing import Optional
 
 from capmach.asm import CALL_LEN, call_cond
 from capmach.core import (
     INF, PC, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, dec_instr,
-    enc_instr, fresh_registers, linear_overlaps, mk_instr,
+    enc_instr, fresh_registers, linear_overlaps, linear_range, mk_instr,
 )
 from capmach.fixtures import STK_BASE
-from capmach.harness import _EXTENSIONS, _owners, run
+from capmach.harness import _EXTENSIONS, run
 from capmach.machine import (
     FAILED, HALTED, NULL_EXTENSION, MachineExtension, Running, _new,
 )
@@ -73,8 +75,9 @@ def ex(cfg, op, *args, ext=NULL_EXTENSION, gc=NOWHERE):
     return step(cfg, ext, gc)
 
 
-# Oracles: the one step that ``harness.run`` takes, as a value; the full
-# scan the paranoid tracker must match; the front-end tests' disassembler.
+# Oracles: the one step that ``harness.run`` takes, as a value; a count of
+# Python-level calls; the full scan the paranoid tracker must match; the
+# front-end tests' disassembler.
 
 _KINDS = {ext: kind for kind, ext in _EXTENSIONS.items()}
 
@@ -102,16 +105,46 @@ def step(cfg, ext: MachineExtension = NULL_EXTENSION,
     return out[0] if out else FAILED if outcome == "failed" else HALTED
 
 
+def count_calls(work):
+    """Python-level ``call`` events inside ``work()``, the call of
+    ``work`` itself aside, and its result: a cost that wall time on a
+    shared host cannot pin, and that does not depend on the host's
+    speed."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    # a collection inside the count would close unreachable generators
+    # and run finalizers left by earlier code, which counts as calls
+    gc.collect()
+    gc.disable()
+    old = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = work()
+    finally:
+        sys.setprofile(old)
+        gc.enable()
+    return calls - 1, result
+
+
 def check_linearity(cfg) -> list:
     """``(addr, earlier, later)`` for each linear capability that shares
     an address with another one anywhere in a configuration: registers,
-    memory, stack memory and saved frames (see ``core.linear_overlaps``)."""
-    owners = [o for i, f in enumerate(cfg.stk)
-              for o in _owners(f"frame {i} addr", f.ms.written).values()]
-    for name, cells in (("reg", cfg.reg), ("mem", cfg.mem.written),
-                        ("stk", cfg.ms_stk.written)):
-        owners += _owners(name, cells).values()
-    return linear_overlaps(owners)
+    memory, stack memory and saved frames (see ``core.linear_overlaps``).
+    Each word goes through ``core.linear_range``, and each place is
+    named ``reg r``, ``mem a``, ``stk a`` or ``frame i addr a``; of a
+    memory, only the written cells own (an unwritten one reads 0)."""
+    places = [("reg", cfg.reg), ("mem", cfg.mem.written),
+              ("stk", cfg.ms_stk.written)]
+    places += [(f"frame {i} addr", f.ms.written)
+               for i, f in enumerate(cfg.stk)]
+    return linear_overlaps([(*r, f"{name} {k}") for name, cells in places
+                            for k, w in cells.items()
+                            if (r := linear_range(w)) is not None])
 
 
 def disassemble(seg, stk_base: Optional[int] = None,

@@ -250,6 +250,7 @@ def test_ranges_model(runs, other_runs, ints):
         assert (a in r) == (a in model)
     for lo, hi in other_runs:
         assert r.covers(lo, hi) == (set(range(lo, hi + 1)) <= model)
+        assert r.meets(lo, hi) == bool(set(range(lo, hi + 1)) & model)
     assert not r.covers(0, INF)
     for got, want in ((r & o, model & other), (r | o, model | other),
                       (r - o, model - other)):

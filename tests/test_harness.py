@@ -22,7 +22,7 @@ from capmach import fixtures
 from capmach.core import (
     INF, OPCODES, PC, RDATA, REGISTERS, GlobalConstants, Instr, Lin, Memory,
     MemCap, Perm, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
-    dec_instr, enc_instr, fresh_registers, linear_range,
+    dec_instr, enc_instr, fresh_registers,
 )
 from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
@@ -34,7 +34,8 @@ from capmach.harness import (
 from capmach.machine import NULL_EXTENSION, Running
 from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
-from conftest import check_linearity, disassemble, step, tcfg, with_cell
+from conftest import check_linearity, count_calls, disassemble, step, \
+    tcfg, with_cell
 
 
 def test_corpus_agreement():
@@ -581,29 +582,25 @@ def test_paranoid_frames_renumbered():
                     both(f"stk {STK_END}", "ms_stk")]
 
 
-def _linear_range_calls_per_step(cfg, kind, gc, fuel=1000):
-    """(``linear_range`` calls per paranoid step after the initial scan,
-    the run's report)."""
-    calls = Counter()
-
-    def counted(w):
-        calls["n"] += 1
-        return linear_range(w)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "linear_range", counted)
-        first = run_report(cfg, kind, gc, 1, paranoid=True)
-        scan = calls["n"]
-        r = run_report(cfg, kind, gc, fuel, paranoid=True)
-    assert first.steps == 1
-    return (calls["n"] - 2 * scan) / (r.steps - 1), r
+def _calls_per_paranoid_step(cfg, kind, gc, fuel=1000):
+    """(Python-level calls per paranoid step after the first, the run's
+    report): a run of ``fuel`` steps less a run of one, which makes the
+    same initial scan, over the steps after the first; a first run fills
+    the decode memo.  A rescan of a memory or a frame whose words go
+    through ``core.linear_range`` (a seal capability does) counts a call
+    per word."""
+    run_report(cfg, kind, gc, fuel, paranoid=True)
+    first, one = count_calls(lambda: run_report(cfg, kind, gc, 1, True))
+    calls, r = count_calls(lambda: run_report(cfg, kind, gc, fuel, True))
+    assert one.steps == 1
+    return (calls - first) / (r.steps - 1), r
 
 
 def _paranoid_words_per_step(kind, cells):
-    """``linear_range`` calls per paranoid step after the initial scan,
-    on a program that sweeps 16 cells down its stack and back, with
-    every stack cell holding a word that owns nothing, so that a full
-    scan would examine each one."""
+    """Python-level calls per paranoid step after the first, on a
+    program that sweeps 16 cells down its stack and back, with every
+    stack cell holding a seal capability, which owns nothing, so that a
+    full scan would examine each one."""
     body = """  move r7 16
   move r4 5
   move r5 pc
@@ -633,7 +630,7 @@ up:
         cfg = SourceConfig(cfg.mem.update(Memory(dict.fromkeys(
             range(STK_BASE, top + 1), idle))), cfg.reg)
     gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
-    per_step, r = _linear_range_calls_per_step(cfg, kind, gc)
+    per_step, r = _calls_per_paranoid_step(cfg, kind, gc)
     assert r.outcome == "halted" and r.violations == [] and r.steps > 60
     return per_step
 
@@ -646,10 +643,10 @@ def test_paranoid_cost_flat_in_stack_size():
 
 
 def _frame_words_per_step(cells):
-    """``linear_range`` calls per paranoid step of deep-trusted's nested
+    """Python-level calls per paranoid step of deep-trusted's nested
     calls and returns on the source, under an outer frame of ``cells``
-    words that own nothing, which a rescan of the frames would examine
-    at every call and return."""
+    seal capabilities, which own nothing and which a rescan of the
+    frames would examine at every call and return."""
     t, ctx = dict((n, (a, b)) for n, a, b in corpus())["deep-trusted"]
     cfg = initial_config(link(t, ctx), "source", STK_BASE, STK_END)
     # above the stack and the guard cell mem holds just above it
@@ -657,7 +654,7 @@ def _frame_words_per_step(cells):
         range(STK_END + 2, STK_END + 2 + cells), SealCap(0, 0, 0))))
     cfg = SourceConfig(cfg.mem, cfg.reg, (outer,), cfg.ms_stk)
     gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
-    per_step, r = _linear_range_calls_per_step(cfg, "source", gc)
+    per_step, r = _calls_per_paranoid_step(cfg, "source", gc)
     assert r.outcome == "halted" and r.violations == []
     assert r.final_cfg.stk == (outer,)
     return per_step
@@ -667,6 +664,48 @@ def test_paranoid_cost_flat_in_frame_size():
     small = _frame_words_per_step(64)
     large = _frame_words_per_step(16 * 1024)
     assert 0 < small and large <= 2 * small, (small, large)
+
+
+def _tracker_calls_at_call_and_return(depth):
+    """The Python-level calls of the paranoid tracker's hook at
+    call-return's atomic call and at its return, with ``depth - 1``
+    outer frames under the call, so that its frame is the innermost of
+    ``depth``.  Each outer frame holds a seal capability and an int,
+    which own nothing."""
+    t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
+    cfg = initial_config(link(t, ctx), "source", STK_BASE, STK_END)
+    # above the stack and the guard cell mem holds just above it, two
+    # cells each, innermost first
+    outer = tuple(StackFrame(_CODE, Memory({
+        a: SealCap(0, 0, 0), a + 1: 7}))
+        for a in range(STK_END + 2, STK_END + 2 * depth, 2))
+    cfg = SourceConfig(cfg.mem, cfg.reg, outer, cfg.ms_stk)
+    gc = GlobalConstants(frozenset(t.ms_code), STK_BASE)
+    checks, counts = harness._Invariants(), []
+
+    def hook(now, wrote, cell):
+        if wrote and len(now.stk) != len(checks.cfg.stk):
+            counts.append(count_calls(
+                lambda: checks.observe(now, wrote, cell))[0])
+        else:
+            checks.observe(now, wrote, cell)
+
+    r = run(cfg, "source", gc, 100, hook)
+    assert (r.outcome, r.calls, r.returns, r.final_cfg.stk) == \
+        ("halted", 1, 1, outer)
+    assert checks.violations == [] and len(counts) == 2
+    return counts
+
+
+def test_paranoid_call_and_return_cost_flat_in_depth():
+    # a call or a return keeps the frames it does not push or pop, and
+    # the tracker tests only the regions next to the one pushed or
+    # popped, so its Python-level calls at each are the same at depth 1
+    # and 4: 9 at the call and 6 at the return with Python 3.11 (29 and
+    # 18 at depth 1, 38 and 27 at depth 4, when each call and return
+    # rebuilt the whole partition)
+    shallow = _tracker_calls_at_call_and_return(1)
+    assert _tracker_calls_at_call_and_return(4) == shallow
 
 
 def test_write_trace(tmp_path):

@@ -3,9 +3,7 @@ that wall time on a shared host cannot pin, and that does not depend on
 the host's speed."""
 
 import ast
-import gc
 import inspect
-import sys
 import textwrap
 
 from capmach import fixtures, machine
@@ -14,6 +12,7 @@ from capmach.components import _verdict, format_component, parse_component
 from capmach.core import PC, dec_instr
 from capmach.harness import diff_start, run, run_report
 from capmach.source import SOURCE_EXTENSION
+from conftest import count_calls
 
 # r0 cells of the callback's stack: store r4 into each, going down,
 # then load them back into the sum r6, going up
@@ -50,34 +49,10 @@ def _calls_per_step(programs, fuel, paranoid=False):
         runs += [(cfgs[kind], kind, consts) for kind in ("source", "target")]
     for cfg, kind, consts in runs:
         run_report(cfg, kind, consts, fuel, paranoid)
-    calls, reports = _count_calls(lambda: [
+    calls, reports = count_calls(lambda: [
         run_report(cfg, kind, consts, fuel, paranoid)
         for cfg, kind, consts in runs])
     return calls / sum(r.steps for r in reports), reports
-
-
-def _count_calls(work):
-    """Python-level ``call`` events inside ``work()``, the call of
-    ``work`` itself aside, and its result."""
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    # a collection inside the count would close unreachable generators
-    # and run finalizers left by earlier code, which counts as calls
-    gc.collect()
-    gc.disable()
-    old = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        result = work()
-    finally:
-        sys.setprofile(old)
-        gc.enable()
-    return calls - 1, result
 
 
 def test_spin_step_calls():
@@ -141,16 +116,19 @@ def test_load_store_sweep_step_calls():
 
 def test_paranoid_step_calls():
     # the paranoid checks visit what a step changed: the registers it
-    # wrote and its cell, told apart in place when they own nothing, and
-    # a memory or the frames only at a call or a return, in one hook call
-    # per step: 5.559 calls per step with Python 3.11 (8.454 with the
-    # generator loop).  Unchecked, these runs make 2.405
+    # wrote and its cell, whose owners are told in place, and at a call
+    # or a return the memories it made and the regions next to them, in
+    # one hook call per step: 3.917 calls per step with Python 3.11
+    # (5.559 when the words other than ints and normal memory
+    # capabilities went through ``linear_range`` and each call and
+    # return rebuilt the partition, 8.454 with the generator loop).
+    # Unchecked, these runs make 2.405
     programs = [(t, ctx) for name, t, ctx in fixtures.corpus()
                 if name != "spin"]
     per_step, reports = _calls_per_step(programs, 2000, paranoid=True)
     assert len(reports) == 20 and all(
         r.outcome == "halted" and r.violations == [] for r in reports)
-    assert per_step <= 6.29, per_step
+    assert per_step <= 4.02, per_step
 
 
 def test_call_and_return_step_calls():
@@ -168,10 +146,10 @@ def test_call_and_return_step_calls():
         w = cfg.mem[cfg.reg[PC].addr]
         if w == CALL_HEAD:
             ext.recognize_call(cfg, consts)
-            counts.append(_count_calls(
+            counts.append(count_calls(
                 lambda: ext.recognize_call(cfg, consts))[0])
         elif dec_instr(w).args == ("rretcode", "rretdata"):
-            counts.append(_count_calls(lambda: machine.exec_xjmp(
+            counts.append(count_calls(lambda: machine.exec_xjmp(
                 cfg, ext, consts, ("rretcode", "rretdata")))[0])
 
     r = run(cfgs["source"], "source", consts, 100, count)
@@ -191,7 +169,7 @@ def test_parse_calls_per_line():
     lines = sum(line.strip()[:1] not in ("", "[")
                 for text in texts for line in text.splitlines())
     parsed = [parse_component(text) for text in texts]
-    calls, again = _count_calls(
+    calls, again = count_calls(
         lambda: [parse_component(text) for text in texts])
     assert (len(texts), lines, again) == (20, 534, parsed)
     assert calls / lines <= 1.5, calls / lines
@@ -212,7 +190,7 @@ def test_warm_diff_start_calls():
                        fixtures.STK_BASE, fixtures.STK_END)
     args = (parse_component(t), parse_component(ctx), fixtures.STK_BASE,
             fixtures.STK_END)
-    calls, again = _count_calls(lambda: diff_start(*args))
+    calls, again = count_calls(lambda: diff_start(*args))
     hits, misses = _verdict.cache_info()[:2]
     assert (hits, misses, again) == (2, 2, first)
     assert calls <= 95, calls
