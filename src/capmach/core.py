@@ -245,11 +245,22 @@ def linear_overlaps(owners) -> list:
 
 def lin_cons(w: Word) -> Word:
     """``w``, or 0 when it is linear: ``lin_cons(w) is w`` when ``w`` owns
-    nothing.  Ints and normal memory capabilities take no further call."""
+    nothing.  Ints, and memory capabilities, stack pointers and return
+    data pointers bare or under one seal (an atomic call's and a
+    return's halves), are told in place, as ``harness._scan`` tells
+    them; any other word goes through ``linear_range``."""
     t = type(w)
     if t is int or t is MemCap and w.lin is _NORMAL:
         return w
-    return w if linear_range(w) is None else 0
+    v = w
+    if t is Sealed:
+        v = w[1]
+        t = type(v)
+    if t is MemCap:
+        return 0 if v.lin is _LINEAR else w
+    if t is StkPtr or t is RetPtrData:
+        return 0
+    return w if linear_range(v) is None else 0
 
 
 def non_exec(w: Word) -> bool:

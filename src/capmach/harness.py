@@ -330,11 +330,12 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
     given, is called as ``observe(cfg, wrote, cell)`` once at every
     configuration the run reaches: first with ``wrote == ()`` and
     ``cell`` None, then after each step that runs on, with the registers
-    it wrote and its cell write (see ``machine.Running``), or None.
-    ``cfg`` is not written: the run copies its registers and memories
-    once and writes each step's writes into them in place, so what a
-    hook gets is valid until the hook returns (a new run may start from
-    it: it makes its own copies)."""
+    it wrote, pc always among them, and its cell write (see
+    ``machine.Running``), or None.  ``cfg`` is not written: the run
+    copies its registers and memories once and writes each step's
+    writes into them in place, so what a hook gets is valid until the
+    hook returns (a new run may start from it: it makes its own
+    copies)."""
     if machine_kind not in _EXTENSIONS:
         raise ValueError(f"unknown machine kind {machine_kind!r}")
     ext = _EXTENSIONS[machine_kind]
@@ -349,15 +350,25 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
     steps = calls = returns = 0
     frames, decoded = len(stk), _DECODED.get
     outcome = "fuel-exhausted"
+    # pc's fields live in locals.  Only a step whose writes name pc (a
+    # jump, a call or a return) sets pc, so only after one (``check``)
+    # is pc read back and its type and permission tested; any other step
+    # moves ``a`` to the next cell.  Without a hook that leaves pc's
+    # register behind (``stale``): it is written, built once, before a
+    # handler whose operands name pc, before call recognition (the call
+    # reads pc) and at the run's end.
+    check, stale = True, False
     if observe is not None:
         observe(cfg, (), None)
     while steps < fuel:
         steps += 1   # a step that fails or halts counts
-        pc = reg[PC]
-        if type(pc) is not MemCap or pc.perm not in EXEC_PERMS:
-            outcome = "failed"
-            break
-        perm, lin, base, end, a = pc
+        if check:
+            pc = reg[PC]
+            if type(pc) is not MemCap or pc.perm not in EXEC_PERMS:
+                outcome = "failed"
+                break
+            perm, lin, base, end, a = pc
+            check = False
         w = written.get(a)
         if w is None:   # unwritten: 0 in the domain, None outside it
             w = mem.get(a)
@@ -367,11 +378,19 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
         # A call sequence starts with CALL_HEAD (``call_cond`` rejects
         # any other first cell), so no other cell needs call
         # recognition.  A call's writes name pc.
-        out = ext.recognize_call(cfg, gc) if w == CALL_HEAD else None
+        out = None
+        if w == CALL_HEAD:
+            if stale:
+                reg[PC] = _new(MemCap, (perm, lin, base, end, a))
+                stale = False
+            out = ext.recognize_call(cfg, gc)
         if out is None:
             # the memo holds the handler's name, looked up at each
             # step, so a wrapped handler is seen
-            name, ops = decoded(w) or _decode(w)
+            name, ops, reads_pc = decoded(w) or _decode(w)
+            if reads_pc and stale:
+                reg[PC] = _new(MemCap, (perm, lin, base, end, a))
+                stale = False
             out = _MODULE[name](cfg, ext, gc, ops)
         if type(out) is dict:
             wrote = out
@@ -380,10 +399,17 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
         else:
             outcome = out.kind
             break
-        # the next-pc rule: writes that do not name pc (a jump's do)
-        # gain pc moved to the next cell
-        if PC not in wrote:
-            wrote[PC] = _new(MemCap, (perm, lin, base, end, a + 1))
+        # the next-pc rule: a step whose writes do not name pc moves it
+        # to the next cell
+        if PC in wrote:
+            check = True
+            stale = False
+        else:
+            a += 1
+            if observe is None:
+                stale = True
+            else:
+                wrote[PC] = _new(MemCap, (perm, lin, base, end, a))
         if wrote is out:
             cell = None
         else:
@@ -398,6 +424,8 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
         reg.update(wrote)
         if observe is not None:
             observe(cfg, wrote, cell)
+    if stale:
+        reg[PC] = _new(MemCap, (perm, lin, base, end, a))
     return RunReport(outcome, steps, [], cfg, calls, returns)
 
 

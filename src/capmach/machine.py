@@ -6,10 +6,12 @@ registers returns its writes as a dict; one that writes a cell or the
 frames returns a ``Running``, its writes unapplied.  Only a jump (jmp,
 jnz, xjmp) sets pc: any other instruction that names pc as a register
 it writes decodes to fail.  So writes that name pc are a jump's, and the
-run adds the next pc to any others, in the one place that rule is
-written.  ``_DECODED``, a bounded dict memo keyed by the word (never by
-its address, so a store into code runs the new word), gives each
-distinct word's handler name and its operands as one tuple.  The run
+run moves pc to the next cell after any others, in the one place that
+rule is written.  The run keeps pc's fields in locals and writes pc's
+register only when something reads it.  ``_DECODED``, a bounded dict
+memo keyed by the word (never by its address, so a store into code runs
+the new word), gives each distinct word's handler name, its operands as
+one tuple, and whether an operand names pc.  The run
 looks the handler up by name here at every step and calls it as
 ``exec_<op>(cfg, ext, gc, ops)``: a call with a fixed number of
 arguments, which CPython 3.11 inlines into the running interpreter loop;
@@ -371,10 +373,12 @@ _DECODED = {}
 
 
 def _decode(w):
-    """(handler name, operands) of the word ``w``, fail's when it names
-    pc at an operand ``OPCODES`` marks "w": no handler tests for pc.  It
-    is stored in ``_DECODED``, which ``harness.run`` reads with ``.get``
-    first, so each distinct word is decoded once; the memo is emptied
+    """(handler name, operands, reads_pc) of the word ``w``, fail's when
+    it names pc at an operand ``OPCODES`` marks "w": no handler tests for
+    pc.  ``reads_pc`` says that an operand names pc, so the run writes
+    pc's register before the handler reads it.  It is stored in
+    ``_DECODED``, which ``harness.run`` reads with ``.get`` first, so
+    each distinct word is decoded once; the memo is emptied
     when it holds 4096 words.  A plain dict, not an ``lru_cache``, whose
     hit relinks its list: a hit is one C-level ``get``.  The operands
     stay one tuple, which the run passes as one argument."""
@@ -383,8 +387,8 @@ def _decode(w):
     instr = dec_instr(w)
     args = instr.args
     if any(k == "w" and a == PC for k, a in zip(OPCODES[instr.op], args)):
-        out = _HANDLER["fail"], ()
+        out = _HANDLER["fail"], (), False
     else:
-        out = _HANDLER[instr.op], args
+        out = _HANDLER[instr.op], args, PC in args
     _DECODED[w] = out
     return out

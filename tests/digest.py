@@ -13,7 +13,9 @@ records and the md5 over them, one ``repr`` line each:
   (``violating``), on each machine at fuels 0, 1, 5 and 2000, so that
   violation text is in the digest too.
 
-A change that keeps behaviour prints the same line before and after; a
+A change that keeps behaviour prints the same line before and after,
+the one committed in ``tests/digest.expected``, which CI compares it
+with; a change that alters behaviour updates that file.  A
 configuration is written with its cells and registers sorted, so the
 line does not depend on ``PYTHONHASHSEED``.  pytest does not collect
 this file (its name does not start with ``test_``)."""

@@ -10,7 +10,7 @@ from capmach.core import (
     Memory, MemCap, Perm, Ranges, RetPtrCode, RetPtrData, SealCap, Sealed,
     StkPtr, TYPE_INT, TYPE_MEMCAP, TYPE_SEAL, TYPE_SEALED,
     dec_instr, dec_perm, enc_instr, enc_lin, enc_perm, enc_type, is_linear,
-    lin_cons, mk_instr, non_exec, perm_leq, OPCODES,
+    lin_cons, linear_range, mk_instr, non_exec, perm_leq, OPCODES,
     IMM_RANGE, EncodingError,
 )
 from capmach.machine import FAILED, NULL_EXTENSION, Running
@@ -84,6 +84,14 @@ def test_lin_cons():
     assert lin_cons(MemCap(Perm.RW, Lin.LINEAR, 0, 5, 0)) == 0
     norm = MemCap(Perm.RW, Lin.NORMAL, 0, 5, 0)
     assert lin_cons(norm) is norm
+    # every kind of word, bare and under one or two seals: told in place
+    # or through linear_range, the verdict is linear_range's
+    bare = [0, 7, norm, norm._replace(lin=Lin.LINEAR),
+            StkPtr(Perm.RW, 0, 9, 3), RetPtrData(0, 9),
+            RetPtrCode(0, 9, 4), SealCap(0, 5, 0)]
+    for w in bare + [Sealed(2, v) for v in bare] + \
+            [Sealed(3, Sealed(2, v)) for v in bare]:
+        assert lin_cons(w) is (w if linear_range(w) is None else 0), w
 
 
 def test_lin_cons_perm():

@@ -811,6 +811,52 @@ def test_the_hook_sees_every_configuration_once():
         + [("halted", 8), ("halted", 32), ("failed", 1)]
 
 
+# one instruction per opcode with an operand that reads a register,
+# naming pc there
+_READS_PC = ("move r1 pc", "geta r1 pc", "getb r1 pc", "gete r1 pc",
+             "getp r1 pc", "getlin r1 pc", "gettype r1 pc", "jmp pc",
+             "jnz pc 1", "load r1 pc", "xjmp pc r1", "cseal r1 pc",
+             "cca r1 pc", "plus r1 pc 1", "plus r1 1 pc")
+
+
+def test_a_run_without_a_hook_writes_pc_back_wherever_it_is_read():
+    # without a hook the run leaves pc's register behind after a step
+    # that does not jump, and writes it back before a handler that reads
+    # it, before call recognition and at the run's end; a hook sees pc at
+    # every configuration.  Each instruction that reads pc runs after two
+    # steps that do not jump, and the call after four (the callback's
+    # loads): a run without a hook ends as the same run with one does,
+    # and a run paused at each step ends on what the hook saw there
+    runs = []
+    for instr in _READS_PC:
+        for tail in ("halt", "fail"):
+            t = trusted_simple(f"  move r2 1\n  move r3 2\n  {instr}\n"
+                               f"  {tail}")
+            runs.append((instr, t, minimal_context()))
+    for tail in ("", "  fail\n"):
+        runs.append(("call", trusted_one_call(post=tail),
+                     context_cb("  move r6 pc")))
+    endings = Counter()
+    for name, t, ctx in runs:
+        gc, cfgs = harness.diff_start(t, ctx, STK_BASE, STK_END,
+                                      validate=False)
+        for kind, cfg in cfgs.items():
+            seen = []
+            hooked = run(cfg, kind, gc, 100, lambda now, wrote, cell:
+                         seen.append(dict(now.reg)))
+            for fuel in [*range(len(seen) + 1), 100]:
+                plain = run(cfg, kind, gc, fuel)
+                same = run(cfg, kind, gc, fuel, lambda *seen: None)
+                assert (plain.outcome, plain.steps, plain.final_cfg) == \
+                    (same.outcome, same.steps, same.final_cfg), \
+                    (name, kind, fuel)
+                if fuel < len(seen):
+                    assert plain.final_cfg.reg == seen[fuel], \
+                        (name, kind, fuel)
+            endings[hooked.outcome] += 1
+    assert set(endings) == {"halted", "failed", "fuel-exhausted"}
+
+
 def test_run_paused_and_resumed():
     # a run given k steps of fuel, and a new run from its final
     # configuration with the fuel that is left, end as one uninterrupted

@@ -455,16 +455,22 @@ def test_self_modifying_code():
 
 def test_decode_memo_is_bounded():
     # more distinct images than the memo holds: it is emptied when full,
-    # and each step, before and after that, runs its own word
+    # and each step, before and after that, runs its own word; a word
+    # whose operands name pc says so
     machine._DECODED.clear()
     for n in range(5000):
         out = ex(tcfg(pc=rx(0, 9, 0), r1=3), "plus", "r0", "r1", n)
         assert regs_after(out)["r0"] == 3 + n
         assert len(machine._DECODED) <= 4096
     assert 0 < len(machine._DECODED) < 4096   # emptied once, refilled
-    for w, (name, ops) in machine._DECODED.items():
+    for args in (("r0", "pc", 1), ("r0", 1, "pc")):
+        ex(tcfg(pc=rx(0, 9, 0)), "plus", *args)
+    for w, (name, ops, reads_pc) in machine._DECODED.items():
         instr = dec_instr(w)
         assert (name, ops) == ("exec_" + instr.op, instr.args)
+        assert reads_pc == ("pc" in instr.args)
+    assert sum(reads_pc for _, _, reads_pc in machine._DECODED.values()) \
+        == 2
 
 
 # every kind of word; and a few that pair up (an xjmp pair, adjacent
