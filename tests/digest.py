@@ -11,7 +11,11 @@ records and the md5 over them, one ``repr`` line each:
 - paranoid ``run_diff`` of every corpus program at fuels 0, 7, ..., 77;
 - paranoid ``run_report`` of configurations that break an invariant
   (``violating``), on each machine at fuels 0, 1, 5 and 2000, so that
-  violation text is in the digest too.
+  violation text is in the digest too;
+- the front end: ``parse_component(format_component(c))`` of every
+  corpus and scenario component and every linked corpus program, with
+  its ``diagnostics`` under both stack-base checks, and the message of
+  each malformed container of ``test_components.BAD_CONTAINER_LINES``.
 
 A change that keeps behaviour prints the same line before and after,
 the one committed in ``tests/digest.expected``, which CI compares it
@@ -24,9 +28,12 @@ import hashlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from capmach.components import initial_config, link  # noqa: E402
+from capmach.components import (  # noqa: E402
+    diagnostics, format_component, initial_config, link, parse_component,
+)
 from capmach.core import (  # noqa: E402
     PC, GlobalConstants, Instr, Lin, MemCap, Memory, Perm, Ranges, StkPtr,
     enc_instr, fresh_registers,
@@ -39,6 +46,7 @@ from capmach.harness import (  # noqa: E402
     diff_start, format_trace, run_diff, run_report,
 )
 from capmach.source import SourceConfig, StackFrame  # noqa: E402
+from test_components import BAD_CONTAINER_LINES, bad_container  # noqa: E402
 
 FUELS = (0, 1, 5, 8, 31, 2000)
 
@@ -60,6 +68,25 @@ def _report(r):
 
 def _verdict(v):
     return _report(v.source), _report(v.target), v.agreement, v.detail
+
+
+def _component(c):
+    return (sorted(c.ms_code.items()), sorted(c.ms_data.items()), c.imports,
+            c.exports, c.sig_ret, c.sig_clos, c.a_linear, c.mains)
+
+
+def front_end():
+    """``(name, component, trusted code)``: every corpus and scenario
+    component and every linked corpus program, each with the code that
+    its diagnostics trust."""
+    for name, t, ctx in corpus():
+        yield name, t, t.ms_code
+        yield name, ctx, t.ms_code
+        yield name, link(t, ctx), t.ms_code
+    for name, fn in SCENARIOS.items():
+        t, ctx = fn().components
+        yield name, t, t.ms_code
+        yield name, ctx, t.ms_code
 
 
 def _lin(b, e):
@@ -134,6 +161,18 @@ def records():
         for fuel in (0, 1, 5, 2000):
             yield name, kind, fuel, _report(run_report(cfg, kind, gc, fuel,
                                                        True))
+    for name, c, code in front_end():
+        parsed = parse_component(format_component(c))
+        yield name, _component(parsed), [
+            diagnostics(parsed, GlobalConstants(code, STK_BASE, check))
+            for check in (True, False)]
+    for section, bad in BAD_CONTAINER_LINES:
+        try:
+            parse_component(bad_container(section, bad))
+        except ValueError as e:
+            yield section, bad, str(e)
+        else:
+            yield section, bad, "parsed"
 
 
 def main():

@@ -517,7 +517,9 @@ def test_bad_literal_raises_at_every_line():
     assert str(e.value) == f"line 5: {message}"
 
 
-@pytest.mark.parametrize("section, bad", [
+# (section, bad line) pairs: ``bad_container`` makes each a container
+# that is malformed at its line 5
+BAD_CONTAINER_LINES = [
     ("[code base=100]", "cap(rw,normal,1,2)"),
     ("[data]", "300\tint:0"),
     ("[data]", "x300\t0"),
@@ -546,12 +548,18 @@ def test_bad_literal_raises_at_every_line():
     ("[code base=100]", "seal(+1,1,1)"),
     ("[linear]", "1_0..20"),
     ("[data]", "[code]"),
-])
+]
+
+
+def bad_container(section, bad):
+    return f"[data]\n300\t7\n[seals ret= clos=5]\n{section}\n{bad}\n"
+
+
+@pytest.mark.parametrize("section, bad", BAD_CONTAINER_LINES)
 def test_container_errors_name_the_line(section, bad):
     # a malformed word, address, field, header or list names its line
-    text = "[data]\n300\t7\n[seals ret= clos=5]\n"
     with pytest.raises(ValueError, match=r"^line 5: ") as e:
-        parse_component(f"{text}{section}\n{bad}\n")
+        parse_component(bad_container(section, bad))
     if bad == "[code]":
         assert str(e.value) == "line 5: [code] needs base="
     # a list names its first bad run, in a [seals] header as on a
