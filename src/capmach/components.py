@@ -14,10 +14,11 @@ from typing import Optional
 
 from .asm import CALL_HEAD, call_cond, find_hidden_calls
 from .core import (
-    INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap,
+    _NO_INTS, INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap,
     Perm, Ranges, SealCap, Sealed, StkPtr, fresh_registers, is_linear,
     linear_overlaps, linear_range, non_exec, parse_int, parse_word, perm_leq,
 )
+from .machine import _new
 from .source import SourceConfig
 
 
@@ -33,10 +34,10 @@ class Component:
     mains: Optional[tuple] = None   # (main code word, main data word)
 
     def __post_init__(self):
-        for name in ("sig_ret", "sig_clos", "a_linear"):
-            v = getattr(self, name)
-            if type(v) is not Ranges:
-                object.__setattr__(self, name, Ranges.of(v))
+        if not type(self.sig_ret) is type(self.sig_clos) \
+                is type(self.a_linear) is Ranges:
+            for name in ("sig_ret", "sig_clos", "a_linear"):
+                object.__setattr__(self, name, Ranges.of(getattr(self, name)))
 
     @cached_property
     def domain(self) -> Ranges:
@@ -227,19 +228,30 @@ def _verdict(key: tuple) -> tuple:
     """``validate_component``'s diagnostics for the component and the
     global constants that ``key`` spells out, rebuilt from it, so
     nothing outside the key reaches validation.  No exception is kept."""
-    code, data, *fields, gc = key
+    (code_at, code, data_at, data, imports, exports, mains, stk_base, check,
+     *bounds) = key
+    sig_ret, sig_clos, a_linear, ta = map(Ranges._new, bounds[::2],
+                                          bounds[1::2])
     return tuple(validate_component(
-        Component(dict(code), dict(data), *fields), gc))
+        Component(dict(zip(code_at, code)), dict(zip(data_at, data)),
+                  imports, exports, sig_ret, sig_clos, a_linear, mains),
+        GlobalConstants(ta, stk_base, check)))
 
 
 def diagnostics(c: Component, gc: GlobalConstants) -> list:
     """``validate_component(c, gc)`` as a new list, run once per
     distinct content: the memo's key, built at every call, holds every
     cell, field and constant that validation reads, so a cell changed
-    in place misses it."""
-    return list(_verdict((tuple(c.ms_code.items()), tuple(c.ms_data.items()),
-                          c.imports, c.exports, c.sig_ret, c.sig_clos,
-                          c.a_linear, c.mains, gc)))
+    in place misses it.  The key is made of flat tuples, which hash and
+    compare in C: a memory's addresses and its words in the dict's
+    order, and a ``Ranges`` as the two tuples that bound its runs."""
+    code, data, ret, clos, lin, ta = (c.ms_code, c.ms_data, c.sig_ret,
+                                      c.sig_clos, c.a_linear, gc.ta)
+    return list(_verdict((
+        tuple(code), tuple(code.values()), tuple(data), tuple(data.values()),
+        c.imports, c.exports, c.mains, gc.stk_base, gc.check_stk_base,
+        ret._lo, ret._hi, clos._lo, clos._hi, lin._lo, lin._hi,
+        ta._lo, ta._hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,32 +263,32 @@ class LinkError(ValueError):
 
 def link(c1: Component, c2: Component) -> Component:
     """⋈: disjoint unions plus import resolution."""
-    if c1.ms_code.keys() & c2.ms_code.keys():
+    if not c1.ms_code.keys().isdisjoint(c2.ms_code):
         raise LinkError("code domains overlap")
-    if c1.ms_data.keys() & c2.ms_data.keys():
+    if not c1.ms_data.keys().isdisjoint(c2.ms_data):
         raise LinkError("data domains overlap")
     code = {**c1.ms_code, **c2.ms_code}
     data = {**c1.ms_data, **c2.ms_data}
-    if code.keys() & data.keys():
+    if not code.keys().isdisjoint(data):
         raise LinkError("linked code and data overlap")
-    if c1.sig_ret & c2.sig_ret or c1.sig_clos & c2.sig_clos:
+    if not (c1.sig_ret.isdisjoint(c2.sig_ret)
+            and c1.sig_clos.isdisjoint(c2.sig_clos)):
         raise LinkError("seal sets overlap")
     sig_ret = c1.sig_ret | c2.sig_ret
     sig_clos = c1.sig_clos | c2.sig_clos
-    if sig_ret & sig_clos:
+    if not sig_ret.isdisjoint(sig_clos):
         raise LinkError("return and closure seals clash")
-    if c1.a_linear & c2.a_linear:
+    if not c1.a_linear.isdisjoint(c2.a_linear):
         raise LinkError("linear address sets overlap")
-    syms1 = {s for s, _ in c1.exports}
-    syms2 = {s for s, _ in c2.exports}
-    if syms1 & syms2:
-        raise LinkError(f"duplicate exports: {sorted(syms1 & syms2)}")
+    exports, exports2 = dict(c1.exports), dict(c2.exports)
+    if not exports.keys().isdisjoint(exports2):
+        raise LinkError("duplicate exports: "
+                        f"{sorted(exports.keys() & exports2.keys())}")
     if c1.mains is not None and c2.mains is not None:
         raise LinkError("both sides carry mains")
-    exports = dict(c1.exports)
-    exports.update(c2.exports)
+    exports.update(exports2)
     imports = []
-    for addr, sym in tuple(c1.imports) + tuple(c2.imports):
+    for addr, sym in (*c1.imports, *c2.imports):
         if sym in exports:
             data[addr] = exports[sym]
         else:
@@ -315,23 +327,25 @@ def initial_config(p: Component, machine_kind: str,
         raise ConfigError("main data half is executable")
     if b_stk > e_stk:
         raise ConfigError("empty stack range")
-    if p.domain & Ranges.span(b_stk - 1, e_stk + 1):
+    domain = p.domain
+    if domain.meets(b_stk - 1, e_stk + 1):
         raise ConfigError("stack (with guards) overlaps code or data")
 
     reg = fresh_registers()
     reg[PC] = wc.inner
     reg[RDATA] = wd.inner
+    # the cells are merged once; the memory takes the dict as it is
     mem = {**p.ms_code, **p.ms_data, b_stk - 1: 0, e_stk + 1: 0}
     if machine_kind == "target":
-        reg[RSTK] = MemCap(Perm.RW, Lin.LINEAR, b_stk, e_stk, e_stk)
-        domain = p.domain | Ranges.span(b_stk - 1, e_stk + 1)
-        return SourceConfig(Memory(mem, domain), reg)
+        reg[RSTK] = _new(MemCap, (Perm.RW, Lin.LINEAR, b_stk, e_stk, e_stk))
+        return SourceConfig(Memory._of(
+            mem, domain | Ranges.span(b_stk - 1, e_stk + 1)), reg)
     if machine_kind == "source":
-        reg[RSTK] = StkPtr(Perm.RW, b_stk, e_stk, e_stk)
-        domain = p.domain | Ranges([(b_stk - 1, b_stk - 1),
-                                    (e_stk + 1, e_stk + 1)])
-        return SourceConfig(Memory(mem, domain), reg, (),
-                            Memory((), Ranges.span(b_stk, e_stk)))
+        reg[RSTK] = _new(StkPtr, (Perm.RW, b_stk, e_stk, e_stk))
+        # the two guards, apart: b_stk <= e_stk
+        guards = Ranges._new((b_stk - 1, e_stk + 1), (b_stk - 1, e_stk + 1))
+        return SourceConfig(Memory._of(mem, domain | guards), reg, (),
+                            Memory._of({}, Ranges.span(b_stk, e_stk)))
     raise ConfigError(f"unknown machine kind {machine_kind!r}")
 
 
@@ -343,8 +357,18 @@ _SECTIONS = {"code": ("base",), "data": (), "imports": (), "exports": (),
              "seals": ("ret", "clos"), "linear": (), "main": ()}
 
 
+# what a line of each two-field section holds: its first token, then
+# the rest
+_PAIRS = {"data": "address word", "imports": "symbol address",
+          "exports": "symbol word"}
+
+
+@lru_cache(maxsize=256)
 def _header(line):
-    """The name and keys of a section header ``[name key=value ...]``."""
+    """The name of a section header ``[name key=value ...]`` and what its
+    keys give: a ``[code]`` block's first address (its pad's), the
+    ``(ret, clos)`` seal sets of ``[seals]``, None for any other.
+    Memoized by the line, as ``parse_word`` is: no error is stored."""
     words = line[1:-1].split() if line.endswith("]") else []
     if not words or words[0] not in _SECTIONS:
         raise ValueError(f"bad section header {line!r}")
@@ -356,16 +380,14 @@ def _header(line):
         if key in keys:
             raise ValueError(f"[{name}] repeats {key}=")
         keys[key] = value
-    return name, keys
-
-
-def _fields(line: str, what: str):
-    """The two fields of a line that holds ``what``: its first token and
-    the rest."""
-    fields = line.split(None, 1)
-    if len(fields) != 2:
-        raise ValueError(f"expected {what}, got {line!r}")
-    return fields
+    if name == "code":
+        if "base" not in keys:
+            raise ValueError("[code] needs base=")
+        return name, parse_int(keys["base"]) - 1   # the pad precedes it
+    if name == "seals":
+        return name, (Ranges.parse(keys.get("ret", "")),
+                      Ranges.parse(keys.get("clos", "")))
+    return name, None
 
 
 def parse_component(text: str) -> Component:
@@ -374,49 +396,47 @@ def parse_component(text: str) -> Component:
     imports: list = []
     exports: list = []
     seals = None          # (ret, clos) of the [seals] header
-    linear: list = []     # the runs of every [linear] line
+    linear = _NO_INTS     # the union of every [linear] line
     mains: list = []
     section = None
     code_next = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if line[:1] != "[":   # a header is read whole, ``;`` and all
+        if ";" in line and line[0] != "[":   # a header is read whole
             line = line.partition(";")[0].rstrip()
         if not line:
             continue
         try:
             if line[0] == "[":
-                section, keys = _header(line)
+                section, value = _header(line)
                 if section == "code":
-                    if "base" not in keys:
-                        raise ValueError("[code] needs base=")
-                    # the pad precedes the base
-                    code_next = parse_int(keys["base"]) - 1
+                    code_next = value
                 elif section == "seals":
-                    sigs = (Ranges.parse(keys.get("ret", "")),
-                            Ranges.parse(keys.get("clos", "")))
                     if seals is not None:
                         raise ValueError("[seals] given twice")
-                    seals = sigs
+                    seals = value
             elif section == "code":
                 if code_next in code:
                     raise ValueError(f"address {code_next} given twice")
                 code[code_next] = parse_word(line)
                 code_next += 1
-            elif section == "data":
-                addr, lit = _fields(line, "address word")
-                if (a := parse_int(addr)) in data:
-                    raise ValueError(f"address {a} given twice")
-                data[a] = parse_word(lit)
-            elif section == "imports":
-                sym, addr = _fields(line, "symbol address")
-                imports.append((parse_int(addr), sym))
-            elif section == "exports":
-                sym, lit = _fields(line, "symbol word")
-                exports.append((sym, parse_word(lit)))
+            elif section in _PAIRS:
+                fields = line.split(None, 1)
+                if len(fields) != 2:
+                    raise ValueError(
+                        f"expected {_PAIRS[section]}, got {line!r}")
+                first, rest = fields
+                if section == "data":
+                    if (a := parse_int(first)) in data:
+                        raise ValueError(f"address {a} given twice")
+                    data[a] = parse_word(rest)
+                elif section == "imports":
+                    imports.append((parse_int(rest), first))
+                else:
+                    exports.append((first, parse_word(rest)))
             elif section == "linear":
-                linear += Ranges.parse(line).runs
+                linear |= Ranges.parse(line)
             elif section == "main":
                 mains.append(parse_word(line))
             else:
@@ -427,7 +447,7 @@ def parse_component(text: str) -> Component:
     if mains and len(mains) != 2:
         raise ValueError("[main] needs exactly two words")
     return Component(code, data, tuple(imports), tuple(exports),
-                     *(seals or (Ranges(), Ranges())), Ranges(linear),
+                     *(seals or (_NO_INTS, _NO_INTS)), linear,
                      tuple(mains) if mains else None)
 
 

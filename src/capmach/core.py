@@ -141,8 +141,10 @@ def _is_int(text: str) -> bool:
     return text.isascii() and text.removeprefix("-").isdigit()
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_int(text: str) -> int:
-    """The int ``text`` spells; any other spelling raises ValueError."""
+    """The int ``text`` spells; any other spelling raises ValueError.
+    Memoized by the text, as ``parse_word``: no error is stored."""
     if not _is_int(text):
         raise ValueError(f"bad int {text!r}")
     return int(text)
@@ -330,16 +332,23 @@ class Ranges:
 
     @staticmethod
     def of(ints) -> "Ranges":
-        """The ints of ``ints``: one sort, no Python loop per int."""
+        """The ints of ``ints``: one sort, then one pass that ends a run
+        at each gap."""
         if type(ints) is Ranges:
             return ints
         s = sorted(ints if isinstance(ints, (dict, frozenset, set))
                    else set(ints))
         if not s or s[-1] - s[0] == len(s) - 1:   # no run, or one
-            return Ranges.span(s[0], s[-1]) if s else _NO_INTS
-        gaps = [(a, b) for a, b in zip(s, s[1:]) if b - a > 1]
-        return Ranges._new((s[0], *[b for _, b in gaps]),
-                           (*[a for a, _ in gaps], s[-1]))
+            return Ranges._new((s[0],), (s[-1],)) if s else _NO_INTS
+        prev = s[0]
+        los, his = [prev], []
+        for a in s:
+            if a - prev > 1:
+                his.append(prev)
+                los.append(a)
+            prev = a
+        his.append(prev)
+        return Ranges._new(tuple(los), tuple(his))
 
     @staticmethod
     def parse(text: str) -> "Ranges":
@@ -376,6 +385,10 @@ class Ranges:
         or below."""
         i = bisect_left(self._hi, lo)
         return lo <= hi and i < len(self._lo) and self._lo[i] <= hi
+
+    def isdisjoint(self, other: "Ranges") -> bool:
+        """Whether no int is in both; told at once when either is empty."""
+        return not (self._lo and other._lo and (self & other)._lo)
 
     def __len__(self):
         return sum(self._hi) - sum(self._lo) + len(self._lo)

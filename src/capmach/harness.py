@@ -16,7 +16,7 @@ from itertools import islice
 from .asm import CALL_HEAD, CALL_LEN, RET_PT_OFFSET
 from .components import Component, diagnostics, initial_config, link
 from .core import _LINEAR, _NORMAL, EXEC_PERMS, PC, GlobalConstants, \
-    MemCap, Memory, RetPtrData, Sealed, StkPtr, dec_instr, \
+    MemCap, Memory, RetPtrData, SealCap, Sealed, StkPtr, dec_instr, \
     linear_overlaps, linear_range
 from .machine import _DECODED, _MODULE, NULL_EXTENSION, Running, _decode, \
     _new
@@ -86,12 +86,13 @@ def _scan(cells: dict) -> dict:
     ``base..end`` (``core.linear_range``): an owner in
     ``core.linear_overlaps``'s form, its name left out (0) until a
     violation names it.  One pass: ints, memory capabilities, stack
-    pointers and return data pointers, bare or under one seal, are told
-    in place, and any other word goes through ``linear_range``.
-    ``_Invariants.observe`` makes the same test inline for registers."""
+    pointers and return data pointers, bare or under one seal, and seal
+    capabilities (a component's seal word) are told in place, and any
+    other word goes through ``linear_range``.  ``_Invariants.observe``
+    makes the same test inline for registers."""
     out = {}
     for k, w in cells.items():
-        if not isinstance(w, int):    # most cells hold an int
+        if type(w) is not int:    # most cells hold an int
             t = type(w)
             if t is Sealed:
                 w = w[1]
@@ -103,7 +104,7 @@ def _scan(cells: dict) -> dict:
                 out[k] = (w[1], w[2], 0)
             elif t is RetPtrData:
                 out[k] = (w[0], w[1], 0)
-            elif (r := linear_range(w)) is not None:
+            elif t is not SealCap and (r := linear_range(w)) is not None:
                 out[k] = (r[0], r[1], 0)
     return out
 
@@ -341,8 +342,9 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
     ext = _EXTENSIONS[machine_kind]
     # with_regs copies the registers (the bench counts copies there)
     mem, reg, stk, ms_stk = cfg.with_regs({})
-    cfg = SourceConfig(Memory(mem.written, mem.domain), reg, stk,
-                       Memory(ms_stk.written, ms_stk.domain))
+    cfg = tuple.__new__(SourceConfig, (
+        Memory(mem.written, mem.domain), reg, stk,
+        Memory(ms_stk.written, ms_stk.domain)))
     # Everything the loop reads stays in locals: this is the hot loop,
     # and a register-only step makes one Python-level call, its
     # handler's.  The memory locals follow every Running's cfg.
@@ -482,8 +484,8 @@ def diff_start(trusted: Component, context: Component, b_stk: int,
         if diags:
             raise ValidationFailure(diags)
     prog = link(trusted, context)
-    return gc, {kind: initial_config(prog, kind, b_stk, e_stk)
-                for kind in _EXTENSIONS}
+    return gc, {"source": initial_config(prog, "source", b_stk, e_stk),
+                "target": initial_config(prog, "target", b_stk, e_stk)}
 
 
 def run_diff(trusted: Component, context: Component,

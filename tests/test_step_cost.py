@@ -186,10 +186,10 @@ def test_call_and_return_step_calls():
 
 
 def test_parse_calls_per_line():
-    # a warm parse takes each word from the memo, so what is left is a
-    # line's fields and the container's sections: 1.21 calls per
-    # content line (headers aside), against 5.05 when every word was
-    # parsed anew
+    # a warm parse takes each word, int and section header from its
+    # memo, so what is left is each container's records: 0.11 calls per
+    # content line (headers aside), against 1.21 when each header and
+    # int was read anew and 5.05 when every word was parsed anew
     texts = [format_component(c) for name, t, ctx in fixtures.corpus()
              if name != "spin" for c in (t, ctx)]
     lines = sum(line.strip()[:1] not in ("", "[")
@@ -203,11 +203,12 @@ def test_parse_calls_per_line():
 
 def test_warm_diff_start_calls():
     # a warm diff_start on parsed containers, as ``capmach diff`` reads
-    # them, builds each side's memo key and hits: 89 calls on
-    # deep-trusted with Python 3.11 (68 with validate=False; the rest
-    # hash and compare the two keys, whose ``Perm`` and ``Lin`` fields
-    # hash in C), against 229 when both sides are validated anew, as a
-    # key that always missed would have them
+    # them, builds each side's memo key and hits: 46 calls on
+    # deep-trusted with Python 3.10 to 3.13 (44 with validate=False: the
+    # keys are flat tuples, which hash and compare in C), against 85
+    # when the keys held ``Ranges`` and the constants, which hash and
+    # compare in Python, and 229 when both sides are validated anew, as
+    # a key that always missed would have them
     t, ctx = (format_component(c) for c in
               dict(fixtures.CORPUS)["deep-trusted"]())
     # the stored keys are this test's, whose words parse_word shares
@@ -220,3 +221,26 @@ def test_warm_diff_start_calls():
     hits, misses = _verdict.cache_info()[:2]
     assert (hits, misses, again) == (2, 2, first)
     assert calls <= 95, calls
+
+
+def test_diff_fixed_calls():
+    # a corpus check as the bench makes one: parse both containers, then
+    # a paranoid run_diff, here of halt, which takes one step per
+    # machine, so nearly all of it is the fixed cost.  Warm, it makes
+    # 82 calls with Python 3.10 to 3.13, against 166 (160 with 3.12 and
+    # 3.13) when every header was read anew, each Ranges and record went
+    # through its Python-level constructor, the memo key hashed its
+    # Ranges and constants in Python and the first paranoid scan sent
+    # seal words to ``linear_range``
+    t, ctx = (format_component(c) for c in dict(fixtures.CORPUS)["halt"]())
+
+    def check():
+        return harness.run_diff(parse_component(t), parse_component(ctx),
+                                fixtures.STK_BASE, fixtures.STK_END,
+                                paranoid=True)
+
+    first = check()
+    calls, again = count_calls(check)
+    assert again == first
+    assert (again.source.steps, again.target.steps) == (1, 1)
+    assert calls <= 90, calls
