@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .asm import assemble
+from .asm import CALL_HEAD, assemble
 from .components import (
     Component, ConfigError, LinkError, format_component, initial_config,
     link, parse_component, validate_component,
@@ -120,8 +120,20 @@ def _print_report(report, prefix=""):
         print(f"{prefix}violation: {v}")
 
 
+def _call_blocks(comp) -> int:
+    """How many of ``comp``'s code blocks hold a call's first word."""
+    return sum(any(comp.ms_code[a] == CALL_HEAD for a in range(lo, hi + 1))
+               for lo, hi in Ranges.of(comp.ms_code).runs)
+
+
 def cmd_run(args):
     prog = _load(args.program)
+    # a linked container records no boundary between the trusted code
+    # and the context's, and ``auto`` trusts every block: so when more
+    # than one block makes calls, it would trust a context's calls too
+    if args.ta == "auto" and _call_blocks(prog) > 1:
+        raise ValueError("--ta auto would trust the calls of every code "
+                         "block; give the trusted code as --ta lo..hi")
     b_stk, e_stk = args.stack
     gc = _gc(prog, args, b_stk)
     if not args.no_validate:

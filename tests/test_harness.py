@@ -1329,14 +1329,22 @@ def test_cli_validate_trust_edges(tmp_path, capsys):
 
 def test_cli_run_auto_ta_trusts_linked_context_code(tmp_path, capsys):
     # a linked container records no boundary between the trusted code and
-    # the context's, so --ta auto trusts both and the context's calls run
-    # atomically: 16 source steps where diff takes 40; --ta 99..134 (the
-    # trusted code alone) gives diff's count
+    # the context's, so --ta auto would trust both and run the context's
+    # calls atomically (16 source steps where diff takes 40): run refuses
+    # it, given or by default, on either machine, naming --ta, when more
+    # than one code block makes calls; --ta 99..134 (the trusted code
+    # alone) gives diff's count
     t, ctx, prog = _link_corpus(tmp_path, "nested-mixed")
-    run = ["run", prog, "--machine", "source", "--no-validate", "--ta"]
-    for ta, steps in (("auto", 16), ("99..134", 40)):
-        assert cli.main(run + [ta]) == 0, ta
-        assert capsys.readouterr().out == f"halted after {steps} steps\n", ta
+    for machine in ("source", "target"):
+        run = ["run", prog, "--machine", machine, "--no-validate", "--ta"]
+        assert cli.main(run + ["auto"]) == 3, machine
+        err = capsys.readouterr().err
+        assert err.startswith("error: --ta auto ") and err.count("\n") == 1
+    assert cli.main(run[:3] + ["source", "--no-validate"]) == 3
+    assert capsys.readouterr().err == err
+    assert cli.main(run[:3] + ["source", "--no-validate", "--ta",
+                               "99..134"]) == 0
+    assert capsys.readouterr().out == "halted after 40 steps\n"
     assert cli.main(["diff", t, ctx]) == 0
     assert capsys.readouterr().out.startswith("source: halted after 40 steps\n")
 
