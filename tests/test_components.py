@@ -517,6 +517,17 @@ def test_bad_literal_raises_at_every_line():
     assert str(e.value) == f"line 5: {message}"
 
 
+def test_header_and_int_memos_store_no_error():
+    # section headers and ints come from memos too, and neither stores
+    # an error: a malformed header or address raises at every parse
+    for text, message in (("[data]\n[code base=5x]\n", "bad int '5x'"),
+                          ("[data]\n30x\t7\n", "bad int '30x'")):
+        for _ in range(2):
+            with pytest.raises(ValueError) as e:
+                parse_component(text)
+            assert str(e.value) == f"line 2: {message}"
+
+
 # (section, bad line) pairs: ``bad_container`` makes each a container
 # that is malformed at its line 5
 BAD_CONTAINER_LINES = [

@@ -263,6 +263,7 @@ def test_ranges_model(runs, other_runs, ints):
     for got, want in ((r & o, model & other), (r | o, model | other),
                       (r - o, model - other)):
         assert got == Ranges.of(want) and list(got) == sorted(want)
+    assert r.isdisjoint(o) == model.isdisjoint(other)
     assert Ranges.of(ints) == Ranges((a, a) for a in ints)
     assert hash(Ranges.of(model)) == hash(Ranges(runs))
     assert list(Ranges.of(ints)) == sorted(ints)
