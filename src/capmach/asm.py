@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import contains
 from typing import Optional
@@ -151,16 +152,22 @@ def call_cond(mem, a: int, gc: GlobalConstants) -> Optional[CallParams]:
     A window whose first cell is not the expansion's first instruction,
     or that is not all trusted, is rejected before anything is decoded.
     Otherwise the window's 26 words are read once, as a tuple, and
-    ``_window_params`` decides them.
+    ``_window_params`` decides them; a window it refuses that holds an
+    unwritten cell is read again through the memory's domain.
     """
-    # read in C: a Memory's written cells, or the plain dict itself
+    # read in C: a Memory's written cells, or the plain dict itself, and
+    # ``gc.ta.covers``'s bisect
     get = getattr(mem, "written", mem).get
-    if get(a) != CALL_HEAD or not gc.ta.covers(a, a + CALL_LEN - 1):
+    ta = gc.ta
+    i = bisect_right(ta._lo, a)
+    if get(a) != CALL_HEAD or not (i and a + CALL_LEN - 1 <= ta._hi[i - 1]):
         return None
     window = tuple(map(get, range(a, a + CALL_LEN)))
-    if None in window:   # 0 in a Memory's domain
+    params = _window_params(window, gc.stk_base, gc.check_stk_base)
+    if params is None and None in window:   # 0 in a Memory's domain
         window = tuple(map(mem.get, range(a, a + CALL_LEN)))
-    return _window_params(window, gc.stk_base, gc.check_stk_base)
+        params = _window_params(window, gc.stk_base, gc.check_stk_base)
+    return params
 
 
 @functools.lru_cache(maxsize=4096)

@@ -22,6 +22,9 @@ from enum import Enum
 from typing import Union
 
 INF = math.inf
+# builds an object of a class with slots and no ``__init__``, in C; the
+# hot paths that make one set its slots themselves
+_NEW = object.__new__
 
 Addr = int
 
@@ -141,10 +144,8 @@ def _is_int(text: str) -> bool:
     return text.isascii() and text.removeprefix("-").isdigit()
 
 
-@functools.lru_cache(maxsize=4096)
 def parse_int(text: str) -> int:
-    """The int ``text`` spells; any other spelling raises ValueError.
-    Memoized by the text, as ``parse_word``: no error is stored."""
+    """The int ``text`` spells; any other spelling raises ValueError."""
     if not _is_int(text):
         raise ValueError(f"bad int {text!r}")
     return int(text)
@@ -247,10 +248,9 @@ def linear_overlaps(owners) -> list:
 
 def lin_cons(w: Word) -> Word:
     """``w``, or 0 when it is linear: ``lin_cons(w) is w`` when ``w`` owns
-    nothing.  Ints, and memory capabilities, stack pointers and return
-    data pointers bare or under one seal (an atomic call's and a
-    return's halves), are told in place, as ``harness._scan`` tells
-    them; any other word goes through ``linear_range``."""
+    nothing.  Every word bare or under one seal (an atomic call's and a
+    return's halves) is told in place, as ``harness._scan`` tells it;
+    only a seal within a seal goes through ``linear_range``."""
     t = type(w)
     if t is int or t is MemCap and w.lin is _NORMAL:
         return w
@@ -262,7 +262,7 @@ def lin_cons(w: Word) -> Word:
         return 0 if v.lin is _LINEAR else w
     if t is StkPtr or t is RetPtrData:
         return 0
-    return w if linear_range(v) is None else 0
+    return w if t is not Sealed or linear_range(v) is None else 0
 
 
 def non_exec(w: Word) -> bool:
@@ -305,7 +305,13 @@ class Ranges:
     any two.  ``in``, ``covers`` and ``meets`` cost a bisect; ``len``,
     ``split`` and ``str`` (``1..3,5``) O(runs); ``&`` and ``-`` a bisect
     per run of the side with fewer; ``|`` and ``parse`` a sort of the
-    runs, however many ints the runs hold.  Iteration ascends."""
+    runs, however many ints the runs hold.  Iteration ascends.
+
+    ``_lo`` and ``_hi`` hold the runs' first and last ints.  Where a
+    step would pay more for a method call than for its test, the code
+    reads them in place: a store's and a call's ``in``, call
+    recognition's ``covers``, the return's test of a frame's one run,
+    and the paranoid tracker's ``bounds`` and ``meets``."""
 
     __slots__ = ("_lo", "_hi")
 
@@ -322,7 +328,7 @@ class Ranges:
 
     @staticmethod
     def _new(los: tuple, his: tuple) -> "Ranges":
-        r = object.__new__(Ranges)
+        r = _NEW(Ranges)
         r._lo, r._hi = los, his
         return r
 
@@ -408,13 +414,30 @@ class Ranges:
         return hash((self._lo, self._hi))
 
     def split(self, lo, hi):
-        """(the ints ``lo..hi`` in the set, the others); ``hi`` may be INF."""
+        """(the ints ``lo..hi`` in the set, the others); ``hi`` may be INF.
+        A set of one run, as a stack memory's domain is, is cut with no
+        bisect and no slice."""
         los, his = self._lo, self._hi
+        if len(los) == 1:
+            first, last = los[0], his[0]
+            a = lo if lo > first else first   # the ends taken, with no call
+            b = hi if hi < last else last
+            if a > b:
+                return _NO_INTS, self
+            inside, outside = _NEW(Ranges), _NEW(Ranges)
+            inside._lo, inside._hi = (a,), (b,)
+            if first < a:
+                outside._lo, outside._hi = ((first, b + 1), (a - 1, last)) \
+                    if b < last else ((first,), (a - 1,))
+            else:
+                outside._lo, outside._hi = ((b + 1,), (last,)) \
+                    if b < last else ((), ())
+            return inside, outside
         i, j = bisect_left(his, lo), bisect_right(los, hi)  # i..j-1 meet it
         if i >= j or lo > hi:
             return _NO_INTS, self
         first, last = los[i], his[j - 1]
-        a = lo if lo > first else first   # the ends taken, with no call
+        a = lo if lo > first else first
         b = hi if hi < last else last
         below = ((first,), (a - 1,)) if first < a else ((), ())  # run i's
         above = ((b + 1,), (last,)) if b < last else ((), ())
@@ -423,6 +446,13 @@ class Ranges:
                             his[:i] + below[1] + above[1] + his[j:]))
 
     def __or__(self, other: "Ranges") -> "Ranges":
+        if len(self._hi) == 1 == len(other._lo) \
+                and self._hi[0] + 1 == other._lo[0]:
+            # one run, and one just above it: a frame that comes back
+            # to the stack below it
+            r = _NEW(Ranges)
+            r._lo, r._hi = self._lo, other._hi
+            return r
         a, b = (self, other) if self._lo < other._lo else (other, self)
         if not a._lo:
             return b
@@ -490,7 +520,7 @@ class Memory(Mapping):
 
     @staticmethod
     def _of(cells: dict, domain: Ranges) -> "Memory":
-        m = Memory.__new__(Memory)
+        m = _NEW(Memory)
         m.written, m.domain = cells, domain
         return m
 
@@ -530,15 +560,24 @@ class Memory(Mapping):
         and its written cells written.  An unwritten address of ``cells``
         keeps the word this memory holds there, and reads 0 when it
         holds none (a frame that comes back to the stack)."""
-        return Memory._of({**self.written, **cells.written},
-                          self.domain | cells.domain)
+        m = _NEW(Memory)
+        m.written = {**self.written, **cells.written}
+        m.domain = self.domain | cells.domain
+        return m
 
     def split(self, lo, hi):
-        """(the cells ``lo..hi``, the rest) as memories; ``hi`` may be INF."""
+        """(the cells ``lo..hi``, the rest) as memories; ``hi`` may be
+        INF.  One walk of the written cells puts each in its part."""
         inside, outside = self.domain.split(lo, hi)
-        rest = self.written.copy()
-        part = {a: rest.pop(a) for a in self.written if lo <= a <= hi}
-        return Memory._of(part, inside), Memory._of(rest, outside)
+        part, rest = {}, {}
+        for a, w in self.written.items():
+            if lo <= a <= hi:
+                part[a] = w
+            else:
+                rest[a] = w
+        m, n = _NEW(Memory), _NEW(Memory)
+        m.written, m.domain, n.written, n.domain = part, inside, rest, outside
+        return m, n
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ so fuel exhaustion stands in for divergence.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 
 from .asm import CALL_HEAD, CALL_LEN, RET_PT_OFFSET
 from .components import Component, diagnostics, initial_config, link
 from .core import _LINEAR, _NORMAL, EXEC_PERMS, PC, GlobalConstants, \
-    MemCap, Memory, RetPtrData, SealCap, Sealed, StkPtr, dec_instr, \
+    MemCap, Memory, RetPtrData, Sealed, StkPtr, dec_instr, \
     linear_overlaps, linear_range
 from .machine import _DECODED, _MODULE, NULL_EXTENSION, Running, _decode, \
     _new
@@ -85,11 +86,10 @@ def _scan(cells: dict) -> dict:
     """``{k: (base, end, 0)}`` for each word ``cells[k]`` that owns
     ``base..end`` (``core.linear_range``): an owner in
     ``core.linear_overlaps``'s form, its name left out (0) until a
-    violation names it.  One pass: ints, memory capabilities, stack
-    pointers and return data pointers, bare or under one seal, and seal
-    capabilities (a component's seal word) are told in place, and any
-    other word goes through ``linear_range``.  ``_Invariants.observe``
-    makes the same test inline for registers."""
+    violation names it.  One pass: every word bare or under one seal is
+    told in place, and only a seal within a seal goes through
+    ``linear_range``.  ``_Invariants.observe`` makes the same test
+    inline for registers."""
     out = {}
     for k, w in cells.items():
         if type(w) is not int:    # most cells hold an int
@@ -104,7 +104,7 @@ def _scan(cells: dict) -> dict:
                 out[k] = (w[1], w[2], 0)
             elif t is RetPtrData:
                 out[k] = (w[0], w[1], 0)
-            elif t is not SealCap and (r := linear_range(w)) is not None:
+            elif t is Sealed and (r := linear_range(w)) is not None:
                 out[k] = (r[0], r[1], 0)
     return out
 
@@ -205,10 +205,10 @@ class _Invariants:
                 o = (w[1], w[2], 0)
             elif t is RetPtrData:
                 o = (w[0], w[1], 0)
+            elif t is Sealed and (o := linear_range(w)) is not None:
+                o = (o[0], o[1], 0)
             else:
-                o = linear_range(w)
-                if o is not None:
-                    o = (o[0], o[1], 0)
+                o = None
             if o is None:
                 if r in regs:
                     del regs[r]
@@ -264,8 +264,16 @@ class _Invariants:
         elif stk is old_stk and ms_stk is old_ms:
             return changed
         self._partition = None
+        faults, owning = self.faults, self.owning
+        if ms_stk is not old_ms:
+            low, self.low = self.low, self._region(ms_stk, None)
+            faults += self.low.shares - low.shares
+            changed |= low.owned != self.low.owned
+        # the regions rise from ms_stk's: each must be above the nearest
+        # one below it that is not empty, whose top is ``top``
+        top = self.low.ends and self.low.ends[1]
         frames, new = self.frames, 0       # new: how many were pushed
-        if stk is not old_stk and (stk or frames):
+        if stk is not old_stk:
             # calls and returns push and pop at the front: the frames of
             # the shorter stack are kept when the longer one ends with
             # them (compared in C, by identity first), and only a pushed
@@ -274,47 +282,50 @@ class _Invariants:
             kept = n if n < m else m
             if old_stk is None or stk[n - kept:] != old_stk[m - kept:]:
                 kept = 0
-            owning, new = self.owning, n - kept
+            new = n - kept
             for f in frames[:m - kept]:
-                self.faults -= f.shares + f.under
-                self.owning -= bool(f.owned)
-            frames = frames[m - kept:]
-            for frame in reversed(stk[:new]):
-                f = self._region(frame.ms)
-                self.faults += f.shares
-                self.owning += bool(f.owned)
-                frames.insert(0, f)
-            self.frames = frames
+                faults -= f.shares + f.under
+                owning -= bool(f.owned)
+            made = []
+            for frame in stk[:new]:        # bottom up, from frame 0
+                f = self._region(frame.ms, top)
+                faults += f.shares + f.under
+                owning += bool(f.owned)
+                if f.ends is not None:
+                    top = f.ends[1]
+                made.append(f)
+            frames[:m - kept] = made
             # a frame that owns was pushed, popped or renumbered
             changed |= (owning or self.owning) > 0
-        if ms_stk is not old_ms:
-            low, self.low = self.low, self._region(ms_stk)
-            self.faults += self.low.shares - low.shares
-            changed |= low.owned != self.low.owned
-        # a region must be above the nearest region below it that is not
-        # empty, which changed for the pushed frames and the first kept
-        # frame that is not empty
-        top = self.low.ends and self.low.ends[1]
-        for i, f in enumerate(frames):
+        # and the first kept frame that is not empty is above a new one
+        for f in islice(frames, new, None):
             if f.ends is not None:
                 under = top is not None and f.ends[0] <= top
-                self.faults += under - f.under
-                f.under, top = under, f.ends[1]
-                if i >= new:
-                    break
+                faults += under - f.under
+                f.under = under
+                break
+        self.faults, self.owning = faults, owning
         return changed
 
-    def _region(self, ms: Memory) -> _Region:
-        """``ms``, a stack region's memory, as the tracker keeps it, not
-        yet tested for being above the region below; it is intersected
-        with ``mem`` only when a bisect finds a run of ``mem`` within
-        its bounds."""
+    def _region(self, ms: Memory, top) -> _Region:
+        """``ms``, a stack region's memory, as the tracker keeps it, over
+        a region whose top address is ``top`` (None when there is no
+        region below that is not empty).  It is intersected with
+        ``mem`` only when a bisect finds a run of ``mem`` within its
+        bounds: ``Ranges.bounds`` and ``Ranges.meets``, inlined, since
+        a call or a return makes two regions."""
         r = _Region()
         r.owned = _scan(ms.written) if ms.written else {}
-        r.ends = ends = ms.domain.bounds()
-        r.shares = ends is not None and self.dom.meets(*ends) and \
-            bool(ms.domain & self.dom)
-        r.under = False
+        domain = ms.domain
+        if not domain._lo:
+            r.ends, r.shares, r.under = None, False, False
+            return r
+        r.ends = lo, hi = domain._lo[0], domain._hi[-1]
+        dom = self.dom
+        i = bisect_left(dom._hi, lo)
+        r.shares = i < len(dom._lo) and dom._lo[i] <= hi and \
+            bool(domain & dom)
+        r.under = top is not None and lo <= top
         return r
 
 

@@ -34,14 +34,15 @@ the target uses the null extension: memory capabilities only.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import (
-    _LINEAR, _NORMAL, OPCODES, PC, RDATA, READ_PERMS, WRITE_PERMS,
-    MemCap, Record, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
-    dec_instr, dec_perm, enc_lin, enc_perm, enc_type, is_linear,
-    is_sealable, lin_cons, linear_range, non_exec, perm_leq,
+    _LINEAR, _NORMAL, EXEC_PERMS, OPCODES, PC, RDATA, READ_PERMS,
+    WRITE_PERMS, MemCap, Record, RetPtrCode, RetPtrData, SealCap, Sealed,
+    StkPtr, dec_instr, dec_perm, enc_lin, enc_perm, enc_type, is_linear,
+    is_sealable, lin_cons, linear_range, perm_leq,
 )
 
 
@@ -201,14 +202,20 @@ def exec_store(cfg, ext, gc, ops):
     r1, r2 = ops
     c = cfg.reg[r1]
     m = _access(cfg, ext, c, WRITE_PERMS)
-    if m is not None and (c.addr in m.written or c.addr in m.domain):
+    if m is None:
+        return FAILED
+    a = c.addr
+    # ``a in m`` with no Python-level call: the written cells, then
+    # ``Ranges.__contains__``'s bisect of the domain, inlined
+    if a in m.written or (i := bisect_right(m.domain._lo, a)) \
+            and a <= m.domain._hi[i - 1]:
         w = cfg.reg[r2]
         # an int or a normal memory capability stays in r2: ``lin_cons``'s
         # own first test, with no call
         t = type(w)
         kept = w if t is int or t is MemCap and w.lin is _NORMAL \
             else lin_cons(w)
-        return _new(Running, (cfg, {r2: kept}, (m, c.addr, w)))
+        return _new(Running, (cfg, {r2: kept}, (m, a, w)))
     return FAILED
 
 
@@ -339,7 +346,7 @@ def xjump_result(c1, c2, cfg, ext, gc, updates: dict):
     ``Running``.
     """
     if (not isinstance(c1, RetPtrCode) and not isinstance(c2, RetPtrData)
-            and non_exec(c2)):
+            and not (isinstance(c2, MemCap) and c2.perm in EXEC_PERMS)):
         updates[PC] = c1
         updates[RDATA] = c2
         return updates
@@ -358,9 +365,13 @@ def exec_xjmp(cfg, ext, gc, ops):
     if (isinstance(w1, Sealed) and isinstance(w2, Sealed)
             and w1.sigma == w2.sigma):
         # The registers keep the sealed words, as under the atomic call
-        # rule; only linear halves are cleared.
-        return xjump_result(w1.inner, w2.inner, cfg, ext, gc,
-                            {r1: lin_cons(w1), r2: lin_cons(w2)})
+        # rule; only linear halves are cleared, so only they are written
+        wrote = {}
+        if (v := lin_cons(w1)) is not w1:
+            wrote[r1] = v
+        if (v := lin_cons(w2)) is not w2:
+            wrote[r2] = v
+        return xjump_result(w1.inner, w2.inner, cfg, ext, gc, wrote)
     return FAILED
 
 

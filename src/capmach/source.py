@@ -12,6 +12,7 @@ records with ``machine._new``, as the handlers do.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 
 from .asm import CALL_LEN, CANARY, CallParams, call_cond
@@ -66,28 +67,29 @@ class SourceExtension(MachineExtension):
             return None
         # rstk as the jump left it: the atomic call writes it
         rstk = updates.get(RSTK, cfg.reg[RSTK])
-        if not (isinstance(rstk, StkPtr) and rstk.perm == _RW):
+        if not isinstance(rstk, StkPtr):
             return FAILED
-        e_stk = rstk.end
-        if not (rstk.base == gc.stk_base and gc.stk_base <= e_stk):
+        perm, b_stk, e_stk, _ = rstk
+        if not (perm is _RW and b_stk == gc.stk_base <= e_stk):
             return FAILED
-        if not cfg.stk:
+        stk = cfg.stk
+        if not stk:
             return FAILED
-        frame = cfg.stk[0]
-        a_stk, e_priv = c2.base, c2.end
-        if frame.opc != c1.addr:
+        opc, ms_priv = stk[0]
+        a_stk, e_priv = c2
+        if opc != c1.addr or e_stk + 1 != a_stk:
             return FAILED
-        if e_stk + 1 != a_stk:
+        # the frame's domain is ``a_stk..e_priv``: one run, or none; its
+        # runs' bounds compared in C
+        dom = ms_priv.domain
+        if (dom._lo, dom._hi) != (
+                ((a_stk,), (e_priv,)) if a_stk <= e_priv else ((), ())):
             return FAILED
-        # the frame's domain is ``a_stk..e_priv``: one run, or none
-        if frame.ms.domain.runs != (
-                ((a_stk, e_priv),) if a_stk <= e_priv else ()):
-            return FAILED
-        cfg = _new(SourceConfig, (cfg.mem, cfg.reg, cfg.stk[1:],
-                                  cfg.ms_stk.update(frame.ms)))
-        updates[PC] = _new(MemCap, (_RX, _NORMAL, c1.base, c1.end, c1.addr))
+        cfg = _new(SourceConfig, (cfg.mem, cfg.reg, stk[1:],
+                                  cfg.ms_stk.update(ms_priv)))
+        updates[PC] = _new(MemCap, (_RX, _NORMAL, *c1))
         updates[RDATA] = 0
-        updates[RSTK] = _new(StkPtr, (_RW, gc.stk_base, e_priv, a_stk))
+        updates[RSTK] = _new(StkPtr, (_RW, b_stk, e_priv, a_stk))
         updates[RTMP1] = updates[RTMP2] = 0
         return _new(Running, (cfg, updates, None))
 
@@ -108,20 +110,24 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     r1, r2 = params.r1, params.r2
     if RTMP1 in (r1, r2):
         return FAILED
-    w1, w2 = cfg.reg[r1], cfg.reg[r2]
+    reg = cfg.reg
+    w1, w2 = reg[r1], reg[r2]
     if not (isinstance(w1, Sealed) and isinstance(w2, Sealed)
             and w1.sigma == w2.sigma):
         return FAILED
-    rstk = cfg.reg[RSTK]
-    if not (isinstance(rstk, StkPtr) and rstk.perm == _RW
-            and rstk.base < rstk.addr <= rstk.end):
+    rstk = reg[RSTK]
+    if not isinstance(rstk, StkPtr):
         return FAILED
-    a_stk, e_stk = rstk.addr, rstk.end
-    if a_stk not in cfg.ms_stk:
+    perm, b_stk, e_stk, a_stk = rstk
+    if not (perm is _RW and b_stk < a_stk <= e_stk):
         return FAILED
-    pc = cfg.reg[PC]
-    a = pc.addr
-    if not (pc.base <= a + params.off_pc <= pc.end):
+    # ``a_stk in ms`` with no Python-level call, as ``exec_store`` tells it
+    ms = cfg.ms_stk
+    if not (a_stk in ms.written or (i := bisect_right(ms.domain._lo, a_stk))
+            and a_stk <= ms.domain._hi[i - 1]):
+        return FAILED
+    _, _, base, end, a = reg[PC]
+    if not (base <= a + params.off_pc <= end):
         return FAILED
     # an unwritten cell reads 0 or nothing, never a seal
     seal = cfg.mem.written.get(a + params.off_pc)
@@ -132,21 +138,23 @@ def exec_call(cfg: SourceConfig, params: CallParams,
         return FAILED
 
     opc = a + CALL_LEN
-    ms_priv, ms_rest = cfg.ms_stk.split(a_stk, e_stk)
+    ms_priv, ms_rest = ms.split(a_stk, e_stk)
     ms_priv.written[a_stk] = CANARY   # a fresh dict, a_stk in its domain
-    cfg = _new(SourceConfig, (cfg.mem, cfg.reg, (_new(StackFrame, (
+    cfg = _new(SourceConfig, (cfg.mem, reg, (_new(StackFrame, (
         opc, ms_priv)),) + cfg.stk, ms_rest))
     # the jump writes these registers together with its own, over the
-    # pushed frame: not over the configuration the step started from
-    out = xjump_result(w1.inner, w2.inner, cfg, ext, gc, {
-        r1: lin_cons(w1),
-        r2: lin_cons(w2),
-        RSTK: _new(StkPtr, (_RW, rstk.base, a_stk - 1, a_stk - 1)),
-        RRETCODE: _new(Sealed, (sigma, _new(RetPtrCode, (
-            pc.base, pc.end, opc)))),
-        RRETDATA: _new(Sealed, (sigma, _new(RetPtrData, (a_stk, e_stk)))),
-        RTMP1: 0,
-    })
+    # pushed frame: not over the configuration the step started from.
+    # As ``machine.exec_xjmp``, it writes only a half that is cleared.
+    wrote = {}
+    if (v := lin_cons(w1)) is not w1:
+        wrote[r1] = v
+    if (v := lin_cons(w2)) is not w2:
+        wrote[r2] = v
+    wrote[RSTK] = _new(StkPtr, (_RW, b_stk, a_stk - 1, a_stk - 1))
+    wrote[RRETCODE] = _new(Sealed, (sigma, _new(RetPtrCode, (base, end, opc))))
+    wrote[RRETDATA] = _new(Sealed, (sigma, _new(RetPtrData, (a_stk, e_stk))))
+    wrote[RTMP1] = 0
+    out = xjump_result(w1.inner, w2.inner, cfg, ext, gc, wrote)
     return _new(Running, (cfg, out, None)) if type(out) is dict else out
 
 

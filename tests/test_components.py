@@ -518,8 +518,8 @@ def test_bad_literal_raises_at_every_line():
 
 
 def test_header_and_int_memos_store_no_error():
-    # section headers and ints come from memos too, and neither stores
-    # an error: a malformed header or address raises at every parse
+    # section headers come from a memo, which stores no error, and ints
+    # are read anew: a malformed header or address raises at every parse
     for text, message in (("[data]\n[code base=5x]\n", "bad int '5x'"),
                           ("[data]\n30x\t7\n", "bad int '30x'")):
         for _ in range(2):

@@ -127,43 +127,50 @@ def test_handlers_take_one_operand_tuple(monkeypatch):
 
 def test_load_store_sweep_step_calls():
     # a load or a store is one handler call plus one access guard, and a
-    # store of an int calls nothing else: 1.427 calls per step with
-    # Python 3.11 (1.443 when ``lin_cons`` sent a sealed word to
-    # ``linear_range``, 3.630 with the generator loop and ``lin_cons`` on
-    # every store)
+    # store of an int calls nothing else, not even to tell that an
+    # unwritten cell is in the memory: 1.297 calls per step with Python
+    # 3.10 to 3.13 (1.424 when that went through ``Ranges.__contains__``,
+    # 1.443 when ``lin_cons`` sent a sealed word to ``linear_range``,
+    # 3.630 with the generator loop and ``lin_cons`` on every store)
     per_step, reports = _calls_per_step(
         [(fixtures.trusted_one_call(), fixtures.context_cb(_SWEEP))], 5000)
     assert [(r.outcome, r.steps, r.final_cfg.reg["r6"]) for r in reports] \
         == [("halted", 303, 160), ("halted", 327, 160)]
-    assert per_step <= 1.63, per_step
+    assert per_step <= 1.35, per_step
 
 
 def test_paranoid_step_calls():
     # the paranoid checks visit what a step changed: the registers it
     # wrote and its cell, whose owners are told in place, and at a call
     # or a return the memories it made and the regions next to them, in
-    # one hook call per step: 3.779 calls per step with Python 3.11
-    # (3.957 when ``lin_cons`` sent a sealed word to ``linear_range``,
-    # 5.559 when the words other than ints and normal memory
-    # capabilities went through ``linear_range`` and each call and
-    # return rebuilt the partition, 8.454 with the generator loop).
-    # Unchecked, these runs make 2.227
+    # one hook call per step: 3.223 calls per step with Python 3.10 to
+    # 3.13 (3.690 when a call or a return split and joined the stack
+    # through ``Ranges``' Python-level constructor and the tracker
+    # called ``bounds`` and ``meets``, 3.957 when ``lin_cons`` sent a
+    # sealed word to ``linear_range``, 5.559 when the words other than
+    # ints and normal memory capabilities went through ``linear_range``
+    # and each call and return rebuilt the partition, 8.454 with the
+    # generator loop).  Unchecked, these runs make 1.920
     programs = [(t, ctx) for name, t, ctx in fixtures.corpus()
                 if name != "spin"]
     per_step, reports = _calls_per_step(programs, 2000, paranoid=True)
     assert len(reports) == 20 and all(
         r.outcome == "halted" and r.violations == [] for r in reports)
-    assert per_step <= 4.02, per_step
+    assert per_step <= 3.25, per_step
 
 
 def test_call_and_return_step_calls():
     # call-return's one atomic call (``recognize_call``, its window memo
     # warm) and its one return (the ``xjmp`` through the return pair),
-    # each counted at the configuration the source run reaches it: 17
-    # and 11 calls with Python 3.11, against 19 and 12 when ``lin_cons``
-    # sent a sealed half to ``linear_range``, and 39 and 18 when each
-    # call window was decoded cell by cell and the records were built
-    # through their Python-level constructors
+    # each counted at the configuration the source run reaches it: 8
+    # and 7 calls with Python 3.10 to 3.13, against 17 and 11 when the
+    # stack was split and joined through ``Memory._of``,
+    # ``Ranges._new`` and a comprehension, the trusted window and
+    # ``a_stk`` were tested through ``Ranges`` methods and ``lin_cons``
+    # sent a return code half to ``linear_range``, 19 and 12 when it
+    # sent every sealed half there, and 39 and 18 when each call window
+    # was decoded cell by cell and the records were built through their
+    # Python-level constructors
     consts, cfgs = diff_start(*dict(fixtures.CORPUS)["call-return"](),
                               fixtures.STK_BASE, fixtures.STK_END)
     ext, counts = SOURCE_EXTENSION, []
@@ -182,14 +189,16 @@ def test_call_and_return_step_calls():
     assert (r.outcome, r.steps, r.calls, r.returns) == \
         ("halted", 8, 1, 1)
     assert len(counts) == 2
-    assert counts[0] <= 17 and counts[1] <= 11, counts
+    assert counts[0] <= 8 and counts[1] <= 7, counts
 
 
 def test_parse_calls_per_line():
-    # a warm parse takes each word, int and section header from its
-    # memo, so what is left is each container's records: 0.11 calls per
-    # content line (headers aside), against 1.21 when each header and
-    # int was read anew and 5.05 when every word was parsed anew
+    # a warm parse takes each word and section header from its memo, so
+    # what is left is each container's records and the ints outside a
+    # header (a ``[data]`` or ``[imports]`` address): 0.29 calls per
+    # content line (headers aside), against 0.11 when those ints had a
+    # memo too, 1.21 when each header and int was read anew and 5.05
+    # when every word was parsed anew
     texts = [format_component(c) for name, t, ctx in fixtures.corpus()
              if name != "spin" for c in (t, ctx)]
     lines = sum(line.strip()[:1] not in ("", "[")
@@ -227,11 +236,12 @@ def test_diff_fixed_calls():
     # a corpus check as the bench makes one: parse both containers, then
     # a paranoid run_diff, here of halt, which takes one step per
     # machine, so nearly all of it is the fixed cost.  Warm, it makes
-    # 82 calls with Python 3.10 to 3.13, against 166 (160 with 3.12 and
-    # 3.13) when every header was read anew, each Ranges and record went
-    # through its Python-level constructor, the memo key hashed its
-    # Ranges and constants in Python and the first paranoid scan sent
-    # seal words to ``linear_range``
+    # 81 calls with Python 3.10 to 3.13 (82 when ints had a memo and the
+    # first scan called ``bounds`` and ``meets``), against 166 (160 with
+    # 3.12 and 3.13) when every header was read anew, each Ranges and
+    # record went through its Python-level constructor, the memo key
+    # hashed its Ranges and constants in Python and the first paranoid
+    # scan sent seal words to ``linear_range``
     t, ctx = (format_component(c) for c in dict(fixtures.CORPUS)["halt"]())
 
     def check():
