@@ -366,21 +366,23 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
     # pc's fields live in locals.  Only a step whose writes name pc (a
     # jump, a call or a return) sets pc, so only after one (``check``)
     # is pc read back and its type and permission tested; any other step
-    # moves ``a`` to the next cell.  Without a hook that leaves pc's
-    # register behind (``stale``): it is written, built once, before a
-    # handler whose operands name pc, before call recognition (the call
-    # reads pc) and at the run's end.
+    # moves ``a`` to the next cell, which leaves pc's register behind
+    # (``stale``).  It is written, built once, where something reads it:
+    # before a handler whose operands name pc, before call recognition
+    # (the call reads pc), before a hook and at the run's end.
     check, stale = True, False
     if observe is not None:
         observe(cfg, (), None)
-    while steps < fuel:
-        steps += 1   # a step that fails or halts counts
+    for steps in range(1, fuel + 1):   # a step that fails or halts counts
         if check:
             pc = reg[PC]
-            if type(pc) is not MemCap or pc.perm not in EXEC_PERMS:
+            if type(pc) is not MemCap:
                 outcome = "failed"
                 break
             perm, lin, base, end, a = pc
+            if perm not in EXEC_PERMS:
+                outcome = "failed"
+                break
             check = False
         w = written.get(a)
         if w is None:   # unwritten: 0 in the domain, None outside it
@@ -391,8 +393,9 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
         # A call sequence starts with CALL_HEAD (``call_cond`` rejects
         # any other first cell), so no other cell needs call
         # recognition.  A call's writes name pc.
-        out = None
-        if w == CALL_HEAD:
+        if w != CALL_HEAD:
+            out = None
+        else:
             if stale:
                 reg[PC] = _new(MemCap, (perm, lin, base, end, a))
                 stale = False
@@ -406,9 +409,16 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
                 stale = False
             out = _MODULE[name](cfg, ext, gc, ops)
         if type(out) is dict:
-            wrote = out
+            wrote, cell = out, None
         elif type(out) is Running:
-            wrote = out[1]
+            cfg, wrote, cell = out
+            reg, mem, written = cfg.reg, cfg.mem, cfg.mem.written
+            if cell is not None:
+                cell[0].written[cell[1]] = cell[2]
+            elif len(cfg.stk) != frames:   # a call or a return
+                calls += len(cfg.stk) > frames
+                returns += len(cfg.stk) < frames
+                frames = len(cfg.stk)
         else:
             outcome = out.kind
             break
@@ -419,24 +429,15 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
             stale = False
         else:
             a += 1
-            if observe is None:
-                stale = True
-            else:
-                wrote[PC] = _new(MemCap, (perm, lin, base, end, a))
-        if wrote is out:
-            cell = None
-        else:
-            cfg, _, cell = out
-            reg, mem, written = cfg.reg, cfg.mem, cfg.mem.written
-            if cell is not None:
-                cell[0].written[cell[1]] = cell[2]
-            elif len(cfg.stk) != frames:   # a call or a return
-                calls += len(cfg.stk) > frames
-                returns += len(cfg.stk) < frames
-                frames = len(cfg.stk)
-        reg.update(wrote)
+            stale = True
         if observe is not None:
+            if stale:
+                wrote[PC] = _new(MemCap, (perm, lin, base, end, a))
+                stale = False
+            reg.update(wrote)
             observe(cfg, wrote, cell)
+        else:
+            reg.update(wrote)
     if stale:
         reg[PC] = _new(MemCap, (perm, lin, base, end, a))
     return RunReport(outcome, steps, [], cfg, calls, returns)

@@ -4,31 +4,33 @@ both machines step with; ``harness.run`` is the loop that calls them.
 No function here writes a configuration.  A handler that writes only
 registers returns its writes as a dict; one that writes a cell or the
 frames returns a ``Running``, its writes unapplied.  Only a jump (jmp,
-jnz, xjmp) sets pc: any other instruction that names pc as a register
-it writes decodes to fail.  So writes that name pc are a jump's, and the
+jnz, xjmp) sets pc: any other instruction that names pc as a register it
+writes decodes to fail.  So writes that name pc are a jump's, and the
 run moves pc to the next cell after any others, in the one place that
 rule is written.  The run keeps pc's fields in locals and writes pc's
 register only when something reads it.  ``_DECODED``, a bounded dict
 memo keyed by the word (never by its address, so a store into code runs
 the new word), gives each distinct word's handler name, its operands as
-one tuple, and whether an operand names pc.  The run
-looks the handler up by name here at every step and calls it as
+one tuple, and whether an operand names pc.  The run looks the handler
+up by name here at every step and calls it as
 ``exec_<op>(cfg, ext, gc, ops)``: a call with a fixed number of
 arguments, which CPython 3.11 inlines into the running interpreter loop;
-a starred call it does not.  The common steps call no helper: a jump to
-a normal memory capability writes only pc, ``move r pc`` tests pc's
-linearity in place, ``cca`` and ``seta2b`` build the moved pointer from
-its fields, the handlers ``_binop`` builds do the arithmetic themselves,
-and a store of an int or a normal memory capability keeps it with no
-call.  Records are built with ``tuple.__new__``, which skips the
-Python-level constructor that ``namedtuple`` generates.  A memory
-capability indexes ``mem`` and a stack pointer ``ms_stk``; every pointer
-case is written once over the pointer and its segment, and load and
-store share one access guard, ``_access``.  Permission sets are tuples,
-not sets: a tuple's ``in`` tests identity first and hashes nothing.  A
-``MachineExtension`` names the pointer kinds its machine accepts and
-supplies the source-only rules (call recognition, return-token jumps);
-the target uses the null extension: memory capabilities only.
+a starred call it does not.
+The common steps call no helper: a jump to a normal memory capability
+writes only pc, ``move r pc`` tests pc's linearity in place, ``cca`` and
+``seta2b`` build the moved pointer from the fields they keep, the
+handlers ``_binop`` builds do the arithmetic themselves, a store of an
+int or a normal memory capability keeps it with no call, and a load
+tells whether the word it reads is linear in place.  Records are built
+with ``tuple.__new__``, which skips the Python-level constructor that
+``namedtuple`` generates.  A memory capability indexes ``mem`` and a
+stack pointer ``ms_stk``; every pointer case is written once over the
+pointer and its segment, and load and store share one access guard,
+``_access``.  Permission sets are tuples, not sets: a tuple's ``in``
+tests identity first and hashes nothing.  A ``MachineExtension`` names
+the pointer kinds its machine accepts and supplies the source-only rules
+(call recognition, return-token jumps); the target uses the null
+extension: memory capabilities only.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ HALTED = Halted()
 # that ``namedtuple`` generates: the same class, fields and equality.
 _new = tuple.__new__
 
-# The handlers below build pointers and seals by position (``cca``,
+# The handlers below tell a pointer's kind by its type and build pointers
+# and seals by position, concatenating the fields they keep (``cca``,
 # ``restrict``, ``seta2b``, ``split``, ``splice``): perm comes first, and
 # base, end and addr (a seal's cur) last.
 assert MemCap._fields[0] == StkPtr._fields[0] == "perm" and all(
@@ -230,7 +233,13 @@ def exec_load(cfg, ext, gc, ops):
         w = m.get(c.addr)
         if w is None:
             return FAILED
-    if type(w) is int or linear_range(w) is None:
+    t = type(w)
+    if t is int or t is MemCap and w.lin is _NORMAL:
+        return {r1: w}
+    v = w[1] if t is Sealed else w   # linear? told as ``lin_cons`` tells it
+    t = type(v)
+    if not (t is MemCap and v.lin is _LINEAR or t is StkPtr
+            or t is RetPtrData or t is Sealed and linear_range(v)):
         return {r1: w}
     # lin_cons empties a linear word's cell, so the pointer must write
     if c.perm in WRITE_PERMS:
@@ -244,9 +253,9 @@ def exec_cca(cfg, ext, gc, ops):
     if type(n) is not int:
         return FAILED
     c = cfg.reg[r]
-    if (isinstance(c, ext.pointers) or isinstance(c, SealCap)) \
-            and c[-1] + n >= 0:
-        return {r: _new(type(c), (*c[:-1], c[-1] + n))}
+    if ((t := type(c)) is MemCap or t in ext.pointers or t is SealCap) \
+            and (a := c[-1] + n) >= 0:
+        return {r: _new(t, c[:-1] + (a,))}
     return FAILED
 
 
@@ -257,8 +266,8 @@ def exec_restrict(cfg, ext, gc, ops):
         return FAILED
     c = cfg.reg[r1]
     p = dec_perm(n)
-    if isinstance(c, ext.pointers) and perm_leq(p, c.perm):
-        return {r1: _new(type(c), (p, *c[1:]))}
+    if (t := type(c)) in ext.pointers and perm_leq(p, c.perm):
+        return {r1: _new(t, (p,) + c[1:])}
     return FAILED
 
 
@@ -288,8 +297,8 @@ exec_minus = _binop(operator.sub)
 def exec_seta2b(cfg, ext, gc, ops):
     r1, = ops
     c = cfg.reg[r1]
-    if isinstance(c, ext.pointers) or isinstance(c, SealCap):
-        return {r1: _new(type(c), (*c[:-1], c.base))}
+    if (t := type(c)) is MemCap or t in ext.pointers or t is SealCap:
+        return {r1: _new(t, c[:-1] + (c.base,))}
     return FAILED
 
 
@@ -309,12 +318,12 @@ def exec_split(cfg, ext, gc, ops):
     if type(n) is not int:
         return FAILED
     c = cfg.reg[r3]
-    if ((isinstance(c, ext.pointers) or isinstance(c, SealCap))
+    if (((t := type(c)) is MemCap or t in ext.pointers or t is SealCap)
             and c.base <= n < c.end):
         # Seals are normal: lin_cons leaves the seal in r3.
         return {
-            r3: lin_cons(c), r1: _new(type(c), (*c[:-2], n, c[-1])),
-            r2: _new(type(c), (*c[:-3], n + 1, *c[-2:]))}
+            r3: lin_cons(c), r1: _new(t, c[:-2] + (n, c[-1])),
+            r2: _new(t, c[:-3] + (n + 1,) + c[-2:])}
     return FAILED
 
 
@@ -322,17 +331,17 @@ def exec_splice(cfg, ext, gc, ops):
     r1, r2, r3 = ops
     c2 = cfg.reg[r2]
     c3 = cfg.reg[r3]
-    if not (type(c2) is type(c3)
-            and (isinstance(c2, ext.pointers) or isinstance(c2, SealCap))
+    if not ((t := type(c2)) is type(c3)
+            and (t is MemCap or t in ext.pointers or t is SealCap)
             and c2.end + 1 == c3.base
             and c2.base <= c2.end and c3.base <= c3.end):
         return FAILED
-    if not isinstance(c2, SealCap) and (
+    if t is not SealCap and (
             c2.perm != c3.perm or is_linear(c2) != is_linear(c3)):
         return FAILED
     return {
         r2: lin_cons(c2), r3: lin_cons(c3),
-        r1: _new(type(c3), (*c3[:-3], c2.base, *c3[-2:]))}
+        r1: _new(t, c3[:-3] + (c2.base,) + c3[-2:])}
 
 
 def xjump_result(c1, c2, cfg, ext, gc, updates: dict):

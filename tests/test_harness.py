@@ -885,6 +885,28 @@ def test_a_run_without_a_hook_writes_pc_back_wherever_it_is_read():
     assert set(endings) == {"halted", "failed", "fuel-exhausted"}
 
 
+def test_a_run_ends_at_its_fuel_boundary():
+    # a program that halts, or fails, at its k-th step reports that
+    # outcome with steps == k when given k steps of fuel, and runs out
+    # of fuel with steps == k - 1 when given one fewer: on both machines,
+    # with and without a hook.  k = 1 is the end itself; k = 4 takes a
+    # jump first, so the run reads pc back before its last step
+    jump = "  move r5 pc\n  cca r5 4\n  jmp r5\n  fail\n"
+    for body, k in (("", 1), (jump, 4)):
+        for end in ("halt", "fail"):
+            gc, cfgs = harness.diff_start(
+                trusted_simple(f"{body}  {end}"), minimal_context(),
+                STK_BASE, STK_END)
+            outcome = "halted" if end == "halt" else "failed"
+            for kind, hook in itertools.product(
+                    ("source", "target"), (None, lambda *seen: None)):
+                ends = [(r.outcome, r.steps) for r in (
+                    run(cfgs[kind], kind, gc, fuel, hook)
+                    for fuel in (k, k - 1))]
+                assert ends == [(outcome, k), ("fuel-exhausted", k - 1)], \
+                    (body, end, kind, hook)
+
+
 def test_run_paused_and_resumed():
     # a run given k steps of fuel, and a new run from its final
     # configuration with the fuel that is left, end as one uninterrupted

@@ -280,6 +280,46 @@ def test_splice():
               "splice", "r1", "r2", "r3") is FAILED
 
 
+def test_pointer_rules_keep_every_other_field():
+    # cca, seta2b, restrict, split and splice each change one field of
+    # each pointer they make, named here through ``_replace``, and keep
+    # every other (a record equals only one of its own type); a stack
+    # pointer is taken on the source and refused on the target, and a
+    # seal capability by every rule but restrict
+    seal = SealCap(2, 9, 5)
+    kinds = [rw(2, 9, 5), rw(2, 9, 5, Lin.LINEAR),
+             MemCap(Perm.RX, Lin.NORMAL, 2, 9, 5), StkPtr(Perm.RW, 2, 9, 5),
+             seal]
+    taken = 0
+    for c, ext in product(kinds, (NULL_EXTENSION, SOURCE_EXTENSION)):
+        last = c._fields[-1]     # addr, or a seal's cur
+        lo = c._replace(base=0, end=1)   # spliced below c
+        cases = [
+            ("cca", ("r1", 2), {"r1": c._replace(**{last: 7})}),
+            ("seta2b", ("r1",), {"r1": c._replace(**{last: 2})}),
+            ("split", ("r2", "r3", "r1", 4), {
+                "r1": machine.lin_cons(c), "r2": c._replace(end=4),
+                "r3": c._replace(base=5)}),
+            ("splice", ("r3", "r2", "r1"), {
+                "r1": machine.lin_cons(c), "r2": machine.lin_cons(lo),
+                "r3": c._replace(base=0)})]
+        if c is not seal:
+            cases.append(("restrict", ("r1", enc_perm(Perm.R)),
+                          {"r1": c._replace(perm=Perm.R)}))
+        for op, ops, want in cases:
+            out = getattr(machine, f"exec_{op}")(
+                scfg(r1=c, r2=lo), ext, NOWHERE, ops)
+            if type(c) is StkPtr and ext is NULL_EXTENSION:
+                assert out is FAILED, op
+            else:
+                assert out == want, (op, c, ext)
+                taken += 1
+        if c is seal:
+            assert machine.exec_restrict(scfg(r1=c), ext, NOWHERE, (
+                "r1", enc_perm(Perm.R))) is FAILED
+    assert taken == 43   # 5 rules on 9 kinds and machines, less 2
+
+
 def test_xjmp():
     pc = rx(0, 9, 0)
     code = rx(20, 30, 20)

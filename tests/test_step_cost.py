@@ -4,12 +4,13 @@ the host's speed."""
 
 import ast
 import inspect
+import sys
 import textwrap
 
 from capmach import fixtures, harness, machine
 from capmach.asm import CALL_HEAD
 from capmach.components import _verdict, format_component, parse_component
-from capmach.core import PC, MemCap, dec_instr
+from capmach.core import PC, MemCap, dec_instr, linear_range
 from capmach.harness import diff_start, run, run_report
 from capmach.source import SOURCE_EXTENSION
 from conftest import count_calls
@@ -159,6 +160,38 @@ def test_paranoid_step_calls():
     assert per_step <= 3.25, per_step
 
 
+def test_load_tells_linear_words_in_place():
+    # a load tells whether the word it reads is linear as ``lin_cons``
+    # tells it, in place: over paranoid runs of both machines on the 10
+    # terminating corpus programs (57 loads), ``exec_load`` makes no
+    # ``linear_range`` call (55 when every word but an int went through
+    # it)
+    from_load, loads = 0, 0
+    load, linear = machine.exec_load.__code__, linear_range.__code__
+
+    def count(frame, event, arg):
+        nonlocal from_load, loads
+        if event == "call":
+            loads += frame.f_code is load
+            from_load += frame.f_code is linear and frame.f_back.f_code is load
+
+    programs = [(t, ctx) for name, t, ctx in fixtures.corpus()
+                if name != "spin"]
+    runs = []
+    for trusted, context in programs:
+        consts, cfgs = diff_start(trusted, context, fixtures.STK_BASE,
+                                  fixtures.STK_END)
+        runs += [(cfgs[kind], kind, consts) for kind in ("source", "target")]
+    sys.setprofile(count)
+    try:
+        reports = [run_report(cfg, kind, consts, 2000, True)
+                   for cfg, kind, consts in runs]
+    finally:
+        sys.setprofile(None)
+    assert all(r.outcome == "halted" and r.violations == [] for r in reports)
+    assert (loads, from_load) == (57, 0)
+
+
 def test_call_and_return_step_calls():
     # call-return's one atomic call (``recognize_call``, its window memo
     # warm) and its one return (the ``xjmp`` through the return pair),
@@ -243,6 +276,10 @@ def test_diff_fixed_calls():
     # hashed its Ranges and constants in Python and the first paranoid
     # scan sent seal words to ``linear_range``
     t, ctx = (format_component(c) for c in dict(fixtures.CORPUS)["halt"]())
+    # as in test_warm_diff_start_calls: a key an earlier test stored
+    # (the fixture-built components, equal words but not the same
+    # objects) would be compared field by field in Python
+    _verdict.cache_clear()
 
     def check():
         return harness.run_diff(parse_component(t), parse_component(ctx),
