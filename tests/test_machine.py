@@ -9,7 +9,7 @@ from capmach import machine
 from capmach.core import (
     OPCODES, REGISTERS, Instr, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
     RetPtrData, SealCap, Sealed, StkPtr, dec_instr, enc_instr, enc_lin,
-    enc_perm, enc_type, mk_instr,
+    enc_perm, enc_type, linear_range, mk_instr,
 )
 from capmach.harness import run_report
 from capmach.machine import FAILED, HALTED, NULL_EXTENSION, Running
@@ -190,6 +190,19 @@ def test_load():
     assert ex(tcfg({5: lin}, pc=pc, r2=ro), "load", "r1", "r2") is FAILED
     out = ex(tcfg({5: lin}, pc=pc, r2=rw(5, 5, 5)), "load", "r1", "r2")
     assert out.cfg.reg["r1"] == lin and out.cfg.mem[5] == 0
+    # every kind of word, bare and under one or two seals: told in place
+    # or through linear_range, a load clears the cell, and needs a
+    # pointer that writes, exactly when linear_range finds it linear
+    bare = [seal, rw(0, 1, 0), lin, StkPtr(Perm.RW, 0, 9, 3),
+            RetPtrData(0, 9), RetPtrCode(0, 9, 4)]
+    for w in [9] + bare + [Sealed(2, v) for v in bare] + \
+            [Sealed(3, Sealed(2, v)) for v in bare]:
+        linear = linear_range(w) is not None
+        out = ex(tcfg({5: w}, pc=pc, r2=rw(5, 5, 5)), "load", "r1", "r2")
+        assert (out.cfg.reg["r1"], out.cfg.mem[5]) == \
+            (w, 0 if linear else w), w
+        assert (ex(tcfg({5: w}, pc=pc, r2=ro), "load", "r1", "r2")
+                is FAILED) == linear, w
 
 
 def test_cca():
