@@ -12,10 +12,11 @@ records and the md5 over them, one ``repr`` line each:
 - paranoid ``run_report`` of configurations that break an invariant
   (``violating``), on each machine at fuels 0, 1, 5 and 2000, so that
   violation text is in the digest too;
-- the front end: ``parse_component(format_component(c))`` of every
-  corpus and scenario component and every linked corpus program, with
-  its ``diagnostics`` under both stack-base checks, and the message of
-  each malformed container of ``test_components.BAD_CONTAINER_LINES``.
+- the front end: ``format_component`` of every corpus and scenario
+  component and every linked corpus program, the parse of that text,
+  with its ``diagnostics`` under both stack-base checks, the message of
+  each malformed container of ``test_components.BAD_CONTAINER_LINES``
+  and that of each malformed assembly of ``test_asm.ASM_ERRORS``.
 
 A change that keeps behaviour prints the same line before and after,
 the one committed in ``tests/digest.expected``, which CI compares it
@@ -31,6 +32,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
+from capmach.asm import assemble  # noqa: E402
 from capmach.components import (  # noqa: E402
     diagnostics, format_component, initial_config, link, parse_component,
 )
@@ -46,6 +48,7 @@ from capmach.harness import (  # noqa: E402
     diff_start, format_trace, run_diff, run_report,
 )
 from capmach.source import SourceConfig, StackFrame  # noqa: E402
+from test_asm import ASM_ERRORS  # noqa: E402
 from test_components import BAD_CONTAINER_LINES, bad_container  # noqa: E402
 
 FUELS = (0, 1, 5, 8, 31, 2000)
@@ -162,7 +165,9 @@ def records():
             yield name, kind, fuel, _report(run_report(cfg, kind, gc, fuel,
                                                        True))
     for name, c, code in front_end():
-        parsed = parse_component(format_component(c))
+        text = format_component(c)
+        yield name, text
+        parsed = parse_component(text)
         yield name, _component(parsed), [
             diagnostics(parsed, GlobalConstants(code, STK_BASE, check))
             for check in (True, False)]
@@ -173,6 +178,13 @@ def records():
             yield section, bad, str(e)
         else:
             yield section, bad, "parsed"
+    for src, _ in ASM_ERRORS:
+        try:
+            assemble(src, stk_base=1000)
+        except ValueError as e:
+            yield src, str(e)
+        else:
+            yield src, "assembled"
 
 
 def main():

@@ -457,7 +457,7 @@ def test_assemble_call_macro():
     assert dec_instr(r.segment[126]) == mk_instr("halt")
 
 
-_ASM_ERRORS = [
+ASM_ERRORS = [
     ("move r0 nolabel", "line 1: unresolved label 'nolabel'"),
     ("x: halt\nx: halt", "line 2: duplicate label 'x'"),
     (".org 0\nhalt\n.org 0\nhalt", "line 4: address 0 assembled twice"),
@@ -482,6 +482,12 @@ _ASM_ERRORS = [
     (".seal 1 1_0 1", "line 1: bad int '1_0'"),
     (".word seal(+1,1,1)", "line 1: bad word literal: 'seal(+1,1,1)'"),
     ("x: move r0 x+\u0663", "line 1: bad int 'x+\u0663'"),
+    # digits that ``str.isdigit`` accepts and ``int`` may read, but that
+    # are not ASCII
+    ("move r0 \u0663", "line 1: bad int '\u0663'"),
+    ("move r0 -\u0663", "line 1: bad int '-\u0663'"),
+    (".seal 1 \u0661 1", "line 1: bad int '\u0661'"),
+    ("halt\n.org \u00b2", "line 2: bad int '\u00b2'"),
     # the image memos key no line: each error keeps its own
     ("jmp 5", "line 1: jmp: 5 is not a register"),
     ("halt\njmp 5", "line 2: jmp: 5 is not a register"),
@@ -494,7 +500,7 @@ _ASM_ERRORS = [
 def test_assemble_errors():
     # every error names its line once, whichever pass finds it, and at
     # every assembly: the memos store no error
-    for src, message in _ASM_ERRORS * 2:
+    for src, message in ASM_ERRORS * 2:
         with pytest.raises(AsmError) as e:
             assemble(src, stk_base=1000)
         assert str(e.value) == message, src
