@@ -16,8 +16,8 @@ from typing import Optional
 
 from .core import (
     OPCODES, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2,
-    GlobalConstants, Instr, SealCap, _bound, dec_instr, enc_instr,
-    is_register, mk_instr, parse_int, parse_word,
+    GlobalConstants, Instr, SealCap, _bound, _is_int, _new, dec_instr,
+    enc_instr, is_register, mk_instr, parse_int, parse_word,
 )
 
 CALL_LEN = 26
@@ -96,11 +96,12 @@ def expand_scall(params: CallParams, stk_base: int,
 
 
 @functools.lru_cache(maxsize=256)
-def _call_images(params: CallParams, stk_base: int,
+def _call_images(off_pc, off_sigma, r1, r2, stk_base: int,
                  check_stk_base: bool) -> tuple:
-    """The 26 images of ``expand_scall``, memoized by its arguments."""
-    return tuple(map(enc_instr,
-                     expand_scall(params, stk_base, check_stk_base)))
+    """The 26 images of ``expand_scall``, memoized by its arguments: a
+    flat key, which hashes and compares in C."""
+    return tuple(map(enc_instr, expand_scall(
+        CallParams(off_pc, off_sigma, r1, r2), stk_base, check_stk_base)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -256,6 +257,14 @@ def _operands(parts, names: str):
 
 
 @functools.lru_cache(maxsize=4096)
+def _operand(tok: str):
+    """The register ``tok`` names, the int it spells (``parse_int``'s
+    spelling), or None: a label, with an optional offset, or no operand.
+    Memoized by the token; it raises nothing, so it stores no error."""
+    return tok if is_register(tok) else int(tok) if _is_int(tok) else None
+
+
+@functools.lru_cache(maxsize=4096)
 def _image(op: str, args: tuple) -> int:
     """The image of instruction ``op args``, memoized by its opcode and
     resolved operands: never by an address or a line of text."""
@@ -277,9 +286,11 @@ def assemble(src: str, stk_base: int = 0,
     def resolve(tok, at):
         # an int, or a label with an optional offset; ``@`` makes it
         # relative to the statement's address ``at``
+        if type(v := _operand(tok)) is int:
+            return v
         m = _IMM_RE.fullmatch(tok)
         if m is None:
-            return parse_int(tok)
+            return parse_int(tok)   # raises: no int, no label
         rel, name, off = m.groups()
         if name not in labels:
             raise ValueError(f"unresolved label {name!r}")
@@ -288,14 +299,14 @@ def assemble(src: str, stk_base: int = 0,
     try:
         # pass 1: labels and addresses
         for n, raw in enumerate(src.splitlines(), 1):
-            text = raw.split(";", 1)[0].strip()
-            while m := _LABEL_RE.match(text):
+            text = raw.split(";", 1)[0].strip() if ";" in raw else raw.strip()
+            while ":" in text and (m := _LABEL_RE.match(text)):
                 if m[1] in labels:
                     raise ValueError(f"duplicate label {m[1]!r}")
                 labels[m[1]] = addr
                 text = text[m.end():]
             parts = text.split()
-            if parts[:1] == [".org"]:
+            if parts and parts[0] == ".org":
                 addr = parse_int(*_operands(parts, "addr"))
             elif parts:
                 stmts.append((n, addr, parts, text))
@@ -303,12 +314,18 @@ def assemble(src: str, stk_base: int = 0,
         # pass 2: each statement's words
         for n, addr, parts, text in stmts:
             head = parts[0]
-            if head == ".word":
+            if head in OPCODES:
+                args = tuple(map(_operand, parts[1:]))
+                if None in args:   # a label, or no operand
+                    args = tuple([resolve(t, addr) if a is None else a
+                                  for t, a in zip(parts[1:], args)])
+                words = [_image(head, args)]
+            elif head == ".word":
                 words = [parse_word(text[len(head):])]
             elif head == ".seal":
                 base, end, cur = _operands(parts, "base end cur")
-                words = [SealCap(resolve(base, addr), _bound(end),
-                                 resolve(cur, addr))]
+                words = [_new(SealCap, (resolve(base, addr), _bound(end),
+                                        resolve(cur, addr)))]
             elif head == "call":
                 seal, off_sigma, r1, r2 = _operands(
                     parts, "seal off_sigma r1 r2")
@@ -317,12 +334,8 @@ def assemble(src: str, stk_base: int = 0,
                 if off_pc < 0:
                     raise ValueError(
                         "call seal must sit at or after the macro")
-                params = CallParams(off_pc, resolve(off_sigma, addr), r1, r2)
-                words = _call_images(params, stk_base, check_stk_base)
-            elif head in OPCODES:
-                words = [_image(head, tuple(
-                    t if is_register(t) else resolve(t, addr)
-                    for t in parts[1:]))]
+                words = _call_images(off_pc, resolve(off_sigma, addr), r1,
+                                     r2, stk_base, check_stk_base)
             else:
                 raise ValueError(f"unknown instruction {head!r}")
             for a, w in enumerate(words, addr):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import starmap
 from typing import Optional
 
 from .asm import CALL_HEAD, call_cond, find_hidden_calls
@@ -34,10 +35,9 @@ class Component:
     mains: Optional[tuple] = None   # (main code word, main data word)
 
     def __post_init__(self):
-        if not type(self.sig_ret) is type(self.sig_clos) \
-                is type(self.a_linear) is Ranges:
-            for name in ("sig_ret", "sig_clos", "a_linear"):
-                object.__setattr__(self, name, Ranges.of(getattr(self, name)))
+        for name in ("sig_ret", "sig_clos", "a_linear"):
+            if type(v := getattr(self, name)) is not Ranges:
+                object.__setattr__(self, name, Ranges.of(v) if v else _NO_INTS)
 
     @cached_property
     def domain(self) -> Ranges:
@@ -452,30 +452,26 @@ def parse_component(text: str) -> Component:
 
 
 def format_component(c: Component) -> str:
-    lines = []
-    prev = None
-    for a in sorted(c.ms_code):   # one section per contiguous block
-        if a - 1 != prev:
-            lines.append(f"[code base={a + 1}]")
-        lines.append(repr(c.ms_code[a]))
-        prev = a
+    """The container text of ``c``: each line is joined in C, with no
+    Python-level call but a record's ``repr``; the sets are read through
+    ``Ranges._lo`` and ``_hi``."""
+    code, data, lines = c.ms_code, c.ms_data, []
+    blocks = Ranges.of(code)   # one section per block
+    for lo, hi in zip(blocks._lo, blocks._hi):
+        lines.append(f"[code base={lo + 1}]")
+        lines += map(repr, map(code.__getitem__, range(lo, hi + 1)))
     lines.append("[data]")
-    for a in sorted(c.ms_data):
-        lines.append(f"{a}\t{c.ms_data[a]!r}")
+    lines += starmap("{}\t{!r}".format, sorted(data.items()))
     if c.imports:
         lines.append("[imports]")
-        for addr, sym in c.imports:
-            lines.append(f"{sym}\t{addr}")
+        lines += starmap("{1}\t{0}".format, c.imports)
     if c.exports:
         lines.append("[exports]")
-        for sym, w in c.exports:
-            lines.append(f"{sym}\t{w!r}")
-    if c.sig_ret or c.sig_clos:
+        lines += starmap("{}\t{!r}".format, c.exports)
+    if c.sig_ret._lo or c.sig_clos._lo:
         lines.append(f"[seals ret={c.sig_ret} clos={c.sig_clos}]")
-    if c.a_linear:
+    if c.a_linear._lo:
         lines += ["[linear]", str(c.a_linear)]
     if c.mains is not None:
-        lines.append("[main]")
-        lines.append(repr(c.mains[0]))
-        lines.append(repr(c.mains[1]))
+        lines += ["[main]", *map(repr, c.mains)]
     return "\n".join(lines) + "\n"

@@ -25,6 +25,9 @@ INF = math.inf
 # builds an object of a class with slots and no ``__init__``, in C; the
 # hot paths that make one set its slots themselves
 _NEW = object.__new__
+# builds a record from its fields without the Python-level ``__new__``
+# that ``namedtuple`` generates: the same class, fields and equality
+_new = tuple.__new__
 
 Addr = int
 
@@ -41,7 +44,7 @@ class Perm(Enum):
     __hash__ = object.__hash__
 
     def __repr__(self):
-        return self.value
+        return self._value_
 
 
 class Lin(Enum):
@@ -49,9 +52,7 @@ class Lin(Enum):
     NORMAL = "normal"
 
     __hash__ = object.__hash__   # as ``Perm``'s
-
-    def __repr__(self):
-        return self.value
+    __repr__ = Perm.__repr__
 
 
 # A permission is below another when it grants a subset of its rights
@@ -97,7 +98,7 @@ class _WordRecord(Record):
     __slots__ = ()
 
     def __repr__(self):
-        return f"{_LITERAL_NAMES[type(self)]}({','.join(map(repr, self))})"
+        return _LITERAL_FORMATS[type(self)] % self
 
 
 # Addresses and seal ids are ints; a capability's ``end`` may be INF.
@@ -138,10 +139,10 @@ _SEALABLE = (MemCap, SealCap, StkPtr, RetPtrData, RetPtrCode)
 # ---------------------------------------------------------------------------
 # Word literals: ``N`` for an int, ``kind(f1,...,fn)`` for a record
 
-def _is_int(text: str) -> bool:
-    # ASCII digits with an optional minus: the one spelling of an int in
-    # a word, a container and an assembly
-    return text.isascii() and text.removeprefix("-").isdigit()
+# ASCII digits with an optional minus: the one spelling of an int in a
+# word, a container and an assembly.  A match object or None, told in C
+# (``[0-9]`` is ASCII alone, where ``str.isdigit`` also takes ``²``)
+_is_int = re.compile(r"-?[0-9]+").fullmatch
 
 
 def parse_int(text: str) -> int:
@@ -180,7 +181,9 @@ LITERALS = {
 # a record literal's body, checked once: on these characters ``int``
 # reads ASCII digits with an optional minus and nothing else
 _BODY_RE = re.compile(r"[-A-Za-z0-9,()]*\)")
-_LITERAL_NAMES = {cls: name for name, (cls, _) in LITERALS.items()}
+# each record class's literal as a ``%`` template over its fields' reprs
+_LITERAL_FORMATS = {cls: f"{name}({','.join(['%r'] * len(parsers))})"
+                    for name, (cls, parsers) in LITERALS.items()}
 
 
 @functools.lru_cache(maxsize=4096)
@@ -485,8 +488,8 @@ class Ranges:
                                   (*[lo - 1 for lo in other._lo], INF))
 
     def __str__(self):
-        return ",".join(f"{lo}..{hi}" if lo < hi else str(lo)
-                        for lo, hi in zip(self._lo, self._hi))
+        return ",".join([f"{lo}..{hi}" if lo < hi else str(lo)
+                         for lo, hi in zip(self._lo, self._hi)])
 
     def __repr__(self):
         return f"Ranges.parse({str(self)!r})"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .asm import assemble
 from .components import Component
-from .core import Lin, MemCap, Perm, Sealed
+from .core import Lin, MemCap, Perm, Sealed, _new
 from .harness import DiffVerdict, run_diff
 
 STK_BASE = 1000
@@ -48,17 +48,19 @@ def component(base: int, text: str, data=None, *, ret=(), clos=(),
             return w
         if len(w) == 2:
             sigma, label = w
-            return Sealed(sigma, MemCap(Perm.RX, Lin.NORMAL, lo, hi,
-                                        res.labels[label]))
+            return _new(Sealed, (sigma, _new(MemCap, (
+                Perm.RX, Lin.NORMAL, lo, hi, res.labels[label]))))
         sigma, b, e = w
-        return Sealed(sigma, MemCap(Perm.RW, Lin.NORMAL, b, e, b))
+        return _new(Sealed, (sigma, _new(MemCap, (Perm.RW, Lin.NORMAL,
+                                                  b, e, b))))
 
     exported = {sym: word(w) for sym, w in (exports or {}).items()}
-    return Component({lo - 1: 0, **res.segment, hi + 1: 0},
-                     {a: word(w) for a, w in (data or {}).items()},
+    data = dict(data or ())
+    data.update({a: word(w) for a, w in data.items() if type(w) is tuple})
+    return Component({lo - 1: 0, **res.segment, hi + 1: 0}, data,
                      tuple(imports), tuple(exported.items()),
                      ret, clos, linear,
-                     tuple(exported[sym] for sym in main) if main else None)
+                     tuple(map(exported.__getitem__, main)) if main else None)
 
 
 def _zeros(lo: int, hi: int) -> dict:

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from .core import (
     _LINEAR, _NORMAL, EXEC_PERMS, OPCODES, PC, RDATA, READ_PERMS,
     WRITE_PERMS, MemCap, Record, RetPtrCode, RetPtrData, SealCap, Sealed,
-    StkPtr, dec_instr, dec_perm, enc_lin, enc_perm, enc_type, is_linear,
-    is_sealable, lin_cons, linear_range, perm_leq,
+    StkPtr, _new, dec_instr, dec_perm, enc_lin, enc_perm, enc_type,
+    is_linear, is_sealable, lin_cons, linear_range, perm_leq,
 )
 
 
@@ -70,10 +70,6 @@ class Halted:
 
 FAILED = Failed()
 HALTED = Halted()
-
-# Builds a record from its fields without the Python-level ``__new__``
-# that ``namedtuple`` generates: the same class, fields and equality.
-_new = tuple.__new__
 
 # The handlers below tell a pointer's kind by its type and build pointers
 # and seals by position, concatenating the fields they keep (``cca``,

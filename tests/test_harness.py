@@ -22,7 +22,7 @@ from capmach import fixtures
 from capmach.core import (
     INF, OPCODES, PC, RDATA, REGISTERS, GlobalConstants, Instr, Lin, Memory,
     MemCap, Perm, Ranges, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
-    dec_instr, enc_instr, fresh_registers,
+    dec_instr, enc_instr, fresh_registers, linear_range,
 )
 from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
@@ -539,6 +539,30 @@ def test_paranoid_tracker_against_full_checks_on_edits(rng):
         checks.observe(cfg, wrote, cell)
         assert checks.found == (check_linearity(cfg),
                                 check_stack_partition(cfg))
+
+
+def test_scan_and_register_test_agree_with_linear_range():
+    # harness._scan and the register test that _Invariants.observe
+    # inlines tell a linear word in place, as lin_cons and a load do
+    # (test_lin_cons, test_load): for every kind of word, bare and under
+    # one or two seals, each gives the owner that linear_range gives
+    norm = MemCap(Perm.RW, Lin.NORMAL, 0, 5, 0)
+    bare = [0, 7, norm, norm._replace(lin=Lin.LINEAR),
+            StkPtr(Perm.RW, 0, 9, 3), RetPtrData(0, 9), RetPtrCode(0, 9, 4),
+            SealCap(0, 5, 0)]
+    for w in bare + [Sealed(2, v) for v in bare] + \
+            [Sealed(3, Sealed(2, v)) for v in bare]:
+        r = linear_range(w)
+        owner = None if r is None else (*r, 0)
+        assert harness._scan({5: w}).get(5) == owner, w
+        # the word written into r1 of the configuration last observed,
+        # in place: only the register test sees it
+        cfg = SourceConfig(Memory(), {"r1": 0})
+        checks = harness._Invariants()
+        checks.observe(cfg, (), None)
+        cfg.reg["r1"] = w
+        checks.observe(cfg, ("r1",), None)
+        assert checks.regs.get("r1") == owner, w
 
 
 def test_paranoid_violation_comes_and_goes():
@@ -1197,34 +1221,53 @@ _MUTANTS = ("bogus", "+5", "1_000", "99999999999", "@nolabel", "inf",
             "seal(1,x,1)", "[bogus]", "ret=1,x")
 
 
+# ``run`` and ``diff`` at a fuel that every corpus program but spin halts
+# within, paranoid
+_RUN = ("--fuel", "300", "--paranoid")
+
+
 @functools.lru_cache(maxsize=None)
 def _front_end_lines():
-    """The lines of each corpus component's code as ``asm`` reads it and
-    of its container as ``validate`` reads it, as ``(subcommand, lines,
-    index)``, grouped by the kind of line (its first token, numbers
-    aside), so that a rare kind is drawn as often as a common one."""
+    """Each line that the front end reads, as ``(argv, texts, k, i)``:
+    line ``i`` of the ``k``-th of the input files ``texts`` of the
+    subcommand and options ``argv``.  ``asm`` reads each corpus
+    component's code and ``validate`` its container; ``run`` reads the
+    linked program's, unvalidated (a linked program has two code
+    blocks) and with the trusted code as ``--ta``; ``link`` and ``diff``
+    read the trusted and the context container, either of which may be
+    the one mutated.  The lines are grouped by subcommand and kind of
+    line (its first token, numbers aside), so that a rare kind is drawn
+    as often as a common one."""
     kinds = {}
-    for _, *comps in corpus():
-        for c in comps:
-            for cmd, text in (("asm", disassemble(c.ms_code, STK_BASE)),
-                              ("validate", format_component(c))):
-                lines = text.splitlines()
-                for i, line in enumerate(lines):
-                    kind = re.sub(r"[0-9(].*", "", line.split()[0])
-                    kinds.setdefault((cmd, kind), []).append((cmd, lines, i))
+
+    def add(argv, texts, k):
+        for i, line in enumerate(texts[k]):
+            kind = re.sub(r"[0-9(].*", "", line.split()[0])
+            kinds.setdefault((argv[0], kind), []).append((argv, texts, k, i))
+
+    for _, t, ctx in corpus():
+        pair = tuple(tuple(format_component(c).splitlines())
+                     for c in (t, ctx))
+        prog = tuple(format_component(link(t, ctx)).splitlines())
+        ta = "..".join(map(str, Ranges.of(t.ms_code).bounds()))
+        for k, c in enumerate((t, ctx)):
+            add(("asm",), (tuple(disassemble(c.ms_code, STK_BASE)
+                                 .splitlines()),), 0)
+            add(("validate",), (pair[k],), 0)
+            add(("link",), pair, k)
+            add(("diff", *_RUN), pair, k)
+        for machine in ("source", "target"):
+            add(("run", "--machine", machine, "--ta", ta, "--no-validate",
+                 *_RUN), (prog,), 0)
     return list(kinds.values())
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.data())
-def test_cli_front_end_fuzz(data):
-    # one token of one line dropped, doubled or replaced: the front end
-    # answers with an exit code and at most one error line, never a
-    # traceback, and names a line at most once
-    kind = data.draw(st.sampled_from(_front_end_lines()))
-    cmd, lines, i = data.draw(st.sampled_from(kind))
-    lines = list(lines)
+def _mutate(data, lines, i):
+    """Line ``i`` of ``lines`` with one token dropped, doubled or
+    replaced by a mutant, if it has one."""
     tokens = lines[i].split()
+    if not tokens:
+        return
     j = data.draw(st.integers(0, len(tokens) - 1))
     how = data.draw(st.sampled_from(("drop", "double", "replace")))
     if how == "drop":
@@ -1234,16 +1277,38 @@ def test_cli_front_end_fuzz(data):
     else:
         tokens[j] = data.draw(st.sampled_from(_MUTANTS))
     lines[i] = " ".join(tokens)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_cli_front_end_fuzz(data):
+    # one or two tokens, of one line or of two, dropped, doubled or
+    # replaced, in the input of any subcommand that reads assembly or a
+    # container: the front end answers with an exit code and at most one
+    # error line, never a traceback, and names a line at most once.  An
+    # unvalidated program may fail (``run`` exits 1), an answer too;
+    # ``diff`` validates both sides, so its machines never disagree
+    argv, texts, k, i = data.draw(st.sampled_from(
+        data.draw(st.sampled_from(_front_end_lines()))))
+    texts = [list(text) for text in texts]
+    lines = texts[k]
+    _mutate(data, lines, i)
+    if data.draw(st.booleans()):   # a second token, here or elsewhere
+        other = data.draw(st.integers(0, len(lines) - 1))
+        _mutate(data, lines, data.draw(st.sampled_from((i, other))))
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "input")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        argv = [cmd, path] + (["-o", os.path.join(d, "out")]
-                              if cmd == "asm" else [])
+        paths = []
+        for n, text in enumerate(texts):
+            paths.append(os.path.join(d, f"input{n}"))
+            with open(paths[-1], "w") as fh:
+                fh.write("\n".join(text) + "\n")
+        out = ["-o", os.path.join(d, "out")] if argv[0] in ("asm", "link") \
+            else []
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
-    assert code in (0, 3, 4), (code, lines[i])
+            code = cli.main([argv[0], *paths, *argv[1:], *out])
+    assert code in ((0, 1, 3, 4) if argv[0] == "run" else (0, 3, 4)), \
+        (code, argv, lines[i])
     if code == 3:
         assert re.fullmatch(r"error: (?!(line \d+: ){2})[^\n]*\n",
                             err.getvalue()), (lines[i], err.getvalue())

@@ -7,7 +7,7 @@ import inspect
 import sys
 import textwrap
 
-from capmach import fixtures, harness, machine
+from capmach import asm, fixtures, harness, machine
 from capmach.asm import CALL_HEAD
 from capmach.components import _verdict, format_component, parse_component
 from capmach.core import PC, MemCap, dec_instr, linear_range
@@ -241,6 +241,44 @@ def test_parse_calls_per_line():
         lambda: [parse_component(text) for text in texts])
     assert (len(texts), lines, again) == (20, 534, parsed)
     assert calls / lines <= 1.5, calls / lines
+
+
+def test_assemble_calls_per_line(monkeypatch):
+    # a warm fixtures.corpus() reads each operand and each instruction
+    # image from a memo keyed by the token or by the opcode and
+    # operands, so what is left is each component's build and its
+    # directives: 2.62 calls per content line it assembles (the ``.org``
+    # line that ``component`` adds among them), against 8.02 when each
+    # operand was told by a generator through ``is_register`` and
+    # ``parse_int``, and each record built through its class
+    texts = []
+
+    def assemble(src, *args):   # the texts of a first, warming build
+        texts.append(src)
+        return asm.assemble(src, *args)
+
+    monkeypatch.setattr(fixtures, "assemble", assemble)
+    first = fixtures.corpus()
+    monkeypatch.undo()
+    lines = sum(map(bool, map(str.strip, "\n".join(texts).splitlines())))
+    calls, again = count_calls(fixtures.corpus)
+    assert (len(texts), lines, again) == (22, 188, first)
+    assert calls / lines <= 2.9, calls / lines
+
+
+def test_format_calls_per_line():
+    # a line is written in C, joined with ``map`` and ``str.format``,
+    # and only a record's ``repr`` and its enums' are Python-level
+    # calls, with each section's: 0.67 calls per line written over the
+    # corpus's 22 components, against 1.14 when each line was written
+    # in a Python loop and an enum's repr read ``Enum.value``
+    comps = [c for _, t, ctx in fixtures.corpus() for c in (t, ctx)]
+    texts = [format_component(c) for c in comps]
+    lines = sum(text.count("\n") for text in texts)
+    calls, again = count_calls(
+        lambda: [format_component(c) for c in comps])
+    assert (len(comps), lines, again) == (22, 652, texts)
+    assert calls / lines <= 0.75, calls / lines
 
 
 def test_warm_diff_start_calls():
