@@ -18,8 +18,8 @@ from .core import (
     _NO_INTS, INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap,
     Perm, Ranges, SealCap, Sealed, StkPtr, fresh_registers, is_linear,
     linear_overlaps, linear_range, non_exec, parse_int, parse_word, perm_leq,
+    _new,
 )
-from .machine import _new
 from .source import SourceConfig
 
 

@@ -17,10 +17,9 @@ from itertools import islice
 from .asm import CALL_HEAD, CALL_LEN, RET_PT_OFFSET
 from .components import Component, diagnostics, initial_config, link
 from .core import _LINEAR, _NORMAL, EXEC_PERMS, PC, GlobalConstants, \
-    MemCap, Memory, RetPtrData, Sealed, StkPtr, dec_instr, \
+    MemCap, Memory, RetPtrData, Sealed, StkPtr, _new, dec_instr, \
     linear_overlaps, linear_range
-from .machine import _DECODED, _MODULE, NULL_EXTENSION, Running, _decode, \
-    _new
+from .machine import _DECODED, _MODULE, NULL_EXTENSION, Running, _decode
 from .source import SOURCE_EXTENSION, SourceConfig
 
 DEFAULT_FUEL = 100_000

@@ -19,11 +19,9 @@ from .asm import CALL_LEN, CANARY, CallParams, call_cond
 from .core import (
     _NORMAL, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2,
     GlobalConstants, Memory, MemCap, Perm, Record, RetPtrCode,
-    RetPtrData, SealCap, Sealed, StkPtr, lin_cons,
+    RetPtrData, SealCap, Sealed, StkPtr, _new, lin_cons,
 )
-from .machine import (
-    FAILED, MachineExtension, Running, _new, xjump_result,
-)
+from .machine import FAILED, MachineExtension, Running, xjump_result
 
 # module constants: ``Perm.RW`` is a slow class-attribute lookup, and a
 # call and a return each make several

@@ -5,12 +5,13 @@ from typing import Optional
 from capmach.asm import CALL_LEN, call_cond
 from capmach.core import (
     INF, PC, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, dec_instr,
-    enc_instr, fresh_registers, linear_overlaps, linear_range, mk_instr,
+    _new, enc_instr, fresh_registers, linear_overlaps, linear_range,
+    mk_instr,
 )
 from capmach.fixtures import STK_BASE
 from capmach.harness import _EXTENSIONS, run
 from capmach.machine import (
-    FAILED, HALTED, NULL_EXTENSION, MachineExtension, Running, _new,
+    FAILED, HALTED, NULL_EXTENSION, MachineExtension, Running,
 )
 from capmach.source import SourceConfig
 
