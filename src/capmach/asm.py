@@ -259,8 +259,9 @@ def _operands(parts, names: str):
 @functools.lru_cache(maxsize=4096)
 def _operand(tok: str):
     """The register ``tok`` names, the int it spells (``parse_int``'s
-    spelling), or None: a label, with an optional offset, or no operand.
-    Memoized by the token; it raises nothing, so it stores no error."""
+    spelling), or None for any other token: a label, with an optional
+    offset, or a malformed one.  Memoized by the token; it raises
+    nothing, so it stores no error."""
     return tok if is_register(tok) else int(tok) if _is_int(tok) else None
 
 
@@ -290,7 +291,7 @@ def assemble(src: str, stk_base: int = 0,
             return v
         m = _IMM_RE.fullmatch(tok)
         if m is None:
-            return parse_int(tok)   # raises: no int, no label
+            return parse_int(tok)   # raises: neither an int nor a label
         rel, name, off = m.groups()
         if name not in labels:
             raise ValueError(f"unresolved label {name!r}")
@@ -316,7 +317,7 @@ def assemble(src: str, stk_base: int = 0,
             head = parts[0]
             if head in OPCODES:
                 args = tuple(map(_operand, parts[1:]))
-                if None in args:   # a label, or no operand
+                if None in args:   # a label, or a malformed token
                     args = tuple([resolve(t, addr) if a is None else a
                                   for t, a in zip(parts[1:], args)])
                 words = [_image(head, args)]

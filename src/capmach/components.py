@@ -16,9 +16,9 @@ from typing import Optional
 from .asm import CALL_HEAD, call_cond, find_hidden_calls
 from .core import (
     _NO_INTS, INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap,
-    Perm, Ranges, SealCap, Sealed, StkPtr, fresh_registers, is_linear,
-    linear_overlaps, linear_range, non_exec, parse_int, parse_word, perm_leq,
-    _new,
+    Perm, Ranges, SealCap, Sealed, StkPtr, _new, fresh_registers,
+    is_linear, linear_overlaps, linear_range, non_exec, parse_int,
+    parse_word, perm_leq,
 )
 from .source import SourceConfig
 
