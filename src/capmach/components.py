@@ -35,8 +35,10 @@ class Component:
     mains: Optional[tuple] = None   # (main code word, main data word)
 
     def __post_init__(self):
-        for name in ("sig_ret", "sig_clos", "a_linear"):
-            if type(v := getattr(self, name)) is not Ranges:
+        if not type(self.sig_ret) is type(self.sig_clos) \
+                is type(self.a_linear) is Ranges:
+            for name in ("sig_ret", "sig_clos", "a_linear"):
+                v = getattr(self, name)
                 object.__setattr__(self, name, Ranges.of(v) if v else _NO_INTS)
 
     @cached_property
