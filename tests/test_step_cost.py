@@ -228,10 +228,11 @@ def test_call_and_return_step_calls():
 def test_parse_calls_per_line():
     # a warm parse takes each word and section header from its memo, so
     # what is left is each container's records and the ints outside a
-    # header (a ``[data]`` or ``[imports]`` address): 0.29 calls per
-    # content line (headers aside), against 0.11 when those ints had a
-    # memo too, 1.21 when each header and int was read anew and 5.05
-    # when every word was parsed anew
+    # header (a ``[data]`` or ``[imports]`` address): 0.20 calls per
+    # content line (headers aside), against 0.29 when ``core._is_int``
+    # was a Python-level function, 0.11 when those ints had a memo too,
+    # 1.21 when each header and int was read anew and 5.05 when every
+    # word was parsed anew
     texts = [format_component(c) for name, t, ctx in fixtures.corpus()
              if name != "spin" for c in (t, ctx)]
     lines = sum(line.strip()[:1] not in ("", "[")
