@@ -40,7 +40,8 @@ class CallParams:
 
 def _call_instrs(off_pc, off_sigma, r1, r2, stk_base, check_stk_base=True):
     # The raw listing, no operand validation (recognition needs to match
-    # sequences with arbitrary registers; the call rule rejects rtmp1).
+    # sequences with arbitrary registers; the call rule rejects
+    # ``CALL_WRITES``).
     base_check = (
         Instr("minus", (RTMP1, RTMP1, stk_base)) if check_stk_base
         else Instr("minus", (RTMP1, RTMP1, RTMP1))
@@ -80,6 +81,13 @@ def _call_instrs(off_pc, off_sigma, r1, r2, stk_base, check_stk_base=True):
 # instruction images, so a cell decodes to it exactly when it holds this.
 CALL_HEAD = enc_instr(_call_instrs(0, 0, "r0", "r0", 0)[0])
 
+# The registers the sequence writes before its xjmp.  The atomic call
+# reads r1 and r2 as they were before the call, so the assembler, rule B
+# (``components``) and ``source.exec_call`` refuse them as operands.
+CALL_WRITES = frozenset(
+    a for i in _call_instrs(0, 0, "r0", "r0", 0)[:_XJMP_INDEX]
+    for kind, a in zip(OPCODES[i.op], i.args) if kind == "w")
+
 
 def expand_scall(params: CallParams, stk_base: int,
                  check_stk_base: bool = True) -> list:
@@ -87,8 +95,9 @@ def expand_scall(params: CallParams, stk_base: int,
     for r in (params.r1, params.r2):
         if not is_register(r):
             raise ValueError(f"call: {r!r} is not a register")
-        if r in (RTMP1, PC):
-            raise ValueError("call operands may not be rtmp1 or pc")
+        if r in CALL_WRITES or r == PC:
+            raise ValueError("call operands may not be pc or a register the "
+                             "call writes: " + ", ".join(sorted(CALL_WRITES)))
     if params.off_pc < 0 or params.off_sigma < 0:
         raise ValueError("call offsets must be natural numbers")
     return _call_instrs(params.off_pc, params.off_sigma,
@@ -104,7 +113,6 @@ def _call_images(off_pc, off_sigma, r1, r2, stk_base: int,
         CallParams(off_pc, off_sigma, r1, r2), stk_base, check_stk_base)))
 
 
-@functools.lru_cache(maxsize=16)
 def _fixed_parts(stk_base, check_stk_base=True):
     """Each instruction of the call expansion that no parameter changes,
     mapped to the indexes it sits at."""

@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 from itertools import starmap
 from typing import Optional
 
-from .asm import CALL_HEAD, call_cond, find_hidden_calls
+from .asm import CALL_HEAD, CALL_WRITES, call_cond, find_hidden_calls
 from .core import (
     _NO_INTS, INF, PC, RDATA, RSTK, GlobalConstants, Lin, Memory, MemCap,
     Perm, Ranges, SealCap, Sealed, StkPtr, _new, fresh_registers,
@@ -109,12 +109,16 @@ def validate_component(c: Component, gc: GlobalConstants) -> list:
               f"hidden call fragment (part {v.index} of a call at {v.start})")
 
     # rule B / d_sigma: every trusted call (``call_cond``) claims one
-    # return seal; a call starts at a cell that holds its first word
+    # return seal and jumps through none of ``CALL_WRITES``; a call
+    # starts at a cell that holds its first word
     claimed: dict = {}
     for a in sorted(a for a, w in c.ms_code.items() if w == CALL_HEAD):
         p = call_cond(c.ms_code, a, gc)
         if p is None:
             continue
+        if bad := sorted({p.r1, p.r2} & CALL_WRITES):
+            _diag(out, "comp-code", f"addr {a}", f"call jumps through "
+                  f"{', '.join(bad)}, which it writes before its xjmp")
         sw = c.ms_code.get(a + p.off_pc)
         if not isinstance(sw, SealCap):
             _diag(out, "comp-code", f"addr {a}",

@@ -340,44 +340,40 @@ def exec_splice(cfg, ext, gc, ops):
         r1: _new(t, c3[:-3] + (c2.base,) + c3[-2:])}
 
 
-def xjump_result(c1, c2, cfg, ext, gc, updates: dict):
-    """Dispatch after unsealing an xjmp pair.
+def xjump_result(w1, w2, r1, r2, cfg, ext, gc, updates: dict):
+    """The xjmp rule over the words ``w1`` and ``w2`` read from registers
+    ``r1`` and ``r2``: ``exec_xjmp`` and the atomic call both jump here.
 
-    ``updates`` holds the registers the jump has written so far, which
-    are not yet in ``cfg``: each outcome adds its own to them, so they
-    are the step's write set.  The base case loads the code half into pc
-    and the data half into r_data and returns them all, a jump's writes
-    over ``cfg``; the source extension adds the return-token case, a
-    ``Running``.
+    ``updates`` holds the registers the step has written so far, which
+    are not yet in ``cfg``: the jump adds its own to them, so they are
+    the step's write set.  The registers keep the sealed words, as under
+    the atomic call rule; only linear halves are cleared, so only they
+    are written.  The base case loads the code half into pc and the data
+    half into r_data and returns them all, a jump's writes over ``cfg``;
+    the source extension adds the return-token case, a ``Running``.
     """
+    if r1 == r2 and is_linear(w1):   # one linear word cannot be both halves
+        return FAILED
+    if not (isinstance(w1, Sealed) and isinstance(w2, Sealed)
+            and w1.sigma == w2.sigma):
+        return FAILED
+    if (v := lin_cons(w1)) is not w1:
+        updates[r1] = v
+    if (v := lin_cons(w2)) is not w2:
+        updates[r2] = v
+    c1, c2 = w1.inner, w2.inner
     if (not isinstance(c1, RetPtrCode) and not isinstance(c2, RetPtrData)
             and not (isinstance(c2, MemCap) and c2.perm in EXEC_PERMS)):
         updates[PC] = c1
         updates[RDATA] = c2
         return updates
     out = ext.xjump_result(c1, c2, cfg, gc, updates)
-    if out is not None:
-        return out
-    return FAILED
+    return FAILED if out is None else out
 
 
 def exec_xjmp(cfg, ext, gc, ops):
     r1, r2 = ops
-    w1 = cfg.reg[r1]
-    w2 = cfg.reg[r2]
-    if r1 == r2 and is_linear(w1):   # one linear word cannot be both halves
-        return FAILED
-    if (isinstance(w1, Sealed) and isinstance(w2, Sealed)
-            and w1.sigma == w2.sigma):
-        # The registers keep the sealed words, as under the atomic call
-        # rule; only linear halves are cleared, so only they are written
-        wrote = {}
-        if (v := lin_cons(w1)) is not w1:
-            wrote[r1] = v
-        if (v := lin_cons(w2)) is not w2:
-            wrote[r2] = v
-        return xjump_result(w1.inner, w2.inner, cfg, ext, gc, wrote)
-    return FAILED
+    return xjump_result(cfg.reg[r1], cfg.reg[r2], r1, r2, cfg, ext, gc, {})
 
 
 _HANDLER = {op: "exec_" + op for op in OPCODES}

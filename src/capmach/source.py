@@ -15,11 +15,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 
-from .asm import CALL_LEN, CANARY, CallParams, call_cond
+from .asm import CALL_LEN, CALL_WRITES, CANARY, CallParams, call_cond
 from .core import (
     _NORMAL, PC, RDATA, RRETCODE, RRETDATA, RSTK, RTMP1, RTMP2,
     GlobalConstants, Memory, MemCap, Perm, Record, RetPtrCode,
-    RetPtrData, SealCap, Sealed, StkPtr, _new, lin_cons,
+    RetPtrData, SealCap, Sealed, StkPtr, _new,
 )
 from .machine import FAILED, MachineExtension, Running, xjump_result
 
@@ -106,13 +106,9 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     through ``recognize_call``, with an executable memory capability in
     pc whose window of ``CALL_LEN`` cells is within its bounds."""
     r1, r2 = params.r1, params.r2
-    if RTMP1 in (r1, r2):
+    if r1 in CALL_WRITES or r2 in CALL_WRITES:
         return FAILED
     reg = cfg.reg
-    w1, w2 = reg[r1], reg[r2]
-    if not (isinstance(w1, Sealed) and isinstance(w2, Sealed)
-            and w1.sigma == w2.sigma):
-        return FAILED
     rstk = reg[RSTK]
     if not isinstance(rstk, StkPtr):
         return FAILED
@@ -140,19 +136,14 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     ms_priv.written[a_stk] = CANARY   # a fresh dict, a_stk in its domain
     cfg = _new(SourceConfig, (cfg.mem, reg, (_new(StackFrame, (
         opc, ms_priv)),) + cfg.stk, ms_rest))
-    # the jump writes these registers together with its own, over the
-    # pushed frame: not over the configuration the step started from.
-    # As ``machine.exec_xjmp``, it writes only a half that is cleared.
-    wrote = {}
-    if (v := lin_cons(w1)) is not w1:
-        wrote[r1] = v
-    if (v := lin_cons(w2)) is not w2:
-        wrote[r2] = v
-    wrote[RSTK] = _new(StkPtr, (_RW, b_stk, a_stk - 1, a_stk - 1))
+    # the jump adds its writes to these, over the pushed frame: not over
+    # the configuration the step started from.  It reads r1 and r2 as
+    # they were before the call, and they are none of these
+    wrote = {RSTK: _new(StkPtr, (_RW, b_stk, a_stk - 1, a_stk - 1))}
     wrote[RRETCODE] = _new(Sealed, (sigma, _new(RetPtrCode, (base, end, opc))))
     wrote[RRETDATA] = _new(Sealed, (sigma, _new(RetPtrData, (a_stk, e_stk))))
     wrote[RTMP1] = 0
-    out = xjump_result(w1.inner, w2.inner, cfg, ext, gc, wrote)
+    out = xjump_result(reg[r1], reg[r2], r1, r2, cfg, ext, gc, wrote)
     return _new(Running, (cfg, out, None)) if type(out) is dict else out
 
 

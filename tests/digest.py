@@ -16,7 +16,10 @@ records and the md5 over them, one ``repr`` line each:
   component and every linked corpus program, the parse of that text,
   with its ``diagnostics`` under both stack-base checks, the message of
   each malformed container of ``test_components.BAD_CONTAINER_LINES``
-  and that of each malformed assembly of ``test_asm.ASM_ERRORS``.
+  and that of each malformed assembly of ``test_asm.ASM_ERRORS``;
+- every register pair as the operands of call-return's trusted call
+  (``test_source.call_through``): its diagnostics, and its paranoid
+  ``run_diff`` verdict when it validates.
 
 A change that keeps behaviour prints the same line before and after,
 the one committed in ``tests/digest.expected``, which CI compares it
@@ -27,6 +30,7 @@ this file (its name does not start with ``test_``)."""
 
 import hashlib
 import sys
+from itertools import product
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -37,8 +41,8 @@ from capmach.components import (  # noqa: E402
     diagnostics, format_component, initial_config, link, parse_component,
 )
 from capmach.core import (  # noqa: E402
-    PC, GlobalConstants, Instr, Lin, MemCap, Memory, Perm, Ranges, StkPtr,
-    enc_instr, fresh_registers,
+    PC, REGISTERS, GlobalConstants, Instr, Lin, MemCap, Memory, Perm,
+    Ranges, StkPtr, enc_instr, fresh_registers,
 )
 from capmach.fixtures import (  # noqa: E402
     CORPUS, SCENARIOS, STK_BASE, STK_END, corpus, minimal_context,
@@ -50,6 +54,7 @@ from capmach.harness import (  # noqa: E402
 from capmach.source import SourceConfig, StackFrame  # noqa: E402
 from test_asm import ASM_ERRORS  # noqa: E402
 from test_components import BAD_CONTAINER_LINES, bad_container  # noqa: E402
+from test_source import call_through  # noqa: E402
 
 FUELS = (0, 1, 5, 8, 31, 2000)
 
@@ -185,6 +190,9 @@ def records():
             yield src, str(e)
         else:
             yield src, "assembled"
+    for r1, r2 in product(REGISTERS, repeat=2):
+        _, _, diags, v = call_through(r1, r2)
+        yield r1, r2, diags, None if v is None else _verdict(v)
 
 
 def main():

@@ -6,10 +6,10 @@ from conftest import disassemble, trust_all
 from hypothesis import example, given, settings, strategies as st
 
 from capmach.asm import (
-    CALL_LEN, RET_PT_OFFSET, AsmError, CallParams, HiddenCallViolation,
-    _call_instrs, _fixed_parts, _parts_of, _window_params, _word_parts,
-    assemble, call_cond,
-    expand_scall, find_hidden_calls,
+    CALL_LEN, CALL_WRITES, RET_PT_OFFSET, AsmError, CallParams,
+    HiddenCallViolation, _call_instrs, _fixed_parts, _parts_of,
+    _window_params, _word_parts, assemble, call_cond, expand_scall,
+    find_hidden_calls,
 )
 from capmach.core import (
     GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
@@ -38,10 +38,13 @@ def test_expansion_geometry():
 
 
 def test_expand_rejects_bad_operands():
-    with pytest.raises(ValueError):
-        expand_scall(CallParams(0, 0, "rtmp1", "r4"), 0)
-    with pytest.raises(ValueError):
-        expand_scall(CallParams(0, 0, "r3", "pc"), 0)
+    # the registers cells 0-13 write, read off the listing: a call may
+    # not jump through them, nor through pc
+    assert CALL_WRITES == {"rtmp1", "rstk", "rretdata", "rretcode"}
+    for r in sorted(CALL_WRITES | {"pc"}):
+        for p in (CallParams(0, 0, r, "r4"), CallParams(0, 0, "r3", r)):
+            with pytest.raises(ValueError, match="may not be pc or"):
+                expand_scall(p, 0)
     with pytest.raises(ValueError):
         expand_scall(CallParams(-1, 0, "r3", "r4"), 0)
     # any operand that is not a register is refused before encoding
@@ -457,6 +460,9 @@ def test_assemble_call_macro():
     assert dec_instr(r.segment[126]) == mk_instr("halt")
 
 
+_CALL_OPERANDS = ("call operands may not be pc or a register the call "
+                  "writes: rretcode, rretdata, rstk, rtmp1")
+
 ASM_ERRORS = [
     ("move r0 nolabel", "line 1: unresolved label 'nolabel'"),
     ("x: halt\nx: halt", "line 2: duplicate label 'x'"),
@@ -491,9 +497,12 @@ ASM_ERRORS = [
     # the image memos key no line: each error keeps its own
     ("jmp 5", "line 1: jmp: 5 is not a register"),
     ("halt\njmp 5", "line 2: jmp: 5 is not a register"),
-    ("s: call s 0 rtmp1 r2", "line 1: call operands may not be rtmp1 or pc"),
-    ("halt\ns: call s 0 rtmp1 r2",
-     "line 2: call operands may not be rtmp1 or pc"),
+    # a call may not jump through pc or a register its sequence writes
+    # before its xjmp (``CALL_WRITES``)
+    ("s: call s 0 rtmp1 r2", "line 1: " + _CALL_OPERANDS),
+    ("halt\ns: call s 0 rtmp1 r2", "line 2: " + _CALL_OPERANDS),
+    ("s: call s 0 r1 rretcode", "line 1: " + _CALL_OPERANDS),
+    ("s: call s 0 pc r2", "line 1: " + _CALL_OPERANDS),
 ]
 
 

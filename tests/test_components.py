@@ -11,7 +11,7 @@ from capmach.components import (
 )
 from capmach.core import (
     INF, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, SealCap, Sealed,
-    StkPtr, parse_word,
+    StkPtr, enc_instr, mk_instr, parse_word,
 )
 from capmach.fixtures import (
     C_CODE, C_DATA, SCENARIOS, STK_BASE, STK_END, component, context_cb,
@@ -220,6 +220,9 @@ def test_each_diagnostic_alone():
     rw = MemCap(Perm.RW, Lin.NORMAL, 200, 200, 200)
     trust_none = GlobalConstants(frozenset(), STK_BASE)
     trust_data = GlobalConstants(frozenset({*range(99, 103), 200}), STK_BASE)
+    call = _calling(0, seal="5 5 5", sig_ret={5})   # its xjmp at 114
+    through = replace(call, ms_code={**call.ms_code, 114: enc_instr(
+        mk_instr("xjmp", "rstk", "rretdata"))})
     table = [
         (simple_trusted(ms_data={101: 0}), trust_none,
          "comp\tcode/data\tcode and data domains overlap"),
@@ -231,6 +234,8 @@ def test_each_diagnostic_alone():
          "comp-code\tseals\tcomponent owns no seals"),
         (_calling(0, 1, seal="5 6 5", sig_ret={5}, sig_clos={6}), None,
          "comp-code\taddr 126\tcall claims seal 6 outside the return seals"),
+        (through, None, "comp-code\taddr 100\tcall jumps through rretdata, "
+         "rstk, which it writes before its xjmp"),
         (simple_trusted(ms_data={200: SealCap(5, 5, 5)}), None,
          "comp-value\taddr 200\tdisallowed word: seal(5,5,5)"),
         (simple_trusted(ms_data={200: lin._replace(base=201)}), None,

@@ -1,15 +1,24 @@
 import dataclasses
 import functools
+from itertools import product
 
 from conftest import HALT, enc, ex, rw, rx, scfg, std_gc, step, with_cell
 
-from capmach.asm import CALL_HEAD, CALL_LEN, CallParams, call_cond, expand_scall
-from capmach.components import initial_config, link, validate_component
-from capmach.core import (
-    INF, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
-    RetPtrData, SealCap, Sealed, StkPtr, enc_instr, enc_perm, mk_instr,
+from capmach.asm import (
+    CALL_HEAD, CALL_LEN, CALL_WRITES, CallParams, call_cond, expand_scall,
 )
-from capmach.fixtures import STK_BASE, STK_END, corpus
+from capmach.components import (
+    diagnostics, initial_config, link, validate_component,
+)
+from capmach.core import (
+    INF, REGISTERS, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges,
+    RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr, enc_instr, enc_perm,
+    mk_instr,
+)
+from capmach.fixtures import (
+    CORPUS, STK_BASE, STK_END, T_CODE, T_DATA, component, corpus,
+    minimal_context,
+)
 from capmach.harness import check_stack_partition, run_diff, run_report
 from capmach.machine import FAILED, Running
 from capmach.source import SOURCE_EXTENSION, StackFrame, exec_call
@@ -131,16 +140,25 @@ def test_exec_call_guards():
     fails(cfg._replace(mem=with_cell(cfg.mem, 40, 7)))      # not a seal word
     fails(cfg._replace(ms_stk=with_cell(cfg.ms_stk, 1005, 0)).with_regs(
         {"rstk": sp(1000, 1020, 1015)}))                    # a_stk unmapped
+    lin = Sealed(5, rw(300, 310, 300, Lin.LINEAR))
+    fails(_call_cfg(r3=lin), CallParams(30, 0, "r3", "r3"))  # both halves
+    # a register the sequence writes before its xjmp, holding the half
+    # that would make the call go through
+    for r in sorted(CALL_WRITES):
+        fails(_call_cfg(**{r: Sealed(5, rx(200, 210, 200))}),
+              CallParams(30, 0, r, "r4"))
+        fails(_call_cfg(**{r: Sealed(5, rw(300, 310, 300))}),
+              CallParams(30, 0, "r3", r))
 
 
 def test_call_that_names_rtmp1_fails_on_both_machines():
     # call-return's trusted side loads the callback's code half into
     # rtmp1, and its call window jumps through it: ``xjmp rtmp1 r2`` at
     # cell 14, written as raw words, since ``assemble`` refuses rtmp1 as
-    # a call operand.  It validates and the window is a call, but the
-    # macro's own writes to rtmp1 leave 0 there, so the target fails at
-    # the xjmp, and the source must fail at the call: without the
-    # guard, it ran the callback and halted after 8 steps
+    # a call operand.  The window is a call, and rule B refuses it.  Run
+    # unvalidated, the macro's own writes to rtmp1 leave 0 there, so the
+    # target fails at the xjmp, and the source must fail at the call:
+    # without the guard, it ran the callback and halted after 8 steps
     t, ctx = dict((n, (a, b)) for n, a, b in corpus())["call-return"]
     code = dict(t.ms_code)
     (load_r1,) = [a for a, w in code.items()
@@ -150,12 +168,79 @@ def test_call_that_names_rtmp1_fails_on_both_machines():
     code[start + 14] = enc_instr(mk_instr("xjmp", "rtmp1", "r2"))
     t = dataclasses.replace(t, ms_code=code)
     gc = std_gc(t)
-    assert validate_component(t, gc) == validate_component(ctx, gc) == []
+    assert validate_component(t, gc) == [
+        f"comp-code\taddr {start}\tcall jumps through rtmp1, which it "
+        "writes before its xjmp"]
+    assert validate_component(ctx, gc) == []
     assert call_cond(code, start, gc).r1 == "rtmp1"
-    v = run_diff(t, ctx, STK_BASE, STK_END)
+    v = run_diff(t, ctx, STK_BASE, STK_END, validate=False)
     assert (v.source.outcome, v.source.steps, v.source.calls) == \
         ("failed", 5, 0)
     assert (v.target.outcome, v.target.steps) == ("failed", 19)
+
+
+def call_through(r1, r2):
+    """``(trusted, context, diagnostics, verdict)``: call-return with
+    ``xjmp r1 r2`` written as raw words at cell 14 of its trusted call
+    window, both components' diagnostics, and the paranoid ``run_diff``
+    verdict at fuel 1000 when there are none (None otherwise)."""
+    t, ctx = dict(CORPUS)["call-return"]()
+    code = dict(t.ms_code)
+    (start,) = [a for a, w in code.items() if w == CALL_HEAD]
+    code[start + 14] = enc_instr(mk_instr("xjmp", r1, r2))
+    t = dataclasses.replace(t, ms_code=code)
+    gc = std_gc(t)
+    diags = diagnostics(t, gc) + diagnostics(ctx, gc)
+    return t, ctx, diags, None if diags else run_diff(
+        t, ctx, STK_BASE, STK_END, 1000, paranoid=True)
+
+
+def test_every_register_pair_in_a_trusted_call():
+    # validation refuses a call through a register the sequence writes
+    # before its xjmp, and the machines agree on every other pair: the
+    # atomic call reads r1 and r2 as they were before the call, the
+    # macro after its own writes.  Without rule B's test, the pair
+    # (rretcode, rretdata) ran the callback on the target, which halted
+    # after 30 steps, and the source failed after 5
+    pairs, refused = list(product(REGISTERS, repeat=2)), set()
+    for r1, r2 in pairs:
+        _, _, diags, v = call_through(r1, r2)
+        if diags:
+            refused.add((r1, r2))
+            continue
+        assert v.agreement, (r1, r2, v.detail)
+        assert v.source.violations == v.target.violations == [], (r1, r2)
+    assert refused == {p for p in pairs if CALL_WRITES & set(p)}
+    assert (len(pairs), len(refused)) == (529, 168)
+
+
+def test_one_linear_word_cannot_be_both_halves():
+    # a call through one register that holds a sealed linear word: the
+    # target fails at the macro's xjmp, and the source must fail at the
+    # call.  When the call did not test for it, the source put the one
+    # capability in pc and in rdata, broke linearity and failed only at
+    # the next fetch
+    text = """\
+entry:
+  move r3 rdata
+  load r1 r3
+  call sealw 0 r1 r1
+  halt
+sealw: .seal 1 2 1"""
+    lin = Sealed(5, rw(302, 303, 302, Lin.LINEAR))
+    data = {T_DATA: lin, T_DATA + 1: 0, 302: 0, 303: 0}
+    t = component(T_CODE, text, data, ret={1}, clos={2},
+                  linear=range(302, 304), main=("main_code", "main_data"),
+                  exports={"main_code": (2, "entry"),
+                           "main_data": (2, T_DATA, T_DATA + 1)})
+    ctx = minimal_context()
+    gc = std_gc(t)
+    assert validate_component(t, gc) == validate_component(ctx, gc) == []
+    v = run_diff(t, ctx, STK_BASE, STK_END, 1000, paranoid=True)
+    assert (v.source.outcome, v.source.steps, v.source.calls,
+            v.source.violations) == ("failed", 3, 0, [])
+    assert (v.target.outcome, v.target.steps, v.target.violations) == \
+        ("failed", 17, [])
 
 
 def _ret_cfg(**over):
