@@ -346,9 +346,8 @@ def xjump_result(w1, w2, r1, r2, cfg, ext, gc, updates: dict):
 
     ``updates`` holds the registers the step has written so far, which
     are not yet in ``cfg``: the jump adds its own to them, so they are
-    the step's write set.  The registers keep the sealed words, as under
-    the atomic call rule; only linear halves are cleared, so only they
-    are written.  The base case loads the code half into pc and the data
+    the step's write set.  The registers keep the sealed words: only
+    linear halves are cleared, so only they are written.  The base case loads the code half into pc and the data
     half into r_data and returns them all, a jump's writes over ``cfg``;
     the source extension adds the return-token case, a ``Running``.
     """
