@@ -471,13 +471,21 @@ def format_component(c: Component) -> str:
     if c.imports:
         lines.append("[imports]")
         lines += starmap("{1}\t{0}".format, c.imports)
+    texts = {}   # id of each exported word -> its text
     if c.exports:
         lines.append("[exports]")
-        lines += starmap("{}\t{!r}".format, c.exports)
+        names, words = zip(*c.exports)
+        reprs = [*map(repr, words)]
+        lines += map("{}\t{}".format, names, reprs)
+        texts = dict(zip(map(id, words), reprs))
     if c.sig_ret._lo or c.sig_clos._lo:
         lines.append(f"[seals ret={c.sig_ret} clos={c.sig_clos}]")
     if c.a_linear._lo:
         lines += ["[linear]", str(c.a_linear)]
     if c.mains is not None:
-        lines += ["[main]", *map(repr, c.mains)]
+        # a main word is most often an exported one, the same object,
+        # whose text is reused
+        lines.append("[main]")
+        for w in c.mains:
+            lines.append(texts.get(id(w)) or repr(w))
     return "\n".join(lines) + "\n"

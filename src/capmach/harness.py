@@ -19,7 +19,9 @@ from .components import Component, diagnostics, initial_config, link
 from .core import _LINEAR, _NORMAL, EXEC_PERMS, PC, GlobalConstants, \
     MemCap, Memory, RetPtrData, Sealed, StkPtr, _new, dec_instr, \
     linear_overlaps, linear_range
-from .machine import _DECODED, _MODULE, NULL_EXTENSION, Running, _decode
+from .machine import (
+    _DECODED, _MODULE, JUMPED, NULL_EXTENSION, Running, _decode,
+)
 from .source import SOURCE_EXTENSION, SourceConfig
 
 DEFAULT_FUEL = 100_000
@@ -340,13 +342,14 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
     less fuel and run again from its ``final_cfg``.  ``observe``, when
     given, is called as ``observe(cfg, wrote, cell)`` once at every
     configuration the run reaches: first with ``wrote == ()`` and
-    ``cell`` None, then after each step that runs on, with the registers
-    it wrote, pc always among them, and its cell write (see
-    ``machine.Running``), or None.  ``cfg`` is not written: the run
-    copies its registers and memories once and writes each step's
-    writes into them in place, so what a hook gets is valid until the
-    hook returns (a new run may start from it: it makes its own
-    copies)."""
+    ``cell`` None, then after each step that runs on, with ``wrote``
+    naming every register the step may have changed, pc always among
+    them (its word's decode, or a call's or a return's ``Running``),
+    and its cell write (see ``machine.Running``), or None.  ``cfg`` is
+    not written: the run copies its registers and memories once, and
+    the handlers write the registers and the run each cell write into
+    them in place, so what a hook gets is valid until the hook returns
+    (a new run may start from it: it makes its own copies)."""
     if machine_kind not in _EXTENSIONS:
         raise ValueError(f"unknown machine kind {machine_kind!r}")
     ext = _EXTENSIONS[machine_kind]
@@ -357,13 +360,14 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
         Memory(ms_stk.written, ms_stk.domain)))
     # Everything the loop reads stays in locals: this is the hot loop,
     # and a register-only step makes one Python-level call, its
-    # handler's.  The memory locals follow every Running's cfg.
+    # handler's, which writes ``reg`` in place.  A ``Running``'s cfg
+    # keeps these registers and ``mem``.
     mem, written = cfg.mem, cfg.mem.written
     steps = calls = returns = 0
     frames, decoded = len(stk), _DECODED.get
     outcome = "fuel-exhausted"
-    # pc's fields live in locals.  Only a step whose writes name pc (a
-    # jump, a call or a return) sets pc, so only after one (``check``)
+    # pc's fields live in locals.  Only a step that sets pc (a jump, a
+    # call or a return) writes its register, so only after one (``check``)
     # is pc read back and its type and permission tested; any other step
     # moves ``a`` to the next cell, which leaves pc's register behind
     # (``stale``).  It is written, built once, where something reads it:
@@ -391,7 +395,7 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
             break
         # A call sequence starts with CALL_HEAD (``call_cond`` rejects
         # any other first cell), so no other cell needs call
-        # recognition.  A call's writes name pc.
+        # recognition.  A call sets pc.
         if w != CALL_HEAD:
             out = None
         else:
@@ -402,41 +406,41 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
         if out is None:
             # the memo holds the handler's name, looked up at each
             # step, so a wrapped handler is seen
-            name, ops, reads_pc = decoded(w) or _decode(w)
+            name, ops, reads_pc, wrote = decoded(w) or _decode(w)
             if reads_pc and stale:
                 reg[PC] = _new(MemCap, (perm, lin, base, end, a))
                 stale = False
             out = _MODULE[name](cfg, ext, gc, ops)
-        if type(out) is dict:
-            wrote, cell = out, None
+        # the next-pc rule: a step that did not set pc moves it to the
+        # next cell
+        if out is None:
+            a += 1
+            stale = True
+        elif out is JUMPED:
+            check = True
+            stale = False
         elif type(out) is Running:
-            cfg, wrote, cell = out
-            reg, mem, written = cfg.reg, cfg.mem, cfg.mem.written
+            cfg, named, cell = out
             if cell is not None:
                 cell[0].written[cell[1]] = cell[2]
-            elif len(cfg.stk) != frames:   # a call or a return
-                calls += len(cfg.stk) > frames
-                returns += len(cfg.stk) < frames
-                frames = len(cfg.stk)
+                a += 1
+                stale = True
+            else:   # a call or a return: it set pc and names its writes
+                wrote = named
+                check = True
+                stale = False
+                if len(cfg.stk) != frames:
+                    calls += len(cfg.stk) > frames
+                    returns += len(cfg.stk) < frames
+                    frames = len(cfg.stk)
         else:
             outcome = out.kind
             break
-        # the next-pc rule: a step whose writes do not name pc moves it
-        # to the next cell
-        if PC in wrote:
-            check = True
-            stale = False
-        else:
-            a += 1
-            stale = True
         if observe is not None:
             if stale:
-                wrote[PC] = _new(MemCap, (perm, lin, base, end, a))
+                reg[PC] = _new(MemCap, (perm, lin, base, end, a))
                 stale = False
-            reg.update(wrote)
-            observe(cfg, wrote, cell)
-        else:
-            reg.update(wrote)
+            observe(cfg, wrote, cell if type(out) is Running else None)
     if stale:
         reg[PC] = _new(MemCap, (perm, lin, base, end, a))
     return RunReport(outcome, steps, [], cfg, calls, returns)

@@ -1,21 +1,23 @@
 """The instruction handlers, the decode memo and the extensions that
 both machines step with; ``harness.run`` is the loop that calls them.
 
-No function here writes a configuration.  A handler that writes only
-registers returns its writes as a dict; one that writes a cell or the
-frames returns a ``Running``, its writes unapplied.  Only a jump (jmp,
-jnz, xjmp) sets pc: any other instruction that names pc as a register it
-writes decodes to fail.  So writes that name pc are a jump's, and the
-run moves pc to the next cell after any others, in the one place that
-rule is written.  The run keeps pc's fields in locals and writes pc's
-register only when something reads it.  ``_DECODED``, a bounded dict
-memo keyed by the word (never by its address, so a store into code runs
-the new word), gives each distinct word's handler name, its operands as
-one tuple, and whether an operand names pc.  The run looks the handler
-up by name here at every step and calls it as
-``exec_<op>(cfg, ext, gc, ops)``: a call with a fixed number of
-arguments, which CPython 3.11 inlines into the running interpreter loop;
-a starred call it does not.
+A handler writes the registers it changes into ``cfg.reg``, the dict
+that the run copied for itself, in place, after its last guard: a step
+that fails or halts writes nothing.  It returns None when pc moves on,
+``JUMPED`` when it set pc, a ``Running`` when it writes a cell (left for
+the run to write) or moves the frames, or ``FAILED`` or ``HALTED``.
+Only a jump (jmp, jnz, xjmp) sets pc: any other instruction that names
+pc as a register it writes decodes to fail.  So the run moves pc to the
+next cell after any other step, in the one place that rule is written;
+it keeps pc's fields in locals and writes pc's register only when
+something reads it.  ``_DECODED``, a bounded dict memo keyed by the word
+(never by its address, so a store into code runs the new word), gives
+each distinct word's handler name, its operands as one tuple, whether an
+operand names pc, and the registers a step of it may write, pc among
+them, which the run hands to a hook.  The run looks the handler up by
+name here at every step and calls it as ``exec_<op>(cfg, ext, gc,
+ops)``: a call with a fixed number of arguments, which CPython 3.11
+inlines into the running interpreter loop; a starred call it does not.
 The common steps call no helper: a jump to a normal memory capability
 writes only pc, ``move r pc`` tests pc's linearity in place, ``cca`` and
 ``seta2b`` build the moved pointer from the fields they keep, the
@@ -50,10 +52,15 @@ from .core import (
 
 class Running(Record, namedtuple("Running", "cfg wrote cell",
                                   defaults=(None,))):
-    """A step's writes, unapplied: ``cfg``, the configuration it read,
-    with a call's or a return's new frames and stack memory; ``wrote``,
-    its register writes; ``cell``, None or its one cell write
-    ``(memory, address, word)`` into a memory of ``cfg``."""
+    """The outcome of a step that writes a cell or moves the frames.
+    ``cfg`` is the configuration after it, over the run's registers and
+    memories: the one it read, or a call's or a return's, with new
+    frames and stack memory.  ``cell`` is None or the step's one cell
+    write ``(memory, address, word)`` into a memory of ``cfg``, which
+    the run makes; such a step moves pc on, and its word's decode names
+    the registers it may write (``wrote`` is None).  A step with no cell
+    write is a call or a return: it set pc, and ``wrote`` names every
+    register it may have written, pc among them."""
 
     __slots__ = ()
 
@@ -68,8 +75,14 @@ class Halted:
     kind = "halted"
 
 
+@dataclass(frozen=True)
+class Jumped:
+    kind = "jumped"
+
+
 FAILED = Failed()
 HALTED = Halted()
+JUMPED = Jumped()   # the step set pc, so the run reads it back
 
 # The handlers below tell a pointer's kind by its type and build pointers
 # and seals by position, concatenating the fields they keep (``cca``,
@@ -85,14 +98,16 @@ class MachineExtension:
     ``pointers`` lists the capability kinds that load, store and the
     pointer instructions accept.  Each hook returns a step outcome when
     its case applies and None otherwise; ``xjump_result`` also gets the
-    registers the jump has written so far (see ``xjump_result`` below).
+    register writes the step makes before its own, which it writes only
+    when it applies and every premise of its case holds (see
+    ``xjump_result`` below).
     This base class is the target machine: memory capabilities only, no
     source-only rules.
     """
 
     pointers = (MemCap,)
 
-    def xjump_result(self, c1, c2, cfg, gc, updates):
+    def xjump_result(self, c1, c2, cfg, gc, pending):
         return None
 
     def recognize_call(self, cfg, gc):
@@ -115,27 +130,31 @@ def exec_halt(cfg, ext, gc, ops):
 
 def exec_jmp(cfg, ext, gc, ops):
     r, = ops
-    target = cfg.reg[r]
+    reg = cfg.reg
+    target = reg[r]
     # r keeps a normal memory capability, so only pc is written
-    if type(target) is MemCap and target.lin is _NORMAL:
-        return {PC: target}
-    return {r: lin_cons(target), PC: target}
+    if type(target) is not MemCap or target.lin is not _NORMAL:
+        reg[r] = lin_cons(target)
+    reg[PC] = target
+    return JUMPED
 
 
 def exec_jnz(cfg, ext, gc, ops):
     r, rn = ops
-    x = rn if type(rn) is int else cfg.reg[rn]
-    if type(x) is not int or x != 0:   # a capability is never 0
-        target = cfg.reg[r]
-        if type(target) is MemCap and target.lin is _NORMAL:
-            return {PC: target}
-        return {r: lin_cons(target), PC: target}
-    return {}
+    reg = cfg.reg
+    x = rn if type(rn) is int else reg[rn]
+    if type(x) is int and x == 0:   # a capability is never 0
+        return None
+    target = reg[r]
+    if type(target) is not MemCap or target.lin is not _NORMAL:
+        reg[r] = lin_cons(target)
+    reg[PC] = target
+    return JUMPED
 
 
 def exec_gettype(cfg, ext, gc, ops):
     r1, r2 = ops
-    return {r1: enc_type(cfg.reg[r2])}
+    cfg.reg[r1] = enc_type(cfg.reg[r2])
 
 
 def exec_geta(cfg, ext, gc, ops):
@@ -147,44 +166,51 @@ def exec_geta(cfg, ext, gc, ops):
         v = w.cur
     else:
         v = -1
-    return {r1: v}
+    cfg.reg[r1] = v
 
 
 def exec_getb(cfg, ext, gc, ops):
     r1, r2 = ops
     w = cfg.reg[r2]
-    return {r1: w.base if isinstance(w, (MemCap, StkPtr, SealCap)) else -1}
+    cfg.reg[r1] = w.base if isinstance(w, (MemCap, StkPtr, SealCap)) else -1
 
 
 def exec_gete(cfg, ext, gc, ops):
     r1, r2 = ops
     w = cfg.reg[r2]
-    return {r1: w.end if isinstance(w, (MemCap, StkPtr, SealCap)) else -1}
+    cfg.reg[r1] = w.end if isinstance(w, (MemCap, StkPtr, SealCap)) else -1
 
 
 def exec_getp(cfg, ext, gc, ops):
     r1, r2 = ops
     w = cfg.reg[r2]
-    return {r1: enc_perm(w.perm) if isinstance(w, (MemCap, StkPtr)) else -1}
+    cfg.reg[r1] = enc_perm(w.perm) if isinstance(w, (MemCap, StkPtr)) \
+        else -1
 
 
 def exec_getlin(cfg, ext, gc, ops):
     r1, r2 = ops
     lin = _LINEAR if is_linear(cfg.reg[r2]) else _NORMAL
-    return {r1: enc_lin(lin)}
+    cfg.reg[r1] = enc_lin(lin)
 
 
 def exec_move(cfg, ext, gc, ops):
     r, rn = ops
+    reg = cfg.reg
     if type(rn) is int:
-        return {r: rn}
-    old = cfg.reg[rn]
+        reg[r] = rn
+        return None
+    old = reg[rn]
     if rn == PC:   # pc moves on, so it is copied, never cleared
         # ``harness.run`` has checked that pc is a memory capability
-        return {r: old} if old.lin is _NORMAL else FAILED
-    # Clear the source register first, then write the destination:
-    # correct even when r == rn (a linear cap stays put).
-    return {rn: lin_cons(old), r: old}
+        if old.lin is not _NORMAL:
+            return FAILED
+    else:
+        # Clear the source register first, then write the destination:
+        # correct even when r == rn (a linear cap stays put).
+        reg[rn] = lin_cons(old)
+    reg[r] = old
+    return None
 
 
 def _access(cfg, ext, c, perms):
@@ -199,72 +225,82 @@ def _access(cfg, ext, c, perms):
 
 def exec_store(cfg, ext, gc, ops):
     r1, r2 = ops
-    c = cfg.reg[r1]
+    reg = cfg.reg
+    c = reg[r1]
     m = _access(cfg, ext, c, WRITE_PERMS)
     if m is None:
         return FAILED
     a = c.addr
     # ``a in m`` with no Python-level call: the written cells, then
     # ``Ranges.__contains__``'s bisect of the domain, inlined
-    if a in m.written or (i := bisect_right(m.domain._lo, a)) \
-            and a <= m.domain._hi[i - 1]:
-        w = cfg.reg[r2]
-        # an int or a normal memory capability stays in r2: ``lin_cons``'s
-        # own first test, with no call
-        t = type(w)
-        kept = w if t is int or t is MemCap and w.lin is _NORMAL \
-            else lin_cons(w)
-        return _new(Running, (cfg, {r2: kept}, (m, a, w)))
-    return FAILED
+    if not (a in m.written or (i := bisect_right(m.domain._lo, a))
+            and a <= m.domain._hi[i - 1]):
+        return FAILED
+    w = reg[r2]
+    # an int or a normal memory capability stays in r2: ``lin_cons``'s
+    # own first test, with no call
+    t = type(w)
+    if t is not int and (t is not MemCap or w.lin is not _NORMAL):
+        reg[r2] = lin_cons(w)
+    return _new(Running, (cfg, None, (m, a, w)))
 
 
 def exec_load(cfg, ext, gc, ops):
     r1, r2 = ops
-    c = cfg.reg[r2]
+    reg = cfg.reg
+    c = reg[r2]
     m = _access(cfg, ext, c, READ_PERMS)
     if m is None:
         return FAILED
-    w = m.written.get(c.addr)
+    a = c.addr
+    w = m.written.get(a)
     if w is None:   # unwritten: 0 in the domain, None outside it
-        w = m.get(c.addr)
+        w = m.get(a)
         if w is None:
             return FAILED
     t = type(w)
     if t is int or t is MemCap and w.lin is _NORMAL:
-        return {r1: w}
+        reg[r1] = w
+        return None
     v = w[1] if t is Sealed else w   # linear? told as ``lin_cons`` tells it
     t = type(v)
     if not (t is MemCap and v.lin is _LINEAR or t is StkPtr
             or t is RetPtrData or t is Sealed and linear_range(v)):
-        return {r1: w}
+        reg[r1] = w
+        return None
     # lin_cons empties a linear word's cell, so the pointer must write
-    if c.perm in WRITE_PERMS:
-        return _new(Running, (cfg, {r1: w}, (m, c.addr, 0)))
-    return FAILED
+    if c.perm not in WRITE_PERMS:
+        return FAILED
+    reg[r1] = w
+    return _new(Running, (cfg, None, (m, a, 0)))
 
 
 def exec_cca(cfg, ext, gc, ops):
     r, rn = ops
-    n = rn if type(rn) is int else cfg.reg[rn]
+    reg = cfg.reg
+    n = rn if type(rn) is int else reg[rn]
     if type(n) is not int:
         return FAILED
-    c = cfg.reg[r]
-    if ((t := type(c)) is MemCap or t in ext.pointers or t is SealCap) \
-            and (a := c[-1] + n) >= 0:
-        return {r: _new(t, c[:-1] + (a,))}
-    return FAILED
+    c = reg[r]
+    if not (((t := type(c)) is MemCap or t in ext.pointers or t is SealCap)
+            and (a := c[-1] + n) >= 0):
+        return FAILED
+    reg[r] = _new(t, c[:-1] + (a,))
+    return None
 
 
 def exec_restrict(cfg, ext, gc, ops):
     r1, rn = ops
-    n = rn if type(rn) is int else cfg.reg[rn]
+    reg = cfg.reg
+    n = rn if type(rn) is int else reg[rn]
     if type(n) is not int:
         return FAILED
-    c = cfg.reg[r1]
+    c = reg[r1]
     p = dec_perm(n)
-    if (t := type(c)) in ext.pointers and perm_leq(p, c.perm):
-        return {r1: _new(t, (p,) + c[1:])}
-    return FAILED
+    if not ((t := type(c)) in ext.pointers and perm_leq(p, c.perm)):
+        return FAILED
+    reg[r1] = _new(t, (p,) + c[1:])
+    return None
 
 
 def _binop(fn):
@@ -273,11 +309,13 @@ def _binop(fn):
     arithmetic step calls no helper."""
     def exec_binop(cfg, ext, gc, ops):
         r0, rn1, rn2 = ops
-        n1 = rn1 if type(rn1) is int else cfg.reg[rn1]
-        n2 = rn2 if type(rn2) is int else cfg.reg[rn2]
-        if type(n1) is int and type(n2) is int:
-            return {r0: fn(n1, n2)}
-        return FAILED
+        reg = cfg.reg
+        n1 = rn1 if type(rn1) is int else reg[rn1]
+        n2 = rn2 if type(rn2) is int else reg[rn2]
+        if type(n1) is not int or type(n2) is not int:
+            return FAILED
+        reg[r0] = fn(n1, n2)
+        return None
     return exec_binop
 
 
@@ -292,41 +330,49 @@ exec_minus = _binop(operator.sub)
 
 def exec_seta2b(cfg, ext, gc, ops):
     r1, = ops
-    c = cfg.reg[r1]
-    if (t := type(c)) is MemCap or t in ext.pointers or t is SealCap:
-        return {r1: _new(t, c[:-1] + (c.base,))}
-    return FAILED
+    reg = cfg.reg
+    c = reg[r1]
+    if not ((t := type(c)) is MemCap or t in ext.pointers or t is SealCap):
+        return FAILED
+    reg[r1] = _new(t, c[:-1] + (c.base,))
+    return None
 
 
 def exec_cseal(cfg, ext, gc, ops):
     r1, r2 = ops
-    sc = cfg.reg[r1]
-    s = cfg.reg[r2]
-    if is_sealable(sc) and isinstance(s, SealCap) \
-            and s.base <= s.cur <= s.end:
-        return {r1: _new(Sealed, (s.cur, sc))}
-    return FAILED
+    reg = cfg.reg
+    sc = reg[r1]
+    s = reg[r2]
+    if not (is_sealable(sc) and isinstance(s, SealCap)
+            and s.base <= s.cur <= s.end):
+        return FAILED
+    reg[r1] = _new(Sealed, (s.cur, sc))
+    return None
 
 
 def exec_split(cfg, ext, gc, ops):
     r1, r2, r3, rn4 = ops
-    n = rn4 if type(rn4) is int else cfg.reg[rn4]
+    reg = cfg.reg
+    n = rn4 if type(rn4) is int else reg[rn4]
     if type(n) is not int:
         return FAILED
-    c = cfg.reg[r3]
-    if (((t := type(c)) is MemCap or t in ext.pointers or t is SealCap)
+    c = reg[r3]
+    if not (((t := type(c)) is MemCap or t in ext.pointers or t is SealCap)
             and c.base <= n < c.end):
-        # Seals are normal: lin_cons leaves the seal in r3.
-        return {
-            r3: lin_cons(c), r1: _new(t, c[:-2] + (n, c[-1])),
-            r2: _new(t, c[:-3] + (n + 1,) + c[-2:])}
-    return FAILED
+        return FAILED
+    # Seals are normal: lin_cons leaves the seal in r3.  The writes go
+    # in this order, so overlapping operands end as the rule says.
+    reg[r3] = lin_cons(c)
+    reg[r1] = _new(t, c[:-2] + (n, c[-1]))
+    reg[r2] = _new(t, c[:-3] + (n + 1,) + c[-2:])
+    return None
 
 
 def exec_splice(cfg, ext, gc, ops):
     r1, r2, r3 = ops
-    c2 = cfg.reg[r2]
-    c3 = cfg.reg[r3]
+    reg = cfg.reg
+    c2 = reg[r2]
+    c3 = reg[r3]
     if not ((t := type(c2)) is type(c3)
             and (t is MemCap or t in ext.pointers or t is SealCap)
             and c2.end + 1 == c3.base
@@ -335,21 +381,25 @@ def exec_splice(cfg, ext, gc, ops):
     if t is not SealCap and (
             c2.perm != c3.perm or is_linear(c2) != is_linear(c3)):
         return FAILED
-    return {
-        r2: lin_cons(c2), r3: lin_cons(c3),
-        r1: _new(t, c3[:-3] + (c2.base,) + c3[-2:])}
+    reg[r2] = lin_cons(c2)
+    reg[r3] = lin_cons(c3)
+    reg[r1] = _new(t, c3[:-3] + (c2.base,) + c3[-2:])
+    return None
 
 
-def xjump_result(w1, w2, r1, r2, cfg, ext, gc, updates: dict):
+def xjump_result(w1, w2, r1, r2, cfg, ext, gc, pending=()):
     """The xjmp rule over the words ``w1`` and ``w2`` read from registers
     ``r1`` and ``r2``: ``exec_xjmp`` and the atomic call both jump here.
 
-    ``updates`` holds the registers the step has written so far, which
-    are not yet in ``cfg``: the jump adds its own to them, so they are
-    the step's write set.  The registers keep the sealed words: only
-    linear halves are cleared, so only they are written.  The base case loads the code half into pc and the data
-    half into r_data and returns them all, a jump's writes over ``cfg``;
-    the source extension adds the return-token case, a ``Running``.
+    ``pending`` holds the ``(register, word)`` writes that the step
+    makes before the jump, not yet in ``cfg`` (the atomic call's): the
+    jump adds the linear halves it clears, and the case that applies
+    writes them all, then its own, once every premise of the rule and of
+    its case holds, so a jump that fails writes nothing.  The registers
+    keep the sealed words: only linear halves are cleared, so only they
+    are written.  The base case loads the code half into pc and the
+    data half into r_data and returns ``JUMPED``; the source extension
+    adds the return-token case, a ``Running``.
     """
     if r1 == r2 and is_linear(w1):   # one linear word cannot be both halves
         return FAILED
@@ -357,25 +407,29 @@ def xjump_result(w1, w2, r1, r2, cfg, ext, gc, updates: dict):
             and w1.sigma == w2.sigma):
         return FAILED
     if (v := lin_cons(w1)) is not w1:
-        updates[r1] = v
+        pending += ((r1, v),)
     if (v := lin_cons(w2)) is not w2:
-        updates[r2] = v
+        pending += ((r2, v),)
     c1, c2 = w1.inner, w2.inner
     if (not isinstance(c1, RetPtrCode) and not isinstance(c2, RetPtrData)
             and not (isinstance(c2, MemCap) and c2.perm in EXEC_PERMS)):
-        updates[PC] = c1
-        updates[RDATA] = c2
-        return updates
-    out = ext.xjump_result(c1, c2, cfg, gc, updates)
+        reg = cfg.reg
+        for r, w in pending:
+            reg[r] = w
+        reg[PC] = c1
+        reg[RDATA] = c2
+        return JUMPED
+    out = ext.xjump_result(c1, c2, cfg, gc, pending)
     return FAILED if out is None else out
 
 
 def exec_xjmp(cfg, ext, gc, ops):
     r1, r2 = ops
-    return xjump_result(cfg.reg[r1], cfg.reg[r2], r1, r2, cfg, ext, gc, {})
+    return xjump_result(cfg.reg[r1], cfg.reg[r2], r1, r2, cfg, ext, gc)
 
 
 _HANDLER = {op: "exec_" + op for op in OPCODES}
+_JUMPS = ("jmp", "jnz", "xjmp")
 _MODULE = globals()
 
 
@@ -384,10 +438,14 @@ _DECODED = {}
 
 
 def _decode(w):
-    """(handler name, operands, reads_pc) of the word ``w``, fail's when
-    it names pc at an operand ``OPCODES`` marks "w": no handler tests for
-    pc.  ``reads_pc`` says that an operand names pc, so the run writes
-    pc's register before the handler reads it.  It is stored in
+    """(handler name, operands, reads_pc, wrote) of the word ``w``,
+    fail's when it names pc at an operand ``OPCODES`` marks "w": no
+    handler tests for pc.  ``reads_pc`` says that an operand names pc,
+    so the run writes pc's register before the handler reads it.
+    ``wrote`` names the registers a step of it may write, pc among them:
+    a jump's operands ``OPCODES`` marks "r" (and rdata, xjmp's), any
+    other instruction's marked "w", and the source of a register move,
+    which it clears of a linear word.  It is stored in
     ``_DECODED``, which ``harness.run`` reads with ``.get`` first, so
     each distinct word is decoded once; the memo is emptied
     when it holds 4096 words.  A plain dict, not an ``lru_cache``, whose
@@ -396,10 +454,18 @@ def _decode(w):
     if len(_DECODED) >= 4096:
         _DECODED.clear()
     instr = dec_instr(w)
-    args = instr.args
-    if any(k == "w" and a == PC for k, a in zip(OPCODES[instr.op], args)):
-        out = _HANDLER["fail"], (), False
+    op, args = instr.op, instr.args
+    marks = OPCODES[op]
+    if any(k == "w" and a == PC for k, a in zip(marks, args)):
+        out = _HANDLER["fail"], (), False, ()
     else:
-        out = _HANDLER[instr.op], args, PC in args
+        kind = "r" if op in _JUMPS else "w"
+        wrote = [a for k, a in zip(marks, args) if k == kind]
+        if op == "xjmp":
+            wrote.append(RDATA)
+        elif op == "move" and type(args[1]) is str:
+            wrote.append(args[1])
+        out = (_HANDLER[op], args, PC in args,
+               tuple(dict.fromkeys(wrote + [PC])))
     _DECODED[w] = out
     return out

@@ -21,11 +21,15 @@ from .core import (
     GlobalConstants, Memory, MemCap, Perm, Record, RetPtrCode,
     RetPtrData, SealCap, Sealed, StkPtr, _new,
 )
-from .machine import FAILED, MachineExtension, Running, xjump_result
+from .machine import FAILED, JUMPED, MachineExtension, Running, xjump_result
 
 # module constants: ``Perm.RW`` is a slow class-attribute lookup, and a
 # call and a return each make several
 _RW, _RX = Perm.RW, Perm.RX
+# the registers a call and a return write, besides the linear halves
+# they clear (and, for a return that a call jumps to, the call's)
+_CALL_WROTE = (*sorted(CALL_WRITES), PC, RDATA)
+_RETURN_WROTE = (PC, RDATA, RSTK, RTMP1, RTMP2)
 
 
 class StackFrame(Record, namedtuple("StackFrame", "opc ms")):
@@ -60,11 +64,17 @@ class SourceExtension(MachineExtension):
 
     pointers = (MemCap, StkPtr)
 
-    def xjump_result(self, c1, c2, cfg, gc, updates):
+    def xjump_result(self, c1, c2, cfg, gc, pending):
         if not (isinstance(c1, RetPtrCode) and isinstance(c2, RetPtrData)):
             return None
-        # rstk as the jump left it: the atomic call writes it
-        rstk = updates.get(RSTK, cfg.reg[RSTK])
+        # rstk as the writes before the jump leave it: the atomic call
+        # writes it
+        reg = cfg.reg
+        rstk, wrote = reg[RSTK], _RETURN_WROTE
+        for r, w in pending:
+            wrote += (r,)
+            if r == RSTK:
+                rstk = w
         if not isinstance(rstk, StkPtr):
             return FAILED
         perm, b_stk, e_stk, _ = rstk
@@ -83,13 +93,15 @@ class SourceExtension(MachineExtension):
         if (dom._lo, dom._hi) != (
                 ((a_stk,), (e_priv,)) if a_stk <= e_priv else ((), ())):
             return FAILED
-        cfg = _new(SourceConfig, (cfg.mem, cfg.reg, stk[1:],
+        cfg = _new(SourceConfig, (cfg.mem, reg, stk[1:],
                                   cfg.ms_stk.update(ms_priv)))
-        updates[PC] = _new(MemCap, (_RX, _NORMAL, *c1))
-        updates[RDATA] = 0
-        updates[RSTK] = _new(StkPtr, (_RW, b_stk, e_priv, a_stk))
-        updates[RTMP1] = updates[RTMP2] = 0
-        return _new(Running, (cfg, updates, None))
+        for r, w in pending:
+            reg[r] = w
+        reg[PC] = _new(MemCap, (_RX, _NORMAL, *c1))
+        reg[RDATA] = 0
+        reg[RSTK] = _new(StkPtr, (_RW, b_stk, e_priv, a_stk))
+        reg[RTMP1] = reg[RTMP2] = 0
+        return _new(Running, (cfg, wrote, None))
 
     def recognize_call(self, cfg, gc):
         pc = cfg.reg[PC]
@@ -104,7 +116,10 @@ def exec_call(cfg: SourceConfig, params: CallParams,
               ext: MachineExtension, gc: GlobalConstants):
     """The call sequence as one atomic step.  A run reaches it only
     through ``recognize_call``, with an executable memory capability in
-    pc whose window of ``CALL_LEN`` cells is within its bounds."""
+    pc whose window of ``CALL_LEN`` cells is within its bounds.  Its
+    register writes wait, with the jump's, until every premise of both
+    holds (``machine.xjump_result``), so a call that fails writes
+    nothing."""
     r1, r2 = params.r1, params.r2
     if r1 in CALL_WRITES or r2 in CALL_WRITES:
         return FAILED
@@ -136,15 +151,17 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     ms_priv.written[a_stk] = CANARY   # a fresh dict, a_stk in its domain
     cfg = _new(SourceConfig, (cfg.mem, reg, (_new(StackFrame, (
         opc, ms_priv)),) + cfg.stk, ms_rest))
-    # the jump adds its writes to these, over the pushed frame: not over
-    # the configuration the step started from.  It reads r1 and r2 as
-    # they were before the call, and they are none of these
-    wrote = {RSTK: _new(StkPtr, (_RW, b_stk, a_stk - 1, a_stk - 1))}
-    wrote[RRETCODE] = _new(Sealed, (sigma, _new(RetPtrCode, (base, end, opc))))
-    wrote[RRETDATA] = _new(Sealed, (sigma, _new(RetPtrData, (a_stk, e_stk))))
-    wrote[RTMP1] = 0
-    out = xjump_result(reg[r1], reg[r2], r1, r2, cfg, ext, gc, wrote)
-    return _new(Running, (cfg, out, None)) if type(out) is dict else out
+    # the jump writes these first, over the pushed frame, once its every
+    # premise holds.  It reads r1 and r2 as they were before the call,
+    # and they are none of these
+    out = xjump_result(reg[r1], reg[r2], r1, r2, cfg, ext, gc, (
+        (RSTK, _new(StkPtr, (_RW, b_stk, a_stk - 1, a_stk - 1))),
+        (RRETCODE, _new(Sealed, (sigma, _new(RetPtrCode, (base, end, opc))))),
+        (RRETDATA, _new(Sealed, (sigma, _new(RetPtrData, (a_stk, e_stk))))),
+        (RTMP1, 0)))
+    if out is JUMPED:
+        return _new(Running, (cfg, _CALL_WROTE + (r1, r2), None))
+    return out
 
 
 SOURCE_EXTENSION = SourceExtension()

@@ -87,9 +87,11 @@ def step(cfg, ext: MachineExtension = NULL_EXTENSION,
          gc: GlobalConstants = None):
     """One step of ``cfg`` on ``ext``'s machine, as a run takes it:
     FAILED, HALTED, or a ``Running`` that owns a copy of the
-    configuration after the step, its register writes and its cell write
-    (into the copy), or None.  A run of fuel 1 makes it: its hook copies
-    what it gets after a step that runs on.  ``cfg`` is not written."""
+    configuration after the step, the registers the step may have
+    written (the hook's ``wrote``) with their words in the copy, and its
+    cell write (into the copy), or None.  A run of fuel 1 makes it: its
+    hook copies what it gets after a step that runs on.  ``cfg`` is not
+    written."""
     out = []
 
     def keep(now, wrote, cell):
@@ -100,7 +102,8 @@ def step(cfg, ext: MachineExtension = NULL_EXTENSION,
             if cell is not None:
                 m, a, w = cell
                 cell = (copy.mem if m is mem else copy.ms_stk, a, w)
-            out.append(_new(Running, (copy, dict(wrote), cell)))
+            out.append(_new(Running, (
+                copy, {r: copy.reg[r] for r in wrote}, cell)))
 
     outcome = run(cfg, _KINDS[ext], gc, 1, keep).outcome
     return out[0] if out else FAILED if outcome == "failed" else HALTED

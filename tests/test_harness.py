@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capmach import cli, harness
-from capmach.asm import assemble
+from capmach.asm import CALL_HEAD, assemble
 from capmach.components import (
     format_component, initial_config, link, parse_component,
 )
@@ -36,6 +36,7 @@ from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
 from conftest import check_linearity, count_calls, disassemble, step, \
     tcfg, with_cell
+from test_source import call_through
 
 
 def test_corpus_agreement():
@@ -452,6 +453,53 @@ def test_write_set_names_every_changed_register():
     assert {op for kind, op in seen if kind == "target"} == ops
     assert {op for kind, op in seen if kind == "source"} == \
         ops | {"call", "return"}
+
+
+def test_a_step_that_fails_or_halts_writes_no_register():
+    # a handler writes the run's registers in place, after its last
+    # guard: a run that fails or halts ends with the registers of the
+    # configuration its last step started from, pc at that step's cell.
+    # Random programs, the corpus and the scenarios, and call-return
+    # with every register pair as its trusted call's xjmp operands,
+    # validated or not, on both machines
+    ends = Counter()
+
+    def checked(cfg, kind, gc, fuel):
+        last = []
+
+        def hook(now, wrote, cell):
+            last[:] = [dict(now.reg)]
+
+        report = run(cfg, kind, gc, fuel, hook)
+        if report.outcome != "fuel-exhausted":
+            assert report.final_cfg.reg == last[0], (kind, report.outcome)
+            pc = last[0][PC]
+            w = report.final_cfg.mem.get(pc.addr) \
+                if isinstance(pc, MemCap) else None
+            ends[kind, report.outcome, "call" if w == CALL_HEAD else
+                 w is not None and dec_instr(w).op] += 1
+
+    rng = random.Random(6)
+    for _ in range(300):
+        cfg = _run_cfg(rng)
+        for kind in ("source", "target"):
+            checked(cfg, kind, _RUN_GC, 20)
+    runs = _machine_runs()
+    for r1, r2 in itertools.product(REGISTERS, repeat=2):
+        t, ctx, _, _ = call_through(r1, r2)
+        gc, cfgs = harness.diff_start(t, ctx, STK_BASE, STK_END,
+                                      validate=False)
+        runs += [(cfgs[kind], kind, gc) for kind in cfgs]
+    for cfg, kind, gc in runs:
+        checked(cfg, kind, gc, 4000)
+    # every guarded handler fails somewhere on each machine, and so does
+    # the atomic call on the source
+    guarded = {"cca", "cseal", "load", "lt", "plus", "restrict", "seta2b",
+               "splice", "split", "store", "xjmp"}
+    for kind, more in (("source", {"call"}), ("target", set())):
+        assert {op for k, end, op in ends if (k, end) == (kind, "failed")} \
+            >= guarded | more, kind
+        assert ends[kind, "halted", "halt"] > 0, kind
 
 
 def _cells(rng, lo, hi, most):

@@ -320,12 +320,14 @@ def test_pointer_rules_keep_every_other_field():
             cases.append(("restrict", ("r1", enc_perm(Perm.R)),
                           {"r1": c._replace(perm=Perm.R)}))
         for op, ops, want in cases:
-            out = getattr(machine, f"exec_{op}")(
-                scfg(r1=c, r2=lo), ext, NOWHERE, ops)
+            cfg = scfg(r1=c, r2=lo)
+            before = dict(cfg.reg)
+            out = getattr(machine, f"exec_{op}")(cfg, ext, NOWHERE, ops)
             if type(c) is StkPtr and ext is NULL_EXTENSION:
-                assert out is FAILED, op
+                assert out is FAILED and cfg.reg == before, op
             else:
-                assert out == want, (op, c, ext)
+                assert out is None, (op, c, ext)
+                assert cfg.reg == {**before, **want}, (op, c, ext)
                 taken += 1
         if c is seal:
             assert machine.exec_restrict(scfg(r1=c), ext, NOWHERE, (
@@ -428,9 +430,8 @@ def test_load_and_store_guards_against_the_paper():
                             assert out is FAILED, case
                             continue
                         regs, cells = want
-                        assert out.wrote == {**regs, "pc": rx(40, 60, 51)}, \
-                            case
-                        assert out.cfg.reg == {**reg, **out.wrote}, case
+                        assert out.cfg.reg == \
+                            {**reg, **regs, "pc": rx(40, 60, 51)}, case
                         # ``ex`` put the instruction in pc's cell, 50
                         written = mem if seg == "ms_stk" else \
                             with_cell(mem, 50, enc(op, *args))
@@ -518,11 +519,12 @@ def test_decode_memo_is_bounded():
     assert 0 < len(machine._DECODED) < 4096   # emptied once, refilled
     for args in (("r0", "pc", 1), ("r0", 1, "pc")):
         ex(tcfg(pc=rx(0, 9, 0)), "plus", *args)
-    for w, (name, ops, reads_pc) in machine._DECODED.items():
+    for w, (name, ops, reads_pc, wrote) in machine._DECODED.items():
         instr = dec_instr(w)
         assert (name, ops) == ("exec_" + instr.op, instr.args)
         assert reads_pc == ("pc" in instr.args)
-    assert sum(reads_pc for _, _, reads_pc in machine._DECODED.values()) \
+        assert wrote == ("r0", "pc")
+    assert sum(reads_pc for _, _, reads_pc, _ in machine._DECODED.values()) \
         == 2
 
 

@@ -92,22 +92,25 @@ PARAMS = CallParams(30, 0, "r3", "r4")
 
 
 def _call(cfg, params=PARAMS):
-    """``exec_call``'s outcome, its register writes applied to a copy.
-    The call itself writes no register: its ``Running`` holds the
-    registers it read."""
+    """``exec_call``'s outcome over a copy of ``cfg``'s registers, which
+    the call writes in place; ``cfg`` is not written."""
+    cfg = cfg.with_regs({})
     out = exec_call(cfg, params, SOURCE_EXTENSION, GC)
     assert isinstance(out, Running) and out.cfg.reg is cfg.reg
-    return out._replace(cfg=out.cfg.with_regs(out.wrote))
+    return out
 
 
 def test_exec_call():
-    cfg = _call(_call_cfg()).cfg
-    assert cfg.reg["pc"] == rx(200, 210, 200)
-    assert cfg.reg["rdata"] == rw(300, 310, 300)
-    assert cfg.reg["rstk"] == sp(1000, 1004, 1004)
-    assert cfg.reg["rretcode"] == Sealed(5, RetPtrCode(0, 100, 36))
-    assert cfg.reg["rretdata"] == Sealed(5, RetPtrData(1005, 1010))
-    assert cfg.reg["rtmp1"] == 0
+    before = _call_cfg()
+    out = _call(before)
+    cfg = out.cfg
+    want = {**before.reg, "pc": rx(200, 210, 200),
+            "rdata": rw(300, 310, 300), "rstk": sp(1000, 1004, 1004),
+            "rretcode": Sealed(5, RetPtrCode(0, 100, 36)),
+            "rretdata": Sealed(5, RetPtrData(1005, 1010)), "rtmp1": 0}
+    assert cfg.reg == want
+    assert {r for r in want if want[r] is not before.reg[r]} <= \
+        set(out.wrote)
     (frame,) = cfg.stk
     assert frame.opc == 10 + CALL_LEN
     assert set(frame.ms) == set(range(1005, 1011))
@@ -125,7 +128,9 @@ def test_exec_call_sigma_offset():
 
 def test_exec_call_guards():
     def fails(cfg, params=PARAMS):
+        before = dict(cfg.reg)
         assert exec_call(cfg, params, SOURCE_EXTENSION, GC) is FAILED
+        assert cfg.reg == before   # a call that fails writes nothing
 
     fails(_call_cfg(), CallParams(30, 0, "rtmp1", "r4"))
     fails(_call_cfg(r3=rx(200, 210, 200)))                  # unsealed code

@@ -68,6 +68,31 @@ def test_spin_step_calls():
     assert per_step <= 1.1, per_step
 
 
+def test_spin_applies_no_write_dict():
+    # a handler writes its register into the run's dict in place: an
+    # unhooked spin run of 2000 steps calls no ``dict.update`` (2000 a
+    # run, one per step, when each handler returned a dict of its writes
+    # and the run applied it)
+    consts, cfgs = diff_start(*dict(fixtures.CORPUS)["spin"](),
+                              fixtures.STK_BASE, fixtures.STK_END)
+    updates = 0
+
+    def count(frame, event, arg):
+        nonlocal updates
+        if event == "c_call" and arg.__qualname__ == "dict.update":
+            updates += 1
+
+    for kind in ("source", "target"):
+        run(cfgs[kind], kind, consts, 2000)   # the decode memo, warm
+        sys.setprofile(count)
+        try:
+            r = run(cfgs[kind], kind, consts, 2000)
+        finally:
+            sys.setprofile(None)
+        assert (r.outcome, r.steps) == ("fuel-exhausted", 2000)
+    assert updates == 0, updates
+
+
 def test_spin_builds_one_pc_record(monkeypatch):
     # a step that does not set pc moves it in the run's locals: with no
     # hook, pc's register is written back, built once, only at the run's
@@ -209,14 +234,17 @@ def test_call_and_return_step_calls():
     ext, counts = SOURCE_EXTENSION, []
 
     def count(cfg, wrote, cell):
+        # each call and jump over its own copy of the registers, which it
+        # writes in place: the run's own are left as they are
+        first, again = cfg.with_regs({}), cfg.with_regs({})
         w = cfg.mem[cfg.reg[PC].addr]
         if w == CALL_HEAD:
-            ext.recognize_call(cfg, consts)
+            ext.recognize_call(first, consts)
             counts.append(count_calls(
-                lambda: ext.recognize_call(cfg, consts))[0])
+                lambda: ext.recognize_call(again, consts))[0])
         elif dec_instr(w).args == ("rretcode", "rretdata"):
             counts.append(count_calls(lambda: machine.exec_xjmp(
-                cfg, ext, consts, ("rretcode", "rretdata")))[0])
+                again, ext, consts, ("rretcode", "rretdata")))[0])
 
     r = run(cfgs["source"], "source", consts, 100, count)
     assert (r.outcome, r.steps, r.calls, r.returns) == \
@@ -270,16 +298,18 @@ def test_assemble_calls_per_line(monkeypatch):
 def test_format_calls_per_line():
     # a line is written in C, joined with ``map`` and ``str.format``,
     # and only a record's ``repr`` and its enums' are Python-level
-    # calls, with each section's: 0.67 calls per line written over the
-    # corpus's 22 components, against 1.14 when each line was written
-    # in a Python loop and an enum's repr read ``Enum.value``
+    # calls, with each section's, and a main word that is an exported
+    # one reuses its text: 0.54 calls per line written over the
+    # corpus's 22 components, against 0.67 when each main word was
+    # printed anew and 1.14 when each line was written in a Python loop
+    # and an enum's repr read ``Enum.value``
     comps = [c for _, t, ctx in fixtures.corpus() for c in (t, ctx)]
     texts = [format_component(c) for c in comps]
     lines = sum(text.count("\n") for text in texts)
     calls, again = count_calls(
         lambda: [format_component(c) for c in comps])
     assert (len(comps), lines, again) == (22, 652, texts)
-    assert calls / lines <= 0.75, calls / lines
+    assert calls / lines <= 0.6, calls / lines
 
 
 def test_warm_diff_start_calls():
