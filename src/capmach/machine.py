@@ -429,7 +429,6 @@ def exec_xjmp(cfg, ext, gc, ops):
 
 
 _HANDLER = {op: "exec_" + op for op in OPCODES}
-_JUMPS = ("jmp", "jnz", "xjmp")
 _MODULE = globals()
 
 
@@ -459,7 +458,7 @@ def _decode(w):
     if any(k == "w" and a == PC for k, a in zip(marks, args)):
         out = _HANDLER["fail"], (), False, ()
     else:
-        kind = "r" if op in _JUMPS else "w"
+        kind = "r" if op in ("jmp", "jnz", "xjmp") else "w"
         wrote = [a for k, a in zip(marks, args) if k == kind]
         if op == "xjmp":
             wrote.append(RDATA)
