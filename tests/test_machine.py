@@ -124,6 +124,11 @@ def test_jmp_and_jnz():
     assert r["pc"].addr == 1  # fall through
     r = regs_after(ex(tcfg(pc=rx(0, 9, 0), r1=cap, r2=cap), "jnz", "r1", "r2"))
     assert r["pc"] == cap  # caps count as nonzero
+    # a linear target moves into pc and leaves its register empty
+    lin = MemCap(Perm.RX, Lin.LINEAR, 10, 20, 10)
+    for ext in (NULL_EXTENSION, SOURCE_EXTENSION):
+        r = regs_after(ex(tcfg(pc=rx(0, 9, 0), r1=lin), "jmp", "r1", ext=ext))
+        assert r["pc"] == lin and r["r1"] == 0, ext
 
 
 def test_getters():
@@ -229,6 +234,10 @@ def test_restrict():
     p0 = MemCap(Perm.P0, Lin.NORMAL, 0, 9, 0)
     r = regs_after(ex(tcfg(pc=pc, r1=p0), "restrict", "r1", enc_perm(Perm.P0)))
     assert r["r1"] == p0
+    # the permission operand is an int: a capability there fails
+    for ext in (NULL_EXTENSION, SOURCE_EXTENSION):
+        assert ex(tcfg(pc=pc, r1=c), "restrict", "r1", "r1", ext=ext) \
+            is FAILED, ext
 
 
 def test_arith():
@@ -291,6 +300,10 @@ def test_splice():
     other = MemCap(Perm.RX, Lin.LINEAR, 6, 10, 8)
     assert ex(tcfg(pc=pc, r2=lo, r3=other),
               "splice", "r1", "r2", "r3") is FAILED
+    # adjacent, but the left half is empty
+    for ext in (NULL_EXTENSION, SOURCE_EXTENSION):
+        assert ex(tcfg(pc=pc, r2=rw(6, 5, 6), r3=rw(6, 10, 8)),
+                  "splice", "r1", "r2", "r3", ext=ext) is FAILED, ext
 
 
 def test_pointer_rules_keep_every_other_field():
@@ -467,6 +480,11 @@ def test_step_guards():
     assert step(tcfg({0: HALT}, pc=rw(0, 0, 0))) is FAILED  # not executable
     assert step(tcfg({0: HALT}, pc=rx(0, 0, 0))) is HALTED
     assert step(tcfg({}, pc=rx(0, 0, 0))) is FAILED  # unmapped cell
+    # cell 1 holds an instruction, but lies outside pc's bounds
+    for kind in ("source", "target"):
+        r = run_report(scfg({0: HALT, 1: HALT}, pc=rx(0, 0, 1)), kind,
+                       NOWHERE, 5)
+        assert (r.outcome, r.steps) == ("failed", 1), kind
 
 
 def test_run():

@@ -141,6 +141,7 @@ def test_exec_call_guards():
     fails(_call_cfg(rstk=sp(1000, 1010, 1011)))             # past the end
     fails(_call_cfg(), CallParams(30, 5, "r3", "r4"))       # sigma out of range
     fails(_call_cfg(), CallParams(200, 0, "r3", "r4"))      # seal outside code
+    fails(_call_cfg(pc=rx(0, 39, 10)))                      # seal outside pc
     cfg = _call_cfg()
     fails(cfg._replace(mem=with_cell(cfg.mem, 40, 7)))      # not a seal word
     fails(cfg._replace(ms_stk=with_cell(cfg.ms_stk, 1005, 0)).with_regs(
