@@ -506,11 +506,12 @@ class Memory(Mapping):
     every address that holds no written word reads 0.
 
     The written words sit in one dict, ``written``, which ``update`` and
-    ``split`` copy: O(written cells) per change.  Only ``harness.run``
-    writes ``written`` in place, in the memories it copied for itself,
-    and ``source.exec_call``, in the part a ``split`` just made, each
-    only at addresses already in the memory; every other caller treats
-    a memory as immutable.  A read probes the
+    ``split`` copy: O(written cells) per change.  Only a store, a load
+    that empties a linear word's cell (``machine``'s handlers, in the
+    memories that ``harness.run`` copied for itself) and
+    ``source.exec_call``, in the part a ``split`` just made, write
+    ``written`` in place, each only at addresses already in the memory;
+    every other caller treats a memory as immutable.  A read probes the
     dict, then the domain.  Iteration walks the domain, ascending."""
 
     __slots__ = ("written", "domain")

@@ -14,14 +14,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .asm import CALL_HEAD, CALL_LEN, RET_PT_OFFSET
+from .asm import CALL_LEN, RET_PT_OFFSET
 from .components import Component, diagnostics, initial_config, link
-from .core import _LINEAR, _NORMAL, EXEC_PERMS, PC, GlobalConstants, \
-    MemCap, Memory, RetPtrData, Sealed, StkPtr, _new, dec_instr, \
-    linear_overlaps, linear_range
-from .machine import (
-    _DECODED, _MODULE, JUMPED, NULL_EXTENSION, Running, _decode,
-)
+from .core import _LINEAR, _NORMAL, EXEC_PERMS, PC, REGISTERS, \
+    GlobalConstants, MemCap, Memory, RetPtrData, Sealed, StkPtr, _new, \
+    dec_instr, linear_overlaps, linear_range
+from .machine import _DECODED, _MODULE, JUMPED, NULL_EXTENSION, _decode
 from .source import SOURCE_EXTENSION, SourceConfig
 
 DEFAULT_FUEL = 100_000
@@ -183,8 +181,8 @@ class _Invariants:
         configuration seen (or is it, written in place since), and add
         its violations to ``violations`` as step ``steps``'s.  ``wrote``
         names every register whose word is not the same object as there
-        (registers are never removed), and ``cell`` (see ``Running``)
-        the one such cell of a memory that is."""
+        (registers are never removed), and ``cell`` (see ``run``) the
+        one such cell of a memory that is."""
         changed = False
         regs, reg = self.regs, cfg.reg
         for r in wrote:
@@ -331,7 +329,7 @@ class _Invariants:
 
 
 # ---------------------------------------------------------------------------
-# Running
+# The run loop
 
 def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
         observe=None) -> RunReport:
@@ -343,13 +341,14 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
     given, is called as ``observe(cfg, wrote, cell)`` once at every
     configuration the run reaches: first with ``wrote == ()`` and
     ``cell`` None, then after each step that runs on, with ``wrote``
-    naming every register the step may have changed, pc always among
-    them (its word's decode, or a call's or a return's ``Running``),
-    and its cell write (see ``machine.Running``), or None.  ``cfg`` is
-    not written: the run copies its registers and memories once, and
-    the handlers write the registers and the run each cell write into
-    them in place, so what a hook gets is valid until the hook returns
-    (a new run may start from it: it makes its own copies)."""
+    naming every register the step may have changed and maybe others,
+    pc always among them (its word's decode, or every register after a
+    call or a return), and ``cell`` the one cell the step wrote,
+    ``(memory, address, word)`` with ``memory`` one of ``cfg``'s, or
+    None.  ``cfg`` is not written: the run copies its registers and
+    memories once, and the handlers write into them in place, so what
+    a hook gets is valid until the hook returns (a new run may start
+    from it: it makes its own copies)."""
     if machine_kind not in _EXTENSIONS:
         raise ValueError(f"unknown machine kind {machine_kind!r}")
     ext = _EXTENSIONS[machine_kind]
@@ -359,9 +358,9 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
         Memory(mem.written, mem.domain), reg, stk,
         Memory(ms_stk.written, ms_stk.domain)))
     # Everything the loop reads stays in locals: this is the hot loop,
-    # and a register-only step makes one Python-level call, its
-    # handler's, which writes ``reg`` in place.  A ``Running``'s cfg
-    # keeps these registers and ``mem``.
+    # and a step that is not a call makes one Python-level call, its
+    # handler's, which makes the step's writes.  A call's or a return's
+    # cfg keeps these registers and ``mem``.
     mem, written = cfg.mem, cfg.mem.written
     steps = calls = returns = 0
     frames, decoded = len(stk), _DECODED.get
@@ -371,8 +370,8 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
     # is pc read back and its type and permission tested; any other step
     # moves ``a`` to the next cell, which leaves pc's register behind
     # (``stale``).  It is written, built once, where something reads it:
-    # before a handler whose operands name pc, before call recognition
-    # (the call reads pc), before a hook and at the run's end.
+    # before a handler that reads pc (its decode says so), before a hook
+    # and at the run's end.
     check, stale = True, False
     if observe is not None:
         observe(cfg, (), None)
@@ -393,24 +392,13 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
         if w is None or not base <= a <= end:
             outcome = "failed"
             break
-        # A call sequence starts with CALL_HEAD (``call_cond`` rejects
-        # any other first cell), so no other cell needs call
-        # recognition.  A call sets pc.
-        if w != CALL_HEAD:
-            out = None
-        else:
-            if stale:
-                reg[PC] = _new(MemCap, (perm, lin, base, end, a))
-                stale = False
-            out = ext.recognize_call(cfg, gc)
-        if out is None:
-            # the memo holds the handler's name, looked up at each
-            # step, so a wrapped handler is seen
-            name, ops, reads_pc, wrote = decoded(w) or _decode(w)
-            if reads_pc and stale:
-                reg[PC] = _new(MemCap, (perm, lin, base, end, a))
-                stale = False
-            out = _MODULE[name](cfg, ext, gc, ops)
+        # the memo holds the handler's name, looked up at each step, so
+        # a wrapped handler is seen
+        name, ops, reads_pc, wrote = decoded(w) or _decode(w)
+        if reads_pc and stale:
+            reg[PC] = _new(MemCap, (perm, lin, base, end, a))
+            stale = False
+        out = _MODULE[name](cfg, ext, gc, ops)
         # the next-pc rule: a step that did not set pc moves it to the
         # next cell
         if out is None:
@@ -419,20 +407,17 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
         elif out is JUMPED:
             check = True
             stale = False
-        elif type(out) is Running:
-            cfg, named, cell = out
-            if cell is not None:
-                cell[0].written[cell[1]] = cell[2]
-                a += 1
-                stale = True
-            else:   # a call or a return: it set pc and names its writes
-                wrote = named
-                check = True
-                stale = False
-                if len(cfg.stk) != frames:
-                    calls += len(cfg.stk) > frames
-                    returns += len(cfg.stk) < frames
-                    frames = len(cfg.stk)
+        elif type(out) is tuple:   # the cell the step wrote
+            a += 1
+            stale = True
+        elif type(out) is SourceConfig:   # a call or a return: it set pc
+            cfg, wrote = out, REGISTERS
+            check = True
+            stale = False
+            if len(cfg.stk) != frames:
+                calls += len(cfg.stk) > frames
+                returns += len(cfg.stk) < frames
+                frames = len(cfg.stk)
         else:
             outcome = out.kind
             break
@@ -440,7 +425,7 @@ def run(cfg, machine_kind: str, gc: GlobalConstants, fuel: int = DEFAULT_FUEL,
             if stale:
                 reg[PC] = _new(MemCap, (perm, lin, base, end, a))
                 stale = False
-            observe(cfg, wrote, cell if type(out) is Running else None)
+            observe(cfg, wrote, out if type(out) is tuple else None)
     if stale:
         reg[PC] = _new(MemCap, (perm, lin, base, end, a))
     return RunReport(outcome, steps, [], cfg, calls, returns)

@@ -1,23 +1,29 @@
 """The instruction handlers, the decode memo and the extensions that
 both machines step with; ``harness.run`` is the loop that calls them.
 
-A handler writes the registers it changes into ``cfg.reg``, the dict
-that the run copied for itself, in place, after its last guard: a step
-that fails or halts writes nothing.  It returns None when pc moves on,
-``JUMPED`` when it set pc, a ``Running`` when it writes a cell (left for
-the run to write) or moves the frames, or ``FAILED`` or ``HALTED``.
-Only a jump (jmp, jnz, xjmp) sets pc: any other instruction that names
-pc as a register it writes decodes to fail.  So the run moves pc to the
+A handler makes every write of its step in place, after its last
+guard, so a step that fails or halts writes nothing: the registers it
+changes into ``cfg.reg``, the dict that the run copied for itself, and
+its one cell, if any, into the memory of ``cfg`` that it indexes.  It
+returns None when pc moves on, ``JUMPED`` when it set pc, the cell it
+wrote as ``(memory, address, word)`` (a store, or a load that empties a
+linear word's cell), the new ``SourceConfig`` of a call or a return,
+which set pc, or ``FAILED`` or ``HALTED``.  Only a jump (jmp, jnz,
+xjmp), a call and a return set pc: any other instruction that names pc
+as a register it writes decodes to fail.  So the run moves pc to the
 next cell after any other step, in the one place that rule is written;
 it keeps pc's fields in locals and writes pc's register only when
 something reads it.  ``_DECODED``, a bounded dict memo keyed by the word
 (never by its address, so a store into code runs the new word), gives
-each distinct word's handler name, its operands as one tuple, whether an
-operand names pc, and the registers a step of it may write, pc among
-them, which the run hands to a hook.  The run looks the handler up by
-name here at every step and calls it as ``exec_<op>(cfg, ext, gc,
-ops)``: a call with a fixed number of arguments, which CPython 3.11
-inlines into the running interpreter loop; a starred call it does not.
+each distinct word's handler name, its operands as one tuple, whether
+the handler reads pc, and the registers a step of it may write, pc
+among them, which the run hands to a hook.  The one word ``CALL_HEAD``,
+the first of every call sequence, decodes to ``_exec_call_head``: the
+call, when the extension recognizes one at pc, or else the word's own
+rule, a move.  The run looks the handler up by name here at every step
+and calls it as ``exec_<op>(cfg, ext, gc, ops)``: a call with a fixed
+number of arguments, which CPython 3.11 inlines into the running
+interpreter loop; a starred call it does not.
 The common steps call no helper: a jump to a normal memory capability
 writes only pc, ``move r pc`` tests pc's linearity in place, ``cca`` and
 ``seta2b`` build the moved pointer from the fields they keep, the
@@ -39,30 +45,15 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from collections import namedtuple
 from dataclasses import dataclass
 
+from .asm import CALL_HEAD
 from .core import (
     _LINEAR, _NORMAL, EXEC_PERMS, OPCODES, PC, RDATA, READ_PERMS,
-    WRITE_PERMS, MemCap, Record, RetPtrCode, RetPtrData, SealCap, Sealed,
-    StkPtr, _new, dec_instr, dec_perm, enc_lin, enc_perm, enc_type,
-    is_linear, is_sealable, lin_cons, linear_range, perm_leq,
+    WRITE_PERMS, MemCap, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
+    _new, dec_instr, dec_perm, enc_lin, enc_perm, enc_type, is_linear,
+    is_sealable, lin_cons, linear_range, perm_leq,
 )
-
-
-class Running(Record, namedtuple("Running", "cfg wrote cell",
-                                  defaults=(None,))):
-    """The outcome of a step that writes a cell or moves the frames.
-    ``cfg`` is the configuration after it, over the run's registers and
-    memories: the one it read, or a call's or a return's, with new
-    frames and stack memory.  ``cell`` is None or the step's one cell
-    write ``(memory, address, word)`` into a memory of ``cfg``, which
-    the run makes; such a step moves pc on, and its word's decode names
-    the registers it may write (``wrote`` is None).  A step with no cell
-    write is a call or a return: it set pc, and ``wrote`` names every
-    register it may have written, pc among them."""
-
-    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -97,10 +88,11 @@ class MachineExtension:
 
     ``pointers`` lists the capability kinds that load, store and the
     pointer instructions accept.  Each hook returns a step outcome when
-    its case applies and None otherwise; ``xjump_result`` also gets the
-    register writes the step makes before its own, which it writes only
-    when it applies and every premise of its case holds (see
-    ``xjump_result`` below).
+    its case applies and None otherwise: a call or a return returns its
+    new ``SourceConfig``, over the run's registers, which it has
+    written.  ``xjump_result`` also gets the register writes the step
+    makes before its own, which it writes only when it applies and
+    every premise of its case holds (see ``xjump_result`` below).
     This base class is the target machine: memory capabilities only, no
     source-only rules.
     """
@@ -111,9 +103,10 @@ class MachineExtension:
         return None
 
     def recognize_call(self, cfg, gc):
-        """Big-step call dispatch; None means no call fires here.
-        ``harness.run`` calls it only when pc is an executable memory
-        capability within its bounds whose cell holds ``CALL_HEAD``."""
+        """Big-step call dispatch; None means no call fires here.  Only
+        ``CALL_HEAD``'s handler calls it, so pc's register holds an
+        executable memory capability within its bounds whose cell holds
+        that word."""
         return None
 
 
@@ -242,7 +235,8 @@ def exec_store(cfg, ext, gc, ops):
     t = type(w)
     if t is not int and (t is not MemCap or w.lin is not _NORMAL):
         reg[r2] = lin_cons(w)
-    return _new(Running, (cfg, None, (m, a, w)))
+    m.written[a] = w
+    return m, a, w
 
 
 def exec_load(cfg, ext, gc, ops):
@@ -272,7 +266,8 @@ def exec_load(cfg, ext, gc, ops):
     if c.perm not in WRITE_PERMS:
         return FAILED
     reg[r1] = w
-    return _new(Running, (cfg, None, (m, a, 0)))
+    m.written[a] = 0
+    return m, a, 0
 
 
 def exec_cca(cfg, ext, gc, ops):
@@ -399,7 +394,7 @@ def xjump_result(w1, w2, r1, r2, cfg, ext, gc, pending=()):
     keep the sealed words: only linear halves are cleared, so only they
     are written.  The base case loads the code half into pc and the
     data half into r_data and returns ``JUMPED``; the source extension
-    adds the return-token case, a ``Running``.
+    adds the return-token case, which returns its new ``SourceConfig``.
     """
     if r1 == r2 and is_linear(w1):   # one linear word cannot be both halves
         return FAILED
@@ -428,6 +423,16 @@ def exec_xjmp(cfg, ext, gc, ops):
     return xjump_result(cfg.reg[r1], cfg.reg[r2], r1, r2, cfg, ext, gc)
 
 
+def _exec_call_head(cfg, ext, gc, ops):
+    """The handler of ``CALL_HEAD``, a call sequence's first word
+    (``asm.call_cond`` rejects any other first cell), which the run
+    calls with pc's register written: the call, when ``ext`` recognizes
+    one at pc, or else the word's own rule, through the module's
+    ``exec_move``."""
+    out = ext.recognize_call(cfg, gc)
+    return exec_move(cfg, ext, gc, ops) if out is None else out
+
+
 _HANDLER = {op: "exec_" + op for op in OPCODES}
 _MODULE = globals()
 
@@ -439,12 +444,15 @@ _DECODED = {}
 def _decode(w):
     """(handler name, operands, reads_pc, wrote) of the word ``w``,
     fail's when it names pc at an operand ``OPCODES`` marks "w": no
-    handler tests for pc.  ``reads_pc`` says that an operand names pc,
-    so the run writes pc's register before the handler reads it.
+    handler tests for pc.  The handler is ``_exec_call_head`` for
+    ``CALL_HEAD`` and ``exec_<op>`` for any other word.  ``reads_pc``
+    says that the handler reads pc (an operand names it, or it is
+    ``CALL_HEAD``'s), so the run writes pc's register before it.
     ``wrote`` names the registers a step of it may write, pc among them:
     a jump's operands ``OPCODES`` marks "r" (and rdata, xjmp's), any
     other instruction's marked "w", and the source of a register move,
-    which it clears of a linear word.  It is stored in
+    which it clears of a linear word (a call, whose step may write any
+    register, the run reports as such).  It is stored in
     ``_DECODED``, which ``harness.run`` reads with ``.get`` first, so
     each distinct word is decoded once; the memo is emptied
     when it holds 4096 words.  A plain dict, not an ``lru_cache``, whose
@@ -464,7 +472,8 @@ def _decode(w):
             wrote.append(RDATA)
         elif op == "move" and type(args[1]) is str:
             wrote.append(args[1])
-        out = (_HANDLER[op], args, PC in args,
-               tuple(dict.fromkeys(wrote + [PC])))
+        call = w == CALL_HEAD
+        out = ("_exec_call_head" if call else _HANDLER[op], args,
+               call or PC in args, tuple(dict.fromkeys(wrote + [PC])))
     _DECODED[w] = out
     return out

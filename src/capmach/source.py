@@ -21,15 +21,11 @@ from .core import (
     GlobalConstants, Memory, MemCap, Perm, Record, RetPtrCode,
     RetPtrData, SealCap, Sealed, StkPtr, _new,
 )
-from .machine import FAILED, JUMPED, MachineExtension, Running, xjump_result
+from .machine import FAILED, JUMPED, MachineExtension, xjump_result
 
 # module constants: ``Perm.RW`` is a slow class-attribute lookup, and a
 # call and a return each make several
 _RW, _RX = Perm.RW, Perm.RX
-# the registers a call and a return write, besides the linear halves
-# they clear (and, for a return that a call jumps to, the call's)
-_CALL_WROTE = (*sorted(CALL_WRITES), PC, RDATA)
-_RETURN_WROTE = (PC, RDATA, RSTK, RTMP1, RTMP2)
 
 
 class StackFrame(Record, namedtuple("StackFrame", "opc ms")):
@@ -70,9 +66,8 @@ class SourceExtension(MachineExtension):
         # rstk as the writes before the jump leave it: the atomic call
         # writes it
         reg = cfg.reg
-        rstk, wrote = reg[RSTK], _RETURN_WROTE
+        rstk = reg[RSTK]
         for r, w in pending:
-            wrote += (r,)
             if r == RSTK:
                 rstk = w
         if not isinstance(rstk, StkPtr):
@@ -101,7 +96,7 @@ class SourceExtension(MachineExtension):
         reg[RDATA] = 0
         reg[RSTK] = _new(StkPtr, (_RW, b_stk, e_priv, a_stk))
         reg[RTMP1] = reg[RTMP2] = 0
-        return _new(Running, (cfg, wrote, None))
+        return cfg
 
     def recognize_call(self, cfg, gc):
         pc = cfg.reg[PC]
@@ -119,7 +114,8 @@ def exec_call(cfg: SourceConfig, params: CallParams,
     pc whose window of ``CALL_LEN`` cells is within its bounds.  Its
     register writes wait, with the jump's, until every premise of both
     holds (``machine.xjump_result``), so a call that fails writes
-    nothing."""
+    nothing.  It returns its new ``SourceConfig``, or the jump's
+    outcome when that is not ``JUMPED``."""
     r1, r2 = params.r1, params.r2
     if r1 in CALL_WRITES or r2 in CALL_WRITES:
         return FAILED
@@ -159,9 +155,7 @@ def exec_call(cfg: SourceConfig, params: CallParams,
         (RRETCODE, _new(Sealed, (sigma, _new(RetPtrCode, (base, end, opc))))),
         (RRETDATA, _new(Sealed, (sigma, _new(RetPtrData, (a_stk, e_stk))))),
         (RTMP1, 0)))
-    if out is JUMPED:
-        return _new(Running, (cfg, _CALL_WROTE + (r1, r2), None))
-    return out
+    return cfg if out is JUMPED else out
 
 
 SOURCE_EXTENSION = SourceExtension()

@@ -1,18 +1,16 @@
 import gc
 import sys
+from collections import namedtuple
 from typing import Optional
 
 from capmach.asm import CALL_LEN, call_cond
 from capmach.core import (
     INF, PC, GlobalConstants, Lin, Memory, MemCap, Perm, Ranges, dec_instr,
-    _new, enc_instr, fresh_registers, linear_overlaps, linear_range,
-    mk_instr,
+    enc_instr, fresh_registers, linear_overlaps, linear_range, mk_instr,
 )
 from capmach.fixtures import STK_BASE
 from capmach.harness import _EXTENSIONS, run
-from capmach.machine import (
-    FAILED, HALTED, NULL_EXTENSION, MachineExtension, Running,
-)
+from capmach.machine import FAILED, HALTED, NULL_EXTENSION, MachineExtension
 from capmach.source import SourceConfig
 
 NOWHERE = GlobalConstants(frozenset(), 0)
@@ -82,14 +80,17 @@ def ex(cfg, op, *args, ext=NULL_EXTENSION, gc=NOWHERE):
 
 _KINDS = {ext: kind for kind, ext in _EXTENSIONS.items()}
 
+# the outcome of a step that runs on, as ``step`` records it
+Running = namedtuple("Running", "cfg wrote cell")
+
 
 def step(cfg, ext: MachineExtension = NULL_EXTENSION,
          gc: GlobalConstants = None):
     """One step of ``cfg`` on ``ext``'s machine, as a run takes it:
     FAILED, HALTED, or a ``Running`` that owns a copy of the
     configuration after the step, the registers the step may have
-    written (the hook's ``wrote``) with their words in the copy, and its
-    cell write (into the copy), or None.  A run of fuel 1 makes it: its
+    written (the hook's ``wrote``) with their words in the copy, and the
+    cell it wrote (in the copy), or None.  A run of fuel 1 makes it: its
     hook copies what it gets after a step that runs on.  ``cfg`` is not
     written."""
     out = []
@@ -102,8 +103,7 @@ def step(cfg, ext: MachineExtension = NULL_EXTENSION,
             if cell is not None:
                 m, a, w = cell
                 cell = (copy.mem if m is mem else copy.ms_stk, a, w)
-            out.append(_new(Running, (
-                copy, {r: copy.reg[r] for r in wrote}, cell)))
+            out.append(Running(copy, {r: copy.reg[r] for r in wrote}, cell))
 
     outcome = run(cfg, _KINDS[ext], gc, 1, keep).outcome
     return out[0] if out else FAILED if outcome == "failed" else HALTED

@@ -27,9 +27,9 @@ from capmach.fixtures import (
     scenario_second_stack, trusted_one_call,
 )
 from capmach.harness import ValidationFailure, run_diff
-from capmach.machine import Running, NULL_EXTENSION
+from capmach.machine import NULL_EXTENSION
 from capmach.source import SOURCE_EXTENSION
-from conftest import HALT, ex, scfg, std_gc, tcfg, trust_all
+from conftest import HALT, Running, ex, scfg, std_gc, tcfg, trust_all
 
 RNG_SEED = 20260826
 

@@ -13,7 +13,7 @@ from capmach.core import (
     lin_cons, linear_range, mk_instr, non_exec, perm_leq, OPCODES,
     IMM_RANGE, EncodingError,
 )
-from capmach.machine import FAILED, NULL_EXTENSION, Running
+from capmach.machine import FAILED, NULL_EXTENSION
 from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
 PERMS = list(Perm)
@@ -155,7 +155,7 @@ def test_records():
     frame = StackFrame(3, Memory())
     for rec in (cap, SealCap(1, 2, 3), StkPtr(Perm.RW, 1, 9, 3),
                 RetPtrData(4, 6), RetPtrCode(1, 2, 3), Sealed(5, cap), cfg,
-                frame, Running(cfg, {})):
+                frame):
         for attr in (*rec._fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(rec, attr, 0)

@@ -31,11 +31,11 @@ from capmach.fixtures import (
 from capmach.harness import (
     check_stack_partition, format_trace, run, run_diff, run_report,
 )
-from capmach.machine import NULL_EXTENSION, Running
+from capmach.machine import NULL_EXTENSION
 from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
 
-from conftest import check_linearity, count_calls, disassemble, step, \
-    tcfg, with_cell
+from conftest import Running, check_linearity, count_calls, disassemble, \
+    step, tcfg, with_cell
 from test_source import call_through
 
 
@@ -456,9 +456,10 @@ def test_write_set_names_every_changed_register():
 
 
 def test_a_step_that_fails_or_halts_writes_no_register():
-    # a handler writes the run's registers in place, after its last
-    # guard: a run that fails or halts ends with the registers of the
-    # configuration its last step started from, pc at that step's cell.
+    # a handler writes the run's registers and cells in place, after its
+    # last guard: a run that fails or halts ends with the registers and
+    # memories of the configuration its last step started from, pc at
+    # that step's cell.
     # Random programs, the corpus and the scenarios, and call-return
     # with every register pair as its trusted call's xjmp operands,
     # validated or not, on both machines
@@ -468,11 +469,14 @@ def test_a_step_that_fails_or_halts_writes_no_register():
         last = []
 
         def hook(now, wrote, cell):
-            last[:] = [dict(now.reg)]
+            last[:] = [dict(now.reg), dict(now.mem.written),
+                       dict(now.ms_stk.written)]
 
         report = run(cfg, kind, gc, fuel, hook)
         if report.outcome != "fuel-exhausted":
-            assert report.final_cfg.reg == last[0], (kind, report.outcome)
+            end = report.final_cfg
+            assert [end.reg, end.mem.written, end.ms_stk.written] == last, \
+                (kind, report.outcome)
             pc = last[0][PC]
             w = report.final_cfg.mem.get(pc.addr) \
                 if isinstance(pc, MemCap) else None

@@ -1,18 +1,19 @@
 from itertools import product
 
 from conftest import (
-    HALT, NOWHERE, enc, ex, rw, rx, scfg, step, tcfg, with_cell,
+    HALT, NOWHERE, Running, enc, ex, rw, rx, scfg, step, tcfg, with_cell,
 )
 from hypothesis import given, settings, strategies as st
 
 from capmach import machine
+from capmach.asm import CALL_HEAD
 from capmach.core import (
     OPCODES, REGISTERS, Instr, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
     RetPtrData, SealCap, Sealed, StkPtr, dec_instr, enc_instr, enc_lin,
     enc_perm, enc_type, linear_range, mk_instr,
 )
-from capmach.harness import run_report
-from capmach.machine import FAILED, HALTED, NULL_EXTENSION, Running
+from capmach.harness import run, run_report
+from capmach.machine import FAILED, HALTED, NULL_EXTENSION
 from capmach.source import SOURCE_EXTENSION, SourceConfig
 
 
@@ -176,6 +177,15 @@ def test_store():
     lin = rw(0, 1, 0, Lin.LINEAR)
     out = ex(tcfg({5: 0}, pc=pc, r1=rw(5, 5, 5), r2=lin), "store", "r1", "r2")
     assert out.cfg.mem[5] == lin and out.cfg.reg["r2"] == 0
+    # the handler writes the cell in place, in the memory the pointer
+    # indexes, and returns it as (memory, address, word)
+    for ext, cfg in ((NULL_EXTENSION, scfg({5: 0}, r1=rw(5, 5, 5), r2=lin)),
+                     (SOURCE_EXTENSION, scfg(ms_stk={5: 0}, r1=StkPtr(
+                         Perm.RW, 5, 5, 5), r2=lin))):
+        m = cfg.ms_stk if ext is SOURCE_EXTENSION else cfg.mem
+        out = machine.exec_store(cfg, ext, NOWHERE, ("r1", "r2"))
+        assert type(out) is tuple and out[0] is m and out[1:] == (5, lin)
+        assert m.written == {5: lin} and cfg.reg["r2"] == 0
 
 
 def test_load():
@@ -195,6 +205,16 @@ def test_load():
     assert ex(tcfg({5: lin}, pc=pc, r2=ro), "load", "r1", "r2") is FAILED
     out = ex(tcfg({5: lin}, pc=pc, r2=rw(5, 5, 5)), "load", "r1", "r2")
     assert out.cfg.reg["r1"] == lin and out.cfg.mem[5] == 0
+    # the handler empties a linear word's cell in place and returns it;
+    # a load of a normal word writes no cell
+    cfg = tcfg({5: lin}, r2=rw(5, 5, 5))
+    out = machine.exec_load(cfg, NULL_EXTENSION, NOWHERE, ("r1", "r2"))
+    assert type(out) is tuple and out[0] is cfg.mem and out[1:] == (5, 0)
+    assert cfg.mem.written == {5: 0} and cfg.reg["r1"] == lin
+    cfg = tcfg({5: seal}, r2=rw(5, 5, 5))
+    assert machine.exec_load(cfg, NULL_EXTENSION, NOWHERE, ("r1", "r2")) \
+        is None
+    assert cfg.mem.written == {5: seal} and cfg.reg["r1"] == seal
     # every kind of word, bare and under one or two seals: told in place
     # or through linear_range, a load clears the cell, and needs a
     # pointer that writes, exactly when linear_range finds it linear
@@ -441,6 +461,13 @@ def test_load_and_store_guards_against_the_paper():
                         runs += 1
                         if want is None:
                             assert out is FAILED, case
+                            # and the run writes no cell
+                            at = cfg._replace(mem=with_cell(
+                                cfg.mem, 50, enc(op, *args)))
+                            end = run(at, "source" if ext is SOURCE_EXTENSION
+                                      else "target", NOWHERE, 1).final_cfg
+                            assert (end.mem.written, end.ms_stk.written) \
+                                == (at.mem.written, at.ms_stk.written), case
                             continue
                         regs, cells = want
                         assert out.cfg.reg == \
@@ -544,6 +571,11 @@ def test_decode_memo_is_bounded():
         assert wrote == ("r0", "pc")
     assert sum(reads_pc for _, _, reads_pc, _ in machine._DECODED.values()) \
         == 2
+    # a call's first word has a handler of its own, which reads pc
+    assert enc("move", "rtmp1", 42) == CALL_HEAD
+    ex(tcfg(pc=rx(0, 9, 0)), "move", "rtmp1", 42)
+    assert machine._DECODED[CALL_HEAD] == \
+        ("_exec_call_head", ("rtmp1", 42), True, ("rtmp1", "pc"))
 
 
 # every kind of word; and a few that pair up (an xjmp pair, adjacent

@@ -2,7 +2,9 @@ import dataclasses
 import functools
 from itertools import product
 
-from conftest import HALT, enc, ex, rw, rx, scfg, std_gc, step, with_cell
+from conftest import (
+    HALT, Running, enc, ex, rw, rx, scfg, std_gc, step, with_cell,
+)
 
 from capmach.asm import (
     CALL_HEAD, CALL_LEN, CALL_WRITES, CallParams, call_cond, expand_scall,
@@ -20,8 +22,10 @@ from capmach.fixtures import (
     minimal_context,
 )
 from capmach.harness import check_stack_partition, run_diff, run_report
-from capmach.machine import FAILED, Running
-from capmach.source import SOURCE_EXTENSION, StackFrame, exec_call
+from capmach.machine import FAILED, exec_xjmp
+from capmach.source import (
+    SOURCE_EXTENSION, SourceConfig, StackFrame, exec_call,
+)
 
 GC = GlobalConstants(frozenset(), 1000)
 
@@ -92,25 +96,23 @@ PARAMS = CallParams(30, 0, "r3", "r4")
 
 
 def _call(cfg, params=PARAMS):
-    """``exec_call``'s outcome over a copy of ``cfg``'s registers, which
-    the call writes in place; ``cfg`` is not written."""
+    """``exec_call``'s new configuration over a copy of ``cfg``'s
+    registers, which the call writes in place and keeps; ``cfg`` is not
+    written."""
     cfg = cfg.with_regs({})
     out = exec_call(cfg, params, SOURCE_EXTENSION, GC)
-    assert isinstance(out, Running) and out.cfg.reg is cfg.reg
+    assert type(out) is SourceConfig and out.reg is cfg.reg
     return out
 
 
 def test_exec_call():
     before = _call_cfg()
-    out = _call(before)
-    cfg = out.cfg
+    cfg = _call(before)
     want = {**before.reg, "pc": rx(200, 210, 200),
             "rdata": rw(300, 310, 300), "rstk": sp(1000, 1004, 1004),
             "rretcode": Sealed(5, RetPtrCode(0, 100, 36)),
             "rretdata": Sealed(5, RetPtrData(1005, 1010)), "rtmp1": 0}
     assert cfg.reg == want
-    assert {r for r in want if want[r] is not before.reg[r]} <= \
-        set(out.wrote)
     (frame,) = cfg.stk
     assert frame.opc == 10 + CALL_LEN
     assert set(frame.ms) == set(range(1005, 1011))
@@ -120,10 +122,10 @@ def test_exec_call():
 
 
 def test_exec_call_sigma_offset():
-    out = _call(_call_cfg(
+    cfg = _call(_call_cfg(
         r3=Sealed(7, rx(200, 210, 200)),
         r4=Sealed(7, rw(300, 310, 300))), CallParams(30, 2, "r3", "r4"))
-    assert out.cfg.reg["rretcode"].sigma == 7
+    assert cfg.reg["rretcode"].sigma == 7
 
 
 def test_exec_call_guards():
@@ -264,9 +266,15 @@ def _ret_cfg(**over):
 
 
 def test_return_token_xjmp():
-    out = ex(_ret_cfg(), "xjmp", "r1", "r2")
-    assert isinstance(out, Running)
-    cfg = out.cfg
+    # the handler writes a copy of the registers in place and returns
+    # the new configuration over them
+    cfg = _ret_cfg().with_regs({})
+    out = exec_xjmp(cfg, SOURCE_EXTENSION, GC, ("r1", "r2"))
+    assert type(out) is SourceConfig and out.reg is cfg.reg
+    # and a run's step ends in the same configuration
+    assert ex(_ret_cfg(), "xjmp", "r1", "r2").cfg._replace(mem=out.mem) \
+        == out
+    cfg = out
     assert cfg.reg["pc"] == rx(0, 100, 36)
     assert cfg.reg["rstk"] == sp(1000, 1010, 1005)
     assert cfg.reg["rdata"] == 0
