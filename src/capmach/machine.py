@@ -451,8 +451,8 @@ def _decode(w):
     ``wrote`` names the registers a step of it may write, pc among them:
     a jump's operands ``OPCODES`` marks "r" (and rdata, xjmp's), any
     other instruction's marked "w", and the source of a register move,
-    which it clears of a linear word (a call, whose step may write any
-    register, the run reports as such).  It is stored in
+    which it clears of a linear word (after a call, which may write any
+    register, the run names every register instead).  It is stored in
     ``_DECODED``, which ``harness.run`` reads with ``.get`` first, so
     each distinct word is decoded once; the memo is emptied
     when it holds 4096 words.  A plain dict, not an ``lru_cache``, whose

@@ -208,14 +208,16 @@ def test_paranoid_step_calls():
     # the paranoid checks visit what a step changed: the registers it
     # wrote and its cell, whose owners are told in place, and at a call
     # or a return the memories it made and the regions next to them, in
-    # one hook call per step: 3.223 calls per step with Python 3.10 to
-    # 3.13 (3.690 when a call or a return split and joined the stack
-    # through ``Ranges``' Python-level constructor and the tracker
-    # called ``bounds`` and ``meets``, 3.957 when ``lin_cons`` sent a
-    # sealed word to ``linear_range``, 5.559 when the words other than
-    # ints and normal memory capabilities went through ``linear_range``
-    # and each call and return rebuilt the partition, 8.454 with the
-    # generator loop).  Unchecked, these runs make 1.920
+    # one hook call per step: 3.171 calls per step with Python 3.11
+    # (3.141 before a call's first word had a handler of its own, which
+    # a CALL_HEAD step calls besides ``recognize_call``; 3.690 when a
+    # call or a return split and joined the stack through ``Ranges``'
+    # Python-level constructor and the tracker called ``bounds`` and
+    # ``meets``, 3.957 when ``lin_cons`` sent a sealed word to
+    # ``linear_range``, 5.559 when the words other than ints and normal
+    # memory capabilities went through ``linear_range`` and each call
+    # and return rebuilt the partition, 8.454 with the generator loop).
+    # Unchecked, these runs make 1.868
     programs = [(t, ctx) for name, t, ctx in fixtures.corpus()
                 if name != "spin"]
     per_step, reports = _calls_per_step(programs, 2000, paranoid=True)
