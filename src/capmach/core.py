@@ -17,6 +17,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Mapping
 from itertools import chain
+from operator import itemgetter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -218,14 +219,29 @@ _NORMAL, _LINEAR = Lin.NORMAL, Lin.LINEAR
 
 def linear_range(w: Word):
     """The ``(base, end)`` a linear word owns, bare or under a seal, or
-    None for a word that owns nothing."""
-    while isinstance(w, Sealed):
-        w = w.inner
-    if isinstance(w, MemCap):
-        return (w.base, w.end) if w.lin is _LINEAR else None
-    if isinstance(w, (StkPtr, RetPtrData)):
-        return (w.base, w.end)
-    return None
+    None for a word that owns nothing: one lookup in ``OWNS``."""
+    t = type(w)
+    if t is Sealed:
+        w = w[1]
+        t = type(w)
+    own = OWNS.get(w[1] if t is MemCap else t)
+    return own and own(w)
+
+
+# The words that own addresses, each with a C-level getter of the
+# ``(base, end)`` it owns, keyed by a memory capability's ``lin`` or any
+# other word's type: a linear memory capability, a stack pointer and a
+# return-data token own their range, and a seal owns what the word it
+# seals owns.  Each test of linearity (``linear_range``, ``lin_cons``,
+# the load, ``harness._scan`` and the paranoid tracker's register test)
+# unwraps one seal in place and makes one lookup here, so a new owning
+# kind is one entry, and only a seal within a seal calls a function.
+OWNS = {
+    _LINEAR: itemgetter(2, 3),
+    StkPtr: itemgetter(1, 2),
+    RetPtrData: itemgetter(0, 1),
+    Sealed: linear_range,
+}
 
 
 def is_linear(w: Word) -> bool:
@@ -251,21 +267,17 @@ def linear_overlaps(owners) -> list:
 
 def lin_cons(w: Word) -> Word:
     """``w``, or 0 when it is linear: ``lin_cons(w) is w`` when ``w`` owns
-    nothing.  Every word bare or under one seal (an atomic call's and a
-    return's halves) is told in place, as ``harness._scan`` tells it;
-    only a seal within a seal goes through ``linear_range``."""
-    t = type(w)
-    if t is int or t is MemCap and w.lin is _NORMAL:
+    nothing.  One seal is unwrapped first, since a move, a store and a
+    jump tell a bare int or normal memory capability before they call
+    it and ``xjmp`` hands it sealed halves; then an int or a normal
+    memory capability is told at once, and any other word by its
+    ``OWNS`` entry."""
+    v = w[1] if type(w) is Sealed else w
+    t = type(v)
+    if t is int or t is MemCap and v.lin is _NORMAL:
         return w
-    v = w
-    if t is Sealed:
-        v = w[1]
-        t = type(v)
-    if t is MemCap:
-        return 0 if v.lin is _LINEAR else w
-    if t is StkPtr or t is RetPtrData:
-        return 0
-    return w if t is not Sealed or linear_range(v) is None else 0
+    own = OWNS.get(v[1] if t is MemCap else t)
+    return 0 if own and own(v) else w
 
 
 def non_exec(w: Word) -> bool:
@@ -739,15 +751,11 @@ def enc_instr(i: Instr) -> int:
 
 
 def dec_instr(w: Word) -> Instr:
-    """Total decoder: capabilities and non-image integers decode to fail."""
-    if not isinstance(w, int):
-        return FAIL
-    return _dec_int(w)
-
-
-@functools.lru_cache(maxsize=4096)
-def _dec_int(w: int) -> Instr:
-    if w < 0:
+    """Total decoder: capabilities and non-image integers decode to fail.
+    It keeps no memo: its callers on a hot path keep their own
+    (``machine._DECODED``, ``asm._word_parts`` and
+    ``asm._window_params``)."""
+    if not isinstance(w, int) or w < 0:
         return FAIL
     op = _OPLIST[w % _NOPS]
     rest = w // _NOPS

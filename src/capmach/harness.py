@@ -16,9 +16,9 @@ from itertools import islice
 
 from .asm import CALL_LEN, RET_PT_OFFSET
 from .components import Component, diagnostics, initial_config, link
-from .core import _LINEAR, _NORMAL, EXEC_PERMS, PC, REGISTERS, \
-    GlobalConstants, MemCap, Memory, RetPtrData, Sealed, StkPtr, _new, \
-    dec_instr, linear_overlaps, linear_range
+from .core import _NORMAL, EXEC_PERMS, OWNS, PC, REGISTERS, \
+    GlobalConstants, MemCap, Memory, Sealed, _new, dec_instr, \
+    linear_overlaps
 from .machine import _DECODED, _MODULE, JUMPED, NULL_EXTENSION, _decode
 from .source import SOURCE_EXTENSION, SourceConfig
 
@@ -83,11 +83,10 @@ def check_stack_partition(cfg: SourceConfig) -> list:
 
 def _scan(cells: dict) -> dict:
     """``{k: (base, end, 0)}`` for each word ``cells[k]`` that owns
-    ``base..end`` (``core.linear_range``): an owner in
-    ``core.linear_overlaps``'s form, its name left out (0) until a
-    violation names it.  One pass: every word bare or under one seal is
-    told in place, and only a seal within a seal goes through
-    ``linear_range``.  ``_Invariants.observe`` makes the same test
+    ``base..end``: an owner in ``core.linear_overlaps``'s form, its name
+    left out (0) until a violation names it.  One pass: an int is told
+    first, any other word, bare or under one seal, by its
+    ``core.OWNS`` entry.  ``_Invariants.observe`` makes the same test
     inline for registers."""
     out = {}
     for k, w in cells.items():
@@ -96,15 +95,9 @@ def _scan(cells: dict) -> dict:
             if t is Sealed:
                 w = w[1]
                 t = type(w)
-            if t is MemCap:
-                if w[1] is _LINEAR:
-                    out[k] = (w[2], w[3], 0)
-            elif t is StkPtr:
-                out[k] = (w[1], w[2], 0)
-            elif t is RetPtrData:
-                out[k] = (w[0], w[1], 0)
-            elif t is Sealed and (r := linear_range(w)) is not None:
-                out[k] = (r[0], r[1], 0)
+            own = OWNS.get(w[1] if t is MemCap else t)
+            if own and (o := own(w)):
+                out[k] = o + (0,)
     return out
 
 
@@ -182,38 +175,29 @@ class _Invariants:
         its violations to ``violations`` as step ``steps``'s.  ``wrote``
         names every register whose word is not the same object as there
         (registers are never removed), and ``cell`` (see ``run``) the
-        one such cell of a memory that is."""
+        one such cell of a memory that is.  Each register it names is
+        told by ``_scan``'s test, inline: an int or a normal memory
+        capability first, any other word by one ``core.OWNS`` lookup."""
         changed = False
         regs, reg = self.regs, cfg.reg
         for r in wrote:
-            # ``_scan``'s test, inlined: most steps write only registers,
-            # and mostly ints and normal memory capabilities
+            # most steps write only registers, and mostly ints and
+            # normal memory capabilities
             w = reg[r]
             t = type(w)
-            if t is int or t is MemCap and w[1] is _NORMAL:
-                if r in regs:
-                    del regs[r]
-                    changed = True
-                continue
-            if t is Sealed:
-                w = w[1]
-                t = type(w)
-            if t is MemCap:
-                o = (w[2], w[3], 0) if w[1] is _LINEAR else None
-            elif t is StkPtr:
-                o = (w[1], w[2], 0)
-            elif t is RetPtrData:
-                o = (w[0], w[1], 0)
-            elif t is Sealed and (o := linear_range(w)) is not None:
-                o = (o[0], o[1], 0)
-            else:
-                o = None
-            if o is None:
-                if r in regs:
-                    del regs[r]
-                    changed = True
-            elif regs.get(r) != o:
-                regs[r] = o
+            if t is not int and (t is not MemCap or w[1] is not _NORMAL):
+                if t is Sealed:
+                    w = w[1]
+                    t = type(w)
+                own = OWNS.get(w[1] if t is MemCap else t)
+                if own and (o := own(w)):
+                    o += (0,)
+                    if regs.get(r) != o:
+                        regs[r] = o
+                        changed = True
+                    continue
+            if r in regs:
+                del regs[r]
                 changed = True
         if cell is not None:
             m, a, w = cell

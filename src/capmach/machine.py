@@ -27,9 +27,10 @@ interpreter loop; a starred call it does not.
 The common steps call no helper: a jump to a normal memory capability
 writes only pc, ``move r pc`` tests pc's linearity in place, ``cca`` and
 ``seta2b`` build the moved pointer from the fields they keep, the
-handlers ``_binop`` builds do the arithmetic themselves, a store of an
-int or a normal memory capability keeps it with no call, and a load
-tells whether the word it reads is linear in place.  Records are built
+handlers ``_binop`` builds do the arithmetic themselves, a store or a
+register move of an int or a normal memory capability keeps it with no
+call, and a load tells whether the word it reads is linear by one
+lookup in ``core.OWNS``, the table of the words that own addresses.  Records are built
 with ``tuple.__new__``, which skips the Python-level constructor that
 ``namedtuple`` generates.  A memory capability indexes ``mem`` and a
 stack pointer ``ms_stk``; every pointer case is written once over the
@@ -37,8 +38,8 @@ pointer and its segment, and load and store share one access guard,
 ``_access``.  Permission sets are tuples, not sets: a tuple's ``in``
 tests identity first and hashes nothing.  A ``MachineExtension`` names
 the pointer kinds its machine accepts and supplies the source-only rules
-(call recognition, return-token jumps); the target uses the null
-extension: memory capabilities only.
+(call recognition, return-token jumps) as hooks; the target uses the
+null extension: memory capabilities only, and no hooks.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ from dataclasses import dataclass
 
 from .asm import CALL_HEAD
 from .core import (
-    _LINEAR, _NORMAL, EXEC_PERMS, OPCODES, PC, RDATA, READ_PERMS,
+    _LINEAR, _NORMAL, EXEC_PERMS, OPCODES, OWNS, PC, RDATA, READ_PERMS,
     WRITE_PERMS, MemCap, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
     _new, dec_instr, dec_perm, enc_lin, enc_perm, enc_type, is_linear,
-    is_sealable, lin_cons, linear_range, perm_leq,
+    is_sealable, lin_cons, perm_leq,
 )
 
 
@@ -87,27 +88,23 @@ class MachineExtension:
     """What sets one machine apart from the other.
 
     ``pointers`` lists the capability kinds that load, store and the
-    pointer instructions accept.  Each hook returns a step outcome when
-    its case applies and None otherwise: a call or a return returns its
-    new ``SourceConfig``, over the run's registers, which it has
-    written.  ``xjump_result`` also gets the register writes the step
-    makes before its own, which it writes only when it applies and
-    every premise of its case holds (see ``xjump_result`` below).
-    This base class is the target machine: memory capabilities only, no
-    source-only rules.
+    pointer instructions accept.  Two hooks hold the source-only rules:
+    ``recognize_call(cfg, gc)``, big-step call dispatch, which only
+    ``CALL_HEAD``'s handler calls, with pc's register holding an
+    executable memory capability within its bounds whose cell holds that
+    word; and ``xjump_result(c1, c2, cfg, gc, pending)``, the jumps
+    through a sealed pair that the base case of ``xjump_result`` below
+    does not take, which writes the step's ``pending`` writes only when
+    it applies and every premise of its case holds.  Each returns a step
+    outcome when its case applies and None otherwise: a call or a return
+    returns its new ``SourceConfig``, over the run's registers, which it
+    has written.  This base class is the target machine: memory
+    capabilities only, and no hooks (None), so its steps call nothing in
+    their place.
     """
 
     pointers = (MemCap,)
-
-    def xjump_result(self, c1, c2, cfg, gc, pending):
-        return None
-
-    def recognize_call(self, cfg, gc):
-        """Big-step call dispatch; None means no call fires here.  Only
-        ``CALL_HEAD``'s handler calls it, so pc's register holds an
-        executable memory capability within its bounds whose cell holds
-        that word."""
-        return None
+    recognize_call = xjump_result = None
 
 
 NULL_EXTENSION = MachineExtension()
@@ -198,9 +195,11 @@ def exec_move(cfg, ext, gc, ops):
         # ``harness.run`` has checked that pc is a memory capability
         if old.lin is not _NORMAL:
             return FAILED
-    else:
+    elif (t := type(old)) is not int and (
+            t is not MemCap or old.lin is not _NORMAL):
         # Clear the source register first, then write the destination:
-        # correct even when r == rn (a linear cap stays put).
+        # correct even when r == rn (a linear cap stays put).  An int or
+        # a normal memory capability stays, as in ``exec_store``
         reg[rn] = lin_cons(old)
     reg[r] = old
     return None
@@ -258,8 +257,8 @@ def exec_load(cfg, ext, gc, ops):
         return None
     v = w[1] if t is Sealed else w   # linear? told as ``lin_cons`` tells it
     t = type(v)
-    if not (t is MemCap and v.lin is _LINEAR or t is StkPtr
-            or t is RetPtrData or t is Sealed and linear_range(v)):
+    own = OWNS.get(v[1] if t is MemCap else t)
+    if not (own and own(v)):
         reg[r1] = w
         return None
     # lin_cons empties a linear word's cell, so the pointer must write
@@ -393,8 +392,10 @@ def xjump_result(w1, w2, r1, r2, cfg, ext, gc, pending=()):
     its case holds, so a jump that fails writes nothing.  The registers
     keep the sealed words: only linear halves are cleared, so only they
     are written.  The base case loads the code half into pc and the
-    data half into r_data and returns ``JUMPED``; the source extension
-    adds the return-token case, which returns its new ``SourceConfig``.
+    data half into r_data and returns ``JUMPED``; any other pair goes to
+    the extension's ``xjump_result`` hook, which fails on a machine that
+    has none: the source's adds the return-token case, which returns its
+    new ``SourceConfig``.
     """
     if r1 == r2 and is_linear(w1):   # one linear word cannot be both halves
         return FAILED
@@ -414,7 +415,8 @@ def xjump_result(w1, w2, r1, r2, cfg, ext, gc, pending=()):
         reg[PC] = c1
         reg[RDATA] = c2
         return JUMPED
-    out = ext.xjump_result(c1, c2, cfg, gc, pending)
+    hook = ext.xjump_result
+    out = None if hook is None else hook(c1, c2, cfg, gc, pending)
     return FAILED if out is None else out
 
 
@@ -426,11 +428,13 @@ def exec_xjmp(cfg, ext, gc, ops):
 def _exec_call_head(cfg, ext, gc, ops):
     """The handler of ``CALL_HEAD``, a call sequence's first word
     (``asm.call_cond`` rejects any other first cell), which the run
-    calls with pc's register written: the call, when ``ext`` recognizes
-    one at pc, or else the word's own rule, through the module's
-    ``exec_move``."""
-    out = ext.recognize_call(cfg, gc)
-    return exec_move(cfg, ext, gc, ops) if out is None else out
+    calls with pc's register written: the call, when ``ext`` has a
+    ``recognize_call`` and it recognizes one at pc, or else the word's
+    own rule, through the module's ``exec_move``."""
+    hook = ext.recognize_call
+    if hook is not None and (out := hook(cfg, gc)) is not None:
+        return out
+    return exec_move(cfg, ext, gc, ops)
 
 
 _HANDLER = {op: "exec_" + op for op in OPCODES}

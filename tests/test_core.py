@@ -11,7 +11,7 @@ from capmach.core import (
     StkPtr, TYPE_INT, TYPE_MEMCAP, TYPE_SEAL, TYPE_SEALED,
     dec_instr, dec_perm, enc_instr, enc_lin, enc_perm, enc_type, is_linear,
     lin_cons, linear_range, mk_instr, non_exec, perm_leq, OPCODES,
-    IMM_RANGE, EncodingError,
+    IMM_RANGE, LITERALS, EncodingError, parse_word,
 )
 from capmach.machine import FAILED, NULL_EXTENSION
 from capmach.source import SOURCE_EXTENSION, SourceConfig, StackFrame
@@ -77,6 +77,33 @@ def test_is_linear():
     assert not is_linear(Sealed(5, RetPtrCode(0, 9, 4)))
     assert is_linear(Sealed(5, MemCap(Perm.RW, Lin.LINEAR, 0, 5, 0)))
     assert not is_linear(SealCap(0, 5, 0))
+    # every record kind of LITERALS, bare and under one and two seals,
+    # against the paper's verdict written out: a linear memory
+    # capability, a stack pointer and a return-data token own their
+    # base..end, a seal owns what it seals, and nothing else owns
+    owns = {
+        "cap(rw,linear,3,8,4)": (3, 8),
+        "cap(rx,linear,0,inf,0)": (0, INF),
+        "cap(rwx,normal,3,8,4)": None,
+        "seal(3,8,4)": None,
+        "stkptr(rw,100,199,150)": (100, 199),
+        "stkptr(r,7,6,7)": (7, 6),
+        "retptrcode(3,8,4)": None,
+        "retptrdata(150,199)": (150, 199),
+        "sealed(5,cap(r,linear,10,12,10))": (10, 12),
+        "sealed(5,cap(rw,normal,10,12,10))": None,
+        "sealed(5,seal(1,2,1))": None,
+        "sealed(5,stkptr(rw,1,2,1))": (1, 2),
+        "sealed(5,retptrcode(1,2,1))": None,
+        "sealed(5,retptrdata(1,2))": (1, 2),
+    }
+    assert {text.partition("(")[0] for text in owns} == set(LITERALS)
+    for text, want in owns.items():
+        w = parse_word(text)
+        for v in (w, Sealed(7, w), Sealed(9, Sealed(7, w))):
+            assert linear_range(v) == want, v
+            assert is_linear(v) is (want is not None), v
+            assert lin_cons(v) is (v if want is None else 0), v
 
 
 def test_lin_cons():

@@ -20,9 +20,10 @@ from capmach.components import (
 )
 from capmach import fixtures
 from capmach.core import (
-    INF, OPCODES, PC, RDATA, REGISTERS, GlobalConstants, Instr, Lin, Memory,
-    MemCap, Perm, Ranges, RetPtrCode, RetPtrData, SealCap, Sealed, StkPtr,
-    dec_instr, enc_instr, fresh_registers, linear_range,
+    INF, OPCODES, PC, RDATA, REGISTERS, RRETCODE, RRETDATA, RSTK,
+    GlobalConstants, Instr, Lin, Memory, MemCap, Perm, Ranges, RetPtrCode,
+    RetPtrData, SealCap, Sealed, StkPtr, dec_instr, enc_instr,
+    fresh_registers, linear_range,
 )
 from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
@@ -615,6 +616,130 @@ def test_scan_and_register_test_agree_with_linear_range():
         cfg.reg["r1"] = w
         checks.observe(cfg, ("r1",), None)
         assert checks.regs.get("r1") == owner, w
+
+
+# ---------------------------------------------------------------------------
+# Linearity is conserved: one step of every opcode keeps every address
+# owned once
+
+# code at 100..103 (the instruction at 100), memory cells at 0..5, the
+# stack memory at 8..11 and a saved frame's at 12..15 (stk_base 8).  An
+# owning word takes a window no other owner holds; any other word points
+# into the cells' windows, the first six
+_LAW_GC = GlobalConstants(frozenset(), 8)
+_LAW_REGS = ("r1", "r2", "r3", "rstk", "rdata", "rretcode", "rretdata")
+_LAW_WINDOWS = [(0, 2), (3, 5), (8, 9), (10, 11), (12, 13), (14, 15)] + \
+    [(lo, lo + 2) for lo in range(20, 50, 3)]
+# the windows of a planted return: rstk's and the return-data token's
+_LAW_RETURN = [(8, 9), (10, 11), (12, 13), (14, 15)]
+_PERMS, _LINS = tuple(Perm), tuple(Lin)
+# each kind of capability over lo..hi at ``at``: the three that own first
+_LAW_KINDS = (
+    lambda rng, lo, hi, at: MemCap(rng.choice(_PERMS), Lin.LINEAR, lo, hi,
+                                   at),
+    lambda rng, lo, hi, at: StkPtr(rng.choice([Perm.RW, Perm.R]), lo, hi,
+                                   at),
+    lambda rng, lo, hi, at: RetPtrData(lo, hi),
+    lambda rng, lo, hi, at: MemCap(rng.choice(_PERMS), Lin.NORMAL, lo, hi,
+                                   at),
+    lambda rng, lo, hi, at: RetPtrCode(lo, hi, at),
+    lambda rng, lo, hi, at: SealCap(lo, hi, at),
+)
+
+
+def _law_cfg(rng, kind, op):
+    """A configuration that steps ``op`` on machine ``kind`` with words
+    of every kind, owning and not, bare and under one or two seals, in
+    its registers, pc included, and in a few cells, and no address owned
+    twice.  Some steps are planted, as random words seldom make them:
+    half of the ``split`` and ``splice`` steps split a word over 50..55
+    or join two halves that ``split`` could have made of it, and two
+    thirds of the ``xjmp`` steps jump through a pair under one seal, on
+    the source half of those a return through the frame it saved."""
+    plant = rng.choice((op, None)) if op in ("split", "splice") else \
+        rng.choice(("pair", "return", None)) if op == "xjmp" else None
+    if plant == "return" and kind == "target":
+        plant = "pair"
+    pool = [x for x in rng.sample(_LAW_WINDOWS, len(_LAW_WINDOWS))
+            if plant != "return" or x not in _LAW_RETURN]
+
+    def cap(k):
+        if k < 3 and not pool:      # no window left for an owner
+            k = 3
+        lo, hi = pool.pop() if k < 3 else rng.choice(_LAW_WINDOWS[:6])
+        return _LAW_KINDS[k](rng, lo, hi, rng.randint(lo, hi))
+
+    def word():
+        k = rng.randrange(8)
+        if k >= len(_LAW_KINDS):
+            return rng.randrange(16)
+        w = cap(k)
+        while rng.random() < 0.25:
+            w = Sealed(rng.randrange(2), w)
+        return w
+
+    reg = fresh_registers()
+    reg.update({r: word() for r in _LAW_REGS})
+    reg[PC] = word() if rng.random() < 0.1 else MemCap(
+        rng.choice([Perm.RX, Perm.RWX]), rng.choice(_LINS), 100, 103, 100)
+    operands = (PC,) + _LAW_REGS
+    args = tuple(rng.choice(operands) if k != "n" or rng.random() < 0.5
+                 else rng.randrange(-1, 16) for k in OPCODES[op])
+    mem = {a: word() for a in rng.sample(range(6), 3)}
+    frame = {a: word() for a in rng.sample(range(12, 16), 2)}
+    if plant in ("split", "splice"):
+        c = rng.choice((MemCap(rng.choice(_PERMS), rng.choice(_LINS), 50, 55,
+                               50), StkPtr(Perm.RW, 50, 55, 50),
+                        SealCap(50, 55, 50)))
+        if plant == "split":
+            reg["r3"] = c
+            args = args[:2] + ("r3", rng.randrange(50, 55))
+        else:
+            reg["r2"] = c._replace(end=52)
+            reg["r3"] = c._replace(base=53, **{c._fields[-1]: 53})
+            args = (args[0], "r2", "r3")
+    elif plant == "pair":
+        sigma = rng.randrange(2)
+        reg["r1"] = Sealed(sigma, cap(rng.choice((0, 3))))
+        reg["r2"] = Sealed(sigma, cap(rng.randrange(6)))
+        args = ("r1", "r2")
+    elif plant == "return":
+        sigma = rng.randrange(2)
+        reg[RSTK] = StkPtr(Perm.RW, 8, 11, rng.randint(8, 11))
+        reg[RRETCODE] = Sealed(sigma, RetPtrCode(100, 103, 103))
+        reg[RRETDATA] = Sealed(sigma, RetPtrData(12, 15))
+        args = (RRETCODE, RRETDATA)
+    mem[100] = enc_instr(Instr(op, args))
+    mem = Memory(mem, Ranges([(0, 5), (100, 103)]))
+    if kind == "target":
+        return SourceConfig(mem, reg)
+    frames = (StackFrame(103, Memory(frame, Ranges.span(12, 15))),) \
+        if plant == "return" or rng.random() < 0.5 else ()
+    return SourceConfig(mem, reg, frames, Memory(
+        {a: word() for a in rng.sample(range(8, 12), 2)}, Ranges.span(8, 11)))
+
+
+def test_linearity_is_conserved_by_every_opcode():
+    # item 26's first law, over words rather than the runs the corpus
+    # makes: after one step of any instruction, on either machine, from
+    # a configuration in which no address has two owners, none has
+    rng = random.Random(26)
+    ran, returns = Counter(), 0
+    for op in OPCODES:
+        for kind in ("source", "target"):
+            for _ in range(250):
+                cfg = _law_cfg(rng, kind, op)
+                assert check_linearity(cfg) == [], cfg
+                r = run(cfg, kind, _LAW_GC, 1)
+                assert check_linearity(r.final_cfg) == [], (kind, cfg)
+                ran[op, kind] += r.outcome == "fuel-exhausted"
+                returns += len(r.final_cfg.stk) < len(cfg.stk)
+    # every instruction but fail and halt stepped on at least 5 times on
+    # each machine, and planted returns were taken
+    assert {x for x, n in ran.items() if n >= 5} == {
+        (op, kind) for op in OPCODES if op not in ("fail", "halt")
+        for kind in ("source", "target")}, ran
+    assert returns >= 20, returns
 
 
 def test_paranoid_violation_comes_and_goes():
