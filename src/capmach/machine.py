@@ -30,16 +30,17 @@ writes only pc, ``move r pc`` tests pc's linearity in place, ``cca`` and
 handlers ``_binop`` builds do the arithmetic themselves, a store or a
 register move of an int or a normal memory capability keeps it with no
 call, and a load tells whether the word it reads is linear by one
-lookup in ``core.OWNS``, the table of the words that own addresses.  Records are built
-with ``tuple.__new__``, which skips the Python-level constructor that
-``namedtuple`` generates.  A memory capability indexes ``mem`` and a
-stack pointer ``ms_stk``; every pointer case is written once over the
-pointer and its segment, and load and store share one access guard,
-``_access``.  Permission sets are tuples, not sets: a tuple's ``in``
-tests identity first and hashes nothing.  A ``MachineExtension`` names
-the pointer kinds its machine accepts and supplies the source-only rules
-(call recognition, return-token jumps) as hooks; the target uses the
-null extension: memory capabilities only, and no hooks.
+lookup in ``core.OWNS``, the table of the words that own addresses.
+Records are built with ``tuple.__new__``, which skips the Python-level
+constructor that ``namedtuple`` generates.  A memory capability indexes
+``mem`` and a stack pointer ``ms_stk``; every pointer case is written
+once over the pointer and its segment, and load and store share one
+access guard, ``_access``.  Permission sets are tuples, not sets: a
+tuple's ``in`` tests identity first and hashes nothing.  A
+``MachineExtension`` names the pointer kinds its machine accepts and
+supplies the source-only rules (call recognition, return-token jumps)
+as hooks; the target uses the null extension: memory capabilities
+only, and no hooks.
 """
 
 from __future__ import annotations

@@ -194,8 +194,9 @@ def test_handlers_take_one_operand_tuple(monkeypatch):
 def test_load_store_sweep_step_calls():
     # a load or a store is one handler call plus one access guard, and a
     # store of an int calls nothing else, not even to tell that an
-    # unwritten cell is in the memory: 1.297 calls per step with Python
-    # 3.10 to 3.13 (1.424 when that went through ``Ranges.__contains__``,
+    # unwritten cell is in the memory: 1.281 calls per step with Python
+    # 3.11 (1.292 when a register move of an int called ``lin_cons``,
+    # 1.424 when that test went through ``Ranges.__contains__``,
     # 1.443 when ``lin_cons`` sent a sealed word to ``linear_range``,
     # 3.630 with the generator loop and ``lin_cons`` on every store)
     per_step, reports = _calls_per_step(
@@ -209,16 +210,18 @@ def test_paranoid_step_calls():
     # the paranoid checks visit what a step changed: the registers it
     # wrote and its cell, whose owners are told in place, and at a call
     # or a return the memories it made and the regions next to them, in
-    # one hook call per step: 3.171 calls per step with Python 3.11
-    # (3.141 before a call's first word had a handler of its own, which
-    # a CALL_HEAD step calls besides ``recognize_call``; 3.690 when a
-    # call or a return split and joined the stack through ``Ranges``'
-    # Python-level constructor and the tracker called ``bounds`` and
-    # ``meets``, 3.957 when ``lin_cons`` sent a sealed word to
-    # ``linear_range``, 5.559 when the words other than ints and normal
-    # memory capabilities went through ``linear_range`` and each call
-    # and return rebuilt the partition, 8.454 with the generator loop).
-    # Unchecked, these runs make 1.868
+    # one hook call per step: 3.126 calls per step with Python 3.11
+    # (3.171 when a target CALL_HEAD step asked a ``recognize_call`` that
+    # returned None and a register move of an int called ``lin_cons``;
+    # 3.141 before a call's first word had a handler of its own; 3.690
+    # when a call or a return split and joined the stack through
+    # ``Ranges``' Python-level constructor and the tracker called
+    # ``bounds`` and ``meets``, 3.957 when ``lin_cons`` sent a sealed
+    # word to ``linear_range``, 5.559 when the words other than ints and
+    # normal memory capabilities went through ``linear_range`` and each
+    # call and return rebuilt the partition, 8.454 with the generator
+    # loop).
+    # Unchecked, these runs make 1.823
     programs = [(t, ctx) for name, t, ctx in fixtures.corpus()
                 if name != "spin"]
     per_step, reports = _calls_per_step(programs, 2000, paranoid=True)
