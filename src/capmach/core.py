@@ -233,9 +233,10 @@ def linear_range(w: Word):
 # other word's type: a linear memory capability, a stack pointer and a
 # return-data token own their range, and a seal owns what the word it
 # seals owns.  Each test of linearity (``linear_range``, ``lin_cons``,
-# the load, ``harness._scan`` and the paranoid tracker's register test)
-# unwraps one seal in place and makes one lookup here, so a new owning
-# kind is one entry, and only a seal within a seal calls a function.
+# the load, the splice, ``harness._scan`` and the paranoid tracker's
+# register test) unwraps one seal in place and makes one lookup here, so
+# a new owning kind is one entry, and only a seal within a seal calls a
+# function.
 OWNS = {
     _LINEAR: itemgetter(2, 3),
     StkPtr: itemgetter(1, 2),

@@ -4,12 +4,15 @@ Every fixture pairs a trusted component (its code is the trusted
 address set) with a context.  Addresses follow one layout: trusted code
 near 100 with data at 300, context code near 500 with data at 700, the
 stack at [1000, 1063] with guard cells just outside.  Every component
-is built by ``component``.
+is built by ``component``.  The corpus builds its pairs anew at each
+call; each attack scenario builds its pair once per process, on first
+use, and every run of the scenario shares it (``ScenarioResult``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .asm import assemble
 from .components import Component
@@ -354,6 +357,14 @@ def corpus():
 
 @dataclass
 class ScenarioResult:
+    """One run of an attack scenario.
+
+    ``components`` is the scenario's ``(trusted, context)`` pair, which
+    is built once per process and shared by every run of the scenario
+    and every result: nothing may write into its dicts.  A run copies
+    the memories it writes, and ``link`` and ``initial_config`` build
+    new dicts.
+    """
     name: str
     verdict: DiffVerdict
     expected: str       # "both-failed" | "disagreement"
@@ -367,20 +378,16 @@ class ScenarioResult:
         return s == "failed" and t == "halted" and not self.verdict.agreement
 
 
-def _scenario(name, expected, t, c, check_stk_base=True) -> ScenarioResult:
-    v = run_diff(t, c, STK_BASE, STK_END, fuel=1000,
-                 check_stk_base=check_stk_base)
-    return ScenarioResult(name, v, expected, (t, c))
+def _partial_stack_return():
+    # the callee keeps the top of the stack and tries to return
+    return trusted_one_call(), context_cb("  split rstk r7 rstk 1050")
 
 
-def scenario_partial_stack_return() -> ScenarioResult:
-    """The callee keeps the top of the stack and tries to return."""
-    return _scenario("partial-stack-return", "both-failed",
-                     trusted_one_call(),
-                     context_cb("  split rstk r7 rstk 1050"))
-
-
-def _second_stack_components(check_stk_base: bool):
+def _second_stack(check_stk_base: bool):
+    # a context hands the trusted caller a private second stack.  With
+    # the stack-base check in place both machines refuse; with the check
+    # compiled out the target completes the ill-bracketed return while
+    # the source still refuses: a visible disagreement
     t_text = """\
 entry:
   call sealw 0 r1 r2
@@ -425,22 +432,8 @@ cb:
     return t, c
 
 
-def scenario_second_stack(check_stk_base: bool = True) -> ScenarioResult:
-    """A context hands the trusted caller a private second stack.
-
-    With the stack-base check in place both machines refuse; with the
-    check compiled out the target completes the ill-bracketed return
-    while the source still refuses — a visible disagreement.
-    """
-    name = "second-stack" if check_stk_base else "second-stack-nocheck"
-    expected = "both-failed" if check_stk_base else "disagreement"
-    return _scenario(name, expected,
-                     *_second_stack_components(check_stk_base),
-                     check_stk_base=check_stk_base)
-
-
-def scenario_double_return() -> ScenarioResult:
-    """A second closure replays the consumed return pair."""
+def _double_return():
+    # a second closure replays the consumed return pair
     t_text = f"""\
 entry:
 {_LOAD_CB}
@@ -466,12 +459,36 @@ cb2:
                       "cb_data": (9, C_DATA, C_DATA),
                       "cb2_code": (9, "cb2"),
                       "cb2_data": (9, C_DATA + 1, C_DATA + 1)})
-    return _scenario("double-return", "both-failed", t, c)
+    return t, c
 
 
-SCENARIOS = {
-    "partial-stack-return": scenario_partial_stack_return,
-    "second-stack": scenario_second_stack,
-    "second-stack-nocheck": lambda: scenario_second_stack(False),
-    "double-return": scenario_double_return,
+# Each scenario by name: the builder of its (trusted, context) pair,
+# the verdict it expects and whether its calls check the stack base
+_SCENARIO = {
+    "partial-stack-return": (_partial_stack_return, "both-failed", True),
+    "second-stack": (partial(_second_stack, True), "both-failed", True),
+    "second-stack-nocheck": (partial(_second_stack, False), "disagreement",
+                             False),
+    "double-return": (_double_return, "both-failed", True),
 }
+
+
+@cache
+def _components(name: str) -> tuple:
+    """Scenario ``name``'s ``(trusted, context)`` pair, built from its
+    constant text on first use and shared by every later run of it in
+    the process."""
+    return _SCENARIO[name][0]()
+
+
+def _run(name: str) -> ScenarioResult:
+    """A fresh run of scenario ``name`` over its shared pair: each call
+    validates, links and runs both machines anew."""
+    _, expected, check_stk_base = _SCENARIO[name]
+    pair = _components(name)
+    v = run_diff(*pair, STK_BASE, STK_END, fuel=1000,
+                 check_stk_base=check_stk_base)
+    return ScenarioResult(name, v, expected, pair)
+
+
+SCENARIOS = {name: partial(_run, name) for name in _SCENARIO}

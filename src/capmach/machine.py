@@ -29,8 +29,9 @@ writes only pc, ``move r pc`` tests pc's linearity in place, ``cca`` and
 ``seta2b`` build the moved pointer from the fields they keep, the
 handlers ``_binop`` builds do the arithmetic themselves, a store or a
 register move of an int or a normal memory capability keeps it with no
-call, and a load tells whether the word it reads is linear by one
-lookup in ``core.OWNS``, the table of the words that own addresses.
+call, and a load tells whether the word it reads is linear, and a
+splice whether its halves are, by one lookup in ``core.OWNS``, the
+table of the words that own addresses.
 Records are built with ``tuple.__new__``, which skips the Python-level
 constructor that ``namedtuple`` generates.  A memory capability indexes
 ``mem`` and a stack pointer ``ms_stk``; every pointer case is written
@@ -373,11 +374,19 @@ def exec_splice(cfg, ext, gc, ops):
             and c2.end + 1 == c3.base
             and c2.base <= c2.end and c3.base <= c3.end):
         return FAILED
-    if t is not SealCap and (
-            c2.perm != c3.perm or is_linear(c2) != is_linear(c3)):
+    # the halves have one type, so one ownership key, as the load tells
+    # a word, decides both: a memory capability's lin, else the type
+    if t is MemCap:
+        key = c2[1]
+        if key is not c3[1]:   # one linear half, one normal
+            return FAILED
+    else:
+        key = t
+    if t is not SealCap and c2.perm != c3.perm:
         return FAILED
-    reg[r2] = lin_cons(c2)
-    reg[r3] = lin_cons(c3)
+    if key in OWNS:   # each linear half is moved into the spliced word
+        reg[r2] = 0
+        reg[r3] = 0
     reg[r1] = _new(t, c3[:-3] + (c2.base,) + c3[-2:])
     return None
 

@@ -24,7 +24,7 @@ from capmach.core import (
 )
 from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
-    scenario_second_stack, trusted_one_call,
+    trusted_one_call,
 )
 from capmach.harness import ValidationFailure, run_diff
 from capmach.machine import NULL_EXTENSION
@@ -230,7 +230,7 @@ def test_criterion_7_attack_suite():
         assert r.expected == "both-failed" and r.as_expected, name
         assert r.verdict.source.outcome == "failed"
         assert r.verdict.target.outcome == "failed"
-    r = scenario_second_stack(check_stk_base=False)
+    r = SCENARIOS["second-stack-nocheck"]()
     assert r.expected == "disagreement" and r.as_expected
     assert r.verdict.target.outcome == "halted"
     assert not r.verdict.agreement

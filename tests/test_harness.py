@@ -27,7 +27,7 @@ from capmach.core import (
 )
 from capmach.fixtures import (
     SCENARIOS, STK_BASE, STK_END, context_cb, corpus, minimal_context,
-    scenario_second_stack, trusted_one_call, trusted_simple,
+    trusted_one_call, trusted_simple,
 )
 from capmach.harness import (
     check_stack_partition, format_trace, run, run_diff, run_report,
@@ -95,9 +95,9 @@ def test_scenarios_as_expected():
 
 
 def test_second_stack_knob():
-    on = scenario_second_stack(True)
+    on = SCENARIOS["second-stack"]()
     assert on.expected == "both-failed" and on.as_expected
-    off = scenario_second_stack(False)
+    off = SCENARIOS["second-stack-nocheck"]()
     assert off.expected == "disagreement"
     assert off.verdict.target.outcome == "halted"
     assert off.verdict.source.outcome == "failed"
@@ -1176,8 +1176,9 @@ def test_diff_fuel_counts_source_steps():
             assert v.agreement, (name, fuel, v.detail)
     # second-stack agrees at every fuel; without the stack-base check
     # the target halts after 38 steps, and the disagreement is real
-    for check in (True, False):
-        t, ctx = scenario_second_stack(check).components
+    for name, check in (("second-stack", True),
+                        ("second-stack-nocheck", False)):
+        t, ctx = SCENARIOS[name]().components
         disagree = [fuel for fuel in range(60) if not run_diff(
             t, ctx, STK_BASE, STK_END, fuel, check).agreement]
         assert disagree == ([] if check else list(range(38, 60)))

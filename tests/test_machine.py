@@ -326,6 +326,33 @@ def test_splice():
                   "splice", "r1", "r2", "r3", ext=ext) is FAILED, ext
 
 
+def test_splice_linearity_premise():
+    # the halves must agree on linearity: a linear half and a normal one
+    # never splice, in either order, and the step writes nothing; a
+    # linear pair, and on the source a stack-pointer pair, are moved
+    # into the spliced word, so both halves are cleared
+    pc, ops = rx(0, 9, 0), ("r1", "r2", "r3")
+    lin_lo, lin_hi = rw(0, 5, 1, Lin.LINEAR), rw(6, 10, 8, Lin.LINEAR)
+    lo, hi = rw(0, 5, 1), rw(6, 10, 8)
+    for ext in (NULL_EXTENSION, SOURCE_EXTENSION):
+        for r2, r3 in ((lin_lo, hi), (lo, lin_hi)):
+            cfg = tcfg(pc=pc, r1=7, r2=r2, r3=r3)
+            assert ex(cfg, "splice", *ops, ext=ext) is FAILED, (ext, r2)
+            before = dict(cfg.reg)
+            assert machine.exec_splice(cfg, ext, NOWHERE, ops) is FAILED
+            assert cfg.reg == before, (ext, r2)
+        r = regs_after(ex(tcfg(pc=pc, r2=lin_lo, r3=lin_hi), "splice", *ops,
+                          ext=ext))
+        assert (r["r1"], r["r2"], r["r3"]) == (rw(0, 10, 8, Lin.LINEAR), 0, 0)
+        r = regs_after(ex(tcfg(pc=pc, r2=lo, r3=hi), "splice", *ops, ext=ext))
+        assert (r["r1"], r["r2"], r["r3"]) == (rw(0, 10, 8), lo, hi)
+    sp = (Perm.RW, 1000, 1004, 1001), (Perm.RW, 1005, 1010, 1008)
+    r = regs_after(ex(scfg(pc=pc, r2=StkPtr(*sp[0]), r3=StkPtr(*sp[1])),
+                      "splice", *ops, ext=SOURCE_EXTENSION))
+    assert (r["r1"], r["r2"], r["r3"]) == \
+        (StkPtr(Perm.RW, 1000, 1010, 1008), 0, 0)
+
+
 def test_pointer_rules_keep_every_other_field():
     # cca, seta2b, restrict, split and splice each change one field of
     # each pointer they make, named here through ``_replace``, and keep

@@ -12,11 +12,13 @@ import pytest
 from capmach import asm, fixtures, harness, machine
 from capmach.asm import CALL_HEAD
 from capmach.components import _verdict, format_component, parse_component
-from capmach.core import PC, MemCap, dec_instr, linear_range
+from capmach.core import (
+    PC, Lin, MemCap, Memory, Perm, StkPtr, dec_instr, linear_range,
+)
 from capmach.harness import diff_start, run, run_report
 from capmach.machine import NULL_EXTENSION
-from capmach.source import SOURCE_EXTENSION
-from conftest import count_calls
+from capmach.source import SOURCE_EXTENSION, SourceConfig
+from conftest import NOWHERE, count_calls
 
 # r0 cells of the callback's stack: store r4 into each, going down,
 # then load them back into the sum r6, going up
@@ -194,11 +196,13 @@ def test_handlers_take_one_operand_tuple(monkeypatch):
 def test_load_store_sweep_step_calls():
     # a load or a store is one handler call plus one access guard, and a
     # store of an int calls nothing else, not even to tell that an
-    # unwritten cell is in the memory: 1.281 calls per step with Python
-    # 3.11 (1.292 when a register move of an int called ``lin_cons``,
-    # 1.424 when that test went through ``Ranges.__contains__``,
-    # 1.443 when ``lin_cons`` sent a sealed word to ``linear_range``,
-    # 3.630 with the generator loop and ``lin_cons`` on every store)
+    # unwritten cell is in the memory: 1.271 calls per step with Python
+    # 3.11 (1.281 when a splice told its halves through ``is_linear`` and
+    # ``lin_cons``, 1.292 when a register move of an int called
+    # ``lin_cons``, 1.424 when that test went through
+    # ``Ranges.__contains__``, 1.443 when ``lin_cons`` sent a sealed word
+    # to ``linear_range``, 3.630 with the generator loop and ``lin_cons``
+    # on every store)
     per_step, reports = _calls_per_step(
         [(fixtures.trusted_one_call(), fixtures.context_cb(_SWEEP))], 5000)
     assert [(r.outcome, r.steps, r.final_cfg.reg["r6"]) for r in reports] \
@@ -210,18 +214,19 @@ def test_paranoid_step_calls():
     # the paranoid checks visit what a step changed: the registers it
     # wrote and its cell, whose owners are told in place, and at a call
     # or a return the memories it made and the regions next to them, in
-    # one hook call per step: 3.126 calls per step with Python 3.11
-    # (3.171 when a target CALL_HEAD step asked a ``recognize_call`` that
-    # returned None and a register move of an int called ``lin_cons``;
-    # 3.141 before a call's first word had a handler of its own; 3.690
-    # when a call or a return split and joined the stack through
-    # ``Ranges``' Python-level constructor and the tracker called
+    # one hook call per step: 3.010 calls per step with Python 3.11
+    # (3.126 when a splice told its halves through ``is_linear`` and
+    # ``lin_cons``; 3.171 when a target CALL_HEAD step asked a
+    # ``recognize_call`` that returned None and a register move of an int
+    # called ``lin_cons``; 3.141 before a call's first word had a handler
+    # of its own; 3.690 when a call or a return split and joined the stack
+    # through ``Ranges``' Python-level constructor and the tracker called
     # ``bounds`` and ``meets``, 3.957 when ``lin_cons`` sent a sealed
     # word to ``linear_range``, 5.559 when the words other than ints and
     # normal memory capabilities went through ``linear_range`` and each
     # call and return rebuilt the partition, 8.454 with the generator
     # loop).
-    # Unchecked, these runs make 1.823
+    # Unchecked, these runs make 1.708
     programs = [(t, ctx) for name, t, ctx in fixtures.corpus()
                 if name != "spin"]
     per_step, reports = _calls_per_step(programs, 2000, paranoid=True)
@@ -260,6 +265,53 @@ def test_load_tells_linear_words_in_place():
         sys.setprofile(None)
     assert all(r.outcome == "halted" and r.violations == [] for r in reports)
     assert (loads, from_load) == (57, 0)
+
+
+def test_linear_splice_calls_nothing():
+    # a splice tells both halves by one ownership key and one ``OWNS``
+    # lookup, in place, as the load tells a word: a splice of two linear
+    # halves is its handler's one call on either machine, and so is one
+    # of two stack pointers on the source (7 when each half went through
+    # ``is_linear``, which called ``linear_range``, and ``lin_cons``)
+    ops = ("r1", "r2", "r3")
+    lo = MemCap(Perm.RW, Lin.LINEAR, 0, 5, 1)
+    hi = MemCap(Perm.RW, Lin.LINEAR, 6, 10, 8)
+    sp = StkPtr(Perm.RW, 1000, 1004, 1001), StkPtr(Perm.RW, 1005, 1010, 1008)
+    cases = [(NULL_EXTENSION, (lo, hi)), (SOURCE_EXTENSION, (lo, hi)),
+             (SOURCE_EXTENSION, sp)]
+    for ext, (c2, c3) in cases:
+        cfg = SourceConfig(Memory({}), {"r1": 0, "r2": c2, "r3": c3})
+        calls, out = count_calls(
+            lambda: machine.exec_splice(cfg, ext, NOWHERE, ops))
+        assert out is None and cfg.reg["r2"] == cfg.reg["r3"] == 0, c2
+        assert calls == 1, (c2, calls)
+
+
+def test_scenario_pairs_built_once():
+    # a scenario builds its (trusted, context) pair on its first run in
+    # the process only: a second run assembles nothing, runs over the
+    # same two component objects and reaches the same verdict, and no
+    # run or validation writes into the shared pair, which still equals
+    # a build made anew
+    code = asm.assemble.__code__
+    for name, scenario in fixtures.SCENARIOS.items():
+        first = scenario()
+        assembles = 0
+
+        def count(frame, event, arg):
+            nonlocal assembles
+            assembles += event == "call" and frame.f_code is code
+
+        sys.setprofile(count)
+        try:
+            again = scenario()
+        finally:
+            sys.setprofile(None)
+        assert assembles == 0, name
+        (t, ctx), (t0, ctx0) = again.components, first.components
+        assert t is t0 and ctx is ctx0, name
+        assert again.verdict == first.verdict and again.as_expected, name
+        assert again.components == fixtures._SCENARIO[name][0](), name
 
 
 def test_call_and_return_step_calls():
